@@ -12,10 +12,9 @@ from .basis import (ClenshawTrace, DegreeGradedBasis, DegreeOverflowError,
                     basis_from_json, basis_to_json, clenshaw_eval,
                     clenshaw_shifts, derivative_eval, divided_difference)
 from .cayley import (CayleyResultant, CayleyTensor, cayley_coeffs,
-                     cayley_diagonal_derivative, cayley_diagonal_value,
-                     cayley_function_eval, cayley_resultant,
-                     cayley_resultant_to_json, cayley_root_eigvectors,
-                     default_taus)
+                     cayley_diagonal_value, cayley_function_eval,
+                     cayley_resultant, cayley_resultant_to_json,
+                     cayley_root_eigvectors, default_taus)
 from .matpoly import (Eigenpair, EigenSolveError, MatrixPolynomial,
                       NotRegularError, StructureError, eig_condition,
                       linearize, matpoly_deriv_eval, matpoly_eval,
@@ -34,7 +33,7 @@ from .rootfinder import (ConditionRecord, RecoveryError, RootRecord,
                          report_to_csv, report_to_json, solve_system)
 from .sylvester import (SylvesterResultant, sylvester_degrees,
                         sylvester_resultant, sylvester_resultant_to_json,
-                        sylvester_root_eigvectors, sylvester_row)
+                        sylvester_root_eigvectors)
 
 __version__ = "0.1.0"
 
@@ -57,11 +56,10 @@ __all__ = [
     # cayley
     "CayleyTensor", "CayleyResultant", "default_taus", "cayley_function_eval",
     "cayley_coeffs", "cayley_resultant", "cayley_diagonal_value",
-    "cayley_diagonal_derivative", "cayley_root_eigvectors",
-    "cayley_resultant_to_json",
+    "cayley_root_eigvectors", "cayley_resultant_to_json",
     # sylvester
-    "SylvesterResultant", "sylvester_degrees", "sylvester_row",
-    "sylvester_resultant", "sylvester_root_eigvectors",
+    "SylvesterResultant", "sylvester_degrees", "sylvester_resultant",
+    "sylvester_root_eigvectors",
     "sylvester_resultant_to_json",
     # rootfinder
     "SolveOptions", "RootRecord", "RootReport", "RecoveryError",

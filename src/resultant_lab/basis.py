@@ -11,6 +11,13 @@ where every alpha_k is nonzero.  Monomials, Chebyshev polynomials and
 Legendre polynomials are built in; custom bases supply explicit
 coefficient tables.  All built-in families have sup-norm 1 on [-1, 1].
 
+Every recurrence in the package reads one cached table per basis, shared
+by all instances of a built-in family (``DegreeGradedBasis.table``): the
+alpha_k and beta_k as arrays and the nonzero gamma_{k,j} listed by row
+and by column.  Three-term bases such
+as Chebyshev and Legendre simply have one gamma entry per row, so the
+same loop serves them and dense custom recurrences alike.
+
 Polynomials p(x) = sum_k a_k phi_k(x) are evaluated by running the
 recurrence backwards (a generalized Clenshaw scheme).  The backward
 shifts b_k[p](x) produced along the way are kept on the returned trace
@@ -18,6 +25,7 @@ because they also encode divided differences, derivatives and the left
 eigenvector structure of resultant matrices built downstream.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -152,6 +160,44 @@ class Domain:
 # Basis definition
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _RecurrenceTable:
+    """Recurrence coefficients for rows k = 0..len(alpha) - 1.
+
+    rows[k] lists (j, gamma_{k,j}) for the nonzero entries, j ascending;
+    cols[j] lists (k, gamma_{k,j}), k ascending.  cols has one slot more
+    than rows so that cols[k + 1] exists for every row k.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    rows: tuple
+    cols: tuple
+
+
+def _build_table(basis, kmax):
+    rows = tuple(tuple((j, g) for j in range(1, k + 1)
+                       if (g := basis.gamma(k, j)) != 0)
+                 for k in range(kmax + 1))
+    cols = [[] for _ in range(kmax + 2)]
+    for k, row in enumerate(rows):
+        for j, g in row:
+            cols[j].append((k, g))
+    alpha = np.array([basis.alpha(k) for k in range(kmax + 1)])
+    beta = np.array([basis.beta(k) for k in range(kmax + 1)])
+    alpha.flags.writeable = beta.flags.writeable = False  # tables are shared
+    return _RecurrenceTable(alpha=alpha, beta=beta, rows=rows,
+                            cols=tuple(tuple(c) for c in cols))
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_table(name, length):
+    """Rows 0..length-1 of a built-in family.  Its coefficients depend on
+    the name alone, so one table serves every instance (a per-instance
+    table costs a few KB per system in large corpora)."""
+    return _build_table(DegreeGradedBasis(name), length - 1)
+
+
 class DegreeGradedBasis:
     """Recurrence data (alpha_k, beta_k, gamma_{k,j}) plus a domain.
 
@@ -169,12 +215,12 @@ class DegreeGradedBasis:
             domain = Domain.interval(-1.0, 1.0)
         self.name = str(name)
         self.domain = domain
+        self._table = None
         if self.name in _BUILTIN_NAMES:
             if alpha is not None or beta is not None or gamma is not None:
                 raise ValueError("built-in bases take no recurrence tables")
             self._alpha = self._beta = None
             self._gamma = None
-            self._banded = True
         elif self.name == "custom":
             if alpha is None or beta is None or gamma is None:
                 raise ValueError("custom basis needs alpha, beta and gamma")
@@ -193,7 +239,6 @@ class DegreeGradedBasis:
             self._gamma = tuple(rows)
             if len(self._gamma) < len(self._alpha) - 1:
                 raise ValueError("gamma needs len(alpha) - 1 rows")
-            self._banded = all(not np.any(row[:-1]) for row in self._gamma)
             if check_normalization:
                 self._warn_if_unnormalized()
         else:
@@ -255,33 +300,26 @@ class DegreeGradedBasis:
                 f"gamma table ends at row {len(self._gamma)}, need row {k}")
         return self._gamma[k - 1][j - 1]
 
-    def alphas(self, kmax):
-        return np.array([self.alpha(k) for k in range(kmax + 1)])
+    def table(self, kmax):
+        """Recurrence table holding at least rows k = 0..kmax.
 
-    def betas(self, kmax):
-        return np.array([self.beta(k) for k in range(kmax + 1)])
-
-    def gamma_band(self, kmax):
-        """Diagonal band gamma_{k,k} for k = 0..kmax (slot 0 is unused)."""
-        out = np.zeros(kmax + 1, dtype=complex)
-        for k in range(1, kmax + 1):
-            out[k] = self.gamma(k, k)
-        return out
-
-    def gamma_table(self, kmax):
-        """Dense table with [k, j] = gamma_{k,j}, zero off the triangle."""
-        out = np.zeros((kmax + 1, kmax + 1), dtype=complex)
-        for k in range(1, kmax + 1):
-            for j in range(1, k + 1):
-                out[k, j] = self.gamma(k, j)
-        return out
+        Built from the scalar alpha, beta and gamma methods on first use
+        and cached.  Built-in tables come in power-of-two lengths shared
+        by every instance of the family, so the returned arrays may be
+        longer than kmax + 1.
+        """
+        self.require_degree(kmax + 1)
+        tab = self._table
+        if tab is None or len(tab.alpha) <= kmax:
+            if self.name == "custom":
+                tab = _build_table(self, self.max_degree() - 1)
+            else:
+                tab = _builtin_table(self.name,
+                                     max(16, 1 << int(kmax).bit_length()))
+            self._table = tab
+        return tab
 
     # -- capabilities ---------------------------------------------------
-
-    @property
-    def is_banded(self):
-        """True when gamma_{k,j} = 0 for every j < k (three-term case)."""
-        return self._banded
 
     def max_degree(self):
         """Largest representable degree, or None when unlimited."""
@@ -349,16 +387,14 @@ def basis_eval_all(basis, kmax, x):
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    basis.require_degree(kmax)
+    tab = basis.table(kmax - 1)
     x = np.asarray(x, dtype=complex)
     out = np.empty((kmax + 1,) + x.shape, dtype=complex)
     out[0] = 1.0
     for k in range(kmax):
-        acc = (basis.alpha(k) * x + basis.beta(k)) * out[k]
-        for j in range(1, k + 1):
-            g = basis.gamma(k, j)
-            if g != 0:
-                acc = acc + g * out[j - 1]
+        acc = (tab.alpha[k] * x + tab.beta[k]) * out[k]
+        for j, g in tab.rows[k]:
+            acc = acc + g * out[j - 1]
         out[k + 1] = acc
     return out
 
@@ -393,53 +429,46 @@ class ClenshawTrace:
         return self.shifts[::-1]
 
 
-def _shift_table(basis, coeffs, x, force_full=False):
+def _shift_table(basis, coeffs, x):
     """Backward shifts for coefficient array of shape (n+1, ...).
 
     Returns b with shape (n+2, ...) where b[k] = b_k[p](x) for
-    k = 1..n+1 (slot 0 stays zero).  The scalar x broadcasts over any
-    trailing coefficient axes, which lets matrix-valued coefficient
-    stacks share this code path.
+    k = 1..n+1 (slot 0 stays zero), from
+    b_k = a_k + (alpha_k x + beta_k) b_{k+1} + sum_{j>k} gamma_{j,k+1} b_{j+1}.
+    The scalar x broadcasts over any trailing coefficient axes, which
+    lets matrix-valued coefficient stacks share this code path.
     """
     n = coeffs.shape[0] - 1
-    basis.require_degree(n)
+    tab = basis.table(n - 1)
     b = np.zeros((n + 2,) + coeffs.shape[1:], dtype=complex)
     if n >= 1:
         # b_n = a_n because b_{n+1} = 0.
         b[n] = coeffs[n]
-    if basis.is_banded and not force_full:
-        band = basis.gamma_band(n - 1) if n >= 2 else None
-        for k in range(n - 1, 0, -1):
-            t = coeffs[k] + (basis.alpha(k) * x + basis.beta(k)) * b[k + 1]
-            if k + 1 <= n - 1 and band[k + 1] != 0:
-                t = t + band[k + 1] * b[k + 2]
-            b[k] = t
-    else:
-        table = basis.gamma_table(n - 1) if n >= 2 else None
-        for k in range(n - 1, 0, -1):
-            t = coeffs[k] + (basis.alpha(k) * x + basis.beta(k)) * b[k + 1]
-            for j in range(k + 1, n):
-                g = table[j, k + 1]
-                if g != 0:
-                    t = t + g * b[j + 1]
-            b[k] = t
+    for k in range(n - 1, 0, -1):
+        t = coeffs[k] + (tab.alpha[k] * x + tab.beta[k]) * b[k + 1]
+        for j, g in tab.cols[k + 1]:
+            if j >= n:
+                break
+            t = t + g * b[j + 1]
+        b[k] = t
     return b
 
 
 def _reconstruct(basis, coeffs, x, b):
     """p(x) = a_0 phi_0 + phi_1(x) b_1 + sum_{j=1}^{n-1} gamma_{j,1} b_{j+1}."""
     n = coeffs.shape[0] - 1
+    tab = basis.table(n - 1)
     val = coeffs[0] + 0.0j
     if n >= 1:
-        val = val + (basis.alpha(0) * x + basis.beta(0)) * b[1]
-    for j in range(1, n):
-        g = basis.gamma(j, 1)
-        if g != 0:
-            val = val + g * b[j + 1]
+        val = val + (tab.alpha[0] * x + tab.beta[0]) * b[1]
+    for j, g in tab.cols[1]:
+        if j >= n:
+            break
+        val = val + g * b[j + 1]
     return val
 
 
-def clenshaw_shifts(basis, coeffs, x, force_full=False):
+def clenshaw_shifts(basis, coeffs, x):
     """Ascending shift array b_1[p](x), ..., b_{n+1}[p](x).
 
     coeffs may carry trailing axes (e.g. matrix coefficients); x must be
@@ -448,10 +477,10 @@ def clenshaw_shifts(basis, coeffs, x, force_full=False):
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape[0] == 0:
         raise ValueError("empty coefficient list")
-    return _shift_table(basis, coeffs, x, force_full=force_full)[1:]
+    return _shift_table(basis, coeffs, x)[1:]
 
 
-def clenshaw_eval(basis, coeffs, x, force_full=False):
+def clenshaw_eval(basis, coeffs, x):
     """Evaluate p(x) = sum_k a_k phi_k(x) by the backward recurrence.
 
     Parameters
@@ -460,10 +489,6 @@ def clenshaw_eval(basis, coeffs, x, force_full=False):
     coeffs : sequence
         Coefficients a_0, ..., a_n; must be nonempty.
     x : complex
-    force_full : bool
-        Run the dense quadratic-cost recurrence even when the basis has
-        three-term (banded) structure.  Testing hook; both code paths
-        agree to roundoff.
 
     Returns
     -------
@@ -479,7 +504,7 @@ def clenshaw_eval(basis, coeffs, x, force_full=False):
     if coeffs.ndim != 1 or coeffs.shape[0] == 0:
         raise ValueError("coeffs must be a nonempty one-dimensional sequence")
     x = complex(x)
-    b = _shift_table(basis, coeffs, x, force_full=force_full)
+    b = _shift_table(basis, coeffs, x)
     value = complex(_reconstruct(basis, coeffs, x, b))
     return ClenshawTrace(shifts=b[1:][::-1].copy(), value=value)
 
@@ -499,7 +524,7 @@ def divided_difference(basis, coeffs, x, y):
         return 0.0j
     b = _shift_table(basis, coeffs, complex(y))
     phis = basis_eval_all(basis, n - 1, complex(x))
-    al = basis.alphas(n - 1)
+    al = basis.table(n - 1).alpha[:n]
     return complex(np.sum(al * b[1:n + 1] * phis))
 
 

@@ -17,12 +17,15 @@ function is constant in every auxiliary variable, so the bounds drop to
 zero; this structural fact keeps linear systems away from identically
 singular unfoldings.
 
-Coefficients are recovered by sampling on tensor grids and solving
-per-axis generalized Vandermonde systems.  The s-grids and t-grids are
-drawn from interleaved point families chosen so that s_k never collides
-with t_k, which keeps the defining quotient evaluable everywhere on the
-grid; values on the diagonal s = t come from contracting the recovered
-tensor instead.
+Coefficients are recovered by sampling on one tensor grid whose axes
+are the hidden variable, the s variables and the t variables, then
+solving one generalized Vandermonde system per axis.  The same path
+gives the tensor at a single hidden value (one hidden node, where that
+axis's interpolation is the identity) and the whole resultant (d n + 1
+hidden nodes).  The s-grids and t-grids are drawn from interleaved
+point families chosen so that s_k never collides with t_k, which keeps
+the defining quotient evaluable everywhere on the grid; values on the
+diagonal s = t come from contracting the recovered tensor instead.
 """
 
 from dataclasses import dataclass
@@ -33,7 +36,7 @@ import numpy as np
 from .basis import basis_eval_all
 from .matpoly import (MatrixPolynomial, StructureError, matpoly_eval,
                       matpoly_to_json)
-from .multipoly import interpolate_on_nodes, mp_eval, mp_eval_grid
+from .multipoly import MultiPoly, interpolate_on_nodes, mp_eval, mp_eval_grid
 
 __all__ = [
     "CayleyTensor",
@@ -43,7 +46,6 @@ __all__ = [
     "cayley_coeffs",
     "cayley_resultant",
     "cayley_diagonal_value",
-    "cayley_diagonal_derivative",
     "cayley_root_eigvectors",
     "cayley_resultant_to_json",
 ]
@@ -102,15 +104,6 @@ class CayleyResultant:
                 "col_extents": list(self.col_extents),
                 "row_strides": list(self.row_strides),
                 "col_strides": list(self.col_strides)}
-
-    def unfold(self, tensor):
-        """Tensor with row axes then column axes -> N x N matrix."""
-        n = self.matrix_poly.size
-        return np.asarray(tensor).reshape(n, n)
-
-    def fold(self, matrix):
-        """Inverse of unfold."""
-        return np.asarray(matrix).reshape(self.row_extents + self.col_extents)
 
 
 def _c_strides(extents):
@@ -228,32 +221,44 @@ def cayley_function_eval(hv, s, t, x_d):
     return complex(np.linalg.det(M) / np.prod(s - t))
 
 
-def _grid_values(hv, s_sets, t_sets, x_d):
-    """Function values on the full tensor grid (s axes, then t axes)."""
+# Matrices per det call are capped at this many complex entries (128 KB):
+# one larger temporary raises glibc's mmap threshold for the rest of the
+# process and leaves up to twice its size resident.
+_DET_BLOCK_ENTRIES = 8192
+
+
+def _grid_values(hv, s_sets, t_sets, hidden_nodes):
+    """Function values on the tensor grid: hidden axis, s axes, t axes."""
     d = hv.dim
     nfree = d - 1
-    qs = hv.qs_at(x_d)
-    full_extents = tuple(len(s) for s in s_sets) + \
-        tuple(len(t) for t in t_sets)
-    Mg = np.empty(full_extents + (d, d), dtype=complex)
+    nh = len(hidden_nodes)
+    polys = [MultiPoly(hv.basis, d, t) for t in hv.tensors]
+    grid = tuple(len(s) for s in s_sets) + tuple(len(t) for t in t_sets)
+    entries = []  # entries[r][c] broadcasts to (nh,) + grid
     for r in range(1, d + 1):
         # variable m (0-based) reads t-nodes when m <= r - 2, else s-nodes
         sets = [t_sets[m] if m <= r - 2 else s_sets[m] for m in range(nfree)]
         target = [nfree + m if m <= r - 2 else m for m in range(nfree)]
-        order = np.argsort(target)
-        full_shape = [1] * (2 * nfree)
+        order = [nfree] + list(np.argsort(target))
+        shape = [nh] + [1] * (2 * nfree)
         for m in range(nfree):
-            full_shape[target[m]] = len(sets[m])
-        for c in range(d):
-            vals = mp_eval_grid(qs[c], sets)
-            Mg[..., r - 1, c] = np.transpose(vals, order).reshape(full_shape)
-    F = np.linalg.det(Mg)
+            shape[1 + target[m]] = len(sets[m])
+        entries.append([np.transpose(mp_eval_grid(p, sets + [hidden_nodes]),
+                                     order).reshape(shape) for p in polys])
+    step = max(1, _DET_BLOCK_ENTRIES // (int(np.prod(grid)) * d * d))
+    F = np.empty((nh,) + grid, dtype=complex)
+    for lo in range(0, nh, step):
+        Mg = np.empty((min(step, nh - lo),) + grid + (d, d), dtype=complex)
+        for r in range(d):
+            for c in range(d):
+                Mg[..., r, c] = entries[r][c][lo:lo + step]
+        F[lo:lo + step] = np.linalg.det(Mg)
     for k0 in range(nfree):
-        sshape = [1] * (2 * nfree)
-        sshape[k0] = len(s_sets[k0])
-        tshape = [1] * (2 * nfree)
-        tshape[nfree + k0] = len(t_sets[k0])
-        F = F / (s_sets[k0].reshape(sshape) - t_sets[k0].reshape(tshape))
+        sshape = [1] * (2 * nfree + 1)
+        sshape[1 + k0] = len(s_sets[k0])
+        tshape = [1] * (2 * nfree + 1)
+        tshape[1 + nfree + k0] = len(t_sets[k0])
+        F /= s_sets[k0].reshape(sshape) - t_sets[k0].reshape(tshape)
     return F
 
 
@@ -261,47 +266,56 @@ def _grid_values(hv, s_sets, t_sets, x_d):
 # Coefficient tensor and resultant matrix
 # ----------------------------------------------------------------------
 
-def cayley_coeffs(hv, x_d, taus=None):
-    """Tensor-product coefficients of the function at hidden value x_d."""
+def _checked_taus(hv, taus):
     d = hv.dim
     if taus is None:
         taus = default_taus(hv)
     taus = tuple(int(t) for t in taus)
     if len(taus) != d - 1 or any(t < 0 for t in taus):
         raise ValueError(f"need {d - 1} nonnegative degree bounds")
+    return taus
+
+
+def _sampled_coeffs(hv, taus, hidden_nodes):
+    """Coefficients indexed (hidden axis, s axes, t axes): the function is
+    sampled on the hidden-node, s and t grid and interpolated along all
+    of its axes at once."""
     s_sets, t_sets = _axis_point_sets(hv.domain, taus)
-    values = _grid_values(hv, s_sets, t_sets, complex(x_d))
-    coeffs = interpolate_on_nodes(hv.basis, s_sets + t_sets, values)
-    return CayleyTensor(basis=hv.basis, d=d, taus=taus, coeffs=coeffs)
+    values = _grid_values(hv, s_sets, t_sets, hidden_nodes)
+    return interpolate_on_nodes(hv.basis, [hidden_nodes] + s_sets + t_sets,
+                                values)
+
+
+def cayley_coeffs(hv, x_d, taus=None):
+    """Tensor-product coefficients of the function at hidden value x_d.
+
+    With a single hidden node the hidden-axis interpolation is the
+    identity (phi_0 = 1), so the samples at x_d pass through unchanged.
+    """
+    taus = _checked_taus(hv, taus)
+    coeffs = _sampled_coeffs(hv, taus, np.array([complex(x_d)]))[0]
+    return CayleyTensor(basis=hv.basis, d=hv.dim, taus=taus, coeffs=coeffs)
 
 
 def cayley_resultant(hv, taus=None):
     """Matrix polynomial in the hidden variable from entrywise interpolation.
 
-    The coefficient tensor is sampled at d n + 1 domain nodes of the
-    hidden variable, each sample is flattened row-group/column-group in
-    C order, and every matrix entry is interpolated in the basis.
+    The function is sampled at d n + 1 domain nodes of the hidden
+    variable together with the s and t grids; the recovered coefficient
+    tensor is flattened row-group/column-group in C order, one matrix
+    per hidden-variable basis function.
     """
-    d = hv.dim
-    if taus is None:
-        taus = default_taus(hv)
-    taus = tuple(int(t) for t in taus)
+    taus = _checked_taus(hv, taus)
     n = max(hv.max_degree, 1)
-    hidden_degree = d * n
-    nodes = hv.domain.nodes(hidden_degree + 1)
+    nodes = hv.domain.nodes(hv.dim * n + 1)
     size = int(np.prod([t + 1 for t in taus]))
-    samples = np.empty((len(nodes), size, size), dtype=complex)
-    for i, z in enumerate(nodes):
-        samples[i] = cayley_coeffs(hv, z, taus).coeffs.reshape(size, size)
-    vand = basis_eval_all(hv.basis, hidden_degree, nodes).T
-    flat = np.linalg.solve(vand, samples.reshape(len(nodes), -1))
-    coeffs = flat.reshape(len(nodes), size, size)
-    return CayleyResultant(
-        matrix_poly=MatrixPolynomial(hv.basis, coeffs), taus=taus)
+    coeffs = _sampled_coeffs(hv, taus, nodes).reshape(len(nodes), size, size)
+    return CayleyResultant(matrix_poly=MatrixPolynomial(hv.basis, coeffs),
+                           taus=taus)
 
 
 # ----------------------------------------------------------------------
-# Diagonal values and derivatives
+# Diagonal values
 # ----------------------------------------------------------------------
 
 def _contract_both_sides(tensor, basis, taus, point):
@@ -327,23 +341,6 @@ def cayley_diagonal_value(hv, free_point, x_d, taus=None):
     A = cayley_coeffs(hv, x_d, taus)
     free_point = np.atleast_1d(np.asarray(free_point, dtype=complex))
     return _contract_both_sides(A.coeffs, hv.basis, A.taus, free_point)
-
-
-def cayley_diagonal_derivative(hv, x, taus=None, step=1e-6):
-    """d/dx_d of the diagonal value at a root; equals det of the Jacobian.
-
-    Central finite differences in the hidden variable with relative
-    step size `step`.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    if x.shape != (hv.dim,):
-        raise ValueError(f"point must have length {hv.dim}")
-    free = x[list(hv.free_order)]
-    z = complex(x[hv.hidden_index])
-    h = step * max(1.0, abs(z))
-    up = cayley_diagonal_value(hv, free, z + h, taus)
-    dn = cayley_diagonal_value(hv, free, z - h, taus)
-    return (up - dn) / (2.0 * h)
 
 
 # ----------------------------------------------------------------------

@@ -118,7 +118,7 @@ def matpoly_deriv_eval(P, lam):
         return np.zeros_like(P.coeffs[0])
     b = clenshaw_shifts(P.basis, P.coeffs, complex(lam))  # b[i] = b_{i+1}
     phis = basis_eval_all(P.basis, K - 1, complex(lam))
-    al = P.basis.alphas(K - 1)
+    al = P.basis.table(K - 1).alpha[:K]
     return np.tensordot(al * phis, b[:K], axes=([0], [0]))
 
 
@@ -160,7 +160,7 @@ def linearize(P):
     K, N = P.degree, P.size
     if K == 0:
         raise ValueError("constant matrix polynomial has no eigenvalues")
-    P.basis.require_degree(K)
+    tab = P.basis.table(K - 1)
     A = P.coeffs
     X = np.zeros((N * K, N * K), dtype=complex)
     Y = np.zeros_like(X)
@@ -170,21 +170,18 @@ def linearize(P):
         return slice(i * N, (i + 1) * N), slice(j * N, (j + 1) * N)
 
     for k in range(K - 1):
-        r, c = blk(k, k)
-        X[r, c] += P.basis.beta(k) * eye
+        X[blk(k, k)] += tab.beta[k] * eye
         X[blk(k, k + 1)] = -eye
-        for j in range(1, k + 1):
-            g = P.basis.gamma(k, j)
-            if g != 0:
-                rr, cc = blk(k, j - 1)
-                X[rr, cc] += g * eye
-        Y[blk(k, k)] = -P.basis.alpha(k) * eye
+        for j, g in tab.rows[k]:
+            X[blk(k, j - 1)] += g * eye
+        Y[blk(k, k)] = -tab.alpha[k] * eye
     last = K - 1
     for i in range(K - 1):
-        g = P.basis.gamma(K - 1, i + 1)
-        X[blk(last, i)] = A[i] + g * A[K]
-    X[blk(last, last)] = A[K - 1] + P.basis.beta(K - 1) * A[K]
-    Y[blk(last, last)] = -P.basis.alpha(K - 1) * A[K]
+        X[blk(last, i)] = A[i]
+    for j, g in tab.rows[last]:
+        X[blk(last, j - 1)] += g * A[K]
+    X[blk(last, last)] = A[K - 1] + tab.beta[last] * A[K]
+    Y[blk(last, last)] = -tab.alpha[last] * A[K]
     return X, Y
 
 
@@ -244,7 +241,7 @@ def _svd_candidates(M, v0, w0):
     return v, w, right_res(v), left_res(w)
 
 
-def polyeig(P, with_infinite=False, refine=True):
+def polyeig(P, with_infinite=False):
     """All finite eigenpairs of a regular matrix polynomial.
 
     Parameters
@@ -253,8 +250,6 @@ def polyeig(P, with_infinite=False, refine=True):
     with_infinite : bool
         Also return the count of infinite eigenvalues, so that
         finite + infinite = size * degree always holds.
-    refine : bool
-        Polish each eigenvector pair against P(lam) (default).
 
     Returns
     -------
@@ -307,16 +302,7 @@ def polyeig(P, with_infinite=False, refine=True):
         # turns them into plain-transpose left vectors of the pencil,
         # whose trailing block is a left eigenvector of P.
         w0 = np.conj(vl[-N:, idx])
-        M = matpoly_eval(P, lam)
-        if refine:
-            v, w, rr, rl = _svd_candidates(M, v0, w0)
-        else:
-            v = v0 / np.linalg.norm(v0)
-            w0n = np.linalg.norm(w0)
-            w = w0 / w0n if w0n > 0 else np.conj(
-                np.linalg.svd(M)[0][:, -1])
-            rr = np.linalg.norm(M @ v)
-            rl = np.linalg.norm(M.T @ w)
+        v, w, rr, rl = _svd_candidates(matpoly_eval(P, lam), v0, w0)
         pairs.append(Eigenpair(lam=complex(lam), right=v, left=w,
                                residual_right=float(rr),
                                residual_left=float(rl)))

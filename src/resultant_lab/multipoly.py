@@ -57,6 +57,12 @@ class MultiPoly:
                 f"coefficient tensor has {c.ndim} axes, expected {self.dim}")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
+        bad = np.argwhere(~np.isfinite(c))
+        if len(bad):
+            where = ", ".join(str(tuple(int(i) for i in idx))
+                              for idx in bad[:5])
+            more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+            raise ValueError(f"non-finite coefficients at index {where}{more}")
 
     @property
     def degrees(self):
@@ -140,10 +146,6 @@ class HiddenVariableForm:
     def max_degree(self):
         return self.source.max_degree
 
-    def coeff_poly(self, c):
-        """Hidden-axis-last tensor for polynomial c."""
-        return self.tensors[c]
-
     def q_at(self, c, z):
         """Polynomial c with the hidden variable frozen at z.
 
@@ -200,20 +202,16 @@ def mp_eval_grid(p, nodes_list):
     return t
 
 
-def _node_vandermonde(basis, nodes, degree):
-    """V[j, k] = phi_k(node_j)."""
-    nodes = np.asarray(nodes, dtype=complex)
-    return basis_eval_all(basis, degree, nodes).T
-
-
 def interpolate_on_nodes(basis, nodes_list, samples):
     """Coefficient tensor from samples on an explicit tensor grid.
 
     Axis k of samples must match len(nodes_list[k]); the interpolant
-    degree along that axis is len(nodes_list[k]) - 1.
+    degree along that axis is len(nodes_list[k]) - 1.  Axes beyond
+    len(nodes_list) are carried through unchanged, which interpolates a
+    stack of functions (for instance matrix entries) at once.
     """
     t = np.asarray(samples, dtype=complex)
-    if t.ndim != len(nodes_list):
+    if t.ndim < len(nodes_list):
         raise ValueError("need one node set per sample axis")
     for axis, nodes in enumerate(nodes_list):
         nodes = np.asarray(nodes, dtype=complex)
@@ -222,7 +220,7 @@ def interpolate_on_nodes(basis, nodes_list, samples):
                              f"{len(nodes)} nodes")
         if len(np.unique(nodes)) != len(nodes):
             raise ValueError("interpolation nodes must be distinct")
-        vand = _node_vandermonde(basis, nodes, len(nodes) - 1)
+        vand = basis_eval_all(basis, len(nodes) - 1, nodes).T  # [j, k]
         tm = np.moveaxis(t, axis, 0)
         sol = np.linalg.solve(vand, tm.reshape(tm.shape[0], -1))
         t = np.moveaxis(sol.reshape(tm.shape), 0, axis)

@@ -145,23 +145,20 @@ def _component_from_vector(u, basis):
     (u_{i+1} - beta_i u_i - sum_j gamma_{i,j} u_{j-1}); the unknown
     overall scale of u cancels.
     """
+    u = np.asarray(u, dtype=complex)
     e = len(u)
     if e < 2:
         raise RecoveryError("vector too short to carry a component")
-    num = 0.0j
-    den = 0.0
+    tab = basis.table(e - 2)
+    pred = u[1:] - tab.beta[:e - 1] * u[:-1]
     for i in range(e - 1):
-        pred = u[i + 1] - basis.beta(i) * u[i]
-        for j in range(1, i + 1):
-            g = basis.gamma(i, j)
-            if g != 0:
-                pred = pred - g * u[j - 1]
-        t = basis.alpha(i) * u[i]
-        num += np.conj(t) * pred
-        den += abs(t) ** 2
+        for j, g in tab.rows[i]:
+            pred[i] -= g * u[j - 1]
+    t = tab.alpha[:e - 1] * u[:-1]
+    den = np.vdot(t, t).real
     if den == 0.0:
         raise RecoveryError("eigenvector has no usable basis slots")
-    return num / den
+    return np.vdot(t, pred) / den
 
 
 def recover_components(resultant, vec, basis, method):

@@ -8,7 +8,9 @@ tau_2 rows expand phi_j * q_1 (j = 0..tau_2 - 1) and whose last tau_1
 rows expand phi_j * q_2 (j = 0..tau_1 - 1) is singular exactly when the
 two univariate polynomials share a root.  Viewed as a matrix polynomial
 in the hidden variable it is an alternative to the Cayley construction
-with smaller matrices for d = 2.
+with smaller matrices for d = 2.  It is built the same way: the row
+functions phi_j(y) q_c(y, z) are sampled on a grid of kept-variable
+nodes times hidden-variable nodes and interpolated over both axes.
 
 At a system root the right null vector is the basis column
 (phi_0, ..., phi_{N-1}) at the kept component; the left null vector is
@@ -23,11 +25,11 @@ import numpy as np
 from .basis import basis_eval_all, clenshaw_shifts
 from .matpoly import (MatrixPolynomial, StructureError, matpoly_eval,
                       matpoly_to_json)
+from .multipoly import MultiPoly, interpolate_on_nodes, mp_eval_grid
 
 __all__ = [
     "SylvesterResultant",
     "sylvester_degrees",
-    "sylvester_row",
     "sylvester_resultant",
     "sylvester_root_eigvectors",
     "sylvester_resultant_to_json",
@@ -78,73 +80,36 @@ def sylvester_degrees(hv):
     return tuple(taus)
 
 
-def sylvester_row(basis, coeffs, shift, length):
-    """Expansion coefficients of phi_shift * p in phi_0..phi_{length-1}.
-
-    p is given by its coefficient vector; the product degree must fit,
-    i.e. shift + deg(p) <= length - 1.  Computed by sampling on domain
-    nodes and solving the generalized Vandermonde system, which is exact
-    up to roundoff for any degree-graded basis.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 1 or coeffs.shape[0] == 0:
-        raise ValueError("coeffs must be a nonempty vector")
-    deg = coeffs.shape[0] - 1
-    if shift + deg > length - 1:
-        raise ValueError(f"phi_{shift} * (degree {deg}) does not fit in "
-                         f"{length} coefficients")
-    nodes = basis.domain.nodes(length)
-    table = basis_eval_all(basis, length - 1, nodes)  # (length, m)
-    pvals = np.tensordot(coeffs, table[:deg + 1], axes=([0], [0]))
-    return np.linalg.solve(table.T, table[shift] * pvals)
-
-
 def _trimmed_univariate(tensor, basis, z, tau):
     """Coefficient vector of q(., z) cut at the exact kept degree."""
     phis = basis_eval_all(basis, tensor.shape[-1] - 1, complex(z))
     return (tensor @ phis)[:tau + 1]
 
 
-def _matrix_at(hv, taus, z):
-    tau1, tau2 = taus
-    n = tau1 + tau2
-    basis = hv.basis
-    nodes = basis.domain.nodes(n)
-    table = basis_eval_all(basis, n - 1, nodes)  # (n, n)
-    S = np.empty((n, n), dtype=complex)
-    blocks = ((tau2, _trimmed_univariate(hv.tensors[0], basis, z, tau1)),
-              (tau1, _trimmed_univariate(hv.tensors[1], basis, z, tau2)))
-    row = 0
-    vand_t = table.T
-    for count, coeffs in blocks:
-        if count == 0:
-            continue
-        pvals = np.tensordot(coeffs, table[:len(coeffs)], axes=([0], [0]))
-        rhs = (table[:count] * pvals).T  # (nodes, rows)
-        S[row:row + count] = np.linalg.solve(vand_t, rhs).T
-        row += count
-    return S
-
-
 def sylvester_resultant(hv):
     """Matrix polynomial in the hidden variable via entrywise interpolation.
 
-    The matrix is sampled at one more hidden-variable node than the
-    hidden degree and every entry is interpolated in the basis.
+    Row r of the matrix is the function phi_j(y) q_c(y, z).  It is
+    sampled on N kept-variable nodes times one more hidden-variable node
+    than the hidden degree, and interpolation over both node axes gives
+    its coefficients in phi_k(y) phi_m(z).
     """
     taus = sylvester_degrees(hv)
+    tau1, tau2 = taus
+    n = tau1 + tau2
+    basis = hv.basis
     hidden_degree = max(t.shape[-1] - 1 for t in hv.tensors)
-    nodes = hv.domain.nodes(hidden_degree + 1)
-    n = taus[0] + taus[1]
-    samples = np.empty((len(nodes), n, n), dtype=complex)
-    for i, z in enumerate(nodes):
-        samples[i] = _matrix_at(hv, taus, z)
-    vand = basis_eval_all(hv.basis, hidden_degree, nodes).T
-    flat = np.linalg.solve(vand, samples.reshape(len(nodes), -1))
-    coeffs = flat.reshape(len(nodes), n, n)
-    return SylvesterResultant(
-        matrix_poly=MatrixPolynomial(hv.basis, coeffs),
-        tau1=taus[0], tau2=taus[1])
+    kept = hv.domain.nodes(n)
+    hidden = hv.domain.nodes(hidden_degree + 1)
+    phis = basis_eval_all(basis, n - 1, kept).T  # (node, j)
+    q1, q2 = (mp_eval_grid(MultiPoly(basis, 2, t), [kept, hidden])
+              for t in hv.tensors)
+    samples = np.concatenate([phis[:, None, :tau2] * q1[:, :, None],
+                              phis[:, None, :tau1] * q2[:, :, None]], axis=2)
+    coeffs = interpolate_on_nodes(basis, [kept, hidden], samples)  # k, m, r
+    coeffs = np.ascontiguousarray(coeffs.transpose(1, 2, 0))
+    return SylvesterResultant(matrix_poly=MatrixPolynomial(basis, coeffs),
+                              tau1=tau1, tau2=tau2)
 
 
 def sylvester_root_eigvectors(hv, root, resultant=None, check=True):
@@ -172,12 +137,13 @@ def sylvester_root_eigvectors(hv, root, resultant=None, check=True):
     u1 = _trimmed_univariate(hv.tensors[0], basis, z, tau1)
     u2 = _trimmed_univariate(hv.tensors[1], basis, z, tau2)
     w = np.empty(n, dtype=complex)
+    alpha = basis.table(n - 2).alpha
     if tau2 > 0:
         b2 = clenshaw_shifts(basis, u2, y)  # ascending b_1, b_2, ...
-        w[:tau2] = -basis.alphas(tau2 - 1) * b2[:tau2]
+        w[:tau2] = -alpha[:tau2] * b2[:tau2]
     if tau1 > 0:
         b1 = clenshaw_shifts(basis, u1, y)
-        w[tau2:] = basis.alphas(tau1 - 1) * b1[:tau1]
+        w[tau2:] = alpha[:tau1] * b1[:tau1]
     if check:
         S0 = matpoly_eval(resultant.matrix_poly, z)
         # At a multiple root S(z) may vanish entirely, so the scale is

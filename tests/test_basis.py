@@ -45,6 +45,9 @@ def test_chebyshev_matches_numpy():
         unit[k] = 1.0
         want = np.polynomial.chebyshev.chebval(xs, unit)
         assert np.allclose(table[k], want, atol=1e-13)
+    # past the first cached table length, with a NumPy integer degree
+    high = basis_eval_all(b, np.int64(40), xs)
+    assert np.allclose(high[40], np.cos(40 * np.arccos(xs)), atol=1e-12)
 
 
 def test_legendre_matches_numpy():
@@ -112,14 +115,27 @@ def test_clenshaw_matches_forward_sum(builtin):
         assert abs(got - want) <= 1e-12 * (1.0 + np.sum(np.abs(coeffs)))
 
 
+def dense_shifts(basis, coeffs, x):
+    """b_1..b_{n+1} from the full recurrence over every gamma_{j,k+1}."""
+    n = len(coeffs) - 1
+    b = np.zeros(n + 2, dtype=complex)
+    for k in range(n, 0, -1):
+        t = coeffs[k] + (basis.alpha(k) * x + basis.beta(k)) * b[k + 1]
+        for j in range(k + 1, n):
+            t = t + basis.gamma(j, k + 1) * b[j + 1]
+        b[k] = t
+    return b[1:]
+
+
 def test_banded_and_full_paths_agree(builtin):
+    # The table-driven recurrence adds only the nonzero (banded) gamma
+    # terms; the full recurrence written out above adds all of them.
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(9)
     x = 0.41
     fast = clenshaw_eval(builtin, coeffs, x)
-    slow = clenshaw_eval(builtin, coeffs, x, force_full=True)
-    assert abs(fast.value - slow.value) <= 1e-13 * (1 + abs(slow.value))
-    assert np.allclose(fast.shifts, slow.shifts, atol=1e-13)
+    slow = dense_shifts(builtin, coeffs, x)
+    assert np.allclose(fast.ascending, slow, atol=1e-13)
 
 
 def test_zero_padding_invariance(builtin):
@@ -227,21 +243,30 @@ def test_custom_reproduces_chebyshev():
     xs = np.linspace(-1, 1, 9)
     assert np.allclose(basis_eval_all(custom, 7, xs),
                        basis_eval_all(builtin, 7, xs))
-    assert custom.is_banded
 
 
 def test_custom_dense_gamma_used():
-    # gamma_{2,1} != 0 exercises the non-banded path
+    # gamma_{2,1} != 0 lies off the three-term band
     alpha = [1.0, 1.0, 1.0]
     beta = [0.0, 0.0, 0.0]
     gamma = [[0.0], [0.5, 0.0]]
     b = DegreeGradedBasis.custom(alpha, beta, gamma,
                                  check_normalization=False)
-    assert not b.is_banded
     # phi_3 = x*phi_2 + 0.5*phi_0 = x^3 + 0.5
     assert basis_eval(b, 3, 2.0) == pytest.approx(8.5)
     coeffs = [0.0, 0.0, 0.0, 1.0]
     assert clenshaw_eval(b, coeffs, 2.0).value == pytest.approx(8.5)
+    # columns 1 and 2 hold several nonzero gammas: several terms per shift
+    dense = DegreeGradedBasis.custom(
+        [1.0, 0.9, 1.1, 1.0, 1.0], [0.1] * 5,
+        [[0.2], [0.5, 0.15], [0.2, 0.3, 0.0], [0.1, 0.0, 0.4, 0.0]],
+        check_normalization=False)
+    coeffs = np.random.default_rng(4).standard_normal(5)
+    x = 0.3 - 0.2j
+    trace = clenshaw_eval(dense, coeffs, x)
+    assert np.allclose(trace.ascending, dense_shifts(dense, coeffs, x),
+                       atol=1e-13)
+    assert abs(trace.value - forward_sum(dense, coeffs, x)) <= 1e-13
 
 
 def test_custom_validation_errors():

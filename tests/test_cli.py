@@ -143,6 +143,17 @@ def test_exit_code_1_on_bad_json(tmp_path, capsys):
     assert "json" in capsys.readouterr().err.lower()
 
 
+def test_exit_code_1_on_nan_coefficient(tmp_path, capsys):
+    obj = circle_line_json()
+    obj["polys"][1]["coeffs_real"][2] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))  # writes the JSON literal NaN
+    assert "NaN" in path.read_text()
+    rc = main(["solve", "--system", str(path)])
+    assert rc == 1
+    assert "non-finite coefficients at index (1, 0)" in capsys.readouterr().err
+
+
 def test_exit_code_1_on_missing_file(capsys):
     rc = main(["solve", "--system", "/nonexistent/system.json"])
     assert rc == 1

@@ -13,6 +13,7 @@ from resultant_lab.matpoly import (Eigenpair, EigenSolveError,
                                    matpoly_deriv_eval, matpoly_eval,
                                    matpoly_from_json, matpoly_to_json,
                                    polyeig)
+from resultant_lab.rootfinder import _component_from_vector
 
 
 def random_matpoly(rng, basis, degree, size, complex_entries=False):
@@ -229,3 +230,22 @@ def test_matpoly_json_roundtrip(builtin):
     with pytest.raises(ValueError):
         bad = dict(obj, size=7)
         matpoly_from_json(bad)
+
+
+def test_polyeig_with_dense_gamma_basis():
+    # gamma_{2,1} and gamma_{3,2} sit off the band, so linearize and the
+    # component recovery both read entries a three-term basis never has
+    gamma = [[0.0], [0.5, 0.0], [0.0, 0.3, 0.0], [0.0] * 4]
+    b = DegreeGradedBasis.custom([1.0] * 5, [0.0] * 5, gamma,
+                                 check_normalization=False)
+    rng = np.random.default_rng(21)
+    c = rng.standard_normal((5, 3, 3))
+    c[4] = np.eye(3)  # monic, so every eigenvalue stays moderate
+    pairs, n_inf = polyeig(MatrixPolynomial(b, c), with_infinite=True)
+    assert len(pairs) == 12 and n_inf == 0
+    for p in pairs:
+        assert np.isfinite(p.lam)
+        assert p.residual_right <= 1e-12 and p.residual_left <= 1e-12
+    for x in (0.3, -0.7 + 0.2j):
+        got = _component_from_vector(basis_eval_all(b, 4, x), b)
+        assert abs(got - x) <= 1e-13

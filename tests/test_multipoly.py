@@ -83,6 +83,14 @@ def test_eval_input_validation(mono):
         MultiPoly(mono, 2, np.ones((2,)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_coefficients_rejected(mono, bad):
+    c = np.ones((2, 3), dtype=complex)
+    c[1, 2] = bad
+    with pytest.raises(ValueError, match=r"non-finite .*\(1, 2\)"):
+        MultiPoly(mono, 2, c)
+
+
 # ----------------------------------------------------------------------
 # Interpolation
 # ----------------------------------------------------------------------
@@ -111,6 +119,19 @@ def test_interpolation_validation(mono):
         interpolate_on_nodes(mono, [[0.0, 1.0]], np.ones(3))  # size mismatch
     with pytest.raises(ValueError):
         mp_interpolate(mono, 2, (1, 1), np.ones((2, 3)))
+    with pytest.raises(ValueError):  # fewer sample axes than node sets
+        interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 3.0]], np.ones(2))
+
+
+def test_interpolation_carries_trailing_axes(cheb):
+    rng = np.random.default_rng(6)
+    polys = [random_poly(rng, cheb, 2, (3, 2)) for _ in range(2)]
+    nodes = [cheb.domain.nodes(4), cheb.domain.nodes(3)]
+    samples = np.stack([mp_eval_grid(p, nodes) for p in polys], axis=-1)
+    coeffs = interpolate_on_nodes(cheb, nodes, samples)
+    assert coeffs.shape == (4, 3, 2)
+    for k, p in enumerate(polys):
+        assert np.allclose(coeffs[..., k], p.coeffs, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ oracles."""
 import numpy as np
 import pytest
 
-from resultant_lab.basis import DegreeGradedBasis, basis_eval_all
+from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
 from resultant_lab.matpoly import StructureError, matpoly_eval, polyeig
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      hide_variable, jacobian)
@@ -12,7 +12,7 @@ from resultant_lab.rootfinder import random_system_with_root
 from resultant_lab.sylvester import (SylvesterResultant, sylvester_degrees,
                                      sylvester_resultant,
                                      sylvester_resultant_to_json,
-                                     sylvester_root_eigvectors, sylvester_row)
+                                     sylvester_root_eigvectors)
 
 
 def circle_line(basis):
@@ -38,33 +38,46 @@ def cheb():
 # Rows
 # ----------------------------------------------------------------------
 
-def test_row_monomial_is_shifted_copy(mono):
-    # x^j * p just shifts the coefficient vector
-    rng = np.random.default_rng(1)
-    coeffs = rng.standard_normal(4)
-    for j in range(3):
-        row = sylvester_row(mono, coeffs, j, 7)
-        want = np.zeros(7, dtype=complex)
-        want[j:j + 4] = coeffs
-        assert np.allclose(row, want, atol=1e-11)
+def kept_polys(hv, z):
+    """Coefficient vectors of q_1(., z) and q_2(., z) in the kept variable."""
+    return [t @ basis_eval_all(hv.basis, t.shape[-1] - 1, complex(z))
+            for t in hv.tensors]
 
 
-def test_row_reproduces_product_values(cheb):
+def test_row_monomial_is_shifted_copy():
+    # x^j * q just shifts the coefficient vector
+    sys_, _ = random_system_with_root(2, 3, 1)
+    hv = hide_variable(sys_)
+    res = sylvester_resultant(hv)
+    n, tau1, tau2 = res.size, res.tau1, res.tau2
+    z = 0.3
+    S = matpoly_eval(res.matrix_poly, z)
+    q1, q2 = kept_polys(hv, z)
+    blocks = ((0, tau2, q1[:tau1 + 1]), (tau2, tau1, q2[:tau2 + 1]))
+    for first, count, q in blocks:
+        for j in range(count):
+            want = np.zeros(n, dtype=complex)
+            want[j:j + len(q)] = q
+            assert np.allclose(S[first + j], want, atol=1e-11)
+
+
+def test_row_reproduces_product_values():
+    # complex nodes on both axes: a disc domain
+    leg = DegreeGradedBasis.legendre(Domain.disc(0.1j, 0.8))
+    sys_, _ = random_system_with_root(2, 3, 2, basis_name=leg)
+    hv = hide_variable(sys_)
+    res = sylvester_resultant(hv)
+    n, tau1, tau2 = res.size, res.tau1, res.tau2
+    z = 0.2 - 0.3j
+    S = matpoly_eval(res.matrix_poly, z)
+    q1, q2 = kept_polys(hv, z)
     rng = np.random.default_rng(2)
-    coeffs = rng.standard_normal(5)
-    row = sylvester_row(cheb, coeffs, 3, 8)
-    for x in rng.uniform(-1, 1, 6):
-        phis = basis_eval_all(cheb, 7, complex(x))
-        got = row @ phis
-        want = phis[3] * (coeffs @ phis[:5])
-        assert abs(got - want) <= 1e-11 * (1 + abs(want))
-
-
-def test_row_degree_guard(cheb):
-    with pytest.raises(ValueError):
-        sylvester_row(cheb, np.ones(4), 3, 6)  # 3 + 3 > 5
-    with pytest.raises(ValueError):
-        sylvester_row(cheb, np.empty(0), 0, 3)
+    for y in 0.1j + 0.7 * np.exp(2j * np.pi * rng.uniform(size=4)):
+        phis = basis_eval_all(leg, n - 1, y)
+        got = S @ phis
+        want = np.concatenate([phis[:tau2] * (q1 @ phis[:len(q1)]),
+                               phis[:tau1] * (q2 @ phis[:len(q2)])])
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 # ----------------------------------------------------------------------
