@@ -16,7 +16,7 @@ from .cayley import (CayleyResultant, CayleyTensor, cayley_coeffs,
                      cayley_resultant, cayley_resultant_to_json,
                      cayley_root_eigvectors, default_taus)
 from .matpoly import (Eigenpair, EigenSolveError, MatrixPolynomial,
-                      NotRegularError, StructureError, eig_condition,
+                      NotRegularError, StructureError, eig_condition, eigpair,
                       linearize, matpoly_deriv_eval, matpoly_eval,
                       matpoly_from_json, matpoly_to_json, polyeig)
 from .multipoly import (HiddenVariableForm, MultiPoly, NonSimpleRootError,
@@ -52,7 +52,8 @@ __all__ = [
     # matpoly
     "MatrixPolynomial", "Eigenpair", "EigenSolveError", "NotRegularError",
     "StructureError", "matpoly_eval", "matpoly_deriv_eval", "linearize",
-    "polyeig", "eig_condition", "matpoly_to_json", "matpoly_from_json",
+    "polyeig", "eigpair", "eig_condition", "matpoly_to_json",
+    "matpoly_from_json",
     # cayley
     "CayleyTensor", "CayleyResultant", "default_taus", "cayley_function_eval",
     "cayley_coeffs", "cayley_resultant", "cayley_diagonal_value",

@@ -4,10 +4,9 @@ P(lambda) = sum_{i=0}^{K} A_i phi_i(lambda) with square complex
 coefficient matrices, expressed in a degree-graded basis.  Eigenvalues
 are computed by linearizing P into a block-companion generalized pencil
 built from the basis recurrence and handing the pencil to a dense QZ
-solver.  Right eigenvectors come from the leading block of the pencil
-eigenvector, left eigenvectors from the transposed problem (the same QZ
-run with left vectors requested), and both are refined against P itself
-before residuals are reported.
+solver, which is asked for eigenvalues only (real QZ when the pencil is
+real).  Eigenvectors are taken separately, for the eigenvalues a caller
+keeps, as the minimal singular vectors of P(lambda) itself.
 """
 
 import logging
@@ -29,6 +28,7 @@ __all__ = [
     "matpoly_deriv_eval",
     "linearize",
     "polyeig",
+    "eigpair",
     "eig_condition",
     "matpoly_to_json",
     "matpoly_from_json",
@@ -76,11 +76,6 @@ class MatrixPolynomial:
         return self.coeffs.shape[0] - 1
 
     @property
-    def degree_deflated(self):
-        """True when the declared leading coefficient is exactly zero."""
-        return self.degree >= 1 and not np.any(self.coeffs[-1])
-
-    @property
     def coeff_scale(self):
         """max_i ||A_i||_2, the natural perturbation scale."""
         return max(np.linalg.norm(a, 2) for a in self.coeffs)
@@ -88,17 +83,18 @@ class MatrixPolynomial:
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """Eigenvalue with unit right/left eigenvectors and their residuals.
+    """Eigenvalue with unit right and left eigenvectors.
 
-    residual_right = ||P(lam) v||_2 / ||v||_2 and
-    residual_left = ||w^T P(lam)||_2 / ||w||_2 (plain transpose).
+    right and left are the minimal singular vectors of P(lam), so
+    residual = ||P(lam) v||_2 = ||w^T P(lam)||_2 (plain transpose) is
+    sigma_min(P(lam)), the smallest residual any unit vector reaches on
+    either side.
     """
 
     lam: complex
     right: np.ndarray
     left: np.ndarray
-    residual_right: float
-    residual_left: float
+    residual: float
 
 
 # ----------------------------------------------------------------------
@@ -204,57 +200,19 @@ def _effective_degree(P, tol=1e-13):
     return int(keep.max())
 
 
-def _svd_candidates(M, v0, w0):
-    """Refine eigenvector guesses against M = P(lam).
+def polyeig(P):
+    """Finite eigenvalues of a regular matrix polynomial.
 
-    One regularized inverse-iteration step seeded by the pencil vectors,
-    plus the minimal singular vectors as independent candidates; the
-    smallest-residual vector wins on each side.
-    """
-    U, s, Vh = np.linalg.svd(M)
-    floor = (s[0] if s[0] > 0 else 1.0) * _EPS * 10.0
-    sreg = np.maximum(s, floor)
-
-    def right_res(v):
-        nv = np.linalg.norm(v)
-        return np.linalg.norm(M @ v) / nv if nv > 0 else np.inf
-
-    def left_res(w):
-        nw = np.linalg.norm(w)
-        return np.linalg.norm(M.T @ w) / nw if nw > 0 else np.inf
-
-    cands_v = [np.conj(Vh[-1])]
-    if v0 is not None and np.linalg.norm(v0) > 0:
-        cands_v.append(Vh.conj().T @ ((U.conj().T @ v0) / sreg))
-        cands_v.append(v0)
-    v = min(cands_v, key=right_res)
-
-    cands_w = [np.conj(U[:, -1])]
-    if w0 is not None and np.linalg.norm(w0) > 0:
-        # Solve M^T y = w0 through the factorization of M.
-        cands_w.append(np.conj(U @ ((Vh @ np.conj(w0)) / sreg)))
-        cands_w.append(w0)
-    w = min(cands_w, key=left_res)
-
-    v = v / np.linalg.norm(v)
-    w = w / np.linalg.norm(w)
-    return v, w, right_res(v), left_res(w)
-
-
-def polyeig(P, with_infinite=False):
-    """All finite eigenpairs of a regular matrix polynomial.
-
-    Parameters
-    ----------
-    P : MatrixPolynomial
-    with_infinite : bool
-        Also return the count of infinite eigenvalues, so that
-        finite + infinite = size * degree always holds.
+    One eigenvalues-only QZ run on the linearized pencil, in real
+    arithmetic when every coefficient is real.  Eigenvectors are not
+    computed here; eigpair supplies them for the eigenvalues a caller
+    keeps.
 
     Returns
     -------
-    list of Eigenpair, sorted by (Re, Im) of the eigenvalue; with
-    with_infinite=True the pair (list, infinite_count).
+    (lams, n_inf): the finite eigenvalues as a complex array sorted by
+    (Re, Im), and the count of infinite ones, so that
+    len(lams) + n_inf == size * degree always holds.
 
     Raises
     ------
@@ -271,47 +229,42 @@ def polyeig(P, with_infinite=False):
         if top == 0.0 or abs(np.linalg.det(A0 / top)) <= 1e-12:
             raise NotRegularError(
                 "matrix polynomial is constant and singular")
-        pairs = []
-        if with_infinite:
-            return pairs, N * K
-        return pairs
+        return np.empty(0, dtype=complex), N * K
     work = MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1])
     if not matpoly_is_regular(work):
         raise NotRegularError("determinant vanished at every probe point")
     X, Y = linearize(work)
+    # Real QZ is several times faster than complex QZ on the same pencil;
+    # complex pencils (disc domains, complex coefficients) need the latter.
+    if not (np.any(X.imag) or np.any(Y.imag)):
+        X, Y = X.real, Y.real
     try:
-        ab, vl, vr = scipy.linalg.eig(X, Y, left=True, right=True,
-                                      homogeneous_eigvals=True)
+        alphas, betas = scipy.linalg.eigvals(X, Y, homogeneous_eigvals=True)
     except Exception as exc:  # LinAlgError or convergence failure
         raise EigenSolveError(f"generalized eigensolver failed: {exc}") from exc
-    alphas, betas = ab
-    pairs = []
-    n_inf = N * (K - k_eff)
-    for idx in range(len(alphas)):
-        a, b = alphas[idx], betas[idx]
-        nrm = np.hypot(abs(a), abs(b))
-        if nrm == 0.0:
-            raise EigenSolveError("pencil is numerically singular "
-                                  "(alpha = beta = 0 from QZ)")
-        if abs(b) / nrm <= 1e3 * _EPS:
-            n_inf += 1
-            continue
-        lam = a / b
-        v0 = vr[:N, idx]
-        # scipy's left vectors satisfy u^H X = lam u^H Y; conjugating
-        # turns them into plain-transpose left vectors of the pencil,
-        # whose trailing block is a left eigenvector of P.
-        w0 = np.conj(vl[-N:, idx])
-        v, w, rr, rl = _svd_candidates(matpoly_eval(P, lam), v0, w0)
-        pairs.append(Eigenpair(lam=complex(lam), right=v, left=w,
-                               residual_right=float(rr),
-                               residual_left=float(rl)))
-    pairs.sort(key=lambda p: (p.lam.real, p.lam.imag))
+    nrm = np.hypot(np.abs(alphas), np.abs(betas))
+    if np.any(nrm == 0.0):
+        raise EigenSolveError("pencil is numerically singular "
+                              "(alpha = beta = 0 from QZ)")
+    finite = np.abs(betas) / nrm > 1e3 * _EPS
+    lams = alphas[finite] / betas[finite]
+    lams = lams[np.lexsort((lams.imag, lams.real))]
+    n_inf = N * (K - k_eff) + int(np.count_nonzero(~finite))
     log.debug("polyeig: %d finite, %d infinite (N=%d, K=%d)",
-              len(pairs), n_inf, N, K)
-    if with_infinite:
-        return pairs, n_inf
-    return pairs
+              len(lams), n_inf, N, K)
+    return lams, n_inf
+
+
+def eigpair(P, lam):
+    """Unit right and left eigenvectors of P at the eigenvalue lam.
+
+    Both come from one SVD of P(lam): v is the right and w the
+    (plain-transpose) left singular vector of the smallest singular
+    value, which is reported as the residual.
+    """
+    U, s, Vh = np.linalg.svd(matpoly_eval(P, lam))
+    return Eigenpair(lam=complex(lam), right=np.conj(Vh[-1]),
+                     left=np.conj(U[:, -1]), residual=float(s[-1]))
 
 
 def eig_condition(P, pair):

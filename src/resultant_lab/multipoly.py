@@ -159,15 +159,6 @@ class HiddenVariableForm:
     def qs_at(self, z):
         return [self.q_at(c, z) for c in range(self.dim)]
 
-    def assemble_eval(self, x):
-        """Evaluate every source polynomial at a full d-point through the
-        split representation (cross-check path)."""
-        x = np.asarray(x, dtype=complex)
-        freevals = x[list(self.free_order)]
-        z = x[self.hidden_index]
-        return np.array([mp_eval(self.q_at(c, z), freevals)
-                         for c in range(self.dim)])
-
 
 # ----------------------------------------------------------------------
 # Evaluation
@@ -271,22 +262,13 @@ def hide_variable(sys, hidden_index=None):
 # Jacobian and conditioning
 # ----------------------------------------------------------------------
 
-def _fiber_coeffs(p, x, axis):
-    """Univariate coefficient vector of x_axis -> p(x with slot replaced)."""
-    order = [axis] + [a for a in range(p.dim) if a != axis]
-    t = np.transpose(p.coeffs, order)
-    for a in reversed(order[1:]):
-        phis = basis_eval_all(p.basis, t.shape[-1] - 1, x[a])
-        t = t @ phis
-    return t
-
-
 def jacobian(sys, x):
     """d x d matrix with entry (i, j) = dp_i/dx_j at x.
 
     Differentiation runs along one axis at a time: the other variables
     are contracted out, leaving a univariate polynomial whose derivative
-    comes from the backward-recurrence shift identity.
+    comes from the backward-recurrence shift identity.  The basis
+    vectors at x are built once per polynomial and axis.
     """
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     d = sys.dim
@@ -294,8 +276,13 @@ def jacobian(sys, x):
         raise ValueError(f"point has shape {x.shape}, expected ({d},)")
     J = np.empty((d, d), dtype=complex)
     for i, p in enumerate(sys.polys):
+        phis = [basis_eval_all(p.basis, n, x[a])
+                for a, n in enumerate(p.degrees)]
         for j in range(d):
-            fiber = _fiber_coeffs(p, x, j)
+            fiber = np.moveaxis(p.coeffs, j, 0)
+            for a in reversed(range(d)):
+                if a != j:
+                    fiber = fiber @ phis[a]
             J[i, j] = derivative_eval(sys.basis, fiber, x[j])
     return J
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .basis import DegreeGradedBasis, basis_from_json
 from .cayley import cayley_resultant, cayley_root_eigvectors
-from .matpoly import eig_condition, matpoly_deriv_eval, polyeig
+from .matpoly import eig_condition, eigpair, matpoly_deriv_eval, polyeig
 from .multipoly import (MultiPoly, NonSimpleRootError, PolynomialSystem,
                         hide_variable, interpolate_on_nodes, jacobian, mp_eval,
                         root_condition)
@@ -209,11 +209,6 @@ def recover_components(resultant, vec, basis, method):
     return np.array(out), how
 
 
-def _grid_starts(domain, count):
-    nodes = domain.nodes(count)
-    return np.asarray(nodes, dtype=complex)
-
-
 def _grid_newton_candidates(sys, lam, hidden_index, opts):
     """Newton from a coarse grid of free-variable starts at fixed lam.
 
@@ -223,7 +218,7 @@ def _grid_newton_candidates(sys, lam, hidden_index, opts):
     """
     d = sys.dim
     free_axes = [a for a in range(d) if a != hidden_index]
-    starts = _grid_starts(sys.domain, 3)
+    starts = np.asarray(sys.domain.nodes(3), dtype=complex)
     found = []
     for combo in itertools.product(starts, repeat=d - 1):
         x0 = np.empty(d, dtype=complex)
@@ -273,17 +268,15 @@ def solve_system(sys, method="cayley", options=None):
     hv = hide_variable(sys, hidden)
     res = _build_resultant(hv, method, opts.taus)
     P = res.matrix_poly
-    pairs, n_inf = polyeig(P, with_infinite=True)
+    lams, n_inf = polyeig(P)
+    kept = [lam for lam in lams
+            if sys.domain.contains(lam, opts.domain_margin)]
     scales = _coeff_scales(sys)
     free_axes = [a for a in range(d) if a != hidden]
-    n_outside = 0
     n_failed = 0
     candidates = []
-    for pair in pairs:
-        lam = pair.lam
-        if not sys.domain.contains(lam, opts.domain_margin):
-            n_outside += 1
-            continue
+    for lam in kept:
+        pair = eigpair(P, lam)
         kappa = eig_condition(P, pair)
         produced = []
         try:
@@ -322,12 +315,12 @@ def solve_system(sys, method="cayley", options=None):
     roots = _dedupe(candidates, opts.dedupe_tol)
     roots.sort(key=lambda r: (r.x[hidden].real, r.x[hidden].imag))
     log.info("solve_system: %d eigenvalues, %d kept roots (%d spurious)",
-             len(pairs), len(roots),
+             len(lams), len(roots),
              sum(1 for r in roots if r.spurious))
     return RootReport(
         method=method, hidden_index=hidden, resultant_size=P.size,
-        n_eigenvalues=len(pairs), n_infinite=n_inf,
-        n_outside_domain=n_outside, n_recovery_failed=n_failed,
+        n_eigenvalues=len(lams), n_infinite=n_inf,
+        n_outside_domain=len(lams) - len(kept), n_recovery_failed=n_failed,
         roots=tuple(roots))
 
 

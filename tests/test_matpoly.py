@@ -9,7 +9,7 @@ import pytest
 from resultant_lab.basis import DegreeGradedBasis, basis_eval_all
 from resultant_lab.matpoly import (Eigenpair, EigenSolveError,
                                    MatrixPolynomial, NotRegularError,
-                                   eig_condition, linearize,
+                                   eig_condition, eigpair, linearize,
                                    matpoly_deriv_eval, matpoly_eval,
                                    matpoly_from_json, matpoly_to_json,
                                    polyeig)
@@ -72,7 +72,7 @@ def test_properties():
     c = np.zeros((3, 2, 2))
     c[0] = np.eye(2)
     P = MatrixPolynomial(b, c)
-    assert P.size == 2 and P.degree == 2 and P.degree_deflated
+    assert P.size == 2 and P.degree == 2
     assert P.coeff_scale == 1.0
     with pytest.raises(ValueError):
         MatrixPolynomial(b, np.ones((2, 2, 3)))
@@ -129,26 +129,29 @@ def test_scalar_polyeig_matches_numpy_roots(builtin):
     for trial in range(5):
         coeffs = rng.standard_normal(6)
         P = MatrixPolynomial(builtin, coeffs.reshape(-1, 1, 1))
-        pairs = polyeig(P)
+        lams = polyeig(P)[0]
         want = scalar_roots_oracle(builtin, coeffs)
-        assert len(pairs) == len(want) == 5
-        match_nearest([p.lam for p in pairs], want, 1e-8)
+        assert len(lams) == len(want) == 5
+        match_nearest(lams, want, 1e-8)
 
 
 def test_matrix_polyeig_residuals_and_count(builtin):
     rng = np.random.default_rng(6)
     P = random_matpoly(rng, builtin, 3, 3, complex_entries=True)
-    pairs, n_inf = polyeig(P, with_infinite=True)
-    assert len(pairs) + n_inf == 9
+    lams, n_inf = polyeig(P)
+    assert len(lams) + n_inf == 9
     scale = P.coeff_scale
-    for p in pairs:
-        assert isinstance(p, Eigenpair)
+    for lam in lams:
+        p = eigpair(P, lam)
+        assert isinstance(p, Eigenpair) and p.lam == lam
         assert abs(np.linalg.norm(p.right) - 1) <= 1e-12
         assert abs(np.linalg.norm(p.left) - 1) <= 1e-12
-        assert p.residual_right <= 1e-9 * scale
-        assert p.residual_left <= 1e-9 * scale
+        assert p.residual <= 1e-9 * scale
+        M = matpoly_eval(P, p.lam)
+        assert abs(p.residual - np.linalg.norm(M @ p.right)) <= 1e-12 * scale
+        assert abs(p.residual - np.linalg.norm(p.left @ M)) <= 1e-12 * scale
         # eigenvalues really kill the determinant
-        s = np.linalg.svd(matpoly_eval(P, p.lam), compute_uv=False)
+        s = np.linalg.svd(M, compute_uv=False)
         assert s[-1] <= 1e-9 * scale
 
 
@@ -159,11 +162,11 @@ def test_polyeig_trims_roundoff_leading_coefficients():
     c[:3] = rng.standard_normal((3, 2, 2))
     c[3] = 1e-16 * rng.standard_normal((2, 2))  # roundoff-sized tail
     P = MatrixPolynomial(b, c)
-    pairs, n_inf = polyeig(P, with_infinite=True)
-    assert len(pairs) + n_inf == 6  # bookkeeping against declared degree
+    lams, n_inf = polyeig(P)
+    assert len(lams) + n_inf == 6  # bookkeeping against declared degree
     assert n_inf >= 2
-    exact = polyeig(MatrixPolynomial(b, c[:3]))
-    match_nearest([p.lam for p in pairs], [p.lam for p in exact], 1e-8)
+    exact = polyeig(MatrixPolynomial(b, c[:3]))[0]
+    match_nearest(lams, exact, 1e-8)
 
 
 def test_polyeig_infinite_eigenvalues():
@@ -172,9 +175,24 @@ def test_polyeig_infinite_eigenvalues():
     A0 = np.eye(2)
     A1 = np.diag([1.0, 0.0])
     P = MatrixPolynomial(b, np.stack([A0, A1]))
-    pairs, n_inf = polyeig(P, with_infinite=True)
-    assert len(pairs) == 1 and n_inf == 1
-    assert pairs[0].lam == pytest.approx(-1.0)
+    lams, n_inf = polyeig(P)
+    assert len(lams) == 1 and n_inf == 1
+    assert lams[0] == pytest.approx(-1.0)
+
+
+def test_real_polyeig_gives_exact_conjugate_pairs(builtin):
+    # real QZ returns real eigenvalues with an imaginary part of exactly
+    # zero and the rest in conjugate pairs, equal up to the rounding of
+    # alpha / beta; complex QZ leaves roundoff-sized imaginary parts on
+    # some of the real ones for this seed
+    rng = np.random.default_rng(8)
+    P = random_matpoly(rng, builtin, 3, 4)
+    lams = polyeig(P)[0]
+    real = lams.imag == 0
+    assert np.any(real) and not np.all(real)
+    pairs = lams[~real]
+    assert np.all(np.abs(pairs.imag) > 1e-8 * np.abs(pairs))
+    match_nearest(pairs.conj(), pairs, 4 * np.finfo(float).eps)
 
 
 def test_polyeig_not_regular():
@@ -198,7 +216,8 @@ def test_left_vectors_are_plain_transpose():
     b = DegreeGradedBasis.monomial()
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
     P = MatrixPolynomial(b, np.stack([-A, np.eye(2)]))
-    for p in polyeig(P):
+    for lam in polyeig(P)[0]:
+        p = eigpair(P, lam)
         assert np.linalg.norm(p.left @ matpoly_eval(P, p.lam)) <= 1e-12
 
 
@@ -207,13 +226,14 @@ def test_eig_condition_simple_and_defective():
     # P(lam) = diag(lam - 1, lam + 2): simple eigenvalues, kappa = 1
     P = MatrixPolynomial(
         b, np.stack([np.diag([-1.0, 2.0]), np.eye(2)]))
-    for p in polyeig(P):
-        assert eig_condition(P, p) == pytest.approx(1.0, rel=1e-10)
+    for lam in polyeig(P)[0]:
+        assert eig_condition(P, eigpair(P, lam)) == pytest.approx(1.0,
+                                                                  rel=1e-10)
     # Jordan block: defective eigenvalue reported as infinite
     J = np.array([[0.0, 1.0], [0.0, 0.0]])
     PJ = MatrixPolynomial(b, np.stack([-J, np.eye(2)]))
-    pairs = polyeig(PJ)
-    assert any(np.isinf(eig_condition(PJ, p)) for p in pairs)
+    assert any(np.isinf(eig_condition(PJ, eigpair(PJ, lam)))
+               for lam in polyeig(PJ)[0])
 
 
 # ----------------------------------------------------------------------
@@ -241,11 +261,12 @@ def test_polyeig_with_dense_gamma_basis():
     rng = np.random.default_rng(21)
     c = rng.standard_normal((5, 3, 3))
     c[4] = np.eye(3)  # monic, so every eigenvalue stays moderate
-    pairs, n_inf = polyeig(MatrixPolynomial(b, c), with_infinite=True)
-    assert len(pairs) == 12 and n_inf == 0
-    for p in pairs:
-        assert np.isfinite(p.lam)
-        assert p.residual_right <= 1e-12 and p.residual_left <= 1e-12
+    P = MatrixPolynomial(b, c)
+    lams, n_inf = polyeig(P)
+    assert len(lams) == 12 and n_inf == 0
+    for lam in lams:
+        assert np.isfinite(lam)
+        assert eigpair(P, lam).residual <= 1e-12
     for x in (0.3, -0.7 + 0.2j):
         got = _component_from_vector(basis_eval_all(b, 4, x), b)
         assert abs(got - x) <= 1e-13

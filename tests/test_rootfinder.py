@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from resultant_lab import rootfinder
 from resultant_lab.basis import DegreeGradedBasis, basis_eval_all
 from resultant_lab.cayley import cayley_resultant
-from resultant_lab.matpoly import EigenSolveError
+from resultant_lab.matpoly import EigenSolveError, eigpair
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      hide_variable, jacobian, mp_eval,
                                      mp_interpolate)
@@ -204,6 +205,20 @@ def test_solve_counts_consistent(mono):
     total = P_size * res.matrix_poly.degree
     assert report.n_eigenvalues + report.n_infinite == total
     assert report.n_outside_domain <= report.n_eigenvalues
+
+
+def test_solve_takes_vectors_only_in_domain(monkeypatch):
+    calls = []
+
+    def counting_eigpair(P, lam):
+        calls.append(lam)
+        return eigpair(P, lam)
+
+    monkeypatch.setattr(rootfinder, "eigpair", counting_eigpair)
+    sys_, _ = random_system_with_root(2, 3, 6, basis_name="chebyshev")
+    report = solve_system(sys_)
+    assert report.n_outside_domain > 0
+    assert len(calls) == report.n_eigenvalues - report.n_outside_domain
 
 
 def test_solve_spurious_flagging(mono):
