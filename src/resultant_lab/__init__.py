@@ -9,8 +9,9 @@ eigenvalue and the root."""
 
 from .basis import (ClenshawTrace, DegreeGradedBasis, DegreeOverflowError,
                     Domain, NormalizationWarning, basis_eval, basis_eval_all,
-                    basis_from_json, basis_to_json, clenshaw_eval,
-                    clenshaw_shifts, derivative_eval, divided_difference)
+                    basis_eval_deriv_all, basis_from_json, basis_to_json,
+                    clenshaw_eval, clenshaw_shifts, derivative_eval,
+                    divided_difference)
 from .cayley import (CayleyResultant, CayleyTensor, cayley_coeffs,
                      cayley_diagonal_value, cayley_function_eval,
                      cayley_resultant, cayley_resultant_to_json,
@@ -20,10 +21,10 @@ from .matpoly import (Eigenpair, EigenSolveError, MatrixPolynomial,
                       linearize, matpoly_deriv_eval, matpoly_eval,
                       matpoly_from_json, matpoly_to_json, polyeig)
 from .multipoly import (HiddenVariableForm, MultiPoly, NonSimpleRootError,
-                        PolynomialSystem, hide_variable, interpolate_on_nodes,
-                        jacobian, max_solution_bound, mp_eval, mp_eval_grid,
-                        mp_interpolate, root_condition, system_from_json,
-                        system_to_json)
+                        PolynomialSystem, eval_with_jacobian, hide_variable,
+                        interpolate_on_nodes, jacobian, max_solution_bound,
+                        mp_eval, mp_eval_grid, mp_interpolate, root_condition,
+                        system_from_json, system_to_json)
 from .rootfinder import (ConditionRecord, RecoveryError, RootRecord,
                          RootReport, SolveOptions, condition_at_root,
                          condition_sweep, family_coupled_quadratic,
@@ -41,13 +42,15 @@ __all__ = [
     "__version__",
     # basis
     "Domain", "DegreeGradedBasis", "ClenshawTrace", "DegreeOverflowError",
-    "NormalizationWarning", "basis_eval", "basis_eval_all", "clenshaw_eval",
+    "NormalizationWarning", "basis_eval", "basis_eval_all",
+    "basis_eval_deriv_all", "clenshaw_eval",
     "clenshaw_shifts", "divided_difference", "derivative_eval",
     "basis_to_json", "basis_from_json",
     # multipoly
     "MultiPoly", "PolynomialSystem", "HiddenVariableForm",
     "NonSimpleRootError", "mp_eval", "mp_eval_grid", "mp_interpolate",
-    "interpolate_on_nodes", "hide_variable", "jacobian", "root_condition",
+    "interpolate_on_nodes", "hide_variable", "eval_with_jacobian",
+    "jacobian", "root_condition",
     "max_solution_bound", "system_to_json", "system_from_json",
     # matpoly
     "MatrixPolynomial", "Eigenpair", "EigenSolveError", "NotRegularError",

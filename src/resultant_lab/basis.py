@@ -18,6 +18,13 @@ and by column.  Three-term bases such
 as Chebyshev and Legendre simply have one gamma entry per row, so the
 same loop serves them and dense custom recurrences alike.
 
+Differentiating the recurrence gives the derivatives alongside the
+values (``basis_eval_deriv_all``):
+
+    phi'_0(x) = 0
+    phi'_{k+1}(x) = alpha_k phi_k(x) + (alpha_k x + beta_k) phi'_k(x)
+                    + sum_{j=1}^{k} gamma_{k,j} phi'_{j-1}(x).
+
 Polynomials p(x) = sum_k a_k phi_k(x) are evaluated by running the
 recurrence backwards (a generalized Clenshaw scheme).  The backward
 shifts b_k[p](x) produced along the way are kept on the returned trace
@@ -39,6 +46,7 @@ __all__ = [
     "NormalizationWarning",
     "basis_eval",
     "basis_eval_all",
+    "basis_eval_deriv_all",
     "clenshaw_eval",
     "clenshaw_shifts",
     "divided_difference",
@@ -397,6 +405,39 @@ def basis_eval_all(basis, kmax, x):
             acc = acc + g * out[j - 1]
         out[k + 1] = acc
     return out
+
+
+def basis_eval_deriv_all(basis, kmax, x):
+    """Values and first derivatives of phi_0, ..., phi_kmax at x.
+
+    Runs the forward recurrence and its derivative side by side,
+    vectorised over the points x.
+
+    Returns
+    -------
+    (vals, ders), each an ndarray with shape (kmax + 1,) + shape(x),
+    complex; vals equals basis_eval_all(basis, kmax, x).
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    tab = basis.table(kmax - 1)
+    # Python floats: scaling a small array by a NumPy scalar costs more
+    al, be = tab.alpha[:kmax].tolist(), tab.beta[:kmax].tolist()
+    x = np.asarray(x, dtype=complex)
+    vals = np.empty((kmax + 1,) + x.shape, dtype=complex)
+    ders = np.empty_like(vals)
+    vals[0] = 1.0
+    ders[0] = 0.0
+    for k in range(kmax):
+        lin = al[k] * x + be[k]
+        acc = lin * vals[k]
+        dacc = al[k] * vals[k] + lin * ders[k]
+        for j, g in tab.rows[k]:
+            acc += g * vals[j - 1]
+            dacc += g * ders[j - 1]
+        vals[k + 1] = acc
+        ders[k + 1] = dacc
+    return vals, ders
 
 
 def basis_eval(basis, k, x):

@@ -8,7 +8,14 @@ dense complex tensor A with extents n_k + 1:
 The module covers pointwise and tensor-grid evaluation, interpolation
 from grid samples, splitting off one variable so the remaining ones see
 it as a coefficient parameter (the hidden-variable rewrite used by the
-resultant constructions), Jacobians, and the root condition number.
+resultant constructions), and the root condition number.
+
+A square system and its Jacobian are evaluated at a point together by
+``eval_with_jacobian``: the d coefficient tensors are stacked, and each
+axis a is contracted with the two columns [phi(x_a), phi'(x_a)], so one
+pass of d contractions leaves every product of values and first
+derivatives.  Newton polishing, residuals and root conditioning all go
+through it; ``jacobian`` is a thin wrapper.
 """
 
 import math
@@ -16,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (Domain, DegreeGradedBasis, basis_eval_all, basis_from_json,
-                    basis_to_json, derivative_eval)
+from .basis import (Domain, DegreeGradedBasis, basis_eval_all,
+                    basis_eval_deriv_all, basis_from_json, basis_to_json)
 
 __all__ = [
     "MultiPoly",
@@ -29,6 +36,7 @@ __all__ = [
     "mp_interpolate",
     "interpolate_on_nodes",
     "hide_variable",
+    "eval_with_jacobian",
     "jacobian",
     "root_condition",
     "max_solution_bound",
@@ -262,29 +270,49 @@ def hide_variable(sys, hidden_index=None):
 # Jacobian and conditioning
 # ----------------------------------------------------------------------
 
-def jacobian(sys, x):
-    """d x d matrix with entry (i, j) = dp_i/dx_j at x.
+def eval_with_jacobian(sys, x):
+    """Values F_i = p_i(x) and Jacobian J[i, j] = dp_i/dx_j at one point.
 
-    Differentiation runs along one axis at a time: the other variables
-    are contracted out, leaving a univariate polynomial whose derivative
-    comes from the backward-recurrence shift identity.  The basis
-    vectors at x are built once per polynomial and axis.
+    The d coefficient tensors are stacked into one (zero-padded where
+    the shapes differ), and axis a is contracted with the (2, e_a)
+    matrix [phi(x_a); phi'(x_a)], last axis first, one matmul per axis.
+    Each contraction puts its value/derivative bit in front of the bits
+    already made, so after all d the slot with bits (b_1, ..., b_d),
+    most significant first, holds the product of derivatives along the
+    axes with b_a = 1 and values along the rest: F is slot 0 and column
+    j of J is slot 2**(d - 1 - j).
     """
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     d = sys.dim
     if x.shape != (d,):
         raise ValueError(f"point has shape {x.shape}, expected ({d},)")
-    J = np.empty((d, d), dtype=complex)
+    shapes = [p.coeffs.shape for p in sys.polys]
+    ext = tuple(max(col) for col in zip(*shapes))
+    t = np.zeros((d,) + ext, dtype=complex)
     for i, p in enumerate(sys.polys):
-        phis = [basis_eval_all(p.basis, n, x[a])
-                for a, n in enumerate(p.degrees)]
-        for j in range(d):
-            fiber = np.moveaxis(p.coeffs, j, 0)
-            for a in reversed(range(d)):
-                if a != j:
-                    fiber = fiber @ phis[a]
-            J[i, j] = derivative_eval(sys.basis, fiber, x[j])
-    return J
+        t[(i,) + tuple(slice(e) for e in shapes[i])] = p.coeffs
+    vd = np.stack(basis_eval_deriv_all(sys.basis, max(ext) - 1, x))
+    blk = 1
+    for a in reversed(range(d)):
+        t = vd[:, :ext[a], a] @ t.reshape(-1, ext[a], blk)
+        blk *= 2
+    t = t.reshape(d, blk)
+    return t[:, 0], t[:, 2 ** np.arange(d - 1, -1, -1)]
+
+
+def jacobian(sys, x):
+    """d x d matrix with entry (i, j) = dp_i/dx_j at x (eval_with_jacobian)."""
+    return eval_with_jacobian(sys, x)[1]
+
+
+def _inverse_jacobian_norm(J, x):
+    """root_condition from a Jacobian J already evaluated at x."""
+    svals = np.linalg.svd(J, compute_uv=False)
+    smin, smax = svals[-1], svals[0]
+    if smin == 0.0 or smin < 1e3 * np.finfo(float).eps * smax:
+        raise NonSimpleRootError(
+            f"Jacobian numerically singular at {x} (sigma_min={smin:.3e})")
+    return 1.0 / smin
 
 
 def root_condition(sys, x):
@@ -293,13 +321,7 @@ def root_condition(sys, x):
     Raises NonSimpleRootError when the smallest singular value falls
     below 1e3 * eps * ||J||_2, the working notion of "not simple".
     """
-    J = jacobian(sys, x)
-    svals = np.linalg.svd(J, compute_uv=False)
-    smin, smax = svals[-1], svals[0]
-    if smin == 0.0 or smin < 1e3 * np.finfo(float).eps * smax:
-        raise NonSimpleRootError(
-            f"Jacobian numerically singular at {x} (sigma_min={smin:.3e})")
-    return 1.0 / smin
+    return _inverse_jacobian_norm(jacobian(sys, x), x)
 
 
 def max_solution_bound(sys):

@@ -30,8 +30,8 @@ from .basis import DegreeGradedBasis, basis_from_json
 from .cayley import cayley_resultant, cayley_root_eigvectors
 from .matpoly import eig_condition, eigpair, matpoly_deriv_eval, polyeig
 from .multipoly import (MultiPoly, NonSimpleRootError, PolynomialSystem,
-                        hide_variable, interpolate_on_nodes, jacobian, mp_eval,
-                        root_condition)
+                        _inverse_jacobian_norm, eval_with_jacobian,
+                        hide_variable, interpolate_on_nodes, mp_eval)
 from .sylvester import sylvester_resultant, sylvester_root_eigvectors
 
 __all__ = [
@@ -116,14 +116,15 @@ class RootReport:
 def newton_polish(sys, x0, max_iter=20, tol=1e-14):
     """Newton iteration on the full system from x0.
 
-    Returns (x, iterations, converged); convergence means the last step
-    fell below tol * (1 + ||x||_inf).  A singular Jacobian stops the
-    iteration and reports non-convergence at the current point.
+    Each iteration makes one eval_with_jacobian call, which gives the
+    values and the Jacobian together.  Returns (x, iterations,
+    converged); convergence means the last step fell below
+    tol * (1 + ||x||_inf).  A singular Jacobian stops the iteration and
+    reports non-convergence at the current point.
     """
     x = np.array(x0, dtype=complex)
     for it in range(max_iter):
-        F = np.array([mp_eval(p, x) for p in sys.polys])
-        J = jacobian(sys, x)
+        F, J = eval_with_jacobian(sys, x)
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
@@ -294,16 +295,18 @@ def solve_system(sys, method="cayley", options=None):
             n_failed += 1
             continue
         for x0, how in produced:
-            pre = np.max(np.abs([mp_eval(p, x0) for p in sys.polys]))
+            F, J = eval_with_jacobian(sys, x0)
+            pre = np.max(np.abs(F))
             if opts.polish:
                 x, iters, _ = newton_polish(sys, x0, opts.max_newton,
                                             opts.newton_tol)
+                F, J = eval_with_jacobian(sys, x)
             else:
                 x, iters = x0, 0
-            resid = np.abs([mp_eval(p, x) for p in sys.polys])
+            resid = np.abs(F)
             spurious = bool(np.any(resid > opts.tol_accept * scales))
             try:
-                rc = root_condition(sys, x)
+                rc = _inverse_jacobian_norm(J, x)
             except NonSimpleRootError:
                 rc = float("inf")
             candidates.append(RootRecord(
@@ -325,17 +328,23 @@ def solve_system(sys, method="cayley", options=None):
 
 
 def _dedupe(records, tol):
+    """Greedy duplicate removal, lowest max_residual first.
+
+    A record is dropped when its max-norm gap to a record already kept
+    is at most tol * (1 + ||other.x||_inf).  The gaps between all pairs
+    come from one broadcast; only the greedy pass is a loop.
+    """
+    order = sorted(records, key=lambda r: r.max_residual)
+    if not order:
+        return []
+    xs = np.array([r.x for r in order])
+    gap = np.max(np.abs(xs[:, None, :] - xs[None, :, :]), axis=-1)
+    close = gap <= tol * (1.0 + np.max(np.abs(xs), axis=1))
     kept = []
-    for rec in sorted(records, key=lambda r: r.max_residual):
-        dup = False
-        for other in kept:
-            gap = np.max(np.abs(rec.x - other.x))
-            if gap <= tol * (1.0 + np.max(np.abs(other.x))):
-                dup = True
-                break
-        if not dup:
-            kept.append(rec)
-    return kept
+    for i in range(len(order)):
+        if not close[i, kept].any():
+            kept.append(i)
+    return [order[i] for i in kept]
 
 
 # ----------------------------------------------------------------------
@@ -380,9 +389,9 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None,
     ray = complex(w @ (dP @ v))
     scale = np.linalg.norm(v) * np.linalg.norm(w)
     kappa = float("inf") if ray == 0 else float(scale / abs(ray))
-    J = jacobian(sys, root)
+    J = eval_with_jacobian(sys, root)[1]
     try:
-        rc = root_condition(sys, root)
+        rc = _inverse_jacobian_norm(J, root)
     except NonSimpleRootError:
         rc = float("inf")
     return ConditionRecord(method=method, root=root, eig_condition=kappa,

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from resultant_lab.basis import (ClenshawTrace, DegreeGradedBasis,
                                  DegreeOverflowError, Domain,
                                  NormalizationWarning, basis_eval,
-                                 basis_eval_all, basis_from_json,
+                                 basis_eval_all, basis_eval_deriv_all,
+                                 basis_from_json,
                                  basis_to_json, clenshaw_eval, clenshaw_shifts,
                                  derivative_eval, divided_difference)
 
@@ -223,6 +224,48 @@ def test_derivative_matches_finite_difference(builtin):
 
 def test_derivative_constant_is_zero(builtin):
     assert derivative_eval(builtin, [4.2], 0.5) == 0
+
+
+def _two_gamma_column_basis():
+    """Degree-12 custom basis whose column 1 holds gamma_{2,1} and
+    gamma_{3,1}; the rows below are dense."""
+    rng = np.random.default_rng(29)
+    gamma = [list(0.1 * rng.standard_normal(k)) for k in range(1, 12)]
+    gamma[0] = [0.0]
+    gamma[1] = [0.4, 0.0]
+    gamma[2] = [-0.3, 0.0, 0.2]
+    return DegreeGradedBasis.custom(1.0 + 0.1 * rng.standard_normal(12),
+                                    0.1 * rng.standard_normal(12), gamma,
+                                    check_normalization=False)
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom"])
+def test_deriv_all_matches_clenshaw_derivative(name):
+    basis = (_two_gamma_column_basis() if name == "custom"
+             else DegreeGradedBasis(name))
+    xs = np.array([-0.7, 0.15, 0.3 + 0.4j, -0.5 - 0.25j])
+    for kmax in range(13):
+        vals, ders = basis_eval_deriv_all(basis, kmax, xs)
+        assert vals.shape == ders.shape == (kmax + 1, len(xs))
+        assert np.array_equal(vals, basis_eval_all(basis, kmax, xs))
+        for k in range(kmax + 1):
+            unit = np.zeros(k + 1)
+            unit[k] = 1.0
+            want = np.array([derivative_eval(basis, unit, x) for x in xs])
+            assert np.allclose(ders[k], want, rtol=1e-12, atol=1e-12)
+
+
+def test_deriv_all_degree_zero_and_scalar_point():
+    b = DegreeGradedBasis.legendre()
+    vals, ders = basis_eval_deriv_all(b, 0, 0.3 - 0.1j)
+    assert vals.shape == ders.shape == (1,)
+    assert vals[0] == 1.0 and ders[0] == 0.0
+    vals, ders = basis_eval_deriv_all(b, 0, np.zeros((2, 3)))
+    assert vals.shape == ders.shape == (1, 2, 3)
+    assert np.all(vals == 1.0) and np.all(ders == 0.0)
+    with pytest.raises(ValueError):
+        basis_eval_deriv_all(b, -1, 0.0)
 
 
 # ----------------------------------------------------------------------

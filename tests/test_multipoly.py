@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
+from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
+                                 derivative_eval)
 from resultant_lab.multipoly import (HiddenVariableForm, MultiPoly,
                                      NonSimpleRootError, PolynomialSystem,
-                                     hide_variable, interpolate_on_nodes,
+                                     eval_with_jacobian, hide_variable,
+                                     interpolate_on_nodes,
                                      jacobian, max_solution_bound, mp_eval,
                                      mp_eval_grid, mp_interpolate,
                                      root_condition, system_from_json,
@@ -242,6 +244,65 @@ def test_jacobian_linear_exact(mono):
         polys.append(MultiPoly(mono, 2, c))
     sys_ = PolynomialSystem(tuple(polys))
     assert np.allclose(jacobian(sys_, [0.3, -0.4]), A, atol=1e-14)
+
+
+def fiber_jacobian(sys_, x):
+    """Loop reference: contract every axis but j, then differentiate the
+    remaining univariate fiber with the Clenshaw shifts."""
+    d = sys_.dim
+    J = np.empty((d, d), dtype=complex)
+    for i, p in enumerate(sys_.polys):
+        for j in range(d):
+            fiber = np.moveaxis(p.coeffs, j, 0)
+            for a in reversed(range(d)):
+                if a != j:
+                    fiber = fiber @ basis_eval_all(p.basis,
+                                                   p.coeffs.shape[a] - 1, x[a])
+            J[i, j] = derivative_eval(p.basis, fiber, x[j])
+    return J
+
+
+def _system(rng, basis, shapes_deg):
+    d = len(shapes_deg)
+    return PolynomialSystem(tuple(random_poly(rng, basis, d, degs)
+                                  for degs in shapes_deg))
+
+
+@pytest.mark.parametrize("case", ["mixed", "equal_noncubic", "d1",
+                                  "legendre_d4", "disc"])
+def test_eval_with_jacobian_against_references(case):
+    rng = np.random.default_rng(41)
+    leg = DegreeGradedBasis.legendre()
+    if case == "mixed":  # zero-padded stack: extents (3, 4) from (3,2), (2,4)
+        sys_ = _system(rng, DegreeGradedBasis.chebyshev(), [(2, 1), (1, 3)])
+    elif case == "equal_noncubic":
+        sys_ = _system(rng, leg, [(2, 1), (2, 1)])
+    elif case == "d1":
+        sys_ = _system(rng, DegreeGradedBasis.monomial(), [(5,)])
+    elif case == "legendre_d4":
+        sys_ = _system(rng, leg, [(2, 3, 1, 2), (1, 1, 1, 1), (3, 2, 2, 0),
+                                  (2, 2, 2, 2)])
+    else:
+        disc = DegreeGradedBasis.legendre(domain=Domain.disc(0.2j, 0.8))
+        sys_ = _system(rng, disc, [(3, 2, 1), (2, 2, 2), (1, 3, 2)])
+    d = sys_.dim
+    for _ in range(3):
+        x = rng.uniform(-0.8, 0.8, d)
+        if case == "disc":
+            x = 0.2j + 0.5 * (x + 1j * rng.uniform(-0.8, 0.8, d))
+        F, J = eval_with_jacobian(sys_, x)
+        assert F.shape == (d,) and J.shape == (d, d)
+        want = np.array([mp_eval(p, x) for p in sys_.polys])
+        assert np.all(np.abs(F - want) <= 1e-13 * np.maximum(1, abs(want)))
+        assert np.allclose(J, fd_jacobian(sys_, x), atol=1e-6)
+        ref = fiber_jacobian(sys_, x)
+        assert np.all(np.abs(J - ref) <= 1e-12 * np.maximum(1, abs(ref)))
+        assert np.array_equal(jacobian(sys_, x), J)
+
+
+def test_eval_with_jacobian_validates_point(mono):
+    with pytest.raises(ValueError):
+        eval_with_jacobian(circle_line(mono), [0.1, 0.2, 0.3])
 
 
 def test_root_condition_inverse_smallest_singular(mono):

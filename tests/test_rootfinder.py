@@ -7,15 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from resultant_lab import rootfinder
+from resultant_lab import multipoly, rootfinder
 from resultant_lab.basis import DegreeGradedBasis, basis_eval_all
 from resultant_lab.cayley import cayley_resultant
 from resultant_lab.matpoly import EigenSolveError, eigpair
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      hide_variable, jacobian, mp_eval,
                                      mp_interpolate)
-from resultant_lab.rootfinder import (RecoveryError, RootReport, SolveOptions,
-                                      condition_at_root, condition_sweep,
+from resultant_lab.rootfinder import (RecoveryError, RootRecord, RootReport,
+                                      SolveOptions, condition_at_root,
+                                      condition_sweep,
                                       family_coupled_quadratic, family_linear,
                                       family_orthogonal_quadratic,
                                       family_rotated_quadratic, newton_polish,
@@ -250,6 +251,113 @@ def test_hidden_index_override(mono):
                           options=SolveOptions(hidden_index=0))
     assert report.hidden_index == 0
     assert_root_sets_match(report, [(0.5, 0.5), (-0.5, -0.5)], tol=1e-10)
+
+
+def _forbid_loose_evaluation(monkeypatch):
+    """Make every point evaluation outside eval_with_jacobian raise, and
+    count the kernel calls made through rootfinder."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("point evaluation outside eval_with_jacobian")
+
+    for mod in (rootfinder, multipoly):
+        for name in ("mp_eval", "jacobian", "root_condition"):
+            monkeypatch.setattr(mod, name, forbidden, raising=False)
+    calls = []
+
+    def counting_kernel(sys_, x):
+        calls.append(np.array(x))
+        return multipoly.eval_with_jacobian(sys_, x)
+
+    monkeypatch.setattr(rootfinder, "eval_with_jacobian", counting_kernel)
+    return calls
+
+
+def test_solve_evaluates_only_through_the_kernel(monkeypatch):
+    sys_, root = random_system_with_root(2, 3, 6, basis_name="chebyshev")
+    linear, _ = family_linear(2, seed=5)  # grid fallback path
+    calls = _forbid_loose_evaluation(monkeypatch)
+    for s, opts in ((sys_, None), (sys_, SolveOptions(polish=False)),
+                    (linear, None)):
+        calls.clear()
+        report = solve_system(s, options=opts)
+        assert report.accepted and calls
+    calls.clear()
+    x, iters, ok = newton_polish(sys_, root + 1e-3)
+    assert ok and iters > 1 and len(calls) == iters
+
+
+def test_condition_at_root_makes_one_kernel_call(monkeypatch):
+    sys_ = family_orthogonal_quadratic(3, 0.5, seed=2)
+    calls = _forbid_loose_evaluation(monkeypatch)
+    rec = condition_at_root(sys_, np.zeros(3))
+    assert len(calls) == 1 and np.all(calls[0] == 0)
+    assert rec.root_condition == pytest.approx(2.0, rel=1e-10)
+    assert rec.jacobian_det == pytest.approx(np.linalg.det(
+        multipoly.eval_with_jacobian(sys_, np.zeros(3))[1]))
+
+
+# ----------------------------------------------------------------------
+# Dedupe
+# ----------------------------------------------------------------------
+
+def _record(x, max_residual):
+    x = np.asarray(x, dtype=complex)
+    return RootRecord(x=x, hidden_value=complex(x[-1]),
+                      residuals=np.array([max_residual]),
+                      max_residual=max_residual, pre_polish_residual=1.0,
+                      spurious=False, eig_condition=1.0, root_condition=1.0,
+                      newton_iters=1, recovery="ratio")
+
+
+def brute_force_dedupe(records, tol):
+    """The pairwise loop the vectorised _dedupe must reproduce."""
+    kept = []
+    for rec in sorted(records, key=lambda r: r.max_residual):
+        if not any(np.max(np.abs(rec.x - other.x))
+                   <= tol * (1.0 + np.max(np.abs(other.x)))
+                   for other in kept):
+            kept.append(rec)
+    return kept
+
+
+def test_dedupe_tolerance_edges():
+    tol = 1e-8
+    base = _record([0.5, -0.25], 1e-15)  # gap limit tol * 1.5
+    inside = _record([0.5 + 1.4e-8, -0.25], 1e-14)
+    outside = _record([0.5, -0.25 - 1.6e-8], 1e-14)
+    kept = rootfinder._dedupe([inside, outside, base], tol)
+    assert kept == [base, outside]
+    assert rootfinder._dedupe([], tol) == []
+
+
+def test_dedupe_lower_residual_survives():
+    worse = _record([0.1, 0.2 + 0.3j], 1e-9)
+    better = _record([0.1, 0.2 + 0.3j], 1e-13)
+    assert rootfinder._dedupe([worse, better], 1e-8) == [better]
+
+
+def test_dedupe_compares_with_kept_records_only():
+    # b is within tol of a and dropped; c is within tol of b but not of a,
+    # and survives because b was never kept
+    a = _record([0.0, 0.0], 1e-15)
+    b = _record([0.9e-8, 0.0], 1e-14)
+    c = _record([1.8e-8, 0.0], 1e-13)
+    assert rootfinder._dedupe([c, b, a], 1e-8) == [a, c]
+
+
+def test_dedupe_matches_brute_force():
+    rng = np.random.default_rng(8)
+    tol = 1e-8
+    for trial in range(20):
+        centres = rng.uniform(-1, 1, (5, 3)) + 1j * rng.uniform(-1, 1, (5, 3))
+        records = []
+        for k in range(int(rng.integers(1, 30))):
+            jitter = tol * rng.uniform(-2, 2, 3)
+            records.append(_record(centres[rng.integers(5)] + jitter,
+                                   float(rng.uniform(0, 1e-10))))
+        got = rootfinder._dedupe(records, tol)
+        want = brute_force_dedupe(records, tol)
+        assert [id(r) for r in got] == [id(r) for r in want]
 
 
 # ----------------------------------------------------------------------
