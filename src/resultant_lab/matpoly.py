@@ -2,11 +2,17 @@
 
 P(lambda) = sum_{i=0}^{K} A_i phi_i(lambda) with square complex
 coefficient matrices, expressed in a degree-graded basis.  Eigenvalues
-are computed by linearizing P into a block-companion generalized pencil
-built from the basis recurrence and handing the pencil to a dense QZ
-solver, which is asked for eigenvalues only (real QZ when the pencil is
-real).  Eigenvectors are taken separately, for the eigenvalues a caller
-keeps, as the minimal singular vectors of P(lambda) itself.
+are computed by linearizing P into a block-companion pencil (X, Y)
+built from the basis recurrence, then by shift and invert: for a shift
+mu inside the basis domain one LU solve forms (X - mu Y)^-1 Y, whose
+eigenvalues theta = 1 / (lambda - mu) come from one eigenvalues-only
+standard eigensolver run (in real arithmetic when the coefficients are
+real and the domain is an interval).  This is not backward stable for
+the pencil, but resultant eigenvalues lose up to kappa_eig / kappa_root
+of accuracy however they are computed (arXiv 1507.00272); Newton on the
+source system is what restores the roots.  Eigenvectors are taken
+separately, for the eigenvalues a caller keeps, as the minimal singular
+vectors of P(lambda) itself.
 """
 
 import logging
@@ -15,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import (DegreeGradedBasis, basis_eval_all, basis_from_json,
-                    basis_to_json, clenshaw_shifts)
+from .basis import (DegreeGradedBasis, basis_eval_all, basis_eval_deriv_all,
+                    basis_from_json, basis_to_json)
 
 __all__ = [
     "MatrixPolynomial",
@@ -108,14 +114,9 @@ def matpoly_eval(P, lam):
 
 
 def matpoly_deriv_eval(P, lam):
-    """P'(lam) through the shift identity, applied to the matrix stack."""
-    K = P.degree
-    if K == 0:
-        return np.zeros_like(P.coeffs[0])
-    b = clenshaw_shifts(P.basis, P.coeffs, complex(lam))  # b[i] = b_{i+1}
-    phis = basis_eval_all(P.basis, K - 1, complex(lam))
-    al = P.basis.table(K - 1).alpha[:K]
-    return np.tensordot(al * phis, b[:K], axes=([0], [0]))
+    """P'(lam) = sum_i A_i phi_i'(lam) from the basis derivatives."""
+    ders = basis_eval_deriv_all(P.basis, P.degree, complex(lam))[1]
+    return np.tensordot(ders, P.coeffs, axes=([0], [0]))
 
 
 def _regularity_probes(P):
@@ -151,14 +152,19 @@ def linearize(P):
     pencil eigenvector stacks phi_0(lambda) z, ..., phi_{K-1}(lambda) z
     on top of each other for every eigenvector z of P.  The last block
     row carries the coefficient matrices.  Finite pencil eigenvalues
-    coincide with the eigenvalues of P.
+    coincide with the eigenvalues of P.  X and Y are float64 when the
+    coefficients and the recurrence are real, complex otherwise.
     """
     K, N = P.degree, P.size
     if K == 0:
         raise ValueError("constant matrix polynomial has no eigenvalues")
     tab = P.basis.table(K - 1)
     A = P.coeffs
-    X = np.zeros((N * K, N * K), dtype=complex)
+    if not np.any(A.imag):
+        A = A.real
+    gammas = np.array([g for row in tab.rows[:K] for _, g in row])
+    X = np.zeros((N * K, N * K),
+                 dtype=np.result_type(A, tab.alpha, tab.beta, gammas))
     Y = np.zeros_like(X)
     eye = np.eye(N)
 
@@ -200,13 +206,53 @@ def _effective_degree(P, tol=1e-13):
     return int(keep.max())
 
 
+def _shifts(domain):
+    """Radius of domain and its fixed sequence of shifts, one per entry
+    of _SHIFT_OFFSETS: real points of an interval (the real parts),
+    complex points of a disc."""
+    if domain.kind == "interval":
+        mid = 0.5 * (domain.hi + domain.lo)
+        radius = 0.5 * (domain.hi - domain.lo)
+        return radius, [mid + radius * f.real for f in _SHIFT_OFFSETS]
+    return domain.radius, [domain.center + domain.radius * f
+                           for f in _SHIFT_OFFSETS]
+
+
+# Shift offsets from the domain centre in units of its radius, tried in
+# order.  They sit half a radius or more off the centre, where roots of
+# structured systems (the origin) cluster: on the coupled-quadratic
+# family a shift within half a radius of the four-fold eigenvalue at
+# the origin scatters it across the domain margin.  An eigenvalue
+# closer than _SHIFT_GAP * radius to a shift makes (X - mu Y)^-1 Y
+# huge and blurs every other eigenvalue, so the next shift is tried.
+_SHIFT_OFFSETS = (0.5523 + 0.2718j, -0.6180 + 0.1234j, 0.6931 - 0.3817j)
+_SHIFT_GAP = 1e-6
+
+
+def _inverted_pencil(P, mu):
+    """M = (X - mu Y)^-1 Y for the linearization (X, Y) of P.
+
+    X is overwritten by X - mu Y (made complex first when mu is), so
+    only X, Y and M are alive at once; X and Y are freed on return.
+    """
+    X, Y = linearize(P)
+    X = X.astype(np.result_type(X, mu), copy=False)
+    X -= mu * Y
+    return np.linalg.solve(X, Y)
+
+
 def polyeig(P):
     """Finite eigenvalues of a regular matrix polynomial.
 
-    One eigenvalues-only QZ run on the linearized pencil, in real
-    arithmetic when every coefficient is real.  Eigenvectors are not
-    computed here; eigpair supplies them for the eigenvalues a caller
-    keeps.
+    Shift and invert: with mu a shift inside the basis domain and
+    (X, Y) the linearized pencil, one LU solve forms
+    M = (X - mu Y)^-1 Y and one eigenvalues-only standard eigensolver
+    run gives its eigenvalues theta, each mapped back to
+    lam = mu + 1 / theta.  A theta indistinguishable from zero,
+    |theta| <= 1e3 * eps * ||M||_F, is an infinite eigenvalue.  M is
+    real when the coefficients are real and the domain an interval.
+    Eigenvectors are not computed here; eigpair supplies them for the
+    eigenvalues a caller keeps.
 
     Returns
     -------
@@ -219,7 +265,8 @@ def polyeig(P):
     NotRegularError
         When det P vanishes at every probe point.
     EigenSolveError
-        When the QZ iteration fails or the pencil is singular.
+        When at every shift mu, X - mu Y is singular or the pencil has
+        an eigenvalue within _SHIFT_GAP * radius of mu.
     """
     K, N = P.degree, P.size
     k_eff = _effective_degree(P)
@@ -233,25 +280,30 @@ def polyeig(P):
     work = MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1])
     if not matpoly_is_regular(work):
         raise NotRegularError("determinant vanished at every probe point")
-    X, Y = linearize(work)
-    # Real QZ is several times faster than complex QZ on the same pencil;
-    # complex pencils (disc domains, complex coefficients) need the latter.
-    if not (np.any(X.imag) or np.any(Y.imag)):
-        X, Y = X.real, Y.real
-    try:
-        alphas, betas = scipy.linalg.eigvals(X, Y, homogeneous_eigvals=True)
-    except Exception as exc:  # LinAlgError or convergence failure
-        raise EigenSolveError(f"generalized eigensolver failed: {exc}") from exc
-    nrm = np.hypot(np.abs(alphas), np.abs(betas))
-    if np.any(nrm == 0.0):
-        raise EigenSolveError("pencil is numerically singular "
-                              "(alpha = beta = 0 from QZ)")
-    finite = np.abs(betas) / nrm > 1e3 * _EPS
-    lams = alphas[finite] / betas[finite]
+    radius, shifts = _shifts(P.basis.domain)
+    for mu in shifts:
+        try:
+            M = _inverted_pencil(work, mu)
+            scale = np.linalg.norm(M)
+            theta = scipy.linalg.eigvals(M, check_finite=False)
+        except np.linalg.LinAlgError:  # X - mu Y singular, or no convergence
+            continue
+        del M
+        # a NaN or inf theta fails this test too
+        if np.max(np.abs(theta)) * radius * _SHIFT_GAP < 1.0:
+            break
+        log.debug("polyeig: eigenvalue within %g of shift %s, next shift",
+                  _SHIFT_GAP * radius, mu)
+    else:
+        raise EigenSolveError(
+            f"no usable shift among {len(shifts)}: X - mu Y is singular "
+            "or has an eigenvalue next to mu at each")
+    finite = np.abs(theta) > 1e3 * _EPS * scale
+    lams = mu + 1.0 / theta[finite]
     lams = lams[np.lexsort((lams.imag, lams.real))]
     n_inf = N * (K - k_eff) + int(np.count_nonzero(~finite))
-    log.debug("polyeig: %d finite, %d infinite (N=%d, K=%d)",
-              len(lams), n_inf, N, K)
+    log.debug("polyeig: %d finite, %d infinite (N=%d, K=%d, shift %s)",
+              len(lams), n_inf, N, K, mu)
     return lams, n_inf
 
 

@@ -123,8 +123,15 @@ def newton_polish(sys, x0, max_iter=20, tol=1e-14):
     reports non-convergence at the current point.
     """
     x = np.array(x0, dtype=complex)
+    F, J = eval_with_jacobian(sys, x)
+    return _newton(sys, x, F, J, max_iter, tol)
+
+
+def _newton(sys, x, F, J, max_iter, tol):
+    """newton_polish from x, with F and J already evaluated at x."""
     for it in range(max_iter):
-        F, J = eval_with_jacobian(sys, x)
+        if it:
+            F, J = eval_with_jacobian(sys, x)
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
@@ -298,8 +305,8 @@ def solve_system(sys, method="cayley", options=None):
             F, J = eval_with_jacobian(sys, x0)
             pre = np.max(np.abs(F))
             if opts.polish:
-                x, iters, _ = newton_polish(sys, x0, opts.max_newton,
-                                            opts.newton_tol)
+                x, iters, _ = _newton(sys, x0, F, J, opts.max_newton,
+                                      opts.newton_tol)
                 F, J = eval_with_jacobian(sys, x)
             else:
                 x, iters = x0, 0

@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from resultant_lab.basis import DegreeGradedBasis, basis_eval_all
+from resultant_lab import matpoly
+from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
+                                 clenshaw_shifts)
 from resultant_lab.matpoly import (Eigenpair, EigenSolveError,
                                    MatrixPolynomial, NotRegularError,
                                    eig_condition, eigpair, linearize,
@@ -40,6 +43,25 @@ def builtin(request):
     return DegreeGradedBasis(request.param)
 
 
+def dense_gamma_basis(domain=None):
+    """Degree-8 custom basis with off-band gamma entries, two of them in
+    column 1, and nonzero beta."""
+    rng = np.random.default_rng(31)
+    gamma = [list(0.05 * rng.standard_normal(k)) for k in range(1, 8)]
+    gamma[0] = [0.0]
+    gamma[1] = [0.4, 0.0]
+    gamma[2] = [-0.3, 0.0, 0.2]
+    return DegreeGradedBasis.custom(1.0 + 0.1 * rng.standard_normal(8),
+                                    0.1 * rng.standard_normal(8), gamma,
+                                    domain=domain, check_normalization=False)
+
+
+def basis_by_name(name, domain=None):
+    if name == "custom":
+        return dense_gamma_basis(domain)
+    return DegreeGradedBasis(name, domain=domain)
+
+
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
@@ -60,6 +82,29 @@ def test_deriv_matches_fd(builtin):
     h = 1e-6
     fd = (matpoly_eval(P, lam + h) - matpoly_eval(P, lam - h)) / (2 * h)
     assert np.allclose(matpoly_deriv_eval(P, lam), fd, atol=1e-7)
+
+
+def shift_identity_deriv(P, lam):
+    """P'(lam) through the shift identity over the matrix stack, the
+    Clenshaw form matpoly_deriv_eval replaced."""
+    K = P.degree
+    b = clenshaw_shifts(P.basis, P.coeffs, complex(lam))  # b[i] = b_{i+1}
+    phis = basis_eval_all(P.basis, K - 1, complex(lam))
+    al = P.basis.table(K - 1).alpha[:K]
+    return np.tensordot(al * phis, b[:K], axes=([0], [0]))
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom"])
+@pytest.mark.parametrize("lam", [0.37, -0.6 + 0.25j])
+def test_deriv_matches_shift_identity(name, lam):
+    rng = np.random.default_rng(4)
+    basis = basis_by_name(name)
+    for degree in (1, 2, 7):
+        P = random_matpoly(rng, basis, degree, 4, complex_entries=True)
+        want = shift_identity_deriv(P, lam)
+        got = matpoly_deriv_eval(P, lam)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_deriv_constant_zero(builtin):
@@ -102,6 +147,21 @@ def test_pencil_eigenvalues_kill_determinant(builtin):
     z = u[:2]
     for k in range(3):
         assert np.allclose(u[2 * k:2 * k + 2], phis[k] * z, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom"])
+def test_linearize_is_real_for_real_coefficients(name):
+    # a real pencil takes half the bytes of a complex one and lets the
+    # eigensolver run in real arithmetic
+    rng = np.random.default_rng(12)
+    for domain in (None, Domain.disc(0.2 + 0.1j, 1.5)):
+        basis = basis_by_name(name, domain)
+        X, Y = linearize(random_matpoly(rng, basis, 3, 2))
+        assert X.dtype == Y.dtype == np.float64
+        X, Y = linearize(random_matpoly(rng, basis, 3, 2,
+                                        complex_entries=True))
+        assert X.dtype == Y.dtype == np.complex128
 
 
 def test_linearize_rejects_constant(builtin):
@@ -270,3 +330,75 @@ def test_polyeig_with_dense_gamma_basis():
     for x in (0.3, -0.7 + 0.2j):
         got = _component_from_vector(basis_eval_all(b, 4, x), b)
         assert abs(got - x) <= 1e-13
+
+
+# ----------------------------------------------------------------------
+# Shift and invert against QZ
+# ----------------------------------------------------------------------
+
+def qz_eigenvalues(P):
+    """Finite generalized eigenvalues of linearize(P) from QZ, and the
+    infinite count, by the |beta| / |(alpha, beta)| <= 1e3 eps test."""
+    alphas, betas = scipy.linalg.eigvals(*linearize(P),
+                                         homogeneous_eigvals=True)
+    finite = (np.abs(betas) / np.hypot(np.abs(alphas), np.abs(betas))
+              > 1e3 * np.finfo(float).eps)
+    return alphas[finite] / betas[finite], int(np.count_nonzero(~finite))
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom"])
+@pytest.mark.parametrize("domain", [Domain.interval(-1.0, 1.0),
+                                    Domain.interval(2.0, 5.0),
+                                    Domain.disc(0.2 + 0.1j, 1.5)],
+                         ids=["unit", "offset", "disc"])
+@pytest.mark.parametrize("complex_entries", [False, True],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("lead", ["full", "singular"])
+def test_polyeig_matches_qz(name, domain, complex_entries, lead):
+    rng = np.random.default_rng(17)
+    basis = basis_by_name(name, domain)
+    P = random_matpoly(rng, basis, 3, 3, complex_entries)
+    if lead == "singular":
+        # rank-2 leading coefficient: one infinite eigenvalue
+        c = P.coeffs.copy()
+        c[-1] = np.outer(c[-1][:, 0], c[-1][0]) + np.outer(c[-1][:, 1],
+                                                           c[-1][1])
+        P = MatrixPolynomial(basis, c)
+    want, want_inf = qz_eigenvalues(P)
+    lams, n_inf = polyeig(P)
+    assert n_inf == want_inf == (1 if lead == "singular" else 0)
+    assert len(lams) == len(want) == 9 - n_inf
+    assert np.all(np.diff(lams.real) >= 0)
+    match_nearest(lams, want, 1e-8)
+
+
+@pytest.mark.parametrize("domain", [Domain.interval(-1.0, 1.0),
+                                    Domain.interval(2.0, 5.0),
+                                    Domain.disc(0.5 + 0.5j, 2.0)],
+                         ids=["unit", "offset", "disc"])
+def test_polyeig_moves_off_a_shift_on_a_root(domain, monkeypatch):
+    # a root exactly at the first shift makes X - mu Y singular; the
+    # guard rejects that shift and the next one finds every root
+    basis = DegreeGradedBasis.monomial(domain)
+    mu = matpoly._shifts(domain)[1][0]
+    roots = np.array([mu, mu - 0.3, mu - 0.8])
+    coeffs = np.polynomial.polynomial.polyfromroots(roots)
+    P = MatrixPolynomial(basis, coeffs.reshape(-1, 1, 1))
+    shifts = []
+    inverted = matpoly._inverted_pencil
+
+    def recording(P, shift):
+        shifts.append(shift)
+        return inverted(P, shift)
+
+    monkeypatch.setattr(matpoly, "_inverted_pencil", recording)
+    lams, n_inf = polyeig(P)
+    assert shifts == matpoly._shifts(domain)[1][:2]
+    assert n_inf == 0
+    match_nearest(lams, roots, 1e-10)
+    # with the first shift as the only one, polyeig gives up
+    monkeypatch.setattr(matpoly, "_SHIFT_OFFSETS",
+                        matpoly._SHIFT_OFFSETS[:1])
+    with pytest.raises(EigenSolveError, match="shift"):
+        polyeig(P)

@@ -6,11 +6,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from resultant_lab import multipoly, rootfinder
 from resultant_lab.basis import DegreeGradedBasis, basis_eval_all
 from resultant_lab.cayley import cayley_resultant
-from resultant_lab.matpoly import EigenSolveError, eigpair
+from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
+                                   _effective_degree, eigpair, linearize)
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      hide_variable, jacobian, mp_eval,
                                      mp_interpolate)
@@ -286,6 +288,28 @@ def test_solve_evaluates_only_through_the_kernel(monkeypatch):
     assert ok and iters > 1 and len(calls) == iters
 
 
+def test_polished_candidate_costs_iters_plus_one_kernel_calls(monkeypatch):
+    # the kernel call at the start point serves both the pre-polish
+    # residual and Newton's first iteration; one more call at the
+    # polished point gives the residuals and kappa_root
+    sys_, _ = random_system_with_root(2, 3, 6, basis_name="chebyshev")
+    calls = _forbid_loose_evaluation(monkeypatch)
+    iters = []
+    newton = rootfinder._newton
+
+    def recording(*args):
+        out = newton(*args)
+        iters.append(out[1])
+        return out
+
+    monkeypatch.setattr(rootfinder, "_newton", recording)
+    report = solve_system(sys_)
+    assert report.accepted
+    assert all(r.recovery != "grid" for r in report.roots)
+    assert iters and min(iters) >= 1
+    assert len(calls) == sum(n + 1 for n in iters)
+
+
 def test_condition_at_root_makes_one_kernel_call(monkeypatch):
     sys_ = family_orthogonal_quadratic(3, 0.5, seed=2)
     calls = _forbid_loose_evaluation(monkeypatch)
@@ -294,6 +318,54 @@ def test_condition_at_root_makes_one_kernel_call(monkeypatch):
     assert rec.root_condition == pytest.approx(2.0, rel=1e-10)
     assert rec.jacobian_det == pytest.approx(np.linalg.det(
         multipoly.eval_with_jacobian(sys_, np.zeros(3))[1]))
+
+
+def qz_polyeig(P):
+    """polyeig as it was before shift and invert: one eigenvalues-only QZ
+    run on the linearized pencil, |beta| / |(alpha, beta)| <= 1e3 eps
+    counted infinite."""
+    K, N = P.degree, P.size
+    k_eff = _effective_degree(P)
+    X, Y = linearize(MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1]))
+    alphas, betas = scipy.linalg.eigvals(X, Y, homogeneous_eigvals=True)
+    finite = (np.abs(betas) / np.hypot(np.abs(alphas), np.abs(betas))
+              > 1e3 * np.finfo(float).eps)
+    lams = alphas[finite] / betas[finite]
+    lams = lams[np.lexsort((lams.imag, lams.real))]
+    return lams, N * (K - k_eff) + int(np.count_nonzero(~finite))
+
+
+HARD_INPUTS = ([("rotated", s) for s in 10.0 ** -np.arange(1, 7)]
+               + [("coupled", u) for u in 10.0 ** -np.arange(1, 8)])
+
+
+@pytest.mark.parametrize("basis_name", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("method", ["cayley", "sylvester"])
+def test_hard_inputs_keep_every_root_qz_accepts(monkeypatch, method,
+                                                basis_name):
+    # rotated: simple roots, the one at the origin with kappa_root =
+    # 1/sigma.  coupled: the origin is a double root (its Jacobian is
+    # u c [[1, 1], [1, 1]]), where a root passing the residual test can
+    # sit up to about sqrt(tol_accept) away from it.
+    for family, s in HARD_INPUTS:
+        if family == "rotated":
+            sys_ = family_rotated_quadratic(s, basis_name=basis_name)
+            tol = 1e-8
+        else:
+            sys_ = family_coupled_quadratic(s, basis_name=basis_name)
+            tol = np.sqrt(SolveOptions().tol_accept)
+        hv = hide_variable(sys_, 1)
+        P = rootfinder._build_resultant(hv, method, None).matrix_poly
+        with monkeypatch.context() as m:
+            m.setattr(rootfinder, "polyeig", qz_polyeig)
+            ref = solve_system(sys_, method)
+        got = solve_system(sys_, method)
+        for rep in (ref, got):
+            assert rep.n_eigenvalues + rep.n_infinite == P.size * P.degree
+        for r in ref.accepted:
+            gaps = [np.max(np.abs(r.x - g.x)) for g in got.accepted]
+            assert gaps and min(gaps) <= tol * (1 + np.max(np.abs(r.x))), (
+                family, s, r.x)
 
 
 # ----------------------------------------------------------------------
