@@ -18,8 +18,9 @@ from .cayley import (CayleyResultant, CayleyTensor, cayley_coeffs,
                      cayley_root_eigvectors, default_taus)
 from .matpoly import (Eigenpair, EigenSolveError, MatrixPolynomial,
                       NotRegularError, StructureError, eig_condition, eigpair,
-                      linearize, matpoly_deriv_eval, matpoly_eval,
-                      matpoly_from_json, matpoly_to_json, polyeig)
+                      eigvecs_and_conditions, linearize, matpoly_deriv_eval,
+                      matpoly_eval, matpoly_from_json, matpoly_to_json,
+                      polyeig)
 from .multipoly import (HiddenVariableForm, MultiPoly, NonSimpleRootError,
                         PolynomialSystem, eval_with_jacobian, hide_variable,
                         interpolate_on_nodes, jacobian, max_solution_bound,
@@ -55,8 +56,8 @@ __all__ = [
     # matpoly
     "MatrixPolynomial", "Eigenpair", "EigenSolveError", "NotRegularError",
     "StructureError", "matpoly_eval", "matpoly_deriv_eval", "linearize",
-    "polyeig", "eigpair", "eig_condition", "matpoly_to_json",
-    "matpoly_from_json",
+    "polyeig", "eigpair", "eig_condition", "eigvecs_and_conditions",
+    "matpoly_to_json", "matpoly_from_json",
     # cayley
     "CayleyTensor", "CayleyResultant", "default_taus", "cayley_function_eval",
     "cayley_coeffs", "cayley_resultant", "cayley_diagonal_value",

@@ -12,7 +12,8 @@ the pencil, but resultant eigenvalues lose up to kappa_eig / kappa_root
 of accuracy however they are computed (arXiv 1507.00272); Newton on the
 source system is what restores the roots.  Eigenvectors are taken
 separately, for the eigenvalues a caller keeps, as the minimal singular
-vectors of P(lambda) itself.
+vectors of P(lambda) itself: one stacked SVD over all kept eigenvalues,
+with their condition numbers from the stack of P'(lambda).
 """
 
 import logging
@@ -36,6 +37,7 @@ __all__ = [
     "polyeig",
     "eigpair",
     "eig_condition",
+    "eigvecs_and_conditions",
     "matpoly_to_json",
     "matpoly_from_json",
 ]
@@ -84,7 +86,7 @@ class MatrixPolynomial:
     @property
     def coeff_scale(self):
         """max_i ||A_i||_2, the natural perturbation scale."""
-        return max(np.linalg.norm(a, 2) for a in self.coeffs)
+        return np.linalg.norm(self.coeffs, 2, axis=(1, 2)).max()
 
 
 @dataclass(frozen=True)
@@ -108,14 +110,19 @@ class Eigenpair:
 # ----------------------------------------------------------------------
 
 def matpoly_eval(P, lam):
-    """P(lam) = sum_i A_i phi_i(lam) by forward basis evaluation."""
-    phis = basis_eval_all(P.basis, P.degree, complex(lam))
+    """P(lam) = sum_i A_i phi_i(lam) by forward basis evaluation.
+
+    lam is a point or an array of points; the result has shape
+    shape(lam) + (N, N).
+    """
+    phis = basis_eval_all(P.basis, P.degree, lam)
     return np.tensordot(phis, P.coeffs, axes=([0], [0]))
 
 
 def matpoly_deriv_eval(P, lam):
-    """P'(lam) = sum_i A_i phi_i'(lam) from the basis derivatives."""
-    ders = basis_eval_deriv_all(P.basis, P.degree, complex(lam))[1]
+    """P'(lam) = sum_i A_i phi_i'(lam) from the basis derivatives,
+    shaped as in matpoly_eval."""
+    ders = basis_eval_deriv_all(P.basis, P.degree, lam)[1]
     return np.tensordot(ders, P.coeffs, axes=([0], [0]))
 
 
@@ -132,8 +139,7 @@ def _regularity_probes(P):
     scale = P.coeff_scale
     if scale == 0.0:
         return np.zeros(len(probes))
-    return np.array([np.abs(np.linalg.det(matpoly_eval(P, z) / scale))
-                     for z in probes])
+    return np.abs(np.linalg.det(matpoly_eval(P, probes) / scale))
 
 
 def matpoly_is_regular(P):
@@ -307,6 +313,44 @@ def polyeig(P):
     return lams, n_inf
 
 
+def eigvecs_and_conditions(P, lams):
+    """Eigenvectors, residuals and condition numbers at every lam.
+
+    One basis_eval_deriv_all over lams gives the stacks P(lam) and
+    P'(lam); one stacked SVD of P(lam) gives the vectors and residuals
+    as in eigpair, and eig_condition's arithmetic runs on the stacks.
+
+    Returns
+    -------
+    (right, left, residuals, kappas) with shapes (m, N), (m, N), (m,)
+    and (m,) for m = len(lams); row k equals eigpair(P, lams[k]) and
+    eig_condition of that pair.
+    """
+    vals, ders = basis_eval_deriv_all(P.basis, P.degree, lams)
+    right, left, residuals = _min_singular_vectors(
+        np.tensordot(vals, P.coeffs, axes=([0], [0])))
+    kappas = _eig_conditions(np.tensordot(ders, P.coeffs, axes=([0], [0])),
+                             right, left)
+    return right, left, residuals, kappas
+
+
+def _min_singular_vectors(Ps):
+    """Right and plain-transpose left singular vectors of the smallest
+    singular value, and that value, for a stack of matrices."""
+    U, s, Vh = np.linalg.svd(Ps)
+    return np.conj(Vh[:, -1]), np.conj(U[:, :, -1]), s[:, -1]
+
+
+def _eig_conditions(dPs, right, left):
+    """eig_condition for stacks of P'(lam), v and w."""
+    denom = np.abs(np.einsum("mi,mij,mj->m", left, dPs, right))
+    scale = np.linalg.norm(right, axis=-1) * np.linalg.norm(left, axis=-1)
+    cutoff = (1e3 * _EPS * scale
+              * np.linalg.svd(dPs, compute_uv=False)[:, 0])
+    return np.divide(scale, denom, out=np.full(len(denom), np.inf),
+                     where=~(denom <= cutoff))
+
+
 def eigpair(P, lam):
     """Unit right and left eigenvectors of P at the eigenvalue lam.
 
@@ -314,9 +358,9 @@ def eigpair(P, lam):
     (plain-transpose) left singular vector of the smallest singular
     value, which is reported as the residual.
     """
-    U, s, Vh = np.linalg.svd(matpoly_eval(P, lam))
-    return Eigenpair(lam=complex(lam), right=np.conj(Vh[-1]),
-                     left=np.conj(U[:, -1]), residual=float(s[-1]))
+    right, left, residual = _min_singular_vectors(matpoly_eval(P, [lam]))
+    return Eigenpair(lam=complex(lam), right=right[0], left=left[0],
+                     residual=float(residual[0]))
 
 
 def eig_condition(P, pair):
@@ -327,14 +371,9 @@ def eig_condition(P, pair):
     1e3 * eps * ||v|| ||w|| ||P'||, the eigenvalue is flagged as
     defective or non-simple by returning +inf.
     """
-    v, w = pair.right, pair.left
-    dP = matpoly_deriv_eval(P, pair.lam)
-    denom = abs(w @ (dP @ v))
-    scale = np.linalg.norm(v) * np.linalg.norm(w)
-    cutoff = 1e3 * _EPS * scale * np.linalg.norm(dP, 2)
-    if denom <= cutoff:
-        return float("inf")
-    return float(scale / denom)
+    return float(_eig_conditions(matpoly_deriv_eval(P, [pair.lam]),
+                                 np.asarray(pair.right)[None],
+                                 np.asarray(pair.left)[None])[0])
 
 
 # ----------------------------------------------------------------------

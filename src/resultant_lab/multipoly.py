@@ -10,12 +10,13 @@ from grid samples, splitting off one variable so the remaining ones see
 it as a coefficient parameter (the hidden-variable rewrite used by the
 resultant constructions), and the root condition number.
 
-A square system and its Jacobian are evaluated at a point together by
-``eval_with_jacobian``: the d coefficient tensors are stacked, and each
-axis a is contracted with the two columns [phi(x_a), phi'(x_a)], so one
-pass of d contractions leaves every product of values and first
-derivatives.  Newton polishing, residuals and root conditioning all go
-through it; ``jacobian`` is a thin wrapper.
+A square system and its Jacobian are evaluated together by
+``eval_with_jacobian``, at one point or at a stack of points: the d
+coefficient tensors are stacked, and each axis a is contracted with the
+two columns [phi(x_a), phi'(x_a)] of every point, so one pass of d
+contractions leaves every product of values and first derivatives.
+Newton polishing, residuals and root conditioning all go through it;
+``jacobian`` is a thin wrapper.
 """
 
 import math
@@ -271,33 +272,44 @@ def hide_variable(sys, hidden_index=None):
 # ----------------------------------------------------------------------
 
 def eval_with_jacobian(sys, x):
-    """Values F_i = p_i(x) and Jacobian J[i, j] = dp_i/dx_j at one point.
+    """Values F_i = p_i(x) and Jacobian J[i, j] = dp_i/dx_j.
 
-    The d coefficient tensors are stacked into one (zero-padded where
-    the shapes differ), and axis a is contracted with the (2, e_a)
-    matrix [phi(x_a); phi'(x_a)], last axis first, one matmul per axis.
-    Each contraction puts its value/derivative bit in front of the bits
+    x is one point, shape (d,), giving F of shape (d,) and J of shape
+    (d, d), or a stack of m points, shape (m, d), giving (m, d) values
+    and an (m, d, d) Jacobian.  The d coefficient tensors are stacked
+    into one (zero-padded where the shapes differ), and axis a is
+    contracted with the (2, e_a) matrix [phi(x_a); phi'(x_a)] of each
+    point, last axis first, one einsum per axis.  Each
+    contraction puts its value/derivative bit in front of the bits
     already made, so after all d the slot with bits (b_1, ..., b_d),
     most significant first, holds the product of derivatives along the
     axes with b_a = 1 and values along the rest: F is slot 0 and column
     j of J is slot 2**(d - 1 - j).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
+    x = np.asarray(x, dtype=complex)
     d = sys.dim
-    if x.shape != (d,):
-        raise ValueError(f"point has shape {x.shape}, expected ({d},)")
+    single = x.ndim <= 1
+    pts = x.reshape(1, -1) if single else x
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"point has shape {x.shape}, expected ({d},) "
+                         f"or (m, {d})")
+    m = len(pts)
     shapes = [p.coeffs.shape for p in sys.polys]
     ext = tuple(max(col) for col in zip(*shapes))
-    t = np.zeros((d,) + ext, dtype=complex)
+    t = np.zeros((1, d) + ext, dtype=complex)
     for i, p in enumerate(sys.polys):
-        t[(i,) + tuple(slice(e) for e in shapes[i])] = p.coeffs
-    vd = np.stack(basis_eval_deriv_all(sys.basis, max(ext) - 1, x))
+        t[(0, i) + tuple(slice(e) for e in shapes[i])] = p.coeffs
+    # (m, d, 2, kmax + 1): per point and axis, the rows phi and phi'
+    vd = np.stack(basis_eval_deriv_all(sys.basis, max(ext) - 1, pts),
+                  axis=-1).transpose(1, 2, 3, 0)
     blk = 1
     for a in reversed(range(d)):
-        t = vd[:, :ext[a], a] @ t.reshape(-1, ext[a], blk)
+        t = np.einsum("mbe,mrek->mrbk", vd[:, a, :, :ext[a]],
+                      t.reshape(len(t), -1, ext[a], blk))
         blk *= 2
-    t = t.reshape(d, blk)
-    return t[:, 0], t[:, 2 ** np.arange(d - 1, -1, -1)]
+    t = t.reshape(m, d, blk)
+    F, J = t[:, :, 0], t[:, :, 2 ** np.arange(d - 1, -1, -1)]
+    return (F[0], J[0]) if single else (F, J)
 
 
 def jacobian(sys, x):
@@ -305,14 +317,26 @@ def jacobian(sys, x):
     return eval_with_jacobian(sys, x)[1]
 
 
+def _root_conditions(J):
+    """root_condition from a stack of Jacobians J, shape (..., d, d).
+
+    One stacked SVD gives 1 / sigma_min per Jacobian, or inf where
+    sigma_min is zero or below 1e3 * eps * ||J||_2.
+    """
+    svals = np.linalg.svd(J, compute_uv=False)
+    smin = svals[..., -1]
+    regular = (smin != 0.0) & ~(smin < 1e3 * np.finfo(float).eps
+                                * svals[..., 0])
+    return np.divide(1.0, smin, out=np.full(smin.shape, np.inf),
+                     where=regular)
+
+
 def _inverse_jacobian_norm(J, x):
     """root_condition from a Jacobian J already evaluated at x."""
-    svals = np.linalg.svd(J, compute_uv=False)
-    smin, smax = svals[-1], svals[0]
-    if smin == 0.0 or smin < 1e3 * np.finfo(float).eps * smax:
-        raise NonSimpleRootError(
-            f"Jacobian numerically singular at {x} (sigma_min={smin:.3e})")
-    return 1.0 / smin
+    rc = float(_root_conditions(J))
+    if rc == np.inf:
+        raise NonSimpleRootError(f"Jacobian numerically singular at {x}")
+    return rc
 
 
 def root_condition(sys, x):

@@ -8,6 +8,15 @@ Newton iteration on the source system, and the survivors are reported
 with residuals, a spurious flag and two condition numbers (one for the
 eigenvalue, one for the root itself).
 
+The stage after the eigenvalues works on all candidates at once: one
+stacked SVD gives the eigenvectors and residuals of every kept
+eigenvalue, and the stack of P'(lambda) their condition numbers
+(matpoly.eigvecs_and_conditions); batched Newton takes every start
+point a step per round, with one stacked solve and one
+eval_with_jacobian call; one more call at the polished points and one
+stacked SVD of their Jacobians give the residuals and root conditions.
+Only component recovery loops over the candidates.
+
 Eigenvector-based recovery has two layers: ratio of consecutive basis
 slots at the largest tensor entry, then a rank-one fit per axis.  When
 an axis carries no information (extent one, as happens for systems of
@@ -28,10 +37,11 @@ import numpy as np
 
 from .basis import DegreeGradedBasis, basis_from_json
 from .cayley import cayley_resultant, cayley_root_eigvectors
-from .matpoly import eig_condition, eigpair, matpoly_deriv_eval, polyeig
+from .matpoly import eigvecs_and_conditions, matpoly_deriv_eval, polyeig
 from .multipoly import (MultiPoly, NonSimpleRootError, PolynomialSystem,
-                        _inverse_jacobian_norm, eval_with_jacobian,
-                        hide_variable, interpolate_on_nodes, mp_eval)
+                        _inverse_jacobian_norm, _root_conditions,
+                        eval_with_jacobian, hide_variable,
+                        interpolate_on_nodes, mp_eval)
 from .sylvester import sylvester_resultant, sylvester_root_eigvectors
 
 __all__ = [
@@ -122,24 +132,61 @@ def newton_polish(sys, x0, max_iter=20, tol=1e-14):
     tol * (1 + ||x||_inf).  A singular Jacobian stops the iteration and
     reports non-convergence at the current point.
     """
-    x = np.array(x0, dtype=complex)
+    x = np.atleast_1d(np.array(x0, dtype=complex))[None]
     F, J = eval_with_jacobian(sys, x)
-    return _newton(sys, x, F, J, max_iter, tol)
+    x, iters, converged = _newton(sys, x, F, J, max_iter, tol)
+    return x[0], int(iters[0]), bool(converged[0])
 
 
 def _newton(sys, x, F, J, max_iter, tol):
-    """newton_polish from x, with F and J already evaluated at x."""
+    """newton_polish from every row of x at once, with F and J already
+    evaluated at x.
+
+    Each round takes the steps of all rows still iterating from one
+    stacked solve and evaluates those rows with one eval_with_jacobian
+    call.  Every row stops by newton_polish's rule on its own.
+    Returns (x, iterations, converged), one entry per row.
+    """
+    x = x.copy()
+    iters = np.full(len(x), max_iter)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
     for it in range(max_iter):
         if it:
-            F, J = eval_with_jacobian(sys, x)
+            F, J = eval_with_jacobian(sys, x[active])
+        step, solved = _newton_steps(J, F)
+        iters[active[~solved]] = it
+        active, step = active[solved], step[solved]
+        x[active] -= step
+        done = (np.max(np.abs(step), axis=1)
+                <= tol * (1.0 + np.max(np.abs(x[active]), axis=1)))
+        iters[active[done]] = it + 1
+        converged[active[done]] = True
+        active = active[~done]
+        if not len(active):
+            break
+    return x, iters, converged
+
+
+def _newton_steps(J, F):
+    """Newton steps J^-1 F for stacked J and F, and which rows got one.
+
+    A stacked solve raises when any one Jacobian is singular; only then
+    is each row solved alone, so that a singular row fails by itself.
+    """
+    try:
+        step = np.linalg.solve(J, F[..., None])[..., 0]
+        return step, np.ones(len(F), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(F)
+    solved = np.ones(len(F), dtype=bool)
+    for k in range(len(F)):
         try:
-            step = np.linalg.solve(J, F)
+            step[k] = np.linalg.solve(J[k], F[k])
         except np.linalg.LinAlgError:
-            return x, it, False
-        x = x - step
-        if np.max(np.abs(step)) <= tol * (1.0 + np.max(np.abs(x))):
-            return x, it + 1, True
-    return x, max_iter, False
+            solved[k] = False
+    return step, solved
 
 
 # ----------------------------------------------------------------------
@@ -222,21 +269,17 @@ def _grid_newton_candidates(sys, lam, hidden_index, opts):
 
     Keeps converged roots whose hidden component stayed at the
     eigenvalue, so each candidate remains attached to the eigenvalue
-    that produced it.
+    that produced it.  All starts iterate together.
     """
     d = sys.dim
-    free_axes = [a for a in range(d) if a != hidden_index]
-    starts = np.asarray(sys.domain.nodes(3), dtype=complex)
-    found = []
-    for combo in itertools.product(starts, repeat=d - 1):
-        x0 = np.empty(d, dtype=complex)
-        x0[hidden_index] = lam
-        for a, val in zip(free_axes, combo):
-            x0[a] = val
-        x, _, ok = newton_polish(sys, x0, opts.max_newton, opts.newton_tol)
-        if ok and abs(x[hidden_index] - lam) <= 1e-6 * (1.0 + abs(lam)):
-            found.append(x)
-    return found
+    nodes = np.asarray(sys.domain.nodes(3), dtype=complex)
+    grid = np.array(list(itertools.product(nodes, repeat=d - 1)),
+                    dtype=complex).reshape(len(nodes) ** (d - 1), d - 1)
+    x0 = np.insert(grid, hidden_index, lam, axis=1)
+    F, J = eval_with_jacobian(sys, x0)
+    x, _, ok = _newton(sys, x0, F, J, opts.max_newton, opts.newton_tol)
+    ok &= np.abs(x[:, hidden_index] - lam) <= 1e-6 * (1.0 + abs(lam))
+    return list(x[ok])
 
 
 # ----------------------------------------------------------------------
@@ -277,51 +320,43 @@ def solve_system(sys, method="cayley", options=None):
     res = _build_resultant(hv, method, opts.taus)
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
-    kept = [lam for lam in lams
-            if sys.domain.contains(lam, opts.domain_margin)]
-    scales = _coeff_scales(sys)
-    free_axes = [a for a in range(d) if a != hidden]
+    kept = lams[np.array([sys.domain.contains(lam, opts.domain_margin)
+                          for lam in lams], dtype=bool)]
+    right, _, _, kappas = eigvecs_and_conditions(P, kept)
     n_failed = 0
-    candidates = []
-    for lam in kept:
-        pair = eigpair(P, lam)
-        kappa = eig_condition(P, pair)
-        produced = []
+    produced = []   # (start point, index into kept, recovery label)
+    for k, lam in enumerate(kept):
         try:
-            comps, how = recover_components(res, pair.right, sys.basis,
+            comps, how = recover_components(res, right[k], sys.basis,
                                             method)
-            x0 = np.empty(d, dtype=complex)
-            x0[hidden] = lam
-            for a, val in zip(free_axes, comps):
-                x0[a] = val
-            produced.append((x0, how))
         except RecoveryError:
-            for x0 in _grid_newton_candidates(sys, lam, hidden, opts):
-                produced.append((x0, "grid"))
-        if not produced:
-            n_failed += 1
+            found = _grid_newton_candidates(sys, lam, hidden, opts)
+            n_failed += not found
+            produced += [(x0, k, "grid") for x0 in found]
             continue
-        for x0, how in produced:
-            F, J = eval_with_jacobian(sys, x0)
-            pre = np.max(np.abs(F))
-            if opts.polish:
-                x, iters, _ = _newton(sys, x0, F, J, opts.max_newton,
-                                      opts.newton_tol)
-                F, J = eval_with_jacobian(sys, x)
-            else:
-                x, iters = x0, 0
-            resid = np.abs(F)
-            spurious = bool(np.any(resid > opts.tol_accept * scales))
-            try:
-                rc = _inverse_jacobian_norm(J, x)
-            except NonSimpleRootError:
-                rc = float("inf")
-            candidates.append(RootRecord(
-                x=x, hidden_value=complex(lam),
-                residuals=resid, max_residual=float(resid.max()),
-                pre_polish_residual=float(pre), spurious=spurious,
-                eig_condition=float(kappa), root_condition=float(rc),
-                newton_iters=iters, recovery=how))
+        produced.append((np.insert(comps, hidden, lam), k, how))
+    candidates = []
+    if produced:
+        x0 = np.array([start for start, _, _ in produced])
+        F, J = eval_with_jacobian(sys, x0)
+        pre = np.max(np.abs(F), axis=1)
+        if opts.polish:
+            x, iters, _ = _newton(sys, x0, F, J, opts.max_newton,
+                                  opts.newton_tol)
+            F, J = eval_with_jacobian(sys, x)
+        else:
+            x, iters = x0, np.zeros(len(x0), dtype=int)
+        resid = np.abs(F)
+        spurious = np.any(resid > opts.tol_accept * _coeff_scales(sys),
+                          axis=1)
+        rcs = _root_conditions(J)
+        candidates = [RootRecord(
+            x=x[i], hidden_value=complex(kept[k]),
+            residuals=resid[i], max_residual=float(resid[i].max()),
+            pre_polish_residual=float(pre[i]), spurious=bool(spurious[i]),
+            eig_condition=float(kappas[k]), root_condition=float(rcs[i]),
+            newton_iters=int(iters[i]), recovery=how)
+            for i, (_, k, how) in enumerate(produced)]
     roots = _dedupe(candidates, opts.dedupe_tol)
     roots.sort(key=lambda r: (r.x[hidden].real, r.x[hidden].imag))
     log.info("solve_system: %d eigenvalues, %d kept roots (%d spurious)",
@@ -527,10 +562,12 @@ def family_coupled_quadratic(u, basis_name="monomial"):
     """Bivariate pair sharing one small linear coupling term.
 
     p_1 = x_1^2 + u * c * (x_1 + x_2), p_2 = x_2^2 + u * c * (x_1 + x_2)
-    with c = sqrt(1/2).  As u -> 0 the Cayley function degenerates
-    toward (s_1 + t_1) * x_2^2, making the eigenvalue at the origin
-    increasingly ill conditioned while the root stays moderately
-    conditioned; the family separates the two sensitivities.
+    with c = sqrt(1/2).  The origin is a double root for every u: the
+    Jacobian there is u * c * [[1, 1], [1, 1]], singular, so its root
+    condition is infinite, and a solve may accept several copies of it,
+    each up to about sqrt(tol_accept) from the origin.  As u -> 0 the
+    Cayley function degenerates toward (s_1 + t_1) * x_2^2, making the
+    eigenvalue at the origin increasingly ill conditioned as well.
     """
     basis = _basis_by_name(basis_name)
     c = np.sqrt(0.5)

@@ -12,7 +12,8 @@ from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
                                  clenshaw_shifts)
 from resultant_lab.matpoly import (Eigenpair, EigenSolveError,
                                    MatrixPolynomial, NotRegularError,
-                                   eig_condition, eigpair, linearize,
+                                   eig_condition, eigpair,
+                                   eigvecs_and_conditions, linearize,
                                    matpoly_deriv_eval, matpoly_eval,
                                    matpoly_from_json, matpoly_to_json,
                                    polyeig)
@@ -121,6 +122,35 @@ def test_properties():
     assert P.coeff_scale == 1.0
     with pytest.raises(ValueError):
         MatrixPolynomial(b, np.ones((2, 2, 3)))
+
+
+def test_coeff_scale_is_the_largest_spectral_norm(builtin):
+    rng = np.random.default_rng(5)
+    for complex_entries in (False, True):
+        P = random_matpoly(rng, builtin, 4, 6, complex_entries)
+        assert P.coeff_scale == max(np.linalg.norm(a, 2) for a in P.coeffs)
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "custom"])
+@pytest.mark.parametrize("domain", [None, Domain.disc(0.2 + 0.1j, 1.5)],
+                         ids=["interval", "disc"])
+def test_regularity_probes_match_pointwise(name, domain):
+    P = random_matpoly(np.random.default_rng(8),
+                       basis_by_name(name, domain), 3, 5, True)
+    # the probe points and scaling of _regularity_probes, one point at a
+    # time
+    rng = np.random.default_rng(20240811)
+    dom = P.basis.domain
+    if dom.kind == "interval":
+        span, mid = 0.5 * (dom.hi - dom.lo), 0.5 * (dom.hi + dom.lo)
+    else:
+        span, mid = dom.radius, dom.center
+    probes = mid + span * (rng.standard_normal(4)
+                           + 1j * rng.standard_normal(4))
+    want = [abs(np.linalg.det(matpoly_eval(P, z) / P.coeff_scale))
+            for z in probes]
+    got = matpoly._regularity_probes(P)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want))
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +324,39 @@ def test_eig_condition_simple_and_defective():
     PJ = MatrixPolynomial(b, np.stack([-J, np.eye(2)]))
     assert any(np.isinf(eig_condition(PJ, eigpair(PJ, lam)))
                for lam in polyeig(PJ)[0])
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom"])
+def test_batched_eigvecs_match_eigpair(name):
+    rng = np.random.default_rng(12)
+    P = random_matpoly(rng, basis_by_name(name), 3, 5, True)
+    lams = polyeig(P)[0]
+    right, left, residuals, kappas = eigvecs_and_conditions(P, lams)
+    assert right.shape == left.shape == (len(lams), 5)
+    for k, lam in enumerate(lams):
+        pair = eigpair(P, lam)
+        # unit vectors, equal up to a phase; residuals at roundoff level
+        assert abs(np.vdot(pair.right, right[k])) == pytest.approx(1, 1e-12)
+        assert abs(np.vdot(pair.left, left[k])) == pytest.approx(1, 1e-12)
+        assert abs(residuals[k] - pair.residual) <= 1e-13 * P.coeff_scale
+        assert kappas[k] == pytest.approx(eig_condition(P, pair), rel=1e-12)
+
+
+def test_batched_eigvecs_flag_defective_like_eig_condition():
+    b = DegreeGradedBasis.monomial()
+    # diag(Jordan block at 0, -2) in a rotated frame: lam = 0 is
+    # defective, its Rayleigh denominator roundoff-sized but not zero
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    P = MatrixPolynomial(b, np.stack([-Q @ A @ Q.T, np.eye(3)]))
+    lams = np.array([0.0, -2.0])
+    kappas = eigvecs_and_conditions(P, lams)[3]
+    assert kappas[0] == np.inf and np.isfinite(kappas[1])
+    want = [eig_condition(P, eigpair(P, lam)) for lam in lams]
+    assert kappas[0] == want[0]
+    assert kappas[1] == pytest.approx(want[1], rel=1e-12)
+    assert eigvecs_and_conditions(P, lams[:0])[0].shape == (0, 3)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
                                  derivative_eval)
 from resultant_lab.multipoly import (HiddenVariableForm, MultiPoly,
                                      NonSimpleRootError, PolynomialSystem,
-                                     eval_with_jacobian, hide_variable,
-                                     interpolate_on_nodes,
+                                     _root_conditions, eval_with_jacobian,
+                                     hide_variable, interpolate_on_nodes,
                                      jacobian, max_solution_bound, mp_eval,
                                      mp_eval_grid, mp_interpolate,
                                      root_condition, system_from_json,
@@ -300,9 +300,45 @@ def test_eval_with_jacobian_against_references(case):
         assert np.array_equal(jacobian(sys_, x), J)
 
 
+def dense_gamma_basis():
+    """Degree-5 custom basis with every gamma entry set and nonzero beta."""
+    rng = np.random.default_rng(17)
+    gamma = [list(0.2 * rng.standard_normal(k)) for k in range(1, 5)]
+    return DegreeGradedBasis.custom(1.0 + 0.1 * rng.standard_normal(5),
+                                    0.1 * rng.standard_normal(5), gamma,
+                                    check_normalization=False)
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom", "disc"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_batched_eval_with_jacobian_matches_points(name, d):
+    rng = np.random.default_rng(d)
+    if name == "custom":
+        basis = dense_gamma_basis()
+    elif name == "disc":
+        basis = DegreeGradedBasis.legendre(domain=Domain.disc(0.2j, 0.8))
+    else:
+        basis = DegreeGradedBasis(name)
+    # mixed degrees, so the stacked tensor is zero-padded
+    sys_ = _system(rng, basis, [tuple(rng.integers(0, 4 - d // 2, d))
+                                for _ in range(d)])
+    x = rng.uniform(-0.8, 0.8, (7, d)) + 1j * rng.uniform(-0.8, 0.8, (7, d))
+    F, J = eval_with_jacobian(sys_, x)
+    assert F.shape == (7, d) and J.shape == (7, d, d)
+    for k in range(7):
+        f, j = eval_with_jacobian(sys_, x[k])
+        assert np.max(np.abs(F[k] - f)) <= 1e-14 * np.max(np.abs(f))
+        assert np.max(np.abs(J[k] - j)) <= 1e-14 * np.max(np.abs(j))
+
+
 def test_eval_with_jacobian_validates_point(mono):
     with pytest.raises(ValueError):
         eval_with_jacobian(circle_line(mono), [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError):
+        eval_with_jacobian(circle_line(mono), np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        eval_with_jacobian(circle_line(mono), np.zeros((4, 2, 1)))
 
 
 def test_root_condition_inverse_smallest_singular(mono):
@@ -311,6 +347,21 @@ def test_root_condition_inverse_smallest_singular(mono):
     J = jacobian(sys_, x)
     want = 1.0 / np.linalg.svd(J, compute_uv=False)[-1]
     assert root_condition(sys_, x) == pytest.approx(want)
+
+
+def test_stacked_root_conditions_match_root_condition(mono):
+    sys_ = circle_line(mono)
+    # the Jacobian [[2x, 2y], [1, -1]] is singular on x = -y: exactly at
+    # the fourth point, to roundoff at the fifth
+    x = np.array([[0.5, 0.5], [0.1, -0.7], [2.0, 1.0], [0.3, -0.3],
+                  [0.3, -0.3 + 3e-15]])
+    rc = _root_conditions(eval_with_jacobian(sys_, x)[1])
+    assert rc[3] == rc[4] == np.inf
+    for k in range(3):
+        assert rc[k] == root_condition(sys_, x[k])
+    for k in (3, 4):
+        with pytest.raises(NonSimpleRootError):
+            root_condition(sys_, x[k])
 
 
 def test_root_condition_singular_raises(mono):

@@ -12,7 +12,8 @@ from resultant_lab import multipoly, rootfinder
 from resultant_lab.basis import DegreeGradedBasis, basis_eval_all
 from resultant_lab.cayley import cayley_resultant
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
-                                   _effective_degree, eigpair, linearize)
+                                   _effective_degree, eigvecs_and_conditions,
+                                   linearize)
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      hide_variable, jacobian, mp_eval,
                                      mp_interpolate)
@@ -74,6 +75,47 @@ def test_newton_stops_on_singular_jacobian(mono):
     x, iters, ok = newton_polish(sys_, [0.0, 0.0])
     assert not ok and iters == 0
     assert np.allclose(x, [0.0, 0.0])
+
+
+def batched_newton(sys_, x0, max_iter=20, tol=1e-14):
+    x0 = np.asarray(x0, dtype=complex)
+    F, J = multipoly.eval_with_jacobian(sys_, x0)
+    return rootfinder._newton(sys_, x0, F, J, max_iter, tol)
+
+
+def test_batched_newton_stops_only_the_singular_row(mono):
+    # circle_line's Jacobian [[2x, 2y], [1, -1]] is singular on x = -y:
+    # the origin start stops at once, the others still converge
+    sys_ = circle_line(mono)
+    starts = [[0.43, 0.55], [0.0, 0.0], [-0.4, -0.6], [0.3, -0.3]]
+    x, iters, ok = batched_newton(sys_, starts)
+    assert ok.tolist() == [True, False, True, False]
+    assert iters[1] == iters[3] == 0
+    assert np.array_equal(x[[1, 3]], np.array(starts)[[1, 3]])
+    for k, x0 in enumerate(starts):
+        want = newton_polish(sys_, x0)
+        assert np.array_equal(x[k], want[0])
+        assert (iters[k], ok[k]) == want[1:]
+
+
+def test_batched_newton_matches_scalar():
+    # 20 start sets, 6 starts each, scattered around a planted root: the
+    # far ones converge elsewhere, slowly or not at all
+    for seed in range(20):
+        d = 2 + seed % 2
+        sys_, root = random_system_with_root(d, 3, seed,
+                                             basis_name="chebyshev")
+        rng = np.random.default_rng(seed)
+        starts = root + rng.uniform(-0.3, 0.3, (6, d)) * np.logspace(
+            -3, 0, 6)[:, None]
+        x, iters, ok = batched_newton(sys_, starts)
+        for k, x0 in enumerate(starts):
+            want_x, want_iters, want_ok = newton_polish(sys_, x0)
+            assert ok[k] == want_ok
+            assert abs(iters[k] - want_iters) <= 1
+            if want_ok:
+                assert np.max(np.abs(x[k] - want_x)) <= 1e-12 * (
+                    1 + np.max(np.abs(want_x)))
 
 
 # ----------------------------------------------------------------------
@@ -211,17 +253,18 @@ def test_solve_counts_consistent(mono):
 
 
 def test_solve_takes_vectors_only_in_domain(monkeypatch):
-    calls = []
+    points = []
 
-    def counting_eigpair(P, lam):
-        calls.append(lam)
-        return eigpair(P, lam)
+    def counting(P, lams):
+        points.extend(lams)
+        return eigvecs_and_conditions(P, lams)
 
-    monkeypatch.setattr(rootfinder, "eigpair", counting_eigpair)
+    monkeypatch.setattr(rootfinder, "eigvecs_and_conditions", counting)
     sys_, _ = random_system_with_root(2, 3, 6, basis_name="chebyshev")
     report = solve_system(sys_)
     assert report.n_outside_domain > 0
-    assert len(calls) == report.n_eigenvalues - report.n_outside_domain
+    assert len(points) == report.n_eigenvalues - report.n_outside_domain
+    assert all(sys_.domain.contains(lam, 1e-6) for lam in points)
 
 
 def test_solve_spurious_flagging(mono):
@@ -257,7 +300,8 @@ def test_hidden_index_override(mono):
 
 def _forbid_loose_evaluation(monkeypatch):
     """Make every point evaluation outside eval_with_jacobian raise, and
-    count the kernel calls made through rootfinder."""
+    record the points of each kernel call made through rootfinder, one
+    (points, d) array per call."""
     def forbidden(*args, **kwargs):
         raise AssertionError("point evaluation outside eval_with_jacobian")
 
@@ -267,7 +311,7 @@ def _forbid_loose_evaluation(monkeypatch):
     calls = []
 
     def counting_kernel(sys_, x):
-        calls.append(np.array(x))
+        calls.append(np.array(x).reshape(-1, sys_.dim))
         return multipoly.eval_with_jacobian(sys_, x)
 
     monkeypatch.setattr(rootfinder, "eval_with_jacobian", counting_kernel)
@@ -283,15 +327,19 @@ def test_solve_evaluates_only_through_the_kernel(monkeypatch):
         calls.clear()
         report = solve_system(s, options=opts)
         assert report.accepted and calls
+        if s is sys_:  # start points, Newton rounds, polished points
+            assert len(calls) <= max(r.newton_iters
+                                     for r in report.roots) + 2
     calls.clear()
     x, iters, ok = newton_polish(sys_, root + 1e-3)
-    assert ok and iters > 1 and len(calls) == iters
+    assert ok and iters > 1
+    assert [len(c) for c in calls] == [1] * iters
 
 
 def test_polished_candidate_costs_iters_plus_one_kernel_calls(monkeypatch):
-    # the kernel call at the start point serves both the pre-polish
-    # residual and Newton's first iteration; one more call at the
-    # polished point gives the residuals and kappa_root
+    # the evaluation at the start points serves both the pre-polish
+    # residuals and Newton's first iteration; one more evaluation at the
+    # polished points gives the residuals and kappa_root
     sys_, _ = random_system_with_root(2, 3, 6, basis_name="chebyshev")
     calls = _forbid_loose_evaluation(monkeypatch)
     iters = []
@@ -299,7 +347,7 @@ def test_polished_candidate_costs_iters_plus_one_kernel_calls(monkeypatch):
 
     def recording(*args):
         out = newton(*args)
-        iters.append(out[1])
+        iters.extend(out[1].tolist())
         return out
 
     monkeypatch.setattr(rootfinder, "_newton", recording)
@@ -307,7 +355,10 @@ def test_polished_candidate_costs_iters_plus_one_kernel_calls(monkeypatch):
     assert report.accepted
     assert all(r.recovery != "grid" for r in report.roots)
     assert iters and min(iters) >= 1
-    assert len(calls) == sum(n + 1 for n in iters)
+    # every start point is evaluated once, in the first call
+    assert len(calls[0]) == len(iters)
+    assert sum(len(c) for c in calls) == sum(n + 1 for n in iters)
+    assert len(calls) == max(iters) + 1
 
 
 def test_condition_at_root_makes_one_kernel_call(monkeypatch):
@@ -474,6 +525,14 @@ def test_family_coupled_quadratic_root():
     sys_ = family_coupled_quadratic(1e-3)
     for p in sys_.polys:
         assert abs(mp_eval(p, [0.0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize("u", [1e-1, 1e-4, 1e-7])
+def test_family_coupled_quadratic_origin_is_a_double_root(u):
+    # the Jacobian at the origin is u c [[1, 1], [1, 1]], singular
+    rec = condition_at_root(family_coupled_quadratic(u), np.zeros(2))
+    assert rec.root_condition == np.inf
+    assert rec.jacobian_det == 0
 
 
 def test_random_system_with_root():
