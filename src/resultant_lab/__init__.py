@@ -8,7 +8,7 @@ roots from eigenvector structure, and reports conditioning for both the
 eigenvalue and the root."""
 
 from .basis import (ClenshawTrace, DegreeGradedBasis, DegreeOverflowError,
-                    Domain, NormalizationWarning, basis_eval, basis_eval_all,
+                    Domain, NormalizationWarning, basis_eval_all,
                     basis_eval_deriv_all, basis_from_json, basis_to_json,
                     clenshaw_eval, clenshaw_shifts, derivative_eval,
                     divided_difference)
@@ -23,8 +23,8 @@ from .matpoly import (Eigenpair, EigenSolveError, MatrixPolynomial,
                       polyeig)
 from .multipoly import (HiddenVariableForm, MultiPoly, NonSimpleRootError,
                         PolynomialSystem, eval_with_jacobian, hide_variable,
-                        interpolate_on_nodes, jacobian, max_solution_bound,
-                        mp_eval, mp_eval_grid, mp_interpolate, root_condition,
+                        interpolate_on_nodes, jacobian, mp_eval,
+                        mp_eval_grid, mp_interpolate, root_condition,
                         system_from_json, system_to_json)
 from .rootfinder import (ConditionRecord, RecoveryError, RootRecord,
                          RootReport, SolveOptions, condition_at_root,
@@ -43,16 +43,15 @@ __all__ = [
     "__version__",
     # basis
     "Domain", "DegreeGradedBasis", "ClenshawTrace", "DegreeOverflowError",
-    "NormalizationWarning", "basis_eval", "basis_eval_all",
-    "basis_eval_deriv_all", "clenshaw_eval",
+    "NormalizationWarning", "basis_eval_all", "basis_eval_deriv_all",
+    "clenshaw_eval",
     "clenshaw_shifts", "divided_difference", "derivative_eval",
     "basis_to_json", "basis_from_json",
     # multipoly
     "MultiPoly", "PolynomialSystem", "HiddenVariableForm",
     "NonSimpleRootError", "mp_eval", "mp_eval_grid", "mp_interpolate",
     "interpolate_on_nodes", "hide_variable", "eval_with_jacobian",
-    "jacobian", "root_condition",
-    "max_solution_bound", "system_to_json", "system_from_json",
+    "jacobian", "root_condition", "system_to_json", "system_from_json",
     # matpoly
     "MatrixPolynomial", "Eigenpair", "EigenSolveError", "NotRegularError",
     "StructureError", "matpoly_eval", "matpoly_deriv_eval", "linearize",

@@ -44,7 +44,6 @@ __all__ = [
     "ClenshawTrace",
     "DegreeOverflowError",
     "NormalizationWarning",
-    "basis_eval",
     "basis_eval_all",
     "basis_eval_deriv_all",
     "clenshaw_eval",
@@ -438,11 +437,6 @@ def basis_eval_deriv_all(basis, kmax, x):
         vals[k + 1] = acc
         ders[k + 1] = dacc
     return vals, ders
-
-
-def basis_eval(basis, k, x):
-    """phi_k(x) for a single point x."""
-    return complex(basis_eval_all(basis, k, complex(x))[k])
 
 
 # ----------------------------------------------------------------------

@@ -19,15 +19,23 @@ singular unfoldings.
 
 Coefficients are recovered by sampling on one tensor grid whose axes
 are the hidden variable, the s variables and the t variables, then
-solving one generalized Vandermonde system per axis.  The same path
-gives the tensor at a single hidden value (one hidden node, where that
-axis's interpolation is the identity) and the whole resultant (d n + 1
-hidden nodes).  The s-grids and t-grids are drawn from interleaved
-point families chosen so that s_k never collides with t_k, which keeps
-the defining quotient evaluable everywhere on the grid; values on the
-diagonal s = t come from contracting the recovered tensor instead.
+applying the inverse of one generalized Vandermonde matrix per axis.
+Sampling is one contraction pass: the d coefficient tensors are stacked
+and contracted with one basis-value matrix per node set, hidden axis
+first, which gives each row of the mixed matrix at once.  Every entry
+keeps only the grid axes it depends on and broadcasts over the rest, so
+the determinant is a cofactor expansion over column subsets on those
+broadcast entries, with no d x d block per grid point.  The same path
+gives the function at one point (one node per axis), the tensor at a
+single hidden value (one hidden node, where that axis's interpolation
+is the identity) and the whole resultant (d n + 1 hidden nodes).  The
+s-grids and t-grids are drawn from interleaved point families chosen so
+that s_k never collides with t_k, which keeps the defining quotient
+evaluable everywhere on the grid; values on the diagonal s = t come
+from contracting the recovered tensor instead.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import reduce
 
@@ -36,7 +44,7 @@ import numpy as np
 from .basis import basis_eval_all
 from .matpoly import (MatrixPolynomial, StructureError, matpoly_eval,
                       matpoly_to_json)
-from .multipoly import MultiPoly, interpolate_on_nodes, mp_eval, mp_eval_grid
+from .multipoly import _stacked, interpolate_on_nodes
 
 __all__ = [
     "CayleyTensor",
@@ -185,17 +193,6 @@ def _axis_point_sets(domain, taus):
 # Function evaluation
 # ----------------------------------------------------------------------
 
-def _mixed_matrix(hv, s, t, x_d):
-    d = hv.dim
-    qs = hv.qs_at(x_d)
-    M = np.empty((d, d), dtype=complex)
-    for r in range(1, d + 1):
-        point = np.concatenate([t[:r - 1], s[r - 1:]])
-        for c in range(d):
-            M[r - 1, c] = mp_eval(qs[c], point)
-    return M
-
-
 def cayley_function_eval(hv, s, t, x_d):
     """The defining determinant quotient at one off-diagonal point.
 
@@ -217,48 +214,76 @@ def cayley_function_eval(hv, s, t, x_d):
     if np.any(s == t):
         raise ValueError("s_i = t_i hit the removable singularity; use "
                          "cayley_diagonal_value for on-diagonal points")
-    M = _mixed_matrix(hv, s, t, complex(x_d))
-    return complex(np.linalg.det(M) / np.prod(s - t))
+    values = _grid_values(hv, s[:, None], t[:, None],
+                          np.array([complex(x_d)]))
+    return complex(values.item())
 
 
-# Matrices per det call are capped at this many complex entries (128 KB):
-# one larger temporary raises glibc's mmap threshold for the rest of the
-# process and leaves up to twice its size resident.
-_DET_BLOCK_ENTRIES = 8192
+def _cofactor_det(rows):
+    """Determinant of a d x d matrix whose entry (r, c) is rows[r][c].
+
+    The entries are arrays that broadcast against each other, so one
+    call gives the determinant at every point of their common shape.
+    Laplace expansion along the top row, bottom-up: the minor of the
+    last d - r rows on each column subset S is formed once from the
+    minors one row lower, d * 2**(d - 1) broadcast products in all.
+    """
+    d = len(rows)
+    minors = {(c,): rows[-1][c] for c in range(d)}
+    for r in range(d - 2, -1, -1):
+        upper = {}
+        for cols in itertools.combinations(range(d), d - r):
+            acc = rows[r][cols[0]] * minors[cols[1:]]
+            for pos in range(1, len(cols)):
+                term = rows[r][cols[pos]] * minors[cols[:pos] + cols[pos + 1:]]
+                acc = acc - term if pos % 2 else acc + term
+            upper[cols] = acc
+        minors = upper
+    return minors[tuple(range(d))]
 
 
 def _grid_values(hv, s_sets, t_sets, hidden_nodes):
-    """Function values on the tensor grid: hidden axis, s axes, t axes."""
+    """Function values on the tensor grid: hidden axis, s axes, t axes.
+
+    The d hidden-axis-last tensors are stacked and contracted with one
+    basis-value matrix per node set: the hidden axis first, then, for
+    each Cayley row, every free variable with the s or t nodes that row
+    reads.  Each row's d entries come out together, shaped to broadcast
+    over the grid with extent one on the axes the row does not read,
+    and _cofactor_det combines them.
+    """
     d = hv.dim
     nfree = d - 1
-    nh = len(hidden_nodes)
-    polys = [MultiPoly(hv.basis, d, t) for t in hv.tensors]
-    grid = tuple(len(s) for s in s_sets) + tuple(len(t) for t in t_sets)
-    entries = []  # entries[r][c] broadcasts to (nh,) + grid
-    for r in range(1, d + 1):
-        # variable m (0-based) reads t-nodes when m <= r - 2, else s-nodes
-        sets = [t_sets[m] if m <= r - 2 else s_sets[m] for m in range(nfree)]
-        target = [nfree + m if m <= r - 2 else m for m in range(nfree)]
-        order = [nfree] + list(np.argsort(target))
-        shape = [nh] + [1] * (2 * nfree)
+    basis = hv.basis
+    T = _stacked(hv.tensors)  # (d, e_1, ..., e_{d-1}, e_hidden)
+    ext = T.shape[1:]
+    # (d, hidden node, e_1, ..., e_{d-1})
+    H = np.moveaxis(np.tensordot(
+        T, basis_eval_all(basis, ext[-1] - 1, hidden_nodes),
+        axes=([-1], [0])), -1, 1)
+    vs = [basis_eval_all(basis, ext[m] - 1, x) for m, x in enumerate(s_sets)]
+    vt = [basis_eval_all(basis, ext[m] - 1, x) for m, x in enumerate(t_sets)]
+    rows = []
+    for r in range(d):
+        # row r reads t_m for m < r and s_m otherwise; contracting the s
+        # variables before the t ones leaves the node axes in grid order
+        X = H
+        for m in range(r, nfree):
+            X = np.tensordot(X, vs[m], axes=([2 + r], [0]))
+        for m in range(r):
+            X = np.tensordot(X, vt[m], axes=([2], [0]))
+        shape = [d, len(hidden_nodes)] + [1] * (2 * nfree)
         for m in range(nfree):
-            shape[1 + target[m]] = len(sets[m])
-        entries.append([np.transpose(mp_eval_grid(p, sets + [hidden_nodes]),
-                                     order).reshape(shape) for p in polys])
-    step = max(1, _DET_BLOCK_ENTRIES // (int(np.prod(grid)) * d * d))
-    F = np.empty((nh,) + grid, dtype=complex)
-    for lo in range(0, nh, step):
-        Mg = np.empty((min(step, nh - lo),) + grid + (d, d), dtype=complex)
-        for r in range(d):
-            for c in range(d):
-                Mg[..., r, c] = entries[r][c][lo:lo + step]
-        F[lo:lo + step] = np.linalg.det(Mg)
-    for k0 in range(nfree):
+            axis = 2 + (nfree + m if m < r else m)
+            shape[axis] = len(t_sets[m] if m < r else s_sets[m])
+        rows.append(X.reshape(shape))
+    F = _cofactor_det(rows)
+    for m in range(nfree):
         sshape = [1] * (2 * nfree + 1)
-        sshape[1 + k0] = len(s_sets[k0])
+        sshape[1 + m] = len(s_sets[m])
         tshape = [1] * (2 * nfree + 1)
-        tshape[1 + nfree + k0] = len(t_sets[k0])
-        F /= s_sets[k0].reshape(sshape) - t_sets[k0].reshape(tshape)
+        tshape[1 + nfree + m] = len(t_sets[m])
+        F /= np.reshape(s_sets[m], sshape) - np.reshape(t_sets[m], tshape)
     return F
 
 

@@ -85,8 +85,12 @@ class MatrixPolynomial:
 
     @property
     def coeff_scale(self):
-        """max_i ||A_i||_2, the natural perturbation scale."""
-        return np.linalg.norm(self.coeffs, 2, axis=(1, 2)).max()
+        """max_i ||A_i||_2, the natural perturbation scale; in real
+        arithmetic when the coefficients have no imaginary part."""
+        A = self.coeffs
+        if not np.any(A.imag):
+            A = A.real
+        return np.linalg.norm(A, 2, axis=(1, 2)).max()
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ Newton polishing, residuals and root conditioning all go through it;
 ``jacobian`` is a thin wrapper.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "eval_with_jacobian",
     "jacobian",
     "root_condition",
-    "max_solution_bound",
     "system_to_json",
     "system_from_json",
 ]
@@ -165,9 +163,6 @@ class HiddenVariableForm:
         phis = basis_eval_all(self.basis, t.shape[-1] - 1, complex(z))
         return MultiPoly(self.basis, self.dim - 1, t @ phis)
 
-    def qs_at(self, z):
-        return [self.q_at(c, z) for c in range(self.dim)]
-
 
 # ----------------------------------------------------------------------
 # Evaluation
@@ -208,11 +203,14 @@ def interpolate_on_nodes(basis, nodes_list, samples):
     Axis k of samples must match len(nodes_list[k]); the interpolant
     degree along that axis is len(nodes_list[k]) - 1.  Axes beyond
     len(nodes_list) are carried through unchanged, which interpolates a
-    stack of functions (for instance matrix entries) at once.
+    stack of functions (for instance matrix entries) at once.  Each axis
+    is one tensordot with the inverse of its generalized Vandermonde
+    matrix.
     """
     t = np.asarray(samples, dtype=complex)
     if t.ndim < len(nodes_list):
         raise ValueError("need one node set per sample axis")
+    inverses = []
     for axis, nodes in enumerate(nodes_list):
         nodes = np.asarray(nodes, dtype=complex)
         if len(nodes) != t.shape[axis]:
@@ -220,11 +218,13 @@ def interpolate_on_nodes(basis, nodes_list, samples):
                              f"{len(nodes)} nodes")
         if len(np.unique(nodes)) != len(nodes):
             raise ValueError("interpolation nodes must be distinct")
-        vand = basis_eval_all(basis, len(nodes) - 1, nodes).T  # [j, k]
-        tm = np.moveaxis(t, axis, 0)
-        sol = np.linalg.solve(vand, tm.reshape(tm.shape[0], -1))
-        t = np.moveaxis(sol.reshape(tm.shape), 0, axis)
-    return t
+        vand = basis_eval_all(basis, len(nodes) - 1, nodes)  # [k, j]
+        inverses.append(np.linalg.inv(vand.T))
+    for vinv in inverses:
+        # contracts the leading axis and appends its coefficient axis
+        t = np.tensordot(t, vinv, axes=([0], [1]))
+    carried = t.ndim - len(nodes_list)
+    return np.moveaxis(t, range(carried), range(-carried, 0))
 
 
 def mp_interpolate(basis, dim, degrees, samples):
@@ -271,6 +271,16 @@ def hide_variable(sys, hidden_index=None):
 # Jacobian and conditioning
 # ----------------------------------------------------------------------
 
+def _stacked(tensors):
+    """The tensors stacked along a new first axis, each zero-padded to
+    the per-axis maximum extent."""
+    ext = tuple(max(col) for col in zip(*(t.shape for t in tensors)))
+    out = np.zeros((len(tensors),) + ext, dtype=complex)
+    for i, t in enumerate(tensors):
+        out[(i,) + tuple(slice(e) for e in t.shape)] = t
+    return out
+
+
 def eval_with_jacobian(sys, x):
     """Values F_i = p_i(x) and Jacobian J[i, j] = dp_i/dx_j.
 
@@ -294,11 +304,8 @@ def eval_with_jacobian(sys, x):
         raise ValueError(f"point has shape {x.shape}, expected ({d},) "
                          f"or (m, {d})")
     m = len(pts)
-    shapes = [p.coeffs.shape for p in sys.polys]
-    ext = tuple(max(col) for col in zip(*shapes))
-    t = np.zeros((1, d) + ext, dtype=complex)
-    for i, p in enumerate(sys.polys):
-        t[(0, i) + tuple(slice(e) for e in shapes[i])] = p.coeffs
+    t = _stacked([p.coeffs for p in sys.polys])[None]
+    ext = t.shape[2:]
     # (m, d, 2, kmax + 1): per point and axis, the rows phi and phi'
     vd = np.stack(basis_eval_deriv_all(sys.basis, max(ext) - 1, pts),
                   axis=-1).transpose(1, 2, 3, 0)
@@ -346,18 +353,6 @@ def root_condition(sys, x):
     below 1e3 * eps * ||J||_2, the working notion of "not simple".
     """
     return _inverse_jacobian_norm(jacobian(sys, x), x)
-
-
-def max_solution_bound(sys):
-    """Cap on the number of isolated solutions: d! * n^d.
-
-    Assumes every polynomial shares the maximal degree n; with mixed
-    degrees the maximum over the system is used, which still bounds the
-    count from above.
-    """
-    n = sys.max_degree
-    d = sys.dim
-    return math.factorial(d) * n ** d
 
 
 # ----------------------------------------------------------------------

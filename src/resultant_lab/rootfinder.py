@@ -128,14 +128,20 @@ def newton_polish(sys, x0, max_iter=20, tol=1e-14):
 
     Each iteration makes one eval_with_jacobian call, which gives the
     values and the Jacobian together.  Returns (x, iterations,
-    converged); convergence means the last step fell below
-    tol * (1 + ||x||_inf).  A singular Jacobian stops the iteration and
-    reports non-convergence at the current point.
+    converged).  The iteration converges when a step falls below
+    tol * (1 + ||x||_inf), or when it reaches its rounding floor: a step
+    no smaller than the previous one, which was already below
+    sqrt(eps) * (1 + ||x||_inf).  That step is not taken.  A singular
+    Jacobian stops the iteration and reports non-convergence at the
+    current point.
     """
     x = np.atleast_1d(np.array(x0, dtype=complex))[None]
     F, J = eval_with_jacobian(sys, x)
     x, iters, converged = _newton(sys, x, F, J, max_iter, tol)
     return x[0], int(iters[0]), bool(converged[0])
+
+
+_ROUNDING_FLOOR = np.sqrt(np.finfo(float).eps)
 
 
 def _newton(sys, x, F, J, max_iter, tol):
@@ -150,6 +156,7 @@ def _newton(sys, x, F, J, max_iter, tol):
     x = x.copy()
     iters = np.full(len(x), max_iter)
     converged = np.zeros(len(x), dtype=bool)
+    prev = np.full(len(x), np.inf)  # size of each row's last step
     active = np.arange(len(x))
     for it in range(max_iter):
         if it:
@@ -157,9 +164,19 @@ def _newton(sys, x, F, J, max_iter, tol):
         step, solved = _newton_steps(J, F)
         iters[active[~solved]] = it
         active, step = active[solved], step[solved]
+        size = np.max(np.abs(step), axis=1)
+        # a step that stops shrinking once below the rounding floor is
+        # noise: stop without taking it
+        floored = ((size >= prev[active])
+                   & (prev[active] <= _ROUNDING_FLOOR
+                      * (1.0 + np.max(np.abs(x[active]), axis=1))))
+        iters[active[floored]] = it
+        converged[active[floored]] = True
+        active, step, size = (active[~floored], step[~floored],
+                              size[~floored])
         x[active] -= step
-        done = (np.max(np.abs(step), axis=1)
-                <= tol * (1.0 + np.max(np.abs(x[active]), axis=1)))
+        prev[active] = size
+        done = size <= tol * (1.0 + np.max(np.abs(x[active]), axis=1))
         iters[active[done]] = it + 1
         converged[active[done]] = True
         active = active[~done]

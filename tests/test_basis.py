@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from resultant_lab.basis import (ClenshawTrace, DegreeGradedBasis,
                                  DegreeOverflowError, Domain,
-                                 NormalizationWarning, basis_eval,
-                                 basis_eval_all, basis_eval_deriv_all,
-                                 basis_from_json,
+                                 NormalizationWarning, basis_eval_all,
+                                 basis_eval_deriv_all, basis_from_json,
                                  basis_to_json, clenshaw_eval, clenshaw_shifts,
                                  derivative_eval, divided_difference)
 
@@ -70,7 +69,9 @@ def test_monomial_powers():
 
 def test_basis_eval_single():
     b = DegreeGradedBasis.chebyshev()
-    assert basis_eval(b, 3, 0.5) == pytest.approx(
+    vals = basis_eval_all(b, 3, 0.5)
+    assert vals.shape == (4,)
+    assert vals[3] == pytest.approx(
         np.polynomial.chebyshev.chebval(0.5, [0, 0, 0, 1]))
 
 
@@ -296,7 +297,7 @@ def test_custom_dense_gamma_used():
     b = DegreeGradedBasis.custom(alpha, beta, gamma,
                                  check_normalization=False)
     # phi_3 = x*phi_2 + 0.5*phi_0 = x^3 + 0.5
-    assert basis_eval(b, 3, 2.0) == pytest.approx(8.5)
+    assert basis_eval_all(b, 3, 2.0)[3] == pytest.approx(8.5)
     coeffs = [0.0, 0.0, 0.0, 1.0]
     assert clenshaw_eval(b, coeffs, 2.0).value == pytest.approx(8.5)
     # columns 1 and 2 hold several nonzero gammas: several terms per shift

@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
-from resultant_lab.cayley import (CayleyTensor, cayley_coeffs,
-                                  cayley_diagonal_value, cayley_function_eval,
-                                  cayley_resultant, cayley_resultant_to_json,
+from resultant_lab.cayley import (CayleyTensor, _cofactor_det, _grid_values,
+                                  cayley_coeffs, cayley_diagonal_value,
+                                  cayley_function_eval, cayley_resultant,
+                                  cayley_resultant_to_json,
                                   cayley_root_eigvectors, default_taus)
 from resultant_lab.matpoly import (StructureError, matpoly_eval,
                                    matpoly_from_json, polyeig)
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      hide_variable, jacobian, mp_eval)
-from resultant_lab.rootfinder import random_system_with_root
+from resultant_lab.rootfinder import (condition_at_root,
+                                      family_orthogonal_quadratic,
+                                      random_system_with_root)
 
 
 def naive_eval(p, x):
@@ -32,14 +35,11 @@ def naive_eval(p, x):
 
 
 def det_formula(M):
-    """Cofactor expansion for 2x2 and 3x3, independent of numpy.linalg."""
-    if M.shape == (2, 2):
-        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if M.shape == (3, 3):
-        return (M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-                - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-                + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0]))
-    raise AssertionError
+    """Cofactor expansion along the first row, independent of numpy.linalg."""
+    if len(M) == 1:
+        return M[0, 0]
+    return sum((-1) ** c * M[0, c] * det_formula(np.delete(M[1:], c, axis=1))
+               for c in range(len(M)))
 
 
 def function_oracle(hv, s, t, z):
@@ -130,6 +130,85 @@ def test_function_rejects_diagonal(mono):
         cayley_function_eval(hv, [0.3], [0.3], 0.1)
     with pytest.raises(ValueError):
         cayley_function_eval(hv, [0.3, 0.4], [0.1], 0.1)
+
+
+def dense_gamma_basis(domain=None):
+    # every gamma_{k,j} is nonzero: phi_{k+1} reaches back to all of
+    # phi_0, ..., phi_{k-1}
+    return DegreeGradedBasis.custom(
+        [1.0, 0.9, 1.1, 0.8], [0.1, -0.2, 0.05, 0.0],
+        [[0.3], [0.2, -0.1], [0.1, 0.05, -0.2]], domain=domain,
+        check_normalization=False)
+
+
+def grid_basis(name, domain):
+    if name == "dense":
+        return dense_gamma_basis(domain)
+    return DegreeGradedBasis(name, domain=domain)
+
+
+@pytest.mark.parametrize("basis_name",
+                         ["monomial", "chebyshev", "legendre", "dense"])
+@pytest.mark.parametrize("kind", ["interval", "disc"])
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (4, 2)])
+def test_grid_values_match_pointwise_oracle(d, n, kind, basis_name):
+    rng = np.random.default_rng(10 * d + n)
+    disc = kind == "disc"
+    dom = Domain.disc(0.2 + 0.1j, 1.5) if disc else Domain.interval(-1, 1)
+    basis = grid_basis(basis_name, dom)
+    polys = []
+    for i in range(d):
+        # lower degree in variable i for odd i: the stacked tensors need
+        # zero padding
+        shape = tuple(n + (a != i or i % 2 == 0) for a in range(d))
+        c = rng.standard_normal(shape)
+        if disc:
+            c = c + 1j * rng.standard_normal(shape)
+        polys.append(MultiPoly(basis, d, c))
+    hv = hide_variable(PolynomialSystem(tuple(polys)))
+
+    def points(m, side):
+        # s points (side 1) and t points (side -1) lie in opposite halves
+        # of the domain, so s_k - t_k stays away from zero
+        x = side * rng.uniform(0.1, 0.9, m)
+        if disc:
+            return dom.center + 1.5 * x * np.exp(1j * rng.uniform(0.3, 2.8, m))
+        return x.astype(complex)
+
+    s_sets = [points(rng.integers(1, 4), 1) for _ in range(d - 1)]
+    t_sets = [points(rng.integers(1, 4), -1) for _ in range(d - 1)]
+    hidden = points(2, 1)
+    F = _grid_values(hv, s_sets, t_sets, hidden)
+    assert F.shape == ((2,) + tuple(len(x) for x in s_sets)
+                       + tuple(len(x) for x in t_sets))
+    for _ in range(4):
+        idx = tuple(int(rng.integers(e)) for e in F.shape)
+        s = np.array([s_sets[k][i] for k, i in enumerate(idx[1:d])])
+        t = np.array([t_sets[k][i] for k, i in enumerate(idx[d:])])
+        want = function_oracle(hv, s, t, hidden[idx[0]])
+        assert abs(F[idx] - want) <= 1e-11 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_cofactor_det_matches_lapack_on_broadcast_stacks(d):
+    rng = np.random.default_rng(d)
+    full = (3, 2, 4)
+    rows = [[None] * d for _ in range(d)]
+    for r in range(d):
+        for c in range(d):
+            # each entry spans a random subset of the grid axes
+            shape = tuple(e if rng.random() < 0.5 else 1 for e in full)
+            rows[r][c] = (rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape))
+    got = _cofactor_det(rows)
+    M = np.empty(full + (d, d), dtype=complex)
+    for r in range(d):
+        for c in range(d):
+            M[..., r, c] = rows[r][c]
+    want = np.linalg.det(M)
+    assert np.broadcast_shapes(got.shape, full) == full
+    bound = np.prod(np.sum(np.abs(M), axis=-1), axis=-1)
+    assert np.all(np.abs(got - want) <= 1e-13 * bound)
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +366,19 @@ def test_diagonal_derivative_equals_jacobian_det():
                - cayley_diagonal_value(hv, free, z - h)) / (2.0 * h)
         want = np.linalg.det(jacobian(sys_, root))
         assert abs(got - want) <= 1e-6 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.2, 0.1])
+def test_condition_at_root_d4_orthogonal_family(sigma):
+    # the origin has Jacobian sigma * I, so det J = sigma**4; the
+    # monomial structured vectors there are unit vectors, so
+    # kappa_eig = 1 / |rayleigh| = sigma**-4
+    rec = condition_at_root(family_orthogonal_quadratic(4, sigma),
+                            np.zeros(4))
+    assert rec.jacobian_det == pytest.approx(sigma ** 4, rel=1e-12)
+    assert abs(rec.rayleigh - rec.jacobian_det) <= 1e-10 * sigma ** 4
+    assert rec.eig_condition == pytest.approx(sigma ** -4, rel=1e-10)
+    assert rec.root_condition == pytest.approx(1 / sigma, rel=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -125,10 +125,13 @@ def test_properties():
 
 
 def test_coeff_scale_is_the_largest_spectral_norm(builtin):
+    # a real stack takes its norms in real arithmetic, so it matches the
+    # complex computation to rounding, not bit for bit
     rng = np.random.default_rng(5)
     for complex_entries in (False, True):
         P = random_matpoly(rng, builtin, 4, 6, complex_entries)
-        assert P.coeff_scale == max(np.linalg.norm(a, 2) for a in P.coeffs)
+        want = max(np.linalg.norm(a.astype(complex), 2) for a in P.coeffs)
+        assert abs(P.coeff_scale - want) <= 4 * np.finfo(float).eps * want
 
 
 @pytest.mark.parametrize("name", ["monomial", "chebyshev", "custom"])

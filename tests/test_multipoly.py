@@ -13,8 +13,8 @@ from resultant_lab.multipoly import (HiddenVariableForm, MultiPoly,
                                      NonSimpleRootError, PolynomialSystem,
                                      _root_conditions, eval_with_jacobian,
                                      hide_variable, interpolate_on_nodes,
-                                     jacobian, max_solution_bound, mp_eval,
-                                     mp_eval_grid, mp_interpolate,
+                                     jacobian, mp_eval, mp_eval_grid,
+                                     mp_interpolate,
                                      root_condition, system_from_json,
                                      system_to_json)
 
@@ -123,6 +123,52 @@ def test_interpolation_validation(mono):
         mp_interpolate(mono, 2, (1, 1), np.ones((2, 3)))
     with pytest.raises(ValueError):  # fewer sample axes than node sets
         interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 3.0]], np.ones(2))
+
+
+def solve_interpolate(basis, nodes_list, samples):
+    """Reference: one np.linalg.solve per axis, every other axis flattened
+    into the right-hand sides."""
+    t = np.asarray(samples, dtype=complex)
+    for axis, nodes in enumerate(nodes_list):
+        vand = basis_eval_all(basis, len(nodes) - 1, nodes).T
+        tm = np.moveaxis(t, axis, 0)
+        sol = np.linalg.solve(vand, tm.reshape(tm.shape[0], -1))
+        t = np.moveaxis(sol.reshape(tm.shape), 0, axis)
+    return t
+
+
+@pytest.mark.parametrize("name,domain,sizes,trailing", [
+    ("chebyshev", None, (4, 3), (2,)),
+    ("monomial", None, (17,), (5,)),
+    ("legendre", None, (3, 5, 2), ()),
+    ("monomial", Domain.disc(0.2 + 0.1j, 1.5), (8, 5), (3,)),
+    ("chebyshev", Domain.disc(0.0, 2.0), (6, 1, 4), (2, 2))])
+def test_interpolation_matches_solve_reference(name, domain, sizes,
+                                               trailing):
+    basis = DegreeGradedBasis(name, domain=domain)
+    rng = np.random.default_rng(len(sizes) + sum(sizes))
+    nodes = [basis.domain.nodes(m) for m in sizes]
+    shape = sizes + trailing
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = solve_interpolate(basis, nodes, samples)
+    got = interpolate_on_nodes(basis, nodes, samples)
+    assert got.shape == want.shape == shape
+    # the inverse and the LU solve agree to the conditioning of the grid
+    cond = np.prod([np.linalg.cond(basis_eval_all(basis, len(x) - 1, x))
+                    for x in nodes])
+    tol = 16 * np.finfo(float).eps * cond * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def test_interpolation_errors_unchanged(mono):
+    with pytest.raises(ValueError, match="need one node set per sample"):
+        interpolate_on_nodes(mono, [[0.0], [1.0]], np.ones(1))
+    with pytest.raises(ValueError, match="axis 1: 3 samples but 2 nodes"):
+        interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 3.0]],
+                             np.ones((2, 3)))
+    with pytest.raises(ValueError, match="nodes must be distinct"):
+        interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 2.0]],
+                             np.ones((2, 2)))
 
 
 def test_interpolation_carries_trailing_axes(cheb):
@@ -373,11 +419,6 @@ def test_root_condition_singular_raises(mono):
     sys_ = PolynomialSystem((MultiPoly(mono, 2, c1), MultiPoly(mono, 2, c2)))
     with pytest.raises(NonSimpleRootError):
         root_condition(sys_, [0.0, 0.0])
-
-
-def test_max_solution_bound(mono):
-    sys_ = circle_line(mono)
-    assert max_solution_bound(sys_) == 2 * 2 ** 2  # d! * n^d
 
 
 # ----------------------------------------------------------------------

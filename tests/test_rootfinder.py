@@ -77,6 +77,40 @@ def test_newton_stops_on_singular_jacobian(mono):
     assert np.allclose(x, [0.0, 0.0])
 
 
+def test_newton_growing_early_steps_still_converge(mono):
+    # p1 = x^3 - 2x - 5, p2 = y - 1/2; from x = -2 the second x step is
+    # larger than the first, far above the rounding floor
+    c1 = np.zeros((4, 1), dtype=complex)
+    c1[0, 0], c1[1, 0], c1[3, 0] = -5.0, -2.0, 1.0
+    c2 = np.zeros((1, 2), dtype=complex)
+    c2[0, 0], c2[0, 1] = -0.5, 1.0
+    sys_ = PolynomialSystem((MultiPoly(mono, 2, c1), MultiPoly(mono, 2, c2)))
+    x, steps = -2.0, []
+    for _ in range(2):
+        steps.append((x ** 3 - 2 * x - 5) / (3 * x ** 2 - 2))
+        x -= steps[-1]
+    assert abs(steps[1]) > abs(steps[0])
+    x, iters, ok = newton_polish(sys_, [-2.0, 0.0])
+    assert ok and iters < 20
+    assert np.allclose(x, [2.0945514815423265, 0.5], atol=1e-13)
+
+
+def test_newton_stops_at_its_rounding_floor():
+    # Two roots 1.3e-4 apart with kappa_root ~ 544: Newton steps stall at
+    # 1e-13..1e-12, above newton_tol, so only the floor rule stops them
+    sys_, _ = random_system_with_root(3, 3, [59, 32], "chebyshev")
+    rep = solve_system(sys_)
+    hard = [r for r in rep.roots if r.root_condition > 100]
+    assert len(hard) == 2
+    for r in hard:
+        assert r.newton_iters <= 8
+        x = r.x.copy()
+        for _ in range(20):  # plain Newton, no stop rule
+            F, J = multipoly.eval_with_jacobian(sys_, x)
+            x = x - np.linalg.solve(J, F)
+        assert np.max(np.abs(x - r.x)) <= 1e-12
+
+
 def batched_newton(sys_, x0, max_iter=20, tol=1e-14):
     x0 = np.asarray(x0, dtype=complex)
     F, J = multipoly.eval_with_jacobian(sys_, x0)
