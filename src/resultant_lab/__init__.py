@@ -13,19 +13,17 @@ from .basis import (ClenshawTrace, DegreeGradedBasis, DegreeOverflowError,
                     clenshaw_eval, clenshaw_shifts, derivative_eval,
                     divided_difference)
 from .cayley import (CayleyResultant, CayleyTensor, cayley_coeffs,
-                     cayley_diagonal_value, cayley_function_eval,
-                     cayley_resultant, cayley_resultant_to_json,
-                     cayley_root_eigvectors, default_taus)
-from .matpoly import (Eigenpair, EigenSolveError, MatrixPolynomial,
-                      NotRegularError, StructureError, eig_condition, eigpair,
-                      eigvecs_and_conditions, linearize, matpoly_deriv_eval,
-                      matpoly_eval, matpoly_from_json, matpoly_to_json,
-                      polyeig)
-from .multipoly import (HiddenVariableForm, MultiPoly, NonSimpleRootError,
-                        PolynomialSystem, eval_with_jacobian, hide_variable,
-                        interpolate_on_nodes, jacobian, mp_eval,
-                        mp_eval_grid, mp_interpolate, root_condition,
-                        system_from_json, system_to_json)
+                     cayley_function_eval, cayley_resultant,
+                     cayley_resultant_to_json, cayley_root_eigvectors,
+                     default_taus)
+from .matpoly import (EigenSolveError, MatrixPolynomial, NotRegularError,
+                      StructureError, eigvecs_and_conditions, linearize,
+                      matpoly_deriv_eval, matpoly_eval, matpoly_from_json,
+                      matpoly_to_json, polyeig)
+from .multipoly import (HiddenVariableForm, MultiPoly, PolynomialSystem,
+                        eval_with_jacobian, hide_variable,
+                        interpolate_on_nodes, mp_eval, mp_eval_grid,
+                        mp_interpolate, system_from_json, system_to_json)
 from .rootfinder import (ConditionRecord, RecoveryError, RootRecord,
                          RootReport, SolveOptions, condition_at_root,
                          condition_sweep, family_coupled_quadratic,
@@ -49,17 +47,17 @@ __all__ = [
     "basis_to_json", "basis_from_json",
     # multipoly
     "MultiPoly", "PolynomialSystem", "HiddenVariableForm",
-    "NonSimpleRootError", "mp_eval", "mp_eval_grid", "mp_interpolate",
+    "mp_eval", "mp_eval_grid", "mp_interpolate",
     "interpolate_on_nodes", "hide_variable", "eval_with_jacobian",
-    "jacobian", "root_condition", "system_to_json", "system_from_json",
+    "system_to_json", "system_from_json",
     # matpoly
-    "MatrixPolynomial", "Eigenpair", "EigenSolveError", "NotRegularError",
+    "MatrixPolynomial", "EigenSolveError", "NotRegularError",
     "StructureError", "matpoly_eval", "matpoly_deriv_eval", "linearize",
-    "polyeig", "eigpair", "eig_condition", "eigvecs_and_conditions",
+    "polyeig", "eigvecs_and_conditions",
     "matpoly_to_json", "matpoly_from_json",
     # cayley
     "CayleyTensor", "CayleyResultant", "default_taus", "cayley_function_eval",
-    "cayley_coeffs", "cayley_resultant", "cayley_diagonal_value",
+    "cayley_coeffs", "cayley_resultant",
     "cayley_root_eigvectors", "cayley_resultant_to_json",
     # sylvester
     "SylvesterResultant", "sylvester_degrees", "sylvester_resultant",

@@ -31,8 +31,8 @@ single hidden value (one hidden node, where that axis's interpolation
 is the identity) and the whole resultant (d n + 1 hidden nodes).  The
 s-grids and t-grids are drawn from interleaved point families chosen so
 that s_k never collides with t_k, which keeps the defining quotient
-evaluable everywhere on the grid; values on the diagonal s = t come
-from contracting the recovered tensor instead.
+evaluable everywhere on the grid; the value on the diagonal s = t = x
+is w^T R(z) v for the structured vectors v, w at x.
 """
 
 import itertools
@@ -42,8 +42,7 @@ from functools import reduce
 import numpy as np
 
 from .basis import basis_eval_all
-from .matpoly import (MatrixPolynomial, StructureError, matpoly_eval,
-                      matpoly_to_json)
+from .matpoly import MatrixPolynomial, _check_null_vectors, matpoly_to_json
 from .multipoly import _stacked, interpolate_on_nodes
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "cayley_function_eval",
     "cayley_coeffs",
     "cayley_resultant",
-    "cayley_diagonal_value",
     "cayley_root_eigvectors",
     "cayley_resultant_to_json",
 ]
@@ -212,8 +210,7 @@ def cayley_function_eval(hv, s, t, x_d):
     if s.shape != (d - 1,) or t.shape != (d - 1,):
         raise ValueError(f"s and t must have length {d - 1}")
     if np.any(s == t):
-        raise ValueError("s_i = t_i hit the removable singularity; use "
-                         "cayley_diagonal_value for on-diagonal points")
+        raise ValueError("s_i = t_i hit the removable singularity")
     values = _grid_values(hv, s[:, None], t[:, None],
                           np.array([complex(x_d)]))
     return complex(values.item())
@@ -340,35 +337,6 @@ def cayley_resultant(hv, taus=None):
 
 
 # ----------------------------------------------------------------------
-# Diagonal values
-# ----------------------------------------------------------------------
-
-def _contract_both_sides(tensor, basis, taus, point):
-    d = len(taus) + 1
-    col_ext = tuple(t + 1 for t in reversed(taus))
-    row_ext = tuple(t + 1 for t in taus)
-    t = tensor
-    for k0 in range(d - 2, -1, -1):  # column axes, innermost first
-        phis = basis_eval_all(basis, col_ext[k0] - 1, point[k0])
-        t = t @ phis
-    for k0 in range(d - 2, -1, -1):  # then row axes
-        phis = basis_eval_all(basis, row_ext[k0] - 1, point[k0])
-        t = t @ phis
-    return complex(t)
-
-
-def cayley_diagonal_value(hv, free_point, x_d, taus=None):
-    """Function value at s = t = free_point, where the quotient is 0/0.
-
-    Obtained by contracting the coefficient tensor with basis vectors on
-    both index groups; no divided limit is ever formed.
-    """
-    A = cayley_coeffs(hv, x_d, taus)
-    free_point = np.atleast_1d(np.asarray(free_point, dtype=complex))
-    return _contract_both_sides(A.coeffs, hv.basis, A.taus, free_point)
-
-
-# ----------------------------------------------------------------------
 # Structured eigenvectors
 # ----------------------------------------------------------------------
 
@@ -380,8 +348,8 @@ def cayley_root_eigvectors(hv, root, resultant=None, check=True):
     does the same over the row group.  Both are returned unnormalized.
 
     Raises StructureError when either residual exceeds 1e-7 times the
-    matrix norm, which would mean the construction and the closed-form
-    eigenvector disagree.
+    matrix norm (floored by the coefficient scale), which would mean the
+    construction and the closed-form eigenvector disagree.
     """
     if resultant is None:
         resultant = cayley_resultant(hv)
@@ -397,17 +365,7 @@ def cayley_root_eigvectors(hv, root, resultant=None, check=True):
     v = reduce(np.multiply.outer, col_vecs).ravel(order="C")
     w = reduce(np.multiply.outer, row_vecs).ravel(order="C")
     if check:
-        R0 = matpoly_eval(resultant.matrix_poly, z)
-        # At a multiple root R(z) may vanish entirely, so the scale is
-        # floored by the coefficient size of the construction itself.
-        scale = max(np.linalg.norm(R0, 2),
-                    resultant.matrix_poly.coeff_scale)
-        res_r = np.linalg.norm(R0 @ v) / np.linalg.norm(v)
-        res_l = np.linalg.norm(R0.T @ w) / np.linalg.norm(w)
-        if res_r > 1e-7 * scale or res_l > 1e-7 * scale:
-            raise StructureError(
-                f"structured eigenvector residuals {res_r:.3e}/{res_l:.3e} "
-                f"exceed 1e-7 * ||R|| = {1e-7 * scale:.3e}")
+        _check_null_vectors(resultant.matrix_poly, z, v, w)
     return v, w
 
 

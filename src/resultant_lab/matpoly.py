@@ -27,7 +27,6 @@ from .basis import (DegreeGradedBasis, basis_eval_all, basis_eval_deriv_all,
 
 __all__ = [
     "MatrixPolynomial",
-    "Eigenpair",
     "EigenSolveError",
     "NotRegularError",
     "StructureError",
@@ -35,8 +34,6 @@ __all__ = [
     "matpoly_deriv_eval",
     "linearize",
     "polyeig",
-    "eigpair",
-    "eig_condition",
     "eigvecs_and_conditions",
     "matpoly_to_json",
     "matpoly_from_json",
@@ -58,6 +55,28 @@ class NotRegularError(EigenSolveError):
 class StructureError(RuntimeError):
     """A structured eigenvector failed its residual check; the resultant
     construction and the closed-form vector disagree."""
+
+
+def _check_null_vectors(P, z, v, w):
+    """Raise StructureError unless v and w are right and plain-transpose
+    left null vectors of P(z) to within 1e-7 * max(||P(z)||_2,
+    P.coeff_scale) relative to their norms.
+
+    At a multiple root P(z) may vanish entirely, so the scale is floored
+    by the coefficient size of the construction itself; that floor costs
+    K + 1 spectral norms and is computed only when ||P(z)||_2 alone
+    does not pass both residuals.
+    """
+    P0 = matpoly_eval(P, z)
+    res_r = np.linalg.norm(P0 @ v) / np.linalg.norm(v)
+    res_l = np.linalg.norm(P0.T @ w) / np.linalg.norm(w)
+    scale = np.linalg.norm(P0, 2)
+    if res_r > 1e-7 * scale or res_l > 1e-7 * scale:
+        scale = max(scale, P.coeff_scale)
+        if res_r > 1e-7 * scale or res_l > 1e-7 * scale:
+            raise StructureError(
+                f"structured eigenvector residuals {res_r:.3e}/{res_l:.3e} "
+                f"exceed 1e-7 * ||R|| = {1e-7 * scale:.3e}")
 
 
 @dataclass(frozen=True)
@@ -91,22 +110,6 @@ class MatrixPolynomial:
         if not np.any(A.imag):
             A = A.real
         return np.linalg.norm(A, 2, axis=(1, 2)).max()
-
-
-@dataclass(frozen=True)
-class Eigenpair:
-    """Eigenvalue with unit right and left eigenvectors.
-
-    right and left are the minimal singular vectors of P(lam), so
-    residual = ||P(lam) v||_2 = ||w^T P(lam)||_2 (plain transpose) is
-    sigma_min(P(lam)), the smallest residual any unit vector reaches on
-    either side.
-    """
-
-    lam: complex
-    right: np.ndarray
-    left: np.ndarray
-    residual: float
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +264,8 @@ def polyeig(P):
     lam = mu + 1 / theta.  A theta indistinguishable from zero,
     |theta| <= 1e3 * eps * ||M||_F, is an infinite eigenvalue.  M is
     real when the coefficients are real and the domain an interval.
-    Eigenvectors are not computed here; eigpair supplies them for the
-    eigenvalues a caller keeps.
+    Eigenvectors are not computed here; eigvecs_and_conditions supplies
+    them for the eigenvalues a caller keeps.
 
     Returns
     -------
@@ -321,63 +324,29 @@ def eigvecs_and_conditions(P, lams):
     """Eigenvectors, residuals and condition numbers at every lam.
 
     One basis_eval_deriv_all over lams gives the stacks P(lam) and
-    P'(lam); one stacked SVD of P(lam) gives the vectors and residuals
-    as in eigpair, and eig_condition's arithmetic runs on the stacks.
+    P'(lam).  One stacked SVD of P(lam) gives the unit right vector v and
+    the unit plain-transpose left vector w of the smallest singular
+    value, which is the residual ||P(lam) v||_2 = ||w^T P(lam)||_2.  The
+    condition number is ||v|| ||w|| / |w^T P'(lam) v|, or +inf (defective
+    or non-simple) when that denominator is at most
+    1e3 * eps * ||v|| ||w|| ||P'(lam)||_2.
 
     Returns
     -------
     (right, left, residuals, kappas) with shapes (m, N), (m, N), (m,)
-    and (m,) for m = len(lams); row k equals eigpair(P, lams[k]) and
-    eig_condition of that pair.
+    and (m,) for m = len(lams).
     """
     vals, ders = basis_eval_deriv_all(P.basis, P.degree, lams)
-    right, left, residuals = _min_singular_vectors(
-        np.tensordot(vals, P.coeffs, axes=([0], [0])))
-    kappas = _eig_conditions(np.tensordot(ders, P.coeffs, axes=([0], [0])),
-                             right, left)
-    return right, left, residuals, kappas
-
-
-def _min_singular_vectors(Ps):
-    """Right and plain-transpose left singular vectors of the smallest
-    singular value, and that value, for a stack of matrices."""
-    U, s, Vh = np.linalg.svd(Ps)
-    return np.conj(Vh[:, -1]), np.conj(U[:, :, -1]), s[:, -1]
-
-
-def _eig_conditions(dPs, right, left):
-    """eig_condition for stacks of P'(lam), v and w."""
+    U, s, Vh = np.linalg.svd(np.tensordot(vals, P.coeffs, axes=([0], [0])))
+    right, left = np.conj(Vh[:, -1]), np.conj(U[:, :, -1])
+    dPs = np.tensordot(ders, P.coeffs, axes=([0], [0]))
     denom = np.abs(np.einsum("mi,mij,mj->m", left, dPs, right))
     scale = np.linalg.norm(right, axis=-1) * np.linalg.norm(left, axis=-1)
     cutoff = (1e3 * _EPS * scale
               * np.linalg.svd(dPs, compute_uv=False)[:, 0])
-    return np.divide(scale, denom, out=np.full(len(denom), np.inf),
-                     where=~(denom <= cutoff))
-
-
-def eigpair(P, lam):
-    """Unit right and left eigenvectors of P at the eigenvalue lam.
-
-    Both come from one SVD of P(lam): v is the right and w the
-    (plain-transpose) left singular vector of the smallest singular
-    value, which is reported as the residual.
-    """
-    right, left, residual = _min_singular_vectors(matpoly_eval(P, [lam]))
-    return Eigenpair(lam=complex(lam), right=right[0], left=left[0],
-                     residual=float(residual[0]))
-
-
-def eig_condition(P, pair):
-    """Eigenvalue condition number ||v|| ||w|| / |w^T P'(lam) v|.
-
-    The products use the vectors exactly as given, so scaling either
-    vector cancels.  When the Rayleigh denominator falls below
-    1e3 * eps * ||v|| ||w|| ||P'||, the eigenvalue is flagged as
-    defective or non-simple by returning +inf.
-    """
-    return float(_eig_conditions(matpoly_deriv_eval(P, [pair.lam]),
-                                 np.asarray(pair.right)[None],
-                                 np.asarray(pair.left)[None])[0])
+    kappas = np.divide(scale, denom, out=np.full(len(denom), np.inf),
+                       where=~(denom <= cutoff))
+    return right, left, s[:, -1], kappas
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,7 @@ A square system and its Jacobian are evaluated together by
 coefficient tensors are stacked, and each axis a is contracted with the
 two columns [phi(x_a), phi'(x_a)] of every point, so one pass of d
 contractions leaves every product of values and first derivatives.
-Newton polishing, residuals and root conditioning all go through it;
-``jacobian`` is a thin wrapper.
+Newton polishing, residuals and root conditioning all go through it.
 """
 
 from dataclasses import dataclass, field
@@ -30,22 +29,15 @@ __all__ = [
     "MultiPoly",
     "PolynomialSystem",
     "HiddenVariableForm",
-    "NonSimpleRootError",
     "mp_eval",
     "mp_eval_grid",
     "mp_interpolate",
     "interpolate_on_nodes",
     "hide_variable",
     "eval_with_jacobian",
-    "jacobian",
-    "root_condition",
     "system_to_json",
     "system_from_json",
 ]
-
-
-class NonSimpleRootError(ArithmeticError):
-    """The Jacobian is numerically singular: the root is not simple."""
 
 
 @dataclass(frozen=True)
@@ -319,16 +311,13 @@ def eval_with_jacobian(sys, x):
     return (F[0], J[0]) if single else (F, J)
 
 
-def jacobian(sys, x):
-    """d x d matrix with entry (i, j) = dp_i/dx_j at x (eval_with_jacobian)."""
-    return eval_with_jacobian(sys, x)[1]
-
-
 def _root_conditions(J):
-    """root_condition from a stack of Jacobians J, shape (..., d, d).
+    """Root condition numbers ||J^-1||_2 from a stack of Jacobians J,
+    shape (..., d, d).
 
     One stacked SVD gives 1 / sigma_min per Jacobian, or inf where
-    sigma_min is zero or below 1e3 * eps * ||J||_2.
+    sigma_min is zero or below 1e3 * eps * ||J||_2, the working notion
+    of a root that is not simple.
     """
     svals = np.linalg.svd(J, compute_uv=False)
     smin = svals[..., -1]
@@ -336,23 +325,6 @@ def _root_conditions(J):
                                 * svals[..., 0])
     return np.divide(1.0, smin, out=np.full(smin.shape, np.inf),
                      where=regular)
-
-
-def _inverse_jacobian_norm(J, x):
-    """root_condition from a Jacobian J already evaluated at x."""
-    rc = float(_root_conditions(J))
-    if rc == np.inf:
-        raise NonSimpleRootError(f"Jacobian numerically singular at {x}")
-    return rc
-
-
-def root_condition(sys, x):
-    """Sensitivity of a simple root: the 2-norm of the inverse Jacobian.
-
-    Raises NonSimpleRootError when the smallest singular value falls
-    below 1e3 * eps * ||J||_2, the working notion of "not simple".
-    """
-    return _inverse_jacobian_norm(jacobian(sys, x), x)
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,10 @@ Only component recovery loops over the candidates.
 
 Eigenvector-based recovery has two layers: ratio of consecutive basis
 slots at the largest tensor entry, then a rank-one fit per axis.  When
-an axis carries no information (extent one, as happens for systems of
-total degree one) candidates fall back to Newton from a small grid of
-starting points at the fixed hidden value.
+an axis carries no information (extent one, as happens for Cayley on
+systems of total degree one and for a Sylvester resultant of size one)
+candidates fall back to Newton from a small grid of starting points at
+the fixed hidden value.
 
 The module also ships the closed-form example families used to probe
 conditioning behaviour, and JSON/CSV writers for reports.
@@ -38,8 +39,7 @@ import numpy as np
 from .basis import DegreeGradedBasis, basis_from_json
 from .cayley import cayley_resultant, cayley_root_eigvectors
 from .matpoly import eigvecs_and_conditions, matpoly_deriv_eval, polyeig
-from .multipoly import (MultiPoly, NonSimpleRootError, PolynomialSystem,
-                        _inverse_jacobian_norm, _root_conditions,
+from .multipoly import (MultiPoly, PolynomialSystem, _root_conditions,
                         eval_with_jacobian, hide_variable,
                         interpolate_on_nodes, mp_eval)
 from .sylvester import sylvester_resultant, sylvester_root_eigvectors
@@ -80,9 +80,6 @@ class SolveOptions:
     domain_margin: float = 1e-6   # inflation when filtering eigenvalues
     tol_accept: float = 1e-7      # residual / coefficient-scale threshold
     polish: bool = True
-    max_newton: int = 20
-    newton_tol: float = 1e-14
-    dedupe_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -123,28 +120,33 @@ class RootReport:
 # Newton polishing
 # ----------------------------------------------------------------------
 
-def newton_polish(sys, x0, max_iter=20, tol=1e-14):
+_NEWTON_ITERS = 20   # iteration cap of newton_polish and _newton
+_NEWTON_TOL = 1e-14  # relative step size that counts as converged
+_DEDUPE_TOL = 1e-8   # relative gap below which two candidates are one root
+
+
+def newton_polish(sys, x0):
     """Newton iteration on the full system from x0.
 
     Each iteration makes one eval_with_jacobian call, which gives the
     values and the Jacobian together.  Returns (x, iterations,
     converged).  The iteration converges when a step falls below
-    tol * (1 + ||x||_inf), or when it reaches its rounding floor: a step
-    no smaller than the previous one, which was already below
-    sqrt(eps) * (1 + ||x||_inf).  That step is not taken.  A singular
-    Jacobian stops the iteration and reports non-convergence at the
-    current point.
+    _NEWTON_TOL * (1 + ||x||_inf), or when it reaches its rounding
+    floor: a step no smaller than the previous one, which was already
+    below sqrt(eps) * (1 + ||x||_inf).  That step is not taken.  A
+    singular Jacobian stops the iteration and reports non-convergence at
+    the current point.  It stops after _NEWTON_ITERS iterations.
     """
     x = np.atleast_1d(np.array(x0, dtype=complex))[None]
     F, J = eval_with_jacobian(sys, x)
-    x, iters, converged = _newton(sys, x, F, J, max_iter, tol)
+    x, iters, converged = _newton(sys, x, F, J)
     return x[0], int(iters[0]), bool(converged[0])
 
 
 _ROUNDING_FLOOR = np.sqrt(np.finfo(float).eps)
 
 
-def _newton(sys, x, F, J, max_iter, tol):
+def _newton(sys, x, F, J):
     """newton_polish from every row of x at once, with F and J already
     evaluated at x.
 
@@ -154,11 +156,11 @@ def _newton(sys, x, F, J, max_iter, tol):
     Returns (x, iterations, converged), one entry per row.
     """
     x = x.copy()
-    iters = np.full(len(x), max_iter)
+    iters = np.full(len(x), _NEWTON_ITERS)
     converged = np.zeros(len(x), dtype=bool)
     prev = np.full(len(x), np.inf)  # size of each row's last step
     active = np.arange(len(x))
-    for it in range(max_iter):
+    for it in range(_NEWTON_ITERS):
         if it:
             F, J = eval_with_jacobian(sys, x[active])
         step, solved = _newton_steps(J, F)
@@ -176,7 +178,8 @@ def _newton(sys, x, F, J, max_iter, tol):
                               size[~floored])
         x[active] -= step
         prev[active] = size
-        done = size <= tol * (1.0 + np.max(np.abs(x[active]), axis=1))
+        done = size <= _NEWTON_TOL * (1.0 + np.max(np.abs(x[active]),
+                                                   axis=1))
         iters[active[done]] = it + 1
         converged[active[done]] = True
         active = active[~done]
@@ -233,28 +236,20 @@ def _component_from_vector(u, basis):
     return np.vdot(t, pred) / den
 
 
-def recover_components(resultant, vec, basis, method):
+def recover_components(resultant, vec, basis):
     """Free components of the root encoded in a right eigenvector.
 
-    Cayley eigenvectors factor as an outer product of basis columns, one
-    per free variable; Sylvester eigenvectors are a single basis column.
-    Per axis the ratio of slots 1 and 0 at the dominant entry is tried
-    first, then a rank-one fit of the axis fiber.
+    The eigenvector factors as an outer product of basis columns over
+    resultant.col_extents, one axis per free variable: several for
+    Cayley, one for Sylvester.  Per axis the ratio of slots 1 and 0 at
+    the dominant entry is tried first, then a rank-one fit of the axis
+    fiber.
 
     Returns (components, how) where how is "ratio" or "rank1" (rank1
     wins the label when any axis needed it).
 
     Raises RecoveryError when some axis carries no information.
     """
-    if method == "sylvester":
-        v = np.asarray(vec)
-        top = np.max(np.abs(v))
-        if top == 0.0:
-            raise RecoveryError("zero eigenvector")
-        if abs(v[0]) > 1e-8 * top:
-            r = v[1] / v[0]
-            return np.array([(r - basis.beta(0)) / basis.alpha(0)]), "ratio"
-        return np.array([_component_from_vector(v, basis)]), "rank1"
     ext = resultant.col_extents
     V = np.asarray(vec).reshape(ext)
     ref = np.unravel_index(np.argmax(np.abs(V)), ext)
@@ -281,7 +276,7 @@ def recover_components(resultant, vec, basis, method):
     return np.array(out), how
 
 
-def _grid_newton_candidates(sys, lam, hidden_index, opts):
+def _grid_newton_candidates(sys, lam, hidden_index):
     """Newton from a coarse grid of free-variable starts at fixed lam.
 
     Keeps converged roots whose hidden component stayed at the
@@ -294,7 +289,7 @@ def _grid_newton_candidates(sys, lam, hidden_index, opts):
                     dtype=complex).reshape(len(nodes) ** (d - 1), d - 1)
     x0 = np.insert(grid, hidden_index, lam, axis=1)
     F, J = eval_with_jacobian(sys, x0)
-    x, _, ok = _newton(sys, x0, F, J, opts.max_newton, opts.newton_tol)
+    x, _, ok = _newton(sys, x0, F, J)
     ok &= np.abs(x[:, hidden_index] - lam) <= 1e-6 * (1.0 + abs(lam))
     return list(x[ok])
 
@@ -304,10 +299,12 @@ def _grid_newton_candidates(sys, lam, hidden_index, opts):
 # ----------------------------------------------------------------------
 
 def _build_resultant(hv, method, taus):
+    """The resultant of hv by method, and the function that gives its
+    structured eigenvectors at a root."""
     if method == "cayley":
-        return cayley_resultant(hv, taus)
+        return cayley_resultant(hv, taus), cayley_root_eigvectors
     if method == "sylvester":
-        return sylvester_resultant(hv)
+        return sylvester_resultant(hv), sylvester_root_eigvectors
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -334,7 +331,7 @@ def solve_system(sys, method="cayley", options=None):
     d = sys.dim
     hidden = opts.hidden_index if opts.hidden_index is not None else d - 1
     hv = hide_variable(sys, hidden)
-    res = _build_resultant(hv, method, opts.taus)
+    res = _build_resultant(hv, method, opts.taus)[0]
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
     kept = lams[np.array([sys.domain.contains(lam, opts.domain_margin)
@@ -344,10 +341,9 @@ def solve_system(sys, method="cayley", options=None):
     produced = []   # (start point, index into kept, recovery label)
     for k, lam in enumerate(kept):
         try:
-            comps, how = recover_components(res, right[k], sys.basis,
-                                            method)
+            comps, how = recover_components(res, right[k], sys.basis)
         except RecoveryError:
-            found = _grid_newton_candidates(sys, lam, hidden, opts)
+            found = _grid_newton_candidates(sys, lam, hidden)
             n_failed += not found
             produced += [(x0, k, "grid") for x0 in found]
             continue
@@ -358,8 +354,7 @@ def solve_system(sys, method="cayley", options=None):
         F, J = eval_with_jacobian(sys, x0)
         pre = np.max(np.abs(F), axis=1)
         if opts.polish:
-            x, iters, _ = _newton(sys, x0, F, J, opts.max_newton,
-                                  opts.newton_tol)
+            x, iters, _ = _newton(sys, x0, F, J)
             F, J = eval_with_jacobian(sys, x)
         else:
             x, iters = x0, np.zeros(len(x0), dtype=int)
@@ -374,7 +369,7 @@ def solve_system(sys, method="cayley", options=None):
             eig_condition=float(kappas[k]), root_condition=float(rcs[i]),
             newton_iters=int(iters[i]), recovery=how)
             for i, (_, k, how) in enumerate(produced)]
-    roots = _dedupe(candidates, opts.dedupe_tol)
+    roots = _dedupe(candidates, _DEDUPE_TOL)
     roots.sort(key=lambda r: (r.x[hidden].real, r.x[hidden].imag))
     log.info("solve_system: %d eigenvalues, %d kept roots (%d spurious)",
              len(lams), len(roots),
@@ -435,28 +430,18 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None,
     d = sys.dim
     hidden = hidden_index if hidden_index is not None else d - 1
     hv = hide_variable(sys, hidden)
-    if method == "cayley":
-        res = cayley_resultant(hv, taus)
-        v, w = cayley_root_eigvectors(hv, root, res)
-    elif method == "sylvester":
-        res = sylvester_resultant(hv)
-        v, w = sylvester_root_eigvectors(hv, root, res)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    res, root_eigvectors = _build_resultant(hv, method, taus)
+    v, w = root_eigvectors(hv, root, res)
     z = complex(root[hidden])
     dP = matpoly_deriv_eval(res.matrix_poly, z)
     ray = complex(w @ (dP @ v))
     scale = np.linalg.norm(v) * np.linalg.norm(w)
     kappa = float("inf") if ray == 0 else float(scale / abs(ray))
     J = eval_with_jacobian(sys, root)[1]
-    try:
-        rc = _inverse_jacobian_norm(J, root)
-    except NonSimpleRootError:
-        rc = float("inf")
     return ConditionRecord(method=method, root=root, eig_condition=kappa,
                            rayleigh=ray,
                            jacobian_det=complex(np.linalg.det(J)),
-                           root_condition=float(rc))
+                           root_condition=float(_root_conditions(J)))
 
 
 def condition_sweep(d, sigmas, method="cayley", seed=None,

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_eval_all, clenshaw_shifts
-from .matpoly import (MatrixPolynomial, StructureError, matpoly_eval,
-                      matpoly_to_json)
+from .matpoly import MatrixPolynomial, _check_null_vectors, matpoly_to_json
 from .multipoly import MultiPoly, interpolate_on_nodes, mp_eval_grid
 
 __all__ = [
@@ -50,6 +49,11 @@ class SylvesterResultant:
     @property
     def size(self):
         return self.tau1 + self.tau2
+
+    @property
+    def col_extents(self):
+        """One axis: the right eigenvector is a single basis column."""
+        return (self.size,)
 
 
 def _free_axis_degree(tensor):
@@ -78,12 +82,6 @@ def sylvester_degrees(hv):
         raise ValueError("both polynomials are constant in the kept "
                          "variable; nothing to eliminate")
     return tuple(taus)
-
-
-def _trimmed_univariate(tensor, basis, z, tau):
-    """Coefficient vector of q(., z) cut at the exact kept degree."""
-    phis = basis_eval_all(basis, tensor.shape[-1] - 1, complex(z))
-    return (tensor @ phis)[:tau + 1]
 
 
 def sylvester_resultant(hv):
@@ -121,7 +119,7 @@ def sylvester_root_eigvectors(hv, root, resultant=None, check=True):
     the b_k are backward-recurrence shifts.  Both are unnormalized.
 
     Raises StructureError when either residual exceeds 1e-7 times the
-    matrix norm.
+    matrix norm (floored by the coefficient scale).
     """
     if resultant is None:
         resultant = sylvester_resultant(hv)
@@ -134,8 +132,8 @@ def sylvester_root_eigvectors(hv, root, resultant=None, check=True):
     n = tau1 + tau2
     basis = hv.basis
     v = basis_eval_all(basis, n - 1, y)
-    u1 = _trimmed_univariate(hv.tensors[0], basis, z, tau1)
-    u2 = _trimmed_univariate(hv.tensors[1], basis, z, tau2)
+    u1 = hv.q_at(0, z).coeffs[:tau1 + 1]
+    u2 = hv.q_at(1, z).coeffs[:tau2 + 1]
     w = np.empty(n, dtype=complex)
     alpha = basis.table(n - 2).alpha
     if tau2 > 0:
@@ -145,17 +143,7 @@ def sylvester_root_eigvectors(hv, root, resultant=None, check=True):
         b1 = clenshaw_shifts(basis, u1, y)
         w[tau2:] = alpha[:tau1] * b1[:tau1]
     if check:
-        S0 = matpoly_eval(resultant.matrix_poly, z)
-        # At a multiple root S(z) may vanish entirely, so the scale is
-        # floored by the coefficient size of the construction itself.
-        scale = max(np.linalg.norm(S0, 2),
-                    resultant.matrix_poly.coeff_scale)
-        res_r = np.linalg.norm(S0 @ v) / np.linalg.norm(v)
-        res_l = np.linalg.norm(S0.T @ w) / np.linalg.norm(w)
-        if res_r > 1e-7 * scale or res_l > 1e-7 * scale:
-            raise StructureError(
-                f"structured null vector residuals {res_r:.3e}/{res_l:.3e} "
-                f"exceed 1e-7 * ||S|| = {1e-7 * scale:.3e}")
+        _check_null_vectors(resultant.matrix_poly, z, v, w)
     return v, w
 
 

@@ -9,14 +9,13 @@ import pytest
 
 from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
 from resultant_lab.cayley import (CayleyTensor, _cofactor_det, _grid_values,
-                                  cayley_coeffs, cayley_diagonal_value,
-                                  cayley_function_eval, cayley_resultant,
-                                  cayley_resultant_to_json,
+                                  cayley_coeffs, cayley_function_eval,
+                                  cayley_resultant, cayley_resultant_to_json,
                                   cayley_root_eigvectors, default_taus)
 from resultant_lab.matpoly import (StructureError, matpoly_eval,
                                    matpoly_from_json, polyeig)
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
-                                     hide_variable, jacobian, mp_eval)
+                                     eval_with_jacobian, hide_variable)
 from resultant_lab.rootfinder import (condition_at_root,
                                       family_orthogonal_quadratic,
                                       random_system_with_root)
@@ -344,12 +343,19 @@ def test_unfold_fold_and_strides(cheb):
 # Diagonal values
 # ----------------------------------------------------------------------
 
+def diagonal_value(hv, res, free, z):
+    """The function at s = t = free: the resultant at z contracted with
+    the structured vectors at free on both sides."""
+    v, w = cayley_root_eigvectors(hv, np.append(free, z), res, check=False)
+    return w @ matpoly_eval(res.matrix_poly, z) @ v
+
+
 def test_diagonal_value_is_off_diagonal_limit(cheb):
     sys_, _ = random_system_with_root(2, 3, 13, basis_name="chebyshev")
     hv = hide_variable(sys_)
     z = 0.21
     x1 = 0.4
-    want = cayley_diagonal_value(hv, [x1], z)
+    want = diagonal_value(hv, cayley_resultant(hv), [x1], z)
     eps = 1e-7
     near = cayley_function_eval(hv, [x1 + eps], [x1 - eps], z)
     assert abs(want - near) <= 1e-5 * (1 + abs(want))
@@ -360,11 +366,12 @@ def test_diagonal_derivative_equals_jacobian_det():
     for d, n, seed in ((2, 2, 14), (3, 2, 15)):
         sys_, root = random_system_with_root(d, n, seed)
         hv = hide_variable(sys_)
+        res = cayley_resultant(hv)
         free, z = root[:-1], complex(root[-1])
         h = 1e-6 * max(1.0, abs(z))
-        got = (cayley_diagonal_value(hv, free, z + h)
-               - cayley_diagonal_value(hv, free, z - h)) / (2.0 * h)
-        want = np.linalg.det(jacobian(sys_, root))
+        got = (diagonal_value(hv, res, free, z + h)
+               - diagonal_value(hv, res, free, z - h)) / (2.0 * h)
+        want = np.linalg.det(eval_with_jacobian(sys_, root)[1])
         assert abs(got - want) <= 1e-6 * (1 + abs(want))
 
 

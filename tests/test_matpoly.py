@@ -10,14 +10,33 @@ import scipy.linalg
 from resultant_lab import matpoly
 from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
                                  clenshaw_shifts)
-from resultant_lab.matpoly import (Eigenpair, EigenSolveError,
-                                   MatrixPolynomial, NotRegularError,
-                                   eig_condition, eigpair,
+from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
+                                   NotRegularError, StructureError,
+                                   _check_null_vectors,
                                    eigvecs_and_conditions, linearize,
                                    matpoly_deriv_eval, matpoly_eval,
                                    matpoly_from_json, matpoly_to_json,
                                    polyeig)
 from resultant_lab.rootfinder import _component_from_vector
+
+
+def eigpair(P, lam):
+    """Reference eigenpair at one lam: the right and plain-transpose left
+    singular vectors of the smallest singular value of P(lam), and that
+    value, from a direct SVD."""
+    U, s, Vh = np.linalg.svd(matpoly_eval(P, lam))
+    return np.conj(Vh[-1]), np.conj(U[:, -1]), s[-1]
+
+
+def eig_condition(P, lam, v, w):
+    """Reference kappa = ||v|| ||w|| / |w^T P'(lam) v|, inf below the
+    1e3 * eps * ||v|| ||w|| ||P'(lam)||_2 defectiveness cutoff."""
+    dP = matpoly_deriv_eval(P, lam)
+    denom = abs(w @ dP @ v)
+    scale = np.linalg.norm(v) * np.linalg.norm(w)
+    if denom <= 1e3 * np.finfo(float).eps * scale * np.linalg.norm(dP, 2):
+        return np.inf
+    return scale / denom
 
 
 def random_matpoly(rng, basis, degree, size, complex_entries=False):
@@ -234,15 +253,14 @@ def test_matrix_polyeig_residuals_and_count(builtin):
     lams, n_inf = polyeig(P)
     assert len(lams) + n_inf == 9
     scale = P.coeff_scale
-    for lam in lams:
-        p = eigpair(P, lam)
-        assert isinstance(p, Eigenpair) and p.lam == lam
-        assert abs(np.linalg.norm(p.right) - 1) <= 1e-12
-        assert abs(np.linalg.norm(p.left) - 1) <= 1e-12
-        assert p.residual <= 1e-9 * scale
-        M = matpoly_eval(P, p.lam)
-        assert abs(p.residual - np.linalg.norm(M @ p.right)) <= 1e-12 * scale
-        assert abs(p.residual - np.linalg.norm(p.left @ M)) <= 1e-12 * scale
+    right, left, residuals, _ = eigvecs_and_conditions(P, lams)
+    for lam, v, w, r in zip(lams, right, left, residuals):
+        assert abs(np.linalg.norm(v) - 1) <= 1e-12
+        assert abs(np.linalg.norm(w) - 1) <= 1e-12
+        assert r <= 1e-9 * scale
+        M = matpoly_eval(P, lam)
+        assert abs(r - np.linalg.norm(M @ v)) <= 1e-12 * scale
+        assert abs(r - np.linalg.norm(w @ M)) <= 1e-12 * scale
         # eigenvalues really kill the determinant
         s = np.linalg.svd(M, compute_uv=False)
         assert s[-1] <= 1e-9 * scale
@@ -309,9 +327,10 @@ def test_left_vectors_are_plain_transpose():
     b = DegreeGradedBasis.monomial()
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
     P = MatrixPolynomial(b, np.stack([-A, np.eye(2)]))
-    for lam in polyeig(P)[0]:
-        p = eigpair(P, lam)
-        assert np.linalg.norm(p.left @ matpoly_eval(P, p.lam)) <= 1e-12
+    lams = polyeig(P)[0]
+    left = eigvecs_and_conditions(P, lams)[1]
+    for lam, w in zip(lams, left):
+        assert np.linalg.norm(w @ matpoly_eval(P, lam)) <= 1e-12
 
 
 def test_eig_condition_simple_and_defective():
@@ -319,14 +338,12 @@ def test_eig_condition_simple_and_defective():
     # P(lam) = diag(lam - 1, lam + 2): simple eigenvalues, kappa = 1
     P = MatrixPolynomial(
         b, np.stack([np.diag([-1.0, 2.0]), np.eye(2)]))
-    for lam in polyeig(P)[0]:
-        assert eig_condition(P, eigpair(P, lam)) == pytest.approx(1.0,
-                                                                  rel=1e-10)
+    kappas = eigvecs_and_conditions(P, polyeig(P)[0])[3]
+    assert kappas == pytest.approx([1.0, 1.0], rel=1e-10)
     # Jordan block: defective eigenvalue reported as infinite
     J = np.array([[0.0, 1.0], [0.0, 0.0]])
     PJ = MatrixPolynomial(b, np.stack([-J, np.eye(2)]))
-    assert any(np.isinf(eig_condition(PJ, eigpair(PJ, lam)))
-               for lam in polyeig(PJ)[0])
+    assert np.any(np.isinf(eigvecs_and_conditions(PJ, polyeig(PJ)[0])[3]))
 
 
 @pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
@@ -338,12 +355,13 @@ def test_batched_eigvecs_match_eigpair(name):
     right, left, residuals, kappas = eigvecs_and_conditions(P, lams)
     assert right.shape == left.shape == (len(lams), 5)
     for k, lam in enumerate(lams):
-        pair = eigpair(P, lam)
+        v, w, residual = eigpair(P, lam)
         # unit vectors, equal up to a phase; residuals at roundoff level
-        assert abs(np.vdot(pair.right, right[k])) == pytest.approx(1, 1e-12)
-        assert abs(np.vdot(pair.left, left[k])) == pytest.approx(1, 1e-12)
-        assert abs(residuals[k] - pair.residual) <= 1e-13 * P.coeff_scale
-        assert kappas[k] == pytest.approx(eig_condition(P, pair), rel=1e-12)
+        assert abs(np.vdot(v, right[k])) == pytest.approx(1, 1e-12)
+        assert abs(np.vdot(w, left[k])) == pytest.approx(1, 1e-12)
+        assert abs(residuals[k] - residual) <= 1e-13 * P.coeff_scale
+        assert kappas[k] == pytest.approx(eig_condition(P, lam, v, w),
+                                          rel=1e-12)
 
 
 def test_batched_eigvecs_flag_defective_like_eig_condition():
@@ -356,10 +374,43 @@ def test_batched_eigvecs_flag_defective_like_eig_condition():
     lams = np.array([0.0, -2.0])
     kappas = eigvecs_and_conditions(P, lams)[3]
     assert kappas[0] == np.inf and np.isfinite(kappas[1])
-    want = [eig_condition(P, eigpair(P, lam)) for lam in lams]
+    want = [eig_condition(P, lam, *eigpair(P, lam)[:2]) for lam in lams]
     assert kappas[0] == want[0]
     assert kappas[1] == pytest.approx(want[1], rel=1e-12)
     assert eigvecs_and_conditions(P, lams[:0])[0].shape == (0, 3)
+
+
+# ----------------------------------------------------------------------
+# Structured null-vector check
+# ----------------------------------------------------------------------
+
+def test_null_vector_check_floors_scale_at_coeff_scale():
+    b = DegreeGradedBasis.monomial()
+    # P(lam) = (lam - 0.5) I + E with ||E|| = 1e-12: P(0.5) is tiny, and
+    # e_1 leaves a residual far above 1e-7 ||P(0.5)|| but at rounding
+    # level against the coefficients, so only the floor passes it
+    E = 1e-12 * np.array([[1.0, 0.5], [-0.3, 0.2]])
+    P = MatrixPolynomial(b, np.stack([-0.5 * np.eye(2) + E, np.eye(2)]))
+    e1 = np.array([1.0, 0.0])
+    assert np.linalg.norm(E @ e1) > 1e-7 * np.linalg.norm(E, 2)
+    _check_null_vectors(P, 0.5, e1, e1)
+    # away from the eigenvalue the residual exceeds both scales
+    with pytest.raises(StructureError, match="exceed 1e-7"):
+        _check_null_vectors(P, 0.3, e1, e1)
+
+
+def test_null_vector_check_skips_floor_when_norm_passes(monkeypatch):
+    b = DegreeGradedBasis.monomial()
+    P = MatrixPolynomial(b, np.stack([np.diag([-1.0, 2.0]), np.eye(2)]))
+
+    def forbidden(self):
+        raise AssertionError("coeff_scale computed")
+
+    monkeypatch.setattr(MatrixPolynomial, "coeff_scale", property(forbidden))
+    e1 = np.array([1.0, 0.0])
+    _check_null_vectors(P, 1.0, e1, e1)  # P(1) = diag(0, 3)
+    with pytest.raises(AssertionError, match="coeff_scale"):
+        _check_null_vectors(P, 0.5, e1, e1)
 
 
 # ----------------------------------------------------------------------
@@ -390,9 +441,8 @@ def test_polyeig_with_dense_gamma_basis():
     P = MatrixPolynomial(b, c)
     lams, n_inf = polyeig(P)
     assert len(lams) == 12 and n_inf == 0
-    for lam in lams:
-        assert np.isfinite(lam)
-        assert eigpair(P, lam).residual <= 1e-12
+    assert np.all(np.isfinite(lams))
+    assert np.all(eigvecs_and_conditions(P, lams)[2] <= 1e-12)
     for x in (0.3, -0.7 + 0.2j):
         got = _component_from_vector(basis_eval_all(b, 4, x), b)
         assert abs(got - x) <= 1e-13

@@ -15,8 +15,8 @@ from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    _effective_degree, eigvecs_and_conditions,
                                    linearize)
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
-                                     hide_variable, jacobian, mp_eval,
-                                     mp_interpolate)
+                                     eval_with_jacobian, hide_variable,
+                                     mp_eval, mp_interpolate)
 from resultant_lab.rootfinder import (RecoveryError, RootRecord, RootReport,
                                       SolveOptions, condition_at_root,
                                       condition_sweep,
@@ -97,7 +97,7 @@ def test_newton_growing_early_steps_still_converge(mono):
 
 def test_newton_stops_at_its_rounding_floor():
     # Two roots 1.3e-4 apart with kappa_root ~ 544: Newton steps stall at
-    # 1e-13..1e-12, above newton_tol, so only the floor rule stops them
+    # 1e-13..1e-12, above _NEWTON_TOL, so only the floor rule stops them
     sys_, _ = random_system_with_root(3, 3, [59, 32], "chebyshev")
     rep = solve_system(sys_)
     hard = [r for r in rep.roots if r.root_condition > 100]
@@ -111,10 +111,10 @@ def test_newton_stops_at_its_rounding_floor():
         assert np.max(np.abs(x - r.x)) <= 1e-12
 
 
-def batched_newton(sys_, x0, max_iter=20, tol=1e-14):
+def batched_newton(sys_, x0):
     x0 = np.asarray(x0, dtype=complex)
     F, J = multipoly.eval_with_jacobian(sys_, x0)
-    return rootfinder._newton(sys_, x0, F, J, max_iter, tol)
+    return rootfinder._newton(sys_, x0, F, J)
 
 
 def test_batched_newton_stops_only_the_singular_row(mono):
@@ -165,7 +165,7 @@ def test_recover_from_synthetic_cayley_vector(basis_name):
     cols = [basis_eval_all(basis, e - 1, root[k])
             for k, e in enumerate(res.col_extents)]
     vec = np.multiply.outer(cols[0], cols[1]).ravel()
-    comps, how = recover_components(res, vec, basis, "cayley")
+    comps, how = recover_components(res, vec, basis)
     assert how == "ratio"
     assert np.allclose(comps, root[:2], atol=1e-10)
 
@@ -182,18 +182,29 @@ def test_recover_rank1_fallback(mono):
     u0 = np.array([0.0, 1.0, x1, x1 ** 2], dtype=complex)
     u1 = np.array([1.0, x2], dtype=complex)
     vec = np.multiply.outer(u0, u1).ravel()
-    comps, how = recover_components(res, vec, mono, "cayley")
+    comps, how = recover_components(res, vec, mono)
     assert how == "rank1"
     assert np.allclose(comps, root[:2], atol=1e-9)
 
 
+def shifted_coordinates(basis):
+    """p_1 = x - 0.3, p_2 = y - 0.2: both resultants have size one."""
+    c1 = np.zeros((2, 1), dtype=complex)
+    c1[0, 0], c1[1, 0] = -0.3, 1.0
+    c2 = np.zeros((1, 2), dtype=complex)
+    c2[0, 0], c2[0, 1] = -0.2, 1.0
+    return PolynomialSystem((MultiPoly(basis, 2, c1),
+                             MultiPoly(basis, 2, c2)))
+
+
 def test_recover_raises_on_extent_one(mono):
     sys_, _ = family_linear(3, seed=4)
-    hv = hide_variable(sys_)
-    res = cayley_resultant(hv)
-    assert res.matrix_poly.size == 1
-    with pytest.raises(RecoveryError):
-        recover_components(res, np.ones(1), mono, "cayley")
+    cayley = cayley_resultant(hide_variable(sys_))
+    sylvester = sylvester_resultant(hide_variable(shifted_coordinates(mono)))
+    for res in (cayley, sylvester):
+        assert res.matrix_poly.size == 1
+        with pytest.raises(RecoveryError):
+            recover_components(res, np.ones(1), mono)
 
 
 def test_recover_sylvester_vector(mono):
@@ -201,8 +212,13 @@ def test_recover_sylvester_vector(mono):
     hv = hide_variable(sys_)
     res = sylvester_resultant(hv)
     vec = basis_eval_all(mono, res.size - 1, root[0])
-    comps, how = recover_components(res, vec, mono, "sylvester")
+    comps, how = recover_components(res, vec, mono)
     assert how == "ratio"
+    assert abs(comps[0] - root[0]) <= 1e-10
+    # a zero degree-0 slot sends the single axis to the rank-one fit
+    vec[0] = 0.0
+    comps, how = recover_components(res, vec, mono)
+    assert how == "rank1"
     assert abs(comps[0] - root[0]) <= 1e-10
 
 
@@ -320,8 +336,20 @@ def test_solve_wide_taus_on_linear_system_is_singular():
 
 
 def test_solve_rejects_unknown_method(mono):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="groebner"):
         solve_system(circle_line(mono), method="groebner")
+    with pytest.raises(ValueError, match="'qz'"):
+        solve_system(circle_line(mono), "qz")
+    with pytest.raises(ValueError, match="'qz'"):
+        condition_at_root(circle_line(mono), [0.5, 0.5], "qz")
+
+
+@pytest.mark.parametrize("method", ["cayley", "sylvester"])
+def test_solve_size_one_resultant_falls_back_to_grid(mono, method):
+    report = solve_system(shifted_coordinates(mono), method)
+    assert report.resultant_size == 1
+    assert_root_sets_match(report, [[0.3, 0.2]], tol=1e-12)
+    assert [r.recovery for r in report.accepted] == ["grid"]
 
 
 def test_hidden_index_override(mono):
@@ -340,8 +368,7 @@ def _forbid_loose_evaluation(monkeypatch):
         raise AssertionError("point evaluation outside eval_with_jacobian")
 
     for mod in (rootfinder, multipoly):
-        for name in ("mp_eval", "jacobian", "root_condition"):
-            monkeypatch.setattr(mod, name, forbidden, raising=False)
+        monkeypatch.setattr(mod, "mp_eval", forbidden)
     calls = []
 
     def counting_kernel(sys_, x):
@@ -440,7 +467,7 @@ def test_hard_inputs_keep_every_root_qz_accepts(monkeypatch, method,
             sys_ = family_coupled_quadratic(s, basis_name=basis_name)
             tol = np.sqrt(SolveOptions().tol_accept)
         hv = hide_variable(sys_, 1)
-        P = rootfinder._build_resultant(hv, method, None).matrix_poly
+        P = rootfinder._build_resultant(hv, method, None)[0].matrix_poly
         with monkeypatch.context() as m:
             m.setattr(rootfinder, "polyeig", qz_polyeig)
             ref = solve_system(sys_, method)
@@ -528,7 +555,7 @@ def test_family_orthogonal_quadratic_shape():
         origin = np.zeros(d)
         for p in sys_.polys:
             assert abs(mp_eval(p, origin)) <= 1e-14
-        J = jacobian(sys_, origin)
+        J = eval_with_jacobian(sys_, origin)[1]
         # sigma * orthogonal: J^T J = sigma^2 I
         assert np.allclose(J.T @ J, 0.09 * np.eye(d), atol=1e-12)
 
@@ -537,14 +564,14 @@ def test_family_orthogonal_quadratic_chebyshev():
     sys_ = family_orthogonal_quadratic(2, 0.4, basis_name="chebyshev")
     for p in sys_.polys:
         assert abs(mp_eval(p, [0.0, 0.0])) <= 1e-13
-    J = jacobian(sys_, [0.0, 0.0])
+    J = eval_with_jacobian(sys_, [0.0, 0.0])[1]
     assert np.allclose(J, 0.4 * np.eye(2), atol=1e-12)
 
 
 def test_family_rotated_quadratic():
     c = s = np.sqrt(0.5)
     sys_ = family_rotated_quadratic(0.2)
-    J = jacobian(sys_, [0.0, 0.0])
+    J = eval_with_jacobian(sys_, [0.0, 0.0])[1]
     assert np.allclose(J, 0.2 * np.array([[c, s], [-s, c]]), atol=1e-13)
 
 
