@@ -37,11 +37,11 @@ is w^T R(z) v for the structured vectors v, w at x.
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .basis import basis_eval_all
+from .basis import NODE_MEMO_SIZE, _node_values, basis_eval_all
 from .matpoly import MatrixPolynomial, _check_null_vectors, matpoly_to_json
 from .multipoly import _stacked, interpolate_on_nodes
 
@@ -150,13 +150,15 @@ def default_taus(hv):
     return tuple(k * n - 1 for k in range(1, d))
 
 
+@lru_cache(maxsize=NODE_MEMO_SIZE)
 def _axis_point_sets(domain, taus):
     """Disjoint per-axis node families for the s and t grids.
 
     s_k gets tau_k + 1 Chebyshev points of the second kind, t_k gets
     tau_{d-k} + 1 points of the first kind; if the families touch, the
     first-kind angles are rotated until they clear.  Disc domains use
-    boundary points with a half-step phase offset instead.
+    boundary points with a half-step phase offset instead.  Memoised on
+    (domain, taus): returns tuples of read-only arrays.
     """
     d = len(taus) + 1
     s_sets, t_sets = [], []
@@ -184,7 +186,9 @@ def _axis_point_sets(domain, taus):
                     2j * np.pi * (np.arange(b) + 1.0 / 3.0) / b)
         s_sets.append(np.asarray(s, dtype=complex))
         t_sets.append(np.asarray(t, dtype=complex))
-    return s_sets, t_sets
+    for x in s_sets + t_sets:
+        x.flags.writeable = False
+    return tuple(s_sets), tuple(t_sets)
 
 
 # ----------------------------------------------------------------------
@@ -243,11 +247,11 @@ def _grid_values(hv, s_sets, t_sets, hidden_nodes):
     """Function values on the tensor grid: hidden axis, s axes, t axes.
 
     The d hidden-axis-last tensors are stacked and contracted with one
-    basis-value matrix per node set: the hidden axis first, then, for
-    each Cayley row, every free variable with the s or t nodes that row
-    reads.  Each row's d entries come out together, shaped to broadcast
-    over the grid with extent one on the axes the row does not read,
-    and _cofactor_det combines them.
+    basis-value matrix per node set, read from the node memo: the hidden
+    axis first, then, for each Cayley row, every free variable with the
+    s or t nodes that row reads.  Each row's d entries come out
+    together, shaped to broadcast over the grid with extent one on the
+    axes the row does not read, and _cofactor_det combines them.
     """
     d = hv.dim
     nfree = d - 1
@@ -256,10 +260,10 @@ def _grid_values(hv, s_sets, t_sets, hidden_nodes):
     ext = T.shape[1:]
     # (d, hidden node, e_1, ..., e_{d-1})
     H = np.moveaxis(np.tensordot(
-        T, basis_eval_all(basis, ext[-1] - 1, hidden_nodes),
+        T, _node_values(basis, ext[-1] - 1, hidden_nodes),
         axes=([-1], [0])), -1, 1)
-    vs = [basis_eval_all(basis, ext[m] - 1, x) for m, x in enumerate(s_sets)]
-    vt = [basis_eval_all(basis, ext[m] - 1, x) for m, x in enumerate(t_sets)]
+    vs = [_node_values(basis, ext[m] - 1, x) for m, x in enumerate(s_sets)]
+    vt = [_node_values(basis, ext[m] - 1, x) for m, x in enumerate(t_sets)]
     rows = []
     for r in range(d):
         # row r reads t_m for m < r and s_m otherwise; contracting the s
@@ -304,7 +308,7 @@ def _sampled_coeffs(hv, taus, hidden_nodes):
     of its axes at once."""
     s_sets, t_sets = _axis_point_sets(hv.domain, taus)
     values = _grid_values(hv, s_sets, t_sets, hidden_nodes)
-    return interpolate_on_nodes(hv.basis, [hidden_nodes] + s_sets + t_sets,
+    return interpolate_on_nodes(hv.basis, [hidden_nodes, *s_sets, *t_sets],
                                 values)
 
 

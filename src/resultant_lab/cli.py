@@ -14,6 +14,7 @@ RESULTANT_LAB_LOG environment variable.
 """
 
 import argparse
+import cmath
 import json
 import logging
 import os
@@ -49,10 +50,16 @@ def _load_system(path):
 
 
 def _parse_numbers(text, what):
+    parts = [part.strip() for part in text.split(",") if part.strip()]
     try:
-        return [complex(part) for part in text.split(",") if part.strip()]
+        values = [complex(part) for part in parts]
     except ValueError as exc:
         raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
+    for i, (part, v) in enumerate(zip(parts, values)):
+        if not cmath.isfinite(v):
+            raise InputError(f"{what} {text!r}: component {i + 1} "
+                             f"({part}) is not finite")
+    return values
 
 
 def _parse_taus(text):

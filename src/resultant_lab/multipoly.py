@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (Domain, DegreeGradedBasis, basis_eval_all,
-                    basis_eval_deriv_all, basis_from_json, basis_to_json)
+from .basis import (Domain, DegreeGradedBasis, _node_inverse, _node_values,
+                    basis_eval_all, basis_eval_deriv_all, basis_from_json,
+                    basis_to_json)
 
 __all__ = [
     "MultiPoly",
@@ -177,13 +178,14 @@ def mp_eval_grid(p, nodes_list):
 
     Returns an array of shape (len(nodes_list[0]), ...); entry
     [j_1, ..., j_d] is p at (nodes_list[0][j_1], ..., nodes_list[d-1][j_d]).
+    The per-axis basis-value matrices come from the node memo.
     """
     if len(nodes_list) != p.dim:
         raise ValueError("need one node set per variable")
     t = p.coeffs
     for axis in range(p.dim):
-        nodes = np.asarray(nodes_list[axis], dtype=complex)
-        vand = basis_eval_all(p.basis, t.shape[axis] - 1, nodes)  # (deg+1, m)
+        vand = _node_values(p.basis, t.shape[axis] - 1,
+                            nodes_list[axis])  # (deg+1, m)
         tm = np.moveaxis(t, axis, -1) @ vand  # coefficient axis -> node axis
         t = np.moveaxis(tm, -1, axis)
     return t
@@ -197,7 +199,8 @@ def interpolate_on_nodes(basis, nodes_list, samples):
     len(nodes_list) are carried through unchanged, which interpolates a
     stack of functions (for instance matrix entries) at once.  Each axis
     is one tensordot with the inverse of its generalized Vandermonde
-    matrix.
+    matrix, read from the node memo: it is computed, and the nodes
+    checked for repeats, once per (basis, node set).
     """
     t = np.asarray(samples, dtype=complex)
     if t.ndim < len(nodes_list):
@@ -208,10 +211,7 @@ def interpolate_on_nodes(basis, nodes_list, samples):
         if len(nodes) != t.shape[axis]:
             raise ValueError(f"axis {axis}: {t.shape[axis]} samples but "
                              f"{len(nodes)} nodes")
-        if len(np.unique(nodes)) != len(nodes):
-            raise ValueError("interpolation nodes must be distinct")
-        vand = basis_eval_all(basis, len(nodes) - 1, nodes)  # [k, j]
-        inverses.append(np.linalg.inv(vand.T))
+        inverses.append(_node_inverse(basis, nodes))
     for vinv in inverses:
         # contracts the leading axis and appends its coefficient axis
         t = np.tensordot(t, vinv, axes=([0], [1]))

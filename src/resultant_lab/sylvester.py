@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_eval_all, clenshaw_shifts
+from .basis import _node_values, basis_eval_all, clenshaw_shifts
 from .matpoly import MatrixPolynomial, _check_null_vectors, matpoly_to_json
 from .multipoly import MultiPoly, interpolate_on_nodes, mp_eval_grid
 
@@ -90,7 +90,8 @@ def sylvester_resultant(hv):
     Row r of the matrix is the function phi_j(y) q_c(y, z).  It is
     sampled on N kept-variable nodes times one more hidden-variable node
     than the hidden degree, and interpolation over both node axes gives
-    its coefficients in phi_k(y) phi_m(z).
+    its coefficients in phi_k(y) phi_m(z).  The basis values at the kept
+    nodes come from the node memo.
     """
     taus = sylvester_degrees(hv)
     tau1, tau2 = taus
@@ -99,7 +100,7 @@ def sylvester_resultant(hv):
     hidden_degree = max(t.shape[-1] - 1 for t in hv.tensors)
     kept = hv.domain.nodes(n)
     hidden = hv.domain.nodes(hidden_degree + 1)
-    phis = basis_eval_all(basis, n - 1, kept).T  # (node, j)
+    phis = _node_values(basis, n - 1, kept).T  # (node, j)
     q1, q2 = (mp_eval_grid(MultiPoly(basis, 2, t), [kept, hidden])
               for t in hv.tensors)
     samples = np.concatenate([phis[:, None, :tau2] * q1[:, :, None],

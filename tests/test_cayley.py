@@ -7,8 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
-from resultant_lab.cayley import (CayleyTensor, _cofactor_det, _grid_values,
+from resultant_lab.basis import (DegreeGradedBasis, Domain, _node_memo,
+                                 basis_eval_all)
+from resultant_lab.cayley import (CayleyTensor, _axis_point_sets,
+                                  _cofactor_det, _grid_values,
                                   cayley_coeffs, cayley_function_eval,
                                   cayley_resultant, cayley_resultant_to_json,
                                   cayley_root_eigvectors, default_taus)
@@ -19,6 +21,7 @@ from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
 from resultant_lab.rootfinder import (condition_at_root,
                                       family_orthogonal_quadratic,
                                       random_system_with_root)
+from resultant_lab.sylvester import sylvester_resultant
 
 
 def naive_eval(p, x):
@@ -450,3 +453,59 @@ def test_resultant_json(mono):
     assert obj["unfolding"]["row_extents"] == [2]
     P = matpoly_from_json(obj)
     assert np.allclose(P.coeffs, res.matrix_poly.coeffs)
+
+
+# ----------------------------------------------------------------------
+# Node memo: cold and warm builds agree bit for bit
+# ----------------------------------------------------------------------
+
+def long_dense_gamma_basis(domain):
+    # every gamma_{k,j} nonzero, tables long enough for d = 3, n = 2
+    rng = np.random.default_rng(5)
+    m = 8
+    return DegreeGradedBasis.custom(
+        1.0 + 0.1 * rng.standard_normal(m), 0.1 * rng.standard_normal(m),
+        [0.1 * rng.standard_normal(k) for k in range(1, m)], domain=domain,
+        check_normalization=False)
+
+
+def _bits(*arrays):
+    return [(np.shape(a), np.asarray(a).tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("basis_name",
+                         ["monomial", "chebyshev", "legendre", "dense"])
+@pytest.mark.parametrize("kind", ["interval", "disc"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_memo_cold_and_warm_builds_are_bitwise_equal(d, kind, basis_name):
+    dom = (Domain.disc(0.2 + 0.1j, 1.5) if kind == "disc"
+           else Domain.interval(-1, 1))
+    basis = (long_dense_gamma_basis(dom) if basis_name == "dense"
+             else DegreeGradedBasis(basis_name, domain=dom))
+    sys_, root = random_system_with_root(d, 2, [d, 31], basis)
+    hv = hide_variable(sys_)
+    methods = ("cayley", "sylvester") if d == 2 else ("cayley",)
+
+    def build(cold):
+        # cold: every construction starts from empty memos
+        def run(fn, *args, **kw):
+            if cold:
+                _node_memo.cache_clear()
+                _axis_point_sets.cache_clear()
+            return fn(*args, **kw)
+
+        out = _bits(run(cayley_resultant, hv).matrix_poly.coeffs)
+        if d == 2:
+            out += _bits(run(sylvester_resultant, hv).matrix_poly.coeffs)
+        for method in methods:
+            rec = run(condition_at_root, sys_, root, method=method)
+            out += _bits(rec.eig_condition, rec.rayleigh, rec.jacobian_det,
+                         rec.root_condition)
+        return out
+
+    cold = build(True)
+    assert _node_memo.cache_info().currsize > 0
+    hits = _node_memo.cache_info().hits
+    assert build(False) == cold
+    assert _node_memo.cache_info().hits > hits
+

@@ -154,6 +154,27 @@ def test_exit_code_1_on_nan_coefficient(tmp_path, capsys):
     assert "non-finite coefficients at index (1, 0)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,component", [
+    (["condition", "--root", "0.3,nan"], "component 2 (nan)"),
+    (["condition", "--root", "0.3,inf"], "component 2 (inf)"),
+    (["condition", "--root", "nan,0.2", "--method", "sylvester"],
+     "component 1 (nan)"),
+    (["eval", "--point", "nan,0.1"], "component 1 (nan)"),
+])
+def test_exit_code_1_on_non_finite_components(system_file, capsys, argv,
+                                              component):
+    rc = main(argv[:1] + ["--system", system_file] + argv[1:])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{component} is not finite" in err
+
+
+def test_exit_code_1_on_non_finite_sigma(capsys):
+    rc = main(["condition", "--dim", "2", "--sigmas", "0.5,-inf"])
+    assert rc == 1
+    assert "component 2 (-inf) is not finite" in capsys.readouterr().err
+
+
 def test_exit_code_1_on_missing_file(capsys):
     rc = main(["solve", "--system", "/nonexistent/system.json"])
     assert rc == 1
