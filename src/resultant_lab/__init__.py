@@ -12,8 +12,7 @@ from .basis import (ClenshawTrace, DegreeGradedBasis, DegreeOverflowError,
                     basis_eval_deriv_all, basis_from_json, basis_to_json,
                     clenshaw_eval, clenshaw_shifts, derivative_eval,
                     divided_difference)
-from .cayley import (CayleyResultant, CayleyTensor, cayley_coeffs,
-                     cayley_function_eval, cayley_resultant,
+from .cayley import (CayleyResultant, cayley_resultant,
                      cayley_resultant_to_json, cayley_root_eigvectors,
                      default_taus)
 from .matpoly import (EigenSolveError, MatrixPolynomial, NotRegularError,
@@ -56,8 +55,7 @@ __all__ = [
     "polyeig", "eigvecs_and_conditions",
     "matpoly_to_json", "matpoly_from_json",
     # cayley
-    "CayleyTensor", "CayleyResultant", "default_taus", "cayley_function_eval",
-    "cayley_coeffs", "cayley_resultant",
+    "CayleyResultant", "default_taus", "cayley_resultant",
     "cayley_root_eigvectors", "cayley_resultant_to_json",
     # sylvester
     "SylvesterResultant", "sylvester_degrees", "sylvester_resultant",

@@ -1,4 +1,4 @@
-"""Cayley (Dixon/Bezout style) function, coefficient tensor and resultant.
+"""Cayley (Dixon/Bezout style) resultant.
 
 Given a square system with one variable hidden, form the d x d matrix
 whose row r holds the polynomials evaluated at the mixed argument
@@ -20,19 +20,17 @@ singular unfoldings.
 Coefficients are recovered by sampling on one tensor grid whose axes
 are the hidden variable, the s variables and the t variables, then
 applying the inverse of one generalized Vandermonde matrix per axis.
-Sampling is one contraction pass: the d coefficient tensors are stacked
-and contracted with one basis-value matrix per node set, hidden axis
-first, which gives each row of the mixed matrix at once.  Every entry
-keeps only the grid axes it depends on and broadcasts over the rest, so
-the determinant is a cofactor expansion over column subsets on those
-broadcast entries, with no d x d block per grid point.  The same path
-gives the function at one point (one node per axis), the tensor at a
-single hidden value (one hidden node, where that axis's interpolation
-is the identity) and the whole resultant (d n + 1 hidden nodes).  The
-s-grids and t-grids are drawn from interleaved point families chosen so
-that s_k never collides with t_k, which keeps the defining quotient
-evaluable everywhere on the grid; the value on the diagonal s = t = x
-is w^T R(z) v for the structured vectors v, w at x.
+Sampling is one contraction pass through multipoly._contract_leading:
+the d coefficient tensors are stacked and contracted with one
+basis-value matrix per node set, hidden axis first, which gives each
+row of the mixed matrix at once.  Every entry keeps only the grid axes
+it depends on and broadcasts over the rest, so the determinant is a
+cofactor expansion over column subsets on those broadcast entries,
+with no d x d block per grid point.  The s-grids and t-grids are drawn
+from interleaved point families chosen so that s_k never collides with
+t_k, which keeps the defining quotient evaluable everywhere on the
+grid; the value on the diagonal s = t = x is w^T R(z) v for the
+structured vectors v, w at x.
 """
 
 import itertools
@@ -43,41 +41,15 @@ import numpy as np
 
 from .basis import NODE_MEMO_SIZE, _node_values, basis_eval_all
 from .matpoly import MatrixPolynomial, _check_null_vectors, matpoly_to_json
-from .multipoly import _stacked, interpolate_on_nodes
+from .multipoly import _contract_leading, _stacked, interpolate_on_nodes
 
 __all__ = [
-    "CayleyTensor",
     "CayleyResultant",
     "default_taus",
-    "cayley_function_eval",
-    "cayley_coeffs",
     "cayley_resultant",
     "cayley_root_eigvectors",
     "cayley_resultant_to_json",
 ]
-
-
-@dataclass(frozen=True)
-class CayleyTensor:
-    """Tensor-product coefficients of the Cayley function at one value
-    of the hidden variable.
-
-    coeffs is indexed (i_1, ..., i_{d-1}, j_1, ..., j_{d-1}) where i_k
-    pairs with phi_{i_k}(s_k) (0 <= i_k <= tau_k) and j_k pairs with
-    phi_{j_k}(t_k) (0 <= j_k <= tau_{d-k})."""
-
-    basis: object
-    d: int
-    taus: tuple
-    coeffs: np.ndarray
-
-    @property
-    def row_extents(self):
-        return tuple(t + 1 for t in self.taus)
-
-    @property
-    def col_extents(self):
-        return tuple(t + 1 for t in reversed(self.taus))
 
 
 @dataclass(frozen=True)
@@ -192,33 +164,8 @@ def _axis_point_sets(domain, taus):
 
 
 # ----------------------------------------------------------------------
-# Function evaluation
+# Sampling
 # ----------------------------------------------------------------------
-
-def cayley_function_eval(hv, s, t, x_d):
-    """The defining determinant quotient at one off-diagonal point.
-
-    Parameters
-    ----------
-    hv : HiddenVariableForm
-    s, t : sequences of length d - 1
-        Auxiliary points; s_i must differ from t_i for every i.
-    x_d : complex
-        Value of the hidden variable.
-    """
-    d = hv.dim
-    if d < 2:
-        raise ValueError("the construction needs d >= 2")
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
-    if s.shape != (d - 1,) or t.shape != (d - 1,):
-        raise ValueError(f"s and t must have length {d - 1}")
-    if np.any(s == t):
-        raise ValueError("s_i = t_i hit the removable singularity")
-    values = _grid_values(hv, s[:, None], t[:, None],
-                          np.array([complex(x_d)]))
-    return complex(values.item())
-
 
 def _cofactor_det(rows):
     """Determinant of a d x d matrix whose entry (r, c) is rows[r][c].
@@ -246,105 +193,76 @@ def _cofactor_det(rows):
 def _grid_values(hv, s_sets, t_sets, hidden_nodes):
     """Function values on the tensor grid: hidden axis, s axes, t axes.
 
-    The d hidden-axis-last tensors are stacked and contracted with one
+    The d hidden-axis-last tensors are stacked, transposed once to
+    (hidden, free variables, polynomial) and contracted with one
     basis-value matrix per node set, read from the node memo: the hidden
     axis first, then, for each Cayley row, every free variable with the
-    s or t nodes that row reads.  Each row's d entries come out
-    together, shaped to broadcast over the grid with extent one on the
-    axes the row does not read, and _cofactor_det combines them.
+    s or t nodes that row reads, in one _contract_leading call on a
+    transposed view.  Each row's d entries come out together, shaped to
+    broadcast over the grid with extent one on the axes the row does not
+    read, and _cofactor_det combines them.
     """
     d = hv.dim
     nfree = d - 1
     basis = hv.basis
     T = _stacked(hv.tensors)  # (d, e_1, ..., e_{d-1}, e_hidden)
     ext = T.shape[1:]
-    # (d, hidden node, e_1, ..., e_{d-1})
-    H = np.moveaxis(np.tensordot(
-        T, _node_values(basis, ext[-1] - 1, hidden_nodes),
-        axes=([-1], [0])), -1, 1)
+    # (e_1, ..., e_{d-1}, d, hidden node)
+    H = _contract_leading(T.transpose(d, *range(1, d), 0),
+                          [_node_values(basis, ext[-1] - 1, hidden_nodes)])
     vs = [_node_values(basis, ext[m] - 1, x) for m, x in enumerate(s_sets)]
     vt = [_node_values(basis, ext[m] - 1, x) for m, x in enumerate(t_sets)]
     rows = []
     for r in range(d):
         # row r reads t_m for m < r and s_m otherwise; contracting the s
         # variables before the t ones leaves the node axes in grid order
-        X = H
-        for m in range(r, nfree):
-            X = np.tensordot(X, vs[m], axes=([2 + r], [0]))
-        for m in range(r):
-            X = np.tensordot(X, vt[m], axes=([2], [0]))
-        shape = [d, len(hidden_nodes)] + [1] * (2 * nfree)
-        for m in range(nfree):
-            axis = 2 + (nfree + m if m < r else m)
-            shape[axis] = len(t_sets[m] if m < r else s_sets[m])
-        rows.append(X.reshape(shape))
+        X = _contract_leading(
+            H.transpose(*range(r, nfree), *range(r), nfree, nfree + 1),
+            vs[r:] + vt[:r])
+        # extent one on the s axes m < r and the t axes m >= r
+        rows.append(np.expand_dims(X, (*range(2, 2 + r),
+                                       *range(2 + nfree + r, 2 + 2 * nfree))))
     F = _cofactor_det(rows)
     for m in range(nfree):
-        sshape = [1] * (2 * nfree + 1)
-        sshape[1 + m] = len(s_sets[m])
-        tshape = [1] * (2 * nfree + 1)
-        tshape[1 + nfree + m] = len(t_sets[m])
-        F /= np.reshape(s_sets[m], sshape) - np.reshape(t_sets[m], tshape)
+        # s_m - t_m on grid axes 1 + m and 1 + nfree + m
+        F /= (s_sets[m].reshape((-1,) + (1,) * (2 * nfree - 1 - m))
+              - t_sets[m].reshape((-1,) + (1,) * (nfree - 1 - m)))
     return F
 
 
 # ----------------------------------------------------------------------
-# Coefficient tensor and resultant matrix
+# Resultant matrix
 # ----------------------------------------------------------------------
-
-def _checked_taus(hv, taus):
-    d = hv.dim
-    if taus is None:
-        taus = default_taus(hv)
-    taus = tuple(int(t) for t in taus)
-    if len(taus) != d - 1 or any(t < 0 for t in taus):
-        raise ValueError(f"need {d - 1} nonnegative degree bounds")
-    return taus
-
-
-def _sampled_coeffs(hv, taus, hidden_nodes):
-    """Coefficients indexed (hidden axis, s axes, t axes): the function is
-    sampled on the hidden-node, s and t grid and interpolated along all
-    of its axes at once."""
-    s_sets, t_sets = _axis_point_sets(hv.domain, taus)
-    values = _grid_values(hv, s_sets, t_sets, hidden_nodes)
-    return interpolate_on_nodes(hv.basis, [hidden_nodes, *s_sets, *t_sets],
-                                values)
-
-
-def cayley_coeffs(hv, x_d, taus=None):
-    """Tensor-product coefficients of the function at hidden value x_d.
-
-    With a single hidden node the hidden-axis interpolation is the
-    identity (phi_0 = 1), so the samples at x_d pass through unchanged.
-    """
-    taus = _checked_taus(hv, taus)
-    coeffs = _sampled_coeffs(hv, taus, np.array([complex(x_d)]))[0]
-    return CayleyTensor(basis=hv.basis, d=hv.dim, taus=taus, coeffs=coeffs)
-
 
 def cayley_resultant(hv, taus=None):
     """Matrix polynomial in the hidden variable from entrywise interpolation.
 
     The function is sampled at d n + 1 domain nodes of the hidden
-    variable together with the s and t grids; the recovered coefficient
-    tensor is flattened row-group/column-group in C order, one matrix
-    per hidden-variable basis function.
+    variable together with the s and t grids and interpolated along all
+    of its axes at once; the recovered coefficient tensor is flattened
+    row-group/column-group in C order, one matrix per hidden-variable
+    basis function.
     """
-    taus = _checked_taus(hv, taus)
+    taus = default_taus(hv) if taus is None else tuple(int(t) for t in taus)
+    if len(taus) != hv.dim - 1 or any(t < 0 for t in taus):
+        raise ValueError(f"need {hv.dim - 1} nonnegative degree bounds")
     n = max(hv.max_degree, 1)
     nodes = hv.domain.nodes(hv.dim * n + 1)
+    s_sets, t_sets = _axis_point_sets(hv.domain, taus)
+    values = _grid_values(hv, s_sets, t_sets, nodes)
+    coeffs = interpolate_on_nodes(hv.basis, [nodes, *s_sets, *t_sets], values)
     size = int(np.prod([t + 1 for t in taus]))
-    coeffs = _sampled_coeffs(hv, taus, nodes).reshape(len(nodes), size, size)
-    return CayleyResultant(matrix_poly=MatrixPolynomial(hv.basis, coeffs),
-                           taus=taus)
+    return CayleyResultant(
+        matrix_poly=MatrixPolynomial(
+            hv.basis, coeffs.reshape(len(nodes), size, size)),
+        taus=taus)
 
 
 # ----------------------------------------------------------------------
 # Structured eigenvectors
 # ----------------------------------------------------------------------
 
-def cayley_root_eigvectors(hv, root, resultant=None, check=True):
+def cayley_root_eigvectors(hv, root, resultant, check=True):
     """Right/left eigenvectors of the resultant at a root of the system.
 
     The right vector flattens the tensor with entries
@@ -355,8 +273,6 @@ def cayley_root_eigvectors(hv, root, resultant=None, check=True):
     matrix norm (floored by the coefficient scale), which would mean the
     construction and the closed-form eigenvector disagree.
     """
-    if resultant is None:
-        resultant = cayley_resultant(hv)
     root = np.atleast_1d(np.asarray(root, dtype=complex))
     if root.shape != (hv.dim,):
         raise ValueError(f"root must have length {hv.dim}")

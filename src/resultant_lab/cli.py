@@ -124,10 +124,13 @@ def cmd_sylvester(args):
 def cmd_solve(args):
     system = _load_system(args.system)
     taus = _parse_taus(args.taus) if args.taus else None
-    opts = SolveOptions(hidden_index=args.hidden, taus=taus,
-                        tol_accept=args.tol_accept,
-                        domain_margin=args.margin,
-                        polish=not args.no_polish)
+    try:
+        opts = SolveOptions(hidden_index=args.hidden, taus=taus,
+                            tol_accept=args.tol_accept,
+                            domain_margin=args.margin,
+                            polish=not args.no_polish)
+    except ValueError as exc:
+        raise InputError(f"bad --tol-accept or --margin: {exc}") from exc
     report = solve_system(system, method=args.method, options=opts)
     if args.format == "csv":
         _write_out(report_to_csv(report), args.out)
@@ -170,7 +173,13 @@ def cmd_condition(args):
                "jacobian_det": [rec.jacobian_det.real, rec.jacobian_det.imag]}
         _write_out(json.dumps(obj, indent=2), args.out)
         return 0
-    sigmas = [s.real for s in _parse_numbers(args.sigmas, "sigmas")]
+    sigmas = _parse_numbers(args.sigmas, "sigmas")
+    for i, sigma in enumerate(sigmas):
+        if sigma.imag != 0.0 or not sigma.real > 0.0:
+            raise InputError(f"sigmas {args.sigmas!r}: component {i + 1} is "
+                             f"{_fmt_complex(sigma)}, not a positive real "
+                             "number")
+    sigmas = [sigma.real for sigma in sigmas]
     rows = condition_sweep(args.dim, sigmas, method=args.method,
                            seed=args.seed)
     _write_out(_condition_table(rows, args.method, args.dim), args.out)

@@ -10,6 +10,12 @@ from grid samples, splitting off one variable so the remaining ones see
 it as a coefficient parameter (the hidden-variable rewrite used by the
 resultant constructions), and the root condition number.
 
+Every multi-axis contraction of the construction layer (grid
+evaluation, interpolation, Cayley sampling, the example families'
+change of basis) is one kernel, ``_contract_leading``: one matrix per
+leading axis of a tensor (the mode-k product), one reshape and one
+matmul per axis.
+
 A square system and its Jacobian are evaluated together by
 ``eval_with_jacobian``, at one point or at a stack of points: the d
 coefficient tensors are stacked, and each axis a is contracted with the
@@ -173,6 +179,21 @@ def mp_eval(p, x):
     return complex(t)
 
 
+def _contract_leading(t, mats):
+    """Contract the leading axes of t with one matrix each.
+
+    mats[k] has shape (t.shape[k], m_k).  Each axis is one reshape and
+    one matmul: the leading axis is flattened against the rest and its
+    new axis goes last, so after len(mats) steps the axes of t that were
+    not contracted (the carried ones) come first, followed by m_0, ...,
+    m_{k-1} in order.
+    """
+    for m in mats:
+        rest = t.shape[1:]
+        t = (t.reshape(t.shape[0], -1).T @ m).reshape(rest + m.shape[1:])
+    return t
+
+
 def mp_eval_grid(p, nodes_list):
     """Evaluate p on the tensor grid nodes_list[0] x ... x nodes_list[d-1].
 
@@ -182,13 +203,9 @@ def mp_eval_grid(p, nodes_list):
     """
     if len(nodes_list) != p.dim:
         raise ValueError("need one node set per variable")
-    t = p.coeffs
-    for axis in range(p.dim):
-        vand = _node_values(p.basis, t.shape[axis] - 1,
-                            nodes_list[axis])  # (deg+1, m)
-        tm = np.moveaxis(t, axis, -1) @ vand  # coefficient axis -> node axis
-        t = np.moveaxis(tm, -1, axis)
-    return t
+    return _contract_leading(p.coeffs, [
+        _node_values(p.basis, e - 1, nodes)
+        for e, nodes in zip(p.coeffs.shape, nodes_list)])
 
 
 def interpolate_on_nodes(basis, nodes_list, samples):
@@ -198,7 +215,7 @@ def interpolate_on_nodes(basis, nodes_list, samples):
     degree along that axis is len(nodes_list[k]) - 1.  Axes beyond
     len(nodes_list) are carried through unchanged, which interpolates a
     stack of functions (for instance matrix entries) at once.  Each axis
-    is one tensordot with the inverse of its generalized Vandermonde
+    is contracted with the inverse of its generalized Vandermonde
     matrix, read from the node memo: it is computed, and the nodes
     checked for repeats, once per (basis, node set).
     """
@@ -211,10 +228,8 @@ def interpolate_on_nodes(basis, nodes_list, samples):
         if len(nodes) != t.shape[axis]:
             raise ValueError(f"axis {axis}: {t.shape[axis]} samples but "
                              f"{len(nodes)} nodes")
-        inverses.append(_node_inverse(basis, nodes))
-    for vinv in inverses:
-        # contracts the leading axis and appends its coefficient axis
-        t = np.tensordot(t, vinv, axes=([0], [1]))
+        inverses.append(_node_inverse(basis, nodes).T)
+    t = _contract_leading(t, inverses)
     carried = t.ndim - len(nodes_list)
     return np.moveaxis(t, range(carried), range(-carried, 0))
 

@@ -39,9 +39,9 @@ import numpy as np
 from .basis import DegreeGradedBasis, basis_from_json
 from .cayley import cayley_resultant, cayley_root_eigvectors
 from .matpoly import eigvecs_and_conditions, matpoly_deriv_eval, polyeig
-from .multipoly import (MultiPoly, PolynomialSystem, _root_conditions,
-                        eval_with_jacobian, hide_variable,
-                        interpolate_on_nodes, mp_eval)
+from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
+                        _root_conditions, eval_with_jacobian, hide_variable,
+                        mp_eval)
 from .sylvester import sylvester_resultant, sylvester_root_eigvectors
 
 __all__ = [
@@ -80,6 +80,15 @@ class SolveOptions:
     domain_margin: float = 1e-6   # inflation when filtering eigenvalues
     tol_accept: float = 1e-7      # residual / coefficient-scale threshold
     polish: bool = True
+
+    def __post_init__(self):
+        # chained comparisons are false for NaN, so NaN fails both checks
+        if not 0.0 < self.tol_accept < np.inf:
+            raise ValueError("tol_accept must be finite and positive, got "
+                             f"{self.tol_accept}")
+        if not 0.0 <= self.domain_margin < np.inf:
+            raise ValueError("domain_margin must be finite and nonnegative, "
+                             f"got {self.domain_margin}")
 
 
 @dataclass(frozen=True)
@@ -474,13 +483,33 @@ def _basis_by_name(basis_name):
     return basis_from_json(basis_name)
 
 
-def _poly_from_callable(basis, dim, degrees, fn):
-    """Interpolate a black-box polynomial of known per-axis degrees."""
-    nodes_list = [basis.domain.nodes(n + 1) for n in degrees]
-    grids = np.meshgrid(*nodes_list, indexing="ij")
-    vals = np.asarray(fn(*grids), dtype=complex)
-    coeffs = interpolate_on_nodes(basis, nodes_list, vals)
-    return MultiPoly(basis, dim, coeffs)
+def _powers_in_basis(basis, n):
+    """(n + 1, n + 1) matrix whose row k holds the coefficients of x**k
+    in phi_0, ..., phi_n, lower triangular.
+
+    Built row by row from x * phi_j = (phi_{j+1} - beta_j phi_j
+    - sum_i gamma_{j,i} phi_{i-1}) / alpha_j; for monomials it is the
+    identity.
+    """
+    tab = basis.table(n - 1)
+    M = np.zeros((n + 1, n + 1), dtype=complex)
+    M[0, 0] = 1.0
+    for k in range(n):
+        for j in range(k + 1):
+            c = M[k, j] / tab.alpha[j]
+            M[k + 1, j + 1] += c
+            M[k + 1, j] -= c * tab.beta[j]
+            for i, g in tab.rows[j]:
+                M[k + 1, i - 1] -= c * g
+    return M
+
+
+def _from_monomials(basis, coeffs):
+    """The polynomial with monomial coefficient tensor coeffs, rewritten
+    in basis: one triangular change of basis per axis, so a coefficient
+    that no monomial term reaches stays exactly zero."""
+    return MultiPoly(basis, coeffs.ndim, _contract_leading(
+        coeffs, [_powers_in_basis(basis, e - 1) for e in coeffs.shape]))
 
 
 def family_orthogonal_quadratic(d, sigma, seed=None, Q=None,
@@ -490,7 +519,8 @@ def family_orthogonal_quadratic(d, sigma, seed=None, Q=None,
     The origin is a root with Jacobian sigma * Q, so the root condition
     is 1/sigma and the resultant eigenvalue condition grows like
     sigma**-d.  Q defaults to the identity; a seed draws a Haar-random
-    orthogonal matrix instead.
+    orthogonal matrix instead.  Other bases get the same polynomials by
+    an exact change of basis from the monomial coefficients.
     """
     basis = _basis_by_name(basis_name)
     if Q is None:
@@ -503,19 +533,13 @@ def family_orthogonal_quadratic(d, sigma, seed=None, Q=None,
     Q = np.asarray(Q, dtype=float)
     polys = []
     for i in range(d):
-        degrees = tuple(2 if a == i else 1 for a in range(d))
-        if basis.name == "monomial":
-            coeffs = np.zeros(tuple(n + 1 for n in degrees), dtype=complex)
-            coeffs[tuple(2 if a == i else 0 for a in range(d))] = 1.0
-            for j in range(d):
-                idx = tuple(1 if a == j else 0 for a in range(d))
-                coeffs[idx] += sigma * Q[i, j]
-            polys.append(MultiPoly(basis, d, coeffs))
-        else:
-            def fn(*xs, i=i):
-                return xs[i] ** 2 + sigma * sum(
-                    Q[i, j] * xs[j] for j in range(d))
-            polys.append(_poly_from_callable(basis, d, degrees, fn))
+        coeffs = np.zeros(tuple(3 if a == i else 2 for a in range(d)),
+                          dtype=complex)
+        coeffs[tuple(2 if a == i else 0 for a in range(d))] = 1.0
+        for j in range(d):
+            idx = tuple(1 if a == j else 0 for a in range(d))
+            coeffs[idx] += sigma * Q[i, j]
+        polys.append(_from_monomials(basis, coeffs))
     return PolynomialSystem(polys=tuple(polys))
 
 
@@ -533,8 +557,11 @@ def family_rotated_quadratic(sigma, c=np.sqrt(0.5), s=np.sqrt(0.5),
 def family_linear(d, seed, cond_max=100.0, basis_name="monomial"):
     """Random linear system A x = b with a known root in [-0.9, 0.9]^d.
 
-    A is redrawn until its condition number is at most cond_max.
-    Returns (system, root).
+    A is redrawn until its condition number is at most cond_max.  Other
+    bases get the same polynomials by an exact change of basis from the
+    monomial coefficients, so every coefficient of total degree two or
+    more stays exactly zero and the Cayley degree bounds collapse as
+    Cramer's rule says.  Returns (system, root).
     """
     basis = _basis_by_name(basis_name)
     rng = np.random.default_rng(seed)
@@ -546,17 +573,11 @@ def family_linear(d, seed, cond_max=100.0, basis_name="monomial"):
     b = A @ root
     polys = []
     for i in range(d):
-        degrees = (1,) * d
-        if basis.name == "monomial":
-            coeffs = np.zeros((2,) * d, dtype=complex)
-            coeffs[(0,) * d] = -b[i]
-            for j in range(d):
-                coeffs[tuple(1 if a == j else 0 for a in range(d))] = A[i, j]
-            polys.append(MultiPoly(basis, d, coeffs))
-        else:
-            def fn(*xs, i=i):
-                return sum(A[i, j] * xs[j] for j in range(d)) - b[i]
-            polys.append(_poly_from_callable(basis, d, degrees, fn))
+        coeffs = np.zeros((2,) * d, dtype=complex)
+        coeffs[(0,) * d] = -b[i]
+        for j in range(d):
+            coeffs[tuple(1 if a == j else 0 for a in range(d))] = A[i, j]
+        polys.append(_from_monomials(basis, coeffs))
     return PolynomialSystem(polys=tuple(polys)), root.astype(complex)
 
 
@@ -570,26 +591,17 @@ def family_coupled_quadratic(u, basis_name="monomial"):
     each up to about sqrt(tol_accept) from the origin.  As u -> 0 the
     Cayley function degenerates toward (s_1 + t_1) * x_2^2, making the
     eigenvalue at the origin increasingly ill conditioned as well.
+    Other bases get the same polynomials by an exact change of basis
+    from the monomial coefficients.
     """
     basis = _basis_by_name(basis_name)
     c = np.sqrt(0.5)
-    if basis.name == "monomial":
-        c1 = np.zeros((3, 2), dtype=complex)
-        c1[2, 0] = 1.0
-        c1[1, 0] = u * c
-        c1[0, 1] = u * c
-        c2 = np.zeros((2, 3), dtype=complex)
-        c2[0, 2] = 1.0
-        c2[1, 0] = u * c
-        c2[0, 1] = u * c
-        polys = (MultiPoly(basis, 2, c1), MultiPoly(basis, 2, c2))
-    else:
-        polys = (
-            _poly_from_callable(basis, 2, (2, 1),
-                                lambda x, y: x * x + u * c * (x + y)),
-            _poly_from_callable(basis, 2, (1, 2),
-                                lambda x, y: y * y + u * c * (x + y)))
-    return PolynomialSystem(polys=polys)
+    c1 = np.zeros((3, 2), dtype=complex)
+    c1[2, 0] = 1.0
+    c1[1, 0] = c1[0, 1] = u * c
+    # p_2(x_1, x_2) = p_1(x_2, x_1)
+    return PolynomialSystem(polys=(_from_monomials(basis, c1),
+                                   _from_monomials(basis, c1.T)))
 
 
 def random_system_with_root(d, degree, seed, basis_name="monomial"):

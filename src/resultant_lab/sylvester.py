@@ -111,7 +111,7 @@ def sylvester_resultant(hv):
                               tau1=tau1, tau2=tau2)
 
 
-def sylvester_root_eigvectors(hv, root, resultant=None, check=True):
+def sylvester_root_eigvectors(hv, root, resultant, check=True):
     """Right/left null vectors of the matrix at a root of the system.
 
     The right vector is (phi_0(y), ..., phi_{N-1}(y)) at the kept
@@ -122,8 +122,6 @@ def sylvester_root_eigvectors(hv, root, resultant=None, check=True):
     Raises StructureError when either residual exceeds 1e-7 times the
     matrix norm (floored by the coefficient scale).
     """
-    if resultant is None:
-        resultant = sylvester_resultant(hv)
     root = np.atleast_1d(np.asarray(root, dtype=complex))
     if root.shape != (2,):
         raise ValueError("root must have length 2")

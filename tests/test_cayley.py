@@ -9,10 +9,9 @@ import pytest
 
 from resultant_lab.basis import (DegreeGradedBasis, Domain, _node_memo,
                                  basis_eval_all)
-from resultant_lab.cayley import (CayleyTensor, _axis_point_sets,
-                                  _cofactor_det, _grid_values,
-                                  cayley_coeffs, cayley_function_eval,
-                                  cayley_resultant, cayley_resultant_to_json,
+from resultant_lab.cayley import (_axis_point_sets, _cofactor_det,
+                                  _grid_values, cayley_resultant,
+                                  cayley_resultant_to_json,
                                   cayley_root_eigvectors, default_taus)
 from resultant_lab.matpoly import (StructureError, matpoly_eval,
                                    matpoly_from_json, polyeig)
@@ -89,6 +88,13 @@ def contract(tensor, basis, taus, s, t):
     return complex(T)
 
 
+def tensor_at(res, z):
+    """The function's coefficient tensor at hidden value z, indexed
+    (s axes, t axes): the resultant at z, folded back."""
+    return matpoly_eval(res.matrix_poly, z).reshape(res.row_extents
+                                                    + res.col_extents)
+
+
 def circle_line(basis):
     c1 = np.zeros((3, 3), dtype=complex)
     c1[0, 0], c1[2, 0], c1[0, 2] = -0.5, 1.0, 1.0
@@ -116,22 +122,15 @@ def cheb():
 def test_function_matches_det_oracle(d, n, seed):
     sys_, _ = random_system_with_root(d, n, seed, basis_name="chebyshev")
     hv = hide_variable(sys_)
+    res = cayley_resultant(hv)
     rng = np.random.default_rng(seed + 100)
     for _ in range(5):
         s = rng.uniform(-1, 1, d - 1)
         t = rng.uniform(-1, 1, d - 1)
         z = rng.uniform(-1, 1)
         want = function_oracle(hv, s, t, z)
-        got = cayley_function_eval(hv, s, t, z)
+        got = contract(tensor_at(res, z), hv.basis, res.taus, s, t)
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
-
-
-def test_function_rejects_diagonal(mono):
-    hv = hide_variable(circle_line(mono))
-    with pytest.raises(ValueError):
-        cayley_function_eval(hv, [0.3], [0.3], 0.1)
-    with pytest.raises(ValueError):
-        cayley_function_eval(hv, [0.3, 0.4], [0.1], 0.1)
 
 
 def dense_gamma_basis(domain=None):
@@ -235,12 +234,12 @@ def test_taus_override_padding_is_zero(mono):
     from resultant_lab.rootfinder import family_linear
     sys_, _ = family_linear(3, seed=9)
     hv = hide_variable(sys_)
-    A = cayley_coeffs(hv, 0.3, taus=(1, 1))
-    assert A.coeffs.shape == (2, 2, 2, 2)
-    mask = np.zeros_like(A.coeffs, dtype=bool)
+    A = tensor_at(cayley_resultant(hv, taus=(1, 1)), 0.3)
+    assert A.shape == (2, 2, 2, 2)
+    mask = np.zeros_like(A, dtype=bool)
     mask[0, 0, 0, 0] = True
-    top = np.max(np.abs(A.coeffs))
-    assert np.all(np.abs(A.coeffs[~mask]) <= 1e-10 * top)
+    top = np.max(np.abs(A))
+    assert np.all(np.abs(A[~mask]) <= 1e-10 * top)
 
 
 def test_constant_system_rejected(mono):
@@ -261,13 +260,14 @@ def test_coeffs_reproduce_off_grid_values(d, n, seed, basis_name):
     sys_, _ = random_system_with_root(d, n, seed, basis_name=basis_name)
     hv = hide_variable(sys_)
     z = 0.213
-    A = cayley_coeffs(hv, z)
+    res = cayley_resultant(hv)
+    A = tensor_at(res, z)
     rng = np.random.default_rng(seed + 50)
     for _ in range(4):
         s = rng.uniform(-1, 1, d - 1)
         t = rng.uniform(-1, 1, d - 1)
         want = function_oracle(hv, s, t, z)
-        got = contract(A.coeffs, hv.basis, A.taus, s, t)
+        got = contract(A, hv.basis, res.taus, s, t)
         assert abs(got - want) <= 1e-8 * (1 + abs(want))
 
 
@@ -280,23 +280,23 @@ def test_coeffs_match_bezout_oracle_d2(mono):
                                  MultiPoly(mono, 2, c2)))
         hv = hide_variable(sys_)
         z = rng.uniform(-1, 1)
-        A = cayley_coeffs(hv, z)
+        A = tensor_at(cayley_resultant(hv), z)
         q1 = hv.tensors[0] @ basis_eval_all(mono, 3, complex(z))
         q2 = hv.tensors[1] @ basis_eval_all(mono, 3, complex(z))
         B = bezout_matrix(q1, q2)
-        assert A.coeffs.shape == B.shape == (3, 3)
-        assert np.allclose(A.coeffs, B, atol=1e-9 * (1 + np.max(np.abs(B))))
+        assert A.shape == B.shape == (3, 3)
+        assert np.allclose(A, B, atol=1e-9 * (1 + np.max(np.abs(B))))
 
 
 def test_tensor_extents(cheb):
     sys_, _ = random_system_with_root(3, 2, 7, basis_name="chebyshev")
     hv = hide_variable(sys_)
-    A = cayley_coeffs(hv, 0.0)
-    assert isinstance(A, CayleyTensor)
-    assert A.taus == (1, 3)
-    assert A.row_extents == (2, 4)
-    assert A.col_extents == (4, 2)
-    assert A.coeffs.shape == (2, 4, 4, 2)
+    res = cayley_resultant(hv)
+    assert res.taus == (1, 3)
+    assert res.row_extents == (2, 4)
+    assert res.col_extents == (4, 2)
+    assert res.matrix_poly.size == 8
+    assert tensor_at(res, 0.0).shape == (2, 4, 4, 2)
 
 
 # ----------------------------------------------------------------------
@@ -307,12 +307,15 @@ def test_resultant_interpolation_consistent(cheb):
     sys_, _ = random_system_with_root(3, 2, 8, basis_name="chebyshev")
     hv = hide_variable(sys_)
     res = cayley_resultant(hv)
+    rng = np.random.default_rng(8)
     for z in (0.111, -0.632):
-        direct = cayley_coeffs(hv, z).coeffs.reshape(res.matrix_poly.size,
-                                                     res.matrix_poly.size)
-        via_poly = matpoly_eval(res.matrix_poly, z)
-        assert np.allclose(via_poly, direct,
-                           atol=1e-8 * (1 + np.max(np.abs(direct))))
+        A = tensor_at(res, z)
+        for _ in range(3):
+            s = rng.uniform(-1, 1, 2)
+            t = rng.uniform(-1, 1, 2)
+            want = function_oracle(hv, s, t, z)
+            got = contract(A, hv.basis, res.taus, s, t)
+            assert abs(got - want) <= 1e-8 * (1 + abs(want))
 
 
 def test_resultant_eigenvalues_contain_hidden_components(mono):
@@ -360,7 +363,7 @@ def test_diagonal_value_is_off_diagonal_limit(cheb):
     x1 = 0.4
     want = diagonal_value(hv, cayley_resultant(hv), [x1], z)
     eps = 1e-7
-    near = cayley_function_eval(hv, [x1 + eps], [x1 - eps], z)
+    near = function_oracle(hv, [x1 + eps], [x1 - eps], z)
     assert abs(want - near) <= 1e-5 * (1 + abs(want))
 
 
@@ -437,11 +440,11 @@ def test_disc_domain_coefficients():
                              MultiPoly(basis, 2, c2)))
     hv = hide_variable(sys_)
     z = 0.3 + 0.2j
-    A = cayley_coeffs(hv, z)
+    res = cayley_resultant(hv)
     s = np.array([0.25 - 0.4j])
     t = np.array([-0.6 + 0.1j])
     want = function_oracle(hv, s, t, z)
-    got = contract(A.coeffs, basis, A.taus, s, t)
+    got = contract(tensor_at(res, z), basis, res.taus, s, t)
     assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
 

@@ -175,6 +175,29 @@ def test_exit_code_1_on_non_finite_sigma(capsys):
     assert "component 2 (-inf) is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim,sigmas,component", [
+    (2, "0", "component 1 is 0.0"), (3, "-0.5", "component 1 is -0.5"),
+    (2, "0.5,0", "component 2 is 0.0"),
+    (2, "0.3+2j", "component 1 is (0.3+2j)")])
+def test_exit_code_1_on_non_positive_sigma(capsys, dim, sigmas, component):
+    rc = main(["condition", "--dim", str(dim), "--sigmas", sigmas])
+    assert rc == 1
+    assert (f"{component}, not a positive real number"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--tol-accept", "nan", "tol_accept"),
+    ("--tol-accept", "-1", "tol_accept"),
+    ("--margin", "nan", "domain_margin"), ("--margin", "-1", "domain_margin"),
+    ("--margin", "inf", "domain_margin")])
+def test_exit_code_1_on_bad_tolerance_or_margin(system_file, capsys, flag,
+                                                value, field):
+    rc = main(["solve", "--system", system_file, flag, value])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+
+
 def test_exit_code_1_on_missing_file(capsys):
     rc = main(["solve", "--system", "/nonexistent/system.json"])
     assert rc == 1

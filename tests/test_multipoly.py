@@ -10,7 +10,8 @@ import pytest
 from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
                                  derivative_eval)
 from resultant_lab.multipoly import (HiddenVariableForm, MultiPoly,
-                                     PolynomialSystem, _root_conditions,
+                                     PolynomialSystem, _contract_leading,
+                                     _root_conditions,
                                      eval_with_jacobian, hide_variable,
                                      interpolate_on_nodes, mp_eval,
                                      mp_eval_grid, mp_interpolate,
@@ -71,6 +72,30 @@ def test_eval_grid_matches_pointwise(cheb):
     for i, j, k in itertools.product(range(2), range(4), range(3)):
         want = mp_eval(p, [nodes[0][i], nodes[1][j], nodes[2][k]])
         assert abs(grid[i, j, k] - want) <= 1e-11 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("shape,extents,axes", [
+    ((3, 4), (2, 5), None),                 # every axis contracted
+    ((3, 1, 4, 2, 5), (2, 3, 1), None),     # extent one, carried axes
+    ((4, 3, 2), (3, 2), (2, 0, 1)),         # transposed view
+    ((2, 5, 3, 4), (1, 2), (3, 1, 0, 2)),   # transposed, carried axes
+])
+def test_contract_leading_matches_einsum(shape, extents, axes):
+    rng = np.random.default_rng(sum(shape))
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if axes is not None:
+        t = t.transpose(axes)
+        assert not t.flags.c_contiguous
+    mats = [rng.standard_normal((e, m)) + 1j * rng.standard_normal((e, m))
+            for e, m in zip(t.shape, extents)]
+    k = len(mats)
+    operands = [t, list(range(t.ndim))]
+    for a, m in enumerate(mats):
+        operands += [m, [a, t.ndim + a]]
+    want = np.einsum(*operands, list(range(k, t.ndim + k)))
+    got = _contract_leading(t, mats)
+    assert got.shape == t.shape[k:] + tuple(extents)
+    assert np.allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_eval_input_validation(mono):

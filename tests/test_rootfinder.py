@@ -9,8 +9,8 @@ import pytest
 import scipy.linalg
 
 from resultant_lab import multipoly, rootfinder
-from resultant_lab.basis import DegreeGradedBasis, basis_eval_all
-from resultant_lab.cayley import cayley_resultant
+from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
+from resultant_lab.cayley import cayley_resultant, default_taus
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    _effective_degree, eigvecs_and_conditions,
                                    linearize)
@@ -335,6 +335,19 @@ def test_solve_wide_taus_on_linear_system_is_singular():
         solve_system(sys_, options=SolveOptions(taus=(1, 1)))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tol_accept", np.nan), ("tol_accept", -1.0), ("tol_accept", 0.0),
+    ("tol_accept", np.inf), ("domain_margin", np.nan),
+    ("domain_margin", -1.0), ("domain_margin", np.inf)])
+def test_solve_options_reject_bad_tolerance_and_margin(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolveOptions(**{field: value})
+
+
+def test_solve_options_accept_zero_margin():
+    assert SolveOptions(domain_margin=0.0).domain_margin == 0.0
+
+
 def test_solve_rejects_unknown_method(mono):
     with pytest.raises(ValueError, match="groebner"):
         solve_system(circle_line(mono), method="groebner")
@@ -580,6 +593,39 @@ def test_family_linear_root():
     for p in sys_.polys:
         assert abs(mp_eval(p, root)) <= 1e-12
     assert np.all(np.abs(root) <= 0.9)
+
+
+@pytest.mark.parametrize("basis_name", ["monomial", "chebyshev", "legendre"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_family_linear_collapses_to_cramer_in_every_basis(d, basis_name):
+    # the exact basis change keeps every coefficient of total degree two
+    # or more at zero, so the degree bounds collapse in every basis
+    for seed in range(20):
+        sys_, root = family_linear(d, seed, basis_name=basis_name)
+        assert default_taus(hide_variable(sys_)) == (0,) * (d - 1)
+        accepted = solve_system(sys_).accepted
+        assert len(accepted) == 1
+        assert np.max(np.abs(accepted[0].x - root)) <= 1e-12
+
+
+@pytest.mark.parametrize("basis", [
+    DegreeGradedBasis.chebyshev(), DegreeGradedBasis.legendre(),
+    DegreeGradedBasis.custom(
+        [1.0, 0.9, 1.1, 0.8], [0.1, -0.2, 0.05, 0.0],
+        [[0.3], [0.2, -0.1], [0.1, 0.05, -0.2]],
+        domain=Domain.interval(-2, 1), check_normalization=False)])
+def test_change_from_monomials_keeps_values_and_zeros(basis):
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    coeffs[2:, 1:] = 0.0  # no monomial reaches these slots
+    mono = MultiPoly(DegreeGradedBasis.monomial(), 2, coeffs)
+    p = rootfinder._from_monomials(basis, coeffs)
+    assert p.basis == basis
+    assert np.all(p.coeffs[2:, 1:] == 0.0)
+    for _ in range(5):
+        x = rng.uniform(-1, 1, 2)
+        want = mp_eval(mono, x)
+        assert abs(mp_eval(p, x) - want) <= 1e-13 * (1 + abs(want))
 
 
 def test_family_coupled_quadratic_root():
