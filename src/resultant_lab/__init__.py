@@ -16,7 +16,7 @@ from .cayley import (CayleyResultant, cayley_resultant,
                      cayley_resultant_to_json, cayley_root_eigvectors,
                      default_taus)
 from .matpoly import (EigenSolveError, MatrixPolynomial, NotRegularError,
-                      StructureError, eigvecs_and_conditions, linearize,
+                      StructureError, eigvecs_and_conditions,
                       matpoly_deriv_eval, matpoly_eval, matpoly_from_json,
                       matpoly_to_json, polyeig)
 from .multipoly import (HiddenVariableForm, MultiPoly, PolynomialSystem,
@@ -51,7 +51,7 @@ __all__ = [
     "system_to_json", "system_from_json",
     # matpoly
     "MatrixPolynomial", "EigenSolveError", "NotRegularError",
-    "StructureError", "matpoly_eval", "matpoly_deriv_eval", "linearize",
+    "StructureError", "matpoly_eval", "matpoly_deriv_eval",
     "polyeig", "eigvecs_and_conditions",
     "matpoly_to_json", "matpoly_from_json",
     # cayley

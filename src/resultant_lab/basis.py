@@ -112,12 +112,14 @@ class Domain:
         return cls("disc", center=center, radius=radius)
 
     def contains(self, z, margin=0.0):
-        """Whether z lies in the region, inflated by margin."""
-        z = complex(z)
+        """Whether each point of z lies in the region, inflated by
+        margin: a bool array shaped like z."""
+        z = np.asarray(z, dtype=complex)
         if self.kind == "interval":
-            return (abs(z.imag) <= margin
-                    and self.lo - margin <= z.real <= self.hi + margin)
-        return abs(z - self.center) <= self.radius + margin
+            return ((np.abs(z.imag) <= margin)
+                    & (self.lo - margin <= z.real)
+                    & (z.real <= self.hi + margin))
+        return np.abs(z - self.center) <= self.radius + margin
 
     def nodes(self, m):
         """m distinct interpolation nodes.

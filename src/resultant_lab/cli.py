@@ -62,11 +62,28 @@ def _parse_numbers(text, what):
     return values
 
 
-def _parse_taus(text):
+def _parse_taus(text, system):
+    """--taus as a tuple, or None when the flag was not given; the
+    Cayley construction takes one nonnegative bound per variable that
+    is not hidden."""
+    if not text:
+        return None
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        taus = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise InputError(f"cannot parse degree bounds {text!r}") from exc
+    if len(taus) != system.dim - 1 or any(t < 0 for t in taus):
+        raise InputError(f"--taus {text!r}: need {system.dim - 1} "
+                         "nonnegative degree bounds for a "
+                         f"{system.dim}-variable system")
+    return taus
+
+
+def _check_hidden(hidden, system):
+    if hidden is not None and not 0 <= hidden < system.dim:
+        raise InputError(f"--hidden {hidden} is out of range: a "
+                         f"{system.dim}-variable system takes "
+                         f"0..{system.dim - 1}")
 
 
 def _write_out(text, path):
@@ -105,15 +122,16 @@ def cmd_eval(args):
 
 def cmd_cayley(args):
     system = _load_system(args.system)
-    hv = hide_variable(system, args.hidden)
-    taus = _parse_taus(args.taus) if args.taus else None
-    res = cayley_resultant(hv, taus)
+    _check_hidden(args.hidden, system)
+    taus = _parse_taus(args.taus, system)
+    res = cayley_resultant(hide_variable(system, args.hidden), taus)
     _write_out(json.dumps(cayley_resultant_to_json(res), indent=2), args.out)
     return 0
 
 
 def cmd_sylvester(args):
     system = _load_system(args.system)
+    _check_hidden(args.hidden, system)
     hv = hide_variable(system, args.hidden)
     res = sylvester_resultant(hv)
     _write_out(json.dumps(sylvester_resultant_to_json(res), indent=2),
@@ -123,7 +141,8 @@ def cmd_sylvester(args):
 
 def cmd_solve(args):
     system = _load_system(args.system)
-    taus = _parse_taus(args.taus) if args.taus else None
+    _check_hidden(args.hidden, system)
+    taus = _parse_taus(args.taus, system)
     try:
         opts = SolveOptions(hidden_index=args.hidden, taus=taus,
                             tol_accept=args.tol_accept,
@@ -164,6 +183,7 @@ def cmd_condition(args):
         root = _parse_numbers(args.root, "root")
         if len(root) != system.dim:
             raise InputError("root length does not match the system")
+        _check_hidden(args.hidden, system)
         rec = condition_at_root(system, np.array(root), method=args.method,
                                 hidden_index=args.hidden)
         obj = {"method": rec.method,
@@ -173,6 +193,9 @@ def cmd_condition(args):
                "jacobian_det": [rec.jacobian_det.real, rec.jacobian_det.imag]}
         _write_out(json.dumps(obj, indent=2), args.out)
         return 0
+    if args.dim < 2:
+        raise InputError(f"--dim {args.dim}: the family needs at least "
+                         "2 variables")
     sigmas = _parse_numbers(args.sigmas, "sigmas")
     for i, sigma in enumerate(sigmas):
         if sigma.imag != 0.0 or not sigma.real > 0.0:

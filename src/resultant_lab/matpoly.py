@@ -2,18 +2,20 @@
 
 P(lambda) = sum_{i=0}^{K} A_i phi_i(lambda) with square complex
 coefficient matrices, expressed in a degree-graded basis.  Eigenvalues
-are computed by linearizing P into a block-companion pencil (X, Y)
-built from the basis recurrence, then by shift and invert: for a shift
-mu inside the basis domain one LU solve forms (X - mu Y)^-1 Y, whose
-eigenvalues theta = 1 / (lambda - mu) come from one eigenvalues-only
-standard eigensolver run (in real arithmetic when the coefficients are
-real and the domain is an interval).  This is not backward stable for
-the pencil, but resultant eigenvalues lose up to kappa_eig / kappa_root
-of accuracy however they are computed (arXiv 1507.00272); Newton on the
-source system is what restores the roots.  Eigenvectors are taken
-separately, for the eigenvalues a caller keeps, as the minimal singular
-vectors of P(lambda) itself: one stacked SVD over all kept eigenvalues,
-with their condition numbers from the stack of P'(lambda).
+come from shift and invert on the block-companion pencil (X, Y) that
+the basis recurrence defines: for a shift mu inside the basis domain,
+M = (X - mu Y)^-1 Y has the eigenvalues theta = 1 / (lambda - mu), and
+one eigenvalues-only standard eigensolver run gives them (in real
+arithmetic when the coefficients are real and the domain is an
+interval).  X and Y are never formed: the recurrence rows of the pencil
+are solved forward in scalars, so M costs one N x N solve with P(mu).
+This is not backward stable for the pencil, but resultant eigenvalues
+lose up to kappa_eig / kappa_root of accuracy however they are computed
+(arXiv 1507.00272); Newton on the source system is what restores the
+roots.  Eigenvectors are taken separately, for the eigenvalues a caller
+keeps, by one step of inverse iteration with P(lambda) itself: one
+stacked N x N solve over all kept eigenvalues for the right and left
+vectors, with their condition numbers from the stack of P'(lambda).
 """
 
 import logging
@@ -32,7 +34,6 @@ __all__ = [
     "StructureError",
     "matpoly_eval",
     "matpoly_deriv_eval",
-    "linearize",
     "polyeig",
     "eigvecs_and_conditions",
     "matpoly_to_json",
@@ -45,7 +46,7 @@ _EPS = np.finfo(float).eps
 
 
 class EigenSolveError(RuntimeError):
-    """The dense eigensolver failed on the linearized pencil."""
+    """The dense eigensolver failed on the shifted and inverted pencil."""
 
 
 class NotRegularError(EigenSolveError):
@@ -155,52 +156,6 @@ def matpoly_is_regular(P):
 
 
 # ----------------------------------------------------------------------
-# Linearization
-# ----------------------------------------------------------------------
-
-def linearize(P):
-    """Block-companion pencil (X, Y) with X u = lambda Y u.
-
-    The first K - 1 block rows impose the basis recurrence, so the
-    pencil eigenvector stacks phi_0(lambda) z, ..., phi_{K-1}(lambda) z
-    on top of each other for every eigenvector z of P.  The last block
-    row carries the coefficient matrices.  Finite pencil eigenvalues
-    coincide with the eigenvalues of P.  X and Y are float64 when the
-    coefficients and the recurrence are real, complex otherwise.
-    """
-    K, N = P.degree, P.size
-    if K == 0:
-        raise ValueError("constant matrix polynomial has no eigenvalues")
-    tab = P.basis.table(K - 1)
-    A = P.coeffs
-    if not np.any(A.imag):
-        A = A.real
-    gammas = np.array([g for row in tab.rows[:K] for _, g in row])
-    X = np.zeros((N * K, N * K),
-                 dtype=np.result_type(A, tab.alpha, tab.beta, gammas))
-    Y = np.zeros_like(X)
-    eye = np.eye(N)
-
-    def blk(i, j):
-        return slice(i * N, (i + 1) * N), slice(j * N, (j + 1) * N)
-
-    for k in range(K - 1):
-        X[blk(k, k)] += tab.beta[k] * eye
-        X[blk(k, k + 1)] = -eye
-        for j, g in tab.rows[k]:
-            X[blk(k, j - 1)] += g * eye
-        Y[blk(k, k)] = -tab.alpha[k] * eye
-    last = K - 1
-    for i in range(K - 1):
-        X[blk(last, i)] = A[i]
-    for j, g in tab.rows[last]:
-        X[blk(last, j - 1)] += g * A[K]
-    X[blk(last, last)] = A[K - 1] + tab.beta[last] * A[K]
-    Y[blk(last, last)] = -tab.alpha[last] * A[K]
-    return X, Y
-
-
-# ----------------------------------------------------------------------
 # Polynomial eigenvalue solver
 # ----------------------------------------------------------------------
 
@@ -243,25 +198,59 @@ _SHIFT_GAP = 1e-6
 
 
 def _inverted_pencil(P, mu):
-    """M = (X - mu Y)^-1 Y for the linearization (X, Y) of P.
+    """M = (X - mu Y)^-1 Y for the block-companion pencil (X, Y) of P,
+    from one N x N solve with P(mu); X and Y are never formed.
 
-    X is overwritten by X - mu Y (made complex first when mu is), so
-    only X, Y and M are alive at once; X and Y are freed on return.
+    Block row k < K - 1 of X u = lambda Y u is the basis recurrence
+    u_{k+1} = (alpha_k lambda + beta_k) u_k + sum_j gamma_{k,j} u_{j-1},
+    so an eigenvector stacks u_k = phi_k(lambda) z, and the last block
+    row, sum_{i<K} A_i u_i + A_K u_K = 0 with u_K from the same
+    recurrence, is P(lambda) z = 0.  Solved block row by block row,
+    (X - mu Y) M = Y gives M_k = phi_k(mu) Z_0 + W_k with W_0 = 0 and
+    W_{k+1} = (alpha_k mu + beta_k) W_k + sum_j gamma_{k,j} W_{j-1}
+    + [k < K - 1] alpha_k E_k, where E_k selects block column k.  Every
+    W_k is a row of scalars times the identity, so that recurrence runs
+    on scalars, and the last block row leaves
+    P(mu) Z_0 = -alpha_{K-1} A_K E_{K-1} - sum_{i=0}^{K} A_i W_i.
+    M is real when the coefficients, the recurrence and mu are.
+    Raises LinAlgError when P(mu) is exactly singular.
     """
-    X, Y = linearize(P)
-    X = X.astype(np.result_type(X, mu), copy=False)
-    X -= mu * Y
-    return np.linalg.solve(X, Y)
+    K, N = P.degree, P.size
+    tab = P.basis.table(K - 1)
+    A = P.coeffs
+    if not np.any(A.imag):
+        A = A.real
+    gammas = np.array([g for row in tab.rows[:K] for _, g in row])
+    # row k: the scalars of W_k in columns 0..K-1 and phi_k(mu) in
+    # column K, which follow the same recurrence
+    T = np.zeros((K + 1, K + 1),
+                 dtype=np.result_type(A, tab.alpha, tab.beta, gammas, mu))
+    T[0, K] = 1.0
+    for k in range(K):
+        T[k + 1] = (tab.alpha[k] * mu + tab.beta[k]) * T[k]
+        for j, g in tab.rows[k]:
+            T[k + 1] += g * T[j - 1]
+        if k < K - 1:
+            T[k + 1, k] += tab.alpha[k]
+    W, phi = T[:, :K], T[:, K]
+    rhs = -np.tensordot(W, A, axes=([0], [0]))  # block column m is rhs[m]
+    rhs[K - 1] -= tab.alpha[K - 1] * A[K]
+    Z0 = np.linalg.solve(np.tensordot(phi, A, axes=([0], [0])),
+                         rhs.transpose(1, 0, 2).reshape(N, K * N))
+    M = phi[:K, None, None] * Z0
+    rows = np.arange(N)
+    M.reshape(K, N, K, N)[:, rows, :, rows] += W[:K]
+    return M.reshape(K * N, K * N)
 
 
 def polyeig(P):
     """Finite eigenvalues of a regular matrix polynomial.
 
     Shift and invert: with mu a shift inside the basis domain and
-    (X, Y) the linearized pencil, one LU solve forms
-    M = (X - mu Y)^-1 Y and one eigenvalues-only standard eigensolver
-    run gives its eigenvalues theta, each mapped back to
-    lam = mu + 1 / theta.  A theta indistinguishable from zero,
+    (X, Y) the block-companion pencil, one N x N solve with P(mu) forms
+    M = (X - mu Y)^-1 Y (_inverted_pencil) and one eigenvalues-only
+    standard eigensolver run gives its eigenvalues theta, each mapped
+    back to lam = mu + 1 / theta.  A theta indistinguishable from zero,
     |theta| <= 1e3 * eps * ||M||_F, is an infinite eigenvalue.  M is
     real when the coefficients are real and the domain an interval.
     Eigenvectors are not computed here; eigvecs_and_conditions supplies
@@ -278,8 +267,8 @@ def polyeig(P):
     NotRegularError
         When det P vanishes at every probe point.
     EigenSolveError
-        When at every shift mu, X - mu Y is singular or the pencil has
-        an eigenvalue within _SHIFT_GAP * radius of mu.
+        When at every shift mu, P(mu) is singular or the pencil has an
+        eigenvalue within _SHIFT_GAP * radius of mu.
     """
     K, N = P.degree, P.size
     k_eff = _effective_degree(P)
@@ -299,7 +288,7 @@ def polyeig(P):
             M = _inverted_pencil(work, mu)
             scale = np.linalg.norm(M)
             theta = scipy.linalg.eigvals(M, check_finite=False)
-        except np.linalg.LinAlgError:  # X - mu Y singular, or no convergence
+        except np.linalg.LinAlgError:  # P(mu) singular, or no convergence
             continue
         del M
         # a NaN or inf theta fails this test too
@@ -309,7 +298,7 @@ def polyeig(P):
                   _SHIFT_GAP * radius, mu)
     else:
         raise EigenSolveError(
-            f"no usable shift among {len(shifts)}: X - mu Y is singular "
+            f"no usable shift among {len(shifts)}: P(mu) is singular "
             "or has an eigenvalue next to mu at each")
     finite = np.abs(theta) > 1e3 * _EPS * scale
     lams = mu + 1.0 / theta[finite]
@@ -320,16 +309,56 @@ def polyeig(P):
     return lams, n_inf
 
 
+# Start vector of the inverse iteration in _null_vectors: fixed, so
+# that results repeat, and random, so that it is not orthogonal to the
+# null vector of any structured P(lambda).
+_START_SEED = 20240811
+
+# Relative rounding margin between ||P'(lam)||_F, an upper bound of
+# ||P'(lam)||_2, and the largest singular value numpy computes.
+_NORM_MARGIN = 1e-10
+
+
+def _null_vectors(S):
+    """Unit approximate null vectors of the square matrices in the
+    stack S, by one step of inverse iteration.
+
+    One stacked solve against a fixed start vector, then normalisation.
+    A stacked solve raises when any one matrix has an exactly zero
+    pivot; only then is each matrix solved alone, and a matrix that is
+    still singular, or whose solution overflows, takes the right
+    singular vector of its smallest singular value from its own SVD.
+    """
+    start = np.random.default_rng(_START_SEED).standard_normal(S.shape[-1])
+    try:
+        x = np.linalg.solve(S, start[:, None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(S.shape[:-1], np.nan, dtype=S.dtype)
+        for k in range(len(S)):
+            try:
+                x[k] = np.linalg.solve(S[k], start)
+            except np.linalg.LinAlgError:
+                pass
+    for k in np.nonzero(~np.all(np.isfinite(x), axis=-1))[0]:
+        x[k] = np.conj(np.linalg.svd(S[k])[2][-1])
+    x /= np.max(np.abs(x), axis=-1, keepdims=True)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
 def eigvecs_and_conditions(P, lams):
     """Eigenvectors, residuals and condition numbers at every lam.
 
     One basis_eval_deriv_all over lams gives the stacks P(lam) and
-    P'(lam).  One stacked SVD of P(lam) gives the unit right vector v and
-    the unit plain-transpose left vector w of the smallest singular
-    value, which is the residual ||P(lam) v||_2 = ||w^T P(lam)||_2.  The
-    condition number is ||v|| ||w|| / |w^T P'(lam) v|, or +inf (defective
-    or non-simple) when that denominator is at most
-    1e3 * eps * ||v|| ||w|| ||P'(lam)||_2.
+    P'(lam).  One step of inverse iteration over the stack of P(lam)
+    and of P(lam)^T (_null_vectors) gives the unit right vector v and
+    the unit plain-transpose left vector w; the residual is
+    ||P(lam) v||_2, and ||w^T P(lam)||_2 is of the same size but not
+    equal to it.  The condition number is ||v|| ||w|| / |w^T P'(lam) v|,
+    or +inf (defective or non-simple) when that denominator is at most
+    1e3 * eps * ||v|| ||w|| ||P'(lam)||_2.  ||P'(lam)||_F bounds the
+    2-norm from above, so singular values of P'(lam) are taken only
+    for the lams whose denominator does not clear the cutoff with the
+    Frobenius norm in its place.
 
     Returns
     -------
@@ -337,16 +366,21 @@ def eigvecs_and_conditions(P, lams):
     and (m,) for m = len(lams).
     """
     vals, ders = basis_eval_deriv_all(P.basis, P.degree, lams)
-    U, s, Vh = np.linalg.svd(np.tensordot(vals, P.coeffs, axes=([0], [0])))
-    right, left = np.conj(Vh[:, -1]), np.conj(U[:, :, -1])
+    Ps = np.tensordot(vals, P.coeffs, axes=([0], [0]))
+    vecs = _null_vectors(np.concatenate([Ps, Ps.transpose(0, 2, 1)]))
+    right, left = vecs[:len(Ps)], vecs[len(Ps):]
+    residuals = np.linalg.norm(np.einsum("mij,mj->mi", Ps, right), axis=-1)
     dPs = np.tensordot(ders, P.coeffs, axes=([0], [0]))
     denom = np.abs(np.einsum("mi,mij,mj->m", left, dPs, right))
     scale = np.linalg.norm(right, axis=-1) * np.linalg.norm(left, axis=-1)
-    cutoff = (1e3 * _EPS * scale
-              * np.linalg.svd(dPs, compute_uv=False)[:, 0])
+    norms = np.linalg.norm(dPs, axis=(1, 2)) * (1.0 + _NORM_MARGIN)
+    near = np.nonzero(~(denom > 1e3 * _EPS * scale * norms))[0]
+    if len(near):
+        norms[near] = np.linalg.svd(dPs[near], compute_uv=False)[:, 0]
+    cutoff = 1e3 * _EPS * scale * norms
     kappas = np.divide(scale, denom, out=np.full(len(denom), np.inf),
                        where=~(denom <= cutoff))
-    return right, left, s[:, -1], kappas
+    return right, left, residuals, kappas
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ with residuals, a spurious flag and two condition numbers (one for the
 eigenvalue, one for the root itself).
 
 The stage after the eigenvalues works on all candidates at once: one
-stacked SVD gives the eigenvectors and residuals of every kept
-eigenvalue, and the stack of P'(lambda) their condition numbers
-(matpoly.eigvecs_and_conditions); batched Newton takes every start
-point a step per round, with one stacked solve and one
+stacked solve with P(lambda) gives the eigenvectors and residuals of
+every kept eigenvalue, and the stack of P'(lambda) their condition
+numbers (matpoly.eigvecs_and_conditions); batched Newton takes every
+start point a step per round, with one stacked solve and one
 eval_with_jacobian call; one more call at the polished points and one
 stacked SVD of their Jacobians give the residuals and root conditions.
 Only component recovery loops over the candidates.
@@ -343,8 +343,7 @@ def solve_system(sys, method="cayley", options=None):
     res = _build_resultant(hv, method, opts.taus)[0]
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
-    kept = lams[np.array([sys.domain.contains(lam, opts.domain_margin)
-                          for lam in lams], dtype=bool)]
+    kept = lams[sys.domain.contains(lams, opts.domain_margin)]
     right, _, _, kappas = eigvecs_and_conditions(P, kept)
     n_failed = 0
     produced = []   # (start point, index into kept, recovery label)

@@ -373,6 +373,31 @@ def test_disc_domain():
     assert Domain.from_json(d.to_json()) == d
 
 
+@pytest.mark.parametrize("domain", [Domain.interval(-2, 3),
+                                    Domain.disc(1 + 1j, 2.0)],
+                         ids=["interval", "disc"])
+def test_contains_takes_arrays(domain):
+    # points on and just past every edge, the margin's included
+    z = np.array([-2.0, 3.0, 3.0 + 1e-6, 3.0 + 5e-7j, -2.0 - 5e-7j, 0.5,
+                  3.0 + 1j, 1 + 3j, 1 + 3.0000005j, 1 + 3.000002j, -1 + 1j,
+                  complex(np.nan, 0.0)]).reshape(3, 4)
+    for margin in (0.0, 1e-6):
+        got = domain.contains(z, margin)
+        assert got.shape == z.shape and got.dtype == bool
+        want = [_scalar_contains(domain, x, margin) for x in z.ravel()]
+        assert got.ravel().tolist() == want
+
+
+def _scalar_contains(domain, z, margin):
+    """Domain.contains one point at a time, as it was before it took
+    arrays."""
+    z = complex(z)
+    if domain.kind == "interval":
+        return (abs(z.imag) <= margin
+                and domain.lo - margin <= z.real <= domain.hi + margin)
+    return abs(z - domain.center) <= domain.radius + margin
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         Domain.interval(2, 2)

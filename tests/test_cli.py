@@ -198,6 +198,25 @@ def test_exit_code_1_on_bad_tolerance_or_margin(system_file, capsys, flag,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--hidden", "5"], "--hidden 5 is out of range"),
+    (["condition", "--root", "0,0", "--hidden", "-1"],
+     "--hidden -1 is out of range"),
+    (["solve", "--taus", "1,2,3"], "--taus '1,2,3': need 1 nonnegative"),
+    (["cayley", "--taus", "-1"], "--taus '-1': need 1 nonnegative")])
+def test_exit_code_1_on_out_of_range_system_flags(system_file, capsys, argv,
+                                                  message):
+    rc = main(argv[:1] + ["--system", system_file] + argv[1:])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+def test_exit_code_1_on_family_dim_below_two(capsys):
+    rc = main(["condition", "--dim", "1", "--sigmas", "0.5"])
+    assert rc == 1
+    assert "--dim 1" in capsys.readouterr().err
+
+
 def test_exit_code_1_on_missing_file(capsys):
     rc = main(["solve", "--system", "/nonexistent/system.json"])
     assert rc == 1

@@ -1,5 +1,5 @@
-"""Linearization and the polynomial eigensolver against scalar root
-oracles and direct determinant checks."""
+"""The polynomial eigensolver against scalar root oracles, direct
+determinant checks and a dense reference linearization."""
 
 import json
 
@@ -9,11 +9,11 @@ import scipy.linalg
 
 from resultant_lab import matpoly
 from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
-                                 clenshaw_shifts)
+                                 basis_eval_deriv_all, clenshaw_shifts)
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    NotRegularError, StructureError,
                                    _check_null_vectors,
-                                   eigvecs_and_conditions, linearize,
+                                   eigvecs_and_conditions,
                                    matpoly_deriv_eval, matpoly_eval,
                                    matpoly_from_json, matpoly_to_json,
                                    polyeig)
@@ -37,6 +37,24 @@ def eig_condition(P, lam, v, w):
     if denom <= 1e3 * np.finfo(float).eps * scale * np.linalg.norm(dP, 2):
         return np.inf
     return scale / denom
+
+
+def svd_eigvecs_and_conditions(P, lams):
+    """eigvecs_and_conditions as it was before inverse iteration: the
+    vectors of the smallest singular value from one stacked SVD of
+    P(lam), that value as the residual, and the ||P'(lam)||_2 cutoff
+    from singular values of every P'(lam)."""
+    vals, ders = basis_eval_deriv_all(P.basis, P.degree, lams)
+    U, s, Vh = np.linalg.svd(np.tensordot(vals, P.coeffs, axes=([0], [0])))
+    right, left = np.conj(Vh[:, -1]), np.conj(U[:, :, -1])
+    dPs = np.tensordot(ders, P.coeffs, axes=([0], [0]))
+    denom = np.abs(np.einsum("mi,mij,mj->m", left, dPs, right))
+    scale = np.linalg.norm(right, axis=-1) * np.linalg.norm(left, axis=-1)
+    cutoff = (1e3 * np.finfo(float).eps * scale
+              * np.linalg.svd(dPs, compute_uv=False)[:, 0])
+    kappas = np.divide(scale, denom, out=np.full(len(denom), np.inf),
+                       where=~(denom <= cutoff))
+    return right, left, s[:, -1], kappas
 
 
 def random_matpoly(rng, basis, degree, size, complex_entries=False):
@@ -176,8 +194,61 @@ def test_regularity_probes_match_pointwise(name, domain):
 
 
 # ----------------------------------------------------------------------
-# Linearization
+# Linearization (dense reference)
 # ----------------------------------------------------------------------
+
+def linearize(P):
+    """Block-companion pencil (X, Y) with X u = lambda Y u.
+
+    The first K - 1 block rows impose the basis recurrence, so the
+    pencil eigenvector stacks phi_0(lambda) z, ..., phi_{K-1}(lambda) z
+    on top of each other for every eigenvector z of P.  The last block
+    row carries the coefficient matrices.  Finite pencil eigenvalues
+    coincide with the eigenvalues of P.  X and Y are float64 when the
+    coefficients and the recurrence are real, complex otherwise.  The
+    solver never forms this pencil; it is the dense reference that
+    _inverted_pencil and polyeig are checked against.
+    """
+    K, N = P.degree, P.size
+    if K == 0:
+        raise ValueError("constant matrix polynomial has no eigenvalues")
+    tab = P.basis.table(K - 1)
+    A = P.coeffs
+    if not np.any(A.imag):
+        A = A.real
+    gammas = np.array([g for row in tab.rows[:K] for _, g in row])
+    X = np.zeros((N * K, N * K),
+                 dtype=np.result_type(A, tab.alpha, tab.beta, gammas))
+    Y = np.zeros_like(X)
+    eye = np.eye(N)
+
+    def blk(i, j):
+        return slice(i * N, (i + 1) * N), slice(j * N, (j + 1) * N)
+
+    for k in range(K - 1):
+        X[blk(k, k)] += tab.beta[k] * eye
+        X[blk(k, k + 1)] = -eye
+        for j, g in tab.rows[k]:
+            X[blk(k, j - 1)] += g * eye
+        Y[blk(k, k)] = -tab.alpha[k] * eye
+    last = K - 1
+    for i in range(K - 1):
+        X[blk(last, i)] = A[i]
+    for j, g in tab.rows[last]:
+        X[blk(last, j - 1)] += g * A[K]
+    X[blk(last, last)] = A[K - 1] + tab.beta[last] * A[K]
+    Y[blk(last, last)] = -tab.alpha[last] * A[K]
+    return X, Y
+
+
+def dense_inverted_pencil(P, mu):
+    """M = (X - mu Y)^-1 Y from one dense LU solve of the NK x NK
+    pencil, as the solver formed it before its N x N solve."""
+    X, Y = linearize(P)
+    X = X.astype(np.result_type(X, mu), copy=False)
+    X -= mu * Y
+    return np.linalg.solve(X, Y)
+
 
 def test_pencil_eigenvalues_kill_determinant(builtin):
     rng = np.random.default_rng(3)
@@ -219,6 +290,33 @@ def test_linearize_is_real_for_real_coefficients(name):
 def test_linearize_rejects_constant(builtin):
     with pytest.raises(ValueError):
         linearize(MatrixPolynomial(builtin, np.ones((1, 2, 2))))
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom"])
+@pytest.mark.parametrize("domain", [Domain.interval(-1.0, 1.0),
+                                    Domain.interval(2.0, 5.0),
+                                    Domain.disc(0.2 + 0.1j, 1.5)],
+                         ids=["unit", "offset", "disc"])
+@pytest.mark.parametrize("complex_entries", [False, True],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("lead", ["full", "singular"])
+def test_inverted_pencil_matches_dense_solve(name, domain, complex_entries,
+                                             lead):
+    rng = np.random.default_rng(23)
+    basis = basis_by_name(name, domain)
+    for degree in (1, 4):
+        P = random_matpoly(rng, basis, degree, 3, complex_entries)
+        if lead == "singular":
+            c = P.coeffs.copy()
+            c[-1] = np.outer(c[-1][:, 0], c[-1][0])  # rank one
+            P = MatrixPolynomial(basis, c)
+        for mu in matpoly._shifts(domain)[1]:
+            want = dense_inverted_pencil(P, mu)
+            got = matpoly._inverted_pencil(P, mu)
+            assert got.dtype == want.dtype
+            assert (np.max(np.abs(got - want))
+                    <= 1e-10 * np.linalg.norm(want))
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +476,126 @@ def test_batched_eigvecs_flag_defective_like_eig_condition():
     assert kappas[0] == want[0]
     assert kappas[1] == pytest.approx(want[1], rel=1e-12)
     assert eigvecs_and_conditions(P, lams[:0])[0].shape == (0, 3)
+
+
+def test_singular_rows_take_svd_null_vectors():
+    b = DegreeGradedBasis.monomial()
+    # P(1) = diag(0, 3) and P(-2) = diag(-3, 0) have an exactly zero
+    # pivot; the other points are regular
+    P = MatrixPolynomial(b, np.stack([np.diag([-1.0, 2.0]), np.eye(2)]))
+    # P(0) = -J for a Jordan block J: singular and defective
+    J = np.array([[0.0, 1.0], [0.0, 0.0]])
+    PJ = MatrixPolynomial(b, np.stack([-J, np.eye(2)]))
+    for Q, lams, singular in (
+            (P, np.array([0.3, 1.0, 0.5 + 0.2j, -2.0]), [1, 3]),
+            (PJ, np.array([0.4, 0.0, -0.7j]), [1])):
+        right, left, residuals, kappas = eigvecs_and_conditions(Q, lams)
+        for k in singular:
+            v, w, _ = eigpair(Q, lams[k])
+            assert abs(np.vdot(v, right[k])) == pytest.approx(1, 1e-15)
+            assert abs(np.vdot(w, left[k])) == pytest.approx(1, 1e-15)
+            assert residuals[k] == 0.0
+        regular = np.setdiff1d(np.arange(len(lams)), singular)
+        alone = eigvecs_and_conditions(Q, lams[regular])
+        for got, want in zip((right, left, residuals, kappas), alone):
+            assert np.array_equal(got[regular], want)
+    assert kappas[1] == np.inf  # the Jordan block's null vectors e1, e2
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom"])
+def test_eigvecs_take_no_svd_without_singular_rows(name, monkeypatch):
+    rng = np.random.default_rng(14)
+    P = random_matpoly(rng, basis_by_name(name), 3, 5, True)
+    lams = polyeig(P)[0]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    kappas = eigvecs_and_conditions(P, lams)[3]
+    assert np.all(np.isfinite(kappas))
+
+
+def test_eigvecs_ignore_coefficient_scale(monkeypatch):
+    # scaled by 2^-700 the inverse iterates are 2^700 times larger and
+    # their norms overflow unless the rows are scaled first; at 2^-1000
+    # the iterates themselves overflow and the SVD takes over
+    rng = np.random.default_rng(16)
+    P = random_matpoly(rng, basis_by_name("chebyshev"), 3, 4, True)
+    lams = polyeig(P)[0]
+    right, left, _, kappas = eigvecs_and_conditions(P, lams)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for power, exact in ((-700, True), (-1000, False)):
+        c = 2.0 ** power
+        calls.clear()
+        r, w, _, k = eigvecs_and_conditions(
+            MatrixPolynomial(P.basis, c * P.coeffs), lams)
+        assert bool(calls) != exact
+        if exact:
+            assert np.array_equal(r, right) and np.array_equal(w, left)
+        for got, want in ((r, right), (w, left)):
+            overlap = np.abs(np.einsum("mi,mi->m", got.conj(), want))
+            assert np.allclose(overlap, 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(k * c, kappas, rtol=1e-12)
+
+
+def borderline_matpoly(t):
+    """P(lam) = lam B - C with P(0) singular, null vectors e_1 (right)
+    and e_2 (left), and e_2^T P'(0) e_1 = t; ||P'||_2 is about 1 and
+    ||P'||_F about sqrt(3)."""
+    B = np.eye(3)
+    B[1, 0] = t
+    C = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return MatrixPolynomial(DegreeGradedBasis.monomial(), np.stack([-C, B]))
+
+
+def test_kappa_inf_decisions_match_full_svd_cutoff(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    cutoff = 1e3 * np.finfo(float).eps
+    # denominators just above and just below the 2-norm cutoff, both
+    # below the Frobenius one: only singular values can decide them
+    for t, finite in ((1.5 * cutoff, True), (0.7 * cutoff, False)):
+        P = borderline_matpoly(t)
+        calls.clear()
+        right, left, _, kappas = eigvecs_and_conditions(P, np.array([0.0]))
+        assert np.isfinite(kappas[0]) == finite
+        assert kappas[0] == eig_condition(P, 0.0, right[0], left[0])
+        assert (1, 3, 3) in calls  # the borderline row's ||P'||_2
+    # rotated defective and random stacks against the reference
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    cases = [(MatrixPolynomial(DegreeGradedBasis.monomial(),
+                               np.stack([-Q @ A @ Q.T, np.eye(3)])),
+              np.array([0.0, -2.0, 1e-9]))]
+    rng = np.random.default_rng(15)
+    for name in ("monomial", "chebyshev", "custom"):
+        P = random_matpoly(rng, basis_by_name(name), 3, 4, True)
+        cases.append((P, polyeig(P)[0]))
+    for P, lams in cases:
+        right, left, _, kappas = eigvecs_and_conditions(P, lams)
+        want = [eig_condition(P, lam, v, w)
+                for lam, v, w in zip(lams, right, left)]
+        assert np.array_equal(np.isinf(kappas), np.isinf(want))
+        assert np.isinf(kappas[0]) == (P is cases[0][0])
+        # the reference takes P' by Clenshaw; 1e-9 off the defective
+        # eigenvalue the denominator cancels down to about 2e-9, so it
+        # carries a relative rounding error of about eps / 2e-9
+        assert np.allclose(kappas, want, rtol=1e-6)
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from resultant_lab import multipoly, rootfinder
+from resultant_lab import matpoly, multipoly, rootfinder
 from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
 from resultant_lab.cayley import cayley_resultant, default_taus
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
-                                   _effective_degree, eigvecs_and_conditions,
-                                   linearize)
+                                   _effective_degree, eigvecs_and_conditions)
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      eval_with_jacobian, hide_variable,
                                      mp_eval, mp_interpolate)
@@ -27,6 +26,8 @@ from resultant_lab.rootfinder import (RecoveryError, RootRecord, RootReport,
                                       recover_components, report_to_csv,
                                       report_to_json, solve_system)
 from resultant_lab.sylvester import sylvester_resultant
+from test_matpoly import (dense_inverted_pencil, linearize,
+                          svd_eigvecs_and_conditions)
 
 
 def circle_line(basis):
@@ -491,6 +492,49 @@ def test_hard_inputs_keep_every_root_qz_accepts(monkeypatch, method,
             gaps = [np.max(np.abs(r.x - g.x)) for g in got.accepted]
             assert gaps and min(gaps) <= tol * (1 + np.max(np.abs(r.x))), (
                 family, s, r.x)
+
+
+def differential_systems():
+    """(system, method, whether the domain filter's count is decided)."""
+    for basis_name in ("chebyshev", "legendre"):
+        for seed in range(16):
+            sys2 = random_system_with_root(2, 5, seed, basis_name)[0]
+            yield sys2, "cayley", True
+            yield sys2, "sylvester", True
+            sys3 = random_system_with_root(3, 3, seed, basis_name)[0]
+            yield sys3, "cayley", True
+    # The coupled family's origin is a double root, a defective triple
+    # eigenvalue of its Cayley resultant that rounding scatters to a
+    # radius of about 1.2e-6: its complex pair falls on either side of
+    # the 1e-6 domain margin by the last bits of M (inside with the
+    # dense LU, outside with the N x N solve, 4e-16 apart).
+    yield family_coupled_quadratic(0.1), "cayley", False
+    yield family_coupled_quadratic(0.1), "sylvester", True
+    for method in ("cayley", "sylvester"):
+        yield family_rotated_quadratic(0.1), method, True
+
+
+def test_solve_matches_dense_eigen_stage(monkeypatch):
+    # the same solves with the eigen stage as it was: a dense LU of the
+    # NK x NK pencil and SVD eigenvectors
+    for sys_, method, decided in differential_systems():
+        got = solve_system(sys_, method)
+        with monkeypatch.context() as m:
+            m.setattr(matpoly, "_inverted_pencil", dense_inverted_pencil)
+            m.setattr(rootfinder, "eigvecs_and_conditions",
+                      svd_eigvecs_and_conditions)
+            ref = solve_system(sys_, method)
+        assert ((got.n_eigenvalues, got.n_infinite, got.n_recovery_failed,
+                 len(got.roots))
+                == (ref.n_eigenvalues, ref.n_infinite, ref.n_recovery_failed,
+                    len(ref.roots)))
+        if decided:
+            assert got.n_outside_domain == ref.n_outside_domain
+        for g, r in zip(got.roots, ref.roots):
+            assert (g.recovery, g.spurious) == (r.recovery, r.spurious)
+            if not r.spurious:
+                assert (np.max(np.abs(g.x - r.x))
+                        <= 1e-9 * (1 + np.max(np.abs(r.x))))
 
 
 # ----------------------------------------------------------------------
