@@ -142,6 +142,9 @@ def cmd_sylvester(args):
 def cmd_solve(args):
     system = _load_system(args.system)
     _check_hidden(args.hidden, system)
+    if args.taus and args.method == "sylvester":
+        raise InputError("--taus sets Cayley degree bounds; --method "
+                         "sylvester takes none")
     taus = _parse_taus(args.taus, system)
     try:
         opts = SolveOptions(hidden_index=args.hidden, taus=taus,

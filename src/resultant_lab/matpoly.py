@@ -18,14 +18,15 @@ stacked N x N solve over all kept eigenvalues for the right and left
 vectors, with their condition numbers from the stack of P'(lambda).
 """
 
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .basis import (DegreeGradedBasis, basis_eval_all, basis_eval_deriv_all,
-                    basis_from_json, basis_to_json)
+from .basis import (NODE_MEMO_SIZE, DegreeGradedBasis, basis_eval_all,
+                    basis_eval_deriv_all, basis_from_json, basis_to_json)
 
 __all__ = [
     "MatrixPolynomial",
@@ -43,6 +44,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
+
+# Relative rounding margin between a Frobenius norm, an upper bound of
+# the 2-norm, and the largest singular value numpy computes.
+_NORM_MARGIN = 1e-10
 
 
 class EigenSolveError(RuntimeError):
@@ -134,24 +139,55 @@ def matpoly_deriv_eval(P, lam):
     return np.tensordot(ders, P.coeffs, axes=([0], [0]))
 
 
-def _regularity_probes(P):
-    """det P at a few fixed probe points, scaled to O(1) magnitude."""
+@functools.lru_cache(maxsize=NODE_MEMO_SIZE)
+def _probe_points(domain):
+    """Four fixed complex points scattered around domain, memoised per
+    domain as a read-only array."""
     rng = np.random.default_rng(20240811)
-    if P.basis.domain.kind == "interval":
-        span = 0.5 * (P.basis.domain.hi - P.basis.domain.lo)
-        mid = 0.5 * (P.basis.domain.hi + P.basis.domain.lo)
+    if domain.kind == "interval":
+        span = 0.5 * (domain.hi - domain.lo)
+        mid = 0.5 * (domain.hi + domain.lo)
     else:
-        span = P.basis.domain.radius
-        mid = P.basis.domain.center
+        span = domain.radius
+        mid = domain.center
     probes = mid + span * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    probes.flags.writeable = False
+    return probes
+
+
+def _regularity_probes(P):
+    """det P at the probe points, scaled to O(1) magnitude by
+    P.coeff_scale."""
+    probes = _probe_points(P.basis.domain)
     scale = P.coeff_scale
     if scale == 0.0:
         return np.zeros(len(probes))
     return np.abs(np.linalg.det(matpoly_eval(P, probes) / scale))
 
 
+# Factor by which a determinant scaled by the Frobenius bound must clear
+# the regularity threshold before it decides alone: the computed
+# determinants of P / F and of P / coeff_scale differ by rounding, which
+# for a nearly singular P(z) is a sizeable fraction of either.
+_PROBE_MARGIN = 2.0
+
+
 def matpoly_is_regular(P):
-    """Numerical regularity probe: det P(lambda_0) != 0 somewhere."""
+    """Numerical regularity probe: det P(lambda_0) != 0 somewhere.
+
+    P is regular when some |det(P(z) / coeff_scale)| at the probe points
+    exceeds 1e-12.  F = max_i ||A_i||_F (1 + 1e-10) bounds coeff_scale
+    from above, so a determinant of P(z) / F that clears the threshold
+    (by _PROBE_MARGIN) only grows under the true scale; the probe
+    determinants are tried that way first, in one call, and the K + 1
+    spectral norms of coeff_scale are taken only when none clears it.
+    """
+    frob = np.linalg.norm(P.coeffs, axis=(1, 2)).max() * (1.0 + _NORM_MARGIN)
+    if frob > 0.0:
+        dets = np.linalg.det(matpoly_eval(P, _probe_points(P.basis.domain))
+                             / frob)
+        if np.any(np.abs(dets) > _PROBE_MARGIN * 1e-12):
+            return True
     return bool(np.any(_regularity_probes(P) > 1e-12))
 
 
@@ -166,7 +202,7 @@ def _effective_degree(P, tol=1e-13):
     the eigenvalues they would contribute are reported as infinite via
     the count bookkeeping instead of polluting the pencil.
     """
-    mags = np.array([np.max(np.abs(a)) for a in P.coeffs])
+    mags = np.abs(P.coeffs).max(axis=(1, 2))
     top = float(mags.max())
     if top == 0.0:
         return 0
@@ -309,14 +345,15 @@ def polyeig(P):
     return lams, n_inf
 
 
-# Start vector of the inverse iteration in _null_vectors: fixed, so
-# that results repeat, and random, so that it is not orthogonal to the
-# null vector of any structured P(lambda).
-_START_SEED = 20240811
-
-# Relative rounding margin between ||P'(lam)||_F, an upper bound of
-# ||P'(lam)||_2, and the largest singular value numpy computes.
-_NORM_MARGIN = 1e-10
+@functools.lru_cache(maxsize=NODE_MEMO_SIZE)
+def _start_vector(n):
+    """Start vector of the inverse iteration in _null_vectors, memoised
+    per length as a read-only array: fixed, so that results repeat, and
+    random, so that it is not orthogonal to the null vector of any
+    structured P(lambda)."""
+    start = np.random.default_rng(20240811).standard_normal(n)
+    start.flags.writeable = False
+    return start
 
 
 def _null_vectors(S):
@@ -329,7 +366,7 @@ def _null_vectors(S):
     still singular, or whose solution overflows, takes the right
     singular vector of its smallest singular value from its own SVD.
     """
-    start = np.random.default_rng(_START_SEED).standard_normal(S.shape[-1])
+    start = _start_vector(S.shape[-1])
     try:
         x = np.linalg.solve(S, start[:, None])[..., 0]
     except np.linalg.LinAlgError:

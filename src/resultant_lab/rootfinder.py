@@ -15,14 +15,15 @@ numbers (matpoly.eigvecs_and_conditions); batched Newton takes every
 start point a step per round, with one stacked solve and one
 eval_with_jacobian call; one more call at the polished points and one
 stacked SVD of their Jacobians give the residuals and root conditions.
-Only component recovery loops over the candidates.
+Component recovery is one call over the stack of right vectors too.
 
 Eigenvector-based recovery has two layers: ratio of consecutive basis
-slots at the largest tensor entry, then a rank-one fit per axis.  When
-an axis carries no information (extent one, as happens for Cayley on
+slots at the largest tensor entry, then, for the rows where slot 0 is
+too small, a rank-one fit per axis.  Only the eigenvalues whose vectors
+carry no component (an axis of extent one, as happens for Cayley on
 systems of total degree one and for a Sylvester resultant of size one)
-candidates fall back to Newton from a small grid of starting points at
-the fixed hidden value.
+are taken one at a time: their candidates come from Newton on a small
+grid of starting points at the fixed hidden value.
 
 The module also ships the closed-form example families used to probe
 conditioning behaviour, and JSON/CSV writers for reports.
@@ -223,66 +224,90 @@ def _newton_steps(J, F):
 # ----------------------------------------------------------------------
 
 def _component_from_vector(u, basis):
-    """Least-squares x such that u is proportional to (phi_0(x), ...).
+    """Least-squares x per row of the (r, e) stack u such that the row
+    is proportional to (phi_0(x), ...).
 
     Solves sum_i |alpha_i u_i|^2 x = sum_i conj(alpha_i u_i) *
     (u_{i+1} - beta_i u_i - sum_j gamma_{i,j} u_{j-1}); the unknown
-    overall scale of u cancels.
+    overall scale of u cancels.  Returns (x, ok), each of shape (r,):
+    ok is False, and x NaN, where a row has no usable basis slots.
     """
     u = np.asarray(u, dtype=complex)
-    e = len(u)
-    if e < 2:
-        raise RecoveryError("vector too short to carry a component")
+    e = u.shape[1]
     tab = basis.table(e - 2)
-    pred = u[1:] - tab.beta[:e - 1] * u[:-1]
+    pred = u[:, 1:] - tab.beta[:e - 1] * u[:, :-1]
     for i in range(e - 1):
         for j, g in tab.rows[i]:
-            pred[i] -= g * u[j - 1]
-    t = tab.alpha[:e - 1] * u[:-1]
-    den = np.vdot(t, t).real
-    if den == 0.0:
-        raise RecoveryError("eigenvector has no usable basis slots")
-    return np.vdot(t, pred) / den
+            pred[:, i] -= g * u[:, j - 1]
+    t = tab.alpha[:e - 1] * u[:, :-1]
+    # one np.vdot per row: a stacked product would round differently
+    den = np.array([np.vdot(a, a).real for a in t])
+    num = np.array([np.vdot(a, b) for a, b in zip(t, pred)], dtype=complex)
+    ok = den != 0.0
+    x = np.divide(num, den, out=np.full(len(u), np.nan, dtype=complex),
+                  where=ok)
+    return x, ok
 
 
-def recover_components(resultant, vec, basis):
-    """Free components of the root encoded in a right eigenvector.
+def recover_components(resultant, vecs, basis):
+    """Free components of the roots encoded in right eigenvectors.
 
-    The eigenvector factors as an outer product of basis columns over
+    Each eigenvector factors as an outer product of basis columns over
     resultant.col_extents, one axis per free variable: several for
-    Cayley, one for Sylvester.  Per axis the ratio of slots 1 and 0 at
-    the dominant entry is tried first, then a rank-one fit of the axis
-    fiber.
+    Cayley, one for Sylvester.  vecs is an (m, n) stack of eigenvectors
+    or a single one.  For the stack, one argmax of |V| per row finds the
+    dominant entry; per axis, one gather reads slots 0 and 1 there, and
+    the ratio of slot 1 to slot 0 gives the component of every row whose
+    slot 0 exceeds 1e-8 times the dominant entry.  Only the other rows
+    take a rank-one fit of their axis fibers, from one stacked SVD.
 
-    Returns (components, how) where how is "ratio" or "rank1" (rank1
-    wins the label when any axis needed it).
-
-    Raises RecoveryError when some axis carries no information.
+    Returns (components, how) for the stack: an (m, axes) array and an
+    (m,) array of labels, "ratio" or "rank1" (rank1 wins the label when
+    any axis needed it), or "" for a row that carries no components: an
+    axis of extent one, a zero vector or a rank-one fit with no usable
+    slots.  Such rows hold NaN.  For a single vector, returns its
+    (components, how) and raises RecoveryError where its row would fail.
     """
     ext = resultant.col_extents
-    V = np.asarray(vec).reshape(ext)
-    ref = np.unravel_index(np.argmax(np.abs(V)), ext)
-    top = abs(V[ref])
-    if top == 0.0:
-        raise RecoveryError("zero eigenvector")
-    out = []
-    how = "ratio"
+    vecs = np.asarray(vecs)
+    if vecs.ndim == 1:
+        comps, how = recover_components(resultant, vecs[None], basis)
+        if not how[0]:
+            raise RecoveryError("eigenvector carries no component: an axis "
+                                "of extent one, a zero vector or no usable "
+                                "basis slots")
+        return comps[0], str(how[0])
+    m = len(vecs)
+    comps = np.full((m, len(ext)), np.nan, dtype=complex)
+    if 1 in ext:
+        return comps, np.full(m, "")
+    V = vecs.reshape((m,) + ext)
+    rows = np.arange(m)
+    ref = np.unravel_index(np.argmax(np.abs(vecs), axis=1), ext)
+    # magnitudes by np.hypot, as abs() of one complex number takes
+    # them; np.abs of an array rounds differently
+    top = V[(rows,) + ref]
+    top = np.hypot(top.real, top.imag)
+    failed = top == 0.0
+    rank1 = np.zeros(m, dtype=bool)
     for k0, e in enumerate(ext):
-        if e == 1:
-            raise RecoveryError(f"axis {k0} has extent one; the "
-                                "eigenvector carries no component")
-        idx0, idx1 = list(ref), list(ref)
-        idx0[k0], idx1[k0] = 0, 1
-        denom = V[tuple(idx0)]
-        if abs(denom) > 1e-8 * top:
-            r = V[tuple(idx1)] / denom
-            out.append((r - basis.beta(0)) / basis.alpha(0))
-            continue
-        fiber = np.moveaxis(V, k0, 0).reshape(e, -1)
-        u = np.linalg.svd(fiber)[0][:, 0]
-        out.append(_component_from_vector(u, basis))
-        how = "rank1"
-    return np.array(out), how
+        at = list(ref)
+        at[k0] = 0
+        denom = V[(rows,) + tuple(at)]
+        at[k0] = 1
+        num = V[(rows,) + tuple(at)]
+        ratio = ~failed & (np.hypot(denom.real, denom.imag) > 1e-8 * top)
+        comps[ratio, k0] = ((num[ratio] / denom[ratio] - basis.beta(0))
+                            / basis.alpha(0))
+        fit = np.nonzero(~failed & ~ratio)[0]
+        if len(fit):
+            fibers = np.moveaxis(V[fit], k0 + 1, 1).reshape(len(fit), e, -1)
+            comps[fit, k0], ok = _component_from_vector(
+                np.linalg.svd(fibers)[0][:, :, 0], basis)
+            failed[fit[~ok]] = True
+            rank1[fit] = True
+    comps[failed] = np.nan
+    return comps, np.where(failed, "", np.where(rank1, "rank1", "ratio"))
 
 
 def _grid_newton_candidates(sys, lam, hidden_index):
@@ -290,7 +315,8 @@ def _grid_newton_candidates(sys, lam, hidden_index):
 
     Keeps converged roots whose hidden component stayed at the
     eigenvalue, so each candidate remains attached to the eigenvalue
-    that produced it.  All starts iterate together.
+    that produced it.  All starts iterate together.  Returns the (c, d)
+    array of kept roots.
     """
     d = sys.dim
     nodes = np.asarray(sys.domain.nodes(3), dtype=complex)
@@ -300,7 +326,39 @@ def _grid_newton_candidates(sys, lam, hidden_index):
     F, J = eval_with_jacobian(sys, x0)
     x, _, ok = _newton(sys, x0, F, J)
     ok &= np.abs(x[:, hidden_index] - lam) <= 1e-6 * (1.0 + abs(lam))
-    return list(x[ok])
+    return x[ok]
+
+
+def _start_points(sys, res, kept, right, hidden):
+    """Newton start points from the kept eigenvalues and their right
+    vectors.
+
+    One recover_components call over the stack of right vectors gives
+    the free components and the hidden one is the eigenvalue, set by
+    column assignment.  Each row whose recovery failed is replaced by
+    its _grid_newton_candidates, in its place, so the start points stay
+    in eigenvalue order.
+
+    Returns (x0, owner, how, n_failed): the (c, d) start points, the
+    index into kept and the recovery label of each, and the number of
+    eigenvalues that gave no start point.
+    """
+    comps, how = recover_components(res, right, sys.basis)
+    x0 = np.empty((len(kept), sys.dim), dtype=complex)
+    x0[:, hidden] = kept
+    x0[:, np.arange(sys.dim) != hidden] = comps
+    owner = np.arange(len(kept))
+    ok = how != ""
+    failed = np.nonzero(~ok)[0]
+    if not len(failed):
+        return x0, owner, how, 0
+    found = [_grid_newton_candidates(sys, kept[k], hidden) for k in failed]
+    counts = np.array([len(f) for f in found], dtype=int)
+    x0 = np.concatenate([x0[ok]] + found)
+    owner = np.concatenate([owner[ok], np.repeat(failed, counts)])
+    how = np.concatenate([how[ok], np.full(counts.sum(), "grid")])
+    order = np.argsort(owner, kind="stable")
+    return x0[order], owner[order], how[order], int(np.sum(counts == 0))
 
 
 # ----------------------------------------------------------------------
@@ -309,10 +367,14 @@ def _grid_newton_candidates(sys, lam, hidden_index):
 
 def _build_resultant(hv, method, taus):
     """The resultant of hv by method, and the function that gives its
-    structured eigenvectors at a root."""
+    structured eigenvectors at a root.  Degree bounds (taus) are a
+    Cayley setting; Sylvester rejects them."""
     if method == "cayley":
         return cayley_resultant(hv, taus), cayley_root_eigvectors
     if method == "sylvester":
+        if taus is not None:
+            raise ValueError("taus are Cayley degree bounds; the Sylvester "
+                             "resultant takes none")
         return sylvester_resultant(hv), sylvester_root_eigvectors
     raise ValueError(f"unknown method {method!r}")
 
@@ -345,20 +407,9 @@ def solve_system(sys, method="cayley", options=None):
     lams, n_inf = polyeig(P)
     kept = lams[sys.domain.contains(lams, opts.domain_margin)]
     right, _, _, kappas = eigvecs_and_conditions(P, kept)
-    n_failed = 0
-    produced = []   # (start point, index into kept, recovery label)
-    for k, lam in enumerate(kept):
-        try:
-            comps, how = recover_components(res, right[k], sys.basis)
-        except RecoveryError:
-            found = _grid_newton_candidates(sys, lam, hidden)
-            n_failed += not found
-            produced += [(x0, k, "grid") for x0 in found]
-            continue
-        produced.append((np.insert(comps, hidden, lam), k, how))
+    x0, owner, how, n_failed = _start_points(sys, res, kept, right, hidden)
     candidates = []
-    if produced:
-        x0 = np.array([start for start, _, _ in produced])
+    if len(x0):
         F, J = eval_with_jacobian(sys, x0)
         pre = np.max(np.abs(F), axis=1)
         if opts.polish:
@@ -375,8 +426,8 @@ def solve_system(sys, method="cayley", options=None):
             residuals=resid[i], max_residual=float(resid[i].max()),
             pre_polish_residual=float(pre[i]), spurious=bool(spurious[i]),
             eig_condition=float(kappas[k]), root_condition=float(rcs[i]),
-            newton_iters=int(iters[i]), recovery=how)
-            for i, (_, k, how) in enumerate(produced)]
+            newton_iters=int(iters[i]), recovery=label)
+            for i, (k, label) in enumerate(zip(owner, how.tolist()))]
     roots = _dedupe(candidates, _DEDUPE_TOL)
     roots.sort(key=lambda r: (r.x[hidden].real, r.x[hidden].imag))
     log.info("solve_system: %d eigenvalues, %d kept roots (%d spurious)",

@@ -203,7 +203,9 @@ def test_exit_code_1_on_bad_tolerance_or_margin(system_file, capsys, flag,
     (["condition", "--root", "0,0", "--hidden", "-1"],
      "--hidden -1 is out of range"),
     (["solve", "--taus", "1,2,3"], "--taus '1,2,3': need 1 nonnegative"),
-    (["cayley", "--taus", "-1"], "--taus '-1': need 1 nonnegative")])
+    (["cayley", "--taus", "-1"], "--taus '-1': need 1 nonnegative"),
+    (["solve", "--method", "sylvester", "--taus", "1"],
+     "--taus sets Cayley degree bounds; --method sylvester takes none")])
 def test_exit_code_1_on_out_of_range_system_flags(system_file, capsys, argv,
                                                   message):
     rc = main(argv[:1] + ["--system", system_file] + argv[1:])

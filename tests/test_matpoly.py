@@ -17,7 +17,10 @@ from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    matpoly_deriv_eval, matpoly_eval,
                                    matpoly_from_json, matpoly_to_json,
                                    polyeig)
-from resultant_lab.rootfinder import _component_from_vector
+from resultant_lab.cayley import cayley_resultant
+from resultant_lab.multipoly import hide_variable
+from resultant_lab.rootfinder import (_component_from_vector,
+                                      family_orthogonal_quadratic)
 
 
 def eigpair(P, lam):
@@ -191,6 +194,93 @@ def test_regularity_probes_match_pointwise(name, domain):
             for z in probes]
     got = matpoly._regularity_probes(P)
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want))
+
+
+def scaled_probe_decision(P):
+    """The regularity decision from determinants scaled by coeff_scale."""
+    return bool(np.any(matpoly._regularity_probes(P) > 1e-12))
+
+
+def counting_coeff_scale(monkeypatch):
+    calls = []
+    original = MatrixPolynomial.coeff_scale.fget
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MatrixPolynomial, "coeff_scale", property(counting))
+    return calls
+
+
+@pytest.mark.parametrize("domain", [None, Domain.disc(0.2 + 0.1j, 1.5)],
+                         ids=["interval", "disc"])
+def test_polyeig_takes_no_coeff_scale_on_regular_p(builtin, domain,
+                                                   monkeypatch):
+    def forbidden(self):
+        raise AssertionError("coeff_scale computed")
+
+    monkeypatch.setattr(MatrixPolynomial, "coeff_scale", property(forbidden))
+    rng = np.random.default_rng(12)
+    for complex_entries in (False, True):
+        for size in (1, 5, 12):
+            P = random_matpoly(rng, DegreeGradedBasis(builtin.name,
+                                                    domain=domain),
+                               4, size, complex_entries)
+            lams, n_inf = polyeig(P)
+            assert len(lams) + n_inf == 4 * size
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre"])
+@pytest.mark.parametrize("domain", [None, Domain.disc(0.2 + 0.1j, 1.5)],
+                         ids=["interval", "disc"])
+def test_regularity_decisions_match_scaled_probes(name, domain):
+    basis = basis_by_name(name, domain)
+    rng = np.random.default_rng(14)
+    decisions = []
+    for size in (1, 3, 8):
+        P = random_matpoly(rng, basis, 3, size, True)
+        assert matpoly.matpoly_is_regular(P) == scaled_probe_decision(P)
+        # a zero column in every A_i makes det P vanish exactly; t E
+        # moves the determinants across the threshold
+        C = P.coeffs.copy()
+        C[:, :, -1] = 0.0
+        E = rng.standard_normal(C.shape)
+        for t in np.concatenate([[0.0], 10.0 ** np.arange(-16.0, 0.0, 0.25)]):
+            Q = MatrixPolynomial(basis, C + t * E)
+            decisions.append(matpoly.matpoly_is_regular(Q))
+            assert decisions[-1] == scaled_probe_decision(Q)
+    assert True in decisions and False in decisions
+    Z = MatrixPolynomial(basis, np.zeros((3, 4, 4)))
+    assert not matpoly.matpoly_is_regular(Z) and not scaled_probe_decision(Z)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1e-3])
+def test_orthogonal_family_stays_not_regular(sigma):
+    # its Cayley resultant vanishes identically in the hidden variable
+    sys_ = family_orthogonal_quadratic(3, sigma)
+    P = cayley_resultant(hide_variable(sys_)).matrix_poly
+    k_eff = matpoly._effective_degree(P)
+    work = MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1])
+    assert not matpoly.matpoly_is_regular(work)
+    assert not scaled_probe_decision(work)
+    with pytest.raises(NotRegularError):
+        polyeig(P)
+
+
+def test_regularity_falls_back_between_the_cutoffs(monkeypatch):
+    # P = I_40: |det(P(z) / ||I||_F)| = 40**-20 does not clear the
+    # threshold, |det(P(z) / ||I||_2)| = 1 does, so the spectral scale
+    # decides
+    b = DegreeGradedBasis.monomial()
+    P = MatrixPolynomial(b, np.stack([np.eye(40), np.zeros((40, 40))]))
+    frob = np.linalg.norm(P.coeffs, axis=(1, 2)).max()
+    probes = matpoly._probe_points(b.domain)
+    assert np.all(np.abs(np.linalg.det(matpoly_eval(P, probes) / frob))
+                  <= 1e-12)
+    calls = counting_coeff_scale(monkeypatch)
+    assert matpoly.matpoly_is_regular(P) and scaled_probe_decision(P)
+    assert len(calls) == 2  # the fallback's and scaled_probe_decision's
 
 
 # ----------------------------------------------------------------------
@@ -662,8 +752,8 @@ def test_polyeig_with_dense_gamma_basis():
     assert np.all(np.isfinite(lams))
     assert np.all(eigvecs_and_conditions(P, lams)[2] <= 1e-12)
     for x in (0.3, -0.7 + 0.2j):
-        got = _component_from_vector(basis_eval_all(b, 4, x), b)
-        assert abs(got - x) <= 1e-13
+        got, ok = _component_from_vector(basis_eval_all(b, 4, x)[None], b)
+        assert ok and abs(got - x) <= 1e-13
 
 
 # ----------------------------------------------------------------------

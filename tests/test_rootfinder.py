@@ -12,7 +12,8 @@ from resultant_lab import matpoly, multipoly, rootfinder
 from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
 from resultant_lab.cayley import cayley_resultant, default_taus
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
-                                   _effective_degree, eigvecs_and_conditions)
+                                   _effective_degree, eigvecs_and_conditions,
+                                   polyeig)
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      eval_with_jacobian, hide_variable,
                                      mp_eval, mp_interpolate)
@@ -206,6 +207,13 @@ def test_recover_raises_on_extent_one(mono):
         assert res.matrix_poly.size == 1
         with pytest.raises(RecoveryError):
             recover_components(res, np.ones(1), mono)
+        # a stack marks every row failed instead of raising; no rows at
+        # all is a stack too
+        for m in (3, 0):
+            comps, how = recover_components(res, np.ones((m, 1)), mono)
+            assert how.tolist() == [""] * m
+            assert comps.shape == (m, len(res.col_extents))
+            assert np.all(np.isnan(comps))
 
 
 def test_recover_sylvester_vector(mono):
@@ -221,6 +229,63 @@ def test_recover_sylvester_vector(mono):
     comps, how = recover_components(res, vec, mono)
     assert how == "rank1"
     assert abs(comps[0] - root[0]) <= 1e-10
+    # a zero vector, and one whose rank-one fit finds no usable slots
+    last = np.zeros(res.size)
+    last[-1] = 1.0
+    for vec in (np.zeros(res.size), last):
+        with pytest.raises(RecoveryError):
+            recover_components(res, vec, mono)
+
+
+def recovery_stack(res, basis, seed):
+    """Right vectors of res in the order a solve meets them, plus
+    structured vectors at random points with slot 0 of one axis zeroed
+    (rank-one rows), a zero row and a vector whose only nonzero slot is
+    the last one of every axis (its rank-one fit has no usable slots)."""
+    P = res.matrix_poly
+    lams = polyeig(P)[0]
+    rows = [eigvecs_and_conditions(P, lams)[0]]
+    ext = res.col_extents
+    rng = np.random.default_rng(seed)
+    for k0 in range(len(ext)):
+        pts = rng.uniform(-0.9, 0.9, len(ext))
+        V = basis_eval_all(basis, ext[0] - 1, pts[0]).astype(complex)
+        for a in range(1, len(ext)):
+            V = np.multiply.outer(V, basis_eval_all(basis, ext[a] - 1,
+                                                    pts[a]))
+        np.moveaxis(V, k0, 0)[0] = 0.0
+        rows.append(V.reshape(1, -1))
+    last = np.zeros(ext, dtype=complex)
+    last[tuple(e - 1 for e in ext)] = 1.0
+    rows += [np.zeros((1, P.size), dtype=complex), last.reshape(1, -1)]
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("basis_name", ["monomial", "chebyshev", "legendre"])
+@pytest.mark.parametrize("method", ["cayley", "sylvester"])
+def test_stacked_recovery_matches_per_vector_calls(basis_name, method):
+    labels = []
+    for seed in range(3):
+        d = 3 if method == "cayley" and seed == 2 else 2
+        sys_ = random_system_with_root(d, 3, seed, basis_name)[0]
+        res = rootfinder._build_resultant(hide_variable(sys_), method,
+                                          None)[0]
+        vecs = recovery_stack(res, sys_.basis, seed)
+        comps, how = recover_components(res, vecs, sys_.basis)
+        assert comps.shape == (len(vecs), len(res.col_extents))
+        assert how.shape == (len(vecs),)
+        for k, vec in enumerate(vecs):
+            try:
+                want, want_how = recover_components(res, vec, sys_.basis)
+            except RecoveryError:
+                assert how[k] == "" and np.all(np.isnan(comps[k]))
+                continue
+            assert how[k] == want_how
+            assert comps[k].tobytes() == want.tobytes()
+        labels += how.tolist()
+    # the stacks hold every outcome: the zero row and the last-slot row
+    # fail, the zeroed slots take the rank-one fit
+    assert {"ratio", "rank1", ""} <= set(labels)
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +421,15 @@ def test_solve_rejects_unknown_method(mono):
         solve_system(circle_line(mono), "qz")
     with pytest.raises(ValueError, match="'qz'"):
         condition_at_root(circle_line(mono), [0.5, 0.5], "qz")
+
+
+def test_sylvester_rejects_taus(mono):
+    with pytest.raises(ValueError, match="taus"):
+        solve_system(circle_line(mono), "sylvester",
+                     SolveOptions(taus=(1,)))
+    with pytest.raises(ValueError, match="taus"):
+        condition_at_root(circle_line(mono), [0.5, 0.5], "sylvester",
+                          taus=(1,))
 
 
 @pytest.mark.parametrize("method", ["cayley", "sylvester"])
@@ -535,6 +609,138 @@ def test_solve_matches_dense_eigen_stage(monkeypatch):
             if not r.spurious:
                 assert (np.max(np.abs(g.x - r.x))
                         <= 1e-9 * (1 + np.max(np.abs(r.x))))
+
+
+def loop_component_from_vector(u, basis):
+    """_component_from_vector for one vector, raising on no usable
+    slots, as it was before stacked recovery."""
+    e = len(u)
+    tab = basis.table(e - 2)
+    pred = u[1:] - tab.beta[:e - 1] * u[:-1]
+    for i in range(e - 1):
+        for j, g in tab.rows[i]:
+            pred[i] -= g * u[j - 1]
+    t = tab.alpha[:e - 1] * u[:-1]
+    den = np.vdot(t, t).real
+    if den == 0.0:
+        raise RecoveryError("eigenvector has no usable basis slots")
+    return np.vdot(t, pred) / den
+
+
+def loop_recover_components(resultant, vec, basis):
+    """recover_components for one vector, axis by axis, as it was before
+    stacked recovery."""
+    ext = resultant.col_extents
+    V = np.asarray(vec).reshape(ext)
+    ref = np.unravel_index(np.argmax(np.abs(V)), ext)
+    top = abs(V[ref])
+    if top == 0.0:
+        raise RecoveryError("zero eigenvector")
+    out = []
+    how = "ratio"
+    for k0, e in enumerate(ext):
+        if e == 1:
+            raise RecoveryError("extent one")
+        idx0, idx1 = list(ref), list(ref)
+        idx0[k0], idx1[k0] = 0, 1
+        denom = V[tuple(idx0)]
+        if abs(denom) > 1e-8 * top:
+            r = V[tuple(idx1)] / denom
+            out.append((r - basis.beta(0)) / basis.alpha(0))
+            continue
+        fiber = np.moveaxis(V, k0, 0).reshape(e, -1)
+        u = np.linalg.svd(fiber)[0][:, 0]
+        out.append(loop_component_from_vector(u, basis))
+        how = "rank1"
+    return np.array(out), how
+
+
+def loop_start_points(sys_, res, kept, right, hidden):
+    """_start_points as a loop over the kept eigenvalues, one recovery
+    call and one np.insert each, as the solve ran before stacked
+    recovery."""
+    n_failed = 0
+    produced = []
+    for k, lam in enumerate(kept):
+        try:
+            comps, how = loop_recover_components(res, right[k], sys_.basis)
+        except RecoveryError:
+            found = rootfinder._grid_newton_candidates(sys_, lam, hidden)
+            n_failed += not len(found)
+            produced += [(x0, k, "grid") for x0 in found]
+            continue
+        produced.append((np.insert(comps, hidden, lam), k, how))
+    x0 = np.array([p[0] for p in produced], dtype=complex)
+    return (x0.reshape(-1, sys_.dim), np.array([p[1] for p in produced]),
+            np.array([p[2] for p in produced], dtype=str), n_failed)
+
+
+def report_fields(rep):
+    """Every field of a report, floats and arrays as bytes."""
+    def b(v):
+        return np.asarray(v).tobytes()
+    return ((rep.method, rep.hidden_index, rep.resultant_size,
+             rep.n_eigenvalues, rep.n_infinite, rep.n_outside_domain,
+             rep.n_recovery_failed),
+            [(b(r.x), b(r.hidden_value), b(r.residuals), b(r.max_residual),
+              b(r.pre_polish_residual), r.spurious, b(r.eig_condition),
+              b(r.root_condition), r.newton_iters, r.recovery)
+             for r in rep.roots])
+
+
+def recovery_corpus():
+    """(system, method, hidden index) over every way recovery can go."""
+    disc = Domain.disc(0.1 - 0.2j, 1.2)
+    for basis_name in ("monomial", "chebyshev", "legendre",
+                       DegreeGradedBasis("chebyshev", domain=disc)):
+        for n in range(1, 7):
+            sys2 = random_system_with_root(2, n, n, basis_name)[0]
+            for method in ("cayley", "sylvester"):
+                for hidden in range(2):
+                    yield sys2, method, hidden
+        for n in range(1, 4):
+            sys3 = random_system_with_root(3, n, 10 + n, basis_name)[0]
+            for hidden in range(3):
+                yield sys3, "cayley", hidden
+        for seed in range(4):
+            yield random_system_with_root(3, 1, seed, basis_name)[0], \
+                "cayley", seed % 3
+        for u in (1e-1, 1e-3, 1e-5):
+            sys_ = family_coupled_quadratic(u, basis_name)
+            for method in ("cayley", "sylvester"):
+                yield sys_, method, 1
+
+
+def test_solve_matches_per_candidate_recovery(monkeypatch):
+    labels = set()
+    for sys_, method, hidden in recovery_corpus():
+        opts = SolveOptions(hidden_index=hidden)
+        got = solve_system(sys_, method, opts)
+        with monkeypatch.context() as m:
+            m.setattr(rootfinder, "_start_points", loop_start_points)
+            ref = solve_system(sys_, method, opts)
+        assert report_fields(got) == report_fields(ref)
+        labels |= {r.recovery for r in ref.roots}
+    assert labels == {"ratio", "rank1", "grid"}
+
+
+@pytest.mark.parametrize("method", ["cayley", "sylvester"])
+def test_grid_start_points_stay_in_eigenvalue_order(method):
+    # zeroed rows fail recovery between rows that pass, so their grid
+    # candidates must land in their eigenvalue's place
+    sys_ = random_system_with_root(2, 3, 5, "chebyshev")[0]
+    res = rootfinder._build_resultant(hide_variable(sys_), method, None)[0]
+    lams = polyeig(res.matrix_poly)[0]
+    kept = lams[sys_.domain.contains(lams, 1e-6)]
+    right = eigvecs_and_conditions(res.matrix_poly, kept)[0]
+    right[::3] = 0.0
+    got = rootfinder._start_points(sys_, res, kept, right, 1)
+    want = loop_start_points(sys_, res, kept, right, 1)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tolist() == want[1].tolist()
+    assert got[2].tolist() == want[2].tolist()
+    assert got[3] == want[3]
+    assert "grid" in got[2].tolist() and got[2][-1] != "grid"
 
 
 # ----------------------------------------------------------------------
