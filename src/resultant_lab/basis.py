@@ -83,7 +83,12 @@ class NormalizationWarning(UserWarning):
 # ----------------------------------------------------------------------
 
 class Domain:
-    """Region the basis lives on: a real interval or a complex disc."""
+    """Region the basis lives on: a real interval or a complex disc.
+
+    Both kinds have a center and a radius; an interval's are its
+    midpoint and half-width, while equality, hashing, repr and JSON
+    use its lo and hi.
+    """
 
     __slots__ = ("kind", "lo", "hi", "center", "radius")
 
@@ -93,7 +98,7 @@ class Domain:
             if not lo < hi:
                 raise ValueError("interval needs lo < hi")
             self.lo, self.hi = lo, hi
-            self.center, self.radius = None, None
+            self.center, self.radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
         elif kind == "disc":
             self.center, self.radius = complex(center), float(radius)
             if self.radius <= 0:
@@ -130,11 +135,10 @@ class Domain:
         if m < 1:
             raise ValueError("need at least one node")
         if self.kind == "interval":
-            c = 0.5 * (self.lo + self.hi)
-            h = 0.5 * (self.hi - self.lo)
             if m == 1:
-                return np.array([c])
-            return c + h * np.cos(np.arange(m) * np.pi / (m - 1))
+                return np.array([self.center])
+            return self.center + self.radius * np.cos(
+                np.arange(m) * np.pi / (m - 1))
         ang = 2.0j * np.pi * np.arange(m) / m
         return self.center + self.radius * np.exp(ang)
 

@@ -133,24 +133,23 @@ def _axis_point_sets(domain, taus):
     (domain, taus): returns tuples of read-only arrays.
     """
     d = len(taus) + 1
+    cen, rad = domain.center, domain.radius
     s_sets, t_sets = [], []
     for k0 in range(d - 1):
         a = taus[k0] + 1
         b = taus[d - 2 - k0] + 1
         if domain.kind == "interval":
-            c = 0.5 * (domain.lo + domain.hi)
-            h = 0.5 * (domain.hi - domain.lo)
-            s = (c + h * np.cos(np.arange(a) * np.pi / (a - 1))
+            s = (cen + rad * np.cos(np.arange(a) * np.pi / (a - 1))
                  if a > 1 else np.array([domain.hi]))
             shift = 0.0
             while True:
                 ang = (2 * np.arange(b) + 1) * np.pi / (2 * b) + shift
-                t = c + h * np.cos(ang)
-                if np.min(np.abs(s[:, None] - t[None, :])) > 1e-8 * max(h, 1):
+                t = cen + rad * np.cos(ang)
+                gap = np.min(np.abs(s[:, None] - t[None, :]))
+                if gap > 1e-8 * max(rad, 1):
                     break
                 shift += np.pi / (7 * b)  # rotate until families separate
         else:
-            cen, rad = domain.center, domain.radius
             s = cen + rad * np.exp(2j * np.pi * np.arange(a) / a)
             t = cen + rad * np.exp(2j * np.pi * (np.arange(b) + 0.5) / b)
             if np.min(np.abs(s[:, None] - t[None, :])) <= 1e-10 * rad:

@@ -16,6 +16,11 @@ roots.  Eigenvectors are taken separately, for the eigenvalues a caller
 keeps, by one step of inverse iteration with P(lambda) itself: one
 stacked N x N solve over all kept eigenvalues for the right and left
 vectors, with their condition numbers from the stack of P'(lambda).
+
+P is taken as regular when sigma_min(P(z)) > 1e-12 * sigma_max(P(z)) at
+one of four fixed probe points z around the domain; the ratio depends
+neither on the scale of P nor on its size N.  When P(z) is numerically
+singular at every probe point, polyeig raises NotRegularError.
 """
 
 import functools
@@ -55,7 +60,8 @@ class EigenSolveError(RuntimeError):
 
 
 class NotRegularError(EigenSolveError):
-    """det P(lambda) vanished at every probe: P looks non-regular."""
+    """P(z) was numerically singular, sigma_min <= 1e-12 * sigma_max, at
+    every probe point: P looks non-regular."""
 
 
 class StructureError(RuntimeError):
@@ -144,51 +150,22 @@ def _probe_points(domain):
     """Four fixed complex points scattered around domain, memoised per
     domain as a read-only array."""
     rng = np.random.default_rng(20240811)
-    if domain.kind == "interval":
-        span = 0.5 * (domain.hi - domain.lo)
-        mid = 0.5 * (domain.hi + domain.lo)
-    else:
-        span = domain.radius
-        mid = domain.center
-    probes = mid + span * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    probes = domain.center + domain.radius * (rng.standard_normal(4)
+                                              + 1j * rng.standard_normal(4))
     probes.flags.writeable = False
     return probes
 
 
-def _regularity_probes(P):
-    """det P at the probe points, scaled to O(1) magnitude by
-    P.coeff_scale."""
-    probes = _probe_points(P.basis.domain)
-    scale = P.coeff_scale
-    if scale == 0.0:
-        return np.zeros(len(probes))
-    return np.abs(np.linalg.det(matpoly_eval(P, probes) / scale))
-
-
-# Factor by which a determinant scaled by the Frobenius bound must clear
-# the regularity threshold before it decides alone: the computed
-# determinants of P / F and of P / coeff_scale differ by rounding, which
-# for a nearly singular P(z) is a sizeable fraction of either.
-_PROBE_MARGIN = 2.0
-
-
 def matpoly_is_regular(P):
-    """Numerical regularity probe: det P(lambda_0) != 0 somewhere.
+    """Numerical regularity test: P(z) is far from singular somewhere.
 
-    P is regular when some |det(P(z) / coeff_scale)| at the probe points
-    exceeds 1e-12.  F = max_i ||A_i||_F (1 + 1e-10) bounds coeff_scale
-    from above, so a determinant of P(z) / F that clears the threshold
-    (by _PROBE_MARGIN) only grows under the true scale; the probe
-    determinants are tried that way first, in one call, and the K + 1
-    spectral norms of coeff_scale are taken only when none clears it.
+    P is regular when sigma_min(P(z)) > 1e-12 * sigma_max(P(z)) at some
+    probe point z, the singular values coming from one stacked SVD of
+    P at the four probe points.  P = 0 is not regular.
     """
-    frob = np.linalg.norm(P.coeffs, axis=(1, 2)).max() * (1.0 + _NORM_MARGIN)
-    if frob > 0.0:
-        dets = np.linalg.det(matpoly_eval(P, _probe_points(P.basis.domain))
-                             / frob)
-        if np.any(np.abs(dets) > _PROBE_MARGIN * 1e-12):
-            return True
-    return bool(np.any(_regularity_probes(P) > 1e-12))
+    sv = np.linalg.svd(matpoly_eval(P, _probe_points(P.basis.domain)),
+                       compute_uv=False)
+    return bool(np.any(sv[:, -1] > 1e-12 * sv[:, 0]))
 
 
 # ----------------------------------------------------------------------
@@ -214,11 +191,9 @@ def _shifts(domain):
     """Radius of domain and its fixed sequence of shifts, one per entry
     of _SHIFT_OFFSETS: real points of an interval (the real parts),
     complex points of a disc."""
-    if domain.kind == "interval":
-        mid = 0.5 * (domain.hi + domain.lo)
-        radius = 0.5 * (domain.hi - domain.lo)
-        return radius, [mid + radius * f.real for f in _SHIFT_OFFSETS]
-    return domain.radius, [domain.center + domain.radius * f
+    real = domain.kind == "interval"
+    return domain.radius, [domain.center
+                           + domain.radius * (f.real if real else f)
                            for f in _SHIFT_OFFSETS]
 
 
@@ -301,23 +276,21 @@ def polyeig(P):
     Raises
     ------
     NotRegularError
-        When det P vanishes at every probe point.
+        When P(z) is numerically singular, sigma_min <= 1e-12 *
+        sigma_max, at every probe point (matpoly_is_regular); P = 0 and
+        a singular constant P are not regular.
     EigenSolveError
         When at every shift mu, P(mu) is singular or the pencil has an
         eigenvalue within _SHIFT_GAP * radius of mu.
     """
     K, N = P.degree, P.size
     k_eff = _effective_degree(P)
-    if k_eff == 0:
-        A0 = P.coeffs[0]
-        top = np.max(np.abs(A0))
-        if top == 0.0 or abs(np.linalg.det(A0 / top)) <= 1e-12:
-            raise NotRegularError(
-                "matrix polynomial is constant and singular")
-        return np.empty(0, dtype=complex), N * K
     work = MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1])
     if not matpoly_is_regular(work):
-        raise NotRegularError("determinant vanished at every probe point")
+        raise NotRegularError(
+            "P(z) is numerically singular at every probe point")
+    if k_eff == 0:
+        return np.empty(0, dtype=complex), N * K
     radius, shifts = _shifts(P.basis.domain)
     for mu in shifts:
         try:
@@ -356,27 +329,41 @@ def _start_vector(n):
     return start
 
 
+def _stacked_solve(A, B):
+    """x with A[k] x[k] = B[k] for the stacks A (m, n, n) and B (m, n),
+    and which rows got one.
+
+    A stacked solve raises when any one matrix has an exactly zero
+    pivot; only then is each row solved alone, so that a singular row
+    fails by itself (its x stays zero).
+    """
+    try:
+        return (np.linalg.solve(A, B[..., None])[..., 0],
+                np.ones(len(A), dtype=bool))
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros(B.shape, dtype=np.result_type(A, B))
+    solved = np.ones(len(A), dtype=bool)
+    for k in range(len(A)):
+        try:
+            x[k] = np.linalg.solve(A[k], B[k])
+        except np.linalg.LinAlgError:
+            solved[k] = False
+    return x, solved
+
+
 def _null_vectors(S):
     """Unit approximate null vectors of the square matrices in the
     stack S, by one step of inverse iteration.
 
-    One stacked solve against a fixed start vector, then normalisation.
-    A stacked solve raises when any one matrix has an exactly zero
-    pivot; only then is each matrix solved alone, and a matrix that is
-    still singular, or whose solution overflows, takes the right
-    singular vector of its smallest singular value from its own SVD.
+    One stacked solve against a fixed start vector (_stacked_solve),
+    then normalisation.  A matrix that is singular, or whose solution
+    overflows, takes the right singular vector of its smallest singular
+    value from its own SVD.
     """
     start = _start_vector(S.shape[-1])
-    try:
-        x = np.linalg.solve(S, start[:, None])[..., 0]
-    except np.linalg.LinAlgError:
-        x = np.full(S.shape[:-1], np.nan, dtype=S.dtype)
-        for k in range(len(S)):
-            try:
-                x[k] = np.linalg.solve(S[k], start)
-            except np.linalg.LinAlgError:
-                pass
-    for k in np.nonzero(~np.all(np.isfinite(x), axis=-1))[0]:
+    x, solved = _stacked_solve(S, np.broadcast_to(start, S.shape[:-1]))
+    for k in np.nonzero(~solved | ~np.all(np.isfinite(x), axis=-1))[0]:
         x[k] = np.conj(np.linalg.svd(S[k])[2][-1])
     x /= np.max(np.abs(x), axis=-1, keepdims=True)
     return x / np.linalg.norm(x, axis=-1, keepdims=True)

@@ -39,7 +39,8 @@ import numpy as np
 
 from .basis import DegreeGradedBasis, basis_from_json
 from .cayley import cayley_resultant, cayley_root_eigvectors
-from .matpoly import eigvecs_and_conditions, matpoly_deriv_eval, polyeig
+from .matpoly import (_stacked_solve, eigvecs_and_conditions,
+                      matpoly_deriv_eval, polyeig)
 from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
                         _root_conditions, eval_with_jacobian, hide_variable,
                         mp_eval)
@@ -173,7 +174,7 @@ def _newton(sys, x, F, J):
     for it in range(_NEWTON_ITERS):
         if it:
             F, J = eval_with_jacobian(sys, x[active])
-        step, solved = _newton_steps(J, F)
+        step, solved = _stacked_solve(J, F)
         iters[active[~solved]] = it
         active, step = active[solved], step[solved]
         size = np.max(np.abs(step), axis=1)
@@ -196,27 +197,6 @@ def _newton(sys, x, F, J):
         if not len(active):
             break
     return x, iters, converged
-
-
-def _newton_steps(J, F):
-    """Newton steps J^-1 F for stacked J and F, and which rows got one.
-
-    A stacked solve raises when any one Jacobian is singular; only then
-    is each row solved alone, so that a singular row fails by itself.
-    """
-    try:
-        step = np.linalg.solve(J, F[..., None])[..., 0]
-        return step, np.ones(len(F), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    step = np.zeros_like(F)
-    solved = np.ones(len(F), dtype=bool)
-    for k in range(len(F)):
-        try:
-            step[k] = np.linalg.solve(J[k], F[k])
-        except np.linalg.LinAlgError:
-            solved[k] = False
-    return step, solved
 
 
 # ----------------------------------------------------------------------

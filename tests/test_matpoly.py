@@ -18,9 +18,12 @@ from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    matpoly_from_json, matpoly_to_json,
                                    polyeig)
 from resultant_lab.cayley import cayley_resultant
-from resultant_lab.multipoly import hide_variable
+from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
+                                     hide_variable, mp_eval)
 from resultant_lab.rootfinder import (_component_from_vector,
-                                      family_orthogonal_quadratic)
+                                      family_orthogonal_quadratic,
+                                      random_system_with_root)
+from resultant_lab.sylvester import sylvester_resultant
 
 
 def eigpair(P, lam):
@@ -174,43 +177,46 @@ def test_coeff_scale_is_the_largest_spectral_norm(builtin):
         assert abs(P.coeff_scale - want) <= 4 * np.finfo(float).eps * want
 
 
+def probe_points(domain):
+    """The four probe points: seeded offsets from the domain centre in
+    units of its radius."""
+    rng = np.random.default_rng(20240811)
+    return domain.center + domain.radius * (rng.standard_normal(4)
+                                            + 1j * rng.standard_normal(4))
+
+
+def scaled_probe_decision(P):
+    """The regularity decision one probe point at a time: whether some
+    P(z) / sigma_max(P(z)) has its smallest singular value above 1e-12,
+    each from its own np.linalg.svd."""
+    for z in probe_points(P.basis.domain):
+        s = np.linalg.svd(matpoly_eval(P, z), compute_uv=False)
+        if s[-1] > 1e-12 * s[0]:
+            return True
+    return False
+
+
 @pytest.mark.parametrize("name", ["monomial", "chebyshev", "custom"])
 @pytest.mark.parametrize("domain", [None, Domain.disc(0.2 + 0.1j, 1.5)],
                          ids=["interval", "disc"])
 def test_regularity_probes_match_pointwise(name, domain):
-    P = random_matpoly(np.random.default_rng(8),
-                       basis_by_name(name, domain), 3, 5, True)
-    # the probe points and scaling of _regularity_probes, one point at a
-    # time
-    rng = np.random.default_rng(20240811)
-    dom = P.basis.domain
-    if dom.kind == "interval":
-        span, mid = 0.5 * (dom.hi - dom.lo), 0.5 * (dom.hi + dom.lo)
-    else:
-        span, mid = dom.radius, dom.center
-    probes = mid + span * (rng.standard_normal(4)
-                           + 1j * rng.standard_normal(4))
-    want = [abs(np.linalg.det(matpoly_eval(P, z) / P.coeff_scale))
-            for z in probes]
-    got = matpoly._regularity_probes(P)
-    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want))
-
-
-def scaled_probe_decision(P):
-    """The regularity decision from determinants scaled by coeff_scale."""
-    return bool(np.any(matpoly._regularity_probes(P) > 1e-12))
-
-
-def counting_coeff_scale(monkeypatch):
-    calls = []
-    original = MatrixPolynomial.coeff_scale.fget
-
-    def counting(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(MatrixPolynomial, "coeff_scale", property(counting))
-    return calls
+    basis = basis_by_name(name, domain)
+    probes = matpoly._probe_points(basis.domain)
+    assert np.array_equal(probes, probe_points(basis.domain))
+    P = random_matpoly(np.random.default_rng(8), basis, 3, 5, True)
+    assert matpoly.matpoly_is_regular(P) and scaled_probe_decision(P)
+    # diag(1, q) with q vanishing at three probe points: singular there,
+    # so the fourth point alone decides
+    phis = basis_eval_all(basis, 3, probes)
+    for k in range(4):
+        q = np.linalg.svd(np.delete(phis, k, axis=1).T)[2][-1].conj()
+        C = np.zeros((4, 2, 2), dtype=complex)
+        C[0, 0, 0] = 1.0 / phis[0, 0]
+        C[:, 1, 1] = q
+        Q = MatrixPolynomial(basis, C)
+        sv = np.linalg.svd(matpoly_eval(Q, probes), compute_uv=False)
+        assert np.sum(sv[:, -1] <= 1e-12 * sv[:, 0]) == 3
+        assert matpoly.matpoly_is_regular(Q) and scaled_probe_decision(Q)
 
 
 @pytest.mark.parametrize("domain", [None, Domain.disc(0.2 + 0.1j, 1.5)],
@@ -241,8 +247,8 @@ def test_regularity_decisions_match_scaled_probes(name, domain):
     for size in (1, 3, 8):
         P = random_matpoly(rng, basis, 3, size, True)
         assert matpoly.matpoly_is_regular(P) == scaled_probe_decision(P)
-        # a zero column in every A_i makes det P vanish exactly; t E
-        # moves the determinants across the threshold
+        # a zero column in every A_i makes P(z) singular exactly; t E
+        # moves the singular value ratios across the threshold
         C = P.coeffs.copy()
         C[:, :, -1] = 0.0
         E = rng.standard_normal(C.shape)
@@ -253,6 +259,8 @@ def test_regularity_decisions_match_scaled_probes(name, domain):
     assert True in decisions and False in decisions
     Z = MatrixPolynomial(basis, np.zeros((3, 4, 4)))
     assert not matpoly.matpoly_is_regular(Z) and not scaled_probe_decision(Z)
+    with pytest.raises(NotRegularError):
+        polyeig(Z)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1e-3])
@@ -268,19 +276,78 @@ def test_orthogonal_family_stays_not_regular(sigma):
         polyeig(P)
 
 
-def test_regularity_falls_back_between_the_cutoffs(monkeypatch):
-    # P = I_40: |det(P(z) / ||I||_F)| = 40**-20 does not clear the
-    # threshold, |det(P(z) / ||I||_2)| = 1 does, so the spectral scale
-    # decides
-    b = DegreeGradedBasis.monomial()
-    P = MatrixPolynomial(b, np.stack([np.eye(40), np.zeros((40, 40))]))
-    frob = np.linalg.norm(P.coeffs, axis=(1, 2)).max()
-    probes = matpoly._probe_points(b.domain)
-    assert np.all(np.abs(np.linalg.det(matpoly_eval(P, probes) / frob))
-                  <= 1e-12)
-    calls = counting_coeff_scale(monkeypatch)
-    assert matpoly.matpoly_is_regular(P) and scaled_probe_decision(P)
-    assert len(calls) == 2  # the fallback's and scaled_probe_decision's
+@pytest.mark.parametrize("domain", [None, Domain.disc(0.2 + 0.1j, 1.5)],
+                         ids=["interval", "disc"])
+def test_identity_is_regular_at_every_size(domain):
+    # det(P(z) / ||P||_F) = N**(-N / 2), 40**-20 at N = 40, while the
+    # singular value ratio is 1 at every N
+    b = DegreeGradedBasis.monomial(domain=domain)
+    for N in (1, 10, 40):
+        P = MatrixPolynomial(b, np.stack([np.eye(N), np.zeros((N, N))]))
+        assert matpoly.matpoly_is_regular(P) and scaled_probe_decision(P)
+        lams, n_inf = polyeig(P)
+        assert len(lams) == 0 and n_inf == N
+        assert polyeig(MatrixPolynomial(b, np.eye(N)[None]))[1] == 0
+
+
+@pytest.mark.parametrize("name,domain", [
+    ("monomial", None), ("chebyshev", None),
+    ("chebyshev", Domain.disc(0.2 + 0.1j, 1.5))],
+    ids=["monomial-interval", "chebyshev-interval", "chebyshev-disc"])
+def test_shared_null_vector_is_not_regular(name, domain):
+    # A_i - (A_i v) v^H share the null vector v up to rounding, so P(z)
+    # is singular at every z, however large the basis values there
+    rng = np.random.default_rng(35)
+    basis = basis_by_name(name, domain)
+    A = rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    v /= np.linalg.norm(v)
+    P = MatrixPolynomial(basis, A - np.einsum("kij,j,l->kil", A, v, v.conj()))
+    assert not matpoly.matpoly_is_regular(P)
+    assert not scaled_probe_decision(P)
+    with pytest.raises(NotRegularError):
+        polyeig(P)
+
+
+def mixed_degree_system(degrees, seed, basis):
+    """d = len(degrees) dense random polynomials, polynomial i of degree
+    degrees[i] in every variable, sharing a planted root."""
+    d = len(degrees)
+    rng = np.random.default_rng(seed)
+    root = rng.uniform(-0.7, 0.7, size=d).astype(complex)
+    polys = []
+    for n in degrees:
+        c = rng.standard_normal((n + 1,) * d).astype(complex)
+        c[(0,) * d] -= mp_eval(MultiPoly(basis, d, c), root)
+        polys.append(MultiPoly(basis, d, c))
+    return PolynomialSystem(polys=tuple(polys))
+
+
+def test_regularity_decisions_on_solver_corpora():
+    # the benchmark's solve shapes stay regular under both constructions
+    for k in range(16):
+        basis = ("chebyshev", "legendre")[k % 2]
+        sys3, _ = random_system_with_root(3, 3, [1, k], basis)
+        sys2, _ = random_system_with_root(2, 5, [1, k], basis)
+        for P in (cayley_resultant(hide_variable(sys3, k % 3)).matrix_poly,
+                  cayley_resultant(hide_variable(sys2, k % 2)).matrix_poly,
+                  sylvester_resultant(hide_variable(sys2, k % 2)).matrix_poly):
+            k_eff = matpoly._effective_degree(P)
+            work = MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1])
+            assert matpoly.matpoly_is_regular(work)
+    # mixed-degree d = 3 systems and the orthogonal family do not
+    cheb = DegreeGradedBasis.chebyshev()
+    for degrees in ((1, 1, 3), (3, 1, 1), (1, 3, 1)):
+        for seed in range(3):
+            sys_ = mixed_degree_system(degrees, seed, cheb)
+            for hidden in range(3):
+                P = cayley_resultant(hide_variable(sys_, hidden)).matrix_poly
+                with pytest.raises(NotRegularError):
+                    polyeig(P)
+    for sigma in (0.5, 0.2, 0.1):
+        sys_ = family_orthogonal_quadratic(3, sigma, basis_name="chebyshev")
+        with pytest.raises(NotRegularError):
+            polyeig(cayley_resultant(hide_variable(sys_)).matrix_poly)
 
 
 # ----------------------------------------------------------------------
