@@ -19,8 +19,10 @@ vectors, with their condition numbers from the stack of P'(lambda).
 
 P is taken as regular when sigma_min(P(z)) > 1e-12 * sigma_max(P(z)) at
 one of four fixed probe points z around the domain; the ratio depends
-neither on the scale of P nor on its size N.  When P(z) is numerically
-singular at every probe point, polyeig raises NotRegularError.
+neither on the scale of P nor on its size N.  The points are tried in
+order and the first one that passes decides, so a regular P costs one
+N x N SVD.  When P(z) is numerically singular at every probe point,
+polyeig raises NotRegularError.
 """
 
 import functools
@@ -28,10 +30,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import (NODE_MEMO_SIZE, DegreeGradedBasis, basis_eval_all,
                     basis_eval_deriv_all, basis_from_json, basis_to_json)
+from .multipoly import _reject_non_finite
 
 __all__ = [
     "MatrixPolynomial",
@@ -104,6 +106,7 @@ class MatrixPolynomial:
             raise ValueError("coeffs must have shape (K + 1, N, N)")
         if c.shape[0] < 1:
             raise ValueError("need at least the constant coefficient")
+        _reject_non_finite(c)
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -160,12 +163,16 @@ def matpoly_is_regular(P):
     """Numerical regularity test: P(z) is far from singular somewhere.
 
     P is regular when sigma_min(P(z)) > 1e-12 * sigma_max(P(z)) at some
-    probe point z, the singular values coming from one stacked SVD of
-    P at the four probe points.  P = 0 is not regular.
+    probe point z.  The four probe points are tried in order, each with
+    its own matpoly_eval and SVD (singular values only), and the first
+    one that passes decides: a regular P usually costs one point.
+    P = 0 is not regular.
     """
-    sv = np.linalg.svd(matpoly_eval(P, _probe_points(P.basis.domain)),
-                       compute_uv=False)
-    return bool(np.any(sv[:, -1] > 1e-12 * sv[:, 0]))
+    for z in _probe_points(P.basis.domain):
+        sv = np.linalg.svd(matpoly_eval(P, z), compute_uv=False)
+        if sv[-1] > 1e-12 * sv[0]:
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +215,28 @@ _SHIFT_OFFSETS = (0.5523 + 0.2718j, -0.6180 + 0.1234j, 0.6931 - 0.3817j)
 _SHIFT_GAP = 1e-6
 
 
+@functools.lru_cache(maxsize=NODE_MEMO_SIZE, typed=True)
+def _pencil_table(basis, K, mu, dtype):
+    """The scalars of _inverted_pencil for degree K at the shift mu:
+    W_0..W_K, shape (K + 1, K), and phi_0(mu)..phi_K(mu), shape (K + 1,),
+    both of the given dtype.  They depend on the recurrence alone, so
+    they are memoised per (basis, K, mu, dtype) as read-only arrays.
+    """
+    tab = basis.table(K - 1)
+    # row k: the scalars of W_k in columns 0..K-1 and phi_k(mu) in
+    # column K, which follow the same recurrence
+    T = np.zeros((K + 1, K + 1), dtype=dtype)
+    T[0, K] = 1.0
+    for k in range(K):
+        T[k + 1] = (tab.alpha[k] * mu + tab.beta[k]) * T[k]
+        for j, g in tab.rows[k]:
+            T[k + 1] += g * T[j - 1]
+        if k < K - 1:
+            T[k + 1, k] += tab.alpha[k]
+    T.flags.writeable = False
+    return T[:, :K], T[:, K]
+
+
 def _inverted_pencil(P, mu):
     """M = (X - mu Y)^-1 Y for the block-companion pencil (X, Y) of P,
     from one N x N solve with P(mu); X and Y are never formed.
@@ -223,7 +252,8 @@ def _inverted_pencil(P, mu):
     W_k is a row of scalars times the identity, so that recurrence runs
     on scalars, and the last block row leaves
     P(mu) Z_0 = -alpha_{K-1} A_K E_{K-1} - sum_{i=0}^{K} A_i W_i.
-    M is real when the coefficients, the recurrence and mu are.
+    The scalars W_k and phi_k(mu) come from _pencil_table.  M is real
+    when the coefficients, the recurrence and mu are.
     Raises LinAlgError when P(mu) is exactly singular.
     """
     K, N = P.degree, P.size
@@ -232,18 +262,8 @@ def _inverted_pencil(P, mu):
     if not np.any(A.imag):
         A = A.real
     gammas = np.array([g for row in tab.rows[:K] for _, g in row])
-    # row k: the scalars of W_k in columns 0..K-1 and phi_k(mu) in
-    # column K, which follow the same recurrence
-    T = np.zeros((K + 1, K + 1),
-                 dtype=np.result_type(A, tab.alpha, tab.beta, gammas, mu))
-    T[0, K] = 1.0
-    for k in range(K):
-        T[k + 1] = (tab.alpha[k] * mu + tab.beta[k]) * T[k]
-        for j, g in tab.rows[k]:
-            T[k + 1] += g * T[j - 1]
-        if k < K - 1:
-            T[k + 1, k] += tab.alpha[k]
-    W, phi = T[:, :K], T[:, K]
+    W, phi = _pencil_table(P.basis, K, mu, np.result_type(
+        A, tab.alpha, tab.beta, gammas, mu))
     rhs = -np.tensordot(W, A, axes=([0], [0]))  # block column m is rhs[m]
     rhs[K - 1] -= tab.alpha[K - 1] * A[K]
     Z0 = np.linalg.solve(np.tensordot(phi, A, axes=([0], [0])),
@@ -296,8 +316,10 @@ def polyeig(P):
         try:
             M = _inverted_pencil(work, mu)
             scale = np.linalg.norm(M)
-            theta = scipy.linalg.eigvals(M, check_finite=False)
-        except np.linalg.LinAlgError:  # P(mu) singular, or no convergence
+            # numpy returns real eigenvalues when all of them are real
+            theta = np.linalg.eigvals(M).astype(complex, copy=False)
+        except np.linalg.LinAlgError:
+            # P(mu) singular, M not finite, or no convergence
             continue
         del M
         # a NaN or inf theta fails this test too
@@ -426,7 +448,9 @@ def matpoly_from_json(obj):
     for entry in obj["coeff_matrices"]:
         a = np.asarray(entry["real"], dtype=float)
         if "imag" in entry and entry["imag"] is not None:
-            a = a + 1j * np.asarray(entry["imag"], dtype=float)
+            # 1j * inf has a NaN real part; the constructor rejects both
+            with np.errstate(invalid="ignore"):
+                a = a + 1j * np.asarray(entry["imag"], dtype=float)
         mats.append(a)
     coeffs = np.stack(mats)
     P = MatrixPolynomial(basis, coeffs)

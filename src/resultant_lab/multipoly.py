@@ -47,6 +47,17 @@ __all__ = [
 ]
 
 
+def _reject_non_finite(c):
+    """Raise ValueError naming up to five indices of the NaN or infinite
+    entries of the coefficient array c; finite c costs one reduction."""
+    if np.isfinite(c).all():
+        return
+    bad = np.argwhere(~np.isfinite(c))
+    where = ", ".join(str(tuple(int(i) for i in idx)) for idx in bad[:5])
+    more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+    raise ValueError(f"non-finite coefficients at index {where}{more}")
+
+
 @dataclass(frozen=True)
 class MultiPoly:
     """Dense coefficient tensor of a d-variate polynomial."""
@@ -63,12 +74,7 @@ class MultiPoly:
                 f"coefficient tensor has {c.ndim} axes, expected {self.dim}")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        bad = np.argwhere(~np.isfinite(c))
-        if len(bad):
-            where = ", ".join(str(tuple(int(i) for i in idx))
-                              for idx in bad[:5])
-            more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
-            raise ValueError(f"non-finite coefficients at index {where}{more}")
+        _reject_non_finite(c)
 
     @property
     def degrees(self):

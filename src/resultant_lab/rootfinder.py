@@ -400,14 +400,11 @@ def solve_system(sys, method="cayley", options=None):
         resid = np.abs(F)
         spurious = np.any(resid > opts.tol_accept * _coeff_scales(sys),
                           axis=1)
-        rcs = _root_conditions(J)
-        candidates = [RootRecord(
-            x=x[i], hidden_value=complex(kept[k]),
-            residuals=resid[i], max_residual=float(resid[i].max()),
-            pre_polish_residual=float(pre[i]), spurious=bool(spurious[i]),
-            eig_condition=float(kappas[k]), root_condition=float(rcs[i]),
-            newton_iters=int(iters[i]), recovery=label)
-            for i, (k, label) in enumerate(zip(owner, how.tolist()))]
+        # RootRecord fields in order, the scalars from one tolist() each
+        candidates = [RootRecord(*f) for f in zip(
+            x, kept[owner].tolist(), resid, resid.max(axis=1).tolist(),
+            pre.tolist(), spurious.tolist(), kappas[owner].tolist(),
+            _root_conditions(J).tolist(), iters.tolist(), how.tolist())]
     roots = _dedupe(candidates, _DEDUPE_TOL)
     roots.sort(key=lambda r: (r.x[hidden].real, r.x[hidden].imag))
     log.info("solve_system: %d eigenvalues, %d kept roots (%d spurious)",
@@ -425,7 +422,8 @@ def _dedupe(records, tol):
 
     A record is dropped when its max-norm gap to a record already kept
     is at most tol * (1 + ||other.x||_inf).  The gaps between all pairs
-    come from one broadcast; only the greedy pass is a loop.
+    come from one broadcast; only the greedy pass is a loop, and it is
+    skipped when no two records are close, as it would keep them all.
     """
     order = sorted(records, key=lambda r: r.max_residual)
     if not order:
@@ -433,6 +431,10 @@ def _dedupe(records, tol):
     xs = np.array([r.x for r in order])
     gap = np.max(np.abs(xs[:, None, :] - xs[None, :, :]), axis=-1)
     close = gap <= tol * (1.0 + np.max(np.abs(xs), axis=1))
+    # the diagonal is never read: a NaN row leaves it False, others True
+    np.fill_diagonal(close, False)
+    if not close.any():
+        return order
     kept = []
     for i in range(len(order)):
         if not close[i, kept].any():

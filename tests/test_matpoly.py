@@ -2,6 +2,9 @@
 determinant checks and a dense reference linearization."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +168,29 @@ def test_properties():
     assert P.coeff_scale == 1.0
     with pytest.raises(ValueError):
         MatrixPolynomial(b, np.ones((2, 2, 3)))
+
+
+NON_FINITE = [complex(np.nan, 0.0), complex(np.inf, 0.0),
+              complex(-np.inf, 0.0), complex(0.0, np.nan),
+              complex(0.0, np.inf), complex(0.0, -np.inf)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE,
+                         ids=["nan", "inf", "-inf", "nan-imag", "inf-imag",
+                              "-inf-imag"])
+def test_non_finite_coefficients_are_rejected(bad):
+    b = DegreeGradedBasis.chebyshev()
+    c = np.random.default_rng(17).standard_normal((3, 4, 4)).astype(complex)
+    c[2, 1, 3] = bad
+    with pytest.raises(ValueError, match=r"non-finite coefficients at index "
+                       r"\(2, 1, 3\)$"):
+        MatrixPolynomial(b, c)
+    c[0, 0, :] = bad
+    c[1, 2, 2] = bad
+    c[2, 3, 0] = bad
+    with pytest.raises(ValueError, match=r"index \(0, 0, 0\), \(0, 0, 1\), "
+                       r"\(0, 0, 2\), \(0, 0, 3\), \(1, 2, 2\) and 2 more$"):
+        MatrixPolynomial(b, c)
 
 
 def test_coeff_scale_is_the_largest_spectral_norm(builtin):
@@ -350,6 +376,65 @@ def test_regularity_decisions_on_solver_corpora():
             polyeig(cayley_resultant(hide_variable(sys_)).matrix_poly)
 
 
+def stacked_probe_decision(P):
+    """The four-point rule from one stacked SVD of P at every probe
+    point, as matpoly_is_regular took it before it stopped at the first
+    point that passes."""
+    sv = np.linalg.svd(matpoly_eval(P, probe_points(P.basis.domain)),
+                       compute_uv=False)
+    return bool(np.any(sv[:, -1] > 1e-12 * sv[:, 0]))
+
+
+def singular_at_first_three_probes(basis):
+    """diag(1, q) of degree 3 with q zero at the first three probe
+    points, so that only the fourth passes."""
+    phis = basis_eval_all(basis, 3, probe_points(basis.domain))
+    C = np.zeros((4, 2, 2), dtype=complex)
+    C[0, 0, 0] = 1.0
+    C[:, 1, 1] = np.linalg.svd(phis[:, :3].T)[2][-1].conj()
+    return MatrixPolynomial(basis, C)
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "custom"])
+@pytest.mark.parametrize("domain", [None, Domain.disc(0.2 + 0.1j, 1.5)],
+                         ids=["interval", "disc"])
+def test_first_passing_probe_decides_as_the_stacked_rule(name, domain):
+    basis = basis_by_name(name, domain)
+    rng = np.random.default_rng(15)
+    cases = [random_matpoly(rng, basis, 3, size, complex_entries)
+             for size in (1, 4, 9) for complex_entries in (False, True)]
+    # a null vector shared by every coefficient: singular everywhere
+    A = rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    v /= np.linalg.norm(v)
+    cases.append(MatrixPolynomial(
+        basis, A - np.einsum("kij,j,l->kil", A, v, v.conj())))
+    cases.append(singular_at_first_three_probes(basis))
+    cases.append(MatrixPolynomial(basis, np.zeros((3, 4, 4))))
+    decisions = [matpoly.matpoly_is_regular(P) for P in cases]
+    assert decisions == [stacked_probe_decision(P) for P in cases]
+    assert decisions == [True] * 6 + [False, True, False]
+
+
+def test_regular_p_takes_one_svd(builtin, monkeypatch):
+    rng = np.random.default_rng(16)
+    P = random_matpoly(rng, builtin, 4, 6, True)
+    Q = singular_at_first_three_probes(builtin)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert matpoly.matpoly_is_regular(P)
+    assert len(calls) == 1
+    # only the fourth probe point passes, so all four are taken
+    assert matpoly.matpoly_is_regular(Q)
+    assert len(calls) == 5
+
+
 # ----------------------------------------------------------------------
 # Linearization (dense reference)
 # ----------------------------------------------------------------------
@@ -476,6 +561,86 @@ def test_inverted_pencil_matches_dense_solve(name, domain, complex_entries,
                     <= 1e-10 * np.linalg.norm(want))
 
 
+def loop_pencil_table(P, mu):
+    """W_0..W_K and phi_0(mu)..phi_K(mu) of _inverted_pencil from the
+    scalar recurrence loop, recomputed on every call."""
+    K = P.degree
+    tab = P.basis.table(K - 1)
+    A = P.coeffs
+    if not np.any(A.imag):
+        A = A.real
+    gammas = np.array([g for row in tab.rows[:K] for _, g in row])
+    T = np.zeros((K + 1, K + 1),
+                 dtype=np.result_type(A, tab.alpha, tab.beta, gammas, mu))
+    T[0, K] = 1.0
+    for k in range(K):
+        T[k + 1] = (tab.alpha[k] * mu + tab.beta[k]) * T[k]
+        for j, g in tab.rows[k]:
+            T[k + 1] += g * T[j - 1]
+        if k < K - 1:
+            T[k + 1, k] += tab.alpha[k]
+    return T[:, :K], T[:, K]
+
+
+def loop_inverted_pencil(P, mu):
+    """_inverted_pencil with the scalar table computed in place, as it
+    was before the table was memoised."""
+    K, N = P.degree, P.size
+    tab = P.basis.table(K - 1)
+    A = P.coeffs
+    if not np.any(A.imag):
+        A = A.real
+    W, phi = loop_pencil_table(P, mu)
+    rhs = -np.tensordot(W, A, axes=([0], [0]))
+    rhs[K - 1] -= tab.alpha[K - 1] * A[K]
+    Z0 = np.linalg.solve(np.tensordot(phi, A, axes=([0], [0])),
+                         rhs.transpose(1, 0, 2).reshape(N, K * N))
+    M = phi[:K, None, None] * Z0
+    rows = np.arange(N)
+    M.reshape(K, N, K, N)[:, rows, :, rows] += W[:K]
+    return M.reshape(K * N, K * N)
+
+
+def identical(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom"])
+@pytest.mark.parametrize("complex_entries", [False, True],
+                         ids=["real", "complex"])
+def test_pencil_table_is_the_loop_bitwise(name, complex_entries):
+    rng = np.random.default_rng(24)
+    for domain in (Domain.interval(-1.0, 1.0), Domain.interval(2.0, 5.0),
+                   Domain.disc(0.2 + 0.1j, 1.5)):
+        basis = basis_by_name(name, domain)
+        for degree in (1, 2, 7):
+            P = random_matpoly(rng, basis, degree, 3, complex_entries)
+            for mu in matpoly._shifts(domain)[1] + [0.3 - 0.45j]:
+                want = loop_pencil_table(P, mu)
+                for _ in range(2):  # the miss, then the hit
+                    got = matpoly._pencil_table(basis, degree, mu,
+                                                want[0].dtype)
+                    assert all(map(identical, got, want))
+                    assert not any(t.flags.writeable for t in got)
+                assert identical(matpoly._inverted_pencil(P, mu),
+                                 loop_inverted_pencil(P, mu))
+    with pytest.raises(ValueError, match="read-only"):
+        got[0][0, 0] = 1.0
+
+
+def test_pencil_table_key_keeps_real_and_complex_apart():
+    basis = DegreeGradedBasis.chebyshev()
+    rng = np.random.default_rng(25)
+    real = random_matpoly(rng, basis, 4, 3)
+    cplx = random_matpoly(rng, basis, 4, 3, complex_entries=True)
+    for mu in (0.5, 0.5 + 0j):
+        for P in (real, cplx, real):
+            assert identical(matpoly._inverted_pencil(P, mu),
+                             loop_inverted_pencil(P, mu))
+
+
 # ----------------------------------------------------------------------
 # polyeig
 # ----------------------------------------------------------------------
@@ -574,6 +739,82 @@ def test_polyeig_not_regular():
     # zero matrix polynomial
     with pytest.raises(NotRegularError):
         polyeig(MatrixPolynomial(b, np.zeros((2, 1, 1))))
+
+
+def corpus_pencils():
+    """M = (X - mu Y)^-1 Y at the first shift for trimmed resultants of
+    the benchmark's solve shapes and of complex disc systems."""
+    disc = DegreeGradedBasis.chebyshev(Domain.disc(0.1 - 0.2j, 1.2))
+    shapes = [(3, 3, "cayley", "chebyshev"), (3, 3, "cayley", "legendre"),
+              (2, 5, "cayley", "chebyshev"), (2, 5, "sylvester", "legendre"),
+              (2, 3, "cayley", disc), (2, 3, "sylvester", disc)]
+    build = {"cayley": cayley_resultant, "sylvester": sylvester_resultant}
+    for k in range(12):
+        d, n, method, basis = shapes[k % len(shapes)]
+        sys_, _ = random_system_with_root(d, n, [1, k], basis)
+        P = build[method](hide_variable(sys_)).matrix_poly
+        work = MatrixPolynomial(P.basis,
+                                P.coeffs[:matpoly._effective_degree(P) + 1])
+        yield matpoly._inverted_pencil(work, matpoly._shifts(P.basis.domain)
+                                       [1][0])
+
+
+def test_eigvals_equal_scipy_on_corpus_pencils():
+    # numpy and scipy each bundle their own OpenBLAS, whose threaded
+    # kernels may round differently; with one thread, as the benchmark
+    # runs, their eigenvalues agree bit for bit
+    code = ("import numpy as np, scipy.linalg\n"
+            "from test_matpoly import corpus_pencils, identical\n"
+            "print(sorted({(M.dtype.kind, identical(\n"
+            "    np.linalg.eigvals(M).astype(complex, copy=False),\n"
+            "    scipy.linalg.eigvals(M, check_finite=False)))\n"
+            "    for M in corpus_pencils()}))")
+    src = os.path.dirname(os.path.dirname(matpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.path.dirname(__file__)]), OMP_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[('c', True), ('f', True)]"
+
+
+def test_real_spectrum_gives_complex_eigenvalues(builtin):
+    # every eigenvalue of this real P is real, so numpy's eigvals returns
+    # a real array; polyeig still gives complex lams
+    to_basis = {"monomial": lambda c: c,
+                "chebyshev": np.polynomial.chebyshev.poly2cheb,
+                "legendre": np.polynomial.legendre.poly2leg}[builtin.name]
+    roots = np.array([[-0.6, 0.1, 0.45], [-0.3, 0.25, 0.7]])
+    C = np.zeros((4, 2, 2))
+    for i, r in enumerate(roots):
+        C[:, i, i] = to_basis(np.polynomial.polynomial.polyfromroots(r))
+    P = MatrixPolynomial(builtin, C)
+    assert np.isrealobj(np.linalg.eigvals(matpoly._inverted_pencil(
+        P, matpoly._shifts(builtin.domain)[1][0])))
+    lams, n_inf = polyeig(P)
+    assert lams.dtype == complex and n_inf == 0
+    match_nearest(lams, roots.ravel(), 1e-10)
+
+
+def test_non_finite_pencil_moves_to_the_next_shift(monkeypatch):
+    rng = np.random.default_rng(19)
+    P = random_matpoly(rng, DegreeGradedBasis.chebyshev(), 3, 4)
+    want = polyeig(P)
+    shifts = []
+    inverted = matpoly._inverted_pencil
+
+    def poisoned_first(P, shift):
+        shifts.append(shift)
+        M = inverted(P, shift)
+        if len(shifts) == 1:
+            M[0, 0] = np.nan
+        return M
+
+    monkeypatch.setattr(matpoly, "_inverted_pencil", poisoned_first)
+    lams, n_inf = polyeig(P)
+    assert shifts == matpoly._shifts(P.basis.domain)[1][:2]
+    assert n_inf == want[1] == 0
+    match_nearest(lams, want[0], 1e-8)
 
 
 def test_left_vectors_are_plain_transpose():
@@ -802,6 +1043,20 @@ def test_matpoly_json_roundtrip(builtin):
     with pytest.raises(ValueError):
         bad = dict(obj, size=7)
         matpoly_from_json(bad)
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_matpoly_from_json_rejects_non_finite(part, bad):
+    rng = np.random.default_rng(18)
+    P = random_matpoly(rng, DegreeGradedBasis.legendre(), 2, 3,
+                       complex_entries=True)
+    # Python's json reads NaN and Infinity
+    obj = json.loads(json.dumps(matpoly_to_json(P)))
+    obj["coeff_matrices"][1][part][2][0] = bad
+    with pytest.raises(ValueError, match=r"at index \(1, 2, 0\)$"):
+        matpoly_from_json(obj)
 
 
 def test_polyeig_with_dense_gamma_basis():

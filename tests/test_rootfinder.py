@@ -1,6 +1,7 @@
 """Pipeline tests: recovery, polishing, solving, families, reports."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -807,6 +808,25 @@ def test_dedupe_matches_brute_force():
         assert [id(r) for r in got] == [id(r) for r in want]
 
 
+def test_dedupe_fast_path_keeps_what_the_greedy_pass_keeps():
+    rng = np.random.default_rng(9)
+    tol = 1e-8
+    nan = np.full(2, np.nan, dtype=complex)
+    apart = [_record(rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2),
+                     float(rng.uniform(0, 1e-10))) for _ in range(12)]
+    pair = [_record([0.3, -0.2j], 1e-12), _record([0.3 + 1e-9, -0.2j], 1e-11)]
+    nan_rows = [_record(nan, 1e-13), _record(nan, np.nan)]
+    sets = [[], apart[:1], apart, apart + pair, apart + nan_rows,
+            apart[:5] + nan_rows + pair + apart[5:], nan_rows]
+    for records in sets:
+        got = rootfinder._dedupe(records, tol)
+        want = brute_force_dedupe(records, tol)
+        assert [id(r) for r in got] == [id(r) for r in want]
+    # NaN rows are never close to anything, themselves included
+    assert len(rootfinder._dedupe(apart + nan_rows + pair, tol)) == 15
+    assert len(rootfinder._dedupe(nan_rows, tol)) == 2
+
+
 # ----------------------------------------------------------------------
 # Families
 # ----------------------------------------------------------------------
@@ -951,6 +971,41 @@ def test_report_csv_roundtrip(mono):
     for row in rows:
         assert float(row["max_residual"]) == pytest.approx(0.0, abs=1e-12)
         assert row["recovery"] in ("ratio", "rank1", "grid")
+
+
+RECORD_TYPES = {"x": np.ndarray, "hidden_value": complex,
+                "residuals": np.ndarray, "max_residual": float,
+                "pre_polish_residual": float, "spurious": bool,
+                "eig_condition": float, "root_condition": float,
+                "newton_iters": int, "recovery": str}
+
+
+@pytest.mark.parametrize("polish", [True, False])
+def test_records_keep_python_field_types(polish):
+    opts = SolveOptions(polish=polish)
+    for k, method in enumerate(["cayley", "sylvester"] * 2):
+        sys_, _ = random_system_with_root(2, 4, [3, k],
+                                          ("chebyshev", "legendre")[k // 2])
+        report = solve_system(sys_, method, opts)
+        assert report.roots
+        for r in report.roots:
+            for name, kind in RECORD_TYPES.items():
+                assert type(getattr(r, name)) is kind, name
+        # the records as built one field at a time, each scalar converted
+        # by its Python type, serialize to the same bytes
+        rebuilt = dataclasses.replace(report, roots=tuple(
+            dataclasses.replace(
+                r, hidden_value=complex(r.hidden_value),
+                max_residual=float(np.max(r.residuals)),
+                pre_polish_residual=float(r.pre_polish_residual),
+                spurious=bool(r.spurious),
+                eig_condition=float(r.eig_condition),
+                root_condition=float(r.root_condition),
+                newton_iters=int(r.newton_iters))
+            for r in report.roots))
+        assert (json.dumps(report_to_json(report))
+                == json.dumps(report_to_json(rebuilt)))
+        assert report_to_csv(report) == report_to_csv(rebuilt)
 
 
 def test_report_csv_empty(mono):
