@@ -41,7 +41,8 @@ import numpy as np
 
 from .basis import NODE_MEMO_SIZE, _node_values, basis_eval_all
 from .matpoly import MatrixPolynomial, _check_null_vectors, matpoly_to_json
-from .multipoly import _contract_leading, _stacked, interpolate_on_nodes
+from .multipoly import (_contract_leading, _reject_non_finite, _stacked,
+                        interpolate_on_nodes)
 
 __all__ = [
     "CayleyResultant",
@@ -99,7 +100,13 @@ def _c_strides(extents):
 
 def _is_total_degree_one(hv):
     # Affine in the free variables; the hidden axis (last) is excluded
-    # because hidden-variable degree never enters the s, t degrees.
+    # because hidden-variable degree never enters the s, t degrees.  A
+    # nonzero slab of degree >= 2 in one free variable decides before
+    # any index mask is built.
+    for t in hv.tensors:
+        for m in range(hv.dim - 1):
+            if np.any(t[(slice(None),) * m + (slice(2, None),)]):
+                return False
     for t in hv.tensors:
         weight = np.indices(t.shape[:-1]).sum(axis=0)
         if np.any(t[weight >= 2] != 0):
@@ -268,19 +275,22 @@ def cayley_root_eigvectors(hv, root, resultant, check=True):
     prod_k phi_{j_k}(x_k) over the column index group; the left vector
     does the same over the row group.  Both are returned unnormalized.
 
-    Raises StructureError when either residual exceeds 1e-7 times the
-    matrix norm (floored by the coefficient scale), which would mean the
+    Raises ValueError when a root component is NaN or infinite, and
+    StructureError when either residual exceeds 1e-7 times the matrix
+    norm (floored by the coefficient scale), which would mean the
     construction and the closed-form eigenvector disagree.
     """
     root = np.atleast_1d(np.asarray(root, dtype=complex))
     if root.shape != (hv.dim,):
         raise ValueError(f"root must have length {hv.dim}")
+    _reject_non_finite(root, "root components")
     free = root[list(hv.free_order)]
     z = complex(root[hv.hidden_index])
-    col_vecs = [basis_eval_all(hv.basis, e - 1, free[k0])
-                for k0, e in enumerate(resultant.col_extents)]
-    row_vecs = [basis_eval_all(hv.basis, e - 1, free[k0])
-                for k0, e in enumerate(resultant.row_extents)]
+    # phi_0..phi_{e-1} at every free component from one recurrence run:
+    # column k0 of phis, cut to each axis's extent
+    phis = basis_eval_all(hv.basis, max(resultant.row_extents) - 1, free)
+    col_vecs = [phis[:e, k0] for k0, e in enumerate(resultant.col_extents)]
+    row_vecs = [phis[:e, k0] for k0, e in enumerate(resultant.row_extents)]
     v = reduce(np.multiply.outer, col_vecs).ravel(order="C")
     w = reduce(np.multiply.outer, row_vecs).ravel(order="C")
     if check:

@@ -52,8 +52,9 @@ log = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
 
-# Relative rounding margin between a Frobenius norm, an upper bound of
-# the 2-norm, and the largest singular value numpy computes.
+# Relative rounding margin between a Frobenius-norm bound of the 2-norm
+# (||A||_2 <= ||A||_F <= sqrt(N) ||A||_2) and the largest singular value
+# numpy computes.
 _NORM_MARGIN = 1e-10
 
 
@@ -74,20 +75,29 @@ class StructureError(RuntimeError):
 def _check_null_vectors(P, z, v, w):
     """Raise StructureError unless v and w are right and plain-transpose
     left null vectors of P(z) to within 1e-7 * max(||P(z)||_2,
-    P.coeff_scale) relative to their norms.
+    P.coeff_scale) relative to their norms.  A NaN residual fails.
 
-    At a multiple root P(z) may vanish entirely, so the scale is floored
-    by the coefficient size of the construction itself; that floor costs
-    K + 1 spectral norms and is computed only when ||P(z)||_2 alone
-    does not pass both residuals.
+    ||P(z)||_F / sqrt(N) bounds the 2-norm from below (Golub and Van
+    Loan, Matrix Computations, 2.3), so residuals that pass against it
+    pass the rule, and the SVD behind ||P(z)||_2 is taken only when they
+    do not.  At a multiple root P(z) may vanish entirely, so the scale
+    is floored by the coefficient size of the construction itself; that
+    floor costs K + 1 spectral norms and is computed only when
+    ||P(z)||_2 alone does not pass both residuals.
     """
     P0 = matpoly_eval(P, z)
     res_r = np.linalg.norm(P0 @ v) / np.linalg.norm(v)
     res_l = np.linalg.norm(P0.T @ w) / np.linalg.norm(w)
+
+    def passes(scale):
+        return res_r <= 1e-7 * scale and res_l <= 1e-7 * scale
+
+    if passes(np.linalg.norm(P0) / np.sqrt(P.size) * (1.0 - _NORM_MARGIN)):
+        return
     scale = np.linalg.norm(P0, 2)
-    if res_r > 1e-7 * scale or res_l > 1e-7 * scale:
+    if not passes(scale):
         scale = max(scale, P.coeff_scale)
-        if res_r > 1e-7 * scale or res_l > 1e-7 * scale:
+        if not passes(scale):
             raise StructureError(
                 f"structured eigenvector residuals {res_r:.3e}/{res_l:.3e} "
                 f"exceed 1e-7 * ||R|| = {1e-7 * scale:.3e}")

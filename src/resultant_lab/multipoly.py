@@ -47,15 +47,16 @@ __all__ = [
 ]
 
 
-def _reject_non_finite(c):
+def _reject_non_finite(c, what="coefficients"):
     """Raise ValueError naming up to five indices of the NaN or infinite
-    entries of the coefficient array c; finite c costs one reduction."""
+    entries of the array c, called what in the message; finite c costs
+    one reduction."""
     if np.isfinite(c).all():
         return
     bad = np.argwhere(~np.isfinite(c))
     where = ", ".join(str(tuple(int(i) for i in idx)) for idx in bad[:5])
     more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
-    raise ValueError(f"non-finite coefficients at index {where}{more}")
+    raise ValueError(f"non-finite {what} at index {where}{more}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .basis import _node_values, basis_eval_all, clenshaw_shifts
 from .matpoly import MatrixPolynomial, _check_null_vectors, matpoly_to_json
-from .multipoly import MultiPoly, interpolate_on_nodes, mp_eval_grid
+from .multipoly import (MultiPoly, _reject_non_finite, interpolate_on_nodes,
+                        mp_eval_grid)
 
 __all__ = [
     "SylvesterResultant",
@@ -119,12 +120,14 @@ def sylvester_root_eigvectors(hv, root, resultant, check=True):
     the q_1 block and alpha_i b_{i+1}[q_1](y) on the q_2 block, where
     the b_k are backward-recurrence shifts.  Both are unnormalized.
 
-    Raises StructureError when either residual exceeds 1e-7 times the
-    matrix norm (floored by the coefficient scale).
+    Raises ValueError when a root component is NaN or infinite, and
+    StructureError when either residual exceeds 1e-7 times the matrix
+    norm (floored by the coefficient scale).
     """
     root = np.atleast_1d(np.asarray(root, dtype=complex))
     if root.shape != (2,):
         raise ValueError("root must have length 2")
+    _reject_non_finite(root, "root components")
     y = complex(root[hv.free_order[0]])
     z = complex(root[hv.hidden_index])
     tau1, tau2 = resultant.tau1, resultant.tau2

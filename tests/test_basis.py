@@ -29,11 +29,6 @@ def forward_sum(basis, coeffs, x):
     return np.sum(np.asarray(coeffs, dtype=complex) * phis)
 
 
-@pytest.fixture(params=["monomial", "chebyshev", "legendre"])
-def builtin(request):
-    return DegreeGradedBasis(request.param)
-
-
 # ----------------------------------------------------------------------
 # Forward recurrence
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Cayley function, tensor and resultant against determinant-formula and
 synthetic-division oracles."""
 
-import itertools
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,19 +20,9 @@ from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
 from resultant_lab.rootfinder import (condition_at_root,
                                       family_orthogonal_quadratic,
                                       random_system_with_root)
-from resultant_lab.sylvester import sylvester_resultant
-
-
-def naive_eval(p, x):
-    tables = [basis_eval_all(p.basis, p.coeffs.shape[a] - 1, complex(x[a]))
-              for a in range(p.dim)]
-    total = 0.0j
-    for idx in itertools.product(*[range(e) for e in p.coeffs.shape]):
-        term = p.coeffs[idx]
-        for a, i in enumerate(idx):
-            term = term * tables[a][i]
-        total += term
-    return total
+from resultant_lab.sylvester import (sylvester_resultant,
+                                     sylvester_root_eigvectors)
+from conftest import circle_line, dense_gamma_basis, naive_eval
 
 
 def det_formula(M):
@@ -95,25 +85,6 @@ def tensor_at(res, z):
                                                     + res.col_extents)
 
 
-def circle_line(basis):
-    c1 = np.zeros((3, 3), dtype=complex)
-    c1[0, 0], c1[2, 0], c1[0, 2] = -0.5, 1.0, 1.0
-    c2 = np.zeros((2, 2), dtype=complex)
-    c2[1, 0], c2[0, 1] = 1.0, -1.0
-    return PolynomialSystem((MultiPoly(basis, 2, c1),
-                             MultiPoly(basis, 2, c2)))
-
-
-@pytest.fixture
-def mono():
-    return DegreeGradedBasis.monomial()
-
-
-@pytest.fixture
-def cheb():
-    return DegreeGradedBasis.chebyshev()
-
-
 # ----------------------------------------------------------------------
 # Function evaluation
 # ----------------------------------------------------------------------
@@ -131,15 +102,6 @@ def test_function_matches_det_oracle(d, n, seed):
         want = function_oracle(hv, s, t, z)
         got = contract(tensor_at(res, z), hv.basis, res.taus, s, t)
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
-
-
-def dense_gamma_basis(domain=None):
-    # every gamma_{k,j} is nonzero: phi_{k+1} reaches back to all of
-    # phi_0, ..., phi_{k-1}
-    return DegreeGradedBasis.custom(
-        [1.0, 0.9, 1.1, 0.8], [0.1, -0.2, 0.05, 0.0],
-        [[0.3], [0.2, -0.1], [0.1, 0.05, -0.2]], domain=domain,
-        check_normalization=False)
 
 
 def grid_basis(name, domain):
@@ -226,6 +188,41 @@ def test_default_taus_structural_zero_for_linear(mono):
     for d in (2, 3, 4):
         sys_, _ = family_linear(d, seed=d)
         assert default_taus(hide_variable(sys_)) == (0,) * (d - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_default_taus_zero_for_affine_with_zero_slabs(mono, d):
+    # affine in the free variables inside tensors of extent 4 on every
+    # axis, so the slabs of free degree 2 and 3 are explicit zeros; the
+    # terms x_d^3 and x_1 x_d^2 sit on the hidden axis and keep free
+    # weight at most one
+    rng = np.random.default_rng(d)
+    polys = []
+    for _ in range(d):
+        c = np.zeros((4,) * d)
+        c[(0,) * d] = rng.standard_normal()
+        for a in range(d):
+            c[tuple(int(b == a) for b in range(d))] = rng.standard_normal()
+        c[(0,) * (d - 1) + (3,)] = rng.standard_normal()
+        c[(1,) + (0,) * (d - 2) + (2,)] = rng.standard_normal()
+        polys.append(MultiPoly(mono, d, c))
+    hv = hide_variable(PolynomialSystem(tuple(polys)))
+    assert hv.max_degree == 3
+    assert default_taus(hv) == (0,) * (d - 1)
+
+
+@pytest.mark.parametrize("shape,want", [((2, 2, 2), (0, 1)),
+                                        ((3, 3, 3), (1, 3))])
+def test_default_taus_full_for_mixed_degree_two(mono, shape, want):
+    # the only free term of degree two is x_1 x_2: no single free axis
+    # reaches index 2, and the system still gets the bounds k n - 1
+    polys = []
+    for k in range(3):
+        c = np.zeros(shape)
+        c[0, 0, 0], c[1, 0, 0], c[0, 1, 0] = 1.0 + k, 0.5, -0.25
+        c[0, 0, 1], c[1, 1, 0] = 0.75, 2.0
+        polys.append(MultiPoly(mono, 3, c))
+    assert default_taus(hide_variable(PolynomialSystem(tuple(polys)))) == want
 
 
 def test_taus_override_padding_is_zero(mono):
@@ -426,6 +423,80 @@ def test_root_eigvectors_reject_non_root(cheb):
     assert v.shape == w.shape
 
 
+@pytest.mark.parametrize("basis_name", ["chebyshev", "dense", "disc"])
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 2), (4, 2)])
+def test_root_eigvectors_match_per_axis_evaluation(d, n, basis_name):
+    # the vectors come from one basis_eval_all over all free components;
+    # one call per axis at that axis's extent gives the same bits
+    if basis_name == "dense":
+        basis = dense_gamma_basis()
+    elif basis_name == "disc":
+        basis = DegreeGradedBasis.legendre(
+            domain=Domain.disc(0.2 + 0.1j, 1.5))
+    else:
+        basis = DegreeGradedBasis.chebyshev()
+    sys_, root = random_system_with_root(d, n, [d, n, 3], basis)
+    for hidden in (d - 1, 0):
+        hv = hide_variable(sys_, hidden)
+        res = cayley_resultant(hv)
+        free = root[list(hv.free_order)]
+
+        def per_axis(extents):
+            return reduce(np.multiply.outer,
+                          [basis_eval_all(basis, e - 1, complex(free[k]))
+                           for k, e in enumerate(extents)]).ravel()
+
+        v, w = cayley_root_eigvectors(hv, root, res)
+        assert np.array_equal(v, per_axis(res.col_extents))
+        assert np.array_equal(w, per_axis(res.row_extents))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "nan-imag"])
+@pytest.mark.parametrize("index", [0, 1])
+def test_root_eigvectors_reject_non_finite_root(bad, index):
+    # a NaN root once gave NaN vectors that passed the residual check,
+    # and condition_at_root failed inside an SVD
+    sys_, root = random_system_with_root(2, 3, 18, basis_name="chebyshev")
+    hv = hide_variable(sys_)
+    res = cayley_resultant(hv)
+    root = np.asarray(root, dtype=complex)
+    root[index] = bad
+    msg = rf"non-finite root components at index \({index},\)$"
+    with pytest.raises(ValueError, match=msg):
+        cayley_root_eigvectors(hv, root, res)
+    with pytest.raises(ValueError, match=msg):
+        condition_at_root(sys_, root)
+
+
+def test_null_vector_check_takes_no_svd_at_planted_roots(monkeypatch):
+    # at a root the residuals pass against the Frobenius lower bound of
+    # ||P(z)||_2, so the check never asks for the 2-norm's SVD
+    cases = []
+    for seed in range(4):
+        for d, n in ((3, 3), (2, 8)):
+            for name in ("chebyshev", "legendre"):
+                sys_, root = random_system_with_root(d, n, [seed, d], name)
+                hv = hide_variable(sys_)
+                cases.append((cayley_root_eigvectors, hv, root,
+                              cayley_resultant(hv)))
+                if d == 2:
+                    cases.append((sylvester_root_eigvectors, hv, root,
+                                  sylvester_resultant(hv)))
+    real_norm = np.linalg.norm
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            raise AssertionError("2-norm taken")
+        return real_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    for root_eigvectors, hv, root, res in cases:
+        root_eigvectors(hv, root, res)
+    with pytest.raises(AssertionError, match="2-norm"):
+        norm(np.eye(2), 2)
+
+
 # ----------------------------------------------------------------------
 # Disc domains and serialization
 # ----------------------------------------------------------------------
@@ -462,16 +533,6 @@ def test_resultant_json(mono):
 # Node memo: cold and warm builds agree bit for bit
 # ----------------------------------------------------------------------
 
-def long_dense_gamma_basis(domain):
-    # every gamma_{k,j} nonzero, tables long enough for d = 3, n = 2
-    rng = np.random.default_rng(5)
-    m = 8
-    return DegreeGradedBasis.custom(
-        1.0 + 0.1 * rng.standard_normal(m), 0.1 * rng.standard_normal(m),
-        [0.1 * rng.standard_normal(k) for k in range(1, m)], domain=domain,
-        check_normalization=False)
-
-
 def _bits(*arrays):
     return [(np.shape(a), np.asarray(a).tobytes()) for a in arrays]
 
@@ -483,7 +544,7 @@ def _bits(*arrays):
 def test_memo_cold_and_warm_builds_are_bitwise_equal(d, kind, basis_name):
     dom = (Domain.disc(0.2 + 0.1j, 1.5) if kind == "disc"
            else Domain.interval(-1, 1))
-    basis = (long_dense_gamma_basis(dom) if basis_name == "dense"
+    basis = (dense_gamma_basis(dom) if basis_name == "dense"
              else DegreeGradedBasis(basis_name, domain=dom))
     sys_, root = random_system_with_root(d, 2, [d, 31], basis)
     hv = hide_variable(sys_)

@@ -27,6 +27,7 @@ from resultant_lab.rootfinder import (_component_from_vector,
                                       family_orthogonal_quadratic,
                                       random_system_with_root)
 from resultant_lab.sylvester import sylvester_resultant
+from conftest import dense_gamma_basis
 
 
 def eigpair(P, lam):
@@ -83,24 +84,6 @@ def scalar_roots_oracle(basis, coeffs):
     if basis.name == "legendre":
         return np.polynomial.legendre.legroots(coeffs)
     raise AssertionError
-
-
-@pytest.fixture(params=["monomial", "chebyshev", "legendre"])
-def builtin(request):
-    return DegreeGradedBasis(request.param)
-
-
-def dense_gamma_basis(domain=None):
-    """Degree-8 custom basis with off-band gamma entries, two of them in
-    column 1, and nonzero beta."""
-    rng = np.random.default_rng(31)
-    gamma = [list(0.05 * rng.standard_normal(k)) for k in range(1, 8)]
-    gamma[0] = [0.0]
-    gamma[1] = [0.4, 0.0]
-    gamma[2] = [-0.3, 0.0, 0.2]
-    return DegreeGradedBasis.custom(1.0 + 0.1 * rng.standard_normal(8),
-                                    0.1 * rng.standard_normal(8), gamma,
-                                    domain=domain, check_normalization=False)
 
 
 def basis_by_name(name, domain=None):
@@ -1027,6 +1010,91 @@ def test_null_vector_check_skips_floor_when_norm_passes(monkeypatch):
     _check_null_vectors(P, 1.0, e1, e1)  # P(1) = diag(0, 3)
     with pytest.raises(AssertionError, match="coeff_scale"):
         _check_null_vectors(P, 0.5, e1, e1)
+
+
+def svd_rule_raises(P, z, v, w):
+    """Whether the residual rule fails with ||P(z)||_2 from an SVD every
+    time: 1e-7 * ||P(z)||_2, floored by P.coeff_scale when that alone
+    does not pass."""
+    P0 = matpoly_eval(P, z)
+    res_r = np.linalg.norm(P0 @ v) / np.linalg.norm(v)
+    res_l = np.linalg.norm(P0.T @ w) / np.linalg.norm(w)
+    scale = np.linalg.norm(P0, 2)
+    if res_r > 1e-7 * scale or res_l > 1e-7 * scale:
+        scale = max(scale, P.coeff_scale)
+    return bool(res_r > 1e-7 * scale or res_l > 1e-7 * scale)
+
+
+def null_vector_check_raises(P, z, v, w):
+    try:
+        _check_null_vectors(P, z, v, w)
+    except StructureError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "custom"])
+def test_null_vector_check_matches_svd_rule_on_random_p(name):
+    # P(z) made singular with a rank-one change of A_0 (phi_0 = 1), and
+    # its null vectors perturbed by t across both thresholds
+    rng = np.random.default_rng(40)
+    basis = basis_by_name(name)
+    decisions = []
+    for size in (1, 3, 8):
+        for degree in (0, 2, 5):
+            P = random_matpoly(rng, basis, degree, size, complex_entries=True)
+            z = complex(rng.uniform(-1, 1), rng.uniform(-0.2, 0.2))
+            U, s, Vh = np.linalg.svd(matpoly_eval(P, z))
+            coeffs = P.coeffs.copy()
+            coeffs[0] -= s[-1] * np.outer(U[:, -1], Vh[-1])
+            P = MatrixPolynomial(basis, coeffs)
+            for t in np.logspace(-10, -5, 21):
+                v = np.conj(Vh[-1]) + t * rng.standard_normal(size)
+                w = np.conj(U[:, -1]) + t * rng.standard_normal(size)
+                want = svd_rule_raises(P, z, v, w)
+                assert null_vector_check_raises(P, z, v, w) == want
+                decisions.append(want)
+    assert any(decisions) and not all(decisions)
+
+
+def test_null_vector_check_takes_svd_only_between_the_bounds(monkeypatch):
+    # P = diag(1, 0, ..., 0) with N = 16: ||P||_F / sqrt(N) = 1/4, and
+    # ||P||_2 = coeff_scale = 1.  v = e_2 + c e_1 leaves the residual
+    # about c: below 1e-7 / 4 the Frobenius bound passes it with no SVD,
+    # between 1e-7 / 4 and 1e-7 only the 2-norm passes it, and above
+    # 1e-7 it fails
+    N = 16
+    P = MatrixPolynomial(DegreeGradedBasis.chebyshev(),
+                         np.diag([1.0] + [0.0] * (N - 1))[None])
+    e1, e2 = np.eye(N)[:2]
+    real_norm = np.linalg.norm
+    svds = []
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            svds.append(ord)
+        return real_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    for c, raises, svd in ((1e-9, False, False), (2e-8, False, False),
+                           (3e-8, False, True), (9e-8, False, True),
+                           (1.1e-7, True, True), (1e-6, True, True)):
+        v = e2 + c * e1
+        assert svd_rule_raises(P, 0.3, v, e2) == raises
+        svds.clear()
+        assert null_vector_check_raises(P, 0.3, v, e2) == raises
+        assert bool(svds) == svd
+
+
+def test_null_vector_check_fails_nan_residual():
+    P = MatrixPolynomial(DegreeGradedBasis.monomial(),
+                         np.stack([np.diag([-1.0, 2.0]), np.eye(2)]))
+    e1 = np.array([1.0, 0.0])
+    nan = np.array([np.nan, 0.0])
+    _check_null_vectors(P, 1.0, e1, e1)  # P(1) = diag(0, 3)
+    for v, w in ((nan, e1), (e1, nan)):
+        with pytest.raises(StructureError, match="nan"):
+            _check_null_vectors(P, 1.0, v, w)
 
 
 # ----------------------------------------------------------------------

@@ -16,35 +16,13 @@ from resultant_lab.multipoly import (HiddenVariableForm, MultiPoly,
                                      interpolate_on_nodes, mp_eval,
                                      mp_eval_grid, mp_interpolate,
                                      system_from_json, system_to_json)
-
-
-def naive_eval(p, x):
-    """Triple-checked reference: explicit sum over all tensor entries."""
-    tables = [basis_eval_all(p.basis, p.coeffs.shape[a] - 1, complex(x[a]))
-              for a in range(p.dim)]
-    total = 0.0j
-    for idx in itertools.product(*[range(e) for e in p.coeffs.shape]):
-        term = p.coeffs[idx]
-        for a, i in enumerate(idx):
-            term = term * tables[a][i]
-        total += term
-    return total
+from conftest import circle_line, dense_gamma_basis, naive_eval
 
 
 def random_poly(rng, basis, dim, degrees):
     shape = tuple(n + 1 for n in degrees)
     return MultiPoly(basis, dim, rng.standard_normal(shape)
                      + 1j * rng.standard_normal(shape))
-
-
-@pytest.fixture
-def mono():
-    return DegreeGradedBasis.monomial()
-
-
-@pytest.fixture
-def cheb():
-    return DegreeGradedBasis.chebyshev()
 
 
 # ----------------------------------------------------------------------
@@ -217,14 +195,6 @@ def test_interpolation_carries_trailing_axes(cheb):
 # System container and hidden-variable rewrite
 # ----------------------------------------------------------------------
 
-def circle_line(mono):
-    c1 = np.zeros((3, 3), dtype=complex)
-    c1[0, 0], c1[2, 0], c1[0, 2] = -0.5, 1.0, 1.0
-    c2 = np.zeros((2, 2), dtype=complex)
-    c2[1, 0], c2[0, 1] = 1.0, -1.0
-    return PolynomialSystem((MultiPoly(mono, 2, c1), MultiPoly(mono, 2, c2)))
-
-
 def test_system_validation(mono, cheb):
     p = MultiPoly(mono, 2, np.ones((2, 2)))
     with pytest.raises(ValueError):
@@ -377,15 +347,6 @@ def test_eval_with_jacobian_against_references(case):
         assert np.allclose(J, fd_jacobian(sys_, x), atol=1e-6)
         ref = fiber_jacobian(sys_, x)
         assert np.all(np.abs(J - ref) <= 1e-12 * np.maximum(1, abs(ref)))
-
-
-def dense_gamma_basis():
-    """Degree-5 custom basis with every gamma entry set and nonzero beta."""
-    rng = np.random.default_rng(17)
-    gamma = [list(0.2 * rng.standard_normal(k)) for k in range(1, 5)]
-    return DegreeGradedBasis.custom(1.0 + 0.1 * rng.standard_normal(5),
-                                    0.1 * rng.standard_normal(5), gamma,
-                                    check_normalization=False)
 
 
 @pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",

@@ -28,17 +28,9 @@ from resultant_lab.rootfinder import (RecoveryError, RootRecord, RootReport,
                                       recover_components, report_to_csv,
                                       report_to_json, solve_system)
 from resultant_lab.sylvester import sylvester_resultant
+from conftest import circle_line
 from test_matpoly import (dense_inverted_pencil, linearize,
                           svd_eigvecs_and_conditions)
-
-
-def circle_line(basis):
-    c1 = np.zeros((3, 3), dtype=complex)
-    c1[0, 0], c1[2, 0], c1[0, 2] = -0.5, 1.0, 1.0
-    c2 = np.zeros((2, 2), dtype=complex)
-    c2[1, 0], c2[0, 1] = 1.0, -1.0
-    return PolynomialSystem((MultiPoly(basis, 2, c1),
-                             MultiPoly(basis, 2, c2)))
 
 
 def assert_root_sets_match(report, expected, tol=1e-8):
@@ -50,11 +42,6 @@ def assert_root_sets_match(report, expected, tol=1e-8):
         i = int(np.argmin(gaps))
         assert gaps[i] <= tol
         left.pop(i)
-
-
-@pytest.fixture
-def mono():
-    return DegreeGradedBasis.monomial()
 
 
 # ----------------------------------------------------------------------

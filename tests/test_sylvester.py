@@ -8,30 +8,13 @@ from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
 from resultant_lab.matpoly import StructureError, matpoly_eval, polyeig
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      eval_with_jacobian, hide_variable)
-from resultant_lab.rootfinder import random_system_with_root
+from resultant_lab.rootfinder import (condition_at_root,
+                                      random_system_with_root)
 from resultant_lab.sylvester import (SylvesterResultant, sylvester_degrees,
                                      sylvester_resultant,
                                      sylvester_resultant_to_json,
                                      sylvester_root_eigvectors)
-
-
-def circle_line(basis):
-    c1 = np.zeros((3, 3), dtype=complex)
-    c1[0, 0], c1[2, 0], c1[0, 2] = -0.5, 1.0, 1.0
-    c2 = np.zeros((2, 2), dtype=complex)
-    c2[1, 0], c2[0, 1] = 1.0, -1.0
-    return PolynomialSystem((MultiPoly(basis, 2, c1),
-                             MultiPoly(basis, 2, c2)))
-
-
-@pytest.fixture
-def mono():
-    return DegreeGradedBasis.monomial()
-
-
-@pytest.fixture
-def cheb():
-    return DegreeGradedBasis.chebyshev()
+from conftest import circle_line
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +204,21 @@ def test_root_vectors_reject_non_root(cheb):
         sylvester_root_eigvectors(hv, [0.21, -0.43], res)
     v, w = sylvester_root_eigvectors(hv, [0.21, -0.43], res, check=False)
     assert v.shape == w.shape
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+@pytest.mark.parametrize("index", [0, 1])
+def test_root_vectors_reject_non_finite_root(bad, index):
+    sys_, root = random_system_with_root(2, 3, 19, basis_name="legendre")
+    hv = hide_variable(sys_)
+    res = sylvester_resultant(hv)
+    root = np.asarray(root, dtype=complex)
+    root[index] = bad
+    msg = rf"non-finite root components at index \({index},\)$"
+    with pytest.raises(ValueError, match=msg):
+        sylvester_root_eigvectors(hv, root, res)
+    with pytest.raises(ValueError, match=msg):
+        condition_at_root(sys_, root, "sylvester")
 
 
 def test_rayleigh_product_is_jacobian_det(mono):
