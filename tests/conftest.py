@@ -27,6 +27,23 @@ def builtin(request):
     return DegreeGradedBasis(request.param)
 
 
+@pytest.fixture
+def two_norm_calls(monkeypatch):
+    """Record the shape of every matrix np.linalg.norm is asked the
+    2-norm of, which numpy computes from an SVD, for the length of one
+    test."""
+    real_norm = np.linalg.norm
+    calls = []
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return real_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    return calls
+
+
 def dense_gamma_basis(domain=None):
     """Degree-8 custom basis with nonzero beta and every gamma_{k,j}
     nonzero: phi_{k+1} reaches back to all of phi_0, ..., phi_{k-1}."""
