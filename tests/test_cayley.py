@@ -466,6 +466,23 @@ def test_root_eigvectors_reject_non_finite_root(bad, index):
         condition_at_root(sys_, root)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_root_component_fails_with_structure_error(two_norm_calls):
+    # a finite but huge hidden component overflows P(z) to inf; the check
+    # names it before any SVD, which numpy cannot take of a non-finite
+    # matrix.  A huge free component leaves P(z) finite and NaN residuals.
+    sys_, _ = random_system_with_root(2, 3, 1, basis_name="chebyshev")
+    with pytest.raises(StructureError, match=r"P\(z\) is not finite"):
+        condition_at_root(sys_, [0.0, 1e200])
+    assert two_norm_calls == []
+    with pytest.raises(StructureError, match="residuals nan/nan"):
+        condition_at_root(sys_, [1e200, 0.0])
+    # P(z) with entries near 1e241 is finite but its Frobenius norm is
+    # not; the SVD then decides, and this point is no root
+    with pytest.raises(StructureError, match="exceed 1e-7"):
+        condition_at_root(sys_, [0.3, 1e40])
+
+
 def test_null_vector_check_takes_no_svd_at_planted_roots(two_norm_calls):
     # at a root the residuals pass against the Frobenius lower bound of
     # ||P(z)||_2, so the check never asks for the 2-norm's SVD

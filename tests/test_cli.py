@@ -169,6 +169,13 @@ def test_exit_code_1_on_non_finite_components(system_file, capsys, argv,
     assert f"{component} is not finite" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_code_2_on_overflowing_root(system_file, capsys):
+    rc = main(["condition", "--system", system_file, "--root", "0,1e200"])
+    assert rc == 2
+    assert "P(z) is not finite" in capsys.readouterr().err
+
+
 def test_exit_code_1_on_non_finite_sigma(capsys):
     rc = main(["condition", "--dim", "2", "--sigmas", "0.5,-inf"])
     assert rc == 1

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -597,6 +600,97 @@ def test_solve_matches_dense_eigen_stage(monkeypatch):
             if not r.spurious:
                 assert (np.max(np.abs(g.x - r.x))
                         <= 1e-9 * (1 + np.max(np.abs(r.x))))
+
+
+def planted_shift_systems():
+    """(system, planted root, method): 32 systems shaped like the
+    benchmark's eig-bound solves (d = 3, degree 3, Cayley) and 64 shaped
+    like its small-solve ones (d = 2, degree 5, Cayley and Sylvester),
+    in the Chebyshev and Legendre bases."""
+    bases = ("chebyshev", "legendre")
+    for k in range(32):
+        yield (*random_system_with_root(3, 3, [3, k], bases[k % 2]),
+               "cayley")
+    for k in range(64):
+        yield (*random_system_with_root(2, 5, [3, k], bases[k // 2 % 2]),
+               ("cayley", "sylvester")[k % 2])
+
+
+def fates_under_shift_rotations():
+    """JSON, per system of planted_shift_systems and then the coupled
+    family (Cayley, root at the origin), one entry per rotation of
+    _SHIFT_OFFSETS: the report's (n_eigenvalues, n_infinite,
+    n_outside_domain, n_recovery_failed) and whether an accepted root
+    lies within 1e-8 * (1 + |root|) of the planted one."""
+    cases = list(planted_shift_systems())
+    cases.append((family_coupled_quadratic(0.1), np.zeros(2), "cayley"))
+    offsets = matpoly._SHIFT_OFFSETS
+    out = [[] for _ in cases]
+    try:
+        for r in range(len(offsets)):
+            matpoly._SHIFT_OFFSETS = offsets[r:] + offsets[:r]
+            for row, (sys_, root, method) in zip(out, cases):
+                rep = solve_system(sys_, method)
+                tol = 1e-8 * (1 + np.max(np.abs(root)))
+                row.append([[rep.n_eigenvalues, rep.n_infinite,
+                             rep.n_outside_domain, rep.n_recovery_failed],
+                            any(np.max(np.abs(a.x - root)) <= tol
+                                for a in rep.accepted)])
+    finally:
+        matpoly._SHIFT_OFFSETS = offsets
+    return json.dumps(out)
+
+
+@pytest.fixture(scope="module")
+def shift_rotation_fates():
+    # run in a child pinned to one BLAS thread, as the benchmark runs:
+    # threaded kernels round differently, and the question here is the
+    # shift, not the thread count
+    code = ("from test_rootfinder import fates_under_shift_rotations\n"
+            "print(fates_under_shift_rotations())")
+    src = os.path.dirname(os.path.dirname(matpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.path.dirname(__file__)]), OMP_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_fate_counts_do_not_depend_on_shift_order(shift_rotation_fates):
+    # accepted sets are not compared: far-out spurious flags still flip
+    # with rounding (ROADMAP item 5)
+    planted = shift_rotation_fates[:-1]
+    assert len(planted) == 96
+    for k, rotations in enumerate(planted):
+        counts = [fates for fates, _ in rotations]
+        assert counts == counts[:1] * len(counts), k
+        assert all(found for _, found in rotations), k
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 5: fixed 1e-6 domain margin")
+def test_coupled_family_fate_counts_do_not_depend_on_shift_order(
+        shift_rotation_fates):
+    counts = [fates for fates, _ in shift_rotation_fates[-1]]
+    assert counts == counts[:1] * len(counts)
+
+
+def test_each_solve_runs_one_eigensolve(monkeypatch):
+    # no eigenvalue lands within _SHIFT_GAP of the first shift, so no
+    # solve falls back to the next one
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(M):
+        calls.append(M.shape)
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    for k, (sys_, _, method) in enumerate(planted_shift_systems()):
+        calls.clear()
+        solve_system(sys_, method)
+        assert len(calls) == 1, k
 
 
 def loop_component_from_vector(u, basis):
