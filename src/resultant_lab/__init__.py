@@ -23,8 +23,8 @@ from .multipoly import (HiddenVariableForm, MultiPoly, PolynomialSystem,
                         eval_with_jacobian, hide_variable,
                         interpolate_on_nodes, mp_eval, mp_eval_grid,
                         mp_interpolate, system_from_json, system_to_json)
-from .rootfinder import (ConditionRecord, RecoveryError, RootRecord,
-                         RootReport, SolveOptions, condition_at_root,
+from .rootfinder import (ConditionRecord, RootRecord, RootReport,
+                         SolveOptions, condition_at_root,
                          condition_sweep, family_coupled_quadratic,
                          family_linear, family_orthogonal_quadratic,
                          family_rotated_quadratic, newton_polish,
@@ -62,7 +62,7 @@ __all__ = [
     "sylvester_root_eigvectors",
     "sylvester_resultant_to_json",
     # rootfinder
-    "SolveOptions", "RootRecord", "RootReport", "RecoveryError",
+    "SolveOptions", "RootRecord", "RootReport",
     "solve_system", "newton_polish", "recover_components",
     "condition_at_root", "ConditionRecord", "condition_sweep",
     "family_orthogonal_quadratic", "family_rotated_quadratic",

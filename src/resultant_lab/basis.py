@@ -25,14 +25,10 @@ values (``basis_eval_deriv_all``):
     phi'_{k+1}(x) = alpha_k phi_k(x) + (alpha_k x + beta_k) phi'_k(x)
                     + sum_{j=1}^{k} gamma_{k,j} phi'_{j-1}(x).
 
-The construction nodes depend only on the basis, the domain and the
-degree, never on the system, so the operators built on them come from
-one bounded memo (``_node_memo``, at most ``NODE_MEMO_SIZE`` entries)
-keyed by the basis, the top degree and the node values: the
-basis-value matrix phi_0..phi_k at a node set, and the inverse of the
-transposed Vandermonde matrix with its distinct-node check.  Memoised
-arrays are read-only.  Points that change with every system (roots,
-eigenvalues, Newton iterates) call ``basis_eval_all`` directly.
+The operators at the construction nodes depend on the shape alone, so
+each construction caches them in its plan (``cayley._plan``,
+``sylvester._plan``; at most ``PLAN_CACHE_SIZE`` entries each).  Points
+that change with every system call ``basis_eval_all`` directly.
 
 Polynomials p(x) = sum_k a_k phi_k(x) are evaluated by running the
 recurrence backwards (a generalized Clenshaw scheme).  The backward
@@ -65,9 +61,9 @@ __all__ = [
 
 _BUILTIN_NAMES = ("monomial", "chebyshev", "legendre")
 
-# Entries held by each construction memo (node operators here, node sets
-# in cayley); a fixed bound, not a setting.
-NODE_MEMO_SIZE = 256
+# Entries held by each plan cache (cayley._plan, sylvester._plan and
+# matpoly._plan); a fixed bound, not a setting.
+PLAN_CACHE_SIZE = 256
 
 
 class DegreeOverflowError(ValueError):
@@ -442,37 +438,6 @@ def basis_eval_all(basis, kmax, x):
             acc = acc + g * out[j - 1]
         out[k + 1] = acc
     return out
-
-
-@functools.lru_cache(maxsize=NODE_MEMO_SIZE)
-def _node_memo(basis, kmax, key, invert):
-    """Read-only operator at the node set whose complex values are the
-    bytes key: phi_0..phi_kmax there, or, with invert, inv(V^T) for the
-    square Vandermonde matrix V (kmax = len(nodes) - 1).  Repeated nodes
-    raise, and a raised call is not cached."""
-    nodes = np.frombuffer(key, dtype=complex)
-    if invert:
-        if len(np.unique(nodes)) != len(nodes):
-            raise ValueError("interpolation nodes must be distinct")
-        out = np.linalg.inv(basis_eval_all(basis, kmax, nodes).T)
-    else:
-        out = basis_eval_all(basis, kmax, nodes)
-    out.flags.writeable = False
-    return out
-
-
-def _node_values(basis, kmax, nodes):
-    """phi_0..phi_kmax at a fixed node set, shape (kmax + 1, len(nodes)),
-    from the memo; equals basis_eval_all(basis, kmax, nodes)."""
-    return _node_memo(basis, kmax,
-                      np.asarray(nodes, dtype=complex).tobytes(), False)
-
-
-def _node_inverse(basis, nodes):
-    """inv(V^T) for V = basis_eval_all(basis, len(nodes) - 1, nodes), from
-    the memo; raises ValueError when the nodes repeat."""
-    nodes = np.asarray(nodes, dtype=complex)
-    return _node_memo(basis, len(nodes) - 1, nodes.tobytes(), True)
 
 
 def basis_eval_deriv_all(basis, kmax, x):

@@ -20,6 +20,8 @@ singular unfoldings.
 Coefficients are recovered by sampling on one tensor grid whose axes
 are the hidden variable, the s variables and the t variables, then
 applying the inverse of one generalized Vandermonde matrix per axis.
+The grid and every operator on it depend on the shape alone, so they
+come from one cached plan per shape (_plan).
 Sampling is one contraction pass through multipoly._contract_leading:
 the d coefficient tensors are stacked and contracted with one
 basis-value matrix per node set, hidden axis first, which gives each
@@ -39,10 +41,11 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .basis import NODE_MEMO_SIZE, _node_values, basis_eval_all
-from .matpoly import MatrixPolynomial, _check_null_vectors, matpoly_to_json
+from .basis import PLAN_CACHE_SIZE, basis_eval_all
+from .matpoly import (MatrixPolynomial, _check_null_vectors, matpoly_eval,
+                      matpoly_to_json)
 from .multipoly import (_contract_leading, _reject_non_finite, _stacked,
-                        interpolate_on_nodes)
+                        _vandermonde_inverse)
 
 __all__ = [
     "CayleyResultant",
@@ -129,15 +132,14 @@ def default_taus(hv):
     return tuple(k * n - 1 for k in range(1, d))
 
 
-@lru_cache(maxsize=NODE_MEMO_SIZE)
 def _axis_point_sets(domain, taus):
     """Disjoint per-axis node families for the s and t grids.
 
     s_k gets tau_k + 1 Chebyshev points of the second kind, t_k gets
     tau_{d-k} + 1 points of the first kind; if the families touch, the
     first-kind angles are rotated until they clear.  Disc domains use
-    boundary points with a half-step phase offset instead.  Memoised on
-    (domain, taus): returns tuples of read-only arrays.
+    boundary points with a half-step phase offset instead.  Returns two
+    lists of complex arrays.
     """
     d = len(taus) + 1
     cen, rad = domain.center, domain.radius
@@ -164,9 +166,26 @@ def _axis_point_sets(domain, taus):
                     2j * np.pi * (np.arange(b) + 1.0 / 3.0) / b)
         s_sets.append(np.asarray(s, dtype=complex))
         t_sets.append(np.asarray(t, dtype=complex))
-    for x in s_sets + t_sets:
+    return s_sets, t_sets
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(basis, domain, stacked_extents, taus):
+    """Shape-only operators of cayley_resultant as read-only arrays:
+    (s_sets, t_sets, phis, inverses).  Per grid axis (d n + 1 hidden
+    nodes, then the s and the t node sets) phis holds the basis values
+    up to the stacked extent of the variable sampled there, and
+    inverses the transposed inverse Vandermonde matrix."""
+    ext = stacked_extents  # of _stacked(hv.tensors), hidden axis last
+    s_sets, t_sets = _axis_point_sets(domain, taus)
+    grid = [domain.nodes(len(ext) * max(max(ext) - 1, 1) + 1),
+            *s_sets, *t_sets]
+    phis = [basis_eval_all(basis, e - 1, x)
+            for e, x in zip((ext[-1], *ext[:-1], *ext[:-1]), grid)]
+    inverses = [_vandermonde_inverse(basis, x).T for x in grid]
+    for x in s_sets + t_sets + phis + inverses:
         x.flags.writeable = False
-    return tuple(s_sets), tuple(t_sets)
+    return tuple(s_sets), tuple(t_sets), tuple(phis), tuple(inverses)
 
 
 # ----------------------------------------------------------------------
@@ -196,28 +215,24 @@ def _cofactor_det(rows):
     return minors[tuple(range(d))]
 
 
-def _grid_values(hv, s_sets, t_sets, hidden_nodes):
+def _grid_values(T, s_sets, t_sets, phis):
     """Function values on the tensor grid: hidden axis, s axes, t axes.
 
-    The d hidden-axis-last tensors are stacked, transposed once to
-    (hidden, free variables, polynomial) and contracted with one
-    basis-value matrix per node set, read from the node memo: the hidden
-    axis first, then, for each Cayley row, every free variable with the
-    s or t nodes that row reads, in one _contract_leading call on a
+    T stacks the d hidden-axis-last tensors, (d, e_1, ..., e_{d-1},
+    e_hidden).  It is transposed once to (hidden, free variables,
+    polynomial) and contracted with one basis-value matrix per grid axis
+    (phis, in grid axis order, as _plan gives them): the hidden axis
+    first, then, for each Cayley row, every free variable with the s or
+    t nodes that row reads, in one _contract_leading call on a
     transposed view.  Each row's d entries come out together, shaped to
     broadcast over the grid with extent one on the axes the row does not
     read, and _cofactor_det combines them.
     """
-    d = hv.dim
+    d = len(T)
     nfree = d - 1
-    basis = hv.basis
-    T = _stacked(hv.tensors)  # (d, e_1, ..., e_{d-1}, e_hidden)
-    ext = T.shape[1:]
     # (e_1, ..., e_{d-1}, d, hidden node)
-    H = _contract_leading(T.transpose(d, *range(1, d), 0),
-                          [_node_values(basis, ext[-1] - 1, hidden_nodes)])
-    vs = [_node_values(basis, ext[m] - 1, x) for m, x in enumerate(s_sets)]
-    vt = [_node_values(basis, ext[m] - 1, x) for m, x in enumerate(t_sets)]
+    H = _contract_leading(T.transpose(d, *range(1, d), 0), phis[:1])
+    vs, vt = phis[1:d], phis[d:]
     rows = []
     for r in range(d):
         # row r reads t_m for m < r and s_m otherwise; contracting the s
@@ -245,22 +260,22 @@ def cayley_resultant(hv, taus=None):
 
     The function is sampled at d n + 1 domain nodes of the hidden
     variable together with the s and t grids and interpolated along all
-    of its axes at once; the recovered coefficient tensor is flattened
-    row-group/column-group in C order, one matrix per hidden-variable
-    basis function.
+    of its axes at once, with the operators of the plan for this shape;
+    the recovered coefficient tensor is flattened row-group/column-group
+    in C order, one matrix per hidden-variable basis function.
     """
     taus = default_taus(hv) if taus is None else tuple(int(t) for t in taus)
     if len(taus) != hv.dim - 1 or any(t < 0 for t in taus):
         raise ValueError(f"need {hv.dim - 1} nonnegative degree bounds")
-    n = max(hv.max_degree, 1)
-    nodes = hv.domain.nodes(hv.dim * n + 1)
-    s_sets, t_sets = _axis_point_sets(hv.domain, taus)
-    values = _grid_values(hv, s_sets, t_sets, nodes)
-    coeffs = interpolate_on_nodes(hv.basis, [nodes, *s_sets, *t_sets], values)
+    T = _stacked(hv.tensors)
+    s_sets, t_sets, phis, inverses = _plan(hv.basis, hv.domain,
+                                           T.shape[1:], taus)
+    coeffs = _contract_leading(_grid_values(T, s_sets, t_sets, phis),
+                               inverses)
     size = int(np.prod([t + 1 for t in taus]))
     return CayleyResultant(
         matrix_poly=MatrixPolynomial(
-            hv.basis, coeffs.reshape(len(nodes), size, size)),
+            hv.basis, coeffs.reshape(len(coeffs), size, size)),
         taus=taus)
 
 
@@ -294,7 +309,8 @@ def cayley_root_eigvectors(hv, root, resultant, check=True):
     v = reduce(np.multiply.outer, col_vecs).ravel(order="C")
     w = reduce(np.multiply.outer, row_vecs).ravel(order="C")
     if check:
-        _check_null_vectors(resultant.matrix_poly, z, v, w)
+        P = resultant.matrix_poly
+        _check_null_vectors(P, z, matpoly_eval(P, z), v, w)
     return v, w
 
 

@@ -25,9 +25,9 @@ import numpy as np
 from .cayley import cayley_resultant, cayley_resultant_to_json
 from .matpoly import EigenSolveError, StructureError
 from .multipoly import hide_variable, mp_eval, system_from_json
-from .rootfinder import (RecoveryError, SolveOptions, condition_at_root,
-                         condition_sweep, family_coupled_quadratic,
-                         report_to_csv, report_to_json, solve_system)
+from .rootfinder import (SolveOptions, condition_at_root, condition_sweep,
+                         family_coupled_quadratic, report_to_csv,
+                         report_to_json, solve_system)
 from .sylvester import sylvester_resultant, sylvester_resultant_to_json
 
 log = logging.getLogger(__name__)
@@ -334,8 +334,7 @@ def main(argv=None):
     except EigenSolveError as exc:
         print(f"eigensolver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, StructureError, RecoveryError,
-            np.linalg.LinAlgError) as exc:
+    except (ValueError, StructureError, np.linalg.LinAlgError) as exc:
         print(f"construction failure: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,8 @@ one of four fixed probe points z around the domain; the ratio depends
 neither on the scale of P nor on its size N.  The points are tried in
 order and the first one that passes decides, so a regular P costs one
 N x N SVD.  When P(z) is numerically singular at every probe point,
-polyeig raises NotRegularError.
+polyeig raises NotRegularError.  The shift scalars and the start vector
+of the inverse iteration depend on the shape alone and are cached (_plan).
 """
 
 import functools
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (NODE_MEMO_SIZE, DegreeGradedBasis, basis_eval_all,
+from .basis import (PLAN_CACHE_SIZE, DegreeGradedBasis, basis_eval_all,
                     basis_eval_deriv_all, basis_from_json, basis_to_json)
 from .multipoly import _reject_non_finite
 
@@ -73,10 +74,11 @@ class StructureError(RuntimeError):
     construction and the closed-form vector disagree."""
 
 
-def _check_null_vectors(P, z, v, w):
+def _check_null_vectors(P, z, P0, v, w):
     """Raise StructureError unless v and w are right and plain-transpose
-    left null vectors of P(z) to within 1e-7 * max(||P(z)||_2,
-    P.coeff_scale) relative to their norms.  A NaN residual fails.
+    left null vectors of P0 = P(z), which the caller evaluates, to
+    within 1e-7 * max(||P(z)||_2, P.coeff_scale) relative to their
+    norms.  A NaN residual fails.
 
     ||P(z)||_F / sqrt(N) bounds the 2-norm from below (Golub and Van
     Loan, Matrix Computations, 2.3), so residuals that pass against it
@@ -89,7 +91,6 @@ def _check_null_vectors(P, z, v, w):
     before any residual or SVD is taken.  A finite P(z) whose Frobenius
     norm overflows (entries above about 1e154) is decided by the SVD.
     """
-    P0 = matpoly_eval(P, z)
     fro = np.linalg.norm(P0)
     if not math.isfinite(fro) and not np.all(np.isfinite(P0)):
         raise StructureError(f"P(z) is not finite at z = {z}")
@@ -139,10 +140,7 @@ class MatrixPolynomial:
     def coeff_scale(self):
         """max_i ||A_i||_2, the natural perturbation scale; in real
         arithmetic when the coefficients have no imaginary part."""
-        A = self.coeffs
-        if not np.any(A.imag):
-            A = A.real
-        return np.linalg.norm(A, 2, axis=(1, 2)).max()
+        return np.linalg.norm(_working_coeffs(self), 2, axis=(1, 2)).max()
 
 
 # ----------------------------------------------------------------------
@@ -166,27 +164,25 @@ def matpoly_deriv_eval(P, lam):
     return np.tensordot(ders, P.coeffs, axes=([0], [0]))
 
 
-@functools.lru_cache(maxsize=NODE_MEMO_SIZE)
-def _probe_points(domain):
-    """Four fixed complex points scattered around domain, memoised per
-    domain as a read-only array."""
-    rng = np.random.default_rng(20240811)
-    probes = domain.center + domain.radius * (rng.standard_normal(4)
-                                              + 1j * rng.standard_normal(4))
-    probes.flags.writeable = False
-    return probes
+# Probe points of matpoly_is_regular in units of the domain's radius from
+# its centre: standard-normal draws, default_rng(20240811), four by four.
+_PROBE_OFFSETS = np.array([-0.7092724886229547 - 0.6777818325074838j,
+                           0.03298748860936035 - 1.8102805875702146j,
+                           1.1712195245660006 - 0.8870531128120499j,
+                           0.4593005307509892 - 0.928269179762368j])
 
 
 def matpoly_is_regular(P):
     """Numerical regularity test: P(z) is far from singular somewhere.
 
     P is regular when sigma_min(P(z)) > 1e-12 * sigma_max(P(z)) at some
-    probe point z.  The four probe points are tried in order, each with
-    its own matpoly_eval and SVD (singular values only), and the first
-    one that passes decides: a regular P usually costs one point.
-    P = 0 is not regular.
+    probe point z, one of _PROBE_OFFSETS scaled to the domain.  The
+    four probe points are tried in order, each with its own matpoly_eval
+    and SVD (singular values only), and the first one that passes
+    decides: a regular P usually costs one point.  P = 0 is not regular.
     """
-    for z in _probe_points(P.basis.domain):
+    domain = P.basis.domain
+    for z in domain.center + domain.radius * _PROBE_OFFSETS:
         sv = np.linalg.svd(matpoly_eval(P, z), compute_uv=False)
         if sv[-1] > 1e-12 * sv[0]:
             return True
@@ -196,6 +192,11 @@ def matpoly_is_regular(P):
 # ----------------------------------------------------------------------
 # Polynomial eigenvalue solver
 # ----------------------------------------------------------------------
+
+def _working_coeffs(P):
+    """P.coeffs, as float64 when they have no imaginary part."""
+    return P.coeffs if np.any(P.coeffs.imag) else P.coeffs.real
+
 
 def _effective_degree(P, tol=1e-13):
     """Largest degree whose coefficient exceeds tol relative to the stack.
@@ -213,13 +214,12 @@ def _effective_degree(P, tol=1e-13):
 
 
 def _shifts(domain):
-    """Radius of domain and its fixed sequence of shifts, one per entry
-    of _SHIFT_OFFSETS: real points of an interval (the real parts),
-    complex points of a disc."""
+    """The fixed sequence of shifts of domain, one per entry of
+    _SHIFT_OFFSETS: real points of an interval (the real parts), complex
+    points of a disc."""
     real = domain.kind == "interval"
-    return domain.radius, [domain.center
-                           + domain.radius * (f.real if real else f)
-                           for f in _SHIFT_OFFSETS]
+    return [domain.center + domain.radius * (f.real if real else f)
+            for f in _SHIFT_OFFSETS]
 
 
 # Shift offsets from the domain centre in units of its radius, tried in
@@ -243,24 +243,24 @@ def _shifts(domain):
 # against a pole at 0.5523: x1.22 at 0, x1.08 at 0.3, x0.91 at 0.75,
 # x0.89 at -0.8, x0.87 at -0.9; the error of the eigenvalue nearest each
 # polished root's hidden component, median / p90, is 2.1e-15 / 1.8e-14
-# at 0.5523 and 2.9e-15 / 3.4e-14 at -0.8.  Real offsets -0.95, -0.9, -0.85, -0.7,
-# 0.75, 0.85, 0.9 and 0.95 each fail a rounding-sensitive test (ROADMAP
-# item 5); -0.8 fails none.
+# at 0.5523 and 2.9e-15 / 3.4e-14 at -0.8.  Real offsets -0.95, -0.9,
+# -0.85, -0.7, 0.75, 0.85, 0.9 and 0.95 each fail a rounding-sensitive
+# test (ROADMAP item 5); -0.8 fails none.  _plan caches the shifts, so a
+# change to these offsets takes effect only after _plan.cache_clear().
 _SHIFT_OFFSETS = (-0.8 + 0.2718j, -0.6180 + 0.1234j, 0.6931 - 0.3817j)
 _SHIFT_GAP = 1e-6
 
 
-@functools.lru_cache(maxsize=NODE_MEMO_SIZE, typed=True)
 def _pencil_table(basis, K, mu, dtype):
     """The scalars of _inverted_pencil for degree K at the shift mu:
     W_0..W_K, shape (K + 1, K), and phi_0(mu)..phi_K(mu), shape (K + 1,),
-    both of the given dtype.  They depend on the recurrence alone, so
-    they are memoised per (basis, K, mu, dtype) as read-only arrays.
-    """
+    in the dtype of the coefficients (dtype), the recurrence and mu."""
     tab = basis.table(K - 1)
+    gammas = np.array([g for row in tab.rows[:K] for _, g in row])
     # row k: the scalars of W_k in columns 0..K-1 and phi_k(mu) in
     # column K, which follow the same recurrence
-    T = np.zeros((K + 1, K + 1), dtype=dtype)
+    T = np.zeros((K + 1, K + 1), dtype=np.result_type(
+        dtype, tab.alpha, tab.beta, gammas, mu))
     T[0, K] = 1.0
     for k in range(K):
         T[k + 1] = (tab.alpha[k] * mu + tab.beta[k]) * T[k]
@@ -268,11 +268,26 @@ def _pencil_table(basis, K, mu, dtype):
             T[k + 1] += g * T[j - 1]
         if k < K - 1:
             T[k + 1, k] += tab.alpha[k]
-    T.flags.writeable = False
     return T[:, :K], T[:, K]
 
 
-def _inverted_pencil(P, mu):
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(basis, K, N, dtype):
+    """Shape-only data of polyeig and eigvecs_and_conditions as read-only
+    arrays: (shifts, start), for degree K, size N and the dtype of
+    _working_coeffs.  shifts holds (mu, W, phi) per mu of
+    _shifts(basis.domain), W and phi from _pencil_table; start is the
+    start vector of _null_vectors, fixed so that results repeat and
+    random so that no structured null vector is orthogonal to it."""
+    shifts = tuple((mu, *_pencil_table(basis, K, mu, dtype))
+                   for mu in _shifts(basis.domain))
+    start = np.random.default_rng(20240811).standard_normal(N)
+    for x in (start, *(a for shift in shifts for a in shift[1:])):
+        x.flags.writeable = False
+    return shifts, start
+
+
+def _inverted_pencil(P, mu, W, phi):
     """M = (X - mu Y)^-1 Y for the block-companion pencil (X, Y) of P,
     from one N x N solve with P(mu); X and Y are never formed.
 
@@ -287,20 +302,15 @@ def _inverted_pencil(P, mu):
     W_k is a row of scalars times the identity, so that recurrence runs
     on scalars, and the last block row leaves
     P(mu) Z_0 = -alpha_{K-1} A_K E_{K-1} - sum_{i=0}^{K} A_i W_i.
-    The scalars W_k and phi_k(mu) come from _pencil_table.  M is real
-    when the coefficients, the recurrence and mu are.
+    The scalars W_k and phi_k(mu) are those of _pencil_table, as the
+    plan holds them.  M is real when the coefficients, the
+    recurrence and mu are.
     Raises LinAlgError when P(mu) is exactly singular.
     """
     K, N = P.degree, P.size
-    tab = P.basis.table(K - 1)
-    A = P.coeffs
-    if not np.any(A.imag):
-        A = A.real
-    gammas = np.array([g for row in tab.rows[:K] for _, g in row])
-    W, phi = _pencil_table(P.basis, K, mu, np.result_type(
-        A, tab.alpha, tab.beta, gammas, mu))
+    A = _working_coeffs(P)
     rhs = -np.tensordot(W, A, axes=([0], [0]))  # block column m is rhs[m]
-    rhs[K - 1] -= tab.alpha[K - 1] * A[K]
+    rhs[K - 1] -= P.basis.table(K - 1).alpha[K - 1] * A[K]
     Z0 = np.linalg.solve(np.tensordot(phi, A, axes=([0], [0])),
                          rhs.transpose(1, 0, 2).reshape(N, K * N))
     M = phi[:K, None, None] * Z0
@@ -346,10 +356,11 @@ def polyeig(P):
             "P(z) is numerically singular at every probe point")
     if k_eff == 0:
         return np.empty(0, dtype=complex), N * K
-    radius, shifts = _shifts(P.basis.domain)
-    for mu in shifts:
+    radius = P.basis.domain.radius
+    shifts = _plan(P.basis, k_eff, N, _working_coeffs(work).dtype)[0]
+    for mu, W, phi in shifts:
         try:
-            M = _inverted_pencil(work, mu)
+            M = _inverted_pencil(work, mu, W, phi)
             scale = np.linalg.norm(M)
             # numpy returns real eigenvalues when all of them are real
             theta = np.linalg.eigvals(M).astype(complex, copy=False)
@@ -375,17 +386,6 @@ def polyeig(P):
     return lams, n_inf
 
 
-@functools.lru_cache(maxsize=NODE_MEMO_SIZE)
-def _start_vector(n):
-    """Start vector of the inverse iteration in _null_vectors, memoised
-    per length as a read-only array: fixed, so that results repeat, and
-    random, so that it is not orthogonal to the null vector of any
-    structured P(lambda)."""
-    start = np.random.default_rng(20240811).standard_normal(n)
-    start.flags.writeable = False
-    return start
-
-
 def _stacked_solve(A, B):
     """x with A[k] x[k] = B[k] for the stacks A (m, n, n) and B (m, n),
     and which rows got one.
@@ -409,16 +409,15 @@ def _stacked_solve(A, B):
     return x, solved
 
 
-def _null_vectors(S):
+def _null_vectors(S, start):
     """Unit approximate null vectors of the square matrices in the
     stack S, by one step of inverse iteration.
 
-    One stacked solve against a fixed start vector (_stacked_solve),
+    One stacked solve against the plan's start vector (_stacked_solve),
     then normalisation.  A matrix that is singular, or whose solution
     overflows, takes the right singular vector of its smallest singular
     value from its own SVD.
     """
-    start = _start_vector(S.shape[-1])
     x, solved = _stacked_solve(S, np.broadcast_to(start, S.shape[:-1]))
     for k in np.nonzero(~solved | ~np.all(np.isfinite(x), axis=-1))[0]:
         x[k] = np.conj(np.linalg.svd(S[k])[2][-1])
@@ -448,7 +447,8 @@ def eigvecs_and_conditions(P, lams):
     """
     vals, ders = basis_eval_deriv_all(P.basis, P.degree, lams)
     Ps = np.tensordot(vals, P.coeffs, axes=([0], [0]))
-    vecs = _null_vectors(np.concatenate([Ps, Ps.transpose(0, 2, 1)]))
+    start = _plan(P.basis, P.degree, P.size, _working_coeffs(P).dtype)[1]
+    vecs = _null_vectors(np.concatenate([Ps, Ps.transpose(0, 2, 1)]), start)
     right, left = vecs[:len(Ps)], vecs[len(Ps):]
     residuals = np.linalg.norm(np.einsum("mij,mj->mi", Ps, right), axis=-1)
     dPs = np.tensordot(ders, P.coeffs, axes=([0], [0]))

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (Domain, DegreeGradedBasis, _node_inverse, _node_values,
-                    basis_eval_all, basis_eval_deriv_all, basis_from_json,
-                    basis_to_json)
+from .basis import (Domain, DegreeGradedBasis, basis_eval_all,
+                    basis_eval_deriv_all, basis_from_json, basis_to_json)
 
 __all__ = [
     "MultiPoly",
@@ -206,13 +205,22 @@ def mp_eval_grid(p, nodes_list):
 
     Returns an array of shape (len(nodes_list[0]), ...); entry
     [j_1, ..., j_d] is p at (nodes_list[0][j_1], ..., nodes_list[d-1][j_d]).
-    The per-axis basis-value matrices come from the node memo.
+    The per-axis basis-value matrices are computed on every call.
     """
     if len(nodes_list) != p.dim:
         raise ValueError("need one node set per variable")
     return _contract_leading(p.coeffs, [
-        _node_values(p.basis, e - 1, nodes)
+        basis_eval_all(p.basis, e - 1, nodes)
         for e, nodes in zip(p.coeffs.shape, nodes_list)])
+
+
+def _vandermonde_inverse(basis, nodes):
+    """inv(V^T) for the square V = basis_eval_all(basis, len(nodes) - 1,
+    nodes); raises ValueError when the nodes repeat."""
+    nodes = np.asarray(nodes, dtype=complex)
+    if len(np.unique(nodes)) != len(nodes):
+        raise ValueError("interpolation nodes must be distinct")
+    return np.linalg.inv(basis_eval_all(basis, len(nodes) - 1, nodes).T)
 
 
 def interpolate_on_nodes(basis, nodes_list, samples):
@@ -223,19 +231,18 @@ def interpolate_on_nodes(basis, nodes_list, samples):
     len(nodes_list) are carried through unchanged, which interpolates a
     stack of functions (for instance matrix entries) at once.  Each axis
     is contracted with the inverse of its generalized Vandermonde
-    matrix, read from the node memo: it is computed, and the nodes
-    checked for repeats, once per (basis, node set).
+    matrix (_vandermonde_inverse), computed and checked for repeated
+    nodes on every call; the constructions read theirs from their plans.
     """
     t = np.asarray(samples, dtype=complex)
     if t.ndim < len(nodes_list):
         raise ValueError("need one node set per sample axis")
     inverses = []
     for axis, nodes in enumerate(nodes_list):
-        nodes = np.asarray(nodes, dtype=complex)
         if len(nodes) != t.shape[axis]:
             raise ValueError(f"axis {axis}: {t.shape[axis]} samples but "
                              f"{len(nodes)} nodes")
-        inverses.append(_node_inverse(basis, nodes).T)
+        inverses.append(_vandermonde_inverse(basis, nodes).T)
     t = _contract_leading(t, inverses)
     carried = t.ndim - len(nodes_list)
     return np.moveaxis(t, range(carried), range(-carried, 0))

@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DegreeGradedBasis, basis_from_json
+from .basis import DegreeGradedBasis, basis_eval_deriv_all, basis_from_json
 from .cayley import cayley_resultant, cayley_root_eigvectors
-from .matpoly import (_stacked_solve, eigvecs_and_conditions,
-                      matpoly_deriv_eval, polyeig)
+from .matpoly import (_check_null_vectors, _stacked_solve,
+                      eigvecs_and_conditions, polyeig)
 from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
                         _root_conditions, eval_with_jacobian, hide_variable,
                         mp_eval)
@@ -50,7 +50,6 @@ __all__ = [
     "SolveOptions",
     "RootRecord",
     "RootReport",
-    "RecoveryError",
     "solve_system",
     "newton_polish",
     "recover_components",
@@ -67,10 +66,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-class RecoveryError(RuntimeError):
-    """Eigenvector structure did not determine the free components."""
 
 
 @dataclass(frozen=True)
@@ -234,29 +229,21 @@ def recover_components(resultant, vecs, basis):
 
     Each eigenvector factors as an outer product of basis columns over
     resultant.col_extents, one axis per free variable: several for
-    Cayley, one for Sylvester.  vecs is an (m, n) stack of eigenvectors
-    or a single one.  For the stack, one argmax of |V| per row finds the
-    dominant entry; per axis, one gather reads slots 0 and 1 there, and
-    the ratio of slot 1 to slot 0 gives the component of every row whose
-    slot 0 exceeds 1e-8 times the dominant entry.  Only the other rows
-    take a rank-one fit of their axis fibers, from one stacked SVD.
+    Cayley, one for Sylvester.  vecs is an (m, n) stack of eigenvectors.
+    One argmax of |V| per row finds the dominant entry; per axis, one
+    gather reads slots 0 and 1 there, and the ratio of slot 1 to slot 0
+    gives the component of every row whose slot 0 exceeds 1e-8 times
+    the dominant entry.  Only the other rows take a rank-one fit of
+    their axis fibers, from one stacked SVD.
 
-    Returns (components, how) for the stack: an (m, axes) array and an
-    (m,) array of labels, "ratio" or "rank1" (rank1 wins the label when
-    any axis needed it), or "" for a row that carries no components: an
-    axis of extent one, a zero vector or a rank-one fit with no usable
-    slots.  Such rows hold NaN.  For a single vector, returns its
-    (components, how) and raises RecoveryError where its row would fail.
+    Returns (components, how): an (m, axes) array and an (m,) array of
+    labels, "ratio" or "rank1" (rank1 wins the label when any axis
+    needed it), or "" for a row that carries no components: an axis of
+    extent one, a zero vector or a rank-one fit with no usable slots.
+    Such rows hold NaN.
     """
     ext = resultant.col_extents
     vecs = np.asarray(vecs)
-    if vecs.ndim == 1:
-        comps, how = recover_components(resultant, vecs[None], basis)
-        if not how[0]:
-            raise RecoveryError("eigenvector carries no component: an axis "
-                                "of extent one, a zero vector or no usable "
-                                "basis slots")
-        return comps[0], str(how[0])
     m = len(vecs)
     comps = np.full((m, len(ext)), np.nan, dtype=complex)
     if 1 in ext:
@@ -465,16 +452,20 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None,
     The eigenvalue condition number uses the structured (unnormalized)
     left/right vectors of the resultant; the Rayleigh-type product they
     produce equals the Jacobian determinant of the system at the root,
-    which the record exposes for cross-checking.
+    which the record exposes for cross-checking.  One basis recurrence
+    at the hidden component gives R(z), for the residual check, and R'(z).
     """
     root = np.atleast_1d(np.asarray(root, dtype=complex))
     d = sys.dim
     hidden = hidden_index if hidden_index is not None else d - 1
     hv = hide_variable(sys, hidden)
     res, root_eigvectors = _build_resultant(hv, method, taus)
-    v, w = root_eigvectors(hv, root, res)
+    v, w = root_eigvectors(hv, root, res, check=False)
     z = complex(root[hidden])
-    dP = matpoly_deriv_eval(res.matrix_poly, z)
+    P = res.matrix_poly
+    R, dP = (np.tensordot(phis, P.coeffs, axes=([0], [0]))
+             for phis in basis_eval_deriv_all(P.basis, P.degree, z))
+    _check_null_vectors(P, z, R, v, w)
     ray = complex(w @ (dP @ v))
     scale = np.linalg.norm(v) * np.linalg.norm(w)
     kappa = float("inf") if ray == 0 else float(scale / abs(ray))

@@ -10,7 +10,8 @@ two univariate polynomials share a root.  Viewed as a matrix polynomial
 in the hidden variable it is an alternative to the Cayley construction
 with smaller matrices for d = 2.  It is built the same way: the row
 functions phi_j(y) q_c(y, z) are sampled on a grid of kept-variable
-nodes times hidden-variable nodes and interpolated over both axes.
+nodes times hidden-variable nodes and interpolated over both axes, with
+operators from one cached plan per shape (_plan).
 
 At a system root the right null vector is the basis column
 (phi_0, ..., phi_{N-1}) at the kept component; the left null vector is
@@ -19,13 +20,15 @@ cofactor identity  (-q_2 * q_1 + q_1 * q_2) / (x - y) = 0.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import _node_values, basis_eval_all, clenshaw_shifts
-from .matpoly import MatrixPolynomial, _check_null_vectors, matpoly_to_json
-from .multipoly import (MultiPoly, _reject_non_finite, interpolate_on_nodes,
-                        mp_eval_grid)
+from .basis import PLAN_CACHE_SIZE, basis_eval_all, clenshaw_shifts
+from .matpoly import (MatrixPolynomial, _check_null_vectors, matpoly_eval,
+                      matpoly_to_json)
+from .multipoly import (_contract_leading, _reject_non_finite,
+                        _vandermonde_inverse)
 
 __all__ = [
     "SylvesterResultant",
@@ -85,30 +88,45 @@ def sylvester_degrees(hv):
     return tuple(taus)
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(basis, domain, n, tensor_shapes):
+    """Shape-only operators of sylvester_resultant as read-only arrays:
+    (phis, grid_phis, inverses).  phis is phi_0..phi_{n-1} at the n kept
+    nodes, shape (node, j); grid_phis holds per tensor the basis values
+    at the kept and at the hidden nodes; inverses are the transposed
+    inverse Vandermonde matrices of both node sets."""
+    kept = domain.nodes(n)
+    hidden = domain.nodes(max(shape[-1] for shape in tensor_shapes))
+    phis = basis_eval_all(basis, n - 1, kept).T
+    grid_phis = [tuple(basis_eval_all(basis, e - 1, x)
+                       for e, x in zip(shape, (kept, hidden)))
+                 for shape in tensor_shapes]
+    inverses = tuple(_vandermonde_inverse(basis, x).T for x in (kept, hidden))
+    for x in (phis, *inverses, *(a for ops in grid_phis for a in ops)):
+        x.flags.writeable = False
+    return phis, tuple(grid_phis), inverses
+
+
 def sylvester_resultant(hv):
     """Matrix polynomial in the hidden variable via entrywise interpolation.
 
     Row r of the matrix is the function phi_j(y) q_c(y, z).  It is
     sampled on N kept-variable nodes times one more hidden-variable node
     than the hidden degree, and interpolation over both node axes gives
-    its coefficients in phi_k(y) phi_m(z).  The basis values at the kept
-    nodes come from the node memo.
+    its coefficients in phi_k(y) phi_m(z).  The basis values at the
+    nodes and the inverse Vandermonde matrices come from the plan for
+    this shape.
     """
-    taus = sylvester_degrees(hv)
-    tau1, tau2 = taus
-    n = tau1 + tau2
-    basis = hv.basis
-    hidden_degree = max(t.shape[-1] - 1 for t in hv.tensors)
-    kept = hv.domain.nodes(n)
-    hidden = hv.domain.nodes(hidden_degree + 1)
-    phis = _node_values(basis, n - 1, kept).T  # (node, j)
-    q1, q2 = (mp_eval_grid(MultiPoly(basis, 2, t), [kept, hidden])
-              for t in hv.tensors)
+    tau1, tau2 = sylvester_degrees(hv)
+    phis, grid_phis, inverses = _plan(hv.basis, hv.domain, tau1 + tau2,
+                                      tuple(t.shape for t in hv.tensors))
+    q1, q2 = (_contract_leading(t, ops)
+              for t, ops in zip(hv.tensors, grid_phis))
     samples = np.concatenate([phis[:, None, :tau2] * q1[:, :, None],
                               phis[:, None, :tau1] * q2[:, :, None]], axis=2)
-    coeffs = interpolate_on_nodes(basis, [kept, hidden], samples)  # k, m, r
-    coeffs = np.ascontiguousarray(coeffs.transpose(1, 2, 0))
-    return SylvesterResultant(matrix_poly=MatrixPolynomial(basis, coeffs),
+    coeffs = _contract_leading(samples, inverses)  # r, k, m
+    coeffs = np.ascontiguousarray(coeffs.transpose(2, 0, 1))
+    return SylvesterResultant(matrix_poly=MatrixPolynomial(hv.basis, coeffs),
                               tau1=tau1, tau2=tau2)
 
 
@@ -145,7 +163,8 @@ def sylvester_root_eigvectors(hv, root, resultant, check=True):
         b1 = clenshaw_shifts(basis, u1, y)
         w[tau2:] = alpha[:tau1] * b1[:tau1]
     if check:
-        _check_null_vectors(resultant.matrix_poly, z, v, w)
+        P = resultant.matrix_poly
+        _check_null_vectors(P, z, matpoly_eval(P, z), v, w)
     return v, w
 
 

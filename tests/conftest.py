@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
+from resultant_lab import cayley, matpoly, sylvester
 from resultant_lab.basis import DegreeGradedBasis, basis_eval_all
 from resultant_lab.multipoly import MultiPoly, PolynomialSystem
 
@@ -77,3 +78,34 @@ def circle_line(basis):
     c2[1, 0], c2[0, 1] = 1.0, -1.0
     return PolynomialSystem((MultiPoly(basis, 2, c1),
                              MultiPoly(basis, 2, c2)))
+
+
+def report_fields(rep):
+    """Every field of a report, floats and arrays as bytes."""
+    def b(v):
+        return np.asarray(v).tobytes()
+    return ((rep.method, rep.hidden_index, rep.resultant_size,
+             rep.n_eigenvalues, rep.n_infinite, rep.n_outside_domain,
+             rep.n_recovery_failed),
+            [(b(r.x), b(r.hidden_value), b(r.residuals), b(r.max_residual),
+              b(r.pre_polish_residual), r.spurious, b(r.eig_condition),
+              b(r.root_condition), r.newton_iters, r.recovery)
+             for r in rep.roots])
+
+
+# The three plan caches by owning module.
+PLAN_CACHES = {"cayley": cayley._plan, "sylvester": sylvester._plan,
+               "matpoly": matpoly._plan}
+
+
+def plan_args(name, basis):
+    """Arguments of one lookup of the plan cache name for a small fixed
+    shape in basis, on the basis's own domain: a bivariate Cayley grid
+    of degree 2, a Sylvester matrix of size 4, a degree-4 pencil of size
+    3 with real coefficients.  Degree 4 is the highest any of them
+    needs."""
+    if name == "cayley":
+        return basis, basis.domain, (3, 3), (1,)
+    if name == "sylvester":
+        return basis, basis.domain, 4, ((3, 3), (2, 3))
+    return basis, 4, 3, np.dtype(float)

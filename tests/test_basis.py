@@ -5,14 +5,13 @@ import pytest
 import warnings
 from hypothesis import given, settings, strategies as st
 
-from resultant_lab.basis import (NODE_MEMO_SIZE, ClenshawTrace,
-                                 DegreeGradedBasis, DegreeOverflowError,
-                                 Domain, NormalizationWarning, _node_inverse,
-                                 _node_memo, _node_values, basis_eval_all,
+from resultant_lab.basis import (ClenshawTrace, DegreeGradedBasis,
+                                 DegreeOverflowError, Domain,
+                                 NormalizationWarning, basis_eval_all,
                                  basis_eval_deriv_all, basis_from_json,
                                  basis_to_json, clenshaw_eval, clenshaw_shifts,
                                  derivative_eval, divided_difference)
-from resultant_lab.cayley import _axis_point_sets
+from conftest import PLAN_CACHES, plan_args
 
 
 def horner(coeffs, x):
@@ -413,7 +412,7 @@ def test_basis_json_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# Hashing and the node memo
+# Hashing and the plan caches
 # ----------------------------------------------------------------------
 
 def int_chebyshev_tables(m):
@@ -423,7 +422,6 @@ def int_chebyshev_tables(m):
 
 
 def test_equal_domains_and_bases_hash_equal():
-    x = np.linspace(-1, 1, 5)
     alpha, beta, gamma = chebyshev_tables(5)
     pairs = [
         (Domain.interval(-0.0, 1), Domain.interval(0.0, 1)),
@@ -442,8 +440,9 @@ def test_equal_domains_and_bases_hash_equal():
     for a, b in pairs:
         assert a == b and hash(a) == hash(b), (a, b)
         if isinstance(a, DegreeGradedBasis):
-            # equal bases share one memo entry
-            assert _node_values(a, 4, x) is _node_values(b, 4, x)
+            # equal bases share one entry of every plan cache
+            for name, plan in PLAN_CACHES.items():
+                assert plan(*plan_args(name, a)) is plan(*plan_args(name, b))
 
 
 def test_unequal_bases_get_separate_memo_entries():
@@ -464,53 +463,14 @@ def test_unequal_bases_get_separate_memo_entries():
         DegreeGradedBasis.custom(alpha, beta, gamma2,
                                  check_normalization=False),
     ]
-    x = np.linspace(-1, 1, 5)
-    _node_memo.cache_clear()
-    entries = [_node_values(base, 4, x)]
-    for other in others:
-        assert other != base and base != other
-        entries.append(_node_values(other, 4, x))
-    assert _node_memo.cache_info().currsize == len(entries)
-    assert len({id(e) for e in entries}) == len(entries)
-    # a table change reaches the values too
-    for other, vals in zip(others[2:], entries[3:]):
-        assert not np.array_equal(vals, entries[0])
-        assert np.array_equal(vals, basis_eval_all(other, 4, x))
-
-
-@pytest.mark.parametrize("basis", [
-    DegreeGradedBasis.legendre(),
-    DegreeGradedBasis.monomial(Domain.disc(0.2 + 0.1j, 1.5))])
-def test_node_memo_returns_shared_read_only_arrays(basis):
-    x = basis.domain.nodes(6)
-    _node_memo.cache_clear()
-    vals = _node_values(basis, 4, x)
-    vinv = _node_inverse(basis, x)
-    for arr in (vals, vinv):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
-    # warm lookups by equal node values return the very same object
-    assert _node_values(basis, 4, list(x)) is vals
-    assert _node_inverse(basis, x.astype(complex)) is vinv
-    # bitwise equal to the direct computations
-    want_vals = basis_eval_all(basis, 4, x)
-    want_inv = np.linalg.inv(basis_eval_all(basis, 5, x).T)
-    for got, want in ((vals, want_vals), (vinv, want_inv)):
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-
-
-def test_node_memos_are_bounded():
-    assert _node_memo.cache_info().maxsize == NODE_MEMO_SIZE
-    assert _axis_point_sets.cache_info().maxsize == NODE_MEMO_SIZE
-    s_sets, t_sets = _axis_point_sets(Domain.interval(-1, 1), (2, 5))
-    assert not any(x.flags.writeable for x in s_sets + t_sets)
-    mono = DegreeGradedBasis.monomial()
-    for i in range(NODE_MEMO_SIZE + 10):
-        _node_values(mono, 1, [1e-3 * i])
-    info = _node_memo.cache_info()
-    assert NODE_MEMO_SIZE - 10 <= info.currsize <= NODE_MEMO_SIZE
+    for name, plan in PLAN_CACHES.items():
+        plan.cache_clear()
+        entries = [plan(*plan_args(name, base))]
+        for other in others:
+            assert other != base and base != other
+            entries.append(plan(*plan_args(name, other)))
+        assert plan.cache_info().currsize == len(entries), name
+        assert len({id(e) for e in entries}) == len(entries), name
 
 
 # ----------------------------------------------------------------------

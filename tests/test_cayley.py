@@ -7,22 +7,22 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from resultant_lab.basis import (DegreeGradedBasis, Domain, _node_memo,
-                                 basis_eval_all)
-from resultant_lab.cayley import (_axis_point_sets, _cofactor_det,
-                                  _grid_values, cayley_resultant,
+from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
+from resultant_lab.cayley import (_cofactor_det, _grid_values,
+                                  cayley_resultant,
                                   cayley_resultant_to_json,
                                   cayley_root_eigvectors, default_taus)
 from resultant_lab.matpoly import (StructureError, matpoly_eval,
                                    matpoly_from_json, polyeig)
-from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
+from resultant_lab.multipoly import (MultiPoly, PolynomialSystem, _stacked,
                                      eval_with_jacobian, hide_variable)
 from resultant_lab.rootfinder import (condition_at_root,
                                       family_orthogonal_quadratic,
-                                      random_system_with_root)
+                                      random_system_with_root, solve_system)
 from resultant_lab.sylvester import (sylvester_resultant,
                                      sylvester_root_eigvectors)
-from conftest import circle_line, dense_gamma_basis, naive_eval
+from conftest import (PLAN_CACHES, circle_line, dense_gamma_basis,
+                      naive_eval, report_fields)
 
 
 def det_formula(M):
@@ -141,7 +141,11 @@ def test_grid_values_match_pointwise_oracle(d, n, kind, basis_name):
     s_sets = [points(rng.integers(1, 4), 1) for _ in range(d - 1)]
     t_sets = [points(rng.integers(1, 4), -1) for _ in range(d - 1)]
     hidden = points(2, 1)
-    F = _grid_values(hv, s_sets, t_sets, hidden)
+    T = _stacked(hv.tensors)
+    ext = T.shape[1:]
+    phis = [basis_eval_all(basis, e - 1, x) for e, x in
+            zip((ext[-1], *ext[:-1], *ext[:-1]), (hidden, *s_sets, *t_sets))]
+    F = _grid_values(T, s_sets, t_sets, phis)
     assert F.shape == ((2,) + tuple(len(x) for x in s_sets)
                        + tuple(len(x) for x in t_sets))
     for _ in range(4):
@@ -536,7 +540,7 @@ def test_resultant_json(mono):
 
 
 # ----------------------------------------------------------------------
-# Node memo: cold and warm builds agree bit for bit
+# Plan caches: cold and warm builds agree bit for bit
 # ----------------------------------------------------------------------
 
 def _bits(*arrays):
@@ -557,11 +561,10 @@ def test_memo_cold_and_warm_builds_are_bitwise_equal(d, kind, basis_name):
     methods = ("cayley", "sylvester") if d == 2 else ("cayley",)
 
     def build(cold):
-        # cold: every construction starts from empty memos
+        # cold: every call starts from empty plan caches of that list
         def run(fn, *args, **kw):
-            if cold:
-                _node_memo.cache_clear()
-                _axis_point_sets.cache_clear()
+            for plan in cold:
+                plan.cache_clear()
             return fn(*args, **kw)
 
         out = _bits(run(cayley_resultant, hv).matrix_poly.coeffs)
@@ -571,11 +574,16 @@ def test_memo_cold_and_warm_builds_are_bitwise_equal(d, kind, basis_name):
             rec = run(condition_at_root, sys_, root, method=method)
             out += _bits(rec.eig_condition, rec.rayleigh, rec.jacobian_det,
                          rec.root_condition)
+            out.append(report_fields(run(solve_system, sys_, method)))
         return out
 
-    cold = build(True)
-    assert _node_memo.cache_info().currsize > 0
-    hits = _node_memo.cache_info().hits
-    assert build(False) == cold
-    assert _node_memo.cache_info().hits > hits
-
+    plans = list(PLAN_CACHES.values())
+    cold = build(plans)
+    hits = [plan.cache_info().hits for plan in plans]
+    assert build([]) == cold
+    used = [True, d == 2, True]  # the Sylvester plan serves d = 2 alone
+    assert [plan.cache_info().hits > h
+            for plan, h in zip(plans, hits)] == used
+    # each cache alone cold, the others warm
+    for plan in plans:
+        assert build([plan]) == cold

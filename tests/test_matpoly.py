@@ -15,7 +15,6 @@ from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
                                  basis_eval_deriv_all, clenshaw_shifts)
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    NotRegularError, StructureError,
-                                   _check_null_vectors,
                                    eigvecs_and_conditions,
                                    matpoly_deriv_eval, matpoly_eval,
                                    matpoly_from_json, matpoly_to_json,
@@ -210,8 +209,9 @@ def scaled_probe_decision(P):
                          ids=["interval", "disc"])
 def test_regularity_probes_match_pointwise(name, domain):
     basis = basis_by_name(name, domain)
-    probes = matpoly._probe_points(basis.domain)
-    assert np.array_equal(probes, probe_points(basis.domain))
+    dom = basis.domain
+    probes = dom.center + dom.radius * matpoly._PROBE_OFFSETS
+    assert identical(probes, probe_points(dom))
     P = random_matpoly(np.random.default_rng(8), basis, 3, 5, True)
     assert matpoly.matpoly_is_regular(P) and scaled_probe_decision(P)
     # diag(1, q) with q vanishing at three probe points: singular there,
@@ -466,9 +466,10 @@ def linearize(P):
     return X, Y
 
 
-def dense_inverted_pencil(P, mu):
+def dense_inverted_pencil(P, mu, *table):
     """M = (X - mu Y)^-1 Y from one dense LU solve of the NK x NK
-    pencil, as the solver formed it before its N x N solve."""
+    pencil, as the solver formed it before its N x N solve.  The scalar
+    table of _inverted_pencil is accepted and not used."""
     X, Y = linearize(P)
     X = X.astype(np.result_type(X, mu), copy=False)
     X -= mu * Y
@@ -536,17 +537,25 @@ def test_inverted_pencil_matches_dense_solve(name, domain, complex_entries,
             c = P.coeffs.copy()
             c[-1] = np.outer(c[-1][:, 0], c[-1][0])  # rank one
             P = MatrixPolynomial(basis, c)
-        for mu in matpoly._shifts(domain)[1]:
+        for mu in matpoly._shifts(domain):
             want = dense_inverted_pencil(P, mu)
-            got = matpoly._inverted_pencil(P, mu)
+            got = inverted_pencil(P, mu)
             assert got.dtype == want.dtype
             assert (np.max(np.abs(got - want))
                     <= 1e-10 * np.linalg.norm(want))
 
 
+def inverted_pencil(P, mu):
+    """_inverted_pencil at any shift mu, with its scalars from
+    _pencil_table as the plan holds them."""
+    return matpoly._inverted_pencil(P, mu, *matpoly._pencil_table(
+        P.basis, P.degree, mu, matpoly._working_coeffs(P).dtype))
+
+
 def loop_pencil_table(P, mu):
     """W_0..W_K and phi_0(mu)..phi_K(mu) of _inverted_pencil from the
-    scalar recurrence loop, recomputed on every call."""
+    scalar recurrence loop in the dtype of the coefficients, the
+    recurrence and mu, as the solver computed them before its plans."""
     K = P.degree
     tab = P.basis.table(K - 1)
     A = P.coeffs
@@ -566,8 +575,8 @@ def loop_pencil_table(P, mu):
 
 
 def loop_inverted_pencil(P, mu):
-    """_inverted_pencil with the scalar table computed in place, as it
-    was before the table was memoised."""
+    """_inverted_pencil with the scalar table computed in place in the
+    coefficients' dtype, as it was before the table was cached."""
     K, N = P.degree, P.size
     tab = P.basis.table(K - 1)
     A = P.coeffs
@@ -600,27 +609,40 @@ def test_pencil_table_is_the_loop_bitwise(name, complex_entries):
         basis = basis_by_name(name, domain)
         for degree in (1, 2, 7):
             P = random_matpoly(rng, basis, degree, 3, complex_entries)
-            for mu in matpoly._shifts(domain)[1] + [0.3 - 0.45j]:
+            for mu in matpoly._shifts(domain) + [0.3 - 0.45j]:
                 want = loop_pencil_table(P, mu)
-                for _ in range(2):  # the miss, then the hit
-                    got = matpoly._pencil_table(basis, degree, mu,
-                                                want[0].dtype)
-                    assert all(map(identical, got, want))
-                    assert not any(t.flags.writeable for t in got)
-                assert identical(matpoly._inverted_pencil(P, mu),
+                got = matpoly._pencil_table(
+                    basis, degree, mu, matpoly._working_coeffs(P).dtype)
+                assert all(map(identical, got, want))
+                assert identical(inverted_pencil(P, mu),
                                  loop_inverted_pencil(P, mu))
-    with pytest.raises(ValueError, match="read-only"):
-        got[0][0, 0] = 1.0
 
 
-def test_pencil_table_key_keeps_real_and_complex_apart():
+def test_pencil_table_key_keeps_real_and_complex_apart(monkeypatch):
+    # the plan is keyed on the coefficients' dtype: products with a real
+    # table round differently from those with a complex one
     basis = DegreeGradedBasis.chebyshev()
     rng = np.random.default_rng(25)
     real = random_matpoly(rng, basis, 4, 3)
     cplx = random_matpoly(rng, basis, 4, 3, complex_entries=True)
+    for P in (real, cplx, real):
+        dtype = matpoly._working_coeffs(P).dtype
+        for mu, W, phi in matpoly._plan(basis, 4, 3, dtype)[0]:
+            assert W.dtype == phi.dtype == dtype
+            assert identical(matpoly._inverted_pencil(P, mu, W, phi),
+                             loop_inverted_pencil(P, mu))
+    # polyeig reads the table of its coefficients' dtype
+    stacks = [random_matpoly(rng, basis, degree, 3, complex_entries)
+              for degree in (1, 2, 3) for complex_entries in (False, True)
+              for _ in range(4)]
+    got = [polyeig(P)[0] for P in stacks]
+    monkeypatch.setattr(matpoly, "_inverted_pencil",
+                        lambda P, mu, *table: loop_inverted_pencil(P, mu))
+    for P, lams in zip(stacks, got):
+        assert identical(polyeig(P)[0], lams)
     for mu in (0.5, 0.5 + 0j):
         for P in (real, cplx, real):
-            assert identical(matpoly._inverted_pencil(P, mu),
+            assert identical(inverted_pencil(P, mu),
                              loop_inverted_pencil(P, mu))
 
 
@@ -738,8 +760,7 @@ def corpus_pencils():
         P = build[method](hide_variable(sys_)).matrix_poly
         work = MatrixPolynomial(P.basis,
                                 P.coeffs[:matpoly._effective_degree(P) + 1])
-        yield matpoly._inverted_pencil(work, matpoly._shifts(P.basis.domain)
-                                       [1][0])
+        yield inverted_pencil(work, matpoly._shifts(P.basis.domain)[0])
 
 
 def test_eigvals_equal_scipy_on_corpus_pencils():
@@ -772,8 +793,8 @@ def test_real_spectrum_gives_complex_eigenvalues(builtin):
     for i, r in enumerate(roots):
         C[:, i, i] = to_basis(np.polynomial.polynomial.polyfromroots(r))
     P = MatrixPolynomial(builtin, C)
-    assert np.isrealobj(np.linalg.eigvals(matpoly._inverted_pencil(
-        P, matpoly._shifts(builtin.domain)[1][0])))
+    assert np.isrealobj(np.linalg.eigvals(inverted_pencil(
+        P, matpoly._shifts(builtin.domain)[0])))
     lams, n_inf = polyeig(P)
     assert lams.dtype == complex and n_inf == 0
     match_nearest(lams, roots.ravel(), 1e-10)
@@ -786,16 +807,16 @@ def test_non_finite_pencil_moves_to_the_next_shift(monkeypatch):
     shifts = []
     inverted = matpoly._inverted_pencil
 
-    def poisoned_first(P, shift):
+    def poisoned_first(P, shift, *table):
         shifts.append(shift)
-        M = inverted(P, shift)
+        M = inverted(P, shift, *table)
         if len(shifts) == 1:
             M[0, 0] = np.nan
         return M
 
     monkeypatch.setattr(matpoly, "_inverted_pencil", poisoned_first)
     lams, n_inf = polyeig(P)
-    assert shifts == matpoly._shifts(P.basis.domain)[1][:2]
+    assert shifts == matpoly._shifts(P.basis.domain)[:2]
     assert n_inf == want[1] == 0
     match_nearest(lams, want[0], 1e-8)
 
@@ -983,6 +1004,12 @@ def test_kappa_inf_decisions_match_full_svd_cutoff(monkeypatch):
 # Structured null-vector check
 # ----------------------------------------------------------------------
 
+def check_null_vectors(P, z, v, w):
+    """_check_null_vectors with P(z) from matpoly_eval, as the structured
+    eigenvector functions call it."""
+    matpoly._check_null_vectors(P, z, matpoly_eval(P, z), v, w)
+
+
 def test_null_vector_check_floors_scale_at_coeff_scale():
     b = DegreeGradedBasis.monomial()
     # P(lam) = (lam - 0.5) I + E with ||E|| = 1e-12: P(0.5) is tiny, and
@@ -992,10 +1019,10 @@ def test_null_vector_check_floors_scale_at_coeff_scale():
     P = MatrixPolynomial(b, np.stack([-0.5 * np.eye(2) + E, np.eye(2)]))
     e1 = np.array([1.0, 0.0])
     assert np.linalg.norm(E @ e1) > 1e-7 * np.linalg.norm(E, 2)
-    _check_null_vectors(P, 0.5, e1, e1)
+    check_null_vectors(P, 0.5, e1, e1)
     # away from the eigenvalue the residual exceeds both scales
     with pytest.raises(StructureError, match="exceed 1e-7"):
-        _check_null_vectors(P, 0.3, e1, e1)
+        check_null_vectors(P, 0.3, e1, e1)
 
 
 def test_null_vector_check_skips_floor_when_norm_passes(monkeypatch):
@@ -1007,9 +1034,9 @@ def test_null_vector_check_skips_floor_when_norm_passes(monkeypatch):
 
     monkeypatch.setattr(MatrixPolynomial, "coeff_scale", property(forbidden))
     e1 = np.array([1.0, 0.0])
-    _check_null_vectors(P, 1.0, e1, e1)  # P(1) = diag(0, 3)
+    check_null_vectors(P, 1.0, e1, e1)  # P(1) = diag(0, 3)
     with pytest.raises(AssertionError, match="coeff_scale"):
-        _check_null_vectors(P, 0.5, e1, e1)
+        check_null_vectors(P, 0.5, e1, e1)
 
 
 def svd_rule_raises(P, z, v, w):
@@ -1027,7 +1054,7 @@ def svd_rule_raises(P, z, v, w):
 
 def null_vector_check_raises(P, z, v, w):
     try:
-        _check_null_vectors(P, z, v, w)
+        check_null_vectors(P, z, v, w)
     except StructureError:
         return True
     return False
@@ -1082,10 +1109,10 @@ def test_null_vector_check_fails_nan_residual():
                          np.stack([np.diag([-1.0, 2.0]), np.eye(2)]))
     e1 = np.array([1.0, 0.0])
     nan = np.array([np.nan, 0.0])
-    _check_null_vectors(P, 1.0, e1, e1)  # P(1) = diag(0, 3)
+    check_null_vectors(P, 1.0, e1, e1)  # P(1) = diag(0, 3)
     for v, w in ((nan, e1), (e1, nan)):
         with pytest.raises(StructureError, match="nan"):
-            _check_null_vectors(P, 1.0, v, w)
+            check_null_vectors(P, 1.0, v, w)
 
 
 # ----------------------------------------------------------------------
@@ -1186,24 +1213,30 @@ def test_polyeig_moves_off_a_shift_on_a_root(domain, monkeypatch):
     # a root exactly at the first shift makes X - mu Y singular; the
     # guard rejects that shift and the next one finds every root
     basis = DegreeGradedBasis.monomial(domain)
-    mu = matpoly._shifts(domain)[1][0]
+    mu = matpoly._shifts(domain)[0]
     roots = np.array([mu, mu - 0.3, mu - 0.8])
     coeffs = np.polynomial.polynomial.polyfromroots(roots)
     P = MatrixPolynomial(basis, coeffs.reshape(-1, 1, 1))
     shifts = []
     inverted = matpoly._inverted_pencil
 
-    def recording(P, shift):
+    def recording(P, shift, *table):
         shifts.append(shift)
-        return inverted(P, shift)
+        return inverted(P, shift, *table)
 
     monkeypatch.setattr(matpoly, "_inverted_pencil", recording)
     lams, n_inf = polyeig(P)
-    assert shifts == matpoly._shifts(domain)[1][:2]
+    assert shifts == matpoly._shifts(domain)[:2]
     assert n_inf == 0
     match_nearest(lams, roots, 1e-10)
-    # with the first shift as the only one, polyeig gives up
+    # with the first shift as the only one, polyeig gives up; the plan
+    # caches the shifts, so it is rebuilt after each change of offsets
     monkeypatch.setattr(matpoly, "_SHIFT_OFFSETS",
                         matpoly._SHIFT_OFFSETS[:1])
-    with pytest.raises(EigenSolveError, match="shift"):
-        polyeig(P)
+    matpoly._plan.cache_clear()
+    try:
+        with pytest.raises(EigenSolveError, match="shift"):
+            polyeig(P)
+    finally:
+        monkeypatch.undo()
+        matpoly._plan.cache_clear()

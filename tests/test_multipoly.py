@@ -170,8 +170,8 @@ def test_interpolation_errors_unchanged(mono):
     with pytest.raises(ValueError, match="nodes must be distinct"):
         interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 2.0]],
                              np.ones((2, 2)))
-    # the check runs on every call: a failure is never memoised, and a
-    # valid node set of the same basis does not let repeated ones through
+    # the check runs on every call: a valid node set of the same basis
+    # does not let repeated ones through
     for _ in range(3):
         interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 3.0]], np.ones((2, 2)))
         with pytest.raises(ValueError,

@@ -21,7 +21,7 @@ from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      eval_with_jacobian, hide_variable,
                                      mp_eval, mp_interpolate)
-from resultant_lab.rootfinder import (RecoveryError, RootRecord, RootReport,
+from resultant_lab.rootfinder import (RootRecord, RootReport,
                                       SolveOptions, condition_at_root,
                                       condition_sweep,
                                       family_coupled_quadratic, family_linear,
@@ -31,7 +31,7 @@ from resultant_lab.rootfinder import (RecoveryError, RootRecord, RootReport,
                                       recover_components, report_to_csv,
                                       report_to_json, solve_system)
 from resultant_lab.sylvester import sylvester_resultant
-from conftest import circle_line
+from conftest import circle_line, report_fields
 from test_matpoly import (dense_inverted_pencil, linearize,
                           svd_eigvecs_and_conditions)
 
@@ -158,9 +158,9 @@ def test_recover_from_synthetic_cayley_vector(basis_name):
     cols = [basis_eval_all(basis, e - 1, root[k])
             for k, e in enumerate(res.col_extents)]
     vec = np.multiply.outer(cols[0], cols[1]).ravel()
-    comps, how = recover_components(res, vec, basis)
-    assert how == "ratio"
-    assert np.allclose(comps, root[:2], atol=1e-10)
+    comps, how = recover_components(res, vec[None], basis)
+    assert how.tolist() == ["ratio"]
+    assert np.allclose(comps[0], root[:2], atol=1e-10)
 
 
 def test_recover_rank1_fallback(mono):
@@ -175,9 +175,9 @@ def test_recover_rank1_fallback(mono):
     u0 = np.array([0.0, 1.0, x1, x1 ** 2], dtype=complex)
     u1 = np.array([1.0, x2], dtype=complex)
     vec = np.multiply.outer(u0, u1).ravel()
-    comps, how = recover_components(res, vec, mono)
-    assert how == "rank1"
-    assert np.allclose(comps, root[:2], atol=1e-9)
+    comps, how = recover_components(res, vec[None], mono)
+    assert how.tolist() == ["rank1"]
+    assert np.allclose(comps[0], root[:2], atol=1e-9)
 
 
 def shifted_coordinates(basis):
@@ -190,17 +190,14 @@ def shifted_coordinates(basis):
                              MultiPoly(basis, 2, c2)))
 
 
-def test_recover_raises_on_extent_one(mono):
+def test_recover_marks_extent_one_rows_failed(mono):
     sys_, _ = family_linear(3, seed=4)
     cayley = cayley_resultant(hide_variable(sys_))
     sylvester = sylvester_resultant(hide_variable(shifted_coordinates(mono)))
     for res in (cayley, sylvester):
         assert res.matrix_poly.size == 1
-        with pytest.raises(RecoveryError):
-            recover_components(res, np.ones(1), mono)
-        # a stack marks every row failed instead of raising; no rows at
-        # all is a stack too
-        for m in (3, 0):
+        # every row carries no component; no rows at all is a stack too
+        for m in (1, 3, 0):
             comps, how = recover_components(res, np.ones((m, 1)), mono)
             assert how.tolist() == [""] * m
             assert comps.shape == (m, len(res.col_extents))
@@ -211,21 +208,23 @@ def test_recover_sylvester_vector(mono):
     sys_, root = random_system_with_root(2, 3, 22)
     hv = hide_variable(sys_)
     res = sylvester_resultant(hv)
-    vec = basis_eval_all(mono, res.size - 1, root[0])
+    vec = basis_eval_all(mono, res.size - 1, root[0])[None]
     comps, how = recover_components(res, vec, mono)
-    assert how == "ratio"
-    assert abs(comps[0] - root[0]) <= 1e-10
+    assert how.tolist() == ["ratio"]
+    assert abs(comps[0, 0] - root[0]) <= 1e-10
     # a zero degree-0 slot sends the single axis to the rank-one fit
-    vec[0] = 0.0
+    vec[0, 0] = 0.0
     comps, how = recover_components(res, vec, mono)
-    assert how == "rank1"
-    assert abs(comps[0] - root[0]) <= 1e-10
-    # a zero vector, and one whose rank-one fit finds no usable slots
+    assert how.tolist() == ["rank1"]
+    assert abs(comps[0, 0] - root[0]) <= 1e-10
+    # a zero vector, and one whose rank-one fit finds no usable slots,
+    # carry no component
     last = np.zeros(res.size)
     last[-1] = 1.0
-    for vec in (np.zeros(res.size), last):
-        with pytest.raises(RecoveryError):
-            recover_components(res, vec, mono)
+    comps, how = recover_components(res, np.stack([np.zeros(res.size), last]),
+                                    mono)
+    assert how.tolist() == ["", ""]
+    assert np.all(np.isnan(comps))
 
 
 def recovery_stack(res, basis, seed):
@@ -255,6 +254,7 @@ def recovery_stack(res, basis, seed):
 @pytest.mark.parametrize("basis_name", ["monomial", "chebyshev", "legendre"])
 @pytest.mark.parametrize("method", ["cayley", "sylvester"])
 def test_stacked_recovery_matches_per_vector_calls(basis_name, method):
+    # one call over the stack against one call per row
     labels = []
     for seed in range(3):
         d = 3 if method == "cayley" and seed == 2 else 2
@@ -266,13 +266,9 @@ def test_stacked_recovery_matches_per_vector_calls(basis_name, method):
         assert comps.shape == (len(vecs), len(res.col_extents))
         assert how.shape == (len(vecs),)
         for k, vec in enumerate(vecs):
-            try:
-                want, want_how = recover_components(res, vec, sys_.basis)
-            except RecoveryError:
-                assert how[k] == "" and np.all(np.isnan(comps[k]))
-                continue
-            assert how[k] == want_how
-            assert comps[k].tobytes() == want.tobytes()
+            want, want_how = recover_components(res, vec[None], sys_.basis)
+            assert how[k] == want_how[0]
+            assert comps[k].tobytes() == want[0].tobytes()
         labels += how.tolist()
     # the stacks hold every outcome: the zero row and the last-slot row
     # fail, the zeroed slots take the rank-one fit
@@ -620,24 +616,39 @@ def fates_under_shift_rotations():
     """JSON, per system of planted_shift_systems and then the coupled
     family (Cayley, root at the origin), one entry per rotation of
     _SHIFT_OFFSETS: the report's (n_eigenvalues, n_infinite,
-    n_outside_domain, n_recovery_failed) and whether an accepted root
-    lies within 1e-8 * (1 + |root|) of the planted one."""
+    n_outside_domain, n_recovery_failed), whether an accepted root
+    lies within 1e-8 * (1 + |root|) of the planted one, and the first
+    shift that reached _inverted_pencil, as (real, imag).  The plan
+    caches the shifts, so it is cleared after each rotation."""
     cases = list(planted_shift_systems())
     cases.append((family_coupled_quadratic(0.1), np.zeros(2), "cayley"))
     offsets = matpoly._SHIFT_OFFSETS
+    inverted = matpoly._inverted_pencil
+    mus = []
+
+    def recording(P, mu, *table):
+        mus.append(complex(mu))
+        return inverted(P, mu, *table)
+
     out = [[] for _ in cases]
+    matpoly._inverted_pencil = recording
     try:
         for r in range(len(offsets)):
             matpoly._SHIFT_OFFSETS = offsets[r:] + offsets[:r]
+            matpoly._plan.cache_clear()
             for row, (sys_, root, method) in zip(out, cases):
+                mus.clear()
                 rep = solve_system(sys_, method)
                 tol = 1e-8 * (1 + np.max(np.abs(root)))
                 row.append([[rep.n_eigenvalues, rep.n_infinite,
                              rep.n_outside_domain, rep.n_recovery_failed],
                             any(np.max(np.abs(a.x - root)) <= tol
-                                for a in rep.accepted)])
+                                for a in rep.accepted),
+                            [mus[0].real, mus[0].imag]])
     finally:
         matpoly._SHIFT_OFFSETS = offsets
+        matpoly._inverted_pencil = inverted
+        matpoly._plan.cache_clear()
     return json.dumps(out)
 
 
@@ -662,17 +673,21 @@ def test_fate_counts_do_not_depend_on_shift_order(shift_rotation_fates):
     # with rounding (ROADMAP item 5)
     planted = shift_rotation_fates[:-1]
     assert len(planted) == 96
+    for k, rotations in enumerate(shift_rotation_fates):
+        # each rotation took effect: every solve began at another shift
+        first = {tuple(mu) for _, _, mu in rotations}
+        assert len(first) == len(rotations) == 3, k
     for k, rotations in enumerate(planted):
-        counts = [fates for fates, _ in rotations]
+        counts = [fates for fates, _, _ in rotations]
         assert counts == counts[:1] * len(counts), k
-        assert all(found for _, found in rotations), k
+        assert all(found for _, found, _ in rotations), k
 
 
 @pytest.mark.xfail(strict=True,
                    reason="ROADMAP item 5: fixed 1e-6 domain margin")
 def test_coupled_family_fate_counts_do_not_depend_on_shift_order(
         shift_rotation_fates):
-    counts = [fates for fates, _ in shift_rotation_fates[-1]]
+    counts = [fates for fates, _, _ in shift_rotation_fates[-1]]
     assert counts == counts[:1] * len(counts)
 
 
@@ -693,6 +708,10 @@ def test_each_solve_runs_one_eigensolve(monkeypatch):
         assert len(calls) == 1, k
 
 
+class RecoveryFailed(Exception):
+    """The reference recovery found no component for one vector."""
+
+
 def loop_component_from_vector(u, basis):
     """_component_from_vector for one vector, raising on no usable
     slots, as it was before stacked recovery."""
@@ -705,7 +724,7 @@ def loop_component_from_vector(u, basis):
     t = tab.alpha[:e - 1] * u[:-1]
     den = np.vdot(t, t).real
     if den == 0.0:
-        raise RecoveryError("eigenvector has no usable basis slots")
+        raise RecoveryFailed("eigenvector has no usable basis slots")
     return np.vdot(t, pred) / den
 
 
@@ -717,12 +736,12 @@ def loop_recover_components(resultant, vec, basis):
     ref = np.unravel_index(np.argmax(np.abs(V)), ext)
     top = abs(V[ref])
     if top == 0.0:
-        raise RecoveryError("zero eigenvector")
+        raise RecoveryFailed("zero eigenvector")
     out = []
     how = "ratio"
     for k0, e in enumerate(ext):
         if e == 1:
-            raise RecoveryError("extent one")
+            raise RecoveryFailed("extent one")
         idx0, idx1 = list(ref), list(ref)
         idx0[k0], idx1[k0] = 0, 1
         denom = V[tuple(idx0)]
@@ -746,7 +765,7 @@ def loop_start_points(sys_, res, kept, right, hidden):
     for k, lam in enumerate(kept):
         try:
             comps, how = loop_recover_components(res, right[k], sys_.basis)
-        except RecoveryError:
+        except RecoveryFailed:
             found = rootfinder._grid_newton_candidates(sys_, lam, hidden)
             n_failed += not len(found)
             produced += [(x0, k, "grid") for x0 in found]
@@ -755,19 +774,6 @@ def loop_start_points(sys_, res, kept, right, hidden):
     x0 = np.array([p[0] for p in produced], dtype=complex)
     return (x0.reshape(-1, sys_.dim), np.array([p[1] for p in produced]),
             np.array([p[2] for p in produced], dtype=str), n_failed)
-
-
-def report_fields(rep):
-    """Every field of a report, floats and arrays as bytes."""
-    def b(v):
-        return np.asarray(v).tobytes()
-    return ((rep.method, rep.hidden_index, rep.resultant_size,
-             rep.n_eigenvalues, rep.n_infinite, rep.n_outside_domain,
-             rep.n_recovery_failed),
-            [(b(r.x), b(r.hidden_value), b(r.residuals), b(r.max_residual),
-              b(r.pre_polish_residual), r.spurious, b(r.eig_condition),
-              b(r.root_condition), r.newton_iters, r.recovery)
-             for r in rep.roots])
 
 
 def recovery_corpus():
