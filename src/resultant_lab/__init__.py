@@ -16,9 +16,8 @@ from .cayley import (CayleyResultant, cayley_resultant,
                      cayley_resultant_to_json, cayley_root_eigvectors,
                      default_taus)
 from .matpoly import (EigenSolveError, MatrixPolynomial, NotRegularError,
-                      StructureError, eigvecs_and_conditions,
-                      matpoly_deriv_eval, matpoly_eval, matpoly_from_json,
-                      matpoly_to_json, polyeig)
+                      StructureError, eigvecs_and_conditions, matpoly_eval,
+                      matpoly_from_json, matpoly_to_json, polyeig)
 from .multipoly import (HiddenVariableForm, MultiPoly, PolynomialSystem,
                         eval_with_jacobian, hide_variable,
                         interpolate_on_nodes, mp_eval, mp_eval_grid,
@@ -51,8 +50,7 @@ __all__ = [
     "system_to_json", "system_from_json",
     # matpoly
     "MatrixPolynomial", "EigenSolveError", "NotRegularError",
-    "StructureError", "matpoly_eval", "matpoly_deriv_eval",
-    "polyeig", "eigvecs_and_conditions",
+    "StructureError", "matpoly_eval", "polyeig", "eigvecs_and_conditions",
     "matpoly_to_json", "matpoly_from_json",
     # cayley
     "CayleyResultant", "default_taus", "cayley_resultant",

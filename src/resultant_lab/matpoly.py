@@ -43,7 +43,6 @@ __all__ = [
     "NotRegularError",
     "StructureError",
     "matpoly_eval",
-    "matpoly_deriv_eval",
     "polyeig",
     "eigvecs_and_conditions",
     "matpoly_to_json",
@@ -155,13 +154,6 @@ def matpoly_eval(P, lam):
     """
     phis = basis_eval_all(P.basis, P.degree, lam)
     return np.tensordot(phis, P.coeffs, axes=([0], [0]))
-
-
-def matpoly_deriv_eval(P, lam):
-    """P'(lam) = sum_i A_i phi_i'(lam) from the basis derivatives,
-    shaped as in matpoly_eval."""
-    ders = basis_eval_deriv_all(P.basis, P.degree, lam)[1]
-    return np.tensordot(ders, P.coeffs, axes=([0], [0]))
 
 
 # Probe points of matpoly_is_regular in units of the domain's radius from

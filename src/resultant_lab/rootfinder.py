@@ -15,15 +15,13 @@ numbers (matpoly.eigvecs_and_conditions); batched Newton takes every
 start point a step per round, with one stacked solve and one
 eval_with_jacobian call; one more call at the polished points and one
 stacked SVD of their Jacobians give the residuals and root conditions.
-Component recovery is one call over the stack of right vectors too.
-
-Eigenvector-based recovery has two layers: ratio of consecutive basis
-slots at the largest tensor entry, then, for the rows where slot 0 is
-too small, a rank-one fit per axis.  Only the eigenvalues whose vectors
-carry no component (an axis of extent one, as happens for Cayley on
-systems of total degree one and for a Sylvester resultant of size one)
-are taken one at a time: their candidates come from Newton on a small
-grid of starting points at the fixed hidden value.
+Component recovery is one call over the stacks of vectors too: each
+free component comes from the right vector or, on an axis where that
+has extent one, from the Cayley left vector, by the ratio of basis
+slots at the largest entry or a rank-one fit.  Only an eigenvalue whose
+vectors carry no component (a resultant of size one, as for affine
+systems) is taken alone: a solve of the system with the hidden variable
+fixed there gives its candidates.
 
 The module also ships the closed-form example families used to probe
 conditioning behaviour, and JSON/CSV writers for reports.
@@ -31,7 +29,6 @@ conditioning behaviour, and JSON/CSV writers for reports.
 
 import csv
 import io
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -39,11 +36,11 @@ import numpy as np
 
 from .basis import DegreeGradedBasis, basis_eval_deriv_all, basis_from_json
 from .cayley import cayley_resultant, cayley_root_eigvectors
-from .matpoly import (_check_null_vectors, _stacked_solve,
-                      eigvecs_and_conditions, polyeig)
+from .matpoly import (EigenSolveError, MatrixPolynomial, _check_null_vectors,
+                      _stacked_solve, eigvecs_and_conditions, polyeig)
 from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
-                        _root_conditions, eval_with_jacobian, hide_variable,
-                        mp_eval)
+                        _root_conditions, _stacked, eval_with_jacobian,
+                        hide_variable, mp_eval)
 from .sylvester import sylvester_resultant, sylvester_root_eigvectors
 
 __all__ = [
@@ -101,7 +98,7 @@ class RootRecord:
     eig_condition: float
     root_condition: float         # inf when the Jacobian is singular
     newton_iters: int
-    recovery: str                 # "ratio", "rank1" or "grid"
+    recovery: str                 # "ratio", "rank1" or "subsolve"
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ class RootReport:
     n_eigenvalues: int            # finite eigenvalues of the resultant
     n_infinite: int
     n_outside_domain: int
-    n_recovery_failed: int        # in-domain eigenvalues with no candidate
+    n_recovery_failed: int        # in-domain eigenvalues, empty sub-solve
     roots: tuple                  # RootRecord, sorted by hidden component
 
     @property
@@ -224,93 +221,108 @@ def _component_from_vector(u, basis):
     return x, ok
 
 
-def recover_components(resultant, vecs, basis):
-    """Free components of the roots encoded in right eigenvectors.
+def recover_components(resultant, right, left, basis):
+    """Free components of the roots encoded in eigenvectors.
 
-    Each eigenvector factors as an outer product of basis columns over
-    resultant.col_extents, one axis per free variable: several for
-    Cayley, one for Sylvester.  vecs is an (m, n) stack of eigenvectors.
-    One argmax of |V| per row finds the dominant entry; per axis, one
-    gather reads slots 0 and 1 there, and the ratio of slot 1 to slot 0
-    gives the component of every row whose slot 0 exceeds 1e-8 times
-    the dominant entry.  Only the other rows take a rank-one fit of
-    their axis fibers, from one stacked SVD.
+    right and left are (m, n) stacks of right and plain-transpose left
+    eigenvectors.  At a root the right vector is an outer product of
+    basis columns over resultant.col_extents, one axis per free
+    variable, and the Cayley left vector one over row_extents.  Axis k
+    is read from the right vector when col_extents[k] >= 2, else from
+    the left one: at each row's dominant entry, by the ratio of slots 1
+    and 0 where slot 0 exceeds 1e-8 times that entry, elsewhere by a
+    rank-one fit of the axis fibers (one stacked SVD).
 
     Returns (components, how): an (m, axes) array and an (m,) array of
-    labels, "ratio" or "rank1" (rank1 wins the label when any axis
-    needed it), or "" for a row that carries no components: an axis of
-    extent one, a zero vector or a rank-one fit with no usable slots.
-    Such rows hold NaN.
+    labels, "ratio" or "rank1" (rank1 wins when any axis needed it), or
+    "" where a row carries no components (an axis of extent one in both
+    vectors, a zero vector or a fit with no usable slots), with NaN.
     """
-    ext = resultant.col_extents
-    vecs = np.asarray(vecs)
-    m = len(vecs)
-    comps = np.full((m, len(ext)), np.nan, dtype=complex)
-    if 1 in ext:
-        return comps, np.full(m, "")
-    V = vecs.reshape((m,) + ext)
-    rows = np.arange(m)
-    ref = np.unravel_index(np.argmax(np.abs(vecs), axis=1), ext)
-    # magnitudes by np.hypot, as abs() of one complex number takes
-    # them; np.abs of an array rounds differently
-    top = V[(rows,) + ref]
-    top = np.hypot(top.real, top.imag)
-    failed = top == 0.0
+    col = resultant.col_extents
+    # the Sylvester left vector has no basis structure to read
+    row = getattr(resultant, "row_extents", (1,) * len(col))
+    m = len(right)
+    comps = np.full((m, len(col)), np.nan, dtype=complex)
+    failed = np.full(m, any(c == r == 1 for c, r in zip(col, row)))
     rank1 = np.zeros(m, dtype=bool)
-    for k0, e in enumerate(ext):
-        at = list(ref)
-        at[k0] = 0
-        denom = V[(rows,) + tuple(at)]
-        at[k0] = 1
-        num = V[(rows,) + tuple(at)]
-        ratio = ~failed & (np.hypot(denom.real, denom.imag) > 1e-8 * top)
-        comps[ratio, k0] = ((num[ratio] / denom[ratio] - basis.beta(0))
-                            / basis.alpha(0))
-        fit = np.nonzero(~failed & ~ratio)[0]
-        if len(fit):
-            fibers = np.moveaxis(V[fit], k0 + 1, 1).reshape(len(fit), e, -1)
-            comps[fit, k0], ok = _component_from_vector(
-                np.linalg.svd(fibers)[0][:, :, 0], basis)
-            failed[fit[~ok]] = True
-            rank1[fit] = True
+    rows = np.arange(m)
+    for vecs, ext, axes in (
+            (right, col, [k for k, e in enumerate(col) if e > 1]),
+            (left, row, [k for k, e in enumerate(col) if e == 1])):
+        if not axes or failed.all():
+            continue
+        vecs = np.asarray(vecs)
+        V = vecs.reshape((m,) + ext)
+        ref = np.unravel_index(np.argmax(np.abs(vecs), axis=1), ext)
+        # magnitudes by np.hypot, as abs() of one complex number takes
+        # them; np.abs of an array rounds differently
+        top = V[(rows,) + ref]
+        top = np.hypot(top.real, top.imag)
+        failed |= top == 0.0
+        for k0 in axes:
+            denom, num = (V[(rows,) + ref[:k0] + (j,) + ref[k0 + 1:]]
+                          for j in (0, 1))
+            ratio = ~failed & (np.hypot(denom.real, denom.imag) > 1e-8 * top)
+            comps[ratio, k0] = ((num[ratio] / denom[ratio] - basis.beta(0))
+                                / basis.alpha(0))
+            fit = np.nonzero(~failed & ~ratio)[0]
+            if len(fit):
+                fibers = np.moveaxis(V[fit], k0 + 1, 1).reshape(
+                    len(fit), ext[k0], -1)
+                comps[fit, k0], ok = _component_from_vector(
+                    np.linalg.svd(fibers)[0][:, :, 0], basis)
+                failed[fit[~ok]] = True
+                rank1[fit] = True
     comps[failed] = np.nan
     return comps, np.where(failed, "", np.where(rank1, "rank1", "ratio"))
 
 
-def _grid_newton_candidates(sys, lam, hidden_index):
-    """Newton from a coarse grid of free-variable starts at fixed lam.
+_COMBINATION_SEED = 2015  # of _subsolve's standard-normal weights
 
-    Keeps converged roots whose hidden component stayed at the
-    eigenvalue, so each candidate remains attached to the eigenvalue
-    that produced it.  All starts iterate together.  Returns the (c, d)
-    array of kept roots.
+
+def _subsolve(sys, lam, hidden):
+    """Start points at hidden value lam from a solve of the system with
+    x_hidden = lam substituted (hide_variable(...).q_at).
+
+    d - 1 fixed random combinations of the d polynomials make a square
+    system in the free variables, solved by solve_system, or by a 1 x 1
+    polyeig when one variable is left.  Every point it returns is kept:
+    Newton and tol_accept on the full system judge them.  An
+    EigenSolveError gives none.  Returns the (c, d) points.
     """
     d = sys.dim
-    nodes = np.asarray(sys.domain.nodes(3), dtype=complex)
-    grid = np.array(list(itertools.product(nodes, repeat=d - 1)),
-                    dtype=complex).reshape(len(nodes) ** (d - 1), d - 1)
-    x0 = np.insert(grid, hidden_index, lam, axis=1)
-    F, J = eval_with_jacobian(sys, x0)
-    x, _, ok = _newton(sys, x0, F, J)
-    ok &= np.abs(x[:, hidden_index] - lam) <= 1e-6 * (1.0 + abs(lam))
-    return x[ok]
+    hv = hide_variable(sys, hidden)
+    q = _stacked([hv.q_at(c, lam).coeffs for c in range(d)])
+    rng = np.random.default_rng(_COMBINATION_SEED)
+    combined = np.tensordot(rng.standard_normal((d - 1, d)), q, axes=1)
+    try:
+        if d == 2:
+            free = polyeig(MatrixPolynomial(
+                sys.basis, combined[0][:, None, None]))[0][:, None]
+        else:
+            sub = PolynomialSystem(tuple(MultiPoly(sys.basis, d - 1, c)
+                                         for c in combined), sys.domain)
+            free = np.array([r.x for r in solve_system(sub).roots],
+                            dtype=complex).reshape(-1, d - 1)
+    except EigenSolveError:
+        return np.empty((0, d), dtype=complex)
+    return np.insert(free, hidden, lam, axis=1)
 
 
-def _start_points(sys, res, kept, right, hidden):
-    """Newton start points from the kept eigenvalues and their right
-    vectors.
+def _start_points(sys, res, kept, right, left, hidden):
+    """Newton start points from the kept eigenvalues and their vectors.
 
-    One recover_components call over the stack of right vectors gives
-    the free components and the hidden one is the eigenvalue, set by
-    column assignment.  Each row whose recovery failed is replaced by
-    its _grid_newton_candidates, in its place, so the start points stay
-    in eigenvalue order.
+    One recover_components call over the stacks of vectors gives the
+    free components and the hidden one is the eigenvalue, set by column
+    assignment.  Each row whose recovery failed is replaced by the
+    points of its _subsolve, in its place, so the start points stay in
+    eigenvalue order.
 
     Returns (x0, owner, how, n_failed): the (c, d) start points, the
     index into kept and the recovery label of each, and the number of
     eigenvalues that gave no start point.
     """
-    comps, how = recover_components(res, right, sys.basis)
+    comps, how = recover_components(res, right, left, sys.basis)
     x0 = np.empty((len(kept), sys.dim), dtype=complex)
     x0[:, hidden] = kept
     x0[:, np.arange(sys.dim) != hidden] = comps
@@ -319,11 +331,11 @@ def _start_points(sys, res, kept, right, hidden):
     failed = np.nonzero(~ok)[0]
     if not len(failed):
         return x0, owner, how, 0
-    found = [_grid_newton_candidates(sys, kept[k], hidden) for k in failed]
+    found = [_subsolve(sys, kept[k], hidden) for k in failed]
     counts = np.array([len(f) for f in found], dtype=int)
     x0 = np.concatenate([x0[ok]] + found)
     owner = np.concatenate([owner[ok], np.repeat(failed, counts)])
-    how = np.concatenate([how[ok], np.full(counts.sum(), "grid")])
+    how = np.concatenate([how[ok], np.full(counts.sum(), "subsolve")])
     order = np.argsort(owner, kind="stable")
     return x0[order], owner[order], how[order], int(np.sum(counts == 0))
 
@@ -344,10 +356,6 @@ def _build_resultant(hv, method, taus):
                              "resultant takes none")
         return sylvester_resultant(hv), sylvester_root_eigvectors
     raise ValueError(f"unknown method {method!r}")
-
-
-def _coeff_scales(sys):
-    return np.array([np.sum(np.abs(p.coeffs)) for p in sys.polys])
 
 
 def solve_system(sys, method="cayley", options=None):
@@ -373,8 +381,9 @@ def solve_system(sys, method="cayley", options=None):
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
     kept = lams[sys.domain.contains(lams, opts.domain_margin)]
-    right, _, _, kappas = eigvecs_and_conditions(P, kept)
-    x0, owner, how, n_failed = _start_points(sys, res, kept, right, hidden)
+    right, left, _, kappas = eigvecs_and_conditions(P, kept)
+    x0, owner, how, n_failed = _start_points(sys, res, kept, right, left,
+                                             hidden)
     candidates = []
     if len(x0):
         F, J = eval_with_jacobian(sys, x0)
@@ -385,8 +394,8 @@ def solve_system(sys, method="cayley", options=None):
         else:
             x, iters = x0, np.zeros(len(x0), dtype=int)
         resid = np.abs(F)
-        spurious = np.any(resid > opts.tol_accept * _coeff_scales(sys),
-                          axis=1)
+        scales = np.array([np.sum(np.abs(p.coeffs)) for p in sys.polys])
+        spurious = np.any(resid > opts.tol_accept * scales, axis=1)
         # RootRecord fields in order, the scalars from one tolist() each
         candidates = [RootRecord(*f) for f in zip(
             x, kept[owner].tolist(), resid, resid.max(axis=1).tolist(),

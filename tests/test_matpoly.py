@@ -15,8 +15,7 @@ from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
                                  basis_eval_deriv_all, clenshaw_shifts)
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    NotRegularError, StructureError,
-                                   eigvecs_and_conditions,
-                                   matpoly_deriv_eval, matpoly_eval,
+                                   eigvecs_and_conditions, matpoly_eval,
                                    matpoly_from_json, matpoly_to_json,
                                    polyeig)
 from resultant_lab.cayley import cayley_resultant
@@ -27,6 +26,13 @@ from resultant_lab.rootfinder import (_component_from_vector,
                                       random_system_with_root)
 from resultant_lab.sylvester import sylvester_resultant
 from conftest import dense_gamma_basis
+
+
+def deriv_eval(P, lam):
+    """P'(lam) = sum_i A_i phi_i'(lam) from the basis derivatives, as
+    condition_at_root forms it."""
+    ders = basis_eval_deriv_all(P.basis, P.degree, lam)[1]
+    return np.tensordot(ders, P.coeffs, axes=([0], [0]))
 
 
 def eigpair(P, lam):
@@ -40,7 +46,7 @@ def eigpair(P, lam):
 def eig_condition(P, lam, v, w):
     """Reference kappa = ||v|| ||w|| / |w^T P'(lam) v|, inf below the
     1e3 * eps * ||v|| ||w|| ||P'(lam)||_2 defectiveness cutoff."""
-    dP = matpoly_deriv_eval(P, lam)
+    dP = deriv_eval(P, lam)
     denom = abs(w @ dP @ v)
     scale = np.linalg.norm(v) * np.linalg.norm(w)
     if denom <= 1e3 * np.finfo(float).eps * scale * np.linalg.norm(dP, 2):
@@ -110,12 +116,12 @@ def test_deriv_matches_fd(builtin):
     lam = 0.3
     h = 1e-6
     fd = (matpoly_eval(P, lam + h) - matpoly_eval(P, lam - h)) / (2 * h)
-    assert np.allclose(matpoly_deriv_eval(P, lam), fd, atol=1e-7)
+    assert np.allclose(deriv_eval(P, lam), fd, atol=1e-7)
 
 
 def shift_identity_deriv(P, lam):
     """P'(lam) through the shift identity over the matrix stack, the
-    Clenshaw form matpoly_deriv_eval replaced."""
+    Clenshaw form that deriv_eval's contraction replaced."""
     K = P.degree
     b = clenshaw_shifts(P.basis, P.coeffs, complex(lam))  # b[i] = b_{i+1}
     phis = basis_eval_all(P.basis, K - 1, complex(lam))
@@ -132,13 +138,13 @@ def test_deriv_matches_shift_identity(name, lam):
     for degree in (1, 2, 7):
         P = random_matpoly(rng, basis, degree, 4, complex_entries=True)
         want = shift_identity_deriv(P, lam)
-        got = matpoly_deriv_eval(P, lam)
+        got = deriv_eval(P, lam)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_deriv_constant_zero(builtin):
     P = MatrixPolynomial(builtin, np.ones((1, 2, 2)))
-    assert np.array_equal(matpoly_deriv_eval(P, 0.4), np.zeros((2, 2)))
+    assert np.array_equal(deriv_eval(P, 0.4), np.zeros((2, 2)))
 
 
 def test_properties():

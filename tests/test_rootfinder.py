@@ -14,7 +14,8 @@ import scipy.linalg
 
 from resultant_lab import matpoly, multipoly, rootfinder
 from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
-from resultant_lab.cayley import cayley_resultant, default_taus
+from resultant_lab.cayley import (cayley_resultant, cayley_root_eigvectors,
+                                  default_taus)
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    _effective_degree, eigvecs_and_conditions,
                                    polyeig)
@@ -149,16 +150,24 @@ def test_batched_newton_matches_scalar():
 # Component recovery
 # ----------------------------------------------------------------------
 
+def outer_vector(basis, extents, point):
+    """The flattened outer product of the basis columns phi_0..phi_{e-1}
+    at each component of point, one axis per extent."""
+    V = np.ones((), dtype=complex)
+    for e, x in zip(extents, point):
+        V = np.multiply.outer(V, basis_eval_all(basis, e - 1, x))
+    return V.ravel()
+
+
 @pytest.mark.parametrize("basis_name", ["monomial", "chebyshev", "legendre"])
 def test_recover_from_synthetic_cayley_vector(basis_name):
     sys_, root = random_system_with_root(3, 2, 20, basis_name=basis_name)
     hv = hide_variable(sys_)
     res = cayley_resultant(hv)
     basis = sys_.basis
-    cols = [basis_eval_all(basis, e - 1, root[k])
-            for k, e in enumerate(res.col_extents)]
-    vec = np.multiply.outer(cols[0], cols[1]).ravel()
-    comps, how = recover_components(res, vec[None], basis)
+    vec = outer_vector(basis, res.col_extents, root)
+    left = outer_vector(basis, res.row_extents, root)
+    comps, how = recover_components(res, vec[None], left[None], basis)
     assert how.tolist() == ["ratio"]
     assert np.allclose(comps[0], root[:2], atol=1e-10)
 
@@ -175,7 +184,9 @@ def test_recover_rank1_fallback(mono):
     u0 = np.array([0.0, 1.0, x1, x1 ** 2], dtype=complex)
     u1 = np.array([1.0, x2], dtype=complex)
     vec = np.multiply.outer(u0, u1).ravel()
-    comps, how = recover_components(res, vec[None], mono)
+    # no right axis has extent one, so the left vector is never read
+    left = np.full(res.matrix_poly.size, np.nan)
+    comps, how = recover_components(res, vec[None], left[None], mono)
     assert how.tolist() == ["rank1"]
     assert np.allclose(comps[0], root[:2], atol=1e-9)
 
@@ -198,10 +209,25 @@ def test_recover_marks_extent_one_rows_failed(mono):
         assert res.matrix_poly.size == 1
         # every row carries no component; no rows at all is a stack too
         for m in (1, 3, 0):
-            comps, how = recover_components(res, np.ones((m, 1)), mono)
+            comps, how = recover_components(res, np.ones((m, 1)),
+                                            np.ones((m, 1)), mono)
             assert how.tolist() == [""] * m
             assert comps.shape == (m, len(res.col_extents))
             assert np.all(np.isnan(comps))
+    # at d = 3, n = 1 the right vector's last axis has extent one and
+    # the left vector's has two: that component is read from the left
+    sys_, root = random_system_with_root(3, 1, 4)
+    res = cayley_resultant(hide_variable(sys_))
+    assert (res.col_extents, res.row_extents) == ((2, 1), (1, 2))
+    vec = outer_vector(mono, res.col_extents, root)
+    left = outer_vector(mono, res.row_extents, root)
+    comps, how = recover_components(res, vec[None], left[None], mono)
+    assert how.tolist() == ["ratio"]
+    assert np.allclose(comps[0], root[:2], atol=1e-12)
+    # a zero left vector leaves that row without its second component
+    comps, how = recover_components(res, vec[None], 0 * left[None], mono)
+    assert how.tolist() == [""]
+    assert np.all(np.isnan(comps))
 
 
 def test_recover_sylvester_vector(mono):
@@ -209,12 +235,14 @@ def test_recover_sylvester_vector(mono):
     hv = hide_variable(sys_)
     res = sylvester_resultant(hv)
     vec = basis_eval_all(mono, res.size - 1, root[0])[None]
-    comps, how = recover_components(res, vec, mono)
+    # the Sylvester left vector carries no basis structure: never read
+    left = np.full_like(vec, np.nan)
+    comps, how = recover_components(res, vec, left, mono)
     assert how.tolist() == ["ratio"]
     assert abs(comps[0, 0] - root[0]) <= 1e-10
     # a zero degree-0 slot sends the single axis to the rank-one fit
     vec[0, 0] = 0.0
-    comps, how = recover_components(res, vec, mono)
+    comps, how = recover_components(res, vec, left, mono)
     assert how.tolist() == ["rank1"]
     assert abs(comps[0, 0] - root[0]) <= 1e-10
     # a zero vector, and one whose rank-one fit finds no usable slots,
@@ -222,51 +250,58 @@ def test_recover_sylvester_vector(mono):
     last = np.zeros(res.size)
     last[-1] = 1.0
     comps, how = recover_components(res, np.stack([np.zeros(res.size), last]),
-                                    mono)
+                                    np.concatenate([left, left]), mono)
     assert how.tolist() == ["", ""]
     assert np.all(np.isnan(comps))
 
 
 def recovery_stack(res, basis, seed):
-    """Right vectors of res in the order a solve meets them, plus
-    structured vectors at random points with slot 0 of one axis zeroed
-    (rank-one rows), a zero row and a vector whose only nonzero slot is
-    the last one of every axis (its rank-one fit has no usable slots)."""
+    """Right and left vectors of res in the order a solve meets them,
+    plus structured pairs at random points with slot 0 of one axis
+    zeroed in both (rank-one rows), a zero pair and a pair whose only
+    nonzero slot is the last one of every axis (its rank-one fit has no
+    usable slots).  Sylvester left vectors take the right vectors'
+    shape; they are never read."""
     P = res.matrix_poly
     lams = polyeig(P)[0]
-    rows = [eigvecs_and_conditions(P, lams)[0]]
-    ext = res.col_extents
+    right, left = eigvecs_and_conditions(P, lams)[:2]
+    rights, lefts = [right], [left]
+    col = res.col_extents
+    row = getattr(res, "row_extents", col)
     rng = np.random.default_rng(seed)
-    for k0 in range(len(ext)):
-        pts = rng.uniform(-0.9, 0.9, len(ext))
-        V = basis_eval_all(basis, ext[0] - 1, pts[0]).astype(complex)
-        for a in range(1, len(ext)):
-            V = np.multiply.outer(V, basis_eval_all(basis, ext[a] - 1,
-                                                    pts[a]))
-        np.moveaxis(V, k0, 0)[0] = 0.0
-        rows.append(V.reshape(1, -1))
-    last = np.zeros(ext, dtype=complex)
-    last[tuple(e - 1 for e in ext)] = 1.0
-    rows += [np.zeros((1, P.size), dtype=complex), last.reshape(1, -1)]
-    return np.concatenate(rows)
+    for k0 in range(len(col)):
+        pts = rng.uniform(-0.9, 0.9, len(col))
+        for ext, out in ((col, rights), (row, lefts)):
+            V = outer_vector(basis, ext, pts).reshape(ext)
+            np.moveaxis(V, k0, 0)[0] = 0.0
+            out.append(V.reshape(1, -1))
+    for ext, out in ((col, rights), (row, lefts)):
+        last = np.zeros(ext, dtype=complex)
+        last[tuple(e - 1 for e in ext)] = 1.0
+        out += [np.zeros((1, P.size), dtype=complex), last.reshape(1, -1)]
+    return np.concatenate(rights), np.concatenate(lefts)
 
 
 @pytest.mark.parametrize("basis_name", ["monomial", "chebyshev", "legendre"])
 @pytest.mark.parametrize("method", ["cayley", "sylvester"])
 def test_stacked_recovery_matches_per_vector_calls(basis_name, method):
-    # one call over the stack against one call per row
+    # one call over the stack against one call per row; the last system
+    # is d = 3, n = 1 for Cayley, whose second component comes from the
+    # left vector
     labels = []
-    for seed in range(3):
-        d = 3 if method == "cayley" and seed == 2 else 2
-        sys_ = random_system_with_root(d, 3, seed, basis_name)[0]
+    for seed in range(4):
+        d = 3 if method == "cayley" and seed >= 2 else 2
+        n = 1 if seed == 3 else 3
+        sys_ = random_system_with_root(d, n, seed, basis_name)[0]
         res = rootfinder._build_resultant(hide_variable(sys_), method,
                                           None)[0]
-        vecs = recovery_stack(res, sys_.basis, seed)
-        comps, how = recover_components(res, vecs, sys_.basis)
+        vecs, lefts = recovery_stack(res, sys_.basis, seed)
+        comps, how = recover_components(res, vecs, lefts, sys_.basis)
         assert comps.shape == (len(vecs), len(res.col_extents))
         assert how.shape == (len(vecs),)
-        for k, vec in enumerate(vecs):
-            want, want_how = recover_components(res, vec[None], sys_.basis)
+        for k, (vec, left) in enumerate(zip(vecs, lefts)):
+            want, want_how = recover_components(res, vec[None], left[None],
+                                                sys_.basis)
             assert how[k] == want_how[0]
             assert comps[k].tobytes() == want[0].tobytes()
         labels += how.tolist()
@@ -319,15 +354,17 @@ def test_solve_cubic(mono):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_solve_linear_uses_grid_fallback(d):
+    # a resultant of size one carries no component: the sub-solve, a
+    # solve of d - 1 combinations at x_d = lambda, gives the only start
     sys_, root = family_linear(d, seed=60 + d)
     report = solve_system(sys_)
     assert report.resultant_size == 1
     assert len(report.accepted) == 1
     rec = report.accepted[0]
-    assert rec.recovery == "grid"
+    assert rec.recovery == "subsolve"
     assert np.allclose(rec.x, root, atol=1e-9)
-    # duplicate grid starts collapsed into one record
     assert len(report.roots) == 1
+    assert report.n_recovery_failed == 0
 
 
 def test_solve_chebyshev_system():
@@ -424,7 +461,7 @@ def test_solve_size_one_resultant_falls_back_to_grid(mono, method):
     report = solve_system(shifted_coordinates(mono), method)
     assert report.resultant_size == 1
     assert_root_sets_match(report, [[0.3, 0.2]], tol=1e-12)
-    assert [r.recovery for r in report.accepted] == ["grid"]
+    assert [r.recovery for r in report.accepted] == ["subsolve"]
 
 
 def test_hidden_index_override(mono):
@@ -456,7 +493,7 @@ def _forbid_loose_evaluation(monkeypatch):
 
 def test_solve_evaluates_only_through_the_kernel(monkeypatch):
     sys_, root = random_system_with_root(2, 3, 6, basis_name="chebyshev")
-    linear, _ = family_linear(2, seed=5)  # grid fallback path
+    linear, _ = family_linear(2, seed=5)  # sub-solve path
     calls = _forbid_loose_evaluation(monkeypatch)
     for s, opts in ((sys_, None), (sys_, SolveOptions(polish=False)),
                     (linear, None)):
@@ -489,7 +526,7 @@ def test_polished_candidate_costs_iters_plus_one_kernel_calls(monkeypatch):
     monkeypatch.setattr(rootfinder, "_newton", recording)
     report = solve_system(sys_)
     assert report.accepted
-    assert all(r.recovery != "grid" for r in report.roots)
+    assert all(r.recovery != "subsolve" for r in report.roots)
     assert iters and min(iters) >= 1
     # every start point is evaluated once, in the first call
     assert len(calls[0]) == len(iters)
@@ -728,20 +765,24 @@ def loop_component_from_vector(u, basis):
     return np.vdot(t, pred) / den
 
 
-def loop_recover_components(resultant, vec, basis):
-    """recover_components for one vector, axis by axis, as it was before
-    stacked recovery."""
-    ext = resultant.col_extents
-    V = np.asarray(vec).reshape(ext)
-    ref = np.unravel_index(np.argmax(np.abs(V)), ext)
-    top = abs(V[ref])
-    if top == 0.0:
-        raise RecoveryFailed("zero eigenvector")
+def loop_recover_components(resultant, vec, left, basis):
+    """recover_components for one pair of vectors, axis by axis, as it
+    was before stacked recovery: each axis from the right vector, or
+    from the Cayley left vector where the right one has extent one."""
+    col = resultant.col_extents
+    row = getattr(resultant, "row_extents", (1,) * len(col))
     out = []
     how = "ratio"
-    for k0, e in enumerate(ext):
+    for k0, e in enumerate(col):
+        V, ext = np.asarray(vec).reshape(col), col
         if e == 1:
-            raise RecoveryFailed("extent one")
+            if row[k0] == 1:
+                raise RecoveryFailed("extent one")
+            V, ext, e = np.asarray(left).reshape(row), row, row[k0]
+        ref = np.unravel_index(np.argmax(np.abs(V)), ext)
+        top = abs(V[ref])
+        if top == 0.0:
+            raise RecoveryFailed("zero eigenvector")
         idx0, idx1 = list(ref), list(ref)
         idx0[k0], idx1[k0] = 0, 1
         denom = V[tuple(idx0)]
@@ -756,7 +797,7 @@ def loop_recover_components(resultant, vec, basis):
     return np.array(out), how
 
 
-def loop_start_points(sys_, res, kept, right, hidden):
+def loop_start_points(sys_, res, kept, right, left, hidden):
     """_start_points as a loop over the kept eigenvalues, one recovery
     call and one np.insert each, as the solve ran before stacked
     recovery."""
@@ -764,11 +805,12 @@ def loop_start_points(sys_, res, kept, right, hidden):
     produced = []
     for k, lam in enumerate(kept):
         try:
-            comps, how = loop_recover_components(res, right[k], sys_.basis)
+            comps, how = loop_recover_components(res, right[k], left[k],
+                                                 sys_.basis)
         except RecoveryFailed:
-            found = rootfinder._grid_newton_candidates(sys_, lam, hidden)
+            found = rootfinder._subsolve(sys_, lam, hidden)
             n_failed += not len(found)
-            produced += [(x0, k, "grid") for x0 in found]
+            produced += [(x0, k, "subsolve") for x0 in found]
             continue
         produced.append((np.insert(comps, hidden, lam), k, how))
     x0 = np.array([p[0] for p in produced], dtype=complex)
@@ -809,26 +851,100 @@ def test_solve_matches_per_candidate_recovery(monkeypatch):
             ref = solve_system(sys_, method, opts)
         assert report_fields(got) == report_fields(ref)
         labels |= {r.recovery for r in ref.roots}
-    assert labels == {"ratio", "rank1", "grid"}
+    assert labels == {"ratio", "rank1", "subsolve"}
 
 
 @pytest.mark.parametrize("method", ["cayley", "sylvester"])
 def test_grid_start_points_stay_in_eigenvalue_order(method):
-    # zeroed rows fail recovery between rows that pass, so their grid
-    # candidates must land in their eigenvalue's place
+    # zeroed rows fail recovery between rows that pass, so their
+    # sub-solve candidates must land in their eigenvalue's place
     sys_ = random_system_with_root(2, 3, 5, "chebyshev")[0]
     res = rootfinder._build_resultant(hide_variable(sys_), method, None)[0]
     lams = polyeig(res.matrix_poly)[0]
     kept = lams[sys_.domain.contains(lams, 1e-6)]
-    right = eigvecs_and_conditions(res.matrix_poly, kept)[0]
+    right, left = eigvecs_and_conditions(res.matrix_poly, kept)[:2]
     right[::3] = 0.0
-    got = rootfinder._start_points(sys_, res, kept, right, 1)
-    want = loop_start_points(sys_, res, kept, right, 1)
+    got = rootfinder._start_points(sys_, res, kept, right, left, 1)
+    want = loop_start_points(sys_, res, kept, right, left, 1)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tolist() == want[1].tolist()
     assert got[2].tolist() == want[2].tolist()
     assert got[3] == want[3]
-    assert "grid" in got[2].tolist() and got[2][-1] != "grid"
+    assert "subsolve" in got[2].tolist() and got[2][-1] != "subsolve"
+
+
+def planted_degree_one_systems(basis_name, seeds):
+    """(system, planted root, hidden index) for d = 3 systems of degree
+    one, whose Cayley right vectors have an axis of extent one, at
+    every hidden index."""
+    for seed in range(seeds):
+        sys_, root = random_system_with_root(3, 1, seed, basis_name)
+        for hidden in range(3):
+            yield sys_, root, hidden
+
+
+@pytest.mark.parametrize("basis_name,seeds", [("chebyshev", 200),
+                                              ("monomial", 50),
+                                              ("legendre", 50)])
+def test_degree_one_solves_keep_their_planted_root(basis_name, seeds):
+    # every right vector here has an axis of extent one, so each solve
+    # reads one component from the left vector
+    for sys_, root, hidden in planted_degree_one_systems(basis_name, seeds):
+        rep = solve_system(sys_, options=SolveOptions(hidden_index=hidden))
+        assert rep.n_recovery_failed == 0, (root, hidden)
+        tol = 1e-8 * (1 + np.max(np.abs(root)))
+        assert any(np.max(np.abs(r.x - root)) <= tol
+                   for r in rep.accepted), (root, hidden)
+
+
+@pytest.mark.parametrize("hidden", range(3))
+def test_degree_one_components_come_from_the_left_vector(hidden):
+    sys_, root = random_system_with_root(3, 1, 22, "chebyshev")
+    rep = solve_system(sys_, options=SolveOptions(hidden_index=hidden))
+    assert rep.roots and rep.n_recovery_failed == 0
+    assert {r.recovery for r in rep.roots} <= {"ratio", "rank1"}
+    # at the planted eigenvalue the computed left vector is the
+    # structured one, and the axis on which the right vector has extent
+    # one reads the planted component from it
+    hv = hide_variable(sys_, hidden)
+    res = cayley_resultant(hv)
+    assert (res.col_extents, res.row_extents) == ((2, 1), (1, 2))
+    v, w = cayley_root_eigvectors(hv, root, res)
+    P = res.matrix_poly
+    lams = polyeig(P)[0]
+    lam = lams[np.argmin(np.abs(lams - root[hidden]))][None]
+    right, left = eigvecs_and_conditions(P, lam)[:2]
+    assert abs(np.vdot(left[0], w)) >= (1 - 1e-12) * np.linalg.norm(w)
+    comps, how = recover_components(res, right, left, sys_.basis)
+    free = root[list(hv.free_order)]
+    assert how.tolist() == ["ratio"]
+    assert abs(comps[0, 1] - free[1]) <= 1e-10
+    assert abs(comps[0, 0] - free[0]) <= 1e-10
+    # the same components from the structured vectors themselves
+    comps, _ = recover_components(res, v[None], w[None], sys_.basis)
+    assert np.allclose(comps[0], free, atol=1e-13)
+
+
+def test_failed_subsolve_counts_as_recovery_failed(monkeypatch):
+    # the first polyeig is the solve's own; every later one is a
+    # sub-solve's, at d = 2 directly and at d = 3 inside solve_system
+    calls = []
+
+    def failing(P):
+        calls.append(P.size)
+        if len(calls) > 1:
+            raise EigenSolveError("no usable shift")
+        return polyeig(P)
+
+    monkeypatch.setattr(rootfinder, "polyeig", failing)
+    for sys_ in (random_system_with_root(2, 1, 3, "chebyshev")[0],
+                 family_linear(2, seed=5)[0], family_linear(3, seed=5)[0]):
+        calls.clear()
+        rep = solve_system(sys_)
+        assert rep.resultant_size == 1 and rep.roots == ()
+        kept = rep.n_eigenvalues - rep.n_outside_domain
+        assert rep.n_recovery_failed == kept
+        assert len(calls) == 1 + rep.n_recovery_failed > 1
 
 
 # ----------------------------------------------------------------------
@@ -1057,7 +1173,7 @@ def test_report_csv_roundtrip(mono):
     # shortest round-trip float formatting: parsing returns the value
     for row in rows:
         assert float(row["max_residual"]) == pytest.approx(0.0, abs=1e-12)
-        assert row["recovery"] in ("ratio", "rank1", "grid")
+        assert row["recovery"] in ("ratio", "rank1", "subsolve")
 
 
 RECORD_TYPES = {"x": np.ndarray, "hidden_value": complex,

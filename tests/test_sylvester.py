@@ -4,7 +4,8 @@ oracles."""
 import numpy as np
 import pytest
 
-from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
+from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
+                                 basis_eval_deriv_all)
 from resultant_lab.matpoly import StructureError, matpoly_eval, polyeig
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      eval_with_jacobian, hide_variable)
@@ -222,12 +223,13 @@ def test_root_vectors_reject_non_finite_root(bad, index):
 
 
 def test_rayleigh_product_is_jacobian_det(mono):
-    from resultant_lab.matpoly import matpoly_deriv_eval
     sys_, root = random_system_with_root(2, 3, 9)
     hv = hide_variable(sys_)
     res = sylvester_resultant(hv)
     v, w = sylvester_root_eigvectors(hv, root, res)
-    dS = matpoly_deriv_eval(res.matrix_poly, root[1])
+    S = res.matrix_poly
+    ders = basis_eval_deriv_all(S.basis, S.degree, root[1])[1]
+    dS = np.tensordot(ders, S.coeffs, axes=([0], [0]))
     want = np.linalg.det(eval_with_jacobian(sys_, root)[1])
     assert abs(w @ dS @ v - want) <= 1e-9 * (1 + abs(want))
 
