@@ -19,8 +19,7 @@ from .matpoly import (EigenSolveError, MatrixPolynomial, NotRegularError,
                       StructureError, eigvecs_and_conditions, matpoly_eval,
                       matpoly_from_json, matpoly_to_json, polyeig)
 from .multipoly import (HiddenVariableForm, MultiPoly, PolynomialSystem,
-                        eval_with_jacobian, hide_variable,
-                        interpolate_on_nodes, mp_eval, mp_eval_grid,
+                        eval_with_jacobian, hide_variable, mp_eval,
                         mp_interpolate, system_from_json, system_to_json)
 from .rootfinder import (ConditionRecord, RootRecord, RootReport,
                          SolveOptions, condition_at_root,
@@ -45,8 +44,7 @@ __all__ = [
     "basis_to_json", "basis_from_json",
     # multipoly
     "MultiPoly", "PolynomialSystem", "HiddenVariableForm",
-    "mp_eval", "mp_eval_grid", "mp_interpolate",
-    "interpolate_on_nodes", "hide_variable", "eval_with_jacobian",
+    "mp_eval", "mp_interpolate", "hide_variable", "eval_with_jacobian",
     "system_to_json", "system_from_json",
     # matpoly
     "MatrixPolynomial", "EigenSolveError", "NotRegularError",

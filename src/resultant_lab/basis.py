@@ -31,8 +31,9 @@ each construction caches them in its plan (``cayley._plan``,
 that change with every system call ``basis_eval_all`` directly.
 
 Polynomials p(x) = sum_k a_k phi_k(x) are evaluated by running the
-recurrence backwards (a generalized Clenshaw scheme).  The backward
-shifts b_k[p](x) produced along the way are kept on the returned trace
+recurrence backwards (a generalized Clenshaw scheme) down to k = 0: the
+last shift is b_0[p](x) = p(x) because phi_0 = 1.  The shifts
+b_1[p](x), ... produced along the way are kept on the returned trace
 because they also encode divided differences, derivatives and the left
 eigenvector structure of resultant matrices built downstream.
 """
@@ -146,8 +147,7 @@ class Domain:
         """
         if self.kind == "interval":
             return np.linspace(self.lo, self.hi, m)
-        ang = 2.0j * np.pi * np.arange(m) / m
-        return self.center + self.radius * np.exp(ang)
+        return self.nodes(m)
 
     def __eq__(self, other):
         if not isinstance(other, Domain) or self.kind != other.kind:
@@ -480,40 +480,28 @@ def basis_eval_deriv_all(basis, kmax, x):
 @dataclass(frozen=True)
 class ClenshawTrace:
     """Backward-recurrence record: shifts b_{n+1}[p](x), ..., b_1[p](x)
-    in that order, plus the reconstructed value p(x)."""
+    in that order, plus the value p(x) = b_0[p](x).  clenshaw_shifts
+    returns the shifts in ascending order."""
 
     shifts: np.ndarray
     value: complex
-
-    def shift(self, k):
-        """b_k[p](x) for 1 <= k <= n + 1."""
-        n = len(self.shifts) - 1
-        if not 1 <= k <= n + 1:
-            raise ValueError(f"shift index must lie in 1..{n + 1}")
-        return complex(self.shifts[n + 1 - k])
-
-    @property
-    def ascending(self):
-        """Shifts reordered as b_1, ..., b_{n+1}."""
-        return self.shifts[::-1]
 
 
 def _shift_table(basis, coeffs, x):
     """Backward shifts for coefficient array of shape (n+1, ...).
 
     Returns b with shape (n+2, ...) where b[k] = b_k[p](x) for
-    k = 1..n+1 (slot 0 stays zero), from
+    k = 0..n+1, from b_{n+1} = 0, b_n = a_n and
     b_k = a_k + (alpha_k x + beta_k) b_{k+1} + sum_{j>k} gamma_{j,k+1} b_{j+1}.
-    The scalar x broadcasts over any trailing coefficient axes, which
-    lets matrix-valued coefficient stacks share this code path.
+    Since phi_0 = 1 the last step gives b_0 = p(x).  The scalar x
+    broadcasts over any trailing coefficient axes, which lets
+    matrix-valued coefficient stacks share this code path.
     """
     n = coeffs.shape[0] - 1
     tab = basis.table(n - 1)
     b = np.zeros((n + 2,) + coeffs.shape[1:], dtype=complex)
-    if n >= 1:
-        # b_n = a_n because b_{n+1} = 0.
-        b[n] = coeffs[n]
-    for k in range(n - 1, 0, -1):
+    b[n] = coeffs[n]
+    for k in range(n - 1, -1, -1):
         t = coeffs[k] + (tab.alpha[k] * x + tab.beta[k]) * b[k + 1]
         for j, g in tab.cols[k + 1]:
             if j >= n:
@@ -521,20 +509,6 @@ def _shift_table(basis, coeffs, x):
             t = t + g * b[j + 1]
         b[k] = t
     return b
-
-
-def _reconstruct(basis, coeffs, x, b):
-    """p(x) = a_0 phi_0 + phi_1(x) b_1 + sum_{j=1}^{n-1} gamma_{j,1} b_{j+1}."""
-    n = coeffs.shape[0] - 1
-    tab = basis.table(n - 1)
-    val = coeffs[0] + 0.0j
-    if n >= 1:
-        val = val + (tab.alpha[0] * x + tab.beta[0]) * b[1]
-    for j, g in tab.cols[1]:
-        if j >= n:
-            break
-        val = val + g * b[j + 1]
-    return val
 
 
 def clenshaw_shifts(basis, coeffs, x):
@@ -562,7 +536,7 @@ def clenshaw_eval(basis, coeffs, x):
     Returns
     -------
     ClenshawTrace
-        Shifts b_{n+1}, ..., b_1 and the value p(x).
+        Shifts b_{n+1}, ..., b_1 and the value p(x) = b_0.
 
     Notes
     -----
@@ -572,10 +546,8 @@ def clenshaw_eval(basis, coeffs, x):
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or coeffs.shape[0] == 0:
         raise ValueError("coeffs must be a nonempty one-dimensional sequence")
-    x = complex(x)
-    b = _shift_table(basis, coeffs, x)
-    value = complex(_reconstruct(basis, coeffs, x, b))
-    return ClenshawTrace(shifts=b[1:][::-1].copy(), value=value)
+    b = _shift_table(basis, coeffs, complex(x))
+    return ClenshawTrace(shifts=b[1:][::-1].copy(), value=complex(b[0]))
 
 
 def divided_difference(basis, coeffs, x, y):

@@ -5,16 +5,16 @@ dense complex tensor A with extents n_k + 1:
 
     p(x) = sum A[i_1, ..., i_d] phi_{i_1}(x_1) ... phi_{i_d}(x_d).
 
-The module covers pointwise and tensor-grid evaluation, interpolation
-from grid samples, splitting off one variable so the remaining ones see
-it as a coefficient parameter (the hidden-variable rewrite used by the
-resultant constructions), and the root condition number.
+The module covers pointwise evaluation, interpolation from samples on
+the standard tensor grid (``mp_interpolate``), splitting off one
+variable so the remaining ones see it as a coefficient parameter (the
+hidden-variable rewrite used by the resultant constructions), and the
+root condition number.
 
-Every multi-axis contraction of the construction layer (grid
-evaluation, interpolation, Cayley sampling, the example families'
-change of basis) is one kernel, ``_contract_leading``: one matrix per
-leading axis of a tensor (the mode-k product), one reshape and one
-matmul per axis.
+Every multi-axis contraction of the construction layer (interpolation,
+Cayley and Sylvester sampling, the example families' change of basis)
+is one kernel, ``_contract_leading``: one matrix per leading axis of a
+tensor (the mode-k product), one reshape and one matmul per axis.
 
 A square system and its Jacobian are evaluated together by
 ``eval_with_jacobian``, at one point or at a stack of points: the d
@@ -36,9 +36,7 @@ __all__ = [
     "PolynomialSystem",
     "HiddenVariableForm",
     "mp_eval",
-    "mp_eval_grid",
     "mp_interpolate",
-    "interpolate_on_nodes",
     "hide_variable",
     "eval_with_jacobian",
     "system_to_json",
@@ -200,20 +198,6 @@ def _contract_leading(t, mats):
     return t
 
 
-def mp_eval_grid(p, nodes_list):
-    """Evaluate p on the tensor grid nodes_list[0] x ... x nodes_list[d-1].
-
-    Returns an array of shape (len(nodes_list[0]), ...); entry
-    [j_1, ..., j_d] is p at (nodes_list[0][j_1], ..., nodes_list[d-1][j_d]).
-    The per-axis basis-value matrices are computed on every call.
-    """
-    if len(nodes_list) != p.dim:
-        raise ValueError("need one node set per variable")
-    return _contract_leading(p.coeffs, [
-        basis_eval_all(p.basis, e - 1, nodes)
-        for e, nodes in zip(p.coeffs.shape, nodes_list)])
-
-
 def _vandermonde_inverse(basis, nodes):
     """inv(V^T) for the square V = basis_eval_all(basis, len(nodes) - 1,
     nodes); raises ValueError when the nodes repeat."""
@@ -223,37 +207,14 @@ def _vandermonde_inverse(basis, nodes):
     return np.linalg.inv(basis_eval_all(basis, len(nodes) - 1, nodes).T)
 
 
-def interpolate_on_nodes(basis, nodes_list, samples):
-    """Coefficient tensor from samples on an explicit tensor grid.
-
-    Axis k of samples must match len(nodes_list[k]); the interpolant
-    degree along that axis is len(nodes_list[k]) - 1.  Axes beyond
-    len(nodes_list) are carried through unchanged, which interpolates a
-    stack of functions (for instance matrix entries) at once.  Each axis
-    is contracted with the inverse of its generalized Vandermonde
-    matrix (_vandermonde_inverse), computed and checked for repeated
-    nodes on every call; the constructions read theirs from their plans.
-    """
-    t = np.asarray(samples, dtype=complex)
-    if t.ndim < len(nodes_list):
-        raise ValueError("need one node set per sample axis")
-    inverses = []
-    for axis, nodes in enumerate(nodes_list):
-        if len(nodes) != t.shape[axis]:
-            raise ValueError(f"axis {axis}: {t.shape[axis]} samples but "
-                             f"{len(nodes)} nodes")
-        inverses.append(_vandermonde_inverse(basis, nodes).T)
-    t = _contract_leading(t, inverses)
-    carried = t.ndim - len(nodes_list)
-    return np.moveaxis(t, range(carried), range(-carried, 0))
-
-
 def mp_interpolate(basis, dim, degrees, samples):
     """Interpolant through samples taken on the standard tensor grid.
 
     The grid along axis k consists of degrees[k] + 1 domain nodes
     (Chebyshev points of the second kind for intervals, equispaced
-    boundary points for discs), as produced by basis.domain.nodes.
+    boundary points for discs), as produced by basis.domain.nodes.  The
+    per-axis Vandermonde inverses are computed on every call; the
+    constructions read theirs from their plans.
     """
     degrees = tuple(int(n) for n in degrees)
     if len(degrees) != dim:
@@ -262,8 +223,9 @@ def mp_interpolate(basis, dim, degrees, samples):
     if samples.shape != tuple(n + 1 for n in degrees):
         raise ValueError(
             f"samples shape {samples.shape} does not match degrees {degrees}")
-    nodes_list = [basis.domain.nodes(n + 1) for n in degrees]
-    coeffs = interpolate_on_nodes(basis, nodes_list, samples)
+    coeffs = _contract_leading(samples, [
+        _vandermonde_inverse(basis, basis.domain.nodes(n + 1)).T
+        for n in degrees])
     return MultiPoly(basis, dim, coeffs)
 
 
@@ -379,17 +341,11 @@ def system_from_json(obj):
     if "basis" not in obj or "dim" not in obj or "polys" not in obj:
         raise ValueError("system JSON needs 'basis', 'dim' and 'polys'")
     dim = int(obj["dim"])
-    basis = basis_from_json(obj["basis"])
-    if "domain" in obj:
-        domain = Domain.from_json(obj["domain"])
-        if basis.domain != domain:
-            basis = DegreeGradedBasis(
-                basis.name, domain=domain,
-                **({} if basis.name != "custom" else
-                   {"alpha": basis._alpha, "beta": basis._beta,
-                    "gamma": basis._gamma}))
-    else:
-        domain = basis.domain
+    spec = obj["basis"]
+    if "domain" in obj:  # a top-level domain overrides the basis's own
+        spec = dict({"name": spec} if isinstance(spec, str) else spec,
+                    domain=obj["domain"])
+    basis = basis_from_json(spec)
     if not obj["polys"]:
         raise ValueError("system JSON holds no polynomials")
     polys = []
@@ -409,4 +365,4 @@ def system_from_json(obj):
                 raise ValueError("coeffs_imag length mismatch")
             flat = flat + 1j * im
         polys.append(MultiPoly(basis, dim, flat.reshape(shape, order="C")))
-    return PolynomialSystem(polys=tuple(polys), domain=domain)
+    return PolynomialSystem(polys=tuple(polys))

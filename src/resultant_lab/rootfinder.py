@@ -374,9 +374,8 @@ def solve_system(sys, method="cayley", options=None):
     flagged rather than dropped.
     """
     opts = options or SolveOptions()
-    d = sys.dim
-    hidden = opts.hidden_index if opts.hidden_index is not None else d - 1
-    hv = hide_variable(sys, hidden)
+    hv = hide_variable(sys, opts.hidden_index)
+    hidden = hv.hidden_index
     res = _build_resultant(hv, method, opts.taus)[0]
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
@@ -465,9 +464,8 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None,
     at the hidden component gives R(z), for the residual check, and R'(z).
     """
     root = np.atleast_1d(np.asarray(root, dtype=complex))
-    d = sys.dim
-    hidden = hidden_index if hidden_index is not None else d - 1
-    hv = hide_variable(sys, hidden)
+    hv = hide_variable(sys, hidden_index)
+    hidden = hv.hidden_index
     res, root_eigvectors = _build_resultant(hv, method, taus)
     v, w = root_eigvectors(hv, root, res, check=False)
     z = complex(root[hidden])

@@ -131,21 +131,22 @@ def test_banded_and_full_paths_agree(builtin):
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(9)
     x = 0.41
-    fast = clenshaw_eval(builtin, coeffs, x)
+    fast = clenshaw_shifts(builtin, coeffs, x)
     slow = dense_shifts(builtin, coeffs, x)
-    assert np.allclose(fast.ascending, slow, atol=1e-13)
+    assert np.allclose(fast, slow, atol=1e-13)
 
 
 def test_zero_padding_invariance(builtin):
     rng = np.random.default_rng(9)
     coeffs = rng.standard_normal(5)
+    padded = np.concatenate([coeffs, [0, 0, 0]])
     x = 0.3
-    base = clenshaw_eval(builtin, coeffs, x)
-    padded = clenshaw_eval(builtin, np.concatenate([coeffs, [0, 0, 0]]), x)
-    assert abs(base.value - padded.value) <= 1e-13
-    # earlier shifts survive padding
-    for k in range(1, 6):
-        assert abs(base.shift(k) - padded.shift(k)) <= 1e-13
+    assert abs(clenshaw_eval(builtin, coeffs, x).value
+               - clenshaw_eval(builtin, padded, x).value) <= 1e-13
+    # earlier shifts b_1..b_5 survive padding
+    assert np.allclose(clenshaw_shifts(builtin, coeffs, x),
+                       clenshaw_shifts(builtin, padded, x)[:5],
+                       rtol=0, atol=1e-13)
 
 
 def test_trace_layout():
@@ -154,11 +155,8 @@ def test_trace_layout():
     assert isinstance(tr, ClenshawTrace)
     # b_3 = 0, b_2 = 3, b_1 = 4 + 2*3 = 10, p = 5 + 2*10 = 25
     assert tr.shifts.tolist() == [0, 3, 10]
-    assert tr.shift(3) == 0 and tr.shift(2) == 3 and tr.shift(1) == 10
-    assert tr.ascending.tolist() == [10, 3, 0]
+    assert clenshaw_shifts(b, [5.0, 4.0, 3.0], 2.0).tolist() == [10, 3, 0]
     assert tr.value == 25
-    with pytest.raises(ValueError):
-        tr.shift(0)
 
 
 def test_clenshaw_shifts_with_matrix_coefficients():
@@ -304,8 +302,8 @@ def test_custom_dense_gamma_used():
     coeffs = np.random.default_rng(4).standard_normal(5)
     x = 0.3 - 0.2j
     trace = clenshaw_eval(dense, coeffs, x)
-    assert np.allclose(trace.ascending, dense_shifts(dense, coeffs, x),
-                       atol=1e-13)
+    assert np.allclose(clenshaw_shifts(dense, coeffs, x),
+                       dense_shifts(dense, coeffs, x), atol=1e-13)
     assert abs(trace.value - forward_sum(dense, coeffs, x)) <= 1e-13
 
 
@@ -409,6 +407,76 @@ def test_basis_json_roundtrip():
         again = basis_from_json(basis_to_json(b))
         assert again == b
     assert basis_from_json("legendre") == DegreeGradedBasis.legendre()
+
+
+def test_complex_custom_basis_json_roundtrip():
+    # complex recurrence coefficients travel as [real, imag] pairs
+    b = DegreeGradedBasis.custom([1.0, 2.0 - 0.5j], [0.25j, 0.0],
+                                 [[-1.0 + 0.1j]], check_normalization=False)
+    obj = basis_to_json(b)
+    assert obj["alpha"] == [1.0, [2.0, -0.5]]
+    assert obj["beta"] == [[0.0, 0.25], 0.0]
+    assert obj["gamma"] == [[[-1.0, 0.1]]]
+    with pytest.warns(NormalizationWarning):  # loading checks the tables
+        again = basis_from_json(obj)
+    assert again == b
+    assert again.alpha(1) == 2.0 - 0.5j and again.beta(0) == 0.25j
+
+
+def test_custom_basis_on_disc_checks_normalization():
+    # monomials have sup norm 1 on the unit circle and 2**k on radius 2;
+    # a disc is sampled on its boundary nodes
+    mono = ([1.0] * 4, [0.0] * 4, [[0.0] * k for k in range(1, 4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        DegreeGradedBasis.custom(*mono, domain=Domain.disc(0.0, 1.0))
+    with pytest.warns(NormalizationWarning):
+        DegreeGradedBasis.custom(*mono, domain=Domain.disc(0.0, 2.0))
+    disc = Domain.disc(0.5j, 2.0)
+    assert np.array_equal(disc.sample_grid(7), disc.nodes(7))
+
+
+def _short_custom():
+    """Custom tables for degree 2 at most: rows k = 0, 1."""
+    return DegreeGradedBasis.custom([1.0, 1.0], [0.0, 0.0], [[0.0]],
+                                    check_normalization=False)
+
+
+@pytest.mark.parametrize("call,exc,match", [
+    (lambda: Domain("square"), ValueError, "'interval' or 'disc'"),
+    (lambda: Domain.interval(-1, 1).nodes(0), ValueError, "one node"),
+    (lambda: DegreeGradedBasis("chebyshev", alpha=[1.0]), ValueError,
+     "take no recurrence tables"),
+    (lambda: DegreeGradedBasis("custom", alpha=[1.0], beta=[0.0]),
+     ValueError, "needs alpha, beta and gamma"),
+    (lambda: DegreeGradedBasis.custom([1.0] * 3, [0.0] * 3, [[0.0]]),
+     ValueError, r"len\(alpha\) - 1 rows"),
+    (lambda: DegreeGradedBasis.chebyshev().gamma(1, 2), ValueError,
+     "1 <= j <= k"),
+    (lambda: basis_eval_all(DegreeGradedBasis.chebyshev(), -1, 0.0),
+     ValueError, "kmax must be nonnegative"),
+    (lambda: clenshaw_shifts(DegreeGradedBasis.chebyshev(), [], 0.0),
+     ValueError, "empty coefficient list"),
+    (lambda: clenshaw_eval(DegreeGradedBasis.chebyshev(), np.ones((2, 2)),
+                           0.0), ValueError, "one-dimensional"),
+    (lambda: divided_difference(DegreeGradedBasis.chebyshev(), [], 0.0,
+                                0.1), ValueError, "one-dimensional"),
+    (lambda: basis_from_json({"domain": {"interval": [0, 1]}}), ValueError,
+     "'name' field"),
+    (lambda: basis_from_json("hermite"), ValueError, "unknown basis name"),
+    (lambda: _short_custom().alpha(2), DegreeOverflowError,
+     "alpha table ends at k=1"),
+    (lambda: _short_custom().beta(2), DegreeOverflowError,
+     "beta table ends at k=1"),
+    (lambda: _short_custom().gamma(2, 1), DegreeOverflowError,
+     "gamma table ends at row 1"),
+], ids=["domain-kind", "no-nodes", "builtin-tables", "custom-no-gamma",
+        "gamma-rows", "gamma-index", "kmax", "shifts-empty", "eval-2d",
+        "divdiff-empty", "json-no-name", "json-unknown", "alpha-overflow",
+        "beta-overflow", "gamma-overflow"])
+def test_input_validation_raises(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
 
 
 # ----------------------------------------------------------------------

@@ -539,6 +539,23 @@ def test_resultant_json(mono):
     assert np.allclose(P.coeffs, res.matrix_poly.coeffs)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda hv, res: default_taus(hide_variable(PolynomialSystem(
+        (MultiPoly(hv.basis, 1, [1.0, 2.0]),)))), "needs d >= 2"),
+    (lambda hv, res: cayley_resultant(hv, taus=(1, 2)),
+     "need 1 nonnegative degree bounds"),
+    (lambda hv, res: cayley_resultant(hv, taus=(-1,)),
+     "need 1 nonnegative degree bounds"),
+    (lambda hv, res: cayley_root_eigvectors(hv, [0.5], res),
+     "root must have length 2"),
+], ids=["d1", "taus-count", "taus-negative", "root-length"])
+def test_input_validation_raises(mono, call, match):
+    hv = hide_variable(circle_line(mono))
+    res = cayley_resultant(hv)
+    with pytest.raises(ValueError, match=match):
+        call(hv, res)
+
+
 # ----------------------------------------------------------------------
 # Plan caches: cold and warm builds agree bit for bit
 # ----------------------------------------------------------------------

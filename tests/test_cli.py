@@ -212,7 +212,13 @@ def test_exit_code_1_on_bad_tolerance_or_margin(system_file, capsys, flag,
     (["solve", "--taus", "1,2,3"], "--taus '1,2,3': need 1 nonnegative"),
     (["cayley", "--taus", "-1"], "--taus '-1': need 1 nonnegative"),
     (["solve", "--method", "sylvester", "--taus", "1"],
-     "--taus sets Cayley degree bounds; --method sylvester takes none")])
+     "--taus sets Cayley degree bounds; --method sylvester takes none"),
+    (["eval", "--point", "0.1,abc"], "cannot parse point '0.1,abc'"),
+    (["condition", "--root", "1,2j+"], "cannot parse root '1,2j+'"),
+    (["cayley", "--taus", "one"], "cannot parse degree bounds 'one'"),
+    (["condition"], "--root is required with --system"),
+    (["condition", "--root", "0.5,0.5,0.5"],
+     "root length does not match the system")])
 def test_exit_code_1_on_out_of_range_system_flags(system_file, capsys, argv,
                                                   message):
     rc = main(argv[:1] + ["--system", system_file] + argv[1:])

@@ -1151,6 +1151,24 @@ def test_matpoly_from_json_rejects_non_finite(part, bad):
         matpoly_from_json(obj)
 
 
+def _json_with_degree(degree):
+    obj = matpoly_to_json(MatrixPolynomial(DegreeGradedBasis.monomial(),
+                                           np.ones((3, 2, 2))))
+    return dict(obj, degree=degree)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: MatrixPolynomial(DegreeGradedBasis.monomial(),
+                              np.zeros((0, 2, 2))),
+     "at least the constant coefficient"),
+    (lambda: matpoly_from_json(_json_with_degree(5)),
+     "degree field disagrees"),
+], ids=["no-coefficients", "json-degree"])
+def test_input_validation_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_polyeig_with_dense_gamma_basis():
     # gamma_{2,1} and gamma_{3,2} sit off the band, so linearize and the
     # component recovery both read entries a three-term basis never has

@@ -3,18 +3,19 @@ reference implementations."""
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
+from resultant_lab.basis import (DegreeGradedBasis, Domain,
+                                 NormalizationWarning, basis_eval_all,
                                  derivative_eval)
 from resultant_lab.multipoly import (HiddenVariableForm, MultiPoly,
                                      PolynomialSystem, _contract_leading,
-                                     _root_conditions,
+                                     _root_conditions, _vandermonde_inverse,
                                      eval_with_jacobian, hide_variable,
-                                     interpolate_on_nodes, mp_eval,
-                                     mp_eval_grid, mp_interpolate,
+                                     mp_eval, mp_interpolate,
                                      system_from_json, system_to_json)
 from conftest import circle_line, dense_gamma_basis, naive_eval
 
@@ -38,18 +39,6 @@ def test_eval_matches_naive(cheb, dim, degrees):
         x = rng.uniform(-1, 1, dim)
         want = naive_eval(p, x)
         assert abs(mp_eval(p, x) - want) <= 1e-12 * (1 + abs(want))
-
-
-def test_eval_grid_matches_pointwise(cheb):
-    rng = np.random.default_rng(4)
-    p = random_poly(rng, cheb, 3, (2, 1, 3))
-    nodes = [rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 4),
-             rng.uniform(-1, 1, 3)]
-    grid = mp_eval_grid(p, nodes)
-    assert grid.shape == (2, 4, 3)
-    for i, j, k in itertools.product(range(2), range(4), range(3)):
-        want = mp_eval(p, [nodes[0][i], nodes[1][j], nodes[2][k]])
-        assert abs(grid[i, j, k] - want) <= 1e-11 * (1 + abs(want))
 
 
 @pytest.mark.parametrize("shape,extents,axes", [
@@ -81,8 +70,6 @@ def test_eval_input_validation(mono):
     with pytest.raises(ValueError):
         mp_eval(p, [1.0])
     with pytest.raises(ValueError):
-        mp_eval_grid(p, [[0.1]])
-    with pytest.raises(ValueError):
         MultiPoly(mono, 2, np.ones((2,)))
 
 
@@ -98,32 +85,30 @@ def test_non_finite_coefficients_rejected(mono, bad):
 # Interpolation
 # ----------------------------------------------------------------------
 
+def grid_samples(p):
+    """p at every point of the standard tensor grid, one mp_eval each."""
+    nodes = [p.basis.domain.nodes(n + 1) for n in p.degrees]
+    return np.array([mp_eval(p, x) for x in itertools.product(*nodes)]
+                    ).reshape(p.coeffs.shape)
+
+
 def test_interpolation_roundtrip(cheb):
     rng = np.random.default_rng(8)
     p = random_poly(rng, cheb, 2, (3, 2))
-    nodes = [cheb.domain.nodes(4), cheb.domain.nodes(3)]
-    samples = mp_eval_grid(p, nodes)
-    coeffs = interpolate_on_nodes(cheb, nodes, samples)
-    assert np.allclose(coeffs, p.coeffs, atol=1e-12)
+    q = mp_interpolate(cheb, 2, (3, 2), grid_samples(p))
+    assert np.allclose(q.coeffs, p.coeffs, atol=1e-12)
 
 
 def test_mp_interpolate_recovers(mono):
     rng = np.random.default_rng(15)
     p = random_poly(rng, mono, 3, (2, 2, 1))
-    nodes = [mono.domain.nodes(n + 1) for n in (2, 2, 1)]
-    q = mp_interpolate(mono, 3, (2, 2, 1), mp_eval_grid(p, nodes))
+    q = mp_interpolate(mono, 3, (2, 2, 1), grid_samples(p))
     assert np.allclose(q.coeffs, p.coeffs, atol=1e-12)
 
 
 def test_interpolation_validation(mono):
-    with pytest.raises(ValueError):
-        interpolate_on_nodes(mono, [[0.0, 0.0]], np.ones(2))  # repeated node
-    with pytest.raises(ValueError):
-        interpolate_on_nodes(mono, [[0.0, 1.0]], np.ones(3))  # size mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match degrees"):
         mp_interpolate(mono, 2, (1, 1), np.ones((2, 3)))
-    with pytest.raises(ValueError):  # fewer sample axes than node sets
-        interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 3.0]], np.ones(2))
 
 
 def solve_interpolate(basis, nodes_list, samples):
@@ -152,8 +137,12 @@ def test_interpolation_matches_solve_reference(name, domain, sizes,
     shape = sizes + trailing
     samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = solve_interpolate(basis, nodes, samples)
-    got = interpolate_on_nodes(basis, nodes, samples)
-    assert got.shape == want.shape == shape
+    # mp_interpolate takes one function: interpolate each trailing slice
+    degrees = tuple(m - 1 for m in sizes)
+    got = np.empty(shape, dtype=complex)
+    for idx in np.ndindex(trailing):
+        got[(...,) + idx] = mp_interpolate(basis, len(sizes), degrees,
+                                           samples[(...,) + idx]).coeffs
     # the inverse and the LU solve agree to the conditioning of the grid
     cond = np.prod([np.linalg.cond(basis_eval_all(basis, len(x) - 1, x))
                     for x in nodes])
@@ -162,33 +151,13 @@ def test_interpolation_matches_solve_reference(name, domain, sizes,
 
 
 def test_interpolation_errors_unchanged(mono):
-    with pytest.raises(ValueError, match="need one node set per sample"):
-        interpolate_on_nodes(mono, [[0.0], [1.0]], np.ones(1))
-    with pytest.raises(ValueError, match="axis 1: 3 samples but 2 nodes"):
-        interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 3.0]],
-                             np.ones((2, 3)))
-    with pytest.raises(ValueError, match="nodes must be distinct"):
-        interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 2.0]],
-                             np.ones((2, 2)))
-    # the check runs on every call: a valid node set of the same basis
-    # does not let repeated ones through
+    # the repeated-node check runs on every call: a valid node set of
+    # the same basis does not let repeated ones through
     for _ in range(3):
-        interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 3.0]], np.ones((2, 2)))
+        _vandermonde_inverse(mono, [2.0, 3.0])
         with pytest.raises(ValueError,
                            match="interpolation nodes must be distinct"):
-            interpolate_on_nodes(mono, [[0.0, 1.0], [2.0, 2.0]],
-                                 np.ones((2, 2)))
-
-
-def test_interpolation_carries_trailing_axes(cheb):
-    rng = np.random.default_rng(6)
-    polys = [random_poly(rng, cheb, 2, (3, 2)) for _ in range(2)]
-    nodes = [cheb.domain.nodes(4), cheb.domain.nodes(3)]
-    samples = np.stack([mp_eval_grid(p, nodes) for p in polys], axis=-1)
-    coeffs = interpolate_on_nodes(cheb, nodes, samples)
-    assert coeffs.shape == (4, 3, 2)
-    for k, p in enumerate(polys):
-        assert np.allclose(coeffs[..., k], p.coeffs, atol=1e-12)
+            _vandermonde_inverse(mono, [2.0, 2.0])
 
 
 # ----------------------------------------------------------------------
@@ -449,3 +418,68 @@ def test_system_json_validation():
     with pytest.raises(ValueError):
         system_from_json({"basis": "monomial", "dim": 2, "polys": [
             {"degrees": [1, 1], "coeffs_real": [1.0, 2.0]}]})  # wrong count
+
+
+def _two_polys_json(basis, domain=None):
+    obj = {"basis": basis, "dim": 2,
+           "polys": [{"degrees": [1, 1], "coeffs_real": [1.0, 2.0, 3.0, 4.0]},
+                     {"degrees": [1, 0], "coeffs_real": [1.0, -1.0]}]}
+    if domain is not None:
+        obj["domain"] = domain
+    return obj
+
+
+def test_system_json_domain_overrides_custom_basis():
+    # Chebyshev shifted to [0, 2]: T_1 = x - 1, T_{k+1} = 2(x - 1) T_k - T_{k-1}
+    m = 6
+    shifted = {"name": "custom", "alpha": [1.0] + [2.0] * (m - 1),
+               "beta": [-1.0] + [-2.0] * (m - 1),
+               "gamma": [[0.0] * (k - 1) + [-1.0] for k in range(1, m)]}
+    with warnings.catch_warnings():
+        # normalized on [0, 2], so building it there alone must not warn
+        warnings.simplefilter("error", NormalizationWarning)
+        sys_ = system_from_json(_two_polys_json(shifted,
+                                                {"interval": [0, 2]}))
+    assert sys_.domain == sys_.basis.domain == Domain.interval(0, 2)
+    xs = np.linspace(0, 2, 7)
+    assert np.allclose(basis_eval_all(sys_.basis, m - 1, xs),
+                       basis_eval_all(DegreeGradedBasis.chebyshev(), m - 1,
+                                      xs - 1), atol=1e-13)
+    # the override wins over a domain carried by the basis itself
+    inner = dict(shifted, domain={"interval": [-1, 1]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NormalizationWarning)
+        again = system_from_json(_two_polys_json(inner, {"interval": [0, 2]}))
+    assert again.basis == sys_.basis
+
+
+@pytest.mark.parametrize("basis", [
+    "legendre", {"name": "legendre"},
+    {"name": "legendre", "domain": {"interval": [-1, 1]}}])
+def test_system_json_domain_overrides_builtin_basis(basis):
+    disc = Domain.disc(0.5j, 2.0)
+    sys_ = system_from_json(_two_polys_json(basis, disc.to_json()))
+    assert sys_.domain == sys_.basis.domain == disc
+    assert sys_.basis == DegreeGradedBasis.legendre(disc)
+    # without an override the basis keeps its own domain
+    plain = system_from_json(_two_polys_json(basis))
+    assert plain.domain == plain.basis.domain == Domain.interval(-1, 1)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: MultiPoly(DegreeGradedBasis.monomial(), 0, np.array(1.0)),
+     "dim must be at least 1"),
+    (lambda: PolynomialSystem(()), "at least one polynomial"),
+    (lambda: mp_interpolate(DegreeGradedBasis.monomial(), 2, (1,),
+                            np.ones(2)), "one degree per variable"),
+    (lambda: system_from_json({"basis": "monomial", "dim": 2, "polys": [
+        {"degrees": [1], "coeffs_real": [1.0, 2.0]}]}),
+     "degrees do not match dim"),
+    (lambda: system_from_json({"basis": "monomial", "dim": 1, "polys": [
+        {"degrees": [1], "coeffs_real": [1.0, 2.0], "coeffs_imag": [0.0]}]}),
+     "coeffs_imag length mismatch"),
+], ids=["dim-zero", "no-polys", "interp-degrees", "json-degrees",
+        "json-imag"])
+def test_input_validation_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

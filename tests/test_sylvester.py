@@ -222,6 +222,13 @@ def test_root_vectors_reject_non_finite_root(bad, index):
         condition_at_root(sys_, root, "sylvester")
 
 
+def test_root_vectors_reject_wrong_root_length(mono):
+    hv = hide_variable(circle_line(mono))
+    res = sylvester_resultant(hv)
+    with pytest.raises(ValueError, match="root must have length 2"):
+        sylvester_root_eigvectors(hv, [0.5, 0.5, 0.5], res)
+
+
 def test_rayleigh_product_is_jacobian_det(mono):
     sys_, root = random_system_with_root(2, 3, 9)
     hv = hide_variable(sys_)
