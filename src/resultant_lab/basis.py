@@ -193,13 +193,16 @@ class _RecurrenceTable:
 
     rows[k] lists (j, gamma_{k,j}) for the nonzero entries, j ascending;
     cols[j] lists (k, gamma_{k,j}), k ascending.  cols has one slot more
-    than rows so that cols[k + 1] exists for every row k.
+    than rows so that cols[k + 1] exists for every row k.  dtype is that
+    of the recurrence values: float64, or complex128 when a custom alpha,
+    beta or gamma is complex.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     rows: tuple
     cols: tuple
+    dtype: np.dtype
 
 
 def _build_table(basis, kmax):
@@ -213,8 +216,10 @@ def _build_table(basis, kmax):
     alpha = np.array([basis.alpha(k) for k in range(kmax + 1)])
     beta = np.array([basis.beta(k) for k in range(kmax + 1)])
     alpha.flags.writeable = beta.flags.writeable = False  # tables are shared
+    gammas = np.array([g for row in rows for _, g in row])
+    dtype = np.result_type(float, alpha, beta, gammas)
     return _RecurrenceTable(alpha=alpha, beta=beta, rows=rows,
-                            cols=tuple(tuple(c) for c in cols))
+                            cols=tuple(tuple(c) for c in cols), dtype=dtype)
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,13 +429,16 @@ def basis_eval_all(basis, kmax, x):
 
     Returns
     -------
-    ndarray with shape (kmax + 1,) + shape(x), complex.
+    ndarray with shape (kmax + 1,) + shape(x), in the result type of x
+    and of the recurrence table: float64 for real points and a real
+    recurrence, complex128 otherwise.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     tab = basis.table(kmax - 1)
-    x = np.asarray(x, dtype=complex)
-    out = np.empty((kmax + 1,) + x.shape, dtype=complex)
+    x = np.asarray(x)
+    out = np.empty((kmax + 1,) + x.shape,
+                   dtype=np.result_type(x, tab.dtype))
     out[0] = 1.0
     for k in range(kmax):
         acc = (tab.alpha[k] * x + tab.beta[k]) * out[k]
@@ -448,16 +456,17 @@ def basis_eval_deriv_all(basis, kmax, x):
 
     Returns
     -------
-    (vals, ders), each an ndarray with shape (kmax + 1,) + shape(x),
-    complex; vals equals basis_eval_all(basis, kmax, x).
+    (vals, ders), each an ndarray with shape (kmax + 1,) + shape(x) in
+    the dtype of basis_eval_all, which vals equals.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     tab = basis.table(kmax - 1)
     # Python floats: scaling a small array by a NumPy scalar costs more
     al, be = tab.alpha[:kmax].tolist(), tab.beta[:kmax].tolist()
-    x = np.asarray(x, dtype=complex)
-    vals = np.empty((kmax + 1,) + x.shape, dtype=complex)
+    x = np.asarray(x)
+    vals = np.empty((kmax + 1,) + x.shape,
+                    dtype=np.result_type(x, tab.dtype))
     ders = np.empty_like(vals)
     vals[0] = 1.0
     ders[0] = 0.0
@@ -495,11 +504,13 @@ def _shift_table(basis, coeffs, x):
     b_k = a_k + (alpha_k x + beta_k) b_{k+1} + sum_{j>k} gamma_{j,k+1} b_{j+1}.
     Since phi_0 = 1 the last step gives b_0 = p(x).  The scalar x
     broadcasts over any trailing coefficient axes, which lets
-    matrix-valued coefficient stacks share this code path.
+    matrix-valued coefficient stacks share this code path.  b is in the
+    result type of coeffs, x and the recurrence table.
     """
     n = coeffs.shape[0] - 1
     tab = basis.table(n - 1)
-    b = np.zeros((n + 2,) + coeffs.shape[1:], dtype=complex)
+    b = np.zeros((n + 2,) + coeffs.shape[1:],
+                 dtype=np.result_type(coeffs, x, tab.dtype))
     b[n] = coeffs[n]
     for k in range(n - 1, -1, -1):
         t = coeffs[k] + (tab.alpha[k] * x + tab.beta[k]) * b[k + 1]
@@ -515,9 +526,10 @@ def clenshaw_shifts(basis, coeffs, x):
     """Ascending shift array b_1[p](x), ..., b_{n+1}[p](x).
 
     coeffs may carry trailing axes (e.g. matrix coefficients); x must be
-    scalar.  Exposed for resultant eigenvector construction.
+    scalar.  Real coefficients at a real x give real shifts.  Exposed
+    for resultant eigenvector construction.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs = np.asarray(coeffs)
     if coeffs.shape[0] == 0:
         raise ValueError("empty coefficient list")
     return _shift_table(basis, coeffs, x)[1:]

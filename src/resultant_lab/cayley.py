@@ -139,7 +139,9 @@ def _axis_point_sets(domain, taus):
     tau_{d-k} + 1 points of the first kind; if the families touch, the
     first-kind angles are rotated until they clear.  Disc domains use
     boundary points with a half-step phase offset instead.  Returns two
-    lists of complex arrays.
+    lists of arrays, real on an interval and complex on a disc, so the
+    plan's node operators and the sampled grid are real for a real
+    system on an interval.
     """
     d = len(taus) + 1
     cen, rad = domain.center, domain.radius
@@ -164,8 +166,8 @@ def _axis_point_sets(domain, taus):
             if np.min(np.abs(s[:, None] - t[None, :])) <= 1e-10 * rad:
                 t = cen + rad * np.exp(
                     2j * np.pi * (np.arange(b) + 1.0 / 3.0) / b)
-        s_sets.append(np.asarray(s, dtype=complex))
-        t_sets.append(np.asarray(t, dtype=complex))
+        s_sets.append(s)
+        t_sets.append(t)
     return s_sets, t_sets
 
 
@@ -245,9 +247,10 @@ def _grid_values(T, s_sets, t_sets, phis):
                                        *range(2 + nfree + r, 2 + 2 * nfree))))
     F = _cofactor_det(rows)
     for m in range(nfree):
-        # s_m - t_m on grid axes 1 + m and 1 + nfree + m
-        F /= (s_sets[m].reshape((-1,) + (1,) * (2 * nfree - 1 - m))
-              - t_sets[m].reshape((-1,) + (1,) * (nfree - 1 - m)))
+        # s_m - t_m on grid axes 1 + m and 1 + nfree + m; not in place,
+        # so that complex nodes promote real samples
+        F = F / (s_sets[m].reshape((-1,) + (1,) * (2 * nfree - 1 - m))
+                 - t_sets[m].reshape((-1,) + (1,) * (nfree - 1 - m)))
     return F
 
 
@@ -295,12 +298,12 @@ def cayley_root_eigvectors(hv, root, resultant, check=True):
     norm (floored by the coefficient scale), which would mean the
     construction and the closed-form eigenvector disagree.
     """
-    root = np.atleast_1d(np.asarray(root, dtype=complex))
+    root = np.atleast_1d(np.asarray(root))
     if root.shape != (hv.dim,):
         raise ValueError(f"root must have length {hv.dim}")
     _reject_non_finite(root, "root components")
     free = root[list(hv.free_order)]
-    z = complex(root[hv.hidden_index])
+    z = root[hv.hidden_index]
     # phi_0..phi_{e-1} at every free component from one recurrence run:
     # column k0 of phis, cut to each axis's extent
     phis = basis_eval_all(hv.basis, max(resultant.row_extents) - 1, free)

@@ -1,7 +1,10 @@
 """Matrix polynomials and the polynomial eigenvalue problem.
 
-P(lambda) = sum_{i=0}^{K} A_i phi_i(lambda) with square complex
-coefficient matrices, expressed in a degree-graded basis.  Eigenvalues
+P(lambda) = sum_{i=0}^{K} A_i phi_i(lambda) with square coefficient
+matrices, expressed in a degree-graded basis.  The matrices are stored
+by the library's dtype rule (multipoly._demote): float64 when no entry
+has an imaginary part, complex128 otherwise, and every array computed
+from them takes its dtype by numpy promotion.  Eigenvalues
 come from shift and invert on the block-companion pencil (X, Y) that
 the basis recurrence defines: for a shift mu inside the basis domain,
 M = (X - mu Y)^-1 Y has the eigenvalues theta = 1 / (lambda - mu), and
@@ -35,7 +38,7 @@ import numpy as np
 
 from .basis import (PLAN_CACHE_SIZE, DegreeGradedBasis, basis_eval_all,
                     basis_eval_deriv_all, basis_from_json, basis_to_json)
-from .multipoly import _reject_non_finite
+from .multipoly import _demote, _reject_non_finite
 
 __all__ = [
     "MatrixPolynomial",
@@ -113,13 +116,14 @@ def _check_null_vectors(P, z, P0, v, w):
 
 @dataclass(frozen=True)
 class MatrixPolynomial:
-    """Stack of K + 1 coefficient matrices A_0, ..., A_K of size N."""
+    """Stack of K + 1 coefficient matrices A_0, ..., A_K of size N,
+    stored by _demote's rule."""
 
     basis: DegreeGradedBasis
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = _demote(self.coeffs)
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise ValueError("coeffs must have shape (K + 1, N, N)")
         if c.shape[0] < 1:
@@ -137,9 +141,8 @@ class MatrixPolynomial:
 
     @property
     def coeff_scale(self):
-        """max_i ||A_i||_2, the natural perturbation scale; in real
-        arithmetic when the coefficients have no imaginary part."""
-        return np.linalg.norm(_working_coeffs(self), 2, axis=(1, 2)).max()
+        """max_i ||A_i||_2, the natural perturbation scale."""
+        return np.linalg.norm(self.coeffs, 2, axis=(1, 2)).max()
 
 
 # ----------------------------------------------------------------------
@@ -184,11 +187,6 @@ def matpoly_is_regular(P):
 # ----------------------------------------------------------------------
 # Polynomial eigenvalue solver
 # ----------------------------------------------------------------------
-
-def _working_coeffs(P):
-    """P.coeffs, as float64 when they have no imaginary part."""
-    return P.coeffs if np.any(P.coeffs.imag) else P.coeffs.real
-
 
 def _effective_degree(P, tol=1e-13):
     """Largest degree whose coefficient exceeds tol relative to the stack.
@@ -248,11 +246,9 @@ def _pencil_table(basis, K, mu, dtype):
     W_0..W_K, shape (K + 1, K), and phi_0(mu)..phi_K(mu), shape (K + 1,),
     in the dtype of the coefficients (dtype), the recurrence and mu."""
     tab = basis.table(K - 1)
-    gammas = np.array([g for row in tab.rows[:K] for _, g in row])
     # row k: the scalars of W_k in columns 0..K-1 and phi_k(mu) in
     # column K, which follow the same recurrence
-    T = np.zeros((K + 1, K + 1), dtype=np.result_type(
-        dtype, tab.alpha, tab.beta, gammas, mu))
+    T = np.zeros((K + 1, K + 1), dtype=np.result_type(dtype, tab.dtype, mu))
     T[0, K] = 1.0
     for k in range(K):
         T[k + 1] = (tab.alpha[k] * mu + tab.beta[k]) * T[k]
@@ -266,8 +262,10 @@ def _pencil_table(basis, K, mu, dtype):
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(basis, K, N, dtype):
     """Shape-only data of polyeig and eigvecs_and_conditions as read-only
-    arrays: (shifts, start), for degree K, size N and the dtype of
-    _working_coeffs.  shifts holds (mu, W, phi) per mu of
+    arrays: (shifts, start), for degree K, size N and the dtype of the
+    coefficients (float64 or complex128, as MatrixPolynomial stores
+    them; the scalars are real only when both the coefficients and the
+    shifts are).  shifts holds (mu, W, phi) per mu of
     _shifts(basis.domain), W and phi from _pencil_table; start is the
     start vector of _null_vectors, fixed so that results repeat and
     random so that no structured null vector is orthogonal to it."""
@@ -300,7 +298,7 @@ def _inverted_pencil(P, mu, W, phi):
     Raises LinAlgError when P(mu) is exactly singular.
     """
     K, N = P.degree, P.size
-    A = _working_coeffs(P)
+    A = P.coeffs
     rhs = -np.tensordot(W, A, axes=([0], [0]))  # block column m is rhs[m]
     rhs[K - 1] -= P.basis.table(K - 1).alpha[K - 1] * A[K]
     Z0 = np.linalg.solve(np.tensordot(phi, A, axes=([0], [0])),
@@ -349,7 +347,7 @@ def polyeig(P):
     if k_eff == 0:
         return np.empty(0, dtype=complex), N * K
     radius = P.basis.domain.radius
-    shifts = _plan(P.basis, k_eff, N, _working_coeffs(work).dtype)[0]
+    shifts = _plan(P.basis, k_eff, N, work.coeffs.dtype)[0]
     for mu, W, phi in shifts:
         try:
             M = _inverted_pencil(work, mu, W, phi)
@@ -435,11 +433,12 @@ def eigvecs_and_conditions(P, lams):
     Returns
     -------
     (right, left, residuals, kappas) with shapes (m, N), (m, N), (m,)
-    and (m,) for m = len(lams).
+    and (m,) for m = len(lams); the vectors are real when P and every
+    lam are.
     """
     vals, ders = basis_eval_deriv_all(P.basis, P.degree, lams)
     Ps = np.tensordot(vals, P.coeffs, axes=([0], [0]))
-    start = _plan(P.basis, P.degree, P.size, _working_coeffs(P).dtype)[1]
+    start = _plan(P.basis, P.degree, P.size, P.coeffs.dtype)[1]
     vecs = _null_vectors(np.concatenate([Ps, Ps.transpose(0, 2, 1)]), start)
     right, left = vecs[:len(Ps)], vecs[len(Ps):]
     residuals = np.linalg.norm(np.einsum("mij,mj->mi", Ps, right), axis=-1)

@@ -1,9 +1,18 @@
 """Dense multivariate polynomials in degree-graded bases.
 
 A d-variate polynomial of per-variable degrees (n_1, ..., n_d) is a
-dense complex tensor A with extents n_k + 1:
+dense tensor A with extents n_k + 1:
 
     p(x) = sum A[i_1, ..., i_d] phi_{i_1}(x_1) ... phi_{i_d}(x_d).
+
+The library has one dtype rule, applied where data enters (``_demote``):
+an array is float64 when no entry has an imaginary part and complex128
+otherwise.  Coefficient tensors are stored by it, and so are the points
+the solver evaluates at (kept eigenvalues, Newton iterates, the root of
+a conditioning probe).  Everything downstream takes its dtype from numpy
+promotion, so a real system on an interval is solved in real arithmetic
+from construction to Newton, and complex coefficients, disc domains or
+complex points run the same code in complex arithmetic.
 
 The module covers pointwise evaluation, interpolation from samples on
 the standard tensor grid (``mp_interpolate``), splitting off one
@@ -44,6 +53,18 @@ __all__ = [
 ]
 
 
+def _demote(a):
+    """a as a float64 array when no entry has an imaginary part, as a
+    complex128 array otherwise: the library's one dtype rule.  A float64
+    array comes back as it is."""
+    a = np.asarray(a)
+    if not np.iscomplexobj(a):
+        return a.astype(float, copy=False)
+    if np.any(a.imag):
+        return a.astype(complex, copy=False)
+    return np.ascontiguousarray(a.real, dtype=float)
+
+
 def _reject_non_finite(c, what="coefficients"):
     """Raise ValueError naming up to five indices of the NaN or infinite
     entries of the array c, called what in the message; finite c costs
@@ -58,14 +79,15 @@ def _reject_non_finite(c, what="coefficients"):
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Dense coefficient tensor of a d-variate polynomial."""
+    """Dense coefficient tensor of a d-variate polynomial, stored by
+    _demote's rule: float64 when no entry has an imaginary part."""
 
     basis: DegreeGradedBasis
     dim: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = _demote(self.coeffs)
         object.__setattr__(self, "coeffs", c)
         if c.ndim != self.dim:
             raise ValueError(
@@ -163,7 +185,7 @@ class HiddenVariableForm:
         free_order).
         """
         t = self.tensors[c]
-        phis = basis_eval_all(self.basis, t.shape[-1] - 1, complex(z))
+        phis = basis_eval_all(self.basis, t.shape[-1] - 1, z)
         return MultiPoly(self.basis, self.dim - 1, t @ phis)
 
 
@@ -172,8 +194,9 @@ class HiddenVariableForm:
 # ----------------------------------------------------------------------
 
 def mp_eval(p, x):
-    """Evaluate p at a point in C^d by successive tensor contraction."""
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
+    """Evaluate p at a point in C^d by successive tensor contraction, in
+    the result type of p and x; the value is returned as a complex."""
+    x = np.atleast_1d(np.asarray(x))
     if x.shape != (p.dim,):
         raise ValueError(f"point has shape {x.shape}, expected ({p.dim},)")
     t = p.coeffs
@@ -200,8 +223,9 @@ def _contract_leading(t, mats):
 
 def _vandermonde_inverse(basis, nodes):
     """inv(V^T) for the square V = basis_eval_all(basis, len(nodes) - 1,
-    nodes); raises ValueError when the nodes repeat."""
-    nodes = np.asarray(nodes, dtype=complex)
+    nodes), real for real nodes and a real recurrence; raises ValueError
+    when the nodes repeat."""
+    nodes = np.asarray(nodes)
     if len(np.unique(nodes)) != len(nodes):
         raise ValueError("interpolation nodes must be distinct")
     return np.linalg.inv(basis_eval_all(basis, len(nodes) - 1, nodes).T)
@@ -219,7 +243,7 @@ def mp_interpolate(basis, dim, degrees, samples):
     degrees = tuple(int(n) for n in degrees)
     if len(degrees) != dim:
         raise ValueError("need one degree per variable")
-    samples = np.asarray(samples, dtype=complex)
+    samples = np.asarray(samples)
     if samples.shape != tuple(n + 1 for n in degrees):
         raise ValueError(
             f"samples shape {samples.shape} does not match degrees {degrees}")
@@ -256,9 +280,9 @@ def hide_variable(sys, hidden_index=None):
 
 def _stacked(tensors):
     """The tensors stacked along a new first axis, each zero-padded to
-    the per-axis maximum extent."""
+    the per-axis maximum extent, in their result type."""
     ext = tuple(max(col) for col in zip(*(t.shape for t in tensors)))
-    out = np.zeros((len(tensors),) + ext, dtype=complex)
+    out = np.zeros((len(tensors),) + ext, dtype=np.result_type(*tensors))
     for i, t in enumerate(tensors):
         out[(i,) + tuple(slice(e) for e in t.shape)] = t
     return out
@@ -277,9 +301,10 @@ def eval_with_jacobian(sys, x):
     already made, so after all d the slot with bits (b_1, ..., b_d),
     most significant first, holds the product of derivatives along the
     axes with b_a = 1 and values along the rest: F is slot 0 and column
-    j of J is slot 2**(d - 1 - j).
+    j of J is slot 2**(d - 1 - j).  F and J are in the result type of x,
+    the coefficients and the recurrence.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
     d = sys.dim
     single = x.ndim <= 1
     pts = x.reshape(1, -1) if single else x
@@ -355,10 +380,9 @@ def system_from_json(obj):
             raise ValueError("polynomial degrees do not match dim")
         shape = tuple(n + 1 for n in degrees)
         count = int(np.prod(shape))
-        re = np.asarray(entry["coeffs_real"], dtype=float)
-        if re.size != count:
-            raise ValueError(f"expected {count} coefficients, got {re.size}")
-        flat = re.astype(complex)
+        flat = np.asarray(entry["coeffs_real"], dtype=float)
+        if flat.size != count:
+            raise ValueError(f"expected {count} coefficients, got {flat.size}")
         if "coeffs_imag" in entry:
             im = np.asarray(entry["coeffs_imag"], dtype=float)
             if im.size != count:

@@ -39,8 +39,8 @@ from .cayley import cayley_resultant, cayley_root_eigvectors
 from .matpoly import (EigenSolveError, MatrixPolynomial, _check_null_vectors,
                       _stacked_solve, eigvecs_and_conditions, polyeig)
 from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
-                        _root_conditions, _stacked, eval_with_jacobian,
-                        hide_variable, mp_eval)
+                        _demote, _root_conditions, _stacked,
+                        eval_with_jacobian, hide_variable, mp_eval)
 from .sylvester import sylvester_resultant, sylvester_root_eigvectors
 
 __all__ = [
@@ -138,12 +138,14 @@ def newton_polish(sys, x0):
     floor: a step no smaller than the previous one, which was already
     below sqrt(eps) * (1 + ||x||_inf).  That step is not taken.  A
     singular Jacobian stops the iteration and reports non-convergence at
-    the current point.  It stops after _NEWTON_ITERS iterations.
+    the current point.  It stops after _NEWTON_ITERS iterations.  x0
+    is demoted by _demote's rule, so a real start on a real system
+    iterates in real arithmetic; x is returned as a complex array.
     """
-    x = np.atleast_1d(np.array(x0, dtype=complex))[None]
+    x = _demote(np.atleast_1d(x0))[None]
     F, J = eval_with_jacobian(sys, x)
     x, iters, converged = _newton(sys, x, F, J)
-    return x[0], int(iters[0]), bool(converged[0])
+    return x[0].astype(complex), int(iters[0]), bool(converged[0])
 
 
 _ROUNDING_FLOOR = np.sqrt(np.finfo(float).eps)
@@ -155,10 +157,12 @@ def _newton(sys, x, F, J):
 
     Each round takes the steps of all rows still iterating from one
     stacked solve and evaluates those rows with one eval_with_jacobian
-    call.  Every row stops by newton_polish's rule on its own.
+    call.  Every row stops by newton_polish's rule on its own.  The
+    iterates take the result type of x and F, so a real start on a
+    complex system iterates in complex arithmetic.
     Returns (x, iterations, converged), one entry per row.
     """
-    x = x.copy()
+    x = x.astype(np.result_type(x, F))
     iters = np.full(len(x), _NEWTON_ITERS)
     converged = np.zeros(len(x), dtype=bool)
     prev = np.full(len(x), np.inf)  # size of each row's last step
@@ -202,11 +206,12 @@ def _component_from_vector(u, basis):
     Solves sum_i |alpha_i u_i|^2 x = sum_i conj(alpha_i u_i) *
     (u_{i+1} - beta_i u_i - sum_j gamma_{i,j} u_{j-1}); the unknown
     overall scale of u cancels.  Returns (x, ok), each of shape (r,):
-    ok is False, and x NaN, where a row has no usable basis slots.
+    ok is False, and x NaN, where a row has no usable basis slots.  x is
+    in the result type of u and the recurrence.
     """
-    u = np.asarray(u, dtype=complex)
-    e = u.shape[1]
+    e = np.shape(u)[1]
     tab = basis.table(e - 2)
+    u = np.asarray(u, dtype=np.result_type(u, tab.dtype))
     pred = u[:, 1:] - tab.beta[:e - 1] * u[:, :-1]
     for i in range(e - 1):
         for j, g in tab.rows[i]:
@@ -214,9 +219,9 @@ def _component_from_vector(u, basis):
     t = tab.alpha[:e - 1] * u[:, :-1]
     # one np.vdot per row: a stacked product would round differently
     den = np.array([np.vdot(a, a).real for a in t])
-    num = np.array([np.vdot(a, b) for a, b in zip(t, pred)], dtype=complex)
+    num = np.array([np.vdot(a, b) for a, b in zip(t, pred)], dtype=u.dtype)
     ok = den != 0.0
-    x = np.divide(num, den, out=np.full(len(u), np.nan, dtype=complex),
+    x = np.divide(num, den, out=np.full(len(u), np.nan, dtype=u.dtype),
                   where=ok)
     return x, ok
 
@@ -233,16 +238,21 @@ def recover_components(resultant, right, left, basis):
     and 0 where slot 0 exceeds 1e-8 times that entry, elsewhere by a
     rank-one fit of the axis fibers (one stacked SVD).
 
-    Returns (components, how): an (m, axes) array and an (m,) array of
-    labels, "ratio" or "rank1" (rank1 wins when any axis needed it), or
-    "" where a row carries no components (an axis of extent one in both
-    vectors, a zero vector or a fit with no usable slots), with NaN.
+    Returns (components, how): an (m, axes) array, real when the
+    vectors and the recurrence are, and an (m,) array of labels, "ratio"
+    or "rank1" (rank1 wins when any axis needed it), or "" where a row
+    carries no components (an axis of extent one in both vectors, a zero
+    vector or a fit with no usable slots), with NaN.
     """
     col = resultant.col_extents
     # the Sylvester left vector has no basis structure to read
     row = getattr(resultant, "row_extents", (1,) * len(col))
+    right, left = np.asarray(right), np.asarray(left)
     m = len(right)
-    comps = np.full((m, len(col)), np.nan, dtype=complex)
+    # in the dtype of the vectors and of the recurrence (table(0) holds
+    # a custom basis's whole table)
+    comps = np.full((m, len(col)), np.nan, dtype=np.result_type(
+        right, left, basis.table(0).dtype))
     failed = np.full(m, any(c == r == 1 for c, r in zip(col, row)))
     rank1 = np.zeros(m, dtype=bool)
     rows = np.arange(m)
@@ -251,7 +261,6 @@ def recover_components(resultant, right, left, basis):
             (left, row, [k for k, e in enumerate(col) if e == 1])):
         if not axes or failed.all():
             continue
-        vecs = np.asarray(vecs)
         V = vecs.reshape((m,) + ext)
         ref = np.unravel_index(np.argmax(np.abs(vecs), axis=1), ext)
         # magnitudes by np.hypot, as abs() of one complex number takes
@@ -305,7 +314,7 @@ def _subsolve(sys, lam, hidden):
             free = np.array([r.x for r in solve_system(sub).roots],
                             dtype=complex).reshape(-1, d - 1)
     except EigenSolveError:
-        return np.empty((0, d), dtype=complex)
+        return np.empty((0, d))
     return np.insert(free, hidden, lam, axis=1)
 
 
@@ -323,7 +332,7 @@ def _start_points(sys, res, kept, right, left, hidden):
     eigenvalues that gave no start point.
     """
     comps, how = recover_components(res, right, left, sys.basis)
-    x0 = np.empty((len(kept), sys.dim), dtype=complex)
+    x0 = np.empty((len(kept), sys.dim), dtype=np.result_type(kept, comps))
     x0[:, hidden] = kept
     x0[:, np.arange(sys.dim) != hidden] = comps
     owner = np.arange(len(kept))
@@ -372,6 +381,11 @@ def solve_system(sys, method="cayley", options=None):
     -------
     RootReport with one RootRecord per distinct candidate, spurious ones
     flagged rather than dropped.
+
+    The kept eigenvalues and the Newton start points are demoted by
+    _demote's rule, so a real system on an interval whose kept
+    eigenvalues are all real runs in real arithmetic after polyeig; the
+    records' x and hidden_value are complex whatever the arithmetic.
     """
     opts = options or SolveOptions()
     hv = hide_variable(sys, opts.hidden_index)
@@ -379,12 +393,13 @@ def solve_system(sys, method="cayley", options=None):
     res = _build_resultant(hv, method, opts.taus)[0]
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
-    kept = lams[sys.domain.contains(lams, opts.domain_margin)]
+    kept = _demote(lams[sys.domain.contains(lams, opts.domain_margin)])
     right, left, _, kappas = eigvecs_and_conditions(P, kept)
     x0, owner, how, n_failed = _start_points(sys, res, kept, right, left,
                                              hidden)
     candidates = []
     if len(x0):
+        x0 = _demote(x0)  # sub-solve points come from complex records
         F, J = eval_with_jacobian(sys, x0)
         pre = np.max(np.abs(F), axis=1)
         if opts.polish:
@@ -395,11 +410,13 @@ def solve_system(sys, method="cayley", options=None):
         resid = np.abs(F)
         scales = np.array([np.sum(np.abs(p.coeffs)) for p in sys.polys])
         spurious = np.any(resid > opts.tol_accept * scales, axis=1)
-        # RootRecord fields in order, the scalars from one tolist() each
+        # RootRecord fields in order, the scalars from one tolist() each;
+        # x and hidden_value are complex whatever the arithmetic
         candidates = [RootRecord(*f) for f in zip(
-            x, kept[owner].tolist(), resid, resid.max(axis=1).tolist(),
-            pre.tolist(), spurious.tolist(), kappas[owner].tolist(),
-            _root_conditions(J).tolist(), iters.tolist(), how.tolist())]
+            x.astype(complex), kept[owner].astype(complex).tolist(), resid,
+            resid.max(axis=1).tolist(), pre.tolist(), spurious.tolist(),
+            kappas[owner].tolist(), _root_conditions(J).tolist(),
+            iters.tolist(), how.tolist())]
     roots = _dedupe(candidates, _DEDUPE_TOL)
     roots.sort(key=lambda r: (r.x[hidden].real, r.x[hidden].imag))
     log.info("solve_system: %d eigenvalues, %d kept roots (%d spurious)",
@@ -462,13 +479,15 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None,
     produce equals the Jacobian determinant of the system at the root,
     which the record exposes for cross-checking.  One basis recurrence
     at the hidden component gives R(z), for the residual check, and R'(z).
+    The root is demoted by _demote's rule, so a real root of a real
+    system is probed in real arithmetic; the record's fields are complex.
     """
-    root = np.atleast_1d(np.asarray(root, dtype=complex))
+    root = _demote(np.atleast_1d(root))
     hv = hide_variable(sys, hidden_index)
     hidden = hv.hidden_index
     res, root_eigvectors = _build_resultant(hv, method, taus)
     v, w = root_eigvectors(hv, root, res, check=False)
-    z = complex(root[hidden])
+    z = root[hidden]
     P = res.matrix_poly
     R, dP = (np.tensordot(phis, P.coeffs, axes=([0], [0]))
              for phis in basis_eval_deriv_all(P.basis, P.degree, z))
@@ -477,7 +496,8 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None,
     scale = np.linalg.norm(v) * np.linalg.norm(w)
     kappa = float("inf") if ray == 0 else float(scale / abs(ray))
     J = eval_with_jacobian(sys, root)[1]
-    return ConditionRecord(method=method, root=root, eig_condition=kappa,
+    return ConditionRecord(method=method, root=root.astype(complex),
+                           eig_condition=kappa,
                            rayleigh=ray,
                            jacobian_det=complex(np.linalg.det(J)),
                            root_condition=float(_root_conditions(J)))
@@ -522,7 +542,7 @@ def _powers_in_basis(basis, n):
     identity.
     """
     tab = basis.table(n - 1)
-    M = np.zeros((n + 1, n + 1), dtype=complex)
+    M = np.zeros((n + 1, n + 1), dtype=tab.dtype)
     M[0, 0] = 1.0
     for k in range(n):
         for j in range(k + 1):
@@ -564,7 +584,7 @@ def family_orthogonal_quadratic(d, sigma, seed=None, Q=None,
     polys = []
     for i in range(d):
         coeffs = np.zeros(tuple(3 if a == i else 2 for a in range(d)),
-                          dtype=complex)
+                          dtype=np.result_type(sigma, Q))
         coeffs[tuple(2 if a == i else 0 for a in range(d))] = 1.0
         for j in range(d):
             idx = tuple(1 if a == j else 0 for a in range(d))
@@ -603,7 +623,7 @@ def family_linear(d, seed, cond_max=100.0, basis_name="monomial"):
     b = A @ root
     polys = []
     for i in range(d):
-        coeffs = np.zeros((2,) * d, dtype=complex)
+        coeffs = np.zeros((2,) * d)
         coeffs[(0,) * d] = -b[i]
         for j in range(d):
             coeffs[tuple(1 if a == j else 0 for a in range(d))] = A[i, j]
@@ -626,7 +646,7 @@ def family_coupled_quadratic(u, basis_name="monomial"):
     """
     basis = _basis_by_name(basis_name)
     c = np.sqrt(0.5)
-    c1 = np.zeros((3, 2), dtype=complex)
+    c1 = np.zeros((3, 2), dtype=np.result_type(u, float))
     c1[2, 0] = 1.0
     c1[1, 0] = c1[0, 1] = u * c
     # p_2(x_1, x_2) = p_1(x_2, x_1)
@@ -645,13 +665,14 @@ def random_system_with_root(d, degree, seed, basis_name="monomial"):
     rng = np.random.default_rng(seed)
     root = rng.uniform(-0.7, 0.7, size=d).astype(complex)
     polys = []
+    # the tensors are real unless the recurrence is complex: only then
+    # has the value at the real root an imaginary part
+    dtype = basis.table(0).dtype
     for _ in range(d):
-        shape = (degree + 1,) * d
-        coeffs = rng.standard_normal(shape).astype(complex)
-        p = MultiPoly(basis, d, coeffs)
-        val = mp_eval(p, root)
-        coeffs = coeffs.copy()
-        coeffs[(0,) * d] -= val  # phi_0 = 1, so this zeroes the root value
+        coeffs = rng.standard_normal((degree + 1,) * d).astype(dtype)
+        val = mp_eval(MultiPoly(basis, d, coeffs), root)
+        # phi_0 = 1, so this zeroes the root value
+        coeffs[(0,) * d] -= val if np.iscomplexobj(coeffs) else val.real
         polys.append(MultiPoly(basis, d, coeffs))
     return PolynomialSystem(polys=tuple(polys)), root
 

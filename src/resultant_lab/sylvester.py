@@ -142,20 +142,21 @@ def sylvester_root_eigvectors(hv, root, resultant, check=True):
     StructureError when either residual exceeds 1e-7 times the matrix
     norm (floored by the coefficient scale).
     """
-    root = np.atleast_1d(np.asarray(root, dtype=complex))
+    root = np.atleast_1d(np.asarray(root))
     if root.shape != (2,):
         raise ValueError("root must have length 2")
     _reject_non_finite(root, "root components")
-    y = complex(root[hv.free_order[0]])
-    z = complex(root[hv.hidden_index])
+    y = root[hv.free_order[0]]
+    z = root[hv.hidden_index]
     tau1, tau2 = resultant.tau1, resultant.tau2
     n = tau1 + tau2
     basis = hv.basis
     v = basis_eval_all(basis, n - 1, y)
     u1 = hv.q_at(0, z).coeffs[:tau1 + 1]
     u2 = hv.q_at(1, z).coeffs[:tau2 + 1]
-    w = np.empty(n, dtype=complex)
-    alpha = basis.table(n - 2).alpha
+    tab = basis.table(n - 2)
+    alpha = tab.alpha
+    w = np.empty(n, dtype=np.result_type(u1, u2, y, tab.dtype))
     if tau2 > 0:
         b2 = clenshaw_shifts(basis, u2, y)  # ascending b_1, b_2, ...
         w[:tau2] = -alpha[:tau2] * b2[:tau2]

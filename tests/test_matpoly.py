@@ -555,7 +555,7 @@ def inverted_pencil(P, mu):
     """_inverted_pencil at any shift mu, with its scalars from
     _pencil_table as the plan holds them."""
     return matpoly._inverted_pencil(P, mu, *matpoly._pencil_table(
-        P.basis, P.degree, mu, matpoly._working_coeffs(P).dtype))
+        P.basis, P.degree, mu, P.coeffs.dtype))
 
 
 def loop_pencil_table(P, mu):
@@ -618,7 +618,7 @@ def test_pencil_table_is_the_loop_bitwise(name, complex_entries):
             for mu in matpoly._shifts(domain) + [0.3 - 0.45j]:
                 want = loop_pencil_table(P, mu)
                 got = matpoly._pencil_table(
-                    basis, degree, mu, matpoly._working_coeffs(P).dtype)
+                    basis, degree, mu, P.coeffs.dtype)
                 assert all(map(identical, got, want))
                 assert identical(inverted_pencil(P, mu),
                                  loop_inverted_pencil(P, mu))
@@ -632,7 +632,7 @@ def test_pencil_table_key_keeps_real_and_complex_apart(monkeypatch):
     real = random_matpoly(rng, basis, 4, 3)
     cplx = random_matpoly(rng, basis, 4, 3, complex_entries=True)
     for P in (real, cplx, real):
-        dtype = matpoly._working_coeffs(P).dtype
+        dtype = P.coeffs.dtype
         for mu, W, phi in matpoly._plan(basis, 4, 3, dtype)[0]:
             assert W.dtype == phi.dtype == dtype
             assert identical(matpoly._inverted_pencil(P, mu, W, phi),
