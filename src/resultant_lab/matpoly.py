@@ -20,13 +20,14 @@ keeps, by one step of inverse iteration with P(lambda) itself: one
 stacked N x N solve over all kept eigenvalues for the right and left
 vectors, with their condition numbers from the stack of P'(lambda).
 
-P is taken as regular when sigma_min(P(z)) > 1e-12 * sigma_max(P(z)) at
-one of four fixed probe points z around the domain; the ratio depends
-neither on the scale of P nor on its size N.  The points are tried in
-order and the first one that passes decides, so a regular P costs one
-N x N SVD.  When P(z) is numerically singular at every probe point,
-polyeig raises NotRegularError.  The shift scalars and the start vector
-of the inverse iteration depend on the shape alone and are cached (_plan).
+The shifts also witness regularity: polyeig takes the singular values
+of P(mu) at each shift in order and passes over a mu where sigma_min <=
+1e-12 * sigma_max, a ratio that depends neither on the scale of P nor
+on its size N.  A regular P costs one N x N SVD, at a real point when
+the coefficients are real and the domain an interval.  When P(mu) is
+numerically singular at every shift, polyeig raises NotRegularError.
+The shift scalars and the start vector of the inverse iteration depend
+on the shape alone and are cached (_plan).
 """
 
 import functools
@@ -67,8 +68,8 @@ class EigenSolveError(RuntimeError):
 
 
 class NotRegularError(EigenSolveError):
-    """P(z) was numerically singular, sigma_min <= 1e-12 * sigma_max, at
-    every probe point: P looks non-regular."""
+    """P(mu) was numerically singular, sigma_min <= 1e-12 * sigma_max, at
+    every shift of polyeig: P looks non-regular."""
 
 
 class StructureError(RuntimeError):
@@ -159,31 +160,6 @@ def matpoly_eval(P, lam):
     return np.tensordot(phis, P.coeffs, axes=([0], [0]))
 
 
-# Probe points of matpoly_is_regular in units of the domain's radius from
-# its centre: standard-normal draws, default_rng(20240811), four by four.
-_PROBE_OFFSETS = np.array([-0.7092724886229547 - 0.6777818325074838j,
-                           0.03298748860936035 - 1.8102805875702146j,
-                           1.1712195245660006 - 0.8870531128120499j,
-                           0.4593005307509892 - 0.928269179762368j])
-
-
-def matpoly_is_regular(P):
-    """Numerical regularity test: P(z) is far from singular somewhere.
-
-    P is regular when sigma_min(P(z)) > 1e-12 * sigma_max(P(z)) at some
-    probe point z, one of _PROBE_OFFSETS scaled to the domain.  The
-    four probe points are tried in order, each with its own matpoly_eval
-    and SVD (singular values only), and the first one that passes
-    decides: a regular P usually costs one point.  P = 0 is not regular.
-    """
-    domain = P.basis.domain
-    for z in domain.center + domain.radius * _PROBE_OFFSETS:
-        sv = np.linalg.svd(matpoly_eval(P, z), compute_uv=False)
-        if sv[-1] > 1e-12 * sv[0]:
-            return True
-    return False
-
-
 # ----------------------------------------------------------------------
 # Polynomial eigenvalue solver
 # ----------------------------------------------------------------------
@@ -266,9 +242,13 @@ def _plan(basis, K, N, dtype):
     coefficients (float64 or complex128, as MatrixPolynomial stores
     them; the scalars are real only when both the coefficients and the
     shifts are).  shifts holds (mu, W, phi) per mu of
-    _shifts(basis.domain), W and phi from _pencil_table; start is the
-    start vector of _null_vectors, fixed so that results repeat and
-    random so that no structured null vector is orthogonal to it."""
+    _shifts(basis.domain), W and phi from _pencil_table: column views of
+    one (K + 1) x (K + 1) table, so phi is strided, and the contractions
+    in _inverted_pencil round by that layout (a contiguous copy of phi
+    changes the last bits of P(mu) and of every eigenvalue).  K = 0, a
+    constant P, leaves W empty.  start is the start vector of
+    _null_vectors, fixed so that results repeat and random so that no
+    structured null vector is orthogonal to it."""
     shifts = tuple((mu, *_pencil_table(basis, K, mu, dtype))
                    for mu in _shifts(basis.domain))
     start = np.random.default_rng(20240811).standard_normal(N)
@@ -322,6 +302,12 @@ def polyeig(P):
     Eigenvectors are not computed here; eigvecs_and_conditions supplies
     them for the eigenvalues a caller keeps.
 
+    Regularity is witnessed at the shifts themselves: at each shift mu,
+    in order, the singular values of P(mu) are taken (matpoly_eval, one
+    N x N SVD), and mu is passed over when sigma_min <= 1e-12 *
+    sigma_max.  The first shift that passes decides a constant P, which
+    has no finite eigenvalues.
+
     Returns
     -------
     (lams, n_inf): the finite eigenvalues as a complex array sorted by
@@ -331,31 +317,36 @@ def polyeig(P):
     Raises
     ------
     NotRegularError
-        When P(z) is numerically singular, sigma_min <= 1e-12 *
-        sigma_max, at every probe point (matpoly_is_regular); P = 0 and
-        a singular constant P are not regular.
+        When P(mu) is numerically singular, sigma_min <= 1e-12 *
+        sigma_max, at every shift; P = 0 and a singular constant P are
+        not regular.  A regular P with a numerical eigenvalue at every
+        shift raises it too.
     EigenSolveError
-        When at every shift mu, P(mu) is singular or the pencil has an
-        eigenvalue within _SHIFT_GAP * radius of mu.
+        When at every shift that passes, the pencil has an eigenvalue
+        within _SHIFT_GAP * radius of mu or the eigensolver fails.
     """
     K, N = P.degree, P.size
     k_eff = _effective_degree(P)
     work = MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1])
-    if not matpoly_is_regular(work):
-        raise NotRegularError(
-            "P(z) is numerically singular at every probe point")
-    if k_eff == 0:
-        return np.empty(0, dtype=complex), N * K
     radius = P.basis.domain.radius
     shifts = _plan(P.basis, k_eff, N, work.coeffs.dtype)[0]
+    regular = False
     for mu, W, phi in shifts:
+        sv = np.linalg.svd(matpoly_eval(work, mu), compute_uv=False)
+        if not sv[-1] > 1e-12 * sv[0]:
+            log.debug("polyeig: P(mu) numerically singular at shift %s", mu)
+            continue
+        if k_eff == 0:
+            return np.empty(0, dtype=complex), N * K
+        regular = True
         try:
             M = _inverted_pencil(work, mu, W, phi)
             scale = np.linalg.norm(M)
             # numpy returns real eigenvalues when all of them are real
             theta = np.linalg.eigvals(M).astype(complex, copy=False)
         except np.linalg.LinAlgError:
-            # P(mu) singular, M not finite, or no convergence
+            # P(mu) passed the witness, so it is not exactly singular:
+            # M is not finite or the eigensolver did not converge
             continue
         del M
         # a NaN or inf theta fails this test too
@@ -364,9 +355,13 @@ def polyeig(P):
         log.debug("polyeig: eigenvalue within %g of shift %s, next shift",
                   _SHIFT_GAP * radius, mu)
     else:
+        if not regular:
+            raise NotRegularError(
+                "P(mu) is numerically singular at every shift")
         raise EigenSolveError(
-            f"no usable shift among {len(shifts)}: P(mu) is singular "
-            "or has an eigenvalue next to mu at each")
+            f"no usable shift among {len(shifts)}: at each, P(mu) is "
+            "numerically singular, the pencil has an eigenvalue next to "
+            "mu, or the eigensolver fails")
     finite = np.abs(theta) > 1e3 * _EPS * scale
     lams = mu + 1.0 / theta[finite]
     lams = lams[np.lexsort((lams.imag, lams.real))]

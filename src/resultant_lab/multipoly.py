@@ -94,6 +94,9 @@ class MultiPoly:
                 f"coefficient tensor has {c.ndim} axes, expected {self.dim}")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
+        if 0 in c.shape:
+            raise ValueError(f"coefficient tensor of shape {c.shape} has "
+                             "an axis of extent 0")
         _reject_non_finite(c)
 
     @property
@@ -378,6 +381,8 @@ def system_from_json(obj):
         degrees = [int(n) for n in entry["degrees"]]
         if len(degrees) != dim:
             raise ValueError("polynomial degrees do not match dim")
+        if min(degrees) < 0:
+            raise ValueError(f"negative degree in degrees {degrees}")
         shape = tuple(n + 1 for n in degrees)
         count = int(np.prod(shape))
         flat = np.asarray(entry["coeffs_real"], dtype=float)

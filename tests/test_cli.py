@@ -237,6 +237,21 @@ def test_exit_code_1_on_missing_file(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [["eval", "--point", "0.1,0.2"],
+                                  ["cayley"], ["sylvester"], ["solve"]],
+                         ids=["eval", "cayley", "sylvester", "solve"])
+def test_exit_code_1_on_negative_degree(tmp_path, capsys, argv):
+    # degree -1 gives an empty coefficient tensor, which no command may
+    # take as a polynomial
+    obj = circle_line_json()
+    obj["polys"][0] = {"degrees": [-1, 1], "coeffs_real": []}
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(obj))
+    rc = main([argv[0], "--system", str(path), *argv[1:]])
+    assert rc == 1
+    assert "negative degree in degrees [-1, 1]" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_sylvester_dim(tmp_path, capsys):
     mono = DegreeGradedBasis.monomial()
     polys = []

@@ -85,7 +85,22 @@ def test_complex_path_agrees_with_real_path(d, n, method, basis, seed):
         <= 1e-10 * a.root_condition
 
 
-def test_real_problems_run_in_real_arithmetic(builtin):
+def svd_dtypes(monkeypatch):
+    """A list that collects the dtype of every array passed to
+    np.linalg.svd."""
+    dtypes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return dtypes
+
+
+def test_real_problems_run_in_real_arithmetic(builtin, monkeypatch):
+    dtypes = svd_dtypes(monkeypatch)
     for d, n, method in SHAPES:
         sys_, root = random_system_with_root(d, n, [22, d], builtin)
         hv = hide_variable(sys_)
@@ -93,26 +108,36 @@ def test_real_problems_run_in_real_arithmetic(builtin):
             sylvester_resultant
         P = build(hv).matrix_poly
         assert P.coeffs.dtype == np.float64
+        # the regularity witness takes its SVD of P at a real shift
+        dtypes.clear()
         lams = polyeig(P)[0]
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
         kept = lams[lams.imag == 0.0][:4]
         assert len(kept)
         right, left, _, _ = eigvecs_and_conditions(P, kept.real)
         assert right.dtype == left.dtype == np.float64
 
 
-def test_disc_domain_and_complex_coefficients_run_in_complex():
+def test_disc_domain_and_complex_coefficients_run_in_complex(monkeypatch):
+    dtypes = svd_dtypes(monkeypatch)
     disc = DegreeGradedBasis.chebyshev(Domain.disc(0.1, 1.2))
     sys_, _ = random_system_with_root(2, 3, 23, disc)
-    # the coefficients are real, the nodes on the circle are not
+    # the coefficients are real, the nodes and shifts on the disc are not
     assert sys_.polys[0].coeffs.dtype == np.float64
     for build in (cayley_resultant, sylvester_resultant):
-        assert build(hide_variable(sys_)).matrix_poly.coeffs.dtype \
-            == np.complex128
+        P = build(hide_variable(sys_)).matrix_poly
+        assert P.coeffs.dtype == np.complex128
+        dtypes.clear()
+        polyeig(P)
+        assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
     cheb = DegreeGradedBasis.chebyshev()
     turned = rotated(random_system_with_root(2, 3, 23, cheb)[0], 23)
     for build in (cayley_resultant, sylvester_resultant):
         P = build(hide_variable(turned)).matrix_poly
         assert P.coeffs.dtype == np.complex128
+        dtypes.clear()
+        polyeig(P)
+        assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
         right = eigvecs_and_conditions(P, np.array([0.25]))[0]
         assert right.dtype == np.complex128
 

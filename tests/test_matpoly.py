@@ -191,47 +191,95 @@ def test_coeff_scale_is_the_largest_spectral_norm(builtin):
         assert abs(P.coeff_scale - want) <= 4 * np.finfo(float).eps * want
 
 
-def probe_points(domain):
-    """The four probe points: seeded offsets from the domain centre in
-    units of its radius."""
-    rng = np.random.default_rng(20240811)
-    return domain.center + domain.radius * (rng.standard_normal(4)
-                                            + 1j * rng.standard_normal(4))
+def trimmed(P):
+    """P without its roundoff-sized leading coefficients, as polyeig
+    works on it."""
+    return MatrixPolynomial(P.basis,
+                            P.coeffs[:matpoly._effective_degree(P) + 1])
 
 
-def scaled_probe_decision(P):
-    """The regularity decision one probe point at a time: whether some
-    P(z) / sigma_max(P(z)) has its smallest singular value above 1e-12,
-    each from its own np.linalg.svd."""
-    for z in probe_points(P.basis.domain):
-        s = np.linalg.svd(matpoly_eval(P, z), compute_uv=False)
+def shift_decision(P):
+    """The regularity decision one shift at a time: whether some
+    P(mu) / sigma_max(P(mu)) of the trimmed P has its smallest singular
+    value above 1e-12 at a shift mu of polyeig, each from its own
+    np.linalg.svd."""
+    work = trimmed(P)
+    for mu in matpoly._shifts(P.basis.domain):
+        s = np.linalg.svd(matpoly_eval(work, mu), compute_uv=False)
         if s[-1] > 1e-12 * s[0]:
             return True
     return False
 
 
+def polyeig_decision(P):
+    """Whether polyeig takes P as regular: it does unless it raises
+    NotRegularError."""
+    try:
+        polyeig(P)
+    except NotRegularError:
+        return False
+    return True
+
+
+def record_shifts(monkeypatch):
+    """Two lists that fill as polyeig runs: the points where it evaluates
+    P (matpoly_eval) and the shifts where it forms the inverted pencil."""
+    evaluated, inverted = [], []
+    evaluate, invert = matpoly.matpoly_eval, matpoly._inverted_pencil
+
+    def evaluating(P, lam):
+        evaluated.append(lam)
+        return evaluate(P, lam)
+
+    def inverting(P, mu, *table):
+        inverted.append(mu)
+        return invert(P, mu, *table)
+
+    monkeypatch.setattr(matpoly, "matpoly_eval", evaluating)
+    monkeypatch.setattr(matpoly, "_inverted_pencil", inverting)
+    return evaluated, inverted
+
+
+def singular_at_shifts(basis, passing):
+    """diag(1, q) of degree 2 with q zero at every shift of polyeig but
+    the one at index passing, so that only that shift passes the
+    regularity witness."""
+    shifts = matpoly._shifts(basis.domain)
+    phis = basis_eval_all(basis, 2, np.array(shifts))
+    C = np.zeros((3, 2, 2), dtype=complex)
+    C[0, 0, 0] = 1.0
+    q = np.linalg.svd(np.delete(phis, passing, axis=1).T)[2][-1].conj()
+    C[:, 1, 1] = q
+    return MatrixPolynomial(basis, C)
+
+
 @pytest.mark.parametrize("name", ["monomial", "chebyshev", "custom"])
 @pytest.mark.parametrize("domain", [None, Domain.disc(0.2 + 0.1j, 1.5)],
                          ids=["interval", "disc"])
-def test_regularity_probes_match_pointwise(name, domain):
+def test_regularity_probes_match_pointwise(name, domain, monkeypatch):
+    # the shifts are the regularity probes: polyeig evaluates P at the
+    # shifts in order, up to the first one that passes, and nowhere else
     basis = basis_by_name(name, domain)
-    dom = basis.domain
-    probes = dom.center + dom.radius * matpoly._PROBE_OFFSETS
-    assert identical(probes, probe_points(dom))
+    shifts = matpoly._shifts(basis.domain)
+    assert np.isrealobj(np.array(shifts)) == (domain is None)
     P = random_matpoly(np.random.default_rng(8), basis, 3, 5, True)
-    assert matpoly.matpoly_is_regular(P) and scaled_probe_decision(P)
-    # diag(1, q) with q vanishing at three probe points: singular there,
-    # so the fourth point alone decides
-    phis = basis_eval_all(basis, 3, probes)
-    for k in range(4):
-        q = np.linalg.svd(np.delete(phis, k, axis=1).T)[2][-1].conj()
-        C = np.zeros((4, 2, 2), dtype=complex)
-        C[0, 0, 0] = 1.0 / phis[0, 0]
-        C[:, 1, 1] = q
-        Q = MatrixPolynomial(basis, C)
-        sv = np.linalg.svd(matpoly_eval(Q, probes), compute_uv=False)
-        assert np.sum(sv[:, -1] <= 1e-12 * sv[:, 0]) == 3
-        assert matpoly.matpoly_is_regular(Q) and scaled_probe_decision(Q)
+    evaluated, inverted = record_shifts(monkeypatch)
+    polyeig(P)
+    assert evaluated == inverted == shifts[:1] and shift_decision(P)
+    # diag(1, q) with q vanishing at two shifts: singular there, so the
+    # remaining one alone decides
+    for k in range(3):
+        Q = singular_at_shifts(basis, k)
+        sv = np.linalg.svd(matpoly_eval(Q, np.array(shifts)),
+                           compute_uv=False)
+        passes = sv[:, -1] > 1e-12 * sv[:, 0]
+        assert list(passes) == [j == k for j in range(3)]
+        evaluated.clear()
+        inverted.clear()
+        lams, n_inf = polyeig(Q)
+        assert evaluated == shifts[:k + 1] and inverted == [shifts[k]]
+        assert shift_decision(Q) and n_inf == 2
+        match_nearest(lams, np.delete(shifts, k), 1e-10)
 
 
 @pytest.mark.parametrize("domain", [None, Domain.disc(0.2 + 0.1j, 1.5)],
@@ -261,7 +309,7 @@ def test_regularity_decisions_match_scaled_probes(name, domain):
     decisions = []
     for size in (1, 3, 8):
         P = random_matpoly(rng, basis, 3, size, True)
-        assert matpoly.matpoly_is_regular(P) == scaled_probe_decision(P)
+        assert polyeig_decision(P) and shift_decision(P)
         # a zero column in every A_i makes P(z) singular exactly; t E
         # moves the singular value ratios across the threshold
         C = P.coeffs.copy()
@@ -269,13 +317,11 @@ def test_regularity_decisions_match_scaled_probes(name, domain):
         E = rng.standard_normal(C.shape)
         for t in np.concatenate([[0.0], 10.0 ** np.arange(-16.0, 0.0, 0.25)]):
             Q = MatrixPolynomial(basis, C + t * E)
-            decisions.append(matpoly.matpoly_is_regular(Q))
-            assert decisions[-1] == scaled_probe_decision(Q)
+            decisions.append(polyeig_decision(Q))
+            assert decisions[-1] == shift_decision(Q)
     assert True in decisions and False in decisions
     Z = MatrixPolynomial(basis, np.zeros((3, 4, 4)))
-    assert not matpoly.matpoly_is_regular(Z) and not scaled_probe_decision(Z)
-    with pytest.raises(NotRegularError):
-        polyeig(Z)
+    assert not polyeig_decision(Z) and not shift_decision(Z)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1e-3])
@@ -283,10 +329,6 @@ def test_orthogonal_family_stays_not_regular(sigma):
     # its Cayley resultant vanishes identically in the hidden variable
     sys_ = family_orthogonal_quadratic(3, sigma)
     P = cayley_resultant(hide_variable(sys_)).matrix_poly
-    k_eff = matpoly._effective_degree(P)
-    work = MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1])
-    assert not matpoly.matpoly_is_regular(work)
-    assert not scaled_probe_decision(work)
     with pytest.raises(NotRegularError):
         polyeig(P)
 
@@ -299,7 +341,6 @@ def test_identity_is_regular_at_every_size(domain):
     b = DegreeGradedBasis.monomial(domain=domain)
     for N in (1, 10, 40):
         P = MatrixPolynomial(b, np.stack([np.eye(N), np.zeros((N, N))]))
-        assert matpoly.matpoly_is_regular(P) and scaled_probe_decision(P)
         lams, n_inf = polyeig(P)
         assert len(lams) == 0 and n_inf == N
         assert polyeig(MatrixPolynomial(b, np.eye(N)[None]))[1] == 0
@@ -318,8 +359,6 @@ def test_shared_null_vector_is_not_regular(name, domain):
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     v /= np.linalg.norm(v)
     P = MatrixPolynomial(basis, A - np.einsum("kij,j,l->kil", A, v, v.conj()))
-    assert not matpoly.matpoly_is_regular(P)
-    assert not scaled_probe_decision(P)
     with pytest.raises(NotRegularError):
         polyeig(P)
 
@@ -339,7 +378,8 @@ def mixed_degree_system(degrees, seed, basis):
 
 
 def test_regularity_decisions_on_solver_corpora():
-    # the benchmark's solve shapes stay regular under both constructions
+    # the benchmark's solve shapes stay regular under both constructions,
+    # witnessed at the first shift
     for k in range(16):
         basis = ("chebyshev", "legendre")[k % 2]
         sys3, _ = random_system_with_root(3, 3, [1, k], basis)
@@ -347,9 +387,10 @@ def test_regularity_decisions_on_solver_corpora():
         for P in (cayley_resultant(hide_variable(sys3, k % 3)).matrix_poly,
                   cayley_resultant(hide_variable(sys2, k % 2)).matrix_poly,
                   sylvester_resultant(hide_variable(sys2, k % 2)).matrix_poly):
-            k_eff = matpoly._effective_degree(P)
-            work = MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1])
-            assert matpoly.matpoly_is_regular(work)
+            mu = matpoly._shifts(P.basis.domain)[0]
+            sv = np.linalg.svd(matpoly_eval(trimmed(P), mu), compute_uv=False)
+            assert sv[-1] > 1e-12 * sv[0]
+            polyeig(P)
     # mixed-degree d = 3 systems and the orthogonal family do not
     cheb = DegreeGradedBasis.chebyshev()
     for degrees in ((1, 1, 3), (3, 1, 1), (1, 3, 1)):
@@ -365,23 +406,12 @@ def test_regularity_decisions_on_solver_corpora():
             polyeig(cayley_resultant(hide_variable(sys_)).matrix_poly)
 
 
-def stacked_probe_decision(P):
-    """The four-point rule from one stacked SVD of P at every probe
-    point, as matpoly_is_regular took it before it stopped at the first
-    point that passes."""
-    sv = np.linalg.svd(matpoly_eval(P, probe_points(P.basis.domain)),
-                       compute_uv=False)
+def stacked_shift_decision(P):
+    """The regularity rule from one stacked SVD of the trimmed P at every
+    shift of polyeig, which stops at the first shift that passes."""
+    shifts = np.array(matpoly._shifts(P.basis.domain))
+    sv = np.linalg.svd(matpoly_eval(trimmed(P), shifts), compute_uv=False)
     return bool(np.any(sv[:, -1] > 1e-12 * sv[:, 0]))
-
-
-def singular_at_first_three_probes(basis):
-    """diag(1, q) of degree 3 with q zero at the first three probe
-    points, so that only the fourth passes."""
-    phis = basis_eval_all(basis, 3, probe_points(basis.domain))
-    C = np.zeros((4, 2, 2), dtype=complex)
-    C[0, 0, 0] = 1.0
-    C[:, 1, 1] = np.linalg.svd(phis[:, :3].T)[2][-1].conj()
-    return MatrixPolynomial(basis, C)
 
 
 @pytest.mark.parametrize("name", ["monomial", "chebyshev", "custom"])
@@ -398,30 +428,33 @@ def test_first_passing_probe_decides_as_the_stacked_rule(name, domain):
     v /= np.linalg.norm(v)
     cases.append(MatrixPolynomial(
         basis, A - np.einsum("kij,j,l->kil", A, v, v.conj())))
-    cases.append(singular_at_first_three_probes(basis))
+    cases.append(singular_at_shifts(basis, 2))
     cases.append(MatrixPolynomial(basis, np.zeros((3, 4, 4))))
-    decisions = [matpoly.matpoly_is_regular(P) for P in cases]
-    assert decisions == [stacked_probe_decision(P) for P in cases]
+    decisions = [polyeig_decision(P) for P in cases]
+    assert decisions == [stacked_shift_decision(P) for P in cases]
     assert decisions == [True] * 6 + [False, True, False]
 
 
 def test_regular_p_takes_one_svd(builtin, monkeypatch):
     rng = np.random.default_rng(16)
     P = random_matpoly(rng, builtin, 4, 6, True)
-    Q = singular_at_first_three_probes(builtin)
+    Q = singular_at_shifts(builtin, 2)
     calls = []
     svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    assert matpoly.matpoly_is_regular(P)
-    assert len(calls) == 1
-    # only the fourth probe point passes, so all four are taken
-    assert matpoly.matpoly_is_regular(Q)
-    assert len(calls) == 5
+    polyeig(P)
+    assert calls == [(6, 6)]
+    # only the third shift passes, so all three are taken, and Q is
+    # solved there
+    calls.clear()
+    lams, n_inf = polyeig(Q)
+    assert calls == [(2, 2)] * 3 and n_inf == 2
+    match_nearest(lams, matpoly._shifts(builtin.domain)[:2], 1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -1234,33 +1267,60 @@ def test_polyeig_matches_qz(name, domain, complex_entries, lead):
                                     Domain.disc(0.5 + 0.5j, 2.0)],
                          ids=["unit", "offset", "disc"])
 def test_polyeig_moves_off_a_shift_on_a_root(domain, monkeypatch):
-    # a root exactly at the first shift makes X - mu Y singular; the
-    # guard rejects that shift and the next one finds every root
+    # P = diag(p, r) with a root of p at the first shift: P(mu) is
+    # numerically singular there, so the regularity witness passes over
+    # mu before any pencil is formed, and the second shift finds every
+    # root; r has its roots two radii away, so r(mu) is of order one
     basis = DegreeGradedBasis.monomial(domain)
-    mu = matpoly._shifts(domain)[0]
-    roots = np.array([mu, mu - 0.3, mu - 0.8])
-    coeffs = np.polynomial.polynomial.polyfromroots(roots)
-    P = MatrixPolynomial(basis, coeffs.reshape(-1, 1, 1))
-    shifts = []
-    inverted = matpoly._inverted_pencil
+    shifts = matpoly._shifts(domain)
+    far = -2 * domain.radius
 
-    def recording(P, shift, *table):
-        shifts.append(shift)
-        return inverted(P, shift, *table)
+    def diag_p_r(roots):
+        C = np.zeros((4, 2, 2), dtype=np.result_type(*roots))
+        C[:, 0, 0] = np.polynomial.polynomial.polyfromroots(roots)
+        C[:, 1, 1] = np.polynomial.polynomial.polyfromroots(roots + far)
+        return MatrixPolynomial(basis, C), np.concatenate([roots,
+                                                           roots + far])
 
-    monkeypatch.setattr(matpoly, "_inverted_pencil", recording)
+    evaluated, inverted = record_shifts(monkeypatch)
+    P, roots = diag_p_r(np.array([shifts[0], shifts[0] - 0.3,
+                                  shifts[0] - 0.8]))
     lams, n_inf = polyeig(P)
-    assert shifts == matpoly._shifts(domain)[:2]
+    assert evaluated == shifts[:2] and inverted == shifts[1:2]
     assert n_inf == 0
     match_nearest(lams, roots, 1e-10)
+    # a root 1e-8 radius off the first shift leaves P(mu) regular, and
+    # the pencil's eigenvalue next to mu sends polyeig to the next shift
+    near, near_roots = diag_p_r(roots[:3] + 1e-8 * domain.radius)
+    evaluated.clear()
+    inverted.clear()
+    lams, n_inf = polyeig(near)
+    assert evaluated == inverted == shifts[:2]
+    assert n_inf == 0
+    match_nearest(lams, near_roots, 1e-10)
     # with the first shift as the only one, polyeig gives up; the plan
     # caches the shifts, so it is rebuilt after each change of offsets
-    monkeypatch.setattr(matpoly, "_SHIFT_OFFSETS",
-                        matpoly._SHIFT_OFFSETS[:1])
-    matpoly._plan.cache_clear()
     try:
-        with pytest.raises(EigenSolveError, match="shift"):
+        monkeypatch.setattr(matpoly, "_SHIFT_OFFSETS",
+                            matpoly._SHIFT_OFFSETS[:1])
+        matpoly._plan.cache_clear()
+        with pytest.raises(NotRegularError, match="shift"):
             polyeig(P)
+        with pytest.raises(EigenSolveError, match="no usable shift"):
+            polyeig(near)
+        # the boundary of the witness: a 1 x 1 P has the singular value
+        # ratio 1 unless P(mu) = 0, and with dyadic shifts this cubic
+        # vanishes exactly at each of them, so polyeig raises
+        # NotRegularError for a regular P
+        monkeypatch.setattr(matpoly, "_SHIFT_OFFSETS", (-0.75, -0.5, 0.625))
+        matpoly._plan.cache_clear()
+        shifts = matpoly._shifts(domain)
+        cubic = MatrixPolynomial(basis, np.polynomial.polynomial.polyfromroots(
+            shifts).reshape(-1, 1, 1))
+        assert all(matpoly_eval(cubic, mu) == 0.0 for mu in shifts)
+        assert matpoly_eval(cubic, domain.center) != 0.0
+        with pytest.raises(NotRegularError, match="every shift"):
+            polyeig(cubic)
     finally:
         monkeypatch.undo()
         matpoly._plan.cache_clear()

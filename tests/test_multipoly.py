@@ -71,6 +71,9 @@ def test_eval_input_validation(mono):
         mp_eval(p, [1.0])
     with pytest.raises(ValueError):
         MultiPoly(mono, 2, np.ones((2,)))
+    with pytest.raises(ValueError, match=r"shape \(0, 2\) has an axis of "
+                       "extent 0"):
+        MultiPoly(mono, 2, np.ones((0, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -418,6 +421,10 @@ def test_system_json_validation():
     with pytest.raises(ValueError):
         system_from_json({"basis": "monomial", "dim": 2, "polys": [
             {"degrees": [1, 1], "coeffs_real": [1.0, 2.0]}]})  # wrong count
+    for degrees, coeffs in (([-1, 1], []), ([1, -2], [1.0, 2.0])):
+        with pytest.raises(ValueError, match="negative degree"):
+            system_from_json({"basis": "monomial", "dim": 2, "polys": [
+                {"degrees": degrees, "coeffs_real": coeffs}]})
 
 
 def _two_polys_json(basis, domain=None):
