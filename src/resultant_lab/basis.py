@@ -92,14 +92,14 @@ class Domain:
     def __init__(self, kind, lo=None, hi=None, center=None, radius=None):
         if kind == "interval":
             lo, hi = float(lo), float(hi)
-            if not lo < hi:
-                raise ValueError("interval needs lo < hi")
+            if not (lo < hi and np.isfinite(hi - lo)):
+                raise ValueError(f"interval [{lo}, {hi}] needs finite lo < hi")
             self.lo, self.hi = lo, hi
             self.center, self.radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
         elif kind == "disc":
             self.center, self.radius = complex(center), float(radius)
-            if self.radius <= 0:
-                raise ValueError("disc needs a positive radius")
+            if not (np.isfinite(self.center) and 0 < self.radius < np.inf):
+                raise ValueError("disc needs a finite center and radius > 0")
             self.lo, self.hi = None, None
         else:
             raise ValueError("domain kind must be 'interval' or 'disc'")
@@ -179,6 +179,8 @@ class Domain:
             return cls.interval(lo, hi)
         if "disc" in obj:
             c = obj["disc"]["center"]
+            if not isinstance(c, (list, tuple)) or len(c) != 2:
+                raise ValueError(f"disc center must be [re, im], got {c!r}")
             return cls.disc(complex(c[0], c[1]), obj["disc"]["radius"])
         raise ValueError("domain JSON needs an 'interval' or 'disc' key")
 
@@ -603,6 +605,8 @@ def basis_to_json(basis):
 def basis_from_json(obj):
     if isinstance(obj, str):
         obj = {"name": obj}
+    elif not isinstance(obj, dict):
+        raise ValueError(f"basis must be a name or an object, got {obj!r}")
     name = obj.get("name")
     if name is None:
         raise ValueError("basis JSON needs a 'name' field")

@@ -365,12 +365,21 @@ def system_to_json(sys):
             "domain": sys.domain.to_json()}
 
 
+def _is_whole(n):
+    """Whether n is a whole number; JSON's true and 1e400 are not."""
+    return (isinstance(n, float) and n.is_integer()
+            or isinstance(n, (int, np.integer)) and not isinstance(n, bool))
+
+
 def system_from_json(obj):
     if "basis" not in obj or "dim" not in obj or "polys" not in obj:
         raise ValueError("system JSON needs 'basis', 'dim' and 'polys'")
+    if not _is_whole(obj["dim"]):
+        raise ValueError(f"dim must be an integer, got {obj['dim']!r}")
     dim = int(obj["dim"])
     spec = obj["basis"]
-    if "domain" in obj:  # a top-level domain overrides the basis's own
+    # a top-level domain overrides the basis's own (a name or an object)
+    if "domain" in obj and isinstance(spec, (str, dict)):
         spec = dict({"name": spec} if isinstance(spec, str) else spec,
                     domain=obj["domain"])
     basis = basis_from_json(spec)
@@ -378,7 +387,10 @@ def system_from_json(obj):
         raise ValueError("system JSON holds no polynomials")
     polys = []
     for entry in obj["polys"]:
-        degrees = [int(n) for n in entry["degrees"]]
+        degrees = entry["degrees"]
+        if not all(map(_is_whole, degrees)):
+            raise ValueError(f"degrees must be integers, got {degrees}")
+        degrees = [int(n) for n in degrees]
         if len(degrees) != dim:
             raise ValueError("polynomial degrees do not match dim")
         if min(degrees) < 0:

@@ -17,11 +17,11 @@ eval_with_jacobian call; one more call at the polished points and one
 stacked SVD of their Jacobians give the residuals and root conditions.
 Component recovery is one call over the stacks of vectors too: each
 free component comes from the right vector or, on an axis where that
-has extent one, from the Cayley left vector, by the ratio of basis
-slots at the largest entry or a rank-one fit.  Only an eigenvalue whose
-vectors carry no component (a resultant of size one, as for affine
-systems) is taken alone: a solve of the system with the hidden variable
-fixed there gives its candidates.
+has extent one, from the Cayley left vector, by one least-squares read
+of the basis recurrence over every fiber along the axis.  Only an
+eigenvalue whose vectors carry no component (a resultant of size one,
+as for affine systems) is taken alone: a solve of the system with the
+hidden variable fixed there gives its candidates.
 
 The module also ships the closed-form example families used to probe
 conditioning behaviour, and JSON/CSV writers for reports.
@@ -98,7 +98,7 @@ class RootRecord:
     eig_condition: float
     root_condition: float         # inf when the Jacobian is singular
     newton_iters: int
-    recovery: str                 # "ratio", "rank1" or "subsolve"
+    recovery: str                 # "ratio" or "subsolve"
 
 
 @dataclass(frozen=True)
@@ -199,29 +199,32 @@ def _newton(sys, x, F, J):
 # Component recovery from eigenvectors
 # ----------------------------------------------------------------------
 
-def _component_from_vector(u, basis):
-    """Least-squares x per row of the (r, e) stack u such that the row
-    is proportional to (phi_0(x), ...).
+def _component_from_fibers(U, basis):
+    """Least-squares x per entry of the (m, e, r) stack U, whose r
+    columns are each proportional to (phi_0(x), ..., phi_{e-1}(x)).
 
-    Solves sum_i |alpha_i u_i|^2 x = sum_i conj(alpha_i u_i) *
-    (u_{i+1} - beta_i u_i - sum_j gamma_{i,j} u_{j-1}); the unknown
-    overall scale of u cancels.  Returns (x, ok), each of shape (r,):
-    ok is False, and x NaN, where a row has no usable basis slots.  x is
-    in the result type of u and the recurrence.
+    By the recurrence, x alpha_i U_i = U_{i+1} - beta_i U_i -
+    sum_j gamma_{i,j} U_{j-1}, so x = sum conj(alpha U) * pred /
+    sum |alpha U|^2 over every slot i < e - 1 and every column.  The
+    unknown scale of U cancels and a zero slot drops out of both sums.
+    Returns (x, ok), each of shape (m,): ok is False, and x NaN, where
+    the denominator is zero or not finite or the numerator is not
+    finite.  x is in the result type of U and the recurrence.
     """
-    e = np.shape(u)[1]
+    m, e = U.shape[:2]
     tab = basis.table(e - 2)
-    u = np.asarray(u, dtype=np.result_type(u, tab.dtype))
-    pred = u[:, 1:] - tab.beta[:e - 1] * u[:, :-1]
+    # C order, so that each row's sums run slot by slot whatever the
+    # strides of the fibers
+    U = np.ascontiguousarray(U, dtype=np.result_type(U, tab.dtype))
+    pred = U[:, 1:] - tab.beta[:e - 1, None] * U[:, :-1]
     for i in range(e - 1):
         for j, g in tab.rows[i]:
-            pred[:, i] -= g * u[:, j - 1]
-    t = tab.alpha[:e - 1] * u[:, :-1]
-    # one np.vdot per row: a stacked product would round differently
-    den = np.array([np.vdot(a, a).real for a in t])
-    num = np.array([np.vdot(a, b) for a, b in zip(t, pred)], dtype=u.dtype)
-    ok = den != 0.0
-    x = np.divide(num, den, out=np.full(len(u), np.nan, dtype=u.dtype),
+            pred[:, i] -= g * U[:, j - 1]
+    a = (tab.alpha[:e - 1, None] * U[:, :-1]).reshape(m, -1)
+    den = np.sum((a.conj() * a).real, axis=1)
+    num = np.sum(a.conj() * pred.reshape(m, -1), axis=1)
+    ok = (den != 0.0) & np.isfinite(den) & np.isfinite(num)
+    x = np.divide(num, den, out=np.full(m, np.nan, dtype=num.dtype),
                   where=ok)
     return x, ok
 
@@ -234,15 +237,15 @@ def recover_components(resultant, right, left, basis):
     basis columns over resultant.col_extents, one axis per free
     variable, and the Cayley left vector one over row_extents.  Axis k
     is read from the right vector when col_extents[k] >= 2, else from
-    the left one: at each row's dominant entry, by the ratio of slots 1
-    and 0 where slot 0 exceeds 1e-8 times that entry, elsewhere by a
-    rank-one fit of the axis fibers (one stacked SVD).
+    the left one, by one least-squares read of the basis recurrence
+    over all the vector's fibers along that axis
+    (_component_from_fibers).
 
     Returns (components, how): an (m, axes) array, real when the
-    vectors and the recurrence are, and an (m,) array of labels, "ratio"
-    or "rank1" (rank1 wins when any axis needed it), or "" where a row
-    carries no components (an axis of extent one in both vectors, a zero
-    vector or a fit with no usable slots), with NaN.
+    vectors and the recurrence are, and an (m,) array of labels,
+    "ratio", or "" where a row carries no components (an axis of extent
+    one in both vectors, or an axis whose read fails, as on a zero
+    vector), with NaN.
     """
     col = resultant.col_extents
     # the Sylvester left vector has no basis structure to read
@@ -254,36 +257,16 @@ def recover_components(resultant, right, left, basis):
     comps = np.full((m, len(col)), np.nan, dtype=np.result_type(
         right, left, basis.table(0).dtype))
     failed = np.full(m, any(c == r == 1 for c, r in zip(col, row)))
-    rank1 = np.zeros(m, dtype=bool)
-    rows = np.arange(m)
-    for vecs, ext, axes in (
-            (right, col, [k for k, e in enumerate(col) if e > 1]),
-            (left, row, [k for k, e in enumerate(col) if e == 1])):
-        if not axes or failed.all():
-            continue
-        V = vecs.reshape((m,) + ext)
-        ref = np.unravel_index(np.argmax(np.abs(vecs), axis=1), ext)
-        # magnitudes by np.hypot, as abs() of one complex number takes
-        # them; np.abs of an array rounds differently
-        top = V[(rows,) + ref]
-        top = np.hypot(top.real, top.imag)
-        failed |= top == 0.0
-        for k0 in axes:
-            denom, num = (V[(rows,) + ref[:k0] + (j,) + ref[k0 + 1:]]
-                          for j in (0, 1))
-            ratio = ~failed & (np.hypot(denom.real, denom.imag) > 1e-8 * top)
-            comps[ratio, k0] = ((num[ratio] / denom[ratio] - basis.beta(0))
-                                / basis.alpha(0))
-            fit = np.nonzero(~failed & ~ratio)[0]
-            if len(fit):
-                fibers = np.moveaxis(V[fit], k0 + 1, 1).reshape(
-                    len(fit), ext[k0], -1)
-                comps[fit, k0], ok = _component_from_vector(
-                    np.linalg.svd(fibers)[0][:, :, 0], basis)
-                failed[fit[~ok]] = True
-                rank1[fit] = True
+    for k in range(len(col)):
+        if failed.all():  # no rows, or an axis of extent one in both
+            break
+        vecs, ext = (right, col) if col[k] > 1 else (left, row)
+        fibers = np.moveaxis(vecs.reshape((m,) + ext), k + 1, 1)
+        comps[:, k], ok = _component_from_fibers(
+            fibers.reshape(m, ext[k], -1), basis)
+        failed |= ~ok
     comps[failed] = np.nan
-    return comps, np.where(failed, "", np.where(rank1, "rank1", "ratio"))
+    return comps, np.where(failed, "", "ratio")
 
 
 _COMBINATION_SEED = 2015  # of _subsolve's standard-normal weights

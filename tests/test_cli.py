@@ -252,6 +252,39 @@ def test_exit_code_1_on_negative_degree(tmp_path, capsys, argv):
     assert "negative degree in degrees [-1, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,raw,message", [
+    ("domain", '{"disc": {"center": [0], "radius": 1}}',
+     "disc center must be [re, im], got [0]"),
+    ("basis", "5", "basis must be a name or an object, got 5"),
+    ("degrees", "[1e400, 1]", "degrees must be integers, got [inf, 1]"),
+    ("degrees", "[1.7, 1]", "degrees must be integers, got [1.7, 1]"),
+    ("degrees", "[true, 1]", "degrees must be integers, got [True, 1]"),
+    ("dim", "2.5", "dim must be an integer, got 2.5"),
+    ("domain", '{"interval": [0, 1e400]}',
+     "interval [0.0, inf] needs finite lo < hi"),
+    ("domain", '{"disc": {"center": [0, 0], "radius": NaN}}',
+     "disc needs a finite center and radius > 0"),
+], ids=["short-center", "basis-number", "degree-overflow",
+        "degree-fraction", "degree-bool", "dim-fraction", "infinite-interval",
+        "nan-radius"])
+def test_exit_code_1_on_malformed_system(tmp_path, capsys, field, raw,
+                                         message):
+    # raw JSON text in place of one field of a valid system, whose
+    # second polynomial has degrees [1, 1]; the basis alone, with no
+    # top-level domain to merge into it, is read by basis_from_json
+    obj = circle_line_json()
+    if field == "basis":
+        del obj["domain"]
+    target = obj["polys"][1] if field == "degrees" else obj
+    target[field] = "@field@"
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj).replace('"@field@"', raw))
+    rc = main(["solve", "--system", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_exit_code_2_on_sylvester_dim(tmp_path, capsys):
     mono = DegreeGradedBasis.monomial()
     polys = []

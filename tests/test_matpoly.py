@@ -21,7 +21,7 @@ from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
 from resultant_lab.cayley import cayley_resultant
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      hide_variable, mp_eval)
-from resultant_lab.rootfinder import (_component_from_vector,
+from resultant_lab.rootfinder import (_component_from_fibers,
                                       family_orthogonal_quadratic,
                                       random_system_with_root)
 from resultant_lab.sylvester import sylvester_resultant
@@ -1217,7 +1217,8 @@ def test_polyeig_with_dense_gamma_basis():
     assert np.all(np.isfinite(lams))
     assert np.all(eigvecs_and_conditions(P, lams)[2] <= 1e-12)
     for x in (0.3, -0.7 + 0.2j):
-        got, ok = _component_from_vector(basis_eval_all(b, 4, x)[None], b)
+        got, ok = _component_from_fibers(
+            basis_eval_all(b, 4, x)[None, :, None], b)
         assert ok and abs(got - x) <= 1e-13
 
 

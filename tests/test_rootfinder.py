@@ -177,9 +177,8 @@ def test_recover_rank1_fallback(mono):
     hv = hide_variable(sys_)
     res = cayley_resultant(hv)
     assert res.col_extents == (4, 2)
-    # zero the degree-0 slot of the first axis: the slot ratio loses its
-    # denominator and recovery must fall back to the rank-one fit, which
-    # reads the component off the recurrence instead
+    # zero the degree-0 slot of the first axis: that slot drops out of
+    # the least-squares read, which takes the component from the others
     x1, x2 = root[0], root[1]
     u0 = np.array([0.0, 1.0, x1, x1 ** 2], dtype=complex)
     u1 = np.array([1.0, x2], dtype=complex)
@@ -187,7 +186,7 @@ def test_recover_rank1_fallback(mono):
     # no right axis has extent one, so the left vector is never read
     left = np.full(res.matrix_poly.size, np.nan)
     comps, how = recover_components(res, vec[None], left[None], mono)
-    assert how.tolist() == ["rank1"]
+    assert how.tolist() == ["ratio"]
     assert np.allclose(comps[0], root[:2], atol=1e-9)
 
 
@@ -240,13 +239,13 @@ def test_recover_sylvester_vector(mono):
     comps, how = recover_components(res, vec, left, mono)
     assert how.tolist() == ["ratio"]
     assert abs(comps[0, 0] - root[0]) <= 1e-10
-    # a zero degree-0 slot sends the single axis to the rank-one fit
+    # a zero degree-0 slot drops out of the read
     vec[0, 0] = 0.0
     comps, how = recover_components(res, vec, left, mono)
-    assert how.tolist() == ["rank1"]
+    assert how.tolist() == ["ratio"]
     assert abs(comps[0, 0] - root[0]) <= 1e-10
-    # a zero vector, and one whose rank-one fit finds no usable slots,
-    # carry no component
+    # a zero vector, and one whose only nonzero slot is the last, carry
+    # no component
     last = np.zeros(res.size)
     last[-1] = 1.0
     comps, how = recover_components(res, np.stack([np.zeros(res.size), last]),
@@ -255,13 +254,46 @@ def test_recover_sylvester_vector(mono):
     assert np.all(np.isnan(comps))
 
 
+@pytest.mark.parametrize("basis_name,x1,zero_slot0", [
+    ("monomial", 30.0, False), ("chebyshev", 3.0, False),
+    ("legendre", 3.0, False), ("monomial", 0.7, True)])
+def test_far_out_components_keep_their_digits(basis_name, x1, zero_slot0):
+    # unit structured vectors plus 1e-13 noise: a read that leans on
+    # slot 0 alone (1e-8 of the largest entry at x1 = 30 in the monomial
+    # basis) loses digits the least-squares read over every slot keeps
+    sys_ = random_system_with_root(3, 3, 0, basis_name)[0]
+    res = cayley_resultant(hide_variable(sys_))
+    ext = res.col_extents
+    assert ext == (6, 3)
+    point = np.array([x1, -0.4])
+    V = outer_vector(sys_.basis, ext, point).reshape(ext)
+    if zero_slot0:
+        V[0] = 0.0
+    V = V.ravel() / np.linalg.norm(V)
+    rng = np.random.default_rng(1)
+    noise = rng.standard_normal((50, V.size, 2)) @ [1.0, 1j]
+    vecs = V + 1e-13 * noise
+    left = np.full_like(vecs, np.nan)  # every right axis has extent two
+    comps, how = recover_components(res, vecs, left, sys_.basis)
+    assert set(how) == {"ratio"}
+    assert np.all(np.abs(comps - point) <= 1e-10 * (1 + np.abs(point)))
+    # a zero vector and a vector whose only nonzero slot is the last
+    # carry no component
+    last = np.zeros(V.size, dtype=complex)
+    last[-1] = 1.0
+    fail = np.stack([0 * V, last])
+    comps, how = recover_components(res, fail, left[:2], sys_.basis)
+    assert how.tolist() == ["", ""]
+    assert np.all(np.isnan(comps))
+
+
 def recovery_stack(res, basis, seed):
     """Right and left vectors of res in the order a solve meets them,
     plus structured pairs at random points with slot 0 of one axis
-    zeroed in both (rank-one rows), a zero pair and a pair whose only
-    nonzero slot is the last one of every axis (its rank-one fit has no
-    usable slots).  Sylvester left vectors take the right vectors'
-    shape; they are never read."""
+    zeroed in both, a zero pair and a pair whose only nonzero slot is
+    the last one of every axis (its read has no usable slots).
+    Sylvester left vectors take the right vectors' shape; they are
+    never read."""
     P = res.matrix_poly
     lams = polyeig(P)[0]
     right, left = eigvecs_and_conditions(P, lams)[:2]
@@ -306,8 +338,8 @@ def test_stacked_recovery_matches_per_vector_calls(basis_name, method):
             assert comps[k].tobytes() == want[0].tobytes()
         labels += how.tolist()
     # the stacks hold every outcome: the zero row and the last-slot row
-    # fail, the zeroed slots take the rank-one fit
-    assert {"ratio", "rank1", ""} <= set(labels)
+    # fail, the rows with zeroed slots are read
+    assert set(labels) == {"ratio", ""}
 
 
 # ----------------------------------------------------------------------
@@ -749,52 +781,40 @@ class RecoveryFailed(Exception):
     """The reference recovery found no component for one vector."""
 
 
-def loop_component_from_vector(u, basis):
-    """_component_from_vector for one vector, raising on no usable
-    slots, as it was before stacked recovery."""
-    e = len(u)
+def loop_component_from_fibers(U, basis):
+    """_component_from_fibers for the (e, r) fibers of one vector,
+    raising where the read fails."""
+    e = len(U)
     tab = basis.table(e - 2)
-    pred = u[1:] - tab.beta[:e - 1] * u[:-1]
+    U = np.ascontiguousarray(U, dtype=np.result_type(U, tab.dtype))
+    pred = U[1:] - tab.beta[:e - 1, None] * U[:-1]
     for i in range(e - 1):
         for j, g in tab.rows[i]:
-            pred[i] -= g * u[j - 1]
-    t = tab.alpha[:e - 1] * u[:-1]
-    den = np.vdot(t, t).real
-    if den == 0.0:
+            pred[i] -= g * U[j - 1]
+    a = tab.alpha[:e - 1, None] * U[:-1]
+    den = np.sum((a.conj() * a).real)
+    num = np.sum(a.conj() * pred)
+    if not (den != 0.0 and np.isfinite(den) and np.isfinite(num)):
         raise RecoveryFailed("eigenvector has no usable basis slots")
-    return np.vdot(t, pred) / den
+    return num / den
 
 
 def loop_recover_components(resultant, vec, left, basis):
-    """recover_components for one pair of vectors, axis by axis, as it
-    was before stacked recovery: each axis from the right vector, or
-    from the Cayley left vector where the right one has extent one."""
+    """recover_components for one pair of vectors, axis by axis: each
+    axis from the right vector, or from the Cayley left vector where
+    the right one has extent one."""
     col = resultant.col_extents
     row = getattr(resultant, "row_extents", (1,) * len(col))
     out = []
-    how = "ratio"
     for k0, e in enumerate(col):
         V, ext = np.asarray(vec).reshape(col), col
         if e == 1:
             if row[k0] == 1:
                 raise RecoveryFailed("extent one")
-            V, ext, e = np.asarray(left).reshape(row), row, row[k0]
-        ref = np.unravel_index(np.argmax(np.abs(V)), ext)
-        top = abs(V[ref])
-        if top == 0.0:
-            raise RecoveryFailed("zero eigenvector")
-        idx0, idx1 = list(ref), list(ref)
-        idx0[k0], idx1[k0] = 0, 1
-        denom = V[tuple(idx0)]
-        if abs(denom) > 1e-8 * top:
-            r = V[tuple(idx1)] / denom
-            out.append((r - basis.beta(0)) / basis.alpha(0))
-            continue
-        fiber = np.moveaxis(V, k0, 0).reshape(e, -1)
-        u = np.linalg.svd(fiber)[0][:, 0]
-        out.append(loop_component_from_vector(u, basis))
-        how = "rank1"
-    return np.array(out), how
+            V, ext = np.asarray(left).reshape(row), row
+        fibers = np.moveaxis(V, k0, 0).reshape(ext[k0], -1)
+        out.append(loop_component_from_fibers(fibers, basis))
+    return np.array(out), "ratio"
 
 
 def loop_start_points(sys_, res, kept, right, left, hidden):
@@ -851,7 +871,7 @@ def test_solve_matches_per_candidate_recovery(monkeypatch):
             ref = solve_system(sys_, method, opts)
         assert report_fields(got) == report_fields(ref)
         labels |= {r.recovery for r in ref.roots}
-    assert labels == {"ratio", "rank1", "subsolve"}
+    assert labels == {"ratio", "subsolve"}
 
 
 @pytest.mark.parametrize("method", ["cayley", "sylvester"])
@@ -902,7 +922,7 @@ def test_degree_one_components_come_from_the_left_vector(hidden):
     sys_, root = random_system_with_root(3, 1, 22, "chebyshev")
     rep = solve_system(sys_, options=SolveOptions(hidden_index=hidden))
     assert rep.roots and rep.n_recovery_failed == 0
-    assert {r.recovery for r in rep.roots} <= {"ratio", "rank1"}
+    assert {r.recovery for r in rep.roots} == {"ratio"}
     # at the planted eigenvalue the computed left vector is the
     # structured one, and the axis on which the right vector has extent
     # one reads the planted component from it
@@ -1173,7 +1193,7 @@ def test_report_csv_roundtrip(mono):
     # shortest round-trip float formatting: parsing returns the value
     for row in rows:
         assert float(row["max_residual"]) == pytest.approx(0.0, abs=1e-12)
-        assert row["recovery"] in ("ratio", "rank1", "subsolve")
+        assert row["recovery"] in ("ratio", "subsolve")
 
 
 RECORD_TYPES = {"x": np.ndarray, "hidden_value": complex,
