@@ -35,7 +35,10 @@ recurrence backwards (a generalized Clenshaw scheme) down to k = 0: the
 last shift is b_0[p](x) = p(x) because phi_0 = 1.  The shifts
 b_1[p](x), ... produced along the way are kept on the returned trace
 because they also encode divided differences, derivatives and the left
-eigenvector structure of resultant matrices built downstream.
+eigenvector structure of resultant matrices built downstream.  Taken
+for every phi_i at once (``clenshaw_shifts`` on the identity), they
+give the scalars of shift and invert: alpha_m b_{m+1}[phi_i](mu) is
+coefficient m of the divided difference of phi_i at mu.
 """
 
 import functools
@@ -174,15 +177,27 @@ class Domain:
 
     @classmethod
     def from_json(cls, obj):
-        if "interval" in obj:
-            lo, hi = obj["interval"]
-            return cls.interval(lo, hi)
-        if "disc" in obj:
-            c = obj["disc"]["center"]
-            if not isinstance(c, (list, tuple)) or len(c) != 2:
-                raise ValueError(f"disc center must be [re, im], got {c!r}")
-            return cls.disc(complex(c[0], c[1]), obj["disc"]["radius"])
-        raise ValueError("domain JSON needs an 'interval' or 'disc' key")
+        """Raises ValueError naming the field that is missing or not made
+        of real numbers (JSON's true and false are not)."""
+        if isinstance(obj, dict) and "interval" in obj:
+            if not _are_reals(iv := obj["interval"], 2):
+                raise ValueError(f"interval must be [lo, hi], got {iv!r}")
+            return cls.interval(*iv)
+        if not (isinstance(obj, dict) and isinstance(obj.get("disc"), dict)):
+            raise ValueError("domain JSON needs an 'interval' or a 'disc' "
+                             f"object, got {obj!r}")
+        c, r = obj["disc"].get("center"), obj["disc"].get("radius")
+        if not _are_reals(c, 2):
+            raise ValueError(f"disc center must be [re, im], got {c!r}")
+        if not _are_reals([r], 1):
+            raise ValueError(f"disc radius must be a number, got {r!r}")
+        return cls.disc(complex(*c), r)
+
+
+def _are_reals(v, n):
+    """Whether v is a list of n real numbers."""
+    return isinstance(v, (list, tuple)) and len(v) == n and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
 
 
 # ----------------------------------------------------------------------

@@ -172,15 +172,16 @@ def _axis_point_sets(domain, taus):
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(basis, domain, stacked_extents, taus):
+def _plan(basis, stacked_extents, taus):
     """Shape-only operators of cayley_resultant as read-only arrays:
     (s_sets, t_sets, phis, inverses).  Per grid axis (d n + 1 hidden
     nodes, then the s and the t node sets) phis holds the basis values
     up to the stacked extent of the variable sampled there, and
-    inverses the transposed inverse Vandermonde matrix."""
+    inverses the transposed inverse Vandermonde matrix.  Every node
+    set lies in basis.domain."""
     ext = stacked_extents  # of _stacked(hv.tensors), hidden axis last
-    s_sets, t_sets = _axis_point_sets(domain, taus)
-    grid = [domain.nodes(len(ext) * max(max(ext) - 1, 1) + 1),
+    s_sets, t_sets = _axis_point_sets(basis.domain, taus)
+    grid = [basis.domain.nodes(len(ext) * max(max(ext) - 1, 1) + 1),
             *s_sets, *t_sets]
     phis = [basis_eval_all(basis, e - 1, x)
             for e, x in zip((ext[-1], *ext[:-1], *ext[:-1]), grid)]
@@ -271,8 +272,7 @@ def cayley_resultant(hv, taus=None):
     if len(taus) != hv.dim - 1 or any(t < 0 for t in taus):
         raise ValueError(f"need {hv.dim - 1} nonnegative degree bounds")
     T = _stacked(hv.tensors)
-    s_sets, t_sets, phis, inverses = _plan(hv.basis, hv.domain,
-                                           T.shape[1:], taus)
+    s_sets, t_sets, phis, inverses = _plan(hv.basis, T.shape[1:], taus)
     coeffs = _contract_leading(_grid_values(T, s_sets, t_sets, phis),
                                inverses)
     size = int(np.prod([t + 1 for t in taus]))

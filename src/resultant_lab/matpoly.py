@@ -4,21 +4,22 @@ P(lambda) = sum_{i=0}^{K} A_i phi_i(lambda) with square coefficient
 matrices, expressed in a degree-graded basis.  The matrices are stored
 by the library's dtype rule (multipoly._demote): float64 when no entry
 has an imaginary part, complex128 otherwise, and every array computed
-from them takes its dtype by numpy promotion.  Eigenvalues
-come from shift and invert on the block-companion pencil (X, Y) that
-the basis recurrence defines: for a shift mu inside the basis domain,
+from them takes its dtype by numpy promotion.  Eigenvalues come from
+shift and invert on the block-companion pencil (X, Y) that the basis
+recurrence defines: for a shift mu inside the basis domain,
 M = (X - mu Y)^-1 Y has the eigenvalues theta = 1 / (lambda - mu), and
 one eigenvalues-only standard eigensolver run gives them (in real
 arithmetic when the coefficients are real and the domain is an
-interval).  X and Y are never formed: the recurrence rows of the pencil
-are solved forward in scalars, so M costs one N x N solve with P(mu).
-This is not backward stable for the pencil, but resultant eigenvalues
-lose up to kappa_eig / kappa_root of accuracy however they are computed
-(arXiv 1507.00272); Newton on the source system is what restores the
-roots.  Eigenvectors are taken separately, for the eigenvalues a caller
-keeps, by one step of inverse iteration with P(lambda) itself: one
-stacked N x N solve over all kept eigenvalues for the right and left
-vectors, with their condition numbers from the stack of P'(lambda).
+interval).  X and Y are never formed: M takes the divided differences
+of the basis at mu, from the Clenshaw shifts of basis.py, and one
+N x N solve with P(mu) as matpoly_eval gives it.  This is not backward
+stable for the pencil, but resultant eigenvalues lose up to kappa_eig /
+kappa_root of accuracy however they are computed (arXiv 1507.00272);
+Newton on the source system is what restores the roots.  Eigenvectors
+are taken separately, for the eigenvalues a caller keeps, by one step
+of inverse iteration with P(lambda) itself: one stacked N x N solve
+over all kept eigenvalues for the right and left vectors, with their
+condition numbers from the stack of P'(lambda).
 
 The shifts also witness regularity: polyeig takes the singular values
 of P(mu) at each shift in order and passes over a mu where sigma_min <=
@@ -26,8 +27,9 @@ of P(mu) at each shift in order and passes over a mu where sigma_min <=
 on its size N.  A regular P costs one N x N SVD, at a real point when
 the coefficients are real and the domain an interval.  When P(mu) is
 numerically singular at every shift, polyeig raises NotRegularError.
-The shift scalars and the start vector of the inverse iteration depend
-on the shape alone and are cached (_plan).
+The shifts, their scalars and the start vector of the inverse
+iteration depend on the basis and the shape alone and are cached
+(_plan).
 """
 
 import functools
@@ -38,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (PLAN_CACHE_SIZE, DegreeGradedBasis, basis_eval_all,
-                    basis_eval_deriv_all, basis_from_json, basis_to_json)
+                    basis_eval_deriv_all, basis_from_json, basis_to_json,
+                    clenshaw_shifts)
 from .multipoly import _demote, _reject_non_finite
 
 __all__ = [
@@ -219,20 +222,13 @@ _SHIFT_GAP = 1e-6
 
 def _pencil_table(basis, K, mu, dtype):
     """The scalars of _inverted_pencil for degree K at the shift mu:
-    W_0..W_K, shape (K + 1, K), and phi_0(mu)..phi_K(mu), shape (K + 1,),
-    in the dtype of the coefficients (dtype), the recurrence and mu."""
-    tab = basis.table(K - 1)
-    # row k: the scalars of W_k in columns 0..K-1 and phi_k(mu) in
-    # column K, which follow the same recurrence
-    T = np.zeros((K + 1, K + 1), dtype=np.result_type(dtype, tab.dtype, mu))
-    T[0, K] = 1.0
-    for k in range(K):
-        T[k + 1] = (tab.alpha[k] * mu + tab.beta[k]) * T[k]
-        for j, g in tab.rows[k]:
-            T[k + 1] += g * T[j - 1]
-        if k < K - 1:
-            T[k + 1, k] += tab.alpha[k]
-    return T[:, :K], T[:, K]
+    W[i, m] = alpha_m b_{m+1}[phi_i](mu), shape (K + 1, K), from the
+    Clenshaw shifts of every phi_i at once in the dtype of the
+    coefficients (dtype), the recurrence and mu, and phi_0..phi_K at mu
+    from basis_eval_all, as matpoly_eval reads them."""
+    alpha = basis.table(K - 1).alpha[:K]
+    W = clenshaw_shifts(basis, np.eye(K + 1, dtype=dtype), mu)[:K].T * alpha
+    return W, basis_eval_all(basis, K, mu)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -240,15 +236,11 @@ def _plan(basis, K, N, dtype):
     """Shape-only data of polyeig and eigvecs_and_conditions as read-only
     arrays: (shifts, start), for degree K, size N and the dtype of the
     coefficients (float64 or complex128, as MatrixPolynomial stores
-    them; the scalars are real only when both the coefficients and the
-    shifts are).  shifts holds (mu, W, phi) per mu of
-    _shifts(basis.domain), W and phi from _pencil_table: column views of
-    one (K + 1) x (K + 1) table, so phi is strided, and the contractions
-    in _inverted_pencil round by that layout (a contiguous copy of phi
-    changes the last bits of P(mu) and of every eigenvalue).  K = 0, a
-    constant P, leaves W empty.  start is the start vector of
-    _null_vectors, fixed so that results repeat and random so that no
-    structured null vector is orthogonal to it."""
+    them; W is real only when both the coefficients and the shifts
+    are).  shifts holds (mu, W, phi) per mu of _shifts(basis.domain)
+    from _pencil_table; K = 0, a constant P, leaves W empty.  start is
+    the start vector of _null_vectors, fixed so that results repeat and
+    random so that no structured null vector is orthogonal to it."""
     shifts = tuple((mu, *_pencil_table(basis, K, mu, dtype))
                    for mu in _shifts(basis.domain))
     start = np.random.default_rng(20240811).standard_normal(N)
@@ -261,26 +253,22 @@ def _inverted_pencil(P, mu, W, phi):
     """M = (X - mu Y)^-1 Y for the block-companion pencil (X, Y) of P,
     from one N x N solve with P(mu); X and Y are never formed.
 
-    Block row k < K - 1 of X u = lambda Y u is the basis recurrence
-    u_{k+1} = (alpha_k lambda + beta_k) u_k + sum_j gamma_{k,j} u_{j-1},
-    so an eigenvector stacks u_k = phi_k(lambda) z, and the last block
-    row, sum_{i<K} A_i u_i + A_K u_K = 0 with u_K from the same
-    recurrence, is P(lambda) z = 0.  Solved block row by block row,
-    (X - mu Y) M = Y gives M_k = phi_k(mu) Z_0 + W_k with W_0 = 0 and
-    W_{k+1} = (alpha_k mu + beta_k) W_k + sum_j gamma_{k,j} W_{j-1}
-    + [k < K - 1] alpha_k E_k, where E_k selects block column k.  Every
-    W_k is a row of scalars times the identity, so that recurrence runs
-    on scalars, and the last block row leaves
-    P(mu) Z_0 = -alpha_{K-1} A_K E_{K-1} - sum_{i=0}^{K} A_i W_i.
-    The scalars W_k and phi_k(mu) are those of _pencil_table, as the
-    plan holds them.  M is real when the coefficients, the
-    recurrence and mu are.
+    Row i of W is the divided difference of phi_i at mu in the basis,
+    sum_m W[i, m] phi_m(lambda) = (phi_i(lambda) - phi_i(mu)) /
+    (lambda - mu) (basis.divided_difference).  Block row k < K of M is
+    phi_k(mu) Z_0 + sum_m W[k, m] E_m, E_m selecting block column m,
+    with P(mu) Z_0 = -sum_{i=0}^{K} A_i W_i: block column m of the right
+    side comes from column m of W, and the top row's
+    W[K, K - 1] = alpha_{K-1} carries the A_K term.  By the identity, M
+    maps each pencil eigenvector, u_k = phi_k(lambda) z with
+    P(lambda) z = 0, to theta u, theta = 1 / (lambda - mu).  W and phi
+    are _pencil_table's; P(mu) is the matrix matpoly_eval gives.  M is
+    real when the coefficients, the recurrence and mu are.
     Raises LinAlgError when P(mu) is exactly singular.
     """
     K, N = P.degree, P.size
     A = P.coeffs
     rhs = -np.tensordot(W, A, axes=([0], [0]))  # block column m is rhs[m]
-    rhs[K - 1] -= P.basis.table(K - 1).alpha[K - 1] * A[K]
     Z0 = np.linalg.solve(np.tensordot(phi, A, axes=([0], [0])),
                          rhs.transpose(1, 0, 2).reshape(N, K * N))
     M = phi[:K, None, None] * Z0

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (Domain, DegreeGradedBasis, basis_eval_all,
+from .basis import (DegreeGradedBasis, basis_eval_all,
                     basis_eval_deriv_all, basis_from_json, basis_to_json)
 
 __all__ = [
@@ -110,10 +110,9 @@ class MultiPoly:
 
 @dataclass(frozen=True)
 class PolynomialSystem:
-    """Square system: d polynomials in d variables, one shared basis."""
+    """Square system: d polynomials in d variables, one basis and domain."""
 
     polys: tuple
-    domain: Domain = None
 
     def __post_init__(self):
         polys = tuple(self.polys)
@@ -130,8 +129,6 @@ class PolynomialSystem:
                 raise ValueError("all polynomials must share the dimension")
             if p.basis != base:
                 raise ValueError("all polynomials must share the basis")
-        if self.domain is None:
-            object.__setattr__(self, "domain", base.domain)
 
     @property
     def dim(self):
@@ -140,6 +137,10 @@ class PolynomialSystem:
     @property
     def basis(self):
         return self.polys[0].basis
+
+    @property
+    def domain(self):
+        return self.basis.domain
 
     @property
     def max_degree(self):
@@ -167,10 +168,6 @@ class HiddenVariableForm:
     @property
     def basis(self):
         return self.source.basis
-
-    @property
-    def domain(self):
-        return self.source.domain
 
     @property
     def free_order(self):

@@ -293,7 +293,7 @@ def _subsolve(sys, lam, hidden):
                 sys.basis, combined[0][:, None, None]))[0][:, None]
         else:
             sub = PolynomialSystem(tuple(MultiPoly(sys.basis, d - 1, c)
-                                         for c in combined), sys.domain)
+                                         for c in combined))
             free = np.array([r.x for r in solve_system(sub).roots],
                             dtype=complex).reshape(-1, d - 1)
     except EigenSolveError:
@@ -453,8 +453,7 @@ class ConditionRecord:
     root_condition: float
 
 
-def condition_at_root(sys, root, method="cayley", hidden_index=None,
-                      taus=None):
+def condition_at_root(sys, root, method="cayley", hidden_index=None):
     """Measure conditioning with the closed-form eigenvectors at a root.
 
     The eigenvalue condition number uses the structured (unnormalized)
@@ -468,7 +467,7 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None,
     root = _demote(np.atleast_1d(root))
     hv = hide_variable(sys, hidden_index)
     hidden = hv.hidden_index
-    res, root_eigvectors = _build_resultant(hv, method, taus)
+    res, root_eigvectors = _build_resultant(hv, method, None)
     v, w = root_eigvectors(hv, root, res, check=False)
     z = root[hidden]
     P = res.matrix_poly
@@ -486,9 +485,8 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None,
                            root_condition=float(_root_conditions(J)))
 
 
-def condition_sweep(d, sigmas, method="cayley", seed=None,
-                    basis_name="monomial"):
-    """Conditioning of the coupled-rotation family across sigma values.
+def condition_sweep(d, sigmas, method="cayley", seed=None):
+    """Conditioning of the monomial coupled-rotation family across sigmas.
 
     Returns [(sigma, ConditionRecord)]; the closed forms are sigma**-d
     for the Cayley route and sqrt(1 + sigma**2) / sigma**2 for the
@@ -497,10 +495,9 @@ def condition_sweep(d, sigmas, method="cayley", seed=None,
     out = []
     for s in sigmas:
         if method == "sylvester":
-            sys = family_rotated_quadratic(s, basis_name=basis_name)
+            sys = family_rotated_quadratic(s)
         else:
-            sys = family_orthogonal_quadratic(d, s, seed=seed,
-                                              basis_name=basis_name)
+            sys = family_orthogonal_quadratic(d, s, seed=seed)
         rec = condition_at_root(sys, np.zeros(sys.dim), method=method)
         out.append((float(s), rec))
     return out
@@ -576,21 +573,20 @@ def family_orthogonal_quadratic(d, sigma, seed=None, Q=None,
     return PolynomialSystem(polys=tuple(polys))
 
 
-def family_rotated_quadratic(sigma, c=np.sqrt(0.5), s=np.sqrt(0.5),
-                             basis_name="monomial"):
-    """Bivariate rotation member: the d = 2 case with an explicit angle.
+def family_rotated_quadratic(sigma, basis_name="monomial"):
+    """Bivariate rotation member: the d = 2 case rotated by 45 degrees.
 
-    Q = [[c, s], [-s, c]]; with c = s = sqrt(1/2) the Sylvester route
-    has eigenvalue condition sqrt(1 + sigma^2) / sigma^2 at the origin.
+    Q = [[c, c], [-c, c]] with c = sqrt(1/2); the Sylvester route has
+    eigenvalue condition sqrt(1 + sigma^2) / sigma^2 at the origin.
     """
-    Q = np.array([[c, s], [-s, c]])
+    Q = np.sqrt(0.5) * np.array([[1.0, 1.0], [-1.0, 1.0]])
     return family_orthogonal_quadratic(2, sigma, Q=Q, basis_name=basis_name)
 
 
-def family_linear(d, seed, cond_max=100.0, basis_name="monomial"):
+def family_linear(d, seed, basis_name="monomial"):
     """Random linear system A x = b with a known root in [-0.9, 0.9]^d.
 
-    A is redrawn until its condition number is at most cond_max.  Other
+    A is redrawn until its condition number is at most 100.  Other
     bases get the same polynomials by an exact change of basis from the
     monomial coefficients, so every coefficient of total degree two or
     more stays exactly zero and the Cayley degree bounds collapse as
@@ -600,7 +596,7 @@ def family_linear(d, seed, cond_max=100.0, basis_name="monomial"):
     rng = np.random.default_rng(seed)
     while True:
         A = rng.standard_normal((d, d))
-        if np.linalg.cond(A) <= cond_max:
+        if np.linalg.cond(A) <= 100.0:
             break
     root = rng.uniform(-0.9, 0.9, size=d)
     b = A @ root

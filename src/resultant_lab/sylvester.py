@@ -89,14 +89,15 @@ def sylvester_degrees(hv):
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(basis, domain, n, tensor_shapes):
+def _plan(basis, n, tensor_shapes):
     """Shape-only operators of sylvester_resultant as read-only arrays:
     (phis, grid_phis, inverses).  phis is phi_0..phi_{n-1} at the n kept
     nodes, shape (node, j); grid_phis holds per tensor the basis values
     at the kept and at the hidden nodes; inverses are the transposed
-    inverse Vandermonde matrices of both node sets."""
-    kept = domain.nodes(n)
-    hidden = domain.nodes(max(shape[-1] for shape in tensor_shapes))
+    inverse Vandermonde matrices of both node sets, all nodes of
+    basis.domain."""
+    kept = basis.domain.nodes(n)
+    hidden = basis.domain.nodes(max(shape[-1] for shape in tensor_shapes))
     phis = basis_eval_all(basis, n - 1, kept).T
     grid_phis = [tuple(basis_eval_all(basis, e - 1, x)
                        for e, x in zip(shape, (kept, hidden)))
@@ -118,7 +119,7 @@ def sylvester_resultant(hv):
     this shape.
     """
     tau1, tau2 = sylvester_degrees(hv)
-    phis, grid_phis, inverses = _plan(hv.basis, hv.domain, tau1 + tau2,
+    phis, grid_phis, inverses = _plan(hv.basis, tau1 + tau2,
                                       tuple(t.shape for t in hv.tensors))
     q1, q2 = (_contract_leading(t, ops)
               for t, ops in zip(hv.tensors, grid_phis))

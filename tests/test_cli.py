@@ -264,9 +264,31 @@ def test_exit_code_1_on_negative_degree(tmp_path, capsys, argv):
      "interval [0.0, inf] needs finite lo < hi"),
     ("domain", '{"disc": {"center": [0, 0], "radius": NaN}}',
      "disc needs a finite center and radius > 0"),
+    ("domain", '{"interval": [0]}', "interval must be [lo, hi], got [0]"),
+    ("domain", '{"interval": [0, "x"]}',
+     "interval must be [lo, hi], got [0, 'x']"),
+    ("domain", '{"interval": 5}', "interval must be [lo, hi], got 5"),
+    ("domain", '{"interval": [true, 1]}',
+     "interval must be [lo, hi], got [True, 1]"),
+    ("domain", '{"disc": {"center": ["a", 1], "radius": 1}}',
+     "disc center must be [re, im], got ['a', 1]"),
+    ("domain", '{"disc": {"center": [0, false], "radius": 1}}',
+     "disc center must be [re, im], got [0, False]"),
+    ("domain", '{"disc": {"center": [0, 0]}}',
+     "disc radius must be a number, got None"),
+    ("domain", '{"disc": {"center": [0, 0], "radius": "r"}}',
+     "disc radius must be a number, got 'r'"),
+    ("domain", '{"disc": {"center": [0, 0], "radius": true}}',
+     "disc radius must be a number, got True"),
+    ("domain", '{"disc": 3}',
+     "domain JSON needs an 'interval' or a 'disc' object, got {'disc': 3}"),
+    ("domain", '"interval"',
+     "domain JSON needs an 'interval' or a 'disc' object, got 'interval'"),
 ], ids=["short-center", "basis-number", "degree-overflow",
         "degree-fraction", "degree-bool", "dim-fraction", "infinite-interval",
-        "nan-radius"])
+        "nan-radius", "interval-short", "interval-string", "interval-number",
+        "interval-bool", "center-string", "center-bool", "radius-missing",
+        "radius-string", "radius-bool", "disc-number", "domain-string"])
 def test_exit_code_1_on_malformed_system(tmp_path, capsys, field, raw,
                                          message):
     # raw JSON text in place of one field of a valid system, whose

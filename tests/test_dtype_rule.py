@@ -35,7 +35,7 @@ def rotated(sys_, seed):
     theta = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, sys_.dim)
     return PolynomialSystem(tuple(
         MultiPoly(p.basis, p.dim, p.coeffs * np.exp(1j * t))
-        for p, t in zip(sys_.polys, theta)), sys_.domain)
+        for p, t in zip(sys_.polys, theta)))
 
 
 def in_domain(report):

@@ -12,7 +12,8 @@ import scipy.linalg
 
 from resultant_lab import matpoly
 from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
-                                 basis_eval_deriv_all, clenshaw_shifts)
+                                 basis_eval_deriv_all, clenshaw_shifts,
+                                 divided_difference)
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    NotRegularError, StructureError,
                                    eigvecs_and_conditions, matpoly_eval,
@@ -592,38 +593,41 @@ def inverted_pencil(P, mu):
 
 
 def loop_pencil_table(P, mu):
-    """W_0..W_K and phi_0(mu)..phi_K(mu) of _inverted_pencil from the
-    scalar recurrence loop in the dtype of the coefficients, the
-    recurrence and mu, as the solver computed them before its plans."""
+    """W and phi(mu) of _inverted_pencil from the two recurrences run in
+    place: the Clenshaw shifts B[k, i] = b_k[phi_i](mu) of every phi_i,
+    one row k at a time from B[K] = e_K down, in the dtype of the
+    coefficients, the recurrence and mu, and the forward values
+    phi_k(mu) in that of the recurrence and mu."""
     K = P.degree
     tab = P.basis.table(K - 1)
-    A = P.coeffs
-    if not np.any(A.imag):
-        A = A.real
-    gammas = np.array([g for row in tab.rows[:K] for _, g in row])
-    T = np.zeros((K + 1, K + 1),
-                 dtype=np.result_type(A, tab.alpha, tab.beta, gammas, mu))
-    T[0, K] = 1.0
+    eye = np.eye(K + 1, dtype=P.coeffs.dtype)
+    B = np.zeros((K + 2, K + 1),
+                 dtype=np.result_type(P.coeffs, tab.dtype, mu))
+    B[K] = eye[K]
+    for k in range(K - 1, -1, -1):
+        B[k] = (tab.alpha[k] * mu + tab.beta[k]) * B[k + 1]
+        B[k] += eye[k]
+        for j, g in tab.cols[k + 1]:
+            if j >= K:
+                break
+            B[k] += g * B[j + 1]
+    x = np.asarray(mu)
+    phi = np.empty(K + 1, dtype=np.result_type(x, tab.dtype))
+    phi[0] = 1.0
     for k in range(K):
-        T[k + 1] = (tab.alpha[k] * mu + tab.beta[k]) * T[k]
+        phi[k + 1] = (tab.alpha[k] * x + tab.beta[k]) * phi[k]
         for j, g in tab.rows[k]:
-            T[k + 1] += g * T[j - 1]
-        if k < K - 1:
-            T[k + 1, k] += tab.alpha[k]
-    return T[:, :K], T[:, K]
+            phi[k + 1] += g * phi[j - 1]
+    return B[1:K + 1].T * tab.alpha[:K], phi
 
 
 def loop_inverted_pencil(P, mu):
-    """_inverted_pencil with the scalar table computed in place in the
-    coefficients' dtype, as it was before the table was cached."""
+    """_inverted_pencil with the scalar table computed in place
+    (loop_pencil_table), as it would be without the plan."""
     K, N = P.degree, P.size
-    tab = P.basis.table(K - 1)
     A = P.coeffs
-    if not np.any(A.imag):
-        A = A.real
     W, phi = loop_pencil_table(P, mu)
     rhs = -np.tensordot(W, A, axes=([0], [0]))
-    rhs[K - 1] -= tab.alpha[K - 1] * A[K]
     Z0 = np.linalg.solve(np.tensordot(phi, A, axes=([0], [0])),
                          rhs.transpose(1, 0, 2).reshape(N, K * N))
     M = phi[:K, None, None] * Z0
@@ -667,7 +671,7 @@ def test_pencil_table_key_keeps_real_and_complex_apart(monkeypatch):
     for P in (real, cplx, real):
         dtype = P.coeffs.dtype
         for mu, W, phi in matpoly._plan(basis, 4, 3, dtype)[0]:
-            assert W.dtype == phi.dtype == dtype
+            assert W.dtype == dtype and phi.dtype == np.float64
             assert identical(matpoly._inverted_pencil(P, mu, W, phi),
                              loop_inverted_pencil(P, mu))
     # polyeig reads the table of its coefficients' dtype
@@ -683,6 +687,69 @@ def test_pencil_table_key_keeps_real_and_complex_apart(monkeypatch):
         for P in (real, cplx, real):
             assert identical(inverted_pencil(P, mu),
                              loop_inverted_pencil(P, mu))
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("K", [1, 3, 7])
+def test_pencil_scalars_are_divided_differences(name, dtype, K):
+    # row i of W holds the divided difference of phi_i at mu in the
+    # basis, (phi_i(lam) - phi_i(mu)) / (lam - mu) at every lam, and
+    # phi(mu) is the column basis_eval_all gives matpoly_eval
+    basis = basis_by_name(name)
+    lams = [0.7, -0.9 + 0.3j, 1.4j]
+    for mu in matpoly._shifts(basis.domain) + [0.3 - 0.45j]:
+        W, phi = matpoly._pencil_table(basis, K, mu, np.dtype(dtype))
+        assert W.shape == (K + 1, K)
+        assert identical(phi, basis_eval_all(basis, K, mu))
+        for lam in lams + [mu]:
+            got = W @ basis_eval_all(basis, K - 1, lam)
+            want = np.array([divided_difference(basis, e, lam, mu)
+                             for e in np.eye(K + 1)])
+            assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want)))
+
+
+def record_solves(monkeypatch):
+    """The matrices np.linalg.solve and np.linalg.svd are given, as
+    ("solve" or "svd", copy) in call order."""
+    seen = []
+    solve, svd = np.linalg.solve, np.linalg.svd
+
+    def solving(a, b):
+        seen.append(("solve", np.array(a)))
+        return solve(a, b)
+
+    def decomposing(a, *args, **kwargs):
+        seen.append(("svd", np.array(a)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", solving)
+    monkeypatch.setattr(np.linalg, "svd", decomposing)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["chebyshev", "legendre", "custom"])
+def test_witness_and_solve_share_one_p_of_mu(name, monkeypatch):
+    # the P(mu) whose singular values witness regularity is, bit for
+    # bit, the one _inverted_pencil factors, at every shift of the plan
+    # and in polyeig
+    rng = np.random.default_rng(26)
+    seen = record_solves(monkeypatch)
+    for domain in (None, Domain.disc(0.2 + 0.1j, 1.5)):
+        basis = basis_by_name(name, domain)
+        for complex_entries in (False, True):
+            P = random_matpoly(rng, basis, 5, 6, complex_entries)
+            for mu, W, phi in matpoly._plan(basis, 5, 6,
+                                            P.coeffs.dtype)[0]:
+                seen.clear()
+                matpoly._inverted_pencil(P, mu, W, phi)
+                assert identical(seen[0][1], matpoly_eval(P, mu))
+            seen.clear()
+            polyeig(P)
+            assert [kind for kind, _ in seen] == ["svd", "solve"]
+            assert identical(seen[0][1], seen[1][1])
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,8 @@ from resultant_lab.multipoly import (HiddenVariableForm, MultiPoly,
                                      eval_with_jacobian, hide_variable,
                                      mp_eval, mp_interpolate,
                                      system_from_json, system_to_json)
-from conftest import circle_line, dense_gamma_basis, naive_eval
+from resultant_lab.rootfinder import solve_system
+from conftest import circle_line, dense_gamma_basis, naive_eval, report_fields
 
 
 def random_poly(rng, basis, dim, degrees):
@@ -471,6 +472,43 @@ def test_system_json_domain_overrides_builtin_basis(basis):
     # without an override the basis keeps its own domain
     plain = system_from_json(_two_polys_json(basis))
     assert plain.domain == plain.basis.domain == Domain.interval(-1, 1)
+
+
+# Chebyshev's recurrence as a custom table, long enough for the Cayley
+# grid of circle_line
+_CUSTOM_CHEBYSHEV = {"name": "custom", "alpha": [1.0] + [2.0] * 5,
+                     "beta": [0.0] * 6,
+                     "gamma": [[0.0] * (k - 1) + [-1.0] for k in range(1, 6)]}
+
+
+@pytest.mark.parametrize("basis", [
+    "chebyshev",
+    {"name": "legendre", "domain": {"interval": [-0.5, 1.5]}},
+    {"name": "monomial",
+     "domain": {"disc": {"center": [0.1, -0.2], "radius": 1.5}}},
+    _CUSTOM_CHEBYSHEV], ids=["string", "object", "disc", "custom"])
+@pytest.mark.parametrize("domain", [None, {"interval": [-0.5, 1.5]}],
+                         ids=["own-domain", "top-level-domain"])
+def test_system_json_round_trip_keeps_the_basis(basis, domain):
+    # a system's domain is its basis's, so the system that
+    # system_to_json writes reads back with an equal basis and solves
+    # to an equal report
+    obj = system_to_json(circle_line(DegreeGradedBasis.monomial()))
+    obj["basis"] = basis
+    del obj["domain"]
+    if domain is not None:
+        obj["domain"] = domain
+    with warnings.catch_warnings():
+        # the custom table is normalized on [-1, 1] only
+        warnings.simplefilter("ignore", NormalizationWarning)
+        sys_ = system_from_json(obj)
+        again = system_from_json(json.loads(json.dumps(system_to_json(sys_))))
+    assert again.basis == sys_.basis
+    assert again.domain == sys_.domain == sys_.basis.domain
+    assert report_fields(solve_system(again)) == report_fields(
+        solve_system(sys_))
+    with pytest.raises(TypeError):
+        PolynomialSystem(sys_.polys, sys_.domain)
 
 
 @pytest.mark.parametrize("call,match", [

@@ -16,12 +16,13 @@ def direct(name, args):
     """What the plan of the cache name holds for args, computed afresh
     with the same nesting."""
     basis = args[0]
+    domain = basis.domain
 
     def inverse(x):
         return np.linalg.inv(basis_eval_all(basis, len(x) - 1, x).T).T
 
     if name == "cayley":
-        _, domain, ext, taus = args
+        _, ext, taus = args
         s_sets, t_sets = cayley._axis_point_sets(domain, taus)
         grid = [domain.nodes(len(ext) * max(max(ext) - 1, 1) + 1),
                 *s_sets, *t_sets]
@@ -31,7 +32,7 @@ def direct(name, args):
                  for e, x in zip(extents, grid)],
                 [inverse(x) for x in grid])
     if name == "sylvester":
-        _, domain, n, shapes = args
+        _, n, shapes = args
         kept = domain.nodes(n)
         hidden = domain.nodes(max(shape[-1] for shape in shapes))
         return (basis_eval_all(basis, n - 1, kept).T,
@@ -41,7 +42,7 @@ def direct(name, args):
                 [inverse(kept), inverse(hidden)])
     _, K, N, dtype = args
     return ([(mu, *matpoly._pencil_table(basis, K, mu, dtype))
-             for mu in matpoly._shifts(basis.domain)],
+             for mu in matpoly._shifts(domain)],
             np.random.default_rng(20240811).standard_normal(N))
 
 

@@ -483,9 +483,6 @@ def test_sylvester_rejects_taus(mono):
     with pytest.raises(ValueError, match="taus"):
         solve_system(circle_line(mono), "sylvester",
                      SolveOptions(taus=(1,)))
-    with pytest.raises(ValueError, match="taus"):
-        condition_at_root(circle_line(mono), [0.5, 0.5], "sylvester",
-                          taus=(1,))
 
 
 @pytest.mark.parametrize("method", ["cayley", "sylvester"])
