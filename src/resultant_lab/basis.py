@@ -11,12 +11,20 @@ where every alpha_k is nonzero.  Monomials, Chebyshev polynomials and
 Legendre polynomials are built in; custom bases supply explicit
 coefficient tables.  All built-in families have sup-norm 1 on [-1, 1].
 
-Every recurrence in the package reads one cached table per basis, shared
-by all instances of a built-in family (``DegreeGradedBasis.table``): the
-alpha_k and beta_k as arrays and the nonzero gamma_{k,j} listed by row
-and by column.  Three-term bases such
-as Chebyshev and Legendre simply have one gamma entry per row, so the
-same loop serves them and dense custom recurrences alike.
+The table is the one source of a basis's coefficients: the accessors
+alpha, beta and gamma and every recurrence in the package read it
+(``DegreeGradedBasis.table``), the alpha_k and beta_k as arrays and the
+nonzero gamma_{k,j} listed by row and by column.  One builder makes it
+from custom tables and from the closed forms of the built-in families
+(alpha_k = 1 for monomials; alpha_0 = 1, alpha_k = 2, gamma_{k,k} = -1
+for Chebyshev; alpha_k = (2k+1)/(k+1), gamma_{k,k} = -k/(k+1) for
+Legendre; beta_k = 0 for all three), whose tables every instance of the
+family shares.  Three-term bases simply have one gamma entry per row, so
+the same loop serves them and dense custom recurrences alike.
+
+A domain and a basis are values: no attribute of either can be assigned,
+and a basis compares and hashes by one key made at construction, so the
+plan caches keyed by a basis never read a plan built for other data.
 
 Differentiating the recurrence gives the derivatives alongside the
 values (``basis_eval_deriv_all``):
@@ -43,7 +51,7 @@ coefficient m of the divided difference of phi_i at mu.
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,8 +71,6 @@ __all__ = [
     "basis_from_json",
 ]
 
-_BUILTIN_NAMES = ("monomial", "chebyshev", "legendre")
-
 # Entries held by each plan cache (cayley._plan, sylvester._plan and
 # matpoly._plan); a fixed bound, not a setting.
 PLAN_CACHE_SIZE = 256
@@ -82,31 +88,36 @@ class NormalizationWarning(UserWarning):
 # Evaluation region
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Domain:
     """Region the basis lives on: a real interval or a complex disc.
 
     Both kinds have a center and a radius; an interval's are its
-    midpoint and half-width, while equality, hashing, repr and JSON
-    use its lo and hi.
+    midpoint and half-width, derived from lo and hi, and a disc has no
+    lo and hi.  A domain is a value: its fields cannot be assigned.
     """
 
-    __slots__ = ("kind", "lo", "hi", "center", "radius")
+    kind: str
+    lo: float = None
+    hi: float = None
+    center: complex = None
+    radius: float = None
 
-    def __init__(self, kind, lo=None, hi=None, center=None, radius=None):
-        if kind == "interval":
-            lo, hi = float(lo), float(hi)
+    def __post_init__(self):
+        if self.kind == "interval":
+            lo, hi = float(self.lo), float(self.hi)
             if not (lo < hi and np.isfinite(hi - lo)):
                 raise ValueError(f"interval [{lo}, {hi}] needs finite lo < hi")
-            self.lo, self.hi = lo, hi
-            self.center, self.radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        elif kind == "disc":
-            self.center, self.radius = complex(center), float(radius)
-            if not (np.isfinite(self.center) and 0 < self.radius < np.inf):
+            values = (lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo))
+        elif self.kind == "disc":
+            center, radius = complex(self.center), float(self.radius)
+            if not (np.isfinite(center) and 0 < radius < np.inf):
                 raise ValueError("disc needs a finite center and radius > 0")
-            self.lo, self.hi = None, None
+            values = (None, None, center, radius)
         else:
             raise ValueError("domain kind must be 'interval' or 'disc'")
-        self.kind = kind
+        for name, v in zip(("lo", "hi", "center", "radius"), values):
+            object.__setattr__(self, name, v)
 
     @classmethod
     def interval(cls, lo, hi):
@@ -152,23 +163,6 @@ class Domain:
             return np.linspace(self.lo, self.hi, m)
         return self.nodes(m)
 
-    def __eq__(self, other):
-        if not isinstance(other, Domain) or self.kind != other.kind:
-            return NotImplemented if not isinstance(other, Domain) else False
-        if self.kind == "interval":
-            return self.lo == other.lo and self.hi == other.hi
-        return self.center == other.center and self.radius == other.radius
-
-    def __hash__(self):
-        if self.kind == "interval":
-            return hash((self.kind, self.lo, self.hi))
-        return hash((self.kind, self.center, self.radius))
-
-    def __repr__(self):
-        if self.kind == "interval":
-            return f"Domain.interval({self.lo}, {self.hi})"
-        return f"Domain.disc({self.center}, {self.radius})"
-
     def to_json(self):
         if self.kind == "interval":
             return {"interval": [self.lo, self.hi]}
@@ -194,10 +188,28 @@ class Domain:
         return cls.disc(complex(*c), r)
 
 
+def _is_number(v):
+    """Whether v is a JSON number: an int or a float, but not a bool
+    (JSON's true and false)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _are_reals(v, n):
-    """Whether v is a list of n real numbers."""
-    return isinstance(v, (list, tuple)) and len(v) == n and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+    """Whether v is a list of n real numbers, by _is_number."""
+    return (isinstance(v, (list, tuple)) and len(v) == n
+            and all(map(_is_number, v)))
+
+
+def _reject_non_finite(c, what="coefficients"):
+    """Raise ValueError naming up to five indices of the NaN or infinite
+    entries of the array c, called what in the message; finite c costs
+    one reduction."""
+    if np.isfinite(c).all():
+        return
+    bad = np.argwhere(~np.isfinite(c))
+    where = ", ".join(str(tuple(int(i) for i in idx)) for idx in bad[:5])
+    more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+    raise ValueError(f"non-finite {what} at index {where}{more}")
 
 
 # ----------------------------------------------------------------------
@@ -222,21 +234,29 @@ class _RecurrenceTable:
     dtype: np.dtype
 
 
-def _build_table(basis, kmax):
-    rows = tuple(tuple((j, g) for j in range(1, k + 1)
-                       if (g := basis.gamma(k, j)) != 0)
-                 for k in range(kmax + 1))
-    cols = [[] for _ in range(kmax + 2)]
+def _build_table(alpha, beta, rows):
+    """The table of the arrays alpha and beta, which it makes read-only,
+    and of rows[k], the nonzero (j, gamma_{k,j}) of row k."""
+    rows = tuple(map(tuple, rows))
+    cols = [[] for _ in range(len(alpha) + 1)]
     for k, row in enumerate(rows):
         for j, g in row:
             cols[j].append((k, g))
-    alpha = np.array([basis.alpha(k) for k in range(kmax + 1)])
-    beta = np.array([basis.beta(k) for k in range(kmax + 1)])
     alpha.flags.writeable = beta.flags.writeable = False  # tables are shared
     gammas = np.array([g for row in rows for _, g in row])
     dtype = np.result_type(float, alpha, beta, gammas)
     return _RecurrenceTable(alpha=alpha, beta=beta, rows=rows,
-                            cols=tuple(tuple(c) for c in cols), dtype=dtype)
+                            cols=tuple(map(tuple, cols)), dtype=dtype)
+
+
+# alpha_k and gamma_{k,k} of each built-in family as functions of k;
+# beta_k and every other gamma_{k,j} are zero
+_BUILTIN_FORMS = {
+    "monomial": (lambda k: 1.0, None),
+    "chebyshev": (lambda k: 1.0 if k == 0 else 2.0, lambda k: -1.0),
+    "legendre": (lambda k: (2.0 * k + 1.0) / (k + 1.0),
+                 lambda k: -k / (k + 1.0)),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,55 +264,88 @@ def _builtin_table(name, length):
     """Rows 0..length-1 of a built-in family.  Its coefficients depend on
     the name alone, so one table serves every instance (a per-instance
     table costs a few KB per system in large corpora)."""
-    return _build_table(DegreeGradedBasis(name), length - 1)
+    alpha_k, gamma_kk = _BUILTIN_FORMS[name]
+    rows = [((k, gamma_kk(k)),) if gamma_kk and k else ()
+            for k in range(length)]
+    return _build_table(np.array([alpha_k(k) for k in range(length)]),
+                        np.zeros(length), rows)
 
 
+@dataclass(frozen=True, init=False)
 class DegreeGradedBasis:
     """Recurrence data (alpha_k, beta_k, gamma_{k,j}) plus a domain.
 
-    Built-in names generate their coefficients on demand and support
-    any degree.  A custom basis carries finite tables: ``alpha`` and
-    ``beta`` as flat sequences, ``gamma`` as ragged rows where row k-1
-    holds (gamma_{k,1}, ..., gamma_{k,k}).  Tables long enough for
-    degree m must have len(alpha) >= m, len(beta) >= m and m-1 gamma
-    rows.
+    Built-in names take their coefficients from closed forms and support
+    any degree.  A custom basis carries finite tables of finite numbers:
+    ``alpha`` and ``beta`` as flat sequences, ``gamma`` as ragged rows
+    where row k-1 holds (gamma_{k,1}, ..., gamma_{k,k}).  Tables long
+    enough for degree m must have len(alpha) >= m, len(beta) >= m and
+    m-1 gamma rows; gamma rows past len(alpha) - 1 are never read and
+    are dropped.
+
+    A basis is a value: its attributes cannot be assigned, and equality
+    and the hash read one key made at construction.
     """
 
-    def __init__(self, name, alpha=None, beta=None, gamma=None, domain=None,
-                 check_normalization=True):
+    name: str = field(compare=False)
+    domain: Domain = field(compare=False)
+    # the name, the domain's fields and the custom tables as Python
+    # complex values, so equal tables of any dtype give equal keys; flat,
+    # so that a plan key hashes in one pass
+    _key: tuple = field(repr=False)
+    _table: _RecurrenceTable = field(compare=False, repr=False)
+
+    def __init__(self, name, alpha=None, beta=None, gamma=None, domain=None):
+        name = str(name)
         if domain is None:
             domain = Domain.interval(-1.0, 1.0)
-        self.name = str(name)
-        self.domain = domain
-        self._table = None
-        self._hash = None
-        if self.name in _BUILTIN_NAMES:
+        tables = ()
+        if name in _BUILTIN_FORMS:
             if alpha is not None or beta is not None or gamma is not None:
                 raise ValueError("built-in bases take no recurrence tables")
-            self._alpha = self._beta = None
-            self._gamma = None
-        elif self.name == "custom":
+            table = _builtin_table(name, 16)
+        elif name == "custom":
             if alpha is None or beta is None or gamma is None:
                 raise ValueError("custom basis needs alpha, beta and gamma")
-            self._alpha = np.atleast_1d(np.asarray(alpha))
-            self._beta = np.atleast_1d(np.asarray(beta))
-            if np.any(self._alpha == 0):
-                raise ValueError("alpha entries must be nonzero")
-            if len(self._beta) != len(self._alpha):
+            alpha, beta = (np.atleast_1d(np.array(t)) for t in (alpha, beta))
+            if len(alpha) == 0 or np.any(alpha == 0):
+                raise ValueError("alpha needs one or more nonzero entries")
+            _reject_non_finite(alpha, "alpha")
+            _reject_non_finite(beta, "beta")
+            if len(beta) != len(alpha):
                 raise ValueError("alpha and beta must have equal length")
             rows = []
             for k, row in enumerate(gamma, start=1):
                 row = np.atleast_1d(np.asarray(row))
                 if len(row) != k:
                     raise ValueError(f"gamma row {k} must hold {k} entries")
+                _reject_non_finite(row, f"gamma row {k}")
                 rows.append(row)
-            self._gamma = tuple(rows)
-            if len(self._gamma) < len(self._alpha) - 1:
+            if len(rows) < len(alpha) - 1:
                 raise ValueError("gamma needs len(alpha) - 1 rows")
-            if check_normalization:
-                self._warn_if_unnormalized()
+            gamma = rows[:len(alpha) - 1]
+            table = _build_table(alpha, beta, [()] + [
+                [(j, g) for j, g in enumerate(row, start=1) if g != 0]
+                for row in gamma])
+            tables = tuple(tuple(map(complex, t))
+                           for t in (alpha, beta, *gamma))
         else:
             raise ValueError(f"unknown basis name {name!r}")
+        key = (name, domain.kind, domain.lo, domain.hi, domain.center,
+               domain.radius, tables)
+        for attr, value in (("name", name), ("domain", domain),
+                            ("_key", key), ("_table", table)):
+            object.__setattr__(self, attr, value)
+        if name == "custom":
+            sup = np.max(np.abs(basis_eval_all(
+                self, min(len(alpha), 30), domain.sample_grid(1537))), axis=-1)
+            worst = float(np.max(np.abs(sup - 1.0)))
+            if worst > 1e-6:
+                warnings.warn(
+                    "custom basis deviates from unit sup norm on its domain "
+                    f"(worst deviation {worst:.3e}); conditioning estimates "
+                    "assume normalized bases", NormalizationWarning,
+                    stacklevel=2)
 
     # -- constructors ---------------------------------------------------
 
@@ -309,124 +362,50 @@ class DegreeGradedBasis:
         return cls("legendre", domain=domain)
 
     @classmethod
-    def custom(cls, alpha, beta, gamma, domain=None, check_normalization=True):
+    def custom(cls, alpha, beta, gamma, domain=None):
         return cls("custom", alpha=alpha, beta=beta, gamma=gamma,
-                   domain=domain, check_normalization=check_normalization)
+                   domain=domain)
 
-    # -- recurrence coefficients ---------------------------------------
+    # -- recurrence coefficients, read from the table -------------------
 
     def alpha(self, k):
-        if self.name == "monomial":
-            return 1.0
-        if self.name == "chebyshev":
-            return 1.0 if k == 0 else 2.0
-        if self.name == "legendre":
-            return (2.0 * k + 1.0) / (k + 1.0)
-        if k >= len(self._alpha):
-            raise DegreeOverflowError(
-                f"alpha table ends at k={len(self._alpha) - 1}, need k={k}")
-        return self._alpha[k]
+        return self.table(k).alpha[k]
 
     def beta(self, k):
-        if self.name in _BUILTIN_NAMES:
-            return 0.0
-        if k >= len(self._beta):
-            raise DegreeOverflowError(
-                f"beta table ends at k={len(self._beta) - 1}, need k={k}")
-        return self._beta[k]
+        return self.table(k).beta[k]
 
     def gamma(self, k, j):
         """gamma_{k,j} for 1 <= j <= k."""
         if not 1 <= j <= k:
             raise ValueError("gamma is defined for 1 <= j <= k")
-        if self.name == "monomial":
-            return 0.0
-        if self.name == "chebyshev":
-            return -1.0 if j == k else 0.0
-        if self.name == "legendre":
-            return -k / (k + 1.0) if j == k else 0.0
-        if k > len(self._gamma):
-            raise DegreeOverflowError(
-                f"gamma table ends at row {len(self._gamma)}, need row {k}")
-        return self._gamma[k - 1][j - 1]
+        return dict(self.table(k).rows[k]).get(j, 0.0)
 
     def table(self, kmax):
         """Recurrence table holding at least rows k = 0..kmax.
 
-        Built from the scalar alpha, beta and gamma methods on first use
-        and cached.  Built-in tables come in power-of-two lengths shared
+        A custom basis's table is built at construction and holds all of
+        its rows.  Built-in tables come in power-of-two lengths shared
         by every instance of the family, so the returned arrays may be
         longer than kmax + 1.
         """
         self.require_degree(kmax + 1)
-        tab = self._table
-        if tab is None or len(tab.alpha) <= kmax:
-            if self.name == "custom":
-                tab = _build_table(self, self.max_degree() - 1)
-            else:
-                tab = _builtin_table(self.name,
-                                     max(16, 1 << int(kmax).bit_length()))
-            self._table = tab
-        return tab
+        if len(self._table.alpha) <= kmax:
+            object.__setattr__(self, "_table", _builtin_table(
+                self.name, 1 << int(kmax).bit_length()))
+        return self._table
 
     # -- capabilities ---------------------------------------------------
 
     def max_degree(self):
         """Largest representable degree, or None when unlimited."""
-        if self.name in _BUILTIN_NAMES:
-            return None
-        return min(len(self._alpha), len(self._gamma) + 1)
-
-    def supports_degree(self, m):
-        mx = self.max_degree()
-        return mx is None or m <= mx
+        return len(self._table.alpha) if self.name == "custom" else None
 
     def require_degree(self, m):
-        if not self.supports_degree(m):
+        """Raise DegreeOverflowError unless the tables reach degree m."""
+        mx = self.max_degree()
+        if mx is not None and m > mx:
             raise DegreeOverflowError(
-                f"basis tables support degree {self.max_degree()}, need {m}")
-
-    # -- misc -----------------------------------------------------------
-
-    def _warn_if_unnormalized(self):
-        kmax = min(self.max_degree(), 30)
-        grid = self.domain.sample_grid(1537)
-        sup = np.max(np.abs(basis_eval_all(self, kmax, grid)), axis=-1)
-        worst = float(np.max(np.abs(sup - 1.0)))
-        if worst > 1e-6:
-            warnings.warn(
-                "custom basis deviates from unit sup norm on its domain "
-                f"(worst deviation {worst:.3e}); conditioning estimates "
-                "assume normalized bases", NormalizationWarning, stacklevel=3)
-
-    def __eq__(self, other):
-        if not isinstance(other, DegreeGradedBasis):
-            return NotImplemented
-        if self.name != other.name or self.domain != other.domain:
-            return False
-        if self.name != "custom":
-            return True
-        return (np.array_equal(self._alpha, other._alpha)
-                and np.array_equal(self._beta, other._beta)
-                and len(self._gamma) == len(other._gamma)
-                and all(np.array_equal(a, b)
-                        for a, b in zip(self._gamma, other._gamma)))
-
-    def __hash__(self):
-        # Python complex values hash equal exactly when they compare
-        # equal, whatever the table dtype; the tables never change, so
-        # the hash is computed once
-        if self._hash is None:
-            values = ()
-            if self.name == "custom":
-                values = tuple(complex(v) for row in
-                               (self._alpha, self._beta, *self._gamma)
-                               for v in row)
-            self._hash = hash((self.name, self.domain, values))
-        return self._hash
-
-    def __repr__(self):
-        return f"DegreeGradedBasis({self.name!r}, domain={self.domain!r})"
+                f"basis tables support degree {mx}, need {m}")
 
 
 # ----------------------------------------------------------------------
@@ -610,10 +589,11 @@ def derivative_eval(basis, coeffs, x):
 def basis_to_json(basis):
     obj = {"name": basis.name, "domain": basis.domain.to_json()}
     if basis.name == "custom":
-        obj["alpha"] = [_num_to_json(a) for a in basis._alpha]
-        obj["beta"] = [_num_to_json(b) for b in basis._beta]
-        obj["gamma"] = [[_num_to_json(g) for g in row]
-                        for row in basis._gamma]
+        n = basis.max_degree()
+        obj["alpha"] = [_num_to_json(basis.alpha(k)) for k in range(n)]
+        obj["beta"] = [_num_to_json(basis.beta(k)) for k in range(n)]
+        obj["gamma"] = [[_num_to_json(basis.gamma(k, j))
+                         for j in range(1, k + 1)] for k in range(1, n)]
     return obj
 
 
@@ -628,15 +608,16 @@ def basis_from_json(obj):
     domain = None
     if "domain" in obj:
         domain = Domain.from_json(obj["domain"])
-    if name in _BUILTIN_NAMES:
+    if name != "custom":
         return DegreeGradedBasis(name, domain=domain)
-    if name == "custom":
-        alpha = [_num_from_json(a) for a in obj["alpha"]]
-        beta = [_num_from_json(b) for b in obj["beta"]]
-        gamma = [[_num_from_json(g) for g in row] for row in obj["gamma"]]
-        return DegreeGradedBasis("custom", alpha=alpha, beta=beta,
-                                 gamma=gamma, domain=domain)
-    raise ValueError(f"unknown basis name {name!r}")
+    gamma = obj.get("gamma")
+    if not isinstance(gamma, list):
+        raise ValueError(f"gamma must be a list of rows, got {gamma!r}")
+    return DegreeGradedBasis(
+        "custom", alpha=_row_from_json(obj.get("alpha"), "alpha"),
+        beta=_row_from_json(obj.get("beta"), "beta"),
+        gamma=[_row_from_json(row, f"gamma[{k}]")
+               for k, row in enumerate(gamma)], domain=domain)
 
 
 def _num_to_json(v):
@@ -646,7 +627,13 @@ def _num_to_json(v):
     return [v.real, v.imag]
 
 
-def _num_from_json(v):
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return float(v)
+def _row_from_json(row, what):
+    """A JSON list of numbers, complex ones written [re, im]; raises
+    ValueError naming what and the first entry that is neither."""
+    if not isinstance(row, list):
+        raise ValueError(f"{what} must be a list of numbers, got {row!r}")
+    for i, v in enumerate(row):
+        if not (_is_number(v) or _are_reals(v, 2)):
+            raise ValueError(
+                f"{what}[{i}] must be a number or [re, im], got {v!r}")
+    return [float(v) if _is_number(v) else complex(*v) for v in row]

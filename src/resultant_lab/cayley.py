@@ -41,11 +41,10 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .basis import PLAN_CACHE_SIZE, basis_eval_all
+from .basis import PLAN_CACHE_SIZE, _reject_non_finite, basis_eval_all
 from .matpoly import (MatrixPolynomial, _check_null_vectors, matpoly_eval,
                       matpoly_to_json)
-from .multipoly import (_contract_leading, _reject_non_finite, _stacked,
-                        _vandermonde_inverse)
+from .multipoly import _contract_leading, _stacked, _vandermonde_inverse
 
 __all__ = [
     "CayleyResultant",
@@ -56,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CayleyResultant:
     """Matrix polynomial in the hidden variable plus the index bookkeeping
     that maps tensor entries to matrix entries."""

@@ -39,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (PLAN_CACHE_SIZE, DegreeGradedBasis, basis_eval_all,
-                    basis_eval_deriv_all, basis_from_json, basis_to_json,
-                    clenshaw_shifts)
-from .multipoly import _demote, _reject_non_finite
+from .basis import (PLAN_CACHE_SIZE, DegreeGradedBasis, _reject_non_finite,
+                    basis_eval_all, basis_eval_deriv_all, basis_from_json,
+                    basis_to_json, clenshaw_shifts)
+from .multipoly import _demote
 
 __all__ = [
     "MatrixPolynomial",
@@ -118,7 +118,7 @@ def _check_null_vectors(P, z, P0, v, w):
                 f"exceed 1e-7 * ||R|| = {1e-7 * scale:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPolynomial:
     """Stack of K + 1 coefficient matrices A_0, ..., A_K of size N,
     stored by _demote's rule."""

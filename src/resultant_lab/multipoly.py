@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (DegreeGradedBasis, basis_eval_all,
-                    basis_eval_deriv_all, basis_from_json, basis_to_json)
+from .basis import (DegreeGradedBasis, _is_number, _reject_non_finite,
+                    basis_eval_all, basis_eval_deriv_all, basis_from_json,
+                    basis_to_json)
 
 __all__ = [
     "MultiPoly",
@@ -65,19 +66,7 @@ def _demote(a):
     return np.ascontiguousarray(a.real, dtype=float)
 
 
-def _reject_non_finite(c, what="coefficients"):
-    """Raise ValueError naming up to five indices of the NaN or infinite
-    entries of the array c, called what in the message; finite c costs
-    one reduction."""
-    if np.isfinite(c).all():
-        return
-    bad = np.argwhere(~np.isfinite(c))
-    where = ", ".join(str(tuple(int(i) for i in idx)) for idx in bad[:5])
-    more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
-    raise ValueError(f"non-finite {what} at index {where}{more}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiPoly:
     """Dense coefficient tensor of a d-variate polynomial, stored by
     _demote's rule: float64 when no entry has an imaginary part."""
@@ -108,7 +97,7 @@ class MultiPoly:
         return max(self.degrees)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolynomialSystem:
     """Square system: d polynomials in d variables, one basis and domain."""
 
@@ -147,7 +136,7 @@ class PolynomialSystem:
         return max(p.max_degree for p in self.polys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HiddenVariableForm:
     """System rewritten with one variable split off as a parameter.
 
@@ -363,13 +352,23 @@ def system_to_json(sys):
 
 
 def _is_whole(n):
-    """Whether n is a whole number; JSON's true and 1e400 are not."""
-    return (isinstance(n, float) and n.is_integer()
-            or isinstance(n, (int, np.integer)) and not isinstance(n, bool))
+    """Whether n is a whole JSON number; JSON's true and 1e400 are not."""
+    return _is_number(n) and (isinstance(n, int) or n.is_integer())
+
+
+def _reals_from_json(v, what):
+    """A JSON list of numbers as a float array; raises ValueError naming
+    what and the first entry that is not a number."""
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a list of numbers, got {v!r}")
+    for i, x in enumerate(v):
+        if not _is_number(x):
+            raise ValueError(f"{what}[{i}] must be a number, got {x!r}")
+    return np.asarray(v, dtype=float)
 
 
 def system_from_json(obj):
-    if "basis" not in obj or "dim" not in obj or "polys" not in obj:
+    if not (isinstance(obj, dict) and {"basis", "dim", "polys"} <= obj.keys()):
         raise ValueError("system JSON needs 'basis', 'dim' and 'polys'")
     if not _is_whole(obj["dim"]):
         raise ValueError(f"dim must be an integer, got {obj['dim']!r}")
@@ -380,12 +379,18 @@ def system_from_json(obj):
         spec = dict({"name": spec} if isinstance(spec, str) else spec,
                     domain=obj["domain"])
     basis = basis_from_json(spec)
+    if not isinstance(obj["polys"], list):
+        raise ValueError(f"polys must be a list, got {obj['polys']!r}")
     if not obj["polys"]:
         raise ValueError("system JSON holds no polynomials")
     polys = []
-    for entry in obj["polys"]:
+    for i, entry in enumerate(obj["polys"]):
+        if not (isinstance(entry, dict)
+                and {"degrees", "coeffs_real"} <= entry.keys()):
+            raise ValueError(f"polys[{i}] must be an object with 'degrees' "
+                             "and 'coeffs_real'")
         degrees = entry["degrees"]
-        if not all(map(_is_whole, degrees)):
+        if not (isinstance(degrees, list) and all(map(_is_whole, degrees))):
             raise ValueError(f"degrees must be integers, got {degrees}")
         degrees = [int(n) for n in degrees]
         if len(degrees) != dim:
@@ -394,11 +399,13 @@ def system_from_json(obj):
             raise ValueError(f"negative degree in degrees {degrees}")
         shape = tuple(n + 1 for n in degrees)
         count = int(np.prod(shape))
-        flat = np.asarray(entry["coeffs_real"], dtype=float)
+        flat = _reals_from_json(entry["coeffs_real"],
+                                f"polys[{i}].coeffs_real")
         if flat.size != count:
             raise ValueError(f"expected {count} coefficients, got {flat.size}")
         if "coeffs_imag" in entry:
-            im = np.asarray(entry["coeffs_imag"], dtype=float)
+            im = _reals_from_json(entry["coeffs_imag"],
+                                  f"polys[{i}].coeffs_imag")
             if im.size != count:
                 raise ValueError("coeffs_imag length mismatch")
             flat = flat + 1j * im

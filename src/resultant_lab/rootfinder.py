@@ -85,7 +85,7 @@ class SolveOptions:
                              f"got {self.domain_margin}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootRecord:
     """One root candidate after polishing."""
 
@@ -101,7 +101,7 @@ class RootRecord:
     recovery: str                 # "ratio" or "subsolve"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootReport:
     """Everything solve_system learned about one system."""
 
@@ -441,7 +441,7 @@ def _dedupe(records, tol):
 # Conditioning probes
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionRecord:
     """Eigenvalue and root sensitivities measured at a known root."""
 

@@ -24,11 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import PLAN_CACHE_SIZE, basis_eval_all, clenshaw_shifts
+from .basis import (PLAN_CACHE_SIZE, _reject_non_finite, basis_eval_all,
+                    clenshaw_shifts)
 from .matpoly import (MatrixPolynomial, _check_null_vectors, matpoly_eval,
                       matpoly_to_json)
-from .multipoly import (_contract_leading, _reject_non_finite,
-                        _vandermonde_inverse)
+from .multipoly import _contract_leading, _vandermonde_inverse
 
 __all__ = [
     "SylvesterResultant",
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SylvesterResultant:
     """Matrix polynomial in the hidden variable with block bookkeeping.
 

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from resultant_lab.basis import (ClenshawTrace, DegreeGradedBasis,
                                  DegreeOverflowError, Domain,
-                                 NormalizationWarning, basis_eval_all,
+                                 NormalizationWarning, _builtin_table,
+                                 basis_eval_all,
                                  basis_eval_deriv_all, basis_from_json,
                                  basis_to_json, clenshaw_eval, clenshaw_shifts,
                                  derivative_eval, divided_difference)
-from conftest import PLAN_CACHES, plan_args
+from conftest import PLAN_CACHES, custom_basis, plan_args
 
 
 def horner(coeffs, x):
@@ -229,9 +230,8 @@ def _two_gamma_column_basis():
     gamma[0] = [0.0]
     gamma[1] = [0.4, 0.0]
     gamma[2] = [-0.3, 0.0, 0.2]
-    return DegreeGradedBasis.custom(1.0 + 0.1 * rng.standard_normal(12),
-                                    0.1 * rng.standard_normal(12), gamma,
-                                    check_normalization=False)
+    return custom_basis(1.0 + 0.1 * rng.standard_normal(12),
+                        0.1 * rng.standard_normal(12), gamma)
 
 
 @pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
@@ -288,17 +288,15 @@ def test_custom_dense_gamma_used():
     alpha = [1.0, 1.0, 1.0]
     beta = [0.0, 0.0, 0.0]
     gamma = [[0.0], [0.5, 0.0]]
-    b = DegreeGradedBasis.custom(alpha, beta, gamma,
-                                 check_normalization=False)
+    b = custom_basis(alpha, beta, gamma)
     # phi_3 = x*phi_2 + 0.5*phi_0 = x^3 + 0.5
     assert basis_eval_all(b, 3, 2.0)[3] == pytest.approx(8.5)
     coeffs = [0.0, 0.0, 0.0, 1.0]
     assert clenshaw_eval(b, coeffs, 2.0).value == pytest.approx(8.5)
     # columns 1 and 2 hold several nonzero gammas: several terms per shift
-    dense = DegreeGradedBasis.custom(
+    dense = custom_basis(
         [1.0, 0.9, 1.1, 1.0, 1.0], [0.1] * 5,
-        [[0.2], [0.5, 0.15], [0.2, 0.3, 0.0], [0.1, 0.0, 0.4, 0.0]],
-        check_normalization=False)
+        [[0.2], [0.5, 0.15], [0.2, 0.3, 0.0], [0.1, 0.0, 0.4, 0.0]])
     coeffs = np.random.default_rng(4).standard_normal(5)
     x = 0.3 - 0.2j
     trace = clenshaw_eval(dense, coeffs, x)
@@ -319,14 +317,51 @@ def test_custom_validation_errors():
         DegreeGradedBasis("nope")
 
 
+# Reference forms of each family's alpha_k and gamma_{k,j}, one call per
+# entry of the table, zeros included.
+_SCALAR_FORMS = {
+    "monomial": (lambda k: 1.0, lambda k, j: 0.0),
+    "chebyshev": (lambda k: 1.0 if k == 0 else 2.0,
+                  lambda k, j: -1.0 if j == k else 0.0),
+    "legendre": (lambda k: (2.0 * k + 1.0) / (k + 1.0),
+                 lambda k, j: -k / (k + 1.0) if j == k else 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_FORMS))
+def test_builtin_table_is_bitwise_the_scalar_forms(name):
+    alpha_k, gamma_kj = _SCALAR_FORMS[name]
+    tab = _builtin_table(name, 64)
+    want_rows = [[(j, g) for j in range(1, k + 1)
+                  if (g := gamma_kj(k, j)) != 0] for k in range(64)]
+    assert tab.alpha.tobytes() == np.array(
+        [alpha_k(k) for k in range(64)]).tobytes()
+    assert tab.beta.tobytes() == np.zeros(64).tobytes()
+    assert tab.dtype == np.float64
+    assert [[(j, np.float64(g).tobytes()) for j, g in row]
+            for row in tab.rows] == [[(j, np.float64(g).tobytes())
+                                      for j, g in row] for row in want_rows]
+    assert [[(k, g) for k, g in col] for col in tab.cols] == [
+        [(k, g) for k, row in enumerate(want_rows) for i, g in row if i == j]
+        for j in range(65)]
+    basis = DegreeGradedBasis(name)
+    assert [basis.alpha(k) for k in range(64)] == tab.alpha.tolist()
+    assert all(basis.gamma(k, j) == gamma_kj(k, j)
+               for k in range(1, 64) for j in range(1, k + 1))
+
+
 def test_degree_overflow():
-    b = DegreeGradedBasis.custom(*chebyshev_tables(3),
-                                 check_normalization=False)
+    b = custom_basis(*chebyshev_tables(3))
     assert b.max_degree() == 3
-    assert b.supports_degree(3) and not b.supports_degree(4)
-    with pytest.raises(DegreeOverflowError):
+    b.require_degree(3)
+    with pytest.raises(DegreeOverflowError,
+                       match="basis tables support degree 3, need 4"):
+        b.require_degree(4)
+    with pytest.raises(DegreeOverflowError,
+                       match="basis tables support degree 3, need 4"):
         basis_eval_all(b, 4, 0.0)
-    with pytest.raises(DegreeOverflowError):
+    with pytest.raises(DegreeOverflowError,
+                       match="basis tables support degree 3, need 5"):
         clenshaw_eval(b, np.ones(6), 0.0)
 
 
@@ -338,8 +373,7 @@ def test_normalization_warning():
         DegreeGradedBasis.custom(alpha, beta, gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        DegreeGradedBasis.custom(alpha, beta, gamma,
-                                 check_normalization=False)
+        custom_basis(alpha, beta, gamma)
 
 
 # ----------------------------------------------------------------------
@@ -402,8 +436,7 @@ def test_domain_validation():
 def test_basis_json_roundtrip():
     for b in (DegreeGradedBasis.monomial(),
               DegreeGradedBasis.chebyshev(Domain.interval(0, 2)),
-              DegreeGradedBasis.custom(*chebyshev_tables(4),
-                                       check_normalization=False)):
+              custom_basis(*chebyshev_tables(4))):
         again = basis_from_json(basis_to_json(b))
         assert again == b
     assert basis_from_json("legendre") == DegreeGradedBasis.legendre()
@@ -411,8 +444,7 @@ def test_basis_json_roundtrip():
 
 def test_complex_custom_basis_json_roundtrip():
     # complex recurrence coefficients travel as [real, imag] pairs
-    b = DegreeGradedBasis.custom([1.0, 2.0 - 0.5j], [0.25j, 0.0],
-                                 [[-1.0 + 0.1j]], check_normalization=False)
+    b = custom_basis([1.0, 2.0 - 0.5j], [0.25j, 0.0], [[-1.0 + 0.1j]])
     obj = basis_to_json(b)
     assert obj["alpha"] == [1.0, [2.0, -0.5]]
     assert obj["beta"] == [[0.0, 0.25], 0.0]
@@ -438,8 +470,7 @@ def test_custom_basis_on_disc_checks_normalization():
 
 def _short_custom():
     """Custom tables for degree 2 at most: rows k = 0, 1."""
-    return DegreeGradedBasis.custom([1.0, 1.0], [0.0, 0.0], [[0.0]],
-                                    check_normalization=False)
+    return custom_basis([1.0, 1.0], [0.0, 0.0], [[0.0]])
 
 
 @pytest.mark.parametrize("call,exc,match", [
@@ -465,15 +496,26 @@ def _short_custom():
      "'name' field"),
     (lambda: basis_from_json("hermite"), ValueError, "unknown basis name"),
     (lambda: _short_custom().alpha(2), DegreeOverflowError,
-     "alpha table ends at k=1"),
+     "basis tables support degree 2, need 3"),
     (lambda: _short_custom().beta(2), DegreeOverflowError,
-     "beta table ends at k=1"),
+     "basis tables support degree 2, need 3"),
     (lambda: _short_custom().gamma(2, 1), DegreeOverflowError,
-     "gamma table ends at row 1"),
+     "basis tables support degree 2, need 3"),
+    (lambda: DegreeGradedBasis.custom([1.0, np.nan, 2.0], [0.0] * 3,
+                                      [[-1.0], [0.0, -1.0]]), ValueError,
+     r"non-finite alpha at index \(1,\)"),
+    (lambda: DegreeGradedBasis.custom([1.0, 2.0], [0.0, np.inf], [[-1.0]]),
+     ValueError, r"non-finite beta at index \(1,\)"),
+    (lambda: DegreeGradedBasis.custom([1.0, 2.0, 2.0], [0.0] * 3,
+                                      [[-1.0], [0.0, -np.inf]]), ValueError,
+     r"non-finite gamma row 2 at index \(1,\)"),
+    (lambda: DegreeGradedBasis.custom([], [], []), ValueError,
+     "alpha needs one or more nonzero entries"),
 ], ids=["domain-kind", "no-nodes", "builtin-tables", "custom-no-gamma",
         "gamma-rows", "gamma-index", "kmax", "shifts-empty", "eval-2d",
         "divdiff-empty", "json-no-name", "json-unknown", "alpha-overflow",
-        "beta-overflow", "gamma-overflow"])
+        "beta-overflow", "gamma-overflow", "alpha-nan", "beta-inf",
+        "gamma-inf", "alpha-empty"])
 def test_input_validation_raises(call, exc, match):
     with pytest.raises(exc, match=match):
         call()
@@ -521,15 +563,10 @@ def test_unequal_bases_get_separate_memo_entries():
     alpha2[3], beta2[1], gamma2[2][0] = 2.5, 0.5, 0.25
     others = [
         DegreeGradedBasis.chebyshev(),  # same recurrence, other name
-        DegreeGradedBasis.custom(alpha, beta, gamma,
-                                 domain=Domain.interval(-1, 2),
-                                 check_normalization=False),
-        DegreeGradedBasis.custom(alpha2, beta, gamma,
-                                 check_normalization=False),
-        DegreeGradedBasis.custom(alpha, beta2, gamma,
-                                 check_normalization=False),
-        DegreeGradedBasis.custom(alpha, beta, gamma2,
-                                 check_normalization=False),
+        custom_basis(alpha, beta, gamma, domain=Domain.interval(-1, 2)),
+        custom_basis(alpha2, beta, gamma),
+        custom_basis(alpha, beta2, gamma),
+        custom_basis(alpha, beta, gamma2),
     ]
     for name, plan in PLAN_CACHES.items():
         plan.cache_clear()

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through main()."""
 
+import copy
 import csv
 import io
 import json
@@ -252,13 +253,21 @@ def test_exit_code_1_on_negative_degree(tmp_path, capsys, argv):
     assert "negative degree in degrees [-1, 1]" in capsys.readouterr().err
 
 
+# A custom basis with the Chebyshev recurrence in eight table rows.
+CUSTOM_CHEBYSHEV = {"name": "custom", "alpha": [1.0] + [2.0] * 7,
+                    "beta": [0.0] * 8,
+                    "gamma": [[0.0] * (k - 1) + [-1.0] for k in range(1, 8)]}
+
+
 @pytest.mark.parametrize("field,raw,message", [
     ("domain", '{"disc": {"center": [0], "radius": 1}}',
      "disc center must be [re, im], got [0]"),
     ("basis", "5", "basis must be a name or an object, got 5"),
-    ("degrees", "[1e400, 1]", "degrees must be integers, got [inf, 1]"),
-    ("degrees", "[1.7, 1]", "degrees must be integers, got [1.7, 1]"),
-    ("degrees", "[true, 1]", "degrees must be integers, got [True, 1]"),
+    ("polys.1.degrees", "[1e400, 1]",
+     "degrees must be integers, got [inf, 1]"),
+    ("polys.1.degrees", "[1.7, 1]", "degrees must be integers, got [1.7, 1]"),
+    ("polys.1.degrees", "[true, 1]",
+     "degrees must be integers, got [True, 1]"),
     ("dim", "2.5", "dim must be an integer, got 2.5"),
     ("domain", '{"interval": [0, 1e400]}',
      "interval [0.0, inf] needs finite lo < hi"),
@@ -284,23 +293,53 @@ def test_exit_code_1_on_negative_degree(tmp_path, capsys, argv):
      "domain JSON needs an 'interval' or a 'disc' object, got {'disc': 3}"),
     ("domain", '"interval"',
      "domain JSON needs an 'interval' or a 'disc' object, got 'interval'"),
+    ("basis.alpha", "[true, 2, 2, 2, 2, 2, 2, 2]",
+     "alpha[0] must be a number or [re, im], got True"),
+    ("polys.1.coeffs_real", "[true, 0, 0, 1]",
+     "polys[1].coeffs_real[0] must be a number, got True"),
+    ("polys.1.coeffs_imag", "[false, 0, 0, 0]",
+     "polys[1].coeffs_imag[0] must be a number, got False"),
+    ("basis.gamma.0.0", '["a", 1]',
+     "gamma[0][0] must be a number or [re, im], got ['a', 1]"),
+    ("basis.alpha", None, "alpha must be a list of numbers, got None"),
+    ("polys.1", "5",
+     "polys[1] must be an object with 'degrees' and 'coeffs_real'"),
+    ("polys.1.coeffs_real", None,
+     "polys[1] must be an object with 'degrees' and 'coeffs_real'"),
+    ("polys", "3", "polys must be a list, got 3"),
+    ("basis.beta", "[NaN, 0, 0, 0, 0, 0, 0, 0]",
+     "non-finite beta at index (0,)"),
+    ("basis.alpha", "[]", "alpha needs one or more nonzero entries"),
 ], ids=["short-center", "basis-number", "degree-overflow",
         "degree-fraction", "degree-bool", "dim-fraction", "infinite-interval",
         "nan-radius", "interval-short", "interval-string", "interval-number",
         "interval-bool", "center-string", "center-bool", "radius-missing",
-        "radius-string", "radius-bool", "disc-number", "domain-string"])
+        "radius-string", "radius-bool", "disc-number", "domain-string",
+        "alpha-bool", "coeffs-real-bool", "coeffs-imag-bool",
+        "gamma-string", "alpha-missing", "poly-number", "coeffs-real-missing",
+        "polys-number", "beta-nan", "alpha-empty"])
 def test_exit_code_1_on_malformed_system(tmp_path, capsys, field, raw,
                                          message):
-    # raw JSON text in place of one field of a valid system, whose
-    # second polynomial has degrees [1, 1]; the basis alone, with no
-    # top-level domain to merge into it, is read by basis_from_json
+    # raw JSON text in place of the field at a dotted path into a valid
+    # system, or no field where raw is None; the second polynomial has
+    # degrees [1, 1], and a path into the basis ("basis.alpha") edits
+    # CUSTOM_CHEBYSHEV.  The basis alone, with no top-level domain to
+    # merge into it, is read by basis_from_json
     obj = circle_line_json()
     if field == "basis":
         del obj["domain"]
-    target = obj["polys"][1] if field == "degrees" else obj
-    target[field] = "@field@"
+    if field.startswith("basis."):
+        obj["basis"] = copy.deepcopy(CUSTOM_CHEBYSHEV)
+    *parents, leaf = [int(k) if k.isdigit() else k for k in field.split(".")]
+    target = obj
+    for key in parents:
+        target = target[key]
+    if raw is None:
+        del target[leaf]
+    else:
+        target[leaf] = "@field@"
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(obj).replace('"@field@"', raw))
+    path.write_text(json.dumps(obj).replace('"@field@"', raw or ""))
     rc = main(["solve", "--system", str(path)])
     assert rc == 1
     err = capsys.readouterr().err

@@ -20,7 +20,7 @@ from resultant_lab.multipoly import (MultiPoly, PolynomialSystem, _demote,
 from resultant_lab.rootfinder import (condition_at_root, newton_polish,
                                       random_system_with_root, solve_system)
 from resultant_lab.sylvester import sylvester_resultant
-from conftest import report_fields
+from conftest import custom_basis, report_fields
 
 BASES = ("monomial", "chebyshev", "legendre")
 
@@ -192,9 +192,8 @@ def test_demote_applies_one_rule():
 
 def test_basis_values_take_the_result_type_of_points_and_recurrence():
     cheb = DegreeGradedBasis.chebyshev()
-    custom = DegreeGradedBasis.custom([1.0, 2.0, 2.0], [0.0, 0.0, 0.0],
-                                      [[-1.0], [-1.0 + 0.5j, 0.0]],
-                                      check_normalization=False)
+    custom = custom_basis([1.0, 2.0, 2.0], [0.0, 0.0, 0.0],
+                          [[-1.0], [-1.0 + 0.5j, 0.0]])
     x = np.array([0.3, -0.7])
     for evaluate in (basis_eval_all,
                      lambda b, k, x: basis_eval_deriv_all(b, k, x)[1]):

@@ -26,7 +26,7 @@ from resultant_lab.rootfinder import (_component_from_fibers,
                                       family_orthogonal_quadratic,
                                       random_system_with_root)
 from resultant_lab.sylvester import sylvester_resultant
-from conftest import dense_gamma_basis
+from conftest import custom_basis, dense_gamma_basis
 
 
 def deriv_eval(P, lam):
@@ -1273,8 +1273,7 @@ def test_polyeig_with_dense_gamma_basis():
     # gamma_{2,1} and gamma_{3,2} sit off the band, so linearize and the
     # component recovery both read entries a three-term basis never has
     gamma = [[0.0], [0.5, 0.0], [0.0, 0.3, 0.0], [0.0] * 4]
-    b = DegreeGradedBasis.custom([1.0] * 5, [0.0] * 5, gamma,
-                                 check_normalization=False)
+    b = custom_basis([1.0] * 5, [0.0] * 5, gamma)
     rng = np.random.default_rng(21)
     c = rng.standard_normal((5, 3, 3))
     c[4] = np.eye(3)  # monic, so every eigenvalue stays moderate

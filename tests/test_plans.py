@@ -1,6 +1,8 @@
 """The plan caches: what each holds, that it is read-only and bounded,
 and how often a warm solve reads it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,25 @@ def test_warm_solve_reads_each_plan_without_misses(d, method):
         want = {"cayley": (0, 0), "sylvester": (0, 0), "matpoly": (hits, 0)}
         want[method] = (1, 0)
         assert delta == want
+
+
+def test_a_cached_plan_key_cannot_change():
+    # a plan is keyed by its basis, domain included; were a basis or its
+    # domain assignable, moving the domain of a basis whose plan is
+    # cached would read back the shifts of the old domain
+    sys_, _ = random_system_with_root(2, 3, 4, "chebyshev")
+    solve_system(sys_)
+    basis = sys_.basis
+    for obj, attr, value in ((basis, "domain", Domain.interval(0, 2)),
+                             (basis, "name", "legendre"),
+                             (basis, "_key", ()),
+                             (basis.domain, "lo", 5.0),
+                             (basis.domain, "center", 1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, value)
+    assert basis == DegreeGradedBasis.chebyshev()
+    for domain, want in ((basis.domain, [-0.8, -0.618, 0.6931]),
+                         (Domain.interval(0, 2), [0.2, 0.382, 1.6931])):
+        args = plan_args("matpoly", DegreeGradedBasis.chebyshev(domain))
+        shifts = matpoly._plan(*args)[0]
+        assert [mu for mu, _, _ in shifts] == pytest.approx(want, abs=1e-15)

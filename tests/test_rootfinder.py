@@ -32,7 +32,7 @@ from resultant_lab.rootfinder import (RootRecord, RootReport,
                                       recover_components, report_to_csv,
                                       report_to_json, solve_system)
 from resultant_lab.sylvester import sylvester_resultant
-from conftest import circle_line, report_fields
+from conftest import circle_line, custom_basis, report_fields
 from test_matpoly import (dense_inverted_pencil, linearize,
                           svd_eigvecs_and_conditions)
 
@@ -1100,10 +1100,10 @@ def test_family_linear_collapses_to_cramer_in_every_basis(d, basis_name):
 
 @pytest.mark.parametrize("basis", [
     DegreeGradedBasis.chebyshev(), DegreeGradedBasis.legendre(),
-    DegreeGradedBasis.custom(
+    custom_basis(
         [1.0, 0.9, 1.1, 0.8], [0.1, -0.2, 0.05, 0.0],
         [[0.3], [0.2, -0.1], [0.1, 0.05, -0.2]],
-        domain=Domain.interval(-2, 1), check_normalization=False)])
+        domain=Domain.interval(-2, 1))])
 def test_change_from_monomials_keeps_values_and_zeros(basis):
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
@@ -1243,3 +1243,22 @@ def test_report_csv_empty(mono):
     text = report_to_csv(report)
     assert text.splitlines()[0].startswith("max_residual") or \
         "max_residual" in text.splitlines()[0]
+
+
+def test_records_holding_arrays_compare_by_identity(mono):
+    # a field-wise == of records that hold arrays would ask numpy for the
+    # truth value of an array and raise; the records compare and hash by
+    # identity, so two solves of one system give unequal reports
+    sys_ = circle_line(mono)
+    p = sys_.polys[0]
+    hv = hide_variable(sys_)
+    rep, again = solve_system(sys_), solve_system(sys_)
+    cay, syl = cayley_resultant(hv), sylvester_resultant(hv)
+    records = [p, MultiPoly(p.basis, 2, p.coeffs.copy()), sys_, hv, rep,
+               again, rep.roots[0], again.roots[0], cay, syl,
+               cay.matrix_poly, condition_at_root(sys_, rep.roots[0].x)]
+    for a in records:
+        assert a == a
+        assert [a == b for b in records].count(True) == 1
+    assert len(set(records)) == len(records)
+    assert report_fields(rep) == report_fields(again)
