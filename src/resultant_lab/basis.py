@@ -27,11 +27,16 @@ and a basis compares and hashes by one key made at construction, so the
 plan caches keyed by a basis never read a plan built for other data.
 
 Differentiating the recurrence gives the derivatives alongside the
-values (``basis_eval_deriv_all``):
+values:
 
     phi'_0(x) = 0
     phi'_{k+1}(x) = alpha_k phi_k(x) + (alpha_k x + beta_k) phi'_k(x)
                     + sum_{j=1}^{k} gamma_{k,j} phi'_{j-1}(x).
+
+Both run as one fused recurrence on a (kmax + 1, 2, ...) table
+(``_value_derivative_table``), which ``basis_eval_deriv_all`` splits into
+values and derivatives; the Jacobian kernel and the conditioning probe
+read the table as it is, so each point set costs one recurrence.
 
 The operators at the construction nodes depend on the shape alone, so
 each construction caches them in its plan (``cayley._plan``,
@@ -50,6 +55,7 @@ coefficient m of the divided difference of phi_i at mu.
 """
 
 import functools
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -172,26 +178,44 @@ class Domain:
     @classmethod
     def from_json(cls, obj):
         """Raises ValueError naming the field that is missing or not made
-        of real numbers (JSON's true and false are not)."""
+        of real numbers (JSON's true and false are not, nor is an integer
+        too large for a float)."""
         if isinstance(obj, dict) and "interval" in obj:
             if not _are_reals(iv := obj["interval"], 2):
-                raise ValueError(f"interval must be [lo, hi], got {iv!r}")
+                raise ValueError(
+                    f"interval must be [lo, hi], got {_brief(iv)}")
             return cls.interval(*iv)
         if not (isinstance(obj, dict) and isinstance(obj.get("disc"), dict)):
             raise ValueError("domain JSON needs an 'interval' or a 'disc' "
                              f"object, got {obj!r}")
         c, r = obj["disc"].get("center"), obj["disc"].get("radius")
         if not _are_reals(c, 2):
-            raise ValueError(f"disc center must be [re, im], got {c!r}")
+            raise ValueError(f"disc center must be [re, im], got {_brief(c)}")
         if not _are_reals([r], 1):
-            raise ValueError(f"disc radius must be a number, got {r!r}")
+            raise ValueError(f"disc radius must be a number, got {_brief(r)}")
         return cls.disc(complex(*c), r)
 
 
 def _is_number(v):
-    """Whether v is a JSON number: an int or a float, but not a bool
-    (JSON's true and false)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """Whether v is a JSON number that a float holds: a float, or an int
+    that is not a bool (JSON's true and false) and not too large for a
+    float (1 followed by 400 zeros is)."""
+    if isinstance(v, float):
+        return True
+    return (isinstance(v, int) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _brief(v):
+    """repr(v) for an error message, with an integer too large for a
+    float, alone or in a list, cut to its first digits and its length."""
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_brief, v)) + "]"
+    if isinstance(v, int) and not isinstance(v, bool) and not _is_number(v):
+        digits = str(abs(v))
+        return (f"{'-' if v < 0 else ''}{digits[:6]}... ({len(digits)} "
+                "digits, too large for a float)")
+    return repr(v)
 
 
 def _are_reals(v, n):
@@ -444,38 +468,60 @@ def basis_eval_all(basis, kmax, x):
     return out
 
 
-def basis_eval_deriv_all(basis, kmax, x):
-    """Values and first derivatives of phi_0, ..., phi_kmax at x.
+def _value_derivative_table(basis, kmax, x):
+    """phi_k(x) and phi'_k(x) for k = 0..kmax from one fused recurrence.
 
-    Runs the forward recurrence and its derivative side by side,
-    vectorised over the points x.
-
-    Returns
-    -------
-    (vals, ders), each an ndarray with shape (kmax + 1,) + shape(x) in
-    the dtype of basis_eval_all, which vals equals.
+    Returns an array of shape (kmax + 1, 2) + shape(x), in the dtype of
+    basis_eval_all: slot [k, 0] holds phi_k(x) and [k, 1] phi'_k(x).
+    The recurrence runs on the flat view of each row k, the values of
+    every point followed by their derivatives, so each step is three
+    one-dimensional array operations plus two per gamma entry, however
+    many points there are; the factors alpha_k x + beta_k of every k
+    come from one broadcast.  Every entry is formed by the same
+    operations, in the same order, as in separate value and derivative
+    recurrences, so the table matches them bit for bit.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     tab = basis.table(kmax - 1)
-    # Python floats: scaling a small array by a NumPy scalar costs more
-    al, be = tab.alpha[:kmax].tolist(), tab.beta[:kmax].tolist()
     x = np.asarray(x)
-    vals = np.empty((kmax + 1,) + x.shape,
-                    dtype=np.result_type(x, tab.dtype))
-    ders = np.empty_like(vals)
-    vals[0] = 1.0
-    ders[0] = 0.0
+    out = np.empty((kmax + 1, 2) + x.shape,
+                   dtype=np.result_type(x, tab.dtype))
+    n = x.size
+    rows = out.reshape(kmax + 1, 2 * n)
+    rows[0, :n] = 1.0
+    rows[0, n:] = 0.0
+    lin = tab.alpha[:kmax, None] * x.reshape(1, n) + tab.beta[:kmax, None]
+    lin = np.concatenate([lin, lin], axis=1)
+    # Python floats: scaling a small array by a NumPy scalar costs more
+    al = tab.alpha[:kmax].tolist()
     for k in range(kmax):
-        lin = al[k] * x + be[k]
-        acc = lin * vals[k]
-        dacc = al[k] * vals[k] + lin * ders[k]
+        row, nxt = rows[k], rows[k + 1]
+        np.multiply(lin[k], row, out=nxt)
+        ders = nxt[n:]
+        ders += al[k] * row[:n]
         for j, g in tab.rows[k]:
-            acc += g * vals[j - 1]
-            dacc += g * ders[j - 1]
-        vals[k + 1] = acc
-        ders[k + 1] = dacc
-    return vals, ders
+            nxt += g * rows[j - 1]
+    return out
+
+
+def basis_eval_deriv_all(basis, kmax, x):
+    """Values and first derivatives of phi_0, ..., phi_kmax at x.
+
+    Runs the forward recurrence and its derivative as one fused
+    recurrence (_value_derivative_table), vectorised over the points x.
+
+    Returns
+    -------
+    (vals, ders), each a C-contiguous ndarray with shape (kmax + 1,) +
+    shape(x) in the dtype of basis_eval_all.  vals equals basis_eval_all
+    bit for bit, except that at a single point in complex arithmetic
+    basis_eval_all runs numpy's scalar arithmetic, which may round
+    differently from the array loops here in the last bit.
+    """
+    table = _value_derivative_table(basis, kmax, x)
+    return (np.ascontiguousarray(table[:, 0]),
+            np.ascontiguousarray(table[:, 1]))
 
 
 # ----------------------------------------------------------------------
@@ -635,5 +681,5 @@ def _row_from_json(row, what):
     for i, v in enumerate(row):
         if not (_is_number(v) or _are_reals(v, 2)):
             raise ValueError(
-                f"{what}[{i}] must be a number or [re, im], got {v!r}")
+                f"{what}[{i}] must be a number or [re, im], got {_brief(v)}")
     return [float(v) if _is_number(v) else complex(*v) for v in row]

@@ -41,9 +41,9 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .basis import PLAN_CACHE_SIZE, _reject_non_finite, basis_eval_all
-from .matpoly import (MatrixPolynomial, _check_null_vectors, matpoly_eval,
-                      matpoly_to_json)
+from .basis import PLAN_CACHE_SIZE, basis_eval_all
+from .matpoly import (MatrixPolynomial, _check_null_vectors, _checked_root,
+                      matpoly_eval, matpoly_to_json)
 from .multipoly import _contract_leading, _stacked, _vandermonde_inverse
 
 __all__ = [
@@ -297,22 +297,25 @@ def cayley_root_eigvectors(hv, root, resultant, check=True):
     norm (floored by the coefficient scale), which would mean the
     construction and the closed-form eigenvector disagree.
     """
-    root = np.atleast_1d(np.asarray(root))
-    if root.shape != (hv.dim,):
-        raise ValueError(f"root must have length {hv.dim}")
-    _reject_non_finite(root, "root components")
-    free = root[list(hv.free_order)]
-    z = root[hv.hidden_index]
-    # phi_0..phi_{e-1} at every free component from one recurrence run:
-    # column k0 of phis, cut to each axis's extent
-    phis = basis_eval_all(hv.basis, max(resultant.row_extents) - 1, free)
-    col_vecs = [phis[:e, k0] for k0, e in enumerate(resultant.col_extents)]
-    row_vecs = [phis[:e, k0] for k0, e in enumerate(resultant.row_extents)]
-    v = reduce(np.multiply.outer, col_vecs).ravel(order="C")
-    w = reduce(np.multiply.outer, row_vecs).ravel(order="C")
+    root = _checked_root(root, hv.dim)
+    phis = basis_eval_all(hv.basis, max(resultant.row_extents) - 1, root)
+    v, w = _root_vectors(hv, resultant, root, phis)
     if check:
-        P = resultant.matrix_poly
+        P, z = resultant.matrix_poly, root[hv.hidden_index]
         _check_null_vectors(P, z, matpoly_eval(P, z), v, w)
+    return v, w
+
+
+def _root_vectors(hv, resultant, root, phis):
+    """(v, w) of cayley_root_eigvectors from phis, the basis values at
+    every component of root, shape (K + 1, d) with K + 1 at least the
+    largest row extent: column a of phis, cut to each extent, is the
+    basis column of free variable a."""
+    free = hv.free_order
+    v = reduce(np.multiply.outer, [phis[:e, a] for a, e in zip(
+        free, resultant.col_extents)]).ravel(order="C")
+    w = reduce(np.multiply.outer, [phis[:e, a] for a, e in zip(
+        free, resultant.row_extents)]).ravel(order="C")
     return v, w
 
 

@@ -80,6 +80,17 @@ class StructureError(RuntimeError):
     construction and the closed-form vector disagree."""
 
 
+def _checked_root(root, d):
+    """root as a one-dimensional array of d components; raises
+    ValueError when its length is not d or a component is NaN or
+    infinite."""
+    root = np.atleast_1d(np.asarray(root))
+    if root.shape != (d,):
+        raise ValueError(f"root must have length {d}")
+    _reject_non_finite(root, "root components")
+    return root
+
+
 def _check_null_vectors(P, z, P0, v, w):
     """Raise StructureError unless v and w are right and plain-transpose
     left null vectors of P0 = P(z), which the caller evaluates, to

@@ -27,18 +27,22 @@ tensor (the mode-k product), one reshape and one matmul per axis.
 
 A square system and its Jacobian are evaluated together by
 ``eval_with_jacobian``, at one point or at a stack of points: the d
-coefficient tensors are stacked, and each axis a is contracted with the
-two columns [phi(x_a), phi'(x_a)] of every point, so one pass of d
-contractions leaves every product of values and first derivatives.
-Newton polishing, residuals and root conditioning all go through it.
+coefficient tensors are stacked, one fused value/derivative recurrence
+runs over every component of every point, and each axis a is contracted
+with the two rows [phi(x_a); phi'(x_a)] of that table, so one pass of d
+contractions leaves every product of values and first derivatives.  A
+caller that evaluates one system at several point sets (a solve, a
+Newton polish) stacks it once (``_stack_system``) and passes the stack;
+the conditioning probe takes the table and the Jacobian together
+(``_jacobian_and_table``), since it reads the table at the root too.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (DegreeGradedBasis, _is_number, _reject_non_finite,
-                    basis_eval_all, basis_eval_deriv_all, basis_from_json,
+from .basis import (DegreeGradedBasis, _brief, _is_number, _reject_non_finite,
+                    _value_derivative_table, basis_eval_all, basis_from_json,
                     basis_to_json)
 
 __all__ = [
@@ -250,14 +254,16 @@ def hide_variable(sys, hidden_index=None):
     """Move one variable into the coefficients of the remaining ones.
 
     hidden_index is the zero-based axis to hide; the default is the last
-    variable.
+    variable.  The tensors are copies with the hidden axis moved last,
+    or the polynomials' own coefficient arrays when it is last already.
     """
     d = sys.dim
     if hidden_index is None:
         hidden_index = d - 1
     if not 0 <= hidden_index < d:
         raise ValueError(f"hidden_index must lie in 0..{d - 1}")
-    tensors = tuple(np.moveaxis(p.coeffs, hidden_index, -1).copy()
+    tensors = tuple(p.coeffs if hidden_index == d - 1
+                    else np.moveaxis(p.coeffs, hidden_index, -1).copy()
                     for p in sys.polys)
     return HiddenVariableForm(source=sys, hidden_index=hidden_index,
                               tensors=tensors)
@@ -277,43 +283,78 @@ def _stacked(tensors):
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _StackedSystem:
+    """A square system's d coefficient tensors stacked into one
+    (_stacked), shape (d, e_1, ..., e_d).  A caller that evaluates one
+    system at several point sets stacks it once (_stack_system) and
+    passes the stack to eval_with_jacobian in place of the system."""
+
+    basis: DegreeGradedBasis
+    coeffs: np.ndarray
+
+    @property
+    def dim(self):
+        return len(self.coeffs)
+
+
+def _stack_system(sys):
+    """sys as a _StackedSystem; a stack comes back as it is."""
+    if isinstance(sys, _StackedSystem):
+        return sys
+    return _StackedSystem(sys.basis, _stacked([p.coeffs for p in sys.polys]))
+
+
 def eval_with_jacobian(sys, x):
     """Values F_i = p_i(x) and Jacobian J[i, j] = dp_i/dx_j.
 
-    x is one point, shape (d,), giving F of shape (d,) and J of shape
-    (d, d), or a stack of m points, shape (m, d), giving (m, d) values
-    and an (m, d, d) Jacobian.  The d coefficient tensors are stacked
-    into one (zero-padded where the shapes differ), and axis a is
-    contracted with the (2, e_a) matrix [phi(x_a); phi'(x_a)] of each
-    point, last axis first, one einsum per axis.  Each
-    contraction puts its value/derivative bit in front of the bits
-    already made, so after all d the slot with bits (b_1, ..., b_d),
-    most significant first, holds the product of derivatives along the
-    axes with b_a = 1 and values along the rest: F is slot 0 and column
-    j of J is slot 2**(d - 1 - j).  F and J are in the result type of x,
-    the coefficients and the recurrence.
+    sys is a PolynomialSystem or its _stack_system.  x is one point,
+    shape (d,), giving F of shape (d,) and J of shape (d, d), or a stack
+    of m points, shape (m, d), giving (m, d) values and an (m, d, d)
+    Jacobian.  One value/derivative recurrence over every component of
+    every point gives the table, and _jacobian_and_table contracts the
+    stacked tensors with it.  F and J are in the result type of x, the
+    coefficients and the recurrence.
     """
+    stack = _stack_system(sys)
     x = np.asarray(x)
-    d = sys.dim
+    d = stack.dim
     single = x.ndim <= 1
     pts = x.reshape(1, -1) if single else x
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"point has shape {x.shape}, expected ({d},) "
                          f"or (m, {d})")
-    m = len(pts)
-    t = _stacked([p.coeffs for p in sys.polys])[None]
+    F, J = _jacobian_and_table(stack, pts, 0)[1:]
+    return (F[0], J[0]) if single else (F, J)
+
+
+def _jacobian_and_table(stack, pts, kmax):
+    """(table, F, J) at the (m, d) points pts of the _StackedSystem stack.
+
+    table is _value_derivative_table at pts up to degree kmax, or up to
+    the stack's largest extent minus one when that is higher, shape
+    (K + 1, 2, m, d).  Axis a of the stacked tensors is contracted with
+    its (m, 2, e_a) view [phi(x_a); phi'(x_a)], last axis first, one
+    einsum per axis, without copying the table.  Each contraction puts
+    its value/derivative bit in front of the bits already made, so
+    after all d the slot with bits (b_1, ..., b_d), most significant
+    first, holds the product of derivatives along the axes with b_a = 1
+    and values along the rest: F is slot 0 and column j of J is slot
+    2**(d - 1 - j).  F has shape (m, d) and J (m, d, d).
+    """
+    m, d = pts.shape
+    t = stack.coeffs[None]
     ext = t.shape[2:]
-    # (m, d, 2, kmax + 1): per point and axis, the rows phi and phi'
-    vd = np.stack(basis_eval_deriv_all(sys.basis, max(ext) - 1, pts),
-                  axis=-1).transpose(1, 2, 3, 0)
+    table = _value_derivative_table(stack.basis, max(kmax, max(ext) - 1),
+                                    pts)
+    vd = table.transpose(2, 3, 1, 0)  # (m, d, 2, K + 1)
     blk = 1
     for a in reversed(range(d)):
         t = np.einsum("mbe,mrek->mrbk", vd[:, a, :, :ext[a]],
                       t.reshape(len(t), -1, ext[a], blk))
         blk *= 2
     t = t.reshape(m, d, blk)
-    F, J = t[:, :, 0], t[:, :, 2 ** np.arange(d - 1, -1, -1)]
-    return (F[0], J[0]) if single else (F, J)
+    return table, t[:, :, 0], t[:, :, 2 ** np.arange(d - 1, -1, -1)]
 
 
 def _root_conditions(J):
@@ -363,7 +404,7 @@ def _reals_from_json(v, what):
         raise ValueError(f"{what} must be a list of numbers, got {v!r}")
     for i, x in enumerate(v):
         if not _is_number(x):
-            raise ValueError(f"{what}[{i}] must be a number, got {x!r}")
+            raise ValueError(f"{what}[{i}] must be a number, got {_brief(x)}")
     return np.asarray(v, dtype=float)
 
 
@@ -371,7 +412,7 @@ def system_from_json(obj):
     if not (isinstance(obj, dict) and {"basis", "dim", "polys"} <= obj.keys()):
         raise ValueError("system JSON needs 'basis', 'dim' and 'polys'")
     if not _is_whole(obj["dim"]):
-        raise ValueError(f"dim must be an integer, got {obj['dim']!r}")
+        raise ValueError(f"dim must be an integer, got {_brief(obj['dim'])}")
     dim = int(obj["dim"])
     spec = obj["basis"]
     # a top-level domain overrides the basis's own (a name or an object)
@@ -391,7 +432,8 @@ def system_from_json(obj):
                              "and 'coeffs_real'")
         degrees = entry["degrees"]
         if not (isinstance(degrees, list) and all(map(_is_whole, degrees))):
-            raise ValueError(f"degrees must be integers, got {degrees}")
+            raise ValueError(
+                f"degrees must be integers, got {_brief(degrees)}")
         degrees = [int(n) for n in degrees]
         if len(degrees) != dim:
             raise ValueError("polynomial degrees do not match dim")

@@ -15,14 +15,19 @@ numbers (matpoly.eigvecs_and_conditions); batched Newton takes every
 start point a step per round, with one stacked solve and one
 eval_with_jacobian call; one more call at the polished points and one
 stacked SVD of their Jacobians give the residuals and root conditions.
-Component recovery is one call over the stacks of vectors too: each
-free component comes from the right vector or, on an axis where that
-has extent one, from the Cayley left vector, by one least-squares read
-of the basis recurrence over every fiber along the axis.  Only an
-eigenvalue whose vectors carry no component (a resultant of size one,
-as for affine systems) is taken alone: a solve of the system with the
-hidden variable fixed there gives its candidates.
+Every one of those calls reads one stack of the system's coefficient
+tensors, made once per solve.  Component recovery is one call over the
+stacks of vectors too: each free component comes from the right vector
+or, on an axis where that has extent one, from the Cayley left vector,
+by one least-squares read of the basis recurrence over every fiber
+along the axis.  Only an eigenvalue whose vectors carry no component (a
+resultant of size one, as for affine systems) is taken alone: a solve
+of the system with the hidden variable fixed there gives its
+candidates.
 
+condition_at_root measures conditioning at a known root from one
+value/derivative recurrence at the root's components: the structured
+eigenvectors, R(z), R'(z) and the Jacobian all read that one table.
 The module also ships the closed-form example families used to probe
 conditioning behaviour, and JSON/CSV writers for reports.
 """
@@ -34,14 +39,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DegreeGradedBasis, basis_eval_deriv_all, basis_from_json
-from .cayley import cayley_resultant, cayley_root_eigvectors
+from . import cayley, sylvester
+from .basis import DegreeGradedBasis, basis_from_json
+from .cayley import cayley_resultant
 from .matpoly import (EigenSolveError, MatrixPolynomial, _check_null_vectors,
-                      _stacked_solve, eigvecs_and_conditions, polyeig)
+                      _checked_root, _stacked_solve, eigvecs_and_conditions,
+                      polyeig)
 from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
-                        _demote, _root_conditions, _stacked,
-                        eval_with_jacobian, hide_variable, mp_eval)
-from .sylvester import sylvester_resultant, sylvester_root_eigvectors
+                        _demote, _jacobian_and_table, _root_conditions,
+                        _stack_system, _stacked, eval_with_jacobian,
+                        hide_variable, mp_eval)
+from .sylvester import sylvester_resultant
 
 __all__ = [
     "SolveOptions",
@@ -131,8 +139,10 @@ _DEDUPE_TOL = 1e-8   # relative gap below which two candidates are one root
 def newton_polish(sys, x0):
     """Newton iteration on the full system from x0.
 
-    Each iteration makes one eval_with_jacobian call, which gives the
-    values and the Jacobian together.  Returns (x, iterations,
+    The system's coefficient tensors are stacked once
+    (multipoly._stack_system), and each iteration makes one
+    eval_with_jacobian call on that stack, which gives the values and
+    the Jacobian together.  Returns (x, iterations,
     converged).  The iteration converges when a step falls below
     _NEWTON_TOL * (1 + ||x||_inf), or when it reaches its rounding
     floor: a step no smaller than the previous one, which was already
@@ -143,8 +153,9 @@ def newton_polish(sys, x0):
     iterates in real arithmetic; x is returned as a complex array.
     """
     x = _demote(np.atleast_1d(x0))[None]
-    F, J = eval_with_jacobian(sys, x)
-    x, iters, converged = _newton(sys, x, F, J)
+    stack = _stack_system(sys)
+    F, J = eval_with_jacobian(stack, x)
+    x, iters, converged = _newton(stack, x, F, J)
     return x[0].astype(complex), int(iters[0]), bool(converged[0])
 
 
@@ -153,7 +164,8 @@ _ROUNDING_FLOOR = np.sqrt(np.finfo(float).eps)
 
 def _newton(sys, x, F, J):
     """newton_polish from every row of x at once, with F and J already
-    evaluated at x.
+    evaluated at x.  sys is a system or its multipoly._stack_system;
+    a system is stacked once here.
 
     Each round takes the steps of all rows still iterating from one
     stacked solve and evaluates those rows with one eval_with_jacobian
@@ -162,6 +174,7 @@ def _newton(sys, x, F, J):
     complex system iterates in complex arithmetic.
     Returns (x, iterations, converged), one entry per row.
     """
+    sys = _stack_system(sys)
     x = x.astype(np.result_type(x, F))
     iters = np.full(len(x), _NEWTON_ITERS)
     converged = np.zeros(len(x), dtype=bool)
@@ -338,15 +351,16 @@ def _start_points(sys, res, kept, right, left, hidden):
 
 def _build_resultant(hv, method, taus):
     """The resultant of hv by method, and the function that gives its
-    structured eigenvectors at a root.  Degree bounds (taus) are a
-    Cayley setting; Sylvester rejects them."""
+    structured eigenvectors at a root from the basis values there
+    (cayley._root_vectors, sylvester._root_vectors).  Degree bounds
+    (taus) are a Cayley setting; Sylvester rejects them."""
     if method == "cayley":
-        return cayley_resultant(hv, taus), cayley_root_eigvectors
+        return cayley_resultant(hv, taus), cayley._root_vectors
     if method == "sylvester":
         if taus is not None:
             raise ValueError("taus are Cayley degree bounds; the Sylvester "
                              "resultant takes none")
-        return sylvester_resultant(hv), sylvester_root_eigvectors
+        return sylvester_resultant(hv), sylvester._root_vectors
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -383,11 +397,12 @@ def solve_system(sys, method="cayley", options=None):
     candidates = []
     if len(x0):
         x0 = _demote(x0)  # sub-solve points come from complex records
-        F, J = eval_with_jacobian(sys, x0)
+        stack = _stack_system(sys)
+        F, J = eval_with_jacobian(stack, x0)
         pre = np.max(np.abs(F), axis=1)
         if opts.polish:
-            x, iters, _ = _newton(sys, x0, F, J)
-            F, J = eval_with_jacobian(sys, x)
+            x, iters, _ = _newton(stack, x0, F, J)
+            F, J = eval_with_jacobian(stack, x)
         else:
             x, iters = x0, np.zeros(len(x0), dtype=int)
         resid = np.abs(F)
@@ -443,7 +458,12 @@ def _dedupe(records, tol):
 
 @dataclass(frozen=True, eq=False)
 class ConditionRecord:
-    """Eigenvalue and root sensitivities measured at a known root."""
+    """Eigenvalue and root sensitivities measured at a known root.
+
+    rayleigh equals (-1)**(d - 1 - h) * jacobian_det for hidden index
+    h: by Cramer's rule it is the Jacobian determinant with the hidden
+    variable's column moved last, d - 1 - h column swaps.  The two agree
+    when the last variable is hidden, the default."""
 
     method: str
     root: np.ndarray
@@ -457,32 +477,47 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None):
     """Measure conditioning with the closed-form eigenvectors at a root.
 
     The eigenvalue condition number uses the structured (unnormalized)
-    left/right vectors of the resultant; the Rayleigh-type product they
-    produce equals the Jacobian determinant of the system at the root,
-    which the record exposes for cross-checking.  One basis recurrence
-    at the hidden component gives R(z), for the residual check, and R'(z).
+    left/right vectors of the resultant.  The Rayleigh-type product
+    w^T R'(z) v they produce equals (-1)**(d - 1 - h) times the Jacobian
+    determinant of the system at the root, h the hidden index (Cramer's
+    rule, with the hidden variable's column moved last): the two are
+    equal when the last variable is hidden, the default.  The record
+    exposes both for cross-checking.
+
+    One value/derivative recurrence at the root's d components, up to
+    the highest degree any reader needs, serves every reader: v and w
+    take the values at the free components; R(z), for the residual
+    check, and R'(z) are one matrix-vector product each of the values
+    and the derivatives at the hidden component z with the resultant's
+    coefficients; and the Jacobian contracts the system's tensors,
+    stacked once, with the whole table (multipoly._jacobian_and_table).
     The root is demoted by _demote's rule, so a real root of a real
-    system is probed in real arithmetic; the record's fields are complex.
+    system is probed in real arithmetic; the record's fields are
+    complex.
     """
     root = _demote(np.atleast_1d(root))
     hv = hide_variable(sys, hidden_index)
     hidden = hv.hidden_index
-    res, root_eigvectors = _build_resultant(hv, method, None)
-    v, w = root_eigvectors(hv, root, res, check=False)
-    z = root[hidden]
+    res, root_vectors = _build_resultant(hv, method, None)
+    root = _checked_root(root, sys.dim)
     P = res.matrix_poly
-    R, dP = (np.tensordot(phis, P.coeffs, axes=([0], [0]))
-             for phis in basis_eval_deriv_all(P.basis, P.degree, z))
+    table, _, J = _jacobian_and_table(
+        _stack_system(sys), root[None],
+        max(P.degree, max(res.col_extents) - 1))
+    v, w = root_vectors(hv, res, root, table[:, 0, 0])
+    z = root[hidden]
+    coeffs = P.coeffs.reshape(P.degree + 1, -1)
+    R, dR = ((np.ascontiguousarray(table[:P.degree + 1, b, 0, hidden])
+              @ coeffs).reshape(P.size, P.size) for b in (0, 1))
     _check_null_vectors(P, z, R, v, w)
-    ray = complex(w @ (dP @ v))
+    ray = complex(w @ (dR @ v))
     scale = np.linalg.norm(v) * np.linalg.norm(w)
     kappa = float("inf") if ray == 0 else float(scale / abs(ray))
-    J = eval_with_jacobian(sys, root)[1]
     return ConditionRecord(method=method, root=root.astype(complex),
                            eig_condition=kappa,
                            rayleigh=ray,
-                           jacobian_det=complex(np.linalg.det(J)),
-                           root_condition=float(_root_conditions(J)))
+                           jacobian_det=complex(np.linalg.det(J[0])),
+                           root_condition=float(_root_conditions(J[0])))
 
 
 def condition_sweep(d, sigmas, method="cayley", seed=None):

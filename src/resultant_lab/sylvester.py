@@ -24,11 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import (PLAN_CACHE_SIZE, _reject_non_finite, basis_eval_all,
-                    clenshaw_shifts)
-from .matpoly import (MatrixPolynomial, _check_null_vectors, matpoly_eval,
-                      matpoly_to_json)
-from .multipoly import _contract_leading, _vandermonde_inverse
+from .basis import PLAN_CACHE_SIZE, basis_eval_all, clenshaw_shifts
+from .matpoly import (MatrixPolynomial, _check_null_vectors, _checked_root,
+                      matpoly_eval, matpoly_to_json)
+from .multipoly import _contract_leading, _demote, _vandermonde_inverse
 
 __all__ = [
     "SylvesterResultant",
@@ -141,20 +140,33 @@ def sylvester_root_eigvectors(hv, root, resultant, check=True):
 
     Raises ValueError when a root component is NaN or infinite, and
     StructureError when either residual exceeds 1e-7 times the matrix
-    norm (floored by the coefficient scale).
+    norm (floored by the coefficient scale), or when P(z) is not finite
+    (a hidden component that overflows the basis recurrence).
     """
-    root = np.atleast_1d(np.asarray(root))
-    if root.shape != (2,):
-        raise ValueError("root must have length 2")
-    _reject_non_finite(root, "root components")
+    root = _checked_root(root, 2)
+    kmax = max(resultant.size, *(t.shape[-1] for t in hv.tensors)) - 1
+    v, w = _root_vectors(hv, resultant, root,
+                         basis_eval_all(hv.basis, kmax, root))
+    if check:
+        P, z = resultant.matrix_poly, root[hv.hidden_index]
+        _check_null_vectors(P, z, matpoly_eval(P, z), v, w)
+    return v, w
+
+
+def _root_vectors(hv, resultant, root, phis):
+    """(v, w) of sylvester_root_eigvectors from phis, the basis values
+    at both components of root, shape (K + 1, 2) with K + 1 at least
+    the matrix size and every hidden extent.  q_1 and q_2 at the hidden
+    component z are the tensors contracted with the column of z; where
+    z overflows the recurrence they are not finite, and so is w."""
     y = root[hv.free_order[0]]
-    z = root[hv.hidden_index]
     tau1, tau2 = resultant.tau1, resultant.tau2
     n = tau1 + tau2
     basis = hv.basis
-    v = basis_eval_all(basis, n - 1, y)
-    u1 = hv.q_at(0, z).coeffs[:tau1 + 1]
-    u2 = hv.q_at(1, z).coeffs[:tau2 + 1]
+    v = np.ascontiguousarray(phis[:n, hv.free_order[0]])
+    at_z = np.ascontiguousarray(phis[:, hv.hidden_index])
+    u1, u2 = (_demote(t @ at_z[:t.shape[-1]])[:tau + 1]
+              for t, tau in zip(hv.tensors, (tau1, tau2)))
     tab = basis.table(n - 2)
     alpha = tab.alpha
     w = np.empty(n, dtype=np.result_type(u1, u2, y, tab.dtype))
@@ -164,9 +176,6 @@ def sylvester_root_eigvectors(hv, root, resultant, check=True):
     if tau1 > 0:
         b1 = clenshaw_shifts(basis, u1, y)
         w[tau2:] = alpha[:tau1] * b1[:tau1]
-    if check:
-        P = resultant.matrix_poly
-        _check_null_vectors(P, z, matpoly_eval(P, z), v, w)
     return v, w
 
 

@@ -65,6 +65,30 @@ def dense_gamma_basis(domain=None):
         [0.1 * rng.standard_normal(k) for k in range(1, m)], domain=domain)
 
 
+def two_loop_eval_deriv(basis, kmax, x):
+    """Reference (vals, ders) of basis_eval_deriv_all: the value and the
+    derivative recurrences as two accumulators stepped side by side, in
+    the operation order of the fused recurrence's every entry."""
+    tab = basis.table(kmax - 1)
+    al, be = tab.alpha[:kmax].tolist(), tab.beta[:kmax].tolist()
+    x = np.asarray(x)
+    vals = np.empty((kmax + 1,) + x.shape,
+                    dtype=np.result_type(x, tab.dtype))
+    ders = np.empty_like(vals)
+    vals[0] = 1.0
+    ders[0] = 0.0
+    for k in range(kmax):
+        lin = al[k] * x + be[k]
+        acc = lin * vals[k]
+        dacc = al[k] * vals[k] + lin * ders[k]
+        for j, g in tab.rows[k]:
+            acc += g * vals[j - 1]
+            dacc += g * ders[j - 1]
+        vals[k + 1] = acc
+        ders[k + 1] = dacc
+    return vals, ders
+
+
 def naive_eval(p, x):
     """Reference evaluation: explicit sum over all tensor entries."""
     tables = [basis_eval_all(p.basis, p.coeffs.shape[a] - 1, complex(x[a]))

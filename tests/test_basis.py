@@ -12,7 +12,8 @@ from resultant_lab.basis import (ClenshawTrace, DegreeGradedBasis,
                                  basis_eval_deriv_all, basis_from_json,
                                  basis_to_json, clenshaw_eval, clenshaw_shifts,
                                  derivative_eval, divided_difference)
-from conftest import PLAN_CACHES, custom_basis, plan_args
+from conftest import (PLAN_CACHES, custom_basis, plan_args,
+                      two_loop_eval_deriv)
 
 
 def horner(coeffs, x):
@@ -266,6 +267,67 @@ def test_deriv_all_degree_zero_and_scalar_point():
 # ----------------------------------------------------------------------
 # Custom bases and tables
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "dense-gamma"])
+def test_fused_recurrence_is_bitwise_the_two_loop_one(name):
+    # every kmax from 0 to 16 at real and complex points of 0, 1 and 2
+    # dimensions; the custom basis has nonzero beta and every gamma_{k,j}
+    rng = np.random.default_rng(41)
+    if name == "dense-gamma":
+        basis = custom_basis(
+            1.0 + 0.1 * rng.standard_normal(16), 0.1 * rng.standard_normal(16),
+            [0.1 * rng.standard_normal(k) for k in range(1, 16)])
+    else:
+        basis = DegreeGradedBasis(name)
+    points = [0.37, np.float64(-0.81), 0.2 - 0.45j,
+              rng.uniform(-1, 1, 5),
+              rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4),
+              rng.uniform(-1, 1, (3, 2)),
+              rng.uniform(-1, 1, (2, 3)) + 1j * rng.uniform(-1, 1, (2, 3))]
+    for kmax in range(17):
+        for x in map(np.asarray, points):
+            got = basis_eval_deriv_all(basis, kmax, x)
+            if x.ndim == 0 and np.iscomplexobj(x):
+                # numpy's scalar complex arithmetic, which the reference
+                # runs at a 0-d point, may round differently from its
+                # array loops; the fused state is an array at any point
+                want = [a[:, 0] for a in two_loop_eval_deriv(
+                    basis, kmax, x.reshape(1))]
+            else:
+                want = two_loop_eval_deriv(basis, kmax, x)
+            for g, w in zip(got, want):
+                assert g.flags.c_contiguous
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+
+# JSON's 1 followed by 400 zeros: a whole number too large for a float
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+def test_huge_table_entry_is_rejected_by_name(field):
+    tables = {"alpha": [1.0, 2.0, 2.0], "beta": [0.0, 0.0, 0.0],
+              "gamma": [[-1.0], [0.0, -1.0]]}
+    row = tables[field] if field != "gamma" else tables["gamma"][1]
+    row[1] = [0, -HUGE] if field == "beta" else HUGE
+    what = "gamma[1]" if field == "gamma" else field
+    with pytest.raises(ValueError) as exc:
+        basis_from_json(dict(tables, name="custom"))
+    msg = str(exc.value)
+    assert msg.startswith(f"{what}[1] must be a number or [re, im], got ")
+    assert "(401 digits, too large for a float)" in msg
+    assert str(HUGE) not in msg
+
+
+def test_huge_interval_end_is_rejected_by_name():
+    with pytest.raises(ValueError) as exc:
+        Domain.from_json({"interval": [-1, HUGE]})
+    assert str(exc.value) == ("interval must be [lo, hi], got [-1, "
+                              "100000... (401 digits, too large for a "
+                              "float)]")
+
 
 def chebyshev_tables(m):
     alpha = [1.0] + [2.0] * (m - 1)

@@ -487,6 +487,21 @@ def test_huge_root_component_fails_with_structure_error(two_norm_calls):
         condition_at_root(sys_, [0.3, 1e40])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_hidden_component_fails_alike_with_sylvester(two_norm_calls):
+    # q_1 and q_2 at a hidden component that overflows the recurrence are
+    # not finite, and neither is P(z): the Sylvester route names P(z),
+    # as the Cayley one does, not the coefficients of q
+    sys_, _ = random_system_with_root(2, 3, 1, basis_name="chebyshev")
+    hv = hide_variable(sys_)
+    res = sylvester_resultant(hv)
+    with pytest.raises(StructureError, match=r"P\(z\) is not finite"):
+        condition_at_root(sys_, [0.0, 1e200], method="sylvester")
+    with pytest.raises(StructureError, match=r"P\(z\) is not finite"):
+        sylvester_root_eigvectors(hv, [0.0, 1e200], res)
+    assert two_norm_calls == []
+
+
 def test_null_vector_check_takes_no_svd_at_planted_roots(two_norm_calls):
     # at a root the residuals pass against the Frobenius lower bound of
     # ||P(z)||_2, so the check never asks for the 2-norm's SVD

@@ -177,6 +177,16 @@ def test_exit_code_2_on_overflowing_root(system_file, capsys):
     assert "P(z) is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_code_2_on_overflowing_root_with_sylvester(system_file, capsys):
+    # q_1 and q_2 at the hidden component are not finite either, but the
+    # failure is P(z)'s, as with the Cayley resultant
+    rc = main(["condition", "--system", system_file, "--root", "0,1e200",
+               "--method", "sylvester"])
+    assert rc == 2
+    assert "P(z) is not finite" in capsys.readouterr().err
+
+
 def test_exit_code_1_on_non_finite_sigma(capsys):
     rc = main(["condition", "--dim", "2", "--sigmas", "0.5,-inf"])
     assert rc == 1
@@ -344,6 +354,32 @@ def test_exit_code_1_on_malformed_system(tmp_path, capsys, field, raw,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("field,message", [
+    ("polys.0.coeffs_real.2", "polys[0].coeffs_real[2] must be a number"),
+    ("basis.alpha.3", "alpha[3] must be a number or [re, im]"),
+    ("domain.interval.1", "interval must be [lo, hi]")],
+    ids=["coefficient", "table-entry", "interval-end"])
+def test_exit_code_1_on_number_too_large_for_a_float(tmp_path, capsys, field,
+                                                     message):
+    # 1 followed by 400 zeros in place of one number of a valid system
+    obj = circle_line_json()
+    if field.startswith("basis."):
+        obj["basis"] = copy.deepcopy(CUSTOM_CHEBYSHEV)
+    *parents, leaf = [int(k) if k.isdigit() else k for k in field.split(".")]
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[leaf] = "@field@"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj).replace('"@field@"', "1" + "0" * 400))
+    rc = main(["solve", "--system", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "(401 digits, too large for a float)" in err
+    assert "0" * 400 not in err
 
 
 def test_exit_code_2_on_sylvester_dim(tmp_path, capsys):

@@ -428,6 +428,17 @@ def test_system_json_validation():
                 {"degrees": degrees, "coeffs_real": coeffs}]})
 
 
+def test_huge_coefficient_is_rejected_by_name():
+    # 1 followed by 400 zeros is a JSON number that no float holds
+    obj = {"basis": "monomial", "dim": 2, "polys": [
+        {"degrees": [1, 1], "coeffs_real": [0.0, 1.0, 10 ** 400, 0.0]}]}
+    with pytest.raises(ValueError) as exc:
+        system_from_json(obj)
+    assert str(exc.value) == ("polys[0].coeffs_real[2] must be a number, "
+                              "got 100000... (401 digits, too large for a "
+                              "float)")
+
+
 def _two_polys_json(basis, domain=None):
     obj = {"basis": basis, "dim": 2,
            "polys": [{"degrees": [1, 1], "coeffs_real": [1.0, 2.0, 3.0, 4.0]},

@@ -7,13 +7,18 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from resultant_lab import basis as basis_mod
+from resultant_lab import cayley as cayley_mod
 from resultant_lab import matpoly, multipoly, rootfinder
-from resultant_lab.basis import DegreeGradedBasis, Domain, basis_eval_all
+from resultant_lab import sylvester as sylvester_mod
+from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
+                                 clenshaw_shifts)
 from resultant_lab.cayley import (cayley_resultant, cayley_root_eigvectors,
                                   default_taus)
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
@@ -32,7 +37,8 @@ from resultant_lab.rootfinder import (RootRecord, RootReport,
                                       recover_components, report_to_csv,
                                       report_to_json, solve_system)
 from resultant_lab.sylvester import sylvester_resultant
-from conftest import circle_line, custom_basis, report_fields
+from conftest import (circle_line, custom_basis, report_fields,
+                      two_loop_eval_deriv)
 from test_matpoly import (dense_inverted_pencil, linearize,
                           svd_eigvecs_and_conditions)
 
@@ -504,7 +510,9 @@ def test_hidden_index_override(mono):
 def _forbid_loose_evaluation(monkeypatch):
     """Make every point evaluation outside eval_with_jacobian raise, and
     record the points of each kernel call made through rootfinder, one
-    (points, d) array per call."""
+    (points, d) array per call.  The kernel is eval_with_jacobian, or
+    _jacobian_and_table where condition_at_root takes the basis table
+    at the root along with the Jacobian."""
     def forbidden(*args, **kwargs):
         raise AssertionError("point evaluation outside eval_with_jacobian")
 
@@ -516,7 +524,13 @@ def _forbid_loose_evaluation(monkeypatch):
         calls.append(np.array(x).reshape(-1, sys_.dim))
         return multipoly.eval_with_jacobian(sys_, x)
 
+    def counting_table_kernel(stack, pts, kmax):
+        calls.append(np.array(pts).reshape(-1, stack.dim))
+        return multipoly._jacobian_and_table(stack, pts, kmax)
+
     monkeypatch.setattr(rootfinder, "eval_with_jacobian", counting_kernel)
+    monkeypatch.setattr(rootfinder, "_jacobian_and_table",
+                        counting_table_kernel)
     return calls
 
 
@@ -1161,6 +1175,126 @@ def test_condition_sweep_shapes():
     assert [s for s, _ in rows] == [0.5, 0.2]
     rows = condition_sweep(2, [0.5], method="sylvester")
     assert rows[0][1].method == "sylvester"
+
+
+@pytest.mark.parametrize("d,method", [(2, "cayley"), (2, "sylvester"),
+                                      (3, "cayley")])
+def test_rayleigh_is_the_jacobian_det_signed_by_the_hidden_index(d, method):
+    # Cramer's rule: w^T R'(z) v = (-1)**(d - 1 - h) det J with variable
+    # h hidden
+    for seed in range(3):
+        sys_, root = random_system_with_root(d, 3, seed, "chebyshev")
+        for h in range(d):
+            rec = condition_at_root(sys_, root, method, hidden_index=h)
+            assert rec.rayleigh == pytest.approx(
+                (-1) ** (d - 1 - h) * rec.jacobian_det, rel=1e-10)
+
+
+def three_recurrence_condition(sys_, root, method, hidden_index=None):
+    """The fields of condition_at_root's record from three recurrences
+    at the root: basis_eval_all at the free components for v and w (and
+    at the hidden one for q_1 and q_2 in the Sylvester left vector), the
+    two-loop value/derivative recurrence at z for R(z) and R'(z), and
+    again at every component for J, with the tensors stacked for it and
+    the table copied into (m, d, 2, e) layout."""
+    root = multipoly._demote(np.atleast_1d(root))
+    hv = hide_variable(sys_, hidden_index)
+    basis, d = sys_.basis, sys_.dim
+    free, z = root[list(hv.free_order)], root[hv.hidden_index]
+    if method == "cayley":
+        res = cayley_resultant(hv)
+        phis = basis_eval_all(basis, max(res.row_extents) - 1, free)
+        v, w = (reduce(np.multiply.outer, [phis[:e, k] for k, e in
+                                           enumerate(ext)]).ravel()
+                for ext in (res.col_extents, res.row_extents))
+    else:
+        res = sylvester_resultant(hv)
+        n, y = res.size, free[0]
+        v = basis_eval_all(basis, n - 1, y)
+        u1, u2 = (hv.q_at(c, z).coeffs[:tau + 1]
+                  for c, tau in enumerate((res.tau1, res.tau2)))
+        alpha = basis.table(n - 2).alpha
+        w = np.empty(n, dtype=np.result_type(u1, u2, y, alpha))
+        w[:res.tau2] = (-alpha[:res.tau2]
+                        * clenshaw_shifts(basis, u2, y)[:res.tau2])
+        w[res.tau2:] = (alpha[:res.tau1]
+                        * clenshaw_shifts(basis, u1, y)[:res.tau1])
+    P = res.matrix_poly
+    dP = np.tensordot(two_loop_eval_deriv(basis, P.degree, z)[1], P.coeffs,
+                      axes=([0], [0]))
+    ray = complex(w @ (dP @ v))
+    scale = np.linalg.norm(v) * np.linalg.norm(w)
+    t = multipoly._stacked([p.coeffs for p in sys_.polys])[None]
+    ext = t.shape[2:]
+    vd = np.stack(two_loop_eval_deriv(basis, max(ext) - 1, root[None]),
+                  axis=-1).transpose(1, 2, 3, 0)
+    for a in reversed(range(d)):
+        t = np.einsum("mbe,mrek->mrbk", vd[:, a, :, :ext[a]],
+                      t.reshape(1, -1, ext[a], 2 ** (d - 1 - a)))
+    J = t.reshape(d, 2 ** d)[:, 2 ** np.arange(d - 1, -1, -1)]
+    return (root.astype(complex), float(scale / abs(ray)), ray,
+            complex(np.linalg.det(J)),
+            float(multipoly._root_conditions(J)))
+
+
+def test_condition_record_is_bitwise_the_three_recurrence_one():
+    # 32 systems of each cond-probe shape, half in each basis, at the
+    # planted root; the bivariate ones also by Sylvester and with the
+    # first variable hidden
+    cases = []
+    for d, n in ((3, 3), (2, 8)):
+        for i in range(32):
+            basis = ("chebyshev", "legendre")[i % 2]
+            sys_, root = random_system_with_root(d, n, [1, d, i], basis)
+            cases += [(sys_, root, "cayley", None), (sys_, root, "cayley", 0)]
+            if d == 2:
+                cases += [(sys_, root, "sylvester", None),
+                          (sys_, root, "sylvester", 0)]
+    for sys_, root, method, hidden in cases:
+        rec = condition_at_root(sys_, root, method, hidden_index=hidden)
+        got = (rec.root, rec.eig_condition, rec.rayleigh, rec.jacobian_det,
+               rec.root_condition)
+        want = three_recurrence_condition(sys_, root, method, hidden)
+        assert [np.asarray(g).tobytes() for g in got] == [
+            np.asarray(w).tobytes() for w in want]
+
+
+def test_one_recurrence_and_one_stack_per_call(monkeypatch):
+    # condition_at_root evaluates the basis at the root once, in the
+    # fused value/derivative recurrence, and stacks the system once, for
+    # its Jacobian; a solve and a Newton polish stack the system once,
+    # for every point set they evaluate
+    sys_, root = random_system_with_root(2, 4, 12, "chebyshev")
+    for method in ("cayley", "sylvester"):  # warm the construction plans
+        condition_at_root(sys_, root, method)
+    counts = {}
+
+    def count(mod, name):
+        real = getattr(mod, name)
+
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    count(basis_mod, "_value_derivative_table")
+    count(multipoly, "_value_derivative_table")
+    for mod in (basis_mod, cayley_mod, sylvester_mod, multipoly, matpoly):
+        count(mod, "basis_eval_all")
+    count(multipoly, "_stacked")
+    for method in ("cayley", "sylvester"):
+        counts.clear()
+        condition_at_root(sys_, root, method)
+        assert counts == {"_value_derivative_table": 1, "_stacked": 1}
+    counts.clear()
+    x, iters, ok = newton_polish(sys_, root + 1e-3)
+    assert ok and iters > 1
+    assert counts["_stacked"] == 1
+    counts.clear()
+    report = solve_system(sys_)
+    assert all(r.recovery == "ratio" for r in report.roots)
+    assert counts["_stacked"] == 1
 
 
 # ----------------------------------------------------------------------
