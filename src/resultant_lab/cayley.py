@@ -44,7 +44,7 @@ import numpy as np
 from .basis import PLAN_CACHE_SIZE, basis_eval_all
 from .matpoly import (MatrixPolynomial, _check_null_vectors, _checked_root,
                       matpoly_eval, matpoly_to_json)
-from .multipoly import _contract_leading, _stacked, _vandermonde_inverse
+from .multipoly import _contract_leading, _vandermonde_inverse
 
 __all__ = [
     "CayleyResultant",
@@ -178,7 +178,7 @@ def _plan(basis, stacked_extents, taus):
     up to the stacked extent of the variable sampled there, and
     inverses the transposed inverse Vandermonde matrix.  Every node
     set lies in basis.domain."""
-    ext = stacked_extents  # of _stacked(hv.tensors), hidden axis last
+    ext = stacked_extents  # of the system's stack, hidden axis last
     s_sets, t_sets = _axis_point_sets(basis.domain, taus)
     grid = [basis.domain.nodes(len(ext) * max(max(ext) - 1, 1) + 1),
             *s_sets, *t_sets]
@@ -270,7 +270,8 @@ def cayley_resultant(hv, taus=None):
     taus = default_taus(hv) if taus is None else tuple(int(t) for t in taus)
     if len(taus) != hv.dim - 1 or any(t < 0 for t in taus):
         raise ValueError(f"need {hv.dim - 1} nonnegative degree bounds")
-    T = _stacked(hv.tensors)
+    # a view of the system's stack with the hidden axis moved last
+    T = np.moveaxis(hv._stack.coeffs, hv.hidden_index + 1, -1)
     s_sets, t_sets, phis, inverses = _plan(hv.basis, T.shape[1:], taus)
     coeffs = _contract_leading(_grid_values(T, s_sets, t_sets, phis),
                                inverses)

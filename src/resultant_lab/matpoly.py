@@ -12,21 +12,25 @@ one eigenvalues-only standard eigensolver run gives them (in real
 arithmetic when the coefficients are real and the domain is an
 interval).  X and Y are never formed: M takes the divided differences
 of the basis at mu, from the Clenshaw shifts of basis.py, and one
-N x N solve with P(mu) as matpoly_eval gives it.  This is not backward
-stable for the pencil, but resultant eigenvalues lose up to kappa_eig /
-kappa_root of accuracy however they are computed (arXiv 1507.00272);
-Newton on the source system is what restores the roots.  Eigenvectors
+N x N solve with P(mu), which matpoly_eval gives once per shift.  Every
+contraction of the coefficient stack with basis values (P(mu), the
+right side of that solve, the stacks of P(lambda) and P'(lambda)) is
+one reshape and one np.dot.  This is not backward stable for the
+pencil, but resultant eigenvalues lose up to kappa_eig / kappa_root of
+accuracy however they are computed (arXiv 1507.00272); Newton on the
+source system is what restores the roots.  Eigenvectors
 are taken separately, for the eigenvalues a caller keeps, by one step
 of inverse iteration with P(lambda) itself: one stacked N x N solve
 over all kept eigenvalues for the right and left vectors, with their
 condition numbers from the stack of P'(lambda).
 
 The shifts also witness regularity: polyeig takes the singular values
-of P(mu) at each shift in order and passes over a mu where sigma_min <=
-1e-12 * sigma_max, a ratio that depends neither on the scale of P nor
-on its size N.  A regular P costs one N x N SVD, at a real point when
-the coefficients are real and the domain an interval.  When P(mu) is
-numerically singular at every shift, polyeig raises NotRegularError.
+of P(mu) at each shift in order, the matrix the solve then factors,
+and passes over a mu where sigma_min <= 1e-12 * sigma_max, a ratio
+that depends neither on the scale of P nor on its size N.  A regular
+P costs one N x N SVD, at a real point when the coefficients are real
+and the domain an interval.  When P(mu) is numerically singular at
+every shift, polyeig raises NotRegularError.
 The shifts, their scalars and the start vector of the inverse
 iteration depend on the basis and the shape alone and are cached
 (_plan).
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (PLAN_CACHE_SIZE, DegreeGradedBasis, _reject_non_finite,
-                    basis_eval_all, basis_eval_deriv_all, basis_from_json,
+                    _value_derivative_table, basis_eval_all, basis_from_json,
                     basis_to_json, clenshaw_shifts)
 from .multipoly import _demote
 
@@ -164,6 +168,13 @@ class MatrixPolynomial:
 # Evaluation
 # ----------------------------------------------------------------------
 
+def _contract(phis, A):
+    """sum_i phis[i, ...] A[i] for the coefficient stack A, shape (K + 1,
+    N, N), as a (points, N * N) array: one reshape of each and one
+    np.dot, the product np.tensordot runs, without its wrapper."""
+    return np.dot(phis.reshape(len(phis), -1).T, A.reshape(len(A), -1))
+
+
 def matpoly_eval(P, lam):
     """P(lam) = sum_i A_i phi_i(lam) by forward basis evaluation.
 
@@ -171,7 +182,8 @@ def matpoly_eval(P, lam):
     shape(lam) + (N, N).
     """
     phis = basis_eval_all(P.basis, P.degree, lam)
-    return np.tensordot(phis, P.coeffs, axes=([0], [0]))
+    return _contract(phis, P.coeffs).reshape(phis.shape[1:]
+                                             + P.coeffs.shape[1:])
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +272,9 @@ def _plan(basis, K, N, dtype):
     return shifts, start
 
 
-def _inverted_pencil(P, mu, W, phi):
+def _inverted_pencil(P, mu, P_mu, W, phi):
     """M = (X - mu Y)^-1 Y for the block-companion pencil (X, Y) of P,
-    from one N x N solve with P(mu); X and Y are never formed.
+    from one N x N solve with P_mu = P(mu); X and Y are never formed.
 
     Row i of W is the divided difference of phi_i at mu in the basis,
     sum_m W[i, m] phi_m(lambda) = (phi_i(lambda) - phi_i(mu)) /
@@ -273,15 +285,14 @@ def _inverted_pencil(P, mu, W, phi):
     W[K, K - 1] = alpha_{K-1} carries the A_K term.  By the identity, M
     maps each pencil eigenvector, u_k = phi_k(lambda) z with
     P(lambda) z = 0, to theta u, theta = 1 / (lambda - mu).  W and phi
-    are _pencil_table's; P(mu) is the matrix matpoly_eval gives.  M is
-    real when the coefficients, the recurrence and mu are.
+    are _pencil_table's at mu, and P_mu is the matrix matpoly_eval gives
+    there, the one polyeig's regularity witness took.  M is real when
+    the coefficients, the recurrence and mu are.
     Raises LinAlgError when P(mu) is exactly singular.
     """
     K, N = P.degree, P.size
-    A = P.coeffs
-    rhs = -np.tensordot(W, A, axes=([0], [0]))  # block column m is rhs[m]
-    Z0 = np.linalg.solve(np.tensordot(phi, A, axes=([0], [0])),
-                         rhs.transpose(1, 0, 2).reshape(N, K * N))
+    rhs = -_contract(W, P.coeffs).reshape(K, N, N)  # block column m is rhs[m]
+    Z0 = np.linalg.solve(P_mu, rhs.transpose(1, 0, 2).reshape(N, K * N))
     M = phi[:K, None, None] * Z0
     rows = np.arange(N)
     M.reshape(K, N, K, N)[:, rows, :, rows] += W[:K]
@@ -302,10 +313,12 @@ def polyeig(P):
     them for the eigenvalues a caller keeps.
 
     Regularity is witnessed at the shifts themselves: at each shift mu,
-    in order, the singular values of P(mu) are taken (matpoly_eval, one
-    N x N SVD), and mu is passed over when sigma_min <= 1e-12 *
-    sigma_max.  The first shift that passes decides a constant P, which
-    has no finite eigenvalues.
+    in order, the singular values of P(mu) are taken (one matpoly_eval,
+    one N x N SVD), and mu is passed over when sigma_min <= 1e-12 *
+    sigma_max; a shift that passes forms M from that same P(mu).  The
+    first shift that passes decides a constant P, which has no finite
+    eigenvalues.  When _effective_degree trims no coefficient, polyeig
+    works on P itself rather than on a trimmed MatrixPolynomial.
 
     Returns
     -------
@@ -326,12 +339,14 @@ def polyeig(P):
     """
     K, N = P.degree, P.size
     k_eff = _effective_degree(P)
-    work = MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1])
+    work = (P if k_eff == K
+            else MatrixPolynomial(P.basis, P.coeffs[:k_eff + 1]))
     radius = P.basis.domain.radius
     shifts = _plan(P.basis, k_eff, N, work.coeffs.dtype)[0]
     regular = False
     for mu, W, phi in shifts:
-        sv = np.linalg.svd(matpoly_eval(work, mu), compute_uv=False)
+        P_mu = matpoly_eval(work, mu)
+        sv = np.linalg.svd(P_mu, compute_uv=False)
         if not sv[-1] > 1e-12 * sv[0]:
             log.debug("polyeig: P(mu) numerically singular at shift %s", mu)
             continue
@@ -339,7 +354,7 @@ def polyeig(P):
             return np.empty(0, dtype=complex), N * K
         regular = True
         try:
-            M = _inverted_pencil(work, mu, W, phi)
+            M = _inverted_pencil(work, mu, P_mu, W, phi)
             scale = np.linalg.norm(M)
             # numpy returns real eigenvalues when all of them are real
             theta = np.linalg.eigvals(M).astype(complex, copy=False)
@@ -348,8 +363,9 @@ def polyeig(P):
             # M is not finite or the eigensolver did not converge
             continue
         del M
+        modulus = np.abs(theta)
         # a NaN or inf theta fails this test too
-        if np.max(np.abs(theta)) * radius * _SHIFT_GAP < 1.0:
+        if modulus.max() * radius * _SHIFT_GAP < 1.0:
             break
         log.debug("polyeig: eigenvalue within %g of shift %s, next shift",
                   _SHIFT_GAP * radius, mu)
@@ -361,7 +377,7 @@ def polyeig(P):
             f"no usable shift among {len(shifts)}: at each, P(mu) is "
             "numerically singular, the pencil has an eigenvalue next to "
             "mu, or the eigensolver fails")
-    finite = np.abs(theta) > 1e3 * _EPS * scale
+    finite = modulus > 1e3 * _EPS * scale
     lams = mu + 1.0 / theta[finite]
     lams = lams[np.lexsort((lams.imag, lams.real))]
     n_inf = N * (K - k_eff) + int(np.count_nonzero(~finite))
@@ -403,16 +419,16 @@ def _null_vectors(S, start):
     value from its own SVD.
     """
     x, solved = _stacked_solve(S, np.broadcast_to(start, S.shape[:-1]))
-    for k in np.nonzero(~solved | ~np.all(np.isfinite(x), axis=-1))[0]:
+    for k in np.nonzero(~solved | ~np.isfinite(x).all(axis=-1))[0]:
         x[k] = np.conj(np.linalg.svd(S[k])[2][-1])
-    x /= np.max(np.abs(x), axis=-1, keepdims=True)
+    x /= np.abs(x).max(axis=-1, keepdims=True)
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 def eigvecs_and_conditions(P, lams):
     """Eigenvectors, residuals and condition numbers at every lam.
 
-    One basis_eval_deriv_all over lams gives the stacks P(lam) and
+    One value/derivative recurrence over lams gives the stacks P(lam) and
     P'(lam).  One step of inverse iteration over the stack of P(lam)
     and of P(lam)^T (_null_vectors) gives the unit right vector v and
     the unit plain-transpose left vector w; the residual is
@@ -430,13 +446,14 @@ def eigvecs_and_conditions(P, lams):
     and (m,) for m = len(lams); the vectors are real when P and every
     lam are.
     """
-    vals, ders = basis_eval_deriv_all(P.basis, P.degree, lams)
-    Ps = np.tensordot(vals, P.coeffs, axes=([0], [0]))
-    start = _plan(P.basis, P.degree, P.size, P.coeffs.dtype)[1]
+    N = P.size
+    table = _value_derivative_table(P.basis, P.degree, lams)
+    Ps = _contract(table[:, 0], P.coeffs).reshape(-1, N, N)
+    start = _plan(P.basis, P.degree, N, P.coeffs.dtype)[1]
     vecs = _null_vectors(np.concatenate([Ps, Ps.transpose(0, 2, 1)]), start)
     right, left = vecs[:len(Ps)], vecs[len(Ps):]
     residuals = np.linalg.norm(np.einsum("mij,mj->mi", Ps, right), axis=-1)
-    dPs = np.tensordot(ders, P.coeffs, axes=([0], [0]))
+    dPs = _contract(table[:, 1], P.coeffs).reshape(-1, N, N)
     denom = np.abs(np.einsum("mi,mij,mj->m", left, dPs, right))
     scale = np.linalg.norm(right, axis=-1) * np.linalg.norm(left, axis=-1)
     norms = np.linalg.norm(dPs, axis=(1, 2)) * (1.0 + _NORM_MARGIN)

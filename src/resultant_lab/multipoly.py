@@ -33,11 +33,15 @@ with the two rows [phi(x_a); phi'(x_a)] of that table, so one pass of d
 contractions leaves every product of values and first derivatives.  A
 caller that evaluates one system at several point sets (a solve, a
 Newton polish) stacks it once (``_stack_system``) and passes the stack;
-the conditioning probe takes the table and the Jacobian together
-(``_jacobian_and_table``), since it reads the table at the root too.
+a solve or a probe takes it from the HiddenVariableForm, whose Cayley
+construction reads the same stack.  The conditioning probe takes the
+table and the Jacobian together (``_jacobian_and_table``), since it
+reads the table at the root too, and the Newton rounds call that kernel
+directly, without eval_with_jacobian's argument checks.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +69,7 @@ def _demote(a):
     a = np.asarray(a)
     if not np.iscomplexobj(a):
         return a.astype(float, copy=False)
-    if np.any(a.imag):
+    if a.imag.any():
         return a.astype(complex, copy=False)
     return np.ascontiguousarray(a.real, dtype=float)
 
@@ -147,7 +151,10 @@ class HiddenVariableForm:
     tensors[c] is the coefficient tensor of polynomial c with the hidden
     axis moved last, so slice [..., i] holds the free-variable tensor
     multiplying phi_i(hidden).  free_order records which original axes
-    remain, in order.
+    remain, in order.  _stack is the source system's _stack_system,
+    made on first use and kept, so that the Cayley construction (which
+    reads it with the hidden axis moved last) and the Jacobian of the
+    solve or probe that hid the variable share one stack.
     """
 
     source: PolynomialSystem
@@ -161,6 +168,10 @@ class HiddenVariableForm:
     @property
     def basis(self):
         return self.source.basis
+
+    @cached_property
+    def _stack(self):
+        return _stack_system(self.source)
 
     @property
     def free_order(self):

@@ -12,11 +12,13 @@ The stage after the eigenvalues works on all candidates at once: one
 stacked solve with P(lambda) gives the eigenvectors and residuals of
 every kept eigenvalue, and the stack of P'(lambda) their condition
 numbers (matpoly.eigvecs_and_conditions); batched Newton takes every
-start point a step per round, with one stacked solve and one
-eval_with_jacobian call; one more call at the polished points and one
-stacked SVD of their Jacobians give the residuals and root conditions.
-Every one of those calls reads one stack of the system's coefficient
-tensors, made once per solve.  Component recovery is one call over the
+start point a step per round, with one stacked solve and one call of
+the evaluation kernel (multipoly._jacobian_and_table); one more
+evaluation at the polished points and one stacked SVD of their
+Jacobians give the residuals and root conditions.  Every one of those
+calls reads one stack of the system's coefficient tensors, made once
+per solve and shared with the Cayley construction (HiddenVariableForm
+keeps it).  Component recovery is one call over the
 stacks of vectors too: each free component comes from the right vector
 or, on an axis where that has extent one, from the Cayley left vector,
 by one least-squares read of the basis recurrence over every fiber
@@ -140,9 +142,10 @@ def newton_polish(sys, x0):
     """Newton iteration on the full system from x0.
 
     The system's coefficient tensors are stacked once
-    (multipoly._stack_system), and each iteration makes one
-    eval_with_jacobian call on that stack, which gives the values and
-    the Jacobian together.  Returns (x, iterations,
+    (multipoly._stack_system), and each iteration evaluates the values
+    and the Jacobian together on that stack: eval_with_jacobian at x0,
+    its kernel multipoly._jacobian_and_table at every later iterate
+    (_newton).  Returns (x, iterations,
     converged).  The iteration converges when a step falls below
     _NEWTON_TOL * (1 + ||x||_inf), or when it reaches its rounding
     floor: a step no smaller than the previous one, which was already
@@ -168,8 +171,10 @@ def _newton(sys, x, F, J):
     a system is stacked once here.
 
     Each round takes the steps of all rows still iterating from one
-    stacked solve and evaluates those rows with one eval_with_jacobian
-    call.  Every row stops by newton_polish's rule on its own.  The
+    stacked solve and evaluates those rows with one _jacobian_and_table
+    call.  Every row stops by newton_polish's rule on its own; the
+    bookkeeping of a row that stops on a singular Jacobian or at its
+    rounding floor runs only in a round where some row does.  The
     iterates take the result type of x and F, so a real start on a
     complex system iterates in complex arithmetic.
     Returns (x, iterations, converged), one entry per row.
@@ -178,31 +183,37 @@ def _newton(sys, x, F, J):
     x = x.astype(np.result_type(x, F))
     iters = np.full(len(x), _NEWTON_ITERS)
     converged = np.zeros(len(x), dtype=bool)
-    prev = np.full(len(x), np.inf)  # size of each row's last step
-    active = np.arange(len(x))
+    # the rows still iterating, their iterates and their last step sizes
+    active, xa, prev = np.arange(len(x)), x, np.full(len(x), np.inf)
     for it in range(_NEWTON_ITERS):
         if it:
-            F, J = eval_with_jacobian(sys, x[active])
+            F, J = _jacobian_and_table(sys, xa, 0)[1:]
         step, solved = _stacked_solve(J, F)
-        iters[active[~solved]] = it
-        active, step = active[solved], step[solved]
-        size = np.max(np.abs(step), axis=1)
+        if not solved.all():
+            iters[active[~solved]] = it
+            active, xa, prev, step = (active[solved], xa[solved],
+                                      prev[solved], step[solved])
+        size = np.abs(step).max(axis=1)
         # a step that stops shrinking once below the rounding floor is
         # noise: stop without taking it
-        floored = ((size >= prev[active])
-                   & (prev[active] <= _ROUNDING_FLOOR
-                      * (1.0 + np.max(np.abs(x[active]), axis=1))))
-        iters[active[floored]] = it
-        converged[active[floored]] = True
-        active, step, size = (active[~floored], step[~floored],
-                              size[~floored])
-        x[active] -= step
-        prev[active] = size
-        done = size <= _NEWTON_TOL * (1.0 + np.max(np.abs(x[active]),
-                                                   axis=1))
-        iters[active[done]] = it + 1
-        converged[active[done]] = True
-        active = active[~done]
+        floored = size >= prev
+        if floored.any():
+            floored &= prev <= _ROUNDING_FLOOR * (
+                1.0 + np.abs(xa).max(axis=1))
+            iters[active[floored]] = it
+            converged[active[floored]] = True
+            keep = ~floored
+            active, xa, step, size = (active[keep], xa[keep], step[keep],
+                                      size[keep])
+        xa = xa - step
+        x[active] = xa
+        prev = size
+        done = size <= _NEWTON_TOL * (1.0 + np.abs(xa).max(axis=1))
+        if done.any():
+            iters[active[done]] = it + 1
+            converged[active[done]] = True
+            keep = ~done
+            active, xa, prev = active[keep], xa[keep], prev[keep]
         if not len(active):
             break
     return x, iters, converged
@@ -234,8 +245,8 @@ def _component_from_fibers(U, basis):
         for j, g in tab.rows[i]:
             pred[:, i] -= g * U[:, j - 1]
     a = (tab.alpha[:e - 1, None] * U[:, :-1]).reshape(m, -1)
-    den = np.sum((a.conj() * a).real, axis=1)
-    num = np.sum(a.conj() * pred.reshape(m, -1), axis=1)
+    den = (a.conj() * a).real.sum(axis=1)
+    num = (a.conj() * pred.reshape(m, -1)).sum(axis=1)
     ok = (den != 0.0) & np.isfinite(den) & np.isfinite(num)
     x = np.divide(num, den, out=np.full(m, np.nan, dtype=num.dtype),
                   where=ok)
@@ -299,7 +310,8 @@ def _subsolve(sys, lam, hidden):
     hv = hide_variable(sys, hidden)
     q = _stacked([hv.q_at(c, lam).coeffs for c in range(d)])
     rng = np.random.default_rng(_COMBINATION_SEED)
-    combined = np.tensordot(rng.standard_normal((d - 1, d)), q, axes=1)
+    combined = np.dot(rng.standard_normal((d - 1, d)),
+                      q.reshape(d, -1)).reshape((d - 1,) + q.shape[1:])
     try:
         if d == 2:
             free = polyeig(MatrixPolynomial(
@@ -397,17 +409,17 @@ def solve_system(sys, method="cayley", options=None):
     candidates = []
     if len(x0):
         x0 = _demote(x0)  # sub-solve points come from complex records
-        stack = _stack_system(sys)
-        F, J = eval_with_jacobian(stack, x0)
-        pre = np.max(np.abs(F), axis=1)
+        stack = hv._stack
+        F, J = _jacobian_and_table(stack, x0, 0)[1:]
+        pre = np.abs(F).max(axis=1)
         if opts.polish:
             x, iters, _ = _newton(stack, x0, F, J)
-            F, J = eval_with_jacobian(stack, x)
+            F, J = _jacobian_and_table(stack, x, 0)[1:]
         else:
             x, iters = x0, np.zeros(len(x0), dtype=int)
         resid = np.abs(F)
-        scales = np.array([np.sum(np.abs(p.coeffs)) for p in sys.polys])
-        spurious = np.any(resid > opts.tol_accept * scales, axis=1)
+        scales = np.array([np.abs(p.coeffs).sum() for p in sys.polys])
+        spurious = (resid > opts.tol_accept * scales).any(axis=1)
         # RootRecord fields in order, the scalars from one tolist() each;
         # x and hidden_value are complex whatever the arithmetic
         candidates = [RootRecord(*f) for f in zip(
@@ -439,8 +451,8 @@ def _dedupe(records, tol):
     if not order:
         return []
     xs = np.array([r.x for r in order])
-    gap = np.max(np.abs(xs[:, None, :] - xs[None, :, :]), axis=-1)
-    close = gap <= tol * (1.0 + np.max(np.abs(xs), axis=1))
+    gap = np.abs(xs[:, None, :] - xs[None, :, :]).max(axis=-1)
+    close = gap <= tol * (1.0 + np.abs(xs).max(axis=1))
     # the diagonal is never read: a NaN row leaves it False, others True
     np.fill_diagonal(close, False)
     if not close.any():
@@ -502,7 +514,7 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None):
     root = _checked_root(root, sys.dim)
     P = res.matrix_poly
     table, _, J = _jacobian_and_table(
-        _stack_system(sys), root[None],
+        hv._stack, root[None],
         max(P.degree, max(res.col_extents) - 1))
     v, w = root_vectors(hv, res, root, table[:, 0, 0])
     z = root[hidden]

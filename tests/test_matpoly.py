@@ -586,10 +586,11 @@ def test_inverted_pencil_matches_dense_solve(name, domain, complex_entries,
 
 
 def inverted_pencil(P, mu):
-    """_inverted_pencil at any shift mu, with its scalars from
-    _pencil_table as the plan holds them."""
-    return matpoly._inverted_pencil(P, mu, *matpoly._pencil_table(
-        P.basis, P.degree, mu, P.coeffs.dtype))
+    """_inverted_pencil at any shift mu, with P(mu) from matpoly_eval and
+    its scalars from _pencil_table as the plan holds them."""
+    return matpoly._inverted_pencil(
+        P, mu, matpoly_eval(P, mu),
+        *matpoly._pencil_table(P.basis, P.degree, mu, P.coeffs.dtype))
 
 
 def loop_pencil_table(P, mu):
@@ -672,8 +673,9 @@ def test_pencil_table_key_keeps_real_and_complex_apart(monkeypatch):
         dtype = P.coeffs.dtype
         for mu, W, phi in matpoly._plan(basis, 4, 3, dtype)[0]:
             assert W.dtype == dtype and phi.dtype == np.float64
-            assert identical(matpoly._inverted_pencil(P, mu, W, phi),
-                             loop_inverted_pencil(P, mu))
+            assert identical(matpoly._inverted_pencil(
+                P, mu, matpoly_eval(P, mu), W, phi),
+                loop_inverted_pencil(P, mu))
     # polyeig reads the table of its coefficients' dtype
     stacks = [random_matpoly(rng, basis, degree, 3, complex_entries)
               for degree in (1, 2, 3) for complex_entries in (False, True)
@@ -744,7 +746,7 @@ def test_witness_and_solve_share_one_p_of_mu(name, monkeypatch):
             for mu, W, phi in matpoly._plan(basis, 5, 6,
                                             P.coeffs.dtype)[0]:
                 seen.clear()
-                matpoly._inverted_pencil(P, mu, W, phi)
+                matpoly._inverted_pencil(P, mu, matpoly_eval(P, mu), W, phi)
                 assert identical(seen[0][1], matpoly_eval(P, mu))
             seen.clear()
             polyeig(P)

@@ -39,7 +39,7 @@ from resultant_lab.rootfinder import (RootRecord, RootReport,
 from resultant_lab.sylvester import sylvester_resultant
 from conftest import (circle_line, custom_basis, report_fields,
                       two_loop_eval_deriv)
-from test_matpoly import (dense_inverted_pencil, linearize,
+from test_matpoly import (dense_inverted_pencil, linearize, record_shifts,
                           svd_eigvecs_and_conditions)
 
 
@@ -130,6 +130,85 @@ def test_batched_newton_stops_only_the_singular_row(mono):
         want = newton_polish(sys_, x0)
         assert np.array_equal(x[k], want[0])
         assert (iters[k], ok[k]) == want[1:]
+
+
+def loop_newton(sys_, x0):
+    """newton_polish's stop rules for one start as a plain loop, one
+    eval_with_jacobian and one np.linalg.solve per iteration: the
+    reference the batched rounds of _newton are checked against."""
+    x = multipoly._demote(np.atleast_1d(x0))
+    prev = np.inf
+    for it in range(rootfinder._NEWTON_ITERS):
+        F, J = eval_with_jacobian(sys_, x)
+        try:
+            step = np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            return x, it, False
+        size = np.max(np.abs(step))
+        if size >= prev and prev <= rootfinder._ROUNDING_FLOOR * (
+                1.0 + np.max(np.abs(x))):
+            return x, it, True
+        x = x - step
+        prev = size
+        if size <= rootfinder._NEWTON_TOL * (1.0 + np.max(np.abs(x))):
+            return x, it + 1, True
+    return x, rootfinder._NEWTON_ITERS, False
+
+
+def test_batched_newton_rare_rows_are_each_the_lone_polish(mono,
+                                                         monkeypatch):
+    # p1 = ((x - 0.3)^2 - 1e-10) (x + 1): the roots 0.3 +- 1e-5 have
+    # |p1'| ~ 2e-5, so rounding noise stalls Newton there above
+    # _NEWTON_TOL and only the floor rule stops it; the root -1 is
+    # well conditioned.  p2 = y (y - 2)^8: a simple root at 0, an
+    # eightfold one at 2, where Newton gains a factor 8/9 a step, and
+    # p2'(2) = 0 exactly.
+    p1 = np.polynomial.polynomial.polyfromroots([0.3 - 1e-5, 0.3 + 1e-5,
+                                                 -1.0])
+    p2 = np.polynomial.polynomial.polyfromroots([0.0] + [2.0] * 8)
+    sys_ = PolynomialSystem((MultiPoly(mono, 2, p1[:, None]),
+                             MultiPoly(mono, 2, p2[None, :])))
+    starts = np.array([[-1.0, 2.0],               # singular J at once
+                       [-1.0, 1.9],               # hits _NEWTON_ITERS
+                       [0.3 + 1.01e-5, 0.0],      # stops at its floor
+                       [-1.0, 0.0], [-0.9, 0.1],  # converge in rounds
+                       [-1.3, 0.05], [0.31, 0.0]])  # 1, 7, 6 and 15
+    F, J = eval_with_jacobian(sys_, starts)
+    x, iters, ok = rootfinder._newton(sys_, starts, F, J)
+    assert iters.tolist() == [0, rootfinder._NEWTON_ITERS, 4, 1, 7, 6, 15]
+    assert ok.tolist() == [False, False] + [True] * 5
+    for k, x0 in enumerate(starts):
+        want_x, want_iters, want_ok = newton_polish(sys_, x0)
+        assert x[k].astype(complex).tobytes() == want_x.tobytes()
+        assert (iters[k], ok[k]) == (want_iters, want_ok)
+        loop_x, loop_iters, loop_ok = loop_newton(sys_, x0)
+        assert x[k].tobytes() == loop_x.tobytes()
+        assert (iters[k], ok[k]) == (loop_iters, loop_ok)
+    # without the floor rule the stalled row runs to the cap
+    monkeypatch.setattr(rootfinder, "_ROUNDING_FLOOR", 0.0)
+    iters, ok = rootfinder._newton(sys_, starts, F, J)[1:]
+    assert (iters[2], ok[2]) == (rootfinder._NEWTON_ITERS, False)
+    assert np.delete(iters, 2).tolist() == [0, 20, 1, 7, 6, 15]
+
+
+def test_batched_newton_is_the_loop_bitwise():
+    # every row of a batch, real or complex, iterates as loop_newton
+    # does alone: same steps, same stop, same bits
+    for seed in range(12):
+        d = 2 + seed % 2
+        sys_, root = random_system_with_root(d, 3, seed,
+                                             basis_name="chebyshev")
+        rng = np.random.default_rng(seed)
+        starts = root + rng.uniform(-0.3, 0.3, (8, d)) * np.logspace(
+            -4, 0, 8)[:, None]
+        # real starts iterate in real arithmetic, as newton_polish's do
+        starts = multipoly._demote(starts + 1e-3j * (seed % 4 == 1))
+        F, J = eval_with_jacobian(sys_, starts)
+        x, iters, ok = rootfinder._newton(sys_, starts, F, J)
+        for k, x0 in enumerate(starts):
+            want_x, want_iters, want_ok = loop_newton(sys_, x0)
+            assert x[k].tobytes() == want_x.tobytes()
+            assert (iters[k], ok[k]) == (want_iters, want_ok)
 
 
 def test_batched_newton_matches_scalar():
@@ -585,6 +664,49 @@ def test_condition_at_root_makes_one_kernel_call(monkeypatch):
     assert rec.root_condition == pytest.approx(2.0, rel=1e-10)
     assert rec.jacobian_det == pytest.approx(np.linalg.det(
         multipoly.eval_with_jacobian(sys_, np.zeros(3))[1]))
+
+
+def test_warm_solve_contracts_without_tensordot(monkeypatch):
+    # every contraction of a coefficient stack is one np.dot, and
+    # polyeig evaluates P(mu) once per shift it tries: the matrix whose
+    # singular values witness regularity is the one it factors
+    sys_, _ = random_system_with_root(2, 4, 12, "chebyshev")
+    linear, _ = family_linear(2, seed=5)  # sub-solve path
+    for method in ("cayley", "sylvester"):  # warm the plans
+        solve_system(sys_, method)
+    solve_system(linear)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.tensordot called")
+
+    monkeypatch.setattr(np, "tensordot", forbidden)
+    evaluated, inverted = record_shifts(monkeypatch)
+    shifts = matpoly._shifts(sys_.domain)
+    for method in ("cayley", "sylvester"):
+        evaluated.clear()
+        inverted.clear()
+        assert solve_system(sys_, method).accepted
+        assert evaluated == inverted == shifts[:1]
+    # the resultant's polyeig and the sub-solve's, one shift each
+    evaluated.clear()
+    inverted.clear()
+    report = solve_system(linear)
+    assert [r.recovery for r in report.roots] == ["subsolve"]
+    assert evaluated == inverted == shifts[:1] * 2
+    # a pencil that is not finite at the first shift moves polyeig on
+    recording = matpoly._inverted_pencil
+
+    def poisoned_first(P, mu, *rest):
+        M = recording(P, mu, *rest)
+        if len(inverted) == 1:
+            M[0, 0] = np.nan
+        return M
+
+    monkeypatch.setattr(matpoly, "_inverted_pencil", poisoned_first)
+    evaluated.clear()
+    inverted.clear()
+    assert solve_system(sys_).accepted
+    assert evaluated == inverted == shifts[:2]
 
 
 def qz_polyeig(P):
@@ -1262,8 +1384,9 @@ def test_condition_record_is_bitwise_the_three_recurrence_one():
 def test_one_recurrence_and_one_stack_per_call(monkeypatch):
     # condition_at_root evaluates the basis at the root once, in the
     # fused value/derivative recurrence, and stacks the system once, for
-    # its Jacobian; a solve and a Newton polish stack the system once,
-    # for every point set they evaluate
+    # its Jacobian and the Cayley construction; a solve and a Newton
+    # polish stack the system once, for every point set they evaluate
+    # and, in a solve, the construction
     sys_, root = random_system_with_root(2, 4, 12, "chebyshev")
     for method in ("cayley", "sylvester"):  # warm the construction plans
         condition_at_root(sys_, root, method)
@@ -1282,18 +1405,22 @@ def test_one_recurrence_and_one_stack_per_call(monkeypatch):
     count(multipoly, "_value_derivative_table")
     for mod in (basis_mod, cayley_mod, sylvester_mod, multipoly, matpoly):
         count(mod, "basis_eval_all")
-    count(multipoly, "_stacked")
+    for mod in (cayley_mod, sylvester_mod, multipoly, matpoly, rootfinder):
+        if hasattr(mod, "_stacked"):
+            count(mod, "_stacked")
     for method in ("cayley", "sylvester"):
-        counts.clear()
-        condition_at_root(sys_, root, method)
-        assert counts == {"_value_derivative_table": 1, "_stacked": 1}
+        for hidden in (None, 0):
+            counts.clear()
+            condition_at_root(sys_, root, method, hidden)
+            assert counts == {"_value_derivative_table": 1, "_stacked": 1}
+            counts.clear()
+            report = solve_system(sys_, method,
+                                  SolveOptions(hidden_index=hidden))
+            assert all(r.recovery == "ratio" for r in report.roots)
+            assert counts["_stacked"] == 1
     counts.clear()
     x, iters, ok = newton_polish(sys_, root + 1e-3)
     assert ok and iters > 1
-    assert counts["_stacked"] == 1
-    counts.clear()
-    report = solve_system(sys_)
-    assert all(r.recovery == "ratio" for r in report.roots)
     assert counts["_stacked"] == 1
 
 
