@@ -16,7 +16,7 @@ from .cayley import (CayleyResultant, cayley_resultant,
                      cayley_resultant_to_json, cayley_root_eigvectors,
                      default_taus)
 from .matpoly import (EigenSolveError, MatrixPolynomial, NotRegularError,
-                      StructureError, eigvecs_and_conditions, matpoly_eval,
+                      StructureError, eigvecs, matpoly_eval,
                       matpoly_from_json, matpoly_to_json, polyeig)
 from .multipoly import (HiddenVariableForm, MultiPoly, PolynomialSystem,
                         eval_with_jacobian, hide_variable, mp_eval,
@@ -48,7 +48,7 @@ __all__ = [
     "system_to_json", "system_from_json",
     # matpoly
     "MatrixPolynomial", "EigenSolveError", "NotRegularError",
-    "StructureError", "matpoly_eval", "polyeig", "eigvecs_and_conditions",
+    "StructureError", "matpoly_eval", "polyeig", "eigvecs",
     "matpoly_to_json", "matpoly_from_json",
     # cayley
     "CayleyResultant", "default_taus", "cayley_resultant",

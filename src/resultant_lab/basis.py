@@ -544,10 +544,10 @@ def _shift_table(basis, coeffs, x):
     Returns b with shape (n+2, ...) where b[k] = b_k[p](x) for
     k = 0..n+1, from b_{n+1} = 0, b_n = a_n and
     b_k = a_k + (alpha_k x + beta_k) b_{k+1} + sum_{j>k} gamma_{j,k+1} b_{j+1}.
-    Since phi_0 = 1 the last step gives b_0 = p(x).  The scalar x
-    broadcasts over any trailing coefficient axes, which lets
-    matrix-valued coefficient stacks share this code path.  b is in the
-    result type of coeffs, x and the recurrence table.
+    Since phi_0 = 1 the last step gives b_0 = p(x).  x broadcasts over
+    the trailing coefficient axes: a scalar serves matrix-valued stacks,
+    and one point per coefficient column evaluates each at its own.  b
+    is in the result type of coeffs, x and the recurrence table.
     """
     n = coeffs.shape[0] - 1
     tab = basis.table(n - 1)
@@ -567,9 +567,9 @@ def _shift_table(basis, coeffs, x):
 def clenshaw_shifts(basis, coeffs, x):
     """Ascending shift array b_1[p](x), ..., b_{n+1}[p](x).
 
-    coeffs may carry trailing axes (e.g. matrix coefficients); x must be
-    scalar.  Real coefficients at a real x give real shifts.  Exposed
-    for resultant eigenvector construction.
+    coeffs may carry trailing axes (e.g. matrix coefficients), against
+    which x broadcasts (_shift_table).  Real coefficients at a real x
+    give real shifts.  Exposed for resultant eigenvector construction.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape[0] == 0:

@@ -37,7 +37,7 @@ structured vectors v, w at x.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -308,16 +308,20 @@ def cayley_root_eigvectors(hv, root, resultant, check=True):
 
 
 def _root_vectors(hv, resultant, root, phis):
-    """(v, w) of cayley_root_eigvectors from phis, the basis values at
-    every component of root, shape (K + 1, d) with K + 1 at least the
-    largest row extent: column a of phis, cut to each extent, is the
-    basis column of free variable a."""
+    """(v, w) of cayley_root_eigvectors, (N,) each, or (m, N) for a
+    stack of m roots, from phis, the basis values at every component,
+    shape (K + 1, d) or (K + 1, m, d) with K + 1 at least the largest
+    row extent: phis[:e, ..., a] is free variable a's basis column."""
     free = hv.free_order
-    v = reduce(np.multiply.outer, [phis[:e, a] for a, e in zip(
-        free, resultant.col_extents)]).ravel(order="C")
-    w = reduce(np.multiply.outer, [phis[:e, a] for a, e in zip(
-        free, resultant.row_extents)]).ravel(order="C")
-    return v, w
+
+    def outer(extents):
+        vec = phis[:extents[0], ..., free[0]].T
+        for a, e in zip(free[1:], extents[1:]):
+            vec = (vec[..., :, None] * phis[:e, ..., a].T[..., None, :]
+                   ).reshape(vec.shape[:-1] + (-1,))
+        return np.ascontiguousarray(vec)
+
+    return outer(resultant.col_extents), outer(resultant.row_extents)
 
 
 # ----------------------------------------------------------------------

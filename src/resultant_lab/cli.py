@@ -261,7 +261,8 @@ def _build_parser():
     p = sub.add_parser("eval", help="evaluate the system at points")
     common(p, hidden=False)
     p.add_argument("--point", action="append", required=True,
-                   help="comma-separated components; repeatable")
+                   help="comma-separated components; repeatable; write "
+                        "--point=-0.5,0.5 when the first is negative")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("cayley", help="emit the Cayley resultant as JSON")
@@ -294,7 +295,8 @@ def _build_parser():
     p.add_argument("--system", default=None,
                    help="system JSON (needs --root)")
     p.add_argument("--root", default=None,
-                   help="comma-separated root components")
+                   help="comma-separated root components; write "
+                        "--root=-0.5,-0.5 when the first is negative")
     p.add_argument("--hidden", type=int, default=None)
     p.add_argument("--method", choices=("cayley", "sylvester"),
                    default="cayley")

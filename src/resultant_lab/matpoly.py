@@ -14,15 +14,15 @@ interval).  X and Y are never formed: M takes the divided differences
 of the basis at mu, from the Clenshaw shifts of basis.py, and one
 N x N solve with P(mu), which matpoly_eval gives once per shift.  Every
 contraction of the coefficient stack with basis values (P(mu), the
-right side of that solve, the stacks of P(lambda) and P'(lambda)) is
-one reshape and one np.dot.  This is not backward stable for the
-pencil, but resultant eigenvalues lose up to kappa_eig / kappa_root of
-accuracy however they are computed (arXiv 1507.00272); Newton on the
-source system is what restores the roots.  Eigenvectors
-are taken separately, for the eigenvalues a caller keeps, by one step
-of inverse iteration with P(lambda) itself: one stacked N x N solve
-over all kept eigenvalues for the right and left vectors, with their
-condition numbers from the stack of P'(lambda).
+right side of that solve, the stack of P(lambda)) is one reshape and
+one np.dot.  This is not backward stable for the pencil, but resultant
+eigenvalues lose up to kappa_eig / kappa_root of accuracy however they
+are computed (arXiv 1507.00272); Newton on the source system is what
+restores the roots.  Eigenvectors are taken separately, for the
+eigenvalues a caller keeps, by one step of inverse iteration with
+P(lambda) itself: one stacked N x N solve over all kept eigenvalues for
+the right and left vectors (eigvecs); condition numbers are measured
+at the polished roots (rootfinder).
 
 The shifts also witness regularity: polyeig takes the singular values
 of P(mu) at each shift in order, the matrix the solve then factors,
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (PLAN_CACHE_SIZE, DegreeGradedBasis, _reject_non_finite,
-                    _value_derivative_table, basis_eval_all, basis_from_json,
-                    basis_to_json, clenshaw_shifts)
+                    basis_eval_all, basis_from_json, basis_to_json,
+                    clenshaw_shifts)
 from .multipoly import _demote
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
     "StructureError",
     "matpoly_eval",
     "polyeig",
-    "eigvecs_and_conditions",
+    "eigvecs",
     "matpoly_to_json",
     "matpoly_from_json",
 ]
@@ -256,8 +256,8 @@ def _pencil_table(basis, K, mu, dtype):
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(basis, K, N, dtype):
-    """Shape-only data of polyeig and eigvecs_and_conditions as read-only
-    arrays: (shifts, start), for degree K, size N and the dtype of the
+    """Shape-only data of polyeig and eigvecs as read-only arrays:
+    (shifts, start), for degree K, size N and the dtype of the
     coefficients (float64 or complex128, as MatrixPolynomial stores
     them; W is real only when both the coefficients and the shifts
     are).  shifts holds (mu, W, phi) per mu of _shifts(basis.domain)
@@ -309,8 +309,8 @@ def polyeig(P):
     back to lam = mu + 1 / theta.  A theta indistinguishable from zero,
     |theta| <= 1e3 * eps * ||M||_F, is an infinite eigenvalue.  M is
     real when the coefficients are real and the domain an interval.
-    Eigenvectors are not computed here; eigvecs_and_conditions supplies
-    them for the eigenvalues a caller keeps.
+    Eigenvectors are not computed here; eigvecs supplies them for the
+    eigenvalues a caller keeps.
 
     Regularity is witnessed at the shifts themselves: at each shift mu,
     in order, the singular values of P(mu) are taken (one matpoly_eval,
@@ -425,45 +425,27 @@ def _null_vectors(S, start):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def eigvecs_and_conditions(P, lams):
-    """Eigenvectors, residuals and condition numbers at every lam.
+def eigvecs(P, lams):
+    """Eigenvectors and residuals at every lam.
 
-    One value/derivative recurrence over lams gives the stacks P(lam) and
-    P'(lam).  One step of inverse iteration over the stack of P(lam)
-    and of P(lam)^T (_null_vectors) gives the unit right vector v and
-    the unit plain-transpose left vector w; the residual is
-    ||P(lam) v||_2, and ||w^T P(lam)||_2 is of the same size but not
-    equal to it.  The condition number is ||v|| ||w|| / |w^T P'(lam) v|,
-    or +inf (defective or non-simple) when that denominator is at most
-    1e3 * eps * ||v|| ||w|| ||P'(lam)||_2.  ||P'(lam)||_F bounds the
-    2-norm from above, so singular values of P'(lam) are taken only
-    for the lams whose denominator does not clear the cutoff with the
-    Frobenius norm in its place.
+    One step of inverse iteration over the stack of P(lam) and of
+    P(lam)^T (_null_vectors) gives the unit right vector v and the unit
+    plain-transpose left vector w; the residual is ||P(lam) v||_2, and
+    ||w^T P(lam)||_2 is of the same size but not equal to it.
 
     Returns
     -------
-    (right, left, residuals, kappas) with shapes (m, N), (m, N), (m,)
-    and (m,) for m = len(lams); the vectors are real when P and every
-    lam are.
+    (right, left, residuals) with shapes (m, N), (m, N) and (m,) for
+    m = len(lams); the vectors are real when P and every lam are.
     """
     N = P.size
-    table = _value_derivative_table(P.basis, P.degree, lams)
-    Ps = _contract(table[:, 0], P.coeffs).reshape(-1, N, N)
+    Ps = _contract(basis_eval_all(P.basis, P.degree, lams),
+                   P.coeffs).reshape(-1, N, N)
     start = _plan(P.basis, P.degree, N, P.coeffs.dtype)[1]
     vecs = _null_vectors(np.concatenate([Ps, Ps.transpose(0, 2, 1)]), start)
     right, left = vecs[:len(Ps)], vecs[len(Ps):]
     residuals = np.linalg.norm(np.einsum("mij,mj->mi", Ps, right), axis=-1)
-    dPs = _contract(table[:, 1], P.coeffs).reshape(-1, N, N)
-    denom = np.abs(np.einsum("mi,mij,mj->m", left, dPs, right))
-    scale = np.linalg.norm(right, axis=-1) * np.linalg.norm(left, axis=-1)
-    norms = np.linalg.norm(dPs, axis=(1, 2)) * (1.0 + _NORM_MARGIN)
-    near = np.nonzero(~(denom > 1e3 * _EPS * scale * norms))[0]
-    if len(near):
-        norms[near] = np.linalg.svd(dPs[near], compute_uv=False)[:, 0]
-    cutoff = 1e3 * _EPS * scale * norms
-    kappas = np.divide(scale, denom, out=np.full(len(denom), np.inf),
-                       where=~(denom <= cutoff))
-    return right, left, residuals, kappas
+    return right, left, residuals
 
 
 # ----------------------------------------------------------------------

@@ -34,10 +34,10 @@ contractions leaves every product of values and first derivatives.  A
 caller that evaluates one system at several point sets (a solve, a
 Newton polish) stacks it once (``_stack_system``) and passes the stack;
 a solve or a probe takes it from the HiddenVariableForm, whose Cayley
-construction reads the same stack.  The conditioning probe takes the
-table and the Jacobian together (``_jacobian_and_table``), since it
-reads the table at the root too, and the Newton rounds call that kernel
-directly, without eval_with_jacobian's argument checks.
+construction reads the same stack.  The conditioning probe and a
+solve's last evaluation take the table and the Jacobian together
+(``_jacobian_and_table``), since they read the table too, and the
+Newton rounds call that kernel without eval_with_jacobian's checks.
 """
 
 from dataclasses import dataclass, field

@@ -8,28 +8,24 @@ Newton iteration on the source system, and the survivors are reported
 with residuals, a spurious flag and two condition numbers (one for the
 eigenvalue, one for the root itself).
 
-The stage after the eigenvalues works on all candidates at once: one
-stacked solve with P(lambda) gives the eigenvectors and residuals of
-every kept eigenvalue, and the stack of P'(lambda) their condition
-numbers (matpoly.eigvecs_and_conditions); batched Newton takes every
-start point a step per round, with one stacked solve and one call of
-the evaluation kernel (multipoly._jacobian_and_table); one more
-evaluation at the polished points and one stacked SVD of their
-Jacobians give the residuals and root conditions.  Every one of those
-calls reads one stack of the system's coefficient tensors, made once
-per solve and shared with the Cayley construction (HiddenVariableForm
-keeps it).  Component recovery is one call over the
-stacks of vectors too: each free component comes from the right vector
-or, on an axis where that has extent one, from the Cayley left vector,
-by one least-squares read of the basis recurrence over every fiber
-along the axis.  Only an eigenvalue whose vectors carry no component (a
-resultant of size one, as for affine systems) is taken alone: a solve
-of the system with the hidden variable fixed there gives its
-candidates.
+The stage after the eigenvalues works on all candidates at once.  One
+stacked solve with P(lambda) gives the eigenvectors of every kept
+eigenvalue (matpoly.eigvecs), and one recover_components call reads
+each free component off them: from the right vector or, on an axis
+where that has extent one, from the Cayley left vector, by one
+least-squares read of the basis recurrence over every fiber.  Only an
+eigenvalue whose vectors carry no component (a resultant of size one,
+as for affine systems) takes its own sub-solve, of the system with the
+hidden variable fixed there.  Batched Newton steps every start point
+per round, with one stacked solve and one call of the evaluation kernel
+(multipoly._jacobian_and_table); one more call at the polished points
+gives the residuals, the Jacobians behind kappa_root, and the basis
+table from which the structured vectors and R'(x_h) give kappa_eig
+(_eig_conditions); condition_at_root reads the same from one table at a
+known root.  Every evaluation reads one stack of the system's
+coefficient tensors, made once per solve and shared with the Cayley
+construction (HiddenVariableForm keeps it).
 
-condition_at_root measures conditioning at a known root from one
-value/derivative recurrence at the root's components: the structured
-eigenvectors, R(z), R'(z) and the Jacobian all read that one table.
 The module also ships the closed-form example families used to probe
 conditioning behaviour, and JSON/CSV writers for reports.
 """
@@ -45,7 +41,7 @@ from . import cayley, sylvester
 from .basis import DegreeGradedBasis, basis_from_json
 from .cayley import cayley_resultant
 from .matpoly import (EigenSolveError, MatrixPolynomial, _check_null_vectors,
-                      _checked_root, _stacked_solve, eigvecs_and_conditions,
+                      _checked_root, _contract, _stacked_solve, eigvecs,
                       polyeig)
 from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
                         _demote, _jacobian_and_table, _root_conditions,
@@ -399,11 +395,11 @@ def solve_system(sys, method="cayley", options=None):
     opts = options or SolveOptions()
     hv = hide_variable(sys, opts.hidden_index)
     hidden = hv.hidden_index
-    res = _build_resultant(hv, method, opts.taus)[0]
+    res, root_vectors = _build_resultant(hv, method, opts.taus)
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
     kept = _demote(lams[sys.domain.contains(lams, opts.domain_margin)])
-    right, left, _, kappas = eigvecs_and_conditions(P, kept)
+    right, left, _ = eigvecs(P, kept)
     x0, owner, how, n_failed = _start_points(sys, res, kept, right, left,
                                              hidden)
     candidates = []
@@ -412,21 +408,28 @@ def solve_system(sys, method="cayley", options=None):
         stack = hv._stack
         F, J = _jacobian_and_table(stack, x0, 0)[1:]
         pre = np.abs(F).max(axis=1)
+        x, iters = x0, np.zeros(len(x0), dtype=int)
         if opts.polish:
             x, iters, _ = _newton(stack, x0, F, J)
-            F, J = _jacobian_and_table(stack, x, 0)[1:]
-        else:
-            x, iters = x0, np.zeros(len(x0), dtype=int)
+        table, F, J = _jacobian_and_table(
+            stack, x, max(P.degree, max(res.col_extents) - 1))
         resid = np.abs(F)
         scales = np.array([np.abs(p.coeffs).sum() for p in sys.polys])
         spurious = (resid > opts.tol_accept * scales).any(axis=1)
+        v, w = root_vectors(hv, res, x, table[:, 0])
+        dR = _contract(table[:P.degree + 1, 1, :, hidden],
+                       P.coeffs).reshape(-1, P.size, P.size)
+        ray = (w[:, None] @ (dR @ v[..., None]))[:, 0, 0]
+        kappa_root = _root_conditions(J)
+        scale = np.linalg.norm(v, axis=1) * np.linalg.norm(w, axis=1)
+        kappa_eig = _eig_conditions(scale, ray, kappa_root)
         # RootRecord fields in order, the scalars from one tolist() each;
         # x and hidden_value are complex whatever the arithmetic
         candidates = [RootRecord(*f) for f in zip(
             x.astype(complex), kept[owner].astype(complex).tolist(), resid,
             resid.max(axis=1).tolist(), pre.tolist(), spurious.tolist(),
-            kappas[owner].tolist(), _root_conditions(J).tolist(),
-            iters.tolist(), how.tolist())]
+            kappa_eig.tolist(), kappa_root.tolist(), iters.tolist(),
+            how.tolist())]
     roots = _dedupe(candidates, _DEDUPE_TOL)
     roots.sort(key=lambda r: (r.x[hidden].real, r.x[hidden].imag))
     log.info("solve_system: %d eigenvalues, %d kept roots (%d spurious)",
@@ -468,6 +471,18 @@ def _dedupe(records, tol):
 # Conditioning probes
 # ----------------------------------------------------------------------
 
+def _eig_conditions(scale, ray, kappa_root):
+    """kappa_eig = scale / |ray| at roots, for scale = ||v|| ||w|| and
+    ray = w^T R'(x_h) v of the structured vectors there: +inf where ray
+    is zero or where kappa_root (_root_conditions) is +inf.  By Cramer's
+    rule ray is +-det J, so one decision serves both condition numbers.
+    """
+    # zero also where J is singular, so kappa_eig is +inf there too
+    denom = np.hypot(ray.real, ray.imag) * (kappa_root < np.inf)
+    with np.errstate(divide="ignore"):
+        return scale / denom
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionRecord:
     """Eigenvalue and root sensitivities measured at a known root.
@@ -488,21 +503,16 @@ class ConditionRecord:
 def condition_at_root(sys, root, method="cayley", hidden_index=None):
     """Measure conditioning with the closed-form eigenvectors at a root.
 
-    The eigenvalue condition number uses the structured (unnormalized)
-    left/right vectors of the resultant.  The Rayleigh-type product
-    w^T R'(z) v they produce equals (-1)**(d - 1 - h) times the Jacobian
-    determinant of the system at the root, h the hidden index (Cramer's
-    rule, with the hidden variable's column moved last): the two are
-    equal when the last variable is hidden, the default.  The record
-    exposes both for cross-checking.
+    The structured (unnormalized) left/right vectors v, w of the
+    resultant give the Rayleigh-type product w^T R'(z) v and, by
+    solve_system's rule (_eig_conditions), kappa_eig.  The record
+    exposes the product and the Jacobian determinant, whose relation
+    ConditionRecord states, for cross-checking.
 
     One value/derivative recurrence at the root's d components, up to
-    the highest degree any reader needs, serves every reader: v and w
-    take the values at the free components; R(z), for the residual
-    check, and R'(z) are one matrix-vector product each of the values
-    and the derivatives at the hidden component z with the resultant's
-    coefficients; and the Jacobian contracts the system's tensors,
-    stacked once, with the whole table (multipoly._jacobian_and_table).
+    the highest degree any reader needs (multipoly._jacobian_and_table),
+    gives v and w, R(z) for the residual check, R'(z) (one
+    matrix-vector product each) and the Jacobian.
     The root is demoted by _demote's rule, so a real root of a real
     system is probed in real arithmetic; the record's fields are
     complex.
@@ -523,13 +533,14 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None):
               @ coeffs).reshape(P.size, P.size) for b in (0, 1))
     _check_null_vectors(P, z, R, v, w)
     ray = complex(w @ (dR @ v))
-    scale = np.linalg.norm(v) * np.linalg.norm(w)
-    kappa = float("inf") if ray == 0 else float(scale / abs(ray))
+    kappa_root = _root_conditions(J[0])
+    kappa = _eig_conditions(np.linalg.norm(v) * np.linalg.norm(w), ray,
+                            kappa_root)
     return ConditionRecord(method=method, root=root.astype(complex),
-                           eig_condition=kappa,
+                           eig_condition=float(kappa),
                            rayleigh=ray,
                            jacobian_det=complex(np.linalg.det(J[0])),
-                           root_condition=float(_root_conditions(J[0])))
+                           root_condition=float(kappa_root))
 
 
 def condition_sweep(d, sigmas, method="cayley", seed=None):
@@ -661,12 +672,12 @@ def family_coupled_quadratic(u, basis_name="monomial"):
     """Bivariate pair sharing one small linear coupling term.
 
     p_1 = x_1^2 + u * c * (x_1 + x_2), p_2 = x_2^2 + u * c * (x_1 + x_2)
-    with c = sqrt(1/2).  The origin is a double root for every u: the
-    Jacobian there is u * c * [[1, 1], [1, 1]], singular, so its root
-    condition is infinite, and a solve may accept several copies of it,
-    each up to about sqrt(tol_accept) from the origin.  As u -> 0 the
-    Cayley function degenerates toward (s_1 + t_1) * x_2^2, making the
-    eigenvalue at the origin increasingly ill conditioned as well.
+    with c = sqrt(1/2).  The origin is a root of intersection
+    multiplicity 3 for every u; the fourth root is (-2uc, -2uc).  The
+    Jacobian there is u * c * [[1, 1], [1, 1]], singular, so both
+    condition numbers are infinite, and a solve may accept several
+    copies of the origin, each up to about sqrt(tol_accept) from it.
+    As u -> 0 the Cayley function degenerates toward (s_1 + t_1) x_2^2.
     Other bases get the same polynomials by an exact change of basis
     from the monomial coefficients.
     """

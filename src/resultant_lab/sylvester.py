@@ -154,28 +154,28 @@ def sylvester_root_eigvectors(hv, root, resultant, check=True):
 
 
 def _root_vectors(hv, resultant, root, phis):
-    """(v, w) of sylvester_root_eigvectors from phis, the basis values
-    at both components of root, shape (K + 1, 2) with K + 1 at least
-    the matrix size and every hidden extent.  q_1 and q_2 at the hidden
-    component z are the tensors contracted with the column of z; where
-    z overflows the recurrence they are not finite, and so is w."""
-    y = root[hv.free_order[0]]
+    """(v, w) of sylvester_root_eigvectors, (N,) each, or (m, N) for a
+    stack of m roots, from phis, the basis values at both components,
+    shape (K + 1, 2) or (K + 1, m, 2) with K + 1 at least the matrix
+    size and every hidden extent.  q_1 and q_2 at the hidden component
+    z are the tensors contracted with the column of z; where z
+    overflows the recurrence they are not finite, and so is w."""
+    y = root.T[hv.free_order[0]]  # a scalar, or one per row of a stack
     tau1, tau2 = resultant.tau1, resultant.tau2
     n = tau1 + tau2
     basis = hv.basis
-    v = np.ascontiguousarray(phis[:n, hv.free_order[0]])
-    at_z = np.ascontiguousarray(phis[:, hv.hidden_index])
+    v = np.ascontiguousarray(phis[:n, ..., hv.free_order[0]].T)
+    at_z = np.ascontiguousarray(phis[:, ..., hv.hidden_index])
     u1, u2 = (_demote(t @ at_z[:t.shape[-1]])[:tau + 1]
               for t, tau in zip(hv.tensors, (tau1, tau2)))
-    tab = basis.table(n - 2)
-    alpha = tab.alpha
-    w = np.empty(n, dtype=np.result_type(u1, u2, y, tab.dtype))
+    alpha = basis.table(n - 2).alpha
+    w = np.empty(np.shape(y) + (n,), dtype=np.result_type(u1, u2, y, alpha))
     if tau2 > 0:
         b2 = clenshaw_shifts(basis, u2, y)  # ascending b_1, b_2, ...
-        w[:tau2] = -alpha[:tau2] * b2[:tau2]
+        w[..., :tau2] = -alpha[:tau2] * b2[:tau2].T
     if tau1 > 0:
         b1 = clenshaw_shifts(basis, u1, y)
-        w[tau2:] = alpha[:tau1] * b1[:tau1]
+        w[..., tau2:] = alpha[:tau1] * b1[:tau1].T
     return v, w
 
 

@@ -117,6 +117,26 @@ def test_condition_single_root(tmp_path, capsys):
     assert obj["rayleigh"][0] == pytest.approx(0.25, abs=1e-12)
 
 
+def test_negative_components_take_the_equals_form(system_file, capsys):
+    # (-1/2, -1/2) is a root of the quick-start system; after a space,
+    # argparse reads "-0.5,-0.5" as an option and exits with its usage
+    # message
+    rc = main(["condition", "--system", system_file, "--root=-0.5,-0.5"])
+    assert rc == 0
+    obj = json.loads(capsys.readouterr().out)
+    # J = [[-1, -1], [1, -1]] there
+    assert obj["jacobian_det"] == pytest.approx([2.0, 0.0], abs=1e-12)
+    assert obj["rayleigh"] == pytest.approx([2.0, 0.0], abs=1e-12)
+    assert np.isfinite(obj["eig_condition"])
+    rc = main(["eval", "--system", system_file, "--point=-0.5,-0.5"])
+    assert rc == 0
+    values = [complex(v) for v in capsys.readouterr().out.split("\t")]
+    assert np.allclose(values, [0.0, 0.0], atol=1e-15)
+    with pytest.raises(SystemExit) as exc:
+        main(["condition", "--system", system_file, "--root", "-0.5,-0.5"])
+    assert exc.value.code == 2
+
+
 def test_condition_family_table(capsys):
     rc = main(["condition", "--dim", "2", "--sigmas", "0.5,0.2",
                "--seed", "3"])

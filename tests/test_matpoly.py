@@ -16,9 +16,8 @@ from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
                                  divided_difference)
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    NotRegularError, StructureError,
-                                   eigvecs_and_conditions, matpoly_eval,
-                                   matpoly_from_json, matpoly_to_json,
-                                   polyeig)
+                                   eigvecs, matpoly_eval, matpoly_from_json,
+                                   matpoly_to_json, polyeig)
 from resultant_lab.cayley import cayley_resultant
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      hide_variable, mp_eval)
@@ -44,33 +43,12 @@ def eigpair(P, lam):
     return np.conj(Vh[-1]), np.conj(U[:, -1]), s[-1]
 
 
-def eig_condition(P, lam, v, w):
-    """Reference kappa = ||v|| ||w|| / |w^T P'(lam) v|, inf below the
-    1e3 * eps * ||v|| ||w|| ||P'(lam)||_2 defectiveness cutoff."""
-    dP = deriv_eval(P, lam)
-    denom = abs(w @ dP @ v)
-    scale = np.linalg.norm(v) * np.linalg.norm(w)
-    if denom <= 1e3 * np.finfo(float).eps * scale * np.linalg.norm(dP, 2):
-        return np.inf
-    return scale / denom
-
-
-def svd_eigvecs_and_conditions(P, lams):
-    """eigvecs_and_conditions as it was before inverse iteration: the
-    vectors of the smallest singular value from one stacked SVD of
-    P(lam), that value as the residual, and the ||P'(lam)||_2 cutoff
-    from singular values of every P'(lam)."""
-    vals, ders = basis_eval_deriv_all(P.basis, P.degree, lams)
-    U, s, Vh = np.linalg.svd(np.tensordot(vals, P.coeffs, axes=([0], [0])))
-    right, left = np.conj(Vh[:, -1]), np.conj(U[:, :, -1])
-    dPs = np.tensordot(ders, P.coeffs, axes=([0], [0]))
-    denom = np.abs(np.einsum("mi,mij,mj->m", left, dPs, right))
-    scale = np.linalg.norm(right, axis=-1) * np.linalg.norm(left, axis=-1)
-    cutoff = (1e3 * np.finfo(float).eps * scale
-              * np.linalg.svd(dPs, compute_uv=False)[:, 0])
-    kappas = np.divide(scale, denom, out=np.full(len(denom), np.inf),
-                       where=~(denom <= cutoff))
-    return right, left, s[:, -1], kappas
+def svd_eigvecs(P, lams):
+    """eigvecs as it was before inverse iteration: the vectors of the
+    smallest singular value from one stacked SVD of P(lam), and that
+    value as the residual."""
+    U, s, Vh = np.linalg.svd(matpoly_eval(P, lams))
+    return np.conj(Vh[:, -1]), np.conj(U[:, :, -1]), s[:, -1]
 
 
 def random_matpoly(rng, basis, degree, size, complex_entries=False):
@@ -786,7 +764,7 @@ def test_matrix_polyeig_residuals_and_count(builtin):
     lams, n_inf = polyeig(P)
     assert len(lams) + n_inf == 9
     scale = P.coeff_scale
-    right, left, residuals, _ = eigvecs_and_conditions(P, lams)
+    right, left, residuals = eigvecs(P, lams)
     for lam, v, w, r in zip(lams, right, left, residuals):
         assert abs(np.linalg.norm(v) - 1) <= 1e-12
         assert abs(np.linalg.norm(w) - 1) <= 1e-12
@@ -936,22 +914,9 @@ def test_left_vectors_are_plain_transpose():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
     P = MatrixPolynomial(b, np.stack([-A, np.eye(2)]))
     lams = polyeig(P)[0]
-    left = eigvecs_and_conditions(P, lams)[1]
+    left = eigvecs(P, lams)[1]
     for lam, w in zip(lams, left):
         assert np.linalg.norm(w @ matpoly_eval(P, lam)) <= 1e-12
-
-
-def test_eig_condition_simple_and_defective():
-    b = DegreeGradedBasis.monomial()
-    # P(lam) = diag(lam - 1, lam + 2): simple eigenvalues, kappa = 1
-    P = MatrixPolynomial(
-        b, np.stack([np.diag([-1.0, 2.0]), np.eye(2)]))
-    kappas = eigvecs_and_conditions(P, polyeig(P)[0])[3]
-    assert kappas == pytest.approx([1.0, 1.0], rel=1e-10)
-    # Jordan block: defective eigenvalue reported as infinite
-    J = np.array([[0.0, 1.0], [0.0, 0.0]])
-    PJ = MatrixPolynomial(b, np.stack([-J, np.eye(2)]))
-    assert np.any(np.isinf(eigvecs_and_conditions(PJ, polyeig(PJ)[0])[3]))
 
 
 @pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
@@ -960,7 +925,7 @@ def test_batched_eigvecs_match_eigpair(name):
     rng = np.random.default_rng(12)
     P = random_matpoly(rng, basis_by_name(name), 3, 5, True)
     lams = polyeig(P)[0]
-    right, left, residuals, kappas = eigvecs_and_conditions(P, lams)
+    right, left, residuals = eigvecs(P, lams)
     assert right.shape == left.shape == (len(lams), 5)
     for k, lam in enumerate(lams):
         v, w, residual = eigpair(P, lam)
@@ -968,24 +933,25 @@ def test_batched_eigvecs_match_eigpair(name):
         assert abs(np.vdot(v, right[k])) == pytest.approx(1, 1e-12)
         assert abs(np.vdot(w, left[k])) == pytest.approx(1, 1e-12)
         assert abs(residuals[k] - residual) <= 1e-13 * P.coeff_scale
-        assert kappas[k] == pytest.approx(eig_condition(P, lam, v, w),
-                                          rel=1e-12)
 
 
 def test_batched_eigvecs_flag_defective_like_eig_condition():
     b = DegreeGradedBasis.monomial()
     # diag(Jordan block at 0, -2) in a rotated frame: lam = 0 is
-    # defective, its Rayleigh denominator roundoff-sized but not zero
+    # defective, and its vectors are still the null vectors of P(0);
+    # condition numbers are measured at roots, not here
     A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
     Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
     P = MatrixPolynomial(b, np.stack([-Q @ A @ Q.T, np.eye(3)]))
     lams = np.array([0.0, -2.0])
-    kappas = eigvecs_and_conditions(P, lams)[3]
-    assert kappas[0] == np.inf and np.isfinite(kappas[1])
-    want = [eig_condition(P, lam, *eigpair(P, lam)[:2]) for lam in lams]
-    assert kappas[0] == want[0]
-    assert kappas[1] == pytest.approx(want[1], rel=1e-12)
-    assert eigvecs_and_conditions(P, lams[:0])[0].shape == (0, 3)
+    right, left, residuals = eigvecs(P, lams)
+    for k, lam in enumerate(lams):
+        v, w, residual = eigpair(P, lam)
+        assert abs(np.vdot(v, right[k])) == pytest.approx(1, 1e-12)
+        assert abs(np.vdot(w, left[k])) == pytest.approx(1, 1e-12)
+        assert residuals[k] <= 1e-14
+    assert [a.shape for a in eigvecs(P, lams[:0])] == [(0, 3), (0, 3),
+                                                       (0,)]
 
 
 def test_singular_rows_take_svd_null_vectors():
@@ -999,17 +965,16 @@ def test_singular_rows_take_svd_null_vectors():
     for Q, lams, singular in (
             (P, np.array([0.3, 1.0, 0.5 + 0.2j, -2.0]), [1, 3]),
             (PJ, np.array([0.4, 0.0, -0.7j]), [1])):
-        right, left, residuals, kappas = eigvecs_and_conditions(Q, lams)
+        right, left, residuals = eigvecs(Q, lams)
         for k in singular:
             v, w, _ = eigpair(Q, lams[k])
             assert abs(np.vdot(v, right[k])) == pytest.approx(1, 1e-15)
             assert abs(np.vdot(w, left[k])) == pytest.approx(1, 1e-15)
             assert residuals[k] == 0.0
         regular = np.setdiff1d(np.arange(len(lams)), singular)
-        alone = eigvecs_and_conditions(Q, lams[regular])
-        for got, want in zip((right, left, residuals, kappas), alone):
+        alone = eigvecs(Q, lams[regular])
+        for got, want in zip((right, left, residuals), alone):
             assert np.array_equal(got[regular], want)
-    assert kappas[1] == np.inf  # the Jordan block's null vectors e1, e2
 
 
 @pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
@@ -1023,8 +988,8 @@ def test_eigvecs_take_no_svd_without_singular_rows(name, monkeypatch):
         raise AssertionError("svd called")
 
     monkeypatch.setattr(np.linalg, "svd", forbidden)
-    kappas = eigvecs_and_conditions(P, lams)[3]
-    assert np.all(np.isfinite(kappas))
+    right, left, residuals = eigvecs(P, lams)
+    assert np.all(residuals <= 1e-9 * P.coeff_scale)
 
 
 def test_eigvecs_ignore_coefficient_scale(monkeypatch):
@@ -1034,7 +999,7 @@ def test_eigvecs_ignore_coefficient_scale(monkeypatch):
     rng = np.random.default_rng(16)
     P = random_matpoly(rng, basis_by_name("chebyshev"), 3, 4, True)
     lams = polyeig(P)[0]
-    right, left, _, kappas = eigvecs_and_conditions(P, lams)
+    right, left, _ = eigvecs(P, lams)
     svd = np.linalg.svd
     calls = []
 
@@ -1046,66 +1011,13 @@ def test_eigvecs_ignore_coefficient_scale(monkeypatch):
     for power, exact in ((-700, True), (-1000, False)):
         c = 2.0 ** power
         calls.clear()
-        r, w, _, k = eigvecs_and_conditions(
-            MatrixPolynomial(P.basis, c * P.coeffs), lams)
+        r, w, _ = eigvecs(MatrixPolynomial(P.basis, c * P.coeffs), lams)
         assert bool(calls) != exact
         if exact:
             assert np.array_equal(r, right) and np.array_equal(w, left)
         for got, want in ((r, right), (w, left)):
             overlap = np.abs(np.einsum("mi,mi->m", got.conj(), want))
             assert np.allclose(overlap, 1.0, rtol=0, atol=1e-12)
-        assert np.allclose(k * c, kappas, rtol=1e-12)
-
-
-def borderline_matpoly(t):
-    """P(lam) = lam B - C with P(0) singular, null vectors e_1 (right)
-    and e_2 (left), and e_2^T P'(0) e_1 = t; ||P'||_2 is about 1 and
-    ||P'||_F about sqrt(3)."""
-    B = np.eye(3)
-    B[1, 0] = t
-    C = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    return MatrixPolynomial(DegreeGradedBasis.monomial(), np.stack([-C, B]))
-
-
-def test_kappa_inf_decisions_match_full_svd_cutoff(monkeypatch):
-    svd = np.linalg.svd
-    calls = []
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    cutoff = 1e3 * np.finfo(float).eps
-    # denominators just above and just below the 2-norm cutoff, both
-    # below the Frobenius one: only singular values can decide them
-    for t, finite in ((1.5 * cutoff, True), (0.7 * cutoff, False)):
-        P = borderline_matpoly(t)
-        calls.clear()
-        right, left, _, kappas = eigvecs_and_conditions(P, np.array([0.0]))
-        assert np.isfinite(kappas[0]) == finite
-        assert kappas[0] == eig_condition(P, 0.0, right[0], left[0])
-        assert (1, 3, 3) in calls  # the borderline row's ||P'||_2
-    # rotated defective and random stacks against the reference
-    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
-    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
-    cases = [(MatrixPolynomial(DegreeGradedBasis.monomial(),
-                               np.stack([-Q @ A @ Q.T, np.eye(3)])),
-              np.array([0.0, -2.0, 1e-9]))]
-    rng = np.random.default_rng(15)
-    for name in ("monomial", "chebyshev", "custom"):
-        P = random_matpoly(rng, basis_by_name(name), 3, 4, True)
-        cases.append((P, polyeig(P)[0]))
-    for P, lams in cases:
-        right, left, _, kappas = eigvecs_and_conditions(P, lams)
-        want = [eig_condition(P, lam, v, w)
-                for lam, v, w in zip(lams, right, left)]
-        assert np.array_equal(np.isinf(kappas), np.isinf(want))
-        assert np.isinf(kappas[0]) == (P is cases[0][0])
-        # the reference takes P' by Clenshaw; 1e-9 off the defective
-        # eigenvalue the denominator cancels down to about 2e-9, so it
-        # carries a relative rounding error of about eps / 2e-9
-        assert np.allclose(kappas, want, rtol=1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -1283,7 +1195,7 @@ def test_polyeig_with_dense_gamma_basis():
     lams, n_inf = polyeig(P)
     assert len(lams) == 12 and n_inf == 0
     assert np.all(np.isfinite(lams))
-    assert np.all(eigvecs_and_conditions(P, lams)[2] <= 1e-12)
+    assert np.all(eigvecs(P, lams)[2] <= 1e-12)
     for x in (0.3, -0.7 + 0.2j):
         got, ok = _component_from_fibers(
             basis_eval_all(b, 4, x)[None, :, None], b)

@@ -95,7 +95,7 @@ def plan_counts():
                                        (2, "sylvester")])
 def test_warm_solve_reads_each_plan_without_misses(d, method):
     # a warm solve looks its construction plan up once, and the pencil's
-    # plan once in polyeig and once in eigvecs_and_conditions; a warm
+    # plan once in polyeig and once in eigvecs; a warm
     # condition_at_root reads its construction plan alone
     sys_, root = random_system_with_root(d, 3, [5, d], "chebyshev")
     for op, hits in ((lambda: solve_system(sys_, method), 2),

@@ -22,8 +22,7 @@ from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
 from resultant_lab.cayley import (cayley_resultant, cayley_root_eigvectors,
                                   default_taus)
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
-                                   _effective_degree, eigvecs_and_conditions,
-                                   polyeig)
+                                   _effective_degree, eigvecs, polyeig)
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      eval_with_jacobian, hide_variable,
                                      mp_eval, mp_interpolate)
@@ -39,8 +38,9 @@ from resultant_lab.rootfinder import (RootRecord, RootReport,
 from resultant_lab.sylvester import sylvester_resultant
 from conftest import (circle_line, custom_basis, report_fields,
                       two_loop_eval_deriv)
+from test_dtype_rule import in_domain
 from test_matpoly import (dense_inverted_pencil, linearize, record_shifts,
-                          svd_eigvecs_and_conditions)
+                          svd_eigvecs)
 
 
 def assert_root_sets_match(report, expected, tol=1e-8):
@@ -381,7 +381,7 @@ def recovery_stack(res, basis, seed):
     never read."""
     P = res.matrix_poly
     lams = polyeig(P)[0]
-    right, left = eigvecs_and_conditions(P, lams)[:2]
+    right, left = eigvecs(P, lams)[:2]
     rights, lefts = [right], [left]
     col = res.col_extents
     row = getattr(res, "row_extents", col)
@@ -514,9 +514,9 @@ def test_solve_takes_vectors_only_in_domain(monkeypatch):
 
     def counting(P, lams):
         points.extend(lams)
-        return eigvecs_and_conditions(P, lams)
+        return eigvecs(P, lams)
 
-    monkeypatch.setattr(rootfinder, "eigvecs_and_conditions", counting)
+    monkeypatch.setattr(rootfinder, "eigvecs", counting)
     sys_, _ = random_system_with_root(2, 3, 6, basis_name="chebyshev")
     report = solve_system(sys_)
     assert report.n_outside_domain > 0
@@ -733,9 +733,9 @@ HARD_INPUTS = ([("rotated", s) for s in 10.0 ** -np.arange(1, 7)]
 def test_hard_inputs_keep_every_root_qz_accepts(monkeypatch, method,
                                                 basis_name):
     # rotated: simple roots, the one at the origin with kappa_root =
-    # 1/sigma.  coupled: the origin is a double root (its Jacobian is
-    # u c [[1, 1], [1, 1]]), where a root passing the residual test can
-    # sit up to about sqrt(tol_accept) away from it.
+    # 1/sigma.  coupled: the origin is a root of multiplicity 3 (its
+    # Jacobian is u c [[1, 1], [1, 1]]), where a root passing the
+    # residual test can sit up to about sqrt(tol_accept) away from it.
     for family, s in HARD_INPUTS:
         if family == "rotated":
             sys_ = family_rotated_quadratic(s, basis_name=basis_name)
@@ -766,11 +766,12 @@ def differential_systems():
             yield sys2, "sylvester", True
             sys3 = random_system_with_root(3, 3, seed, basis_name)[0]
             yield sys3, "cayley", True
-    # The coupled family's origin is a double root, a defective triple
-    # eigenvalue of its Cayley resultant that rounding scatters to a
-    # radius of about 1.2e-6: its complex pair falls on either side of
-    # the 1e-6 domain margin by the last bits of M (inside with the
-    # dense LU, outside with the N x N solve, 4e-16 apart).
+    # The coupled family's origin is a root of multiplicity 3, a
+    # defective triple eigenvalue of its Cayley resultant that rounding
+    # scatters to a radius of about 1.2e-6: its complex pair falls on
+    # either side of the 1e-6 domain margin by the last bits of M
+    # (inside with the dense LU, outside with the N x N solve, 4e-16
+    # apart).
     yield family_coupled_quadratic(0.1), "cayley", False
     yield family_coupled_quadratic(0.1), "sylvester", True
     for method in ("cayley", "sylvester"):
@@ -784,8 +785,7 @@ def test_solve_matches_dense_eigen_stage(monkeypatch):
         got = solve_system(sys_, method)
         with monkeypatch.context() as m:
             m.setattr(matpoly, "_inverted_pencil", dense_inverted_pencil)
-            m.setattr(rootfinder, "eigvecs_and_conditions",
-                      svd_eigvecs_and_conditions)
+            m.setattr(rootfinder, "eigvecs", svd_eigvecs)
             ref = solve_system(sys_, method)
         assert ((got.n_eigenvalues, got.n_infinite, got.n_recovery_failed,
                  len(got.roots))
@@ -1015,7 +1015,7 @@ def test_grid_start_points_stay_in_eigenvalue_order(method):
     res = rootfinder._build_resultant(hide_variable(sys_), method, None)[0]
     lams = polyeig(res.matrix_poly)[0]
     kept = lams[sys_.domain.contains(lams, 1e-6)]
-    right, left = eigvecs_and_conditions(res.matrix_poly, kept)[:2]
+    right, left = eigvecs(res.matrix_poly, kept)[:2]
     right[::3] = 0.0
     got = rootfinder._start_points(sys_, res, kept, right, left, 1)
     want = loop_start_points(sys_, res, kept, right, left, 1)
@@ -1066,7 +1066,7 @@ def test_degree_one_components_come_from_the_left_vector(hidden):
     P = res.matrix_poly
     lams = polyeig(P)[0]
     lam = lams[np.argmin(np.abs(lams - root[hidden]))][None]
-    right, left = eigvecs_and_conditions(P, lam)[:2]
+    right, left = eigvecs(P, lam)[:2]
     assert abs(np.vdot(left[0], w)) >= (1 - 1e-12) * np.linalg.norm(w)
     comps, how = recover_components(res, right, left, sys_.basis)
     free = root[list(hv.free_order)]
@@ -1261,7 +1261,7 @@ def test_family_coupled_quadratic_root():
 
 
 @pytest.mark.parametrize("u", [1e-1, 1e-4, 1e-7])
-def test_family_coupled_quadratic_origin_is_a_double_root(u):
+def test_family_coupled_quadratic_origin_is_a_triple_root(u):
     # the Jacobian at the origin is u c [[1, 1], [1, 1]], singular
     rec = condition_at_root(family_coupled_quadratic(u), np.zeros(2))
     assert rec.root_condition == np.inf
@@ -1379,6 +1379,42 @@ def test_condition_record_is_bitwise_the_three_recurrence_one():
         want = three_recurrence_condition(sys_, root, method, hidden)
         assert [np.asarray(g).tobytes() for g in got] == [
             np.asarray(w).tobytes() for w in want]
+
+
+@pytest.mark.parametrize("hidden", [None, 0])
+@pytest.mark.parametrize("d, n, method", [(3, 3, "cayley"), (2, 5, "cayley"),
+                                          (2, 5, "sylvester")])
+def test_solve_kappa_eig_is_the_probes_at_the_root(d, n, method, hidden):
+    # the benchmark's solve shapes: a solve measures kappa_eig at each
+    # polished root by condition_at_root's rule, so the two agree to
+    # rounding at every in-domain accepted record
+    checked = 0
+    for i in range(4):
+        basis = ("chebyshev", "legendre")[i % 2]
+        sys_ = random_system_with_root(d, n, [1, d, i], basis)[0]
+        rep = solve_system(sys_, method, SolveOptions(hidden_index=hidden))
+        for r in in_domain(rep):
+            rec = condition_at_root(sys_, r.x, method, hidden)
+            assert r.eig_condition == pytest.approx(rec.eig_condition,
+                                                    rel=1e-10)
+            assert r.root_condition == pytest.approx(rec.root_condition,
+                                                     rel=1e-10)
+            checked += 1
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("basis_name", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("method", ["cayley", "sylvester"])
+def test_kappa_eig_is_infinite_exactly_where_kappa_root_is(method,
+                                                           basis_name):
+    # the coupled origin has a singular Jacobian; near it the two
+    # condition numbers rest on one decision, _root_conditions'
+    for u in (1e-1, 1e-2, 1e-4, 1e-7):
+        rep = solve_system(family_coupled_quadratic(u, basis_name), method)
+        assert rep.accepted
+        for r in rep.roots:
+            assert np.isinf(r.eig_condition) == np.isinf(r.root_condition), (
+                u, r.x, r.eig_condition, r.root_condition)
 
 
 def test_one_recurrence_and_one_stack_per_call(monkeypatch):
