@@ -551,16 +551,19 @@ def _shift_table(basis, coeffs, x):
     """
     n = coeffs.shape[0] - 1
     tab = basis.table(n - 1)
+    x = np.asarray(x)
     b = np.zeros((n + 2,) + coeffs.shape[1:],
                  dtype=np.result_type(coeffs, x, tab.dtype))
     b[n] = coeffs[n]
+    # the factors alpha_k x + beta_k of every k from one broadcast
+    shape = (n,) + (1,) * x.ndim
+    lin = tab.alpha[:n].reshape(shape) * x + tab.beta[:n].reshape(shape)
     for k in range(n - 1, -1, -1):
-        t = coeffs[k] + (tab.alpha[k] * x + tab.beta[k]) * b[k + 1]
+        b[k] = coeffs[k] + lin[k] * b[k + 1]
         for j, g in tab.cols[k + 1]:
             if j >= n:
                 break
-            t = t + g * b[j + 1]
-        b[k] = t
+            b[k] += g * b[j + 1]
     return b
 
 

@@ -1,30 +1,23 @@
 """End-to-end root finding for square polynomial systems.
 
 One variable is hidden, a resultant matrix polynomial is built (Cayley
-for any dimension, Sylvester for bivariate systems), its eigenvalues
-supply candidates for the hidden component, the remaining components
-are read off the eigenvector structure, every candidate is polished by
-Newton iteration on the source system, and the survivors are reported
-with residuals, a spurious flag and two condition numbers (one for the
-eigenvalue, one for the root itself).
-
-The stage after the eigenvalues works on all candidates at once.  One
-stacked solve with P(lambda) gives the eigenvectors of every kept
-eigenvalue (matpoly.eigvecs), and one recover_components call reads
-each free component off them: from the right vector or, on an axis
-where that has extent one, from the Cayley left vector, by one
-least-squares read of the basis recurrence over every fiber.  Only an
-eigenvalue whose vectors carry no component (a resultant of size one,
-as for affine systems) takes its own sub-solve, of the system with the
-hidden variable fixed there.  Batched Newton steps every start point
-per round, with one stacked solve and one call of the evaluation kernel
-(multipoly._jacobian_and_table); one more call at the polished points
-gives the residuals, the Jacobians behind kappa_root, and the basis
-table from which the structured vectors and R'(x_h) give kappa_eig
-(_eig_conditions); condition_at_root reads the same from one table at a
-known root.  Every evaluation reads one stack of the system's
-coefficient tensors, made once per solve and shared with the Cayley
-construction (HiddenVariableForm keeps it).
+for any dimension, Sylvester for bivariate systems), and its eigenvalues
+in the domain supply the candidates' hidden component.  The candidates
+then live in one table (_Candidates), a row per Newton start point in
+eigenvalue order, and each stage fills its columns for every row at
+once: one stacked solve with P(lambda) gives the eigenpairs
+(matpoly.eigvecs); one recover_components call reads the free
+components off the vectors, and an eigenvalue whose vectors carry none
+(a resultant of size one) takes the rows of its own sub-solve; batched
+Newton steps every row per round with one stacked solve and one call of
+the evaluation kernel (multipoly._jacobian_and_table); one more call at
+the polished points gives the residuals, the Jacobians behind
+kappa_root, and the basis table from which the structured vectors and
+R'(x_h) give kappa_eig by condition_at_root's rule (_eig_conditions).
+_dedupe marks each duplicate row with the row it merged into, and
+RootRecords are built for the surviving rows alone.  Every evaluation
+reads one stack of the system's coefficient tensors, made once per
+solve and shared with the Cayley construction.
 
 The module also ships the closed-form example families used to probe
 conditioning behaviour, and JSON/CSV writers for reports.
@@ -33,7 +26,7 @@ conditioning behaviour, and JSON/CSV writers for reports.
 import csv
 import io
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,10 +112,46 @@ class RootReport:
     n_outside_domain: int
     n_recovery_failed: int        # in-domain eigenvalues, empty sub-solve
     roots: tuple                  # RootRecord, sorted by hidden component
+    _table: object = field(default=None, repr=False)  # the _Candidates
 
     @property
     def accepted(self):
         return tuple(r for r in self.roots if not r.spurious)
+
+
+@dataclass(eq=False)
+class _Candidates:
+    """solve_system's candidates, a row per Newton start point in
+    eigenvalue order: _start_points fills the first columns, each later
+    stage its own, and _dedupe marks duplicates instead of dropping them."""
+
+    lams: np.ndarray              # the kept eigenvalues
+    owner: np.ndarray             # per row, its eigenvalue's index in lams
+    x0: np.ndarray                # start point
+    recovery: np.ndarray          # "ratio" or "subsolve"
+    eig_residual: np.ndarray      # ||P(lambda) v|| of the owner's eigenpair
+    n_outside: int = 0            # finite eigenvalues outside the domain
+    pre_polish: np.ndarray = None  # max |p_i(x0)|
+    iters: np.ndarray = None
+    converged: np.ndarray = None  # newton_polish's flag
+    x: np.ndarray = None          # the polished point
+    residuals: np.ndarray = None  # |p_i(x)|
+    spurious: np.ndarray = None
+    kappa_eig: np.ndarray = None
+    kappa_root: np.ndarray = None
+    merged_into: np.ndarray = None  # the kept row it duplicates, or -1
+
+    def fates(self):
+        """How many finite eigenvalues met each fate.  One without rows
+        failed recovery; one whose rows differ takes their best fate."""
+        fate = np.ones(len(self.lams), dtype=int)
+        if len(self.owner):
+            np.maximum.at(fate, self.owner, np.where(
+                self.merged_into < 0, 4 - self.spurious, 2))
+        counts = np.bincount(fate, minlength=5)
+        counts[0] = self.n_outside
+        return dict(zip(("outside domain", "recovery failed", "duplicate",
+                         "spurious", "accepted"), counts.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -135,21 +164,17 @@ _DEDUPE_TOL = 1e-8   # relative gap below which two candidates are one root
 
 
 def newton_polish(sys, x0):
-    """Newton iteration on the full system from x0.
+    """Newton iteration on the full system from x0, on its coefficient
+    tensors stacked once (multipoly._stack_system).
 
-    The system's coefficient tensors are stacked once
-    (multipoly._stack_system), and each iteration evaluates the values
-    and the Jacobian together on that stack: eval_with_jacobian at x0,
-    its kernel multipoly._jacobian_and_table at every later iterate
-    (_newton).  Returns (x, iterations,
-    converged).  The iteration converges when a step falls below
-    _NEWTON_TOL * (1 + ||x||_inf), or when it reaches its rounding
+    Returns (x, iterations, converged).  The iteration converges when a
+    step falls below _NEWTON_TOL * (1 + ||x||_inf), or at its rounding
     floor: a step no smaller than the previous one, which was already
-    below sqrt(eps) * (1 + ||x||_inf).  That step is not taken.  A
-    singular Jacobian stops the iteration and reports non-convergence at
-    the current point.  It stops after _NEWTON_ITERS iterations.  x0
-    is demoted by _demote's rule, so a real start on a real system
-    iterates in real arithmetic; x is returned as a complex array.
+    below sqrt(eps) * (1 + ||x||_inf), and which is not taken.  It stops
+    unconverged on a singular Jacobian, or at _NEWTON_ITERS iterations
+    if the last step did not converge.  x0 is demoted by _demote's
+    rule, so a real start on a real system iterates in real arithmetic;
+    x is returned as a complex array.
     """
     x = _demote(np.atleast_1d(x0))[None]
     stack = _stack_system(sys)
@@ -163,8 +188,7 @@ _ROUNDING_FLOOR = np.sqrt(np.finfo(float).eps)
 
 def _newton(sys, x, F, J):
     """newton_polish from every row of x at once, with F and J already
-    evaluated at x.  sys is a system or its multipoly._stack_system;
-    a system is stacked once here.
+    evaluated at x; sys is a system or its multipoly._stack_system.
 
     Each round takes the steps of all rows still iterating from one
     stacked solve and evaluates those rows with one _jacobian_and_table
@@ -172,8 +196,8 @@ def _newton(sys, x, F, J):
     bookkeeping of a row that stops on a singular Jacobian or at its
     rounding floor runs only in a round where some row does.  The
     iterates take the result type of x and F, so a real start on a
-    complex system iterates in complex arithmetic.
-    Returns (x, iterations, converged), one entry per row.
+    complex system iterates in complex arithmetic.  Returns (x,
+    iterations, converged), one entry per row.
     """
     sys = _stack_system(sys)
     x = x.astype(np.result_type(x, F))
@@ -322,35 +346,29 @@ def _subsolve(sys, lam, hidden):
     return np.insert(free, hidden, lam, axis=1)
 
 
-def _start_points(sys, res, kept, right, left, hidden):
-    """Newton start points from the kept eigenvalues and their vectors.
-
-    One recover_components call over the stacks of vectors gives the
-    free components and the hidden one is the eigenvalue, set by column
-    assignment.  Each row whose recovery failed is replaced by the
-    points of its _subsolve, in its place, so the start points stay in
-    eigenvalue order.
-
-    Returns (x0, owner, how, n_failed): the (c, d) start points, the
-    index into kept and the recovery label of each, and the number of
-    eigenvalues that gave no start point.
-    """
+def _start_points(sys, res, kept, right, left, eig_residual, hidden):
+    """The candidate table with its first columns, from the kept
+    eigenvalues and their eigenpairs.  One recover_components call gives
+    the free components, and the eigenvalue is the hidden one.  An
+    eigenvalue whose recovery failed takes one row per point of its
+    _subsolve, in its place, so the rows stay in eigenvalue order."""
     comps, how = recover_components(res, right, left, sys.basis)
     x0 = np.empty((len(kept), sys.dim), dtype=np.result_type(kept, comps))
     x0[:, hidden] = kept
     x0[:, np.arange(sys.dim) != hidden] = comps
-    owner = np.arange(len(kept))
-    ok = how != ""
-    failed = np.nonzero(~ok)[0]
-    if not len(failed):
-        return x0, owner, how, 0
-    found = [_subsolve(sys, kept[k], hidden) for k in failed]
-    counts = np.array([len(f) for f in found], dtype=int)
-    x0 = np.concatenate([x0[ok]] + found)
-    owner = np.concatenate([owner[ok], np.repeat(failed, counts)])
-    how = np.concatenate([how[ok], np.full(counts.sum(), "subsolve")])
-    order = np.argsort(owner, kind="stable")
-    return x0[order], owner[order], how[order], int(np.sum(counts == 0))
+    owner, ok = np.arange(len(kept)), how != ""
+    if not ok.all():
+        found = [_subsolve(sys, kept[k], hidden) for k in np.nonzero(~ok)[0]]
+        counts = np.ones(len(kept), dtype=int)
+        counts[~ok] = [len(f) for f in found]
+        x0 = np.repeat(x0.astype(np.result_type(x0, *found)), counts, axis=0)
+        x0[np.repeat(~ok, counts)] = np.concatenate(found)
+        owner = np.repeat(owner, counts)
+        how = np.where(ok, how, "subsolve")[owner]
+        eig_residual = eig_residual[owner]
+    return _Candidates(
+        lams=kept, owner=owner, x0=_demote(x0),  # sub-solve points are complex
+        recovery=how, eig_residual=eig_residual)
 
 
 # ----------------------------------------------------------------------
@@ -373,24 +391,17 @@ def _build_resultant(hv, method, taus):
 
 
 def solve_system(sys, method="cayley", options=None):
-    """Find the roots of a square system inside its domain.
+    """Find the roots of a square system inside its domain, by method
+    "cayley" (any dimension) or "sylvester" (bivariate only), with
+    options a SolveOptions.
 
-    Parameters
-    ----------
-    sys : PolynomialSystem
-    method : "cayley" or "sylvester"
-        Sylvester is bivariate only.
-    options : SolveOptions
-
-    Returns
-    -------
-    RootReport with one RootRecord per distinct candidate, spurious ones
-    flagged rather than dropped.
-
-    The kept eigenvalues and the Newton start points are demoted by
-    _demote's rule, so a real system on an interval whose kept
-    eigenvalues are all real runs in real arithmetic after polyeig; the
-    records' x and hidden_value are complex whatever the arithmetic.
+    Returns a RootReport with one RootRecord per distinct candidate,
+    spurious ones flagged rather than dropped, and the candidate table
+    (_Candidates) in its private _table.  The kept eigenvalues and the
+    start points are demoted by _demote's rule, so a real system on an
+    interval whose kept eigenvalues are all real runs in real arithmetic
+    after polyeig; the records' x and hidden_value are complex whatever
+    the arithmetic.
     """
     opts = options or SolveOptions()
     hv = hide_variable(sys, opts.hidden_index)
@@ -399,72 +410,76 @@ def solve_system(sys, method="cayley", options=None):
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
     kept = _demote(lams[sys.domain.contains(lams, opts.domain_margin)])
-    right, left, _ = eigvecs(P, kept)
-    x0, owner, how, n_failed = _start_points(sys, res, kept, right, left,
-                                             hidden)
-    candidates = []
-    if len(x0):
-        x0 = _demote(x0)  # sub-solve points come from complex records
-        stack = hv._stack
-        F, J = _jacobian_and_table(stack, x0, 0)[1:]
-        pre = np.abs(F).max(axis=1)
-        x, iters = x0, np.zeros(len(x0), dtype=int)
+    t = _start_points(sys, res, kept, *eigvecs(P, kept), hidden)
+    t.n_outside = len(lams) - len(kept)
+    roots = ()
+    if len(t.x0):
+        stack, m = hv._stack, len(t.x0)
+        F, J = _jacobian_and_table(stack, t.x0, 0)[1:]
+        t.pre_polish = np.abs(F).max(axis=1)
+        t.x, t.iters, t.converged = t.x0, np.zeros(m, int), np.zeros(m, bool)
         if opts.polish:
-            x, iters, _ = _newton(stack, x0, F, J)
+            t.x, t.iters, t.converged = _newton(stack, t.x0, F, J)
         table, F, J = _jacobian_and_table(
-            stack, x, max(P.degree, max(res.col_extents) - 1))
-        resid = np.abs(F)
+            stack, t.x, max(P.degree, max(res.col_extents) - 1))
+        t.residuals = np.abs(F)
         scales = np.array([np.abs(p.coeffs).sum() for p in sys.polys])
-        spurious = (resid > opts.tol_accept * scales).any(axis=1)
-        v, w = root_vectors(hv, res, x, table[:, 0])
+        t.spurious = (t.residuals > opts.tol_accept * scales).any(axis=1)
+        v, w = root_vectors(hv, res, t.x, table[:, 0])
         dR = _contract(table[:P.degree + 1, 1, :, hidden],
                        P.coeffs).reshape(-1, P.size, P.size)
         ray = (w[:, None] @ (dR @ v[..., None]))[:, 0, 0]
-        kappa_root = _root_conditions(J)
+        t.kappa_root = _root_conditions(J)
         scale = np.linalg.norm(v, axis=1) * np.linalg.norm(w, axis=1)
-        kappa_eig = _eig_conditions(scale, ray, kappa_root)
-        # RootRecord fields in order, the scalars from one tolist() each;
-        # x and hidden_value are complex whatever the arithmetic
-        candidates = [RootRecord(*f) for f in zip(
-            x.astype(complex), kept[owner].astype(complex).tolist(), resid,
-            resid.max(axis=1).tolist(), pre.tolist(), spurious.tolist(),
-            kappa_eig.tolist(), kappa_root.tolist(), iters.tolist(),
-            how.tolist())]
-    roots = _dedupe(candidates, _DEDUPE_TOL)
-    roots.sort(key=lambda r: (r.x[hidden].real, r.x[hidden].imag))
+        t.kappa_eig = _eig_conditions(scale, ray, t.kappa_root)
+        max_residual = t.residuals.max(axis=1)
+        rows, t.merged_into = _dedupe(t.x, max_residual, _DEDUPE_TOL)
+        # RootRecord fields of every row, the scalars from one tolist() each
+        fields = list(zip(
+            t.x.astype(complex), t.lams[t.owner].astype(complex).tolist(),
+            t.residuals, *(c.tolist() for c in (
+                max_residual, t.pre_polish, t.spurious, t.kappa_eig,
+                t.kappa_root, t.iters, t.recovery))))
+        # Python's sort on the hidden component keeps the order of NaN keys
+        xh = t.x[:, hidden].tolist()
+        rows = sorted(rows, key=lambda i: (xh[i].real, xh[i].imag))
+        roots = tuple([RootRecord(*fields[i]) for i in rows])
+    fates = t.fates()
     log.info("solve_system: %d eigenvalues, %d kept roots (%d spurious)",
-             len(lams), len(roots),
-             sum(1 for r in roots if r.spurious))
+             len(lams), len(roots), sum(1 for r in roots if r.spurious))
     return RootReport(
         method=method, hidden_index=hidden, resultant_size=P.size,
         n_eigenvalues=len(lams), n_infinite=n_inf,
-        n_outside_domain=len(lams) - len(kept), n_recovery_failed=n_failed,
-        roots=tuple(roots))
+        n_outside_domain=fates["outside domain"],
+        n_recovery_failed=fates["recovery failed"], roots=roots, _table=t)
 
 
-def _dedupe(records, tol):
-    """Greedy duplicate removal, lowest max_residual first.
+def _dedupe(x, max_residual, tol):
+    """Greedy duplicate marking of the rows of x, in Python's sort of
+    max_residual (NaN included), lowest first.
 
-    A record is dropped when its max-norm gap to a record already kept
-    is at most tol * (1 + ||other.x||_inf).  The gaps between all pairs
-    come from one broadcast; only the greedy pass is a loop, and it is
-    skipped when no two records are close, as it would keep them all.
+    A row is a duplicate when its max-norm gap to a row already kept is
+    at most tol * (1 + ||other x||_inf); the gaps come from one broadcast.
+    Returns (kept, merged_into): the kept rows in that order, and per row
+    the first kept row it duplicates, or -1.
     """
-    order = sorted(records, key=lambda r: r.max_residual)
-    if not order:
-        return []
-    xs = np.array([r.x for r in order])
-    gap = np.abs(xs[:, None, :] - xs[None, :, :]).max(axis=-1)
-    close = gap <= tol * (1.0 + np.abs(xs).max(axis=1))
-    # the diagonal is never read: a NaN row leaves it False, others True
-    np.fill_diagonal(close, False)
-    if not close.any():
-        return order
+    key = max_residual.tolist()
+    order = sorted(range(len(key)), key=key.__getitem__)
+    merged = np.full(len(key), -1)
+    gap = np.abs(x[:, None, :] - x[None, :, :]).max(axis=-1)
+    close = gap <= tol * (1.0 + np.abs(x).max(axis=1))
+    # no pair is close when only the diagonal, never read, holds True
+    # (False on a NaN row)
+    if np.count_nonzero(close) == np.count_nonzero(close.diagonal()):
+        return order, merged
     kept = []
-    for i in range(len(order)):
-        if not close[i, kept].any():
+    for i in order:
+        hit = close[i, kept]
+        if hit.any():
+            merged[i] = kept[hit.argmax()]
+        else:
             kept.append(i)
-    return [order[i] for i in kept]
+    return kept, merged
 
 
 # ----------------------------------------------------------------------
@@ -503,19 +518,14 @@ class ConditionRecord:
 def condition_at_root(sys, root, method="cayley", hidden_index=None):
     """Measure conditioning with the closed-form eigenvectors at a root.
 
-    The structured (unnormalized) left/right vectors v, w of the
-    resultant give the Rayleigh-type product w^T R'(z) v and, by
-    solve_system's rule (_eig_conditions), kappa_eig.  The record
-    exposes the product and the Jacobian determinant, whose relation
-    ConditionRecord states, for cross-checking.
-
-    One value/derivative recurrence at the root's d components, up to
-    the highest degree any reader needs (multipoly._jacobian_and_table),
-    gives v and w, R(z) for the residual check, R'(z) (one
-    matrix-vector product each) and the Jacobian.
-    The root is demoted by _demote's rule, so a real root of a real
-    system is probed in real arithmetic; the record's fields are
-    complex.
+    The structured (unnormalized) vectors v, w of the resultant give
+    w^T R'(z) v and, by solve_system's rule (_eig_conditions), kappa_eig;
+    the record also holds the Jacobian determinant, for cross-checking.
+    One value/derivative recurrence at the root's d components
+    (multipoly._jacobian_and_table) gives v and w, R(z) for the residual
+    check, R'(z) and the Jacobian.  The root is demoted by _demote's
+    rule, so a real root of a real system is probed in real arithmetic;
+    the record's fields are complex.
     """
     root = _demote(np.atleast_1d(root))
     hv = hide_variable(sys, hidden_index)
@@ -718,32 +728,24 @@ def random_system_with_root(d, degree, seed, basis_name="monomial"):
 # Report serialization
 # ----------------------------------------------------------------------
 
+# the scalar fields of a record and of a report, as the writers order them
+_RECORD_SCALARS = ("max_residual", "pre_polish_residual", "spurious",
+                   "eig_condition", "root_condition", "newton_iters",
+                   "recovery")
+_REPORT_SCALARS = ("method", "hidden_index", "resultant_size",
+                   "n_eigenvalues", "n_infinite", "n_outside_domain",
+                   "n_recovery_failed")
+
+
 def report_to_json(report):
-    roots = []
-    for r in report.roots:
-        roots.append({
-            "x_real": [float(v) for v in r.x.real],
-            "x_imag": [float(v) for v in r.x.imag],
-            "hidden_value": [r.hidden_value.real, r.hidden_value.imag],
-            "residuals": [float(v) for v in r.residuals],
-            "max_residual": r.max_residual,
-            "pre_polish_residual": r.pre_polish_residual,
-            "spurious": r.spurious,
-            "eig_condition": r.eig_condition,
-            "root_condition": r.root_condition,
-            "newton_iters": r.newton_iters,
-            "recovery": r.recovery,
-        })
-    return {
-        "method": report.method,
-        "hidden_index": report.hidden_index,
-        "resultant_size": report.resultant_size,
-        "n_eigenvalues": report.n_eigenvalues,
-        "n_infinite": report.n_infinite,
-        "n_outside_domain": report.n_outside_domain,
-        "n_recovery_failed": report.n_recovery_failed,
-        "roots": roots,
-    }
+    roots = [{"x_real": [float(v) for v in r.x.real],
+              "x_imag": [float(v) for v in r.x.imag],
+              "hidden_value": [r.hidden_value.real, r.hidden_value.imag],
+              "residuals": [float(v) for v in r.residuals],
+              **{k: getattr(r, k) for k in _RECORD_SCALARS}}
+             for r in report.roots]
+    return {**{k: getattr(report, k) for k in _REPORT_SCALARS},
+            "roots": roots}
 
 
 def report_to_csv(report):
@@ -751,18 +753,12 @@ def report_to_csv(report):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     d = len(report.roots[0].x) if report.roots else 0
-    header = []
-    for k in range(d):
-        header += [f"re_x{k + 1}", f"im_x{k + 1}"]
-    header += ["max_residual", "pre_polish_residual", "spurious",
-               "eig_condition", "root_condition", "newton_iters", "recovery"]
-    writer.writerow(header)
+    writer.writerow([f"{part}_x{k + 1}" for k in range(d)
+                     for part in ("re", "im")] + list(_RECORD_SCALARS))
     for r in report.roots:
-        row = []
-        for k in range(d):
-            row += [repr(float(r.x[k].real)), repr(float(r.x[k].imag))]
-        row += [repr(r.max_residual), repr(r.pre_polish_residual),
-                int(r.spurious), repr(r.eig_condition),
-                repr(r.root_condition), r.newton_iters, r.recovery]
-        writer.writerow(row)
+        writer.writerow(
+            [repr(float(v)) for z in r.x for v in (z.real, z.imag)]
+            + [repr(r.max_residual), repr(r.pre_polish_residual),
+               int(r.spurious), repr(r.eig_condition),
+               repr(r.root_condition), r.newton_iters, r.recovery])
     return buf.getvalue()

@@ -169,13 +169,14 @@ def _root_vectors(hv, resultant, root, phis):
     u1, u2 = (_demote(t @ at_z[:t.shape[-1]])[:tau + 1]
               for t, tau in zip(hv.tensors, (tau1, tau2)))
     alpha = basis.table(n - 2).alpha
-    w = np.empty(np.shape(y) + (n,), dtype=np.result_type(u1, u2, y, alpha))
-    if tau2 > 0:
-        b2 = clenshaw_shifts(basis, u2, y)  # ascending b_1, b_2, ...
-        w[..., :tau2] = -alpha[:tau2] * b2[:tau2].T
-    if tau1 > 0:
-        b1 = clenshaw_shifts(basis, u1, y)
-        w[..., tau2:] = alpha[:tau1] * b1[:tau1].T
+    # one backward recurrence over both, zero-padded to the higher degree
+    u = np.zeros((max(tau1, tau2) + 1, 2) + np.shape(y),
+                 dtype=np.result_type(u1, u2))
+    u[:tau2 + 1, 0], u[:tau1 + 1, 1] = u2, u1
+    b = clenshaw_shifts(basis, u, y)  # ascending b_1, b_2, ...
+    w = np.empty(np.shape(y) + (n,), dtype=np.result_type(b, alpha))
+    w[..., :tau2] = -alpha[:tau2] * b[:tau2, 0].T
+    w[..., tau2:] = alpha[:tau1] * b[:tau1, 1].T
     return v, w
 
 

@@ -173,6 +173,22 @@ def test_clenshaw_shifts_with_matrix_coefficients():
             assert np.allclose(got[:, i, j], want)
 
 
+def test_zero_padded_columns_keep_their_own_shifts(builtin):
+    # the Sylvester left vector takes the shifts of both polynomials from
+    # one recurrence over their coefficients, zero-padded to the higher
+    # degree, at one point per column: each column's shifts are those of
+    # its own call, exactly (zero padding adds only zeros)
+    rng = np.random.default_rng(4)
+    for x in (rng.uniform(-1, 1, 5),
+              rng.uniform(-1, 1, 5) + 0.2j * rng.uniform(-1, 1, 5)):
+        short, full = rng.standard_normal((3, 5)), rng.standard_normal((6, 5))
+        stack = np.zeros((6, 2, 5))
+        stack[:3, 0], stack[:, 1] = short, full
+        got = clenshaw_shifts(builtin, stack, x)
+        assert np.array_equal(got[:3, 0], clenshaw_shifts(builtin, short, x))
+        assert np.array_equal(got[:, 1], clenshaw_shifts(builtin, full, x))
+
+
 def test_shift_recurrence_identity(builtin):
     # shifts of phi_{n+1} relate to shifts of phi_n, ..., applied to unit
     # coefficient vectors

@@ -950,11 +950,10 @@ def loop_recover_components(resultant, vec, left, basis):
     return np.array(out), "ratio"
 
 
-def loop_start_points(sys_, res, kept, right, left, hidden):
+def loop_start_points(sys_, res, kept, right, left, eig_residual, hidden):
     """_start_points as a loop over the kept eigenvalues, one recovery
     call and one np.insert each, as the solve ran before stacked
     recovery."""
-    n_failed = 0
     produced = []
     for k, lam in enumerate(kept):
         try:
@@ -962,13 +961,16 @@ def loop_start_points(sys_, res, kept, right, left, hidden):
                                                  sys_.basis)
         except RecoveryFailed:
             found = rootfinder._subsolve(sys_, lam, hidden)
-            n_failed += not len(found)
             produced += [(x0, k, "subsolve") for x0 in found]
             continue
         produced.append((np.insert(comps, hidden, lam), k, how))
     x0 = np.array([p[0] for p in produced], dtype=complex)
-    return (x0.reshape(-1, sys_.dim), np.array([p[1] for p in produced]),
-            np.array([p[2] for p in produced], dtype=str), n_failed)
+    owner = np.array([p[1] for p in produced], dtype=int)
+    return rootfinder._Candidates(
+        lams=kept, owner=owner,
+        x0=multipoly._demote(x0.reshape(-1, sys_.dim)),
+        recovery=np.array([p[2] for p in produced], dtype=str),
+        eig_residual=eig_residual[owner])
 
 
 def recovery_corpus():
@@ -1015,15 +1017,15 @@ def test_grid_start_points_stay_in_eigenvalue_order(method):
     res = rootfinder._build_resultant(hide_variable(sys_), method, None)[0]
     lams = polyeig(res.matrix_poly)[0]
     kept = lams[sys_.domain.contains(lams, 1e-6)]
-    right, left = eigvecs(res.matrix_poly, kept)[:2]
+    right, left, eig_res = eigvecs(res.matrix_poly, kept)
     right[::3] = 0.0
-    got = rootfinder._start_points(sys_, res, kept, right, left, 1)
-    want = loop_start_points(sys_, res, kept, right, left, 1)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tolist() == want[1].tolist()
-    assert got[2].tolist() == want[2].tolist()
-    assert got[3] == want[3]
-    assert "subsolve" in got[2].tolist() and got[2][-1] != "subsolve"
+    got = rootfinder._start_points(sys_, res, kept, right, left, eig_res, 1)
+    want = loop_start_points(sys_, res, kept, right, left, eig_res, 1)
+    assert got.x0.tobytes() == want.x0.tobytes()
+    assert got.owner.tolist() == want.owner.tolist()
+    assert got.recovery.tolist() == want.recovery.tolist()
+    assert got.eig_residual.tobytes() == want.eig_residual.tobytes()
+    assert "subsolve" in got.recovery and got.recovery[-1] != "subsolve"
 
 
 def planted_degree_one_systems(basis_name, seeds):
@@ -1113,6 +1115,15 @@ def _record(x, max_residual):
                       newton_iters=1, recovery="ratio")
 
 
+def dedupe_records(records, tol):
+    """_dedupe on the records' x and max_residual: the records it keeps,
+    in its order."""
+    x = np.array([r.x for r in records] or np.empty((0, 1)), dtype=complex)
+    kept, _ = rootfinder._dedupe(x, np.array(
+        [r.max_residual for r in records], dtype=float), tol)
+    return [records[i] for i in kept]
+
+
 def brute_force_dedupe(records, tol):
     """The pairwise loop the vectorised _dedupe must reproduce."""
     kept = []
@@ -1129,15 +1140,15 @@ def test_dedupe_tolerance_edges():
     base = _record([0.5, -0.25], 1e-15)  # gap limit tol * 1.5
     inside = _record([0.5 + 1.4e-8, -0.25], 1e-14)
     outside = _record([0.5, -0.25 - 1.6e-8], 1e-14)
-    kept = rootfinder._dedupe([inside, outside, base], tol)
+    kept = dedupe_records([inside, outside, base], tol)
     assert kept == [base, outside]
-    assert rootfinder._dedupe([], tol) == []
+    assert dedupe_records([], tol) == []
 
 
 def test_dedupe_lower_residual_survives():
     worse = _record([0.1, 0.2 + 0.3j], 1e-9)
     better = _record([0.1, 0.2 + 0.3j], 1e-13)
-    assert rootfinder._dedupe([worse, better], 1e-8) == [better]
+    assert dedupe_records([worse, better], 1e-8) == [better]
 
 
 def test_dedupe_compares_with_kept_records_only():
@@ -1146,7 +1157,7 @@ def test_dedupe_compares_with_kept_records_only():
     a = _record([0.0, 0.0], 1e-15)
     b = _record([0.9e-8, 0.0], 1e-14)
     c = _record([1.8e-8, 0.0], 1e-13)
-    assert rootfinder._dedupe([c, b, a], 1e-8) == [a, c]
+    assert dedupe_records([c, b, a], 1e-8) == [a, c]
 
 
 def test_dedupe_matches_brute_force():
@@ -1159,7 +1170,7 @@ def test_dedupe_matches_brute_force():
             jitter = tol * rng.uniform(-2, 2, 3)
             records.append(_record(centres[rng.integers(5)] + jitter,
                                    float(rng.uniform(0, 1e-10))))
-        got = rootfinder._dedupe(records, tol)
+        got = dedupe_records(records, tol)
         want = brute_force_dedupe(records, tol)
         assert [id(r) for r in got] == [id(r) for r in want]
 
@@ -1175,12 +1186,154 @@ def test_dedupe_fast_path_keeps_what_the_greedy_pass_keeps():
     sets = [[], apart[:1], apart, apart + pair, apart + nan_rows,
             apart[:5] + nan_rows + pair + apart[5:], nan_rows]
     for records in sets:
-        got = rootfinder._dedupe(records, tol)
+        got = dedupe_records(records, tol)
         want = brute_force_dedupe(records, tol)
         assert [id(r) for r in got] == [id(r) for r in want]
     # NaN rows are never close to anything, themselves included
-    assert len(rootfinder._dedupe(apart + nan_rows + pair, tol)) == 15
-    assert len(rootfinder._dedupe(nan_rows, tol)) == 2
+    assert len(dedupe_records(apart + nan_rows + pair, tol)) == 15
+    assert len(dedupe_records(nan_rows, tol)) == 2
+
+
+def test_dedupe_marks_each_duplicate_with_a_kept_row():
+    # clusters of near-equal rows with ties on max_residual, and in every
+    # other trial a NaN max_residual: the kept rows and their order are
+    # those of sorting records by max_residual, and each other row names
+    # the first kept row, in that order, within tol of it
+    rng = np.random.default_rng(10)
+    tol = 1e-8
+    for trial in range(60):
+        centres = rng.uniform(-1, 1, (4, 2)) + 1j * rng.uniform(-1, 1, (4, 2))
+        m = int(rng.integers(2, 25))
+        x = centres[rng.integers(4, size=m)] + tol * rng.uniform(-2, 2, (m, 2))
+        res = rng.choice([1e-15, 1e-13, 1e-11], size=m)
+        if trial % 2:
+            res[rng.integers(m)] = np.nan
+        records = [_record(xk, float(r)) for xk, r in zip(x, res)]
+        kept, merged = rootfinder._dedupe(x, res, tol)
+        assert [records[i] for i in kept] == brute_force_dedupe(records, tol)
+        assert sorted(kept) == np.nonzero(merged < 0)[0].tolist()
+        for k in np.nonzero(merged >= 0)[0]:
+            j = merged[k]
+            assert (np.max(np.abs(x[k] - x[j]))
+                    <= tol * (1 + np.max(np.abs(x[j]))))
+            for i in kept[:kept.index(j)]:
+                assert (np.max(np.abs(x[k] - x[i]))
+                        > tol * (1 + np.max(np.abs(x[i]))))
+            # Python's sort orders by max_residual only while no key is
+            # NaN (ROADMAP item 1)
+            if not np.isnan(res).any():
+                assert res[j] <= res[k]
+    # of two tied rows the first is kept
+    x = np.array([[0.5, 0.1], [0.5 + 1e-9, 0.1]])
+    kept, merged = rootfinder._dedupe(x, np.array([1e-13, 1e-13]), tol)
+    assert (kept, merged.tolist()) == ([0], [-1, 0])
+
+
+def coupled_solves():
+    """(system, table) for the coupled family, whose triple root at the
+    origin has a singular Jacobian: rows near it run to the iteration
+    cap, stop on a singular J or end as duplicates."""
+    for u in (1e-1, 1e-3, 1e-4, 1e-7):
+        for basis_name in ("monomial", "chebyshev"):
+            sys_ = family_coupled_quadratic(u, basis_name)
+            for method in ("cayley", "sylvester"):
+                yield sys_, solve_system(sys_, method)._table
+
+
+def test_converged_column_is_newton_polish_flag():
+    # a row is unconverged exactly when it ran to the cap or stopped on a
+    # J with no solve, and its flag and iterations are newton_polish's
+    cap = rootfinder._NEWTON_ITERS
+    stops, compared = set(), set()
+    for sys_, t in coupled_solves():
+        for k, x0 in enumerate(t.x0):
+            if t.converged[k]:
+                stop = "converged"
+            elif t.iters[k] == cap:
+                stop = "cap"
+            else:
+                stop = "singular J"
+                F, J = eval_with_jacobian(sys_, t.x[k])
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.solve(J, F)
+            stops.add(stop)
+            # newton_polish demotes a start with no imaginary part, and
+            # near the singular root real and complex arithmetic part
+            if multipoly._demote(x0).dtype != t.x0.dtype:
+                continue
+            x, iters, ok = newton_polish(sys_, x0)
+            assert (t.iters[k], t.converged[k]) == (iters, ok)
+            if ok:
+                assert np.max(np.abs(t.x[k] - x)) <= 1e-12 * (
+                    1 + np.max(np.abs(x)))
+            compared.add(stop)
+    assert stops == {"converged", "cap", "singular J"}
+    assert compared >= {"converged", "cap"}
+
+
+def test_merged_into_names_a_surviving_row_of_the_solve():
+    merged_rows = 0
+    for sys_, t in coupled_solves():
+        kept = np.nonzero(t.merged_into < 0)[0]
+        res = t.residuals.max(axis=1)
+        for k in np.nonzero(t.merged_into >= 0)[0]:
+            j = t.merged_into[k]
+            assert j in kept
+            assert (np.max(np.abs(t.x[k] - t.x[j]))
+                    <= rootfinder._DEDUPE_TOL * (1 + np.max(np.abs(t.x[j]))))
+            assert res[j] <= res[k]
+            merged_rows += 1
+    assert merged_rows
+
+
+def test_fates_take_the_best_row_of_each_eigenvalue():
+    # rows of eigenvalue 0: a duplicate and an accepted row; of 1: a
+    # duplicate and a spurious row; 2 has none; 3: two duplicates
+    t = rootfinder._Candidates(
+        lams=np.zeros(4), owner=np.array([0, 0, 1, 1, 3, 3]), x0=None,
+        recovery=None, eig_residual=None, n_outside=5,
+        spurious=np.array([True, False, False, True, False, False]),
+        merged_into=np.array([1, -1, 1, -1, 1, 3]))
+    assert t.fates() == {"outside domain": 5, "recovery failed": 1,
+                         "duplicate": 1, "spurious": 1, "accepted": 1}
+
+
+def benchmark_corpus(workload, seed):
+    """(system, method, N, K) over the benchmark's eig-bound (first 128
+    items) or small-solve (all 1,024 items) corpus, drawn as its
+    workloads draw them: item i from the seed (seed, i), kinds in turn,
+    with the pencil size N x K each kind's resultant has."""
+    if workload == "eig-bound":
+        kinds = [(3, 3, b, "cayley", 18, 9) for b in ("chebyshev", "legendre")]
+        count = 128
+    else:
+        kinds = [(2, 5, b, m, n, k) for b in ("chebyshev", "legendre")
+                 for m, n, k in (("cayley", 5, 10), ("sylvester", 10, 5))]
+        count = 1024
+    for i in range(count):
+        d, degree, basis_name, method, n, k = kinds[i % len(kinds)]
+        sys_ = random_system_with_root(d, degree, [seed, i], basis_name)[0]
+        yield sys_, method, n, k
+
+
+@pytest.mark.parametrize("workload", ["eig-bound", "small-solve"])
+def test_every_eigenvalue_has_one_fate_on_the_benchmark_corpora(workload):
+    for seed in (1, 7):
+        for sys_, method, n, k in benchmark_corpus(workload, seed):
+            rep = solve_system(sys_, method)
+            t = rep._table
+            fates = t.fates()
+            assert rep.resultant_size == n
+            assert sum(fates.values()) + rep.n_infinite == n * k
+            assert fates["outside domain"] == rep.n_outside_domain
+            assert fates["recovery failed"] == rep.n_recovery_failed
+            # one row per kept eigenvalue here, so each accepted or
+            # spurious eigenvalue is one record
+            assert t.owner.tolist() == list(range(len(t.lams)))
+            accepted = len(rep.accepted)
+            assert fates["accepted"] == accepted
+            assert fates["spurious"] == len(rep.roots) - accepted
+            assert fates["duplicate"] == len(t.owner) - len(rep.roots)
 
 
 # ----------------------------------------------------------------------
