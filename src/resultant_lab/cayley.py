@@ -23,7 +23,7 @@ applying the inverse of one generalized Vandermonde matrix per axis.
 The grid and every operator on it depend on the shape alone, so they
 come from one cached plan per shape (_plan).
 Sampling is one contraction pass through multipoly._contract_leading:
-the d coefficient tensors are stacked and contracted with one
+the system's stack (HiddenVariableForm.coeffs) is contracted with one
 basis-value matrix per node set, hidden axis first, which gives each
 row of the mixed matrix at once.  Every entry keeps only the grid axes
 it depends on and broadcasts over the rest, so the determinant is a
@@ -103,17 +103,14 @@ def _c_strides(extents):
 def _is_total_degree_one(hv):
     # Affine in the free variables; the hidden axis (last) is excluded
     # because hidden-variable degree never enters the s, t degrees.  A
-    # nonzero slab of degree >= 2 in one free variable decides before
-    # any index mask is built.
-    for t in hv.tensors:
-        for m in range(hv.dim - 1):
-            if np.any(t[(slice(None),) * m + (slice(2, None),)]):
-                return False
-    for t in hv.tensors:
-        weight = np.indices(t.shape[:-1]).sum(axis=0)
-        if np.any(t[weight >= 2] != 0):
-            return False
-    return True
+    # nonzero coefficient of degree >= 2 in one free variable, outside
+    # the box of indices 0..1, decides before any index mask is built.
+    T = hv.coeffs
+    box = T[(slice(None),) + (slice(2),) * (hv.dim - 1)]
+    if np.count_nonzero(box) != np.count_nonzero(T):
+        return False
+    weight = np.indices(box.shape[1:-1]).sum(axis=0)
+    return not np.any(box[:, weight >= 2])
 
 
 def default_taus(hv):
@@ -220,8 +217,8 @@ def _cofactor_det(rows):
 def _grid_values(T, s_sets, t_sets, phis):
     """Function values on the tensor grid: hidden axis, s axes, t axes.
 
-    T stacks the d hidden-axis-last tensors, (d, e_1, ..., e_{d-1},
-    e_hidden).  It is transposed once to (hidden, free variables,
+    T is the system's stack with the hidden axis last, (d, e_1, ...,
+    e_{d-1}, e_hidden).  It is transposed once to (hidden, free variables,
     polynomial) and contracted with one basis-value matrix per grid axis
     (phis, in grid axis order, as _plan gives them): the hidden axis
     first, then, for each Cayley row, every free variable with the s or
@@ -270,8 +267,7 @@ def cayley_resultant(hv, taus=None):
     taus = default_taus(hv) if taus is None else tuple(int(t) for t in taus)
     if len(taus) != hv.dim - 1 or any(t < 0 for t in taus):
         raise ValueError(f"need {hv.dim - 1} nonnegative degree bounds")
-    # a view of the system's stack with the hidden axis moved last
-    T = np.moveaxis(hv._stack.coeffs, hv.hidden_index + 1, -1)
+    T = hv.coeffs
     s_sets, t_sets, phis, inverses = _plan(hv.basis, T.shape[1:], taus)
     coeffs = _contract_leading(_grid_values(T, s_sets, t_sets, phis),
                                inverses)

@@ -17,8 +17,8 @@ complex points run the same code in complex arithmetic.
 The module covers pointwise evaluation, interpolation from samples on
 the standard tensor grid (``mp_interpolate``), splitting off one
 variable so the remaining ones see it as a coefficient parameter (the
-hidden-variable rewrite used by the resultant constructions), and the
-root condition number.
+hidden-variable rewrite used by the resultant constructions, an index
+into the system's one stack), and the root condition number.
 
 Every multi-axis contraction of the construction layer (interpolation,
 Cayley and Sylvester sampling, the example families' change of basis)
@@ -33,14 +33,14 @@ with the two rows [phi(x_a); phi'(x_a)] of that table, so one pass of d
 contractions leaves every product of values and first derivatives.  A
 caller that evaluates one system at several point sets (a solve, a
 Newton polish) stacks it once (``_stack_system``) and passes the stack;
-a solve or a probe takes it from the HiddenVariableForm, whose Cayley
-construction reads the same stack.  The conditioning probe and a
+a solve or a probe takes it from the HiddenVariableForm, whose
+constructions and sub-solve read the same stack.  The conditioning probe and a
 solve's last evaluation take the table and the Jacobian together
 (``_jacobian_and_table``), since they read the table too, and the
 Newton rounds call that kernel without eval_with_jacobian's checks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -148,18 +148,18 @@ class PolynomialSystem:
 class HiddenVariableForm:
     """System rewritten with one variable split off as a parameter.
 
-    tensors[c] is the coefficient tensor of polynomial c with the hidden
-    axis moved last, so slice [..., i] holds the free-variable tensor
+    _stack is the source system's _stack_system, made once per form:
+    every stage of a solve or probe reads it, the Jacobian kernel as it
+    is and the constructions through coeffs.  coeffs is a read-only view
+    of it with the hidden axis moved last, shape (d, free extents...,
+    hidden extent): coeffs[c] is polynomial c zero-padded to the
+    stack's extents, and slice [..., i] holds the free-variable tensors
     multiplying phi_i(hidden).  free_order records which original axes
-    remain, in order.  _stack is the source system's _stack_system,
-    made on first use and kept, so that the Cayley construction (which
-    reads it with the hidden axis moved last) and the Jacobian of the
-    solve or probe that hid the variable share one stack.
+    remain, in order.
     """
 
     source: PolynomialSystem
     hidden_index: int
-    tensors: tuple = field(repr=False)
 
     @property
     def dim(self):
@@ -172,6 +172,12 @@ class HiddenVariableForm:
     @cached_property
     def _stack(self):
         return _stack_system(self.source)
+
+    @cached_property
+    def coeffs(self):
+        view = np.moveaxis(self._stack.coeffs, self.hidden_index + 1, -1)
+        view.flags.writeable = False
+        return view
 
     @property
     def free_order(self):
@@ -186,11 +192,21 @@ class HiddenVariableForm:
         """Polynomial c with the hidden variable frozen at z.
 
         Returns a MultiPoly in the d - 1 free variables (ordered as in
-        free_order).
+        free_order), of polynomial c's own extents.
         """
-        t = self.tensors[c]
+        t = np.ascontiguousarray(
+            np.moveaxis(self.source.polys[c].coeffs, self.hidden_index, -1))
         phis = basis_eval_all(self.basis, t.shape[-1] - 1, z)
         return MultiPoly(self.basis, self.dim - 1, t @ phis)
+
+    def _freeze(self, phis):
+        """Every q_at, zero-padded to the stack's extents: coeffs
+        contracted on the hidden axis with phis, the hidden variable's
+        basis values, (K + 1,) or (K + 1, m).  As in q_at, both operands
+        are read in C order, so that the rounding of the product is the
+        same whichever variable is hidden."""
+        return (np.ascontiguousarray(self.coeffs)
+                @ np.ascontiguousarray(phis[:self.coeffs.shape[-1]]))
 
 
 # ----------------------------------------------------------------------
@@ -265,19 +281,15 @@ def hide_variable(sys, hidden_index=None):
     """Move one variable into the coefficients of the remaining ones.
 
     hidden_index is the zero-based axis to hide; the default is the last
-    variable.  The tensors are copies with the hidden axis moved last,
-    or the polynomials' own coefficient arrays when it is last already.
+    variable.  No coefficient is copied: the form reads the system's
+    stack with the hidden axis as an index (HiddenVariableForm.coeffs).
     """
     d = sys.dim
     if hidden_index is None:
         hidden_index = d - 1
     if not 0 <= hidden_index < d:
         raise ValueError(f"hidden_index must lie in 0..{d - 1}")
-    tensors = tuple(p.coeffs if hidden_index == d - 1
-                    else np.moveaxis(p.coeffs, hidden_index, -1).copy()
-                    for p in sys.polys)
-    return HiddenVariableForm(source=sys, hidden_index=hidden_index,
-                              tensors=tensors)
+    return HiddenVariableForm(source=sys, hidden_index=hidden_index)
 
 
 # ----------------------------------------------------------------------

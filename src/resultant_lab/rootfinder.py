@@ -15,9 +15,9 @@ the polished points gives the residuals, the Jacobians behind
 kappa_root, and the basis table from which the structured vectors and
 R'(x_h) give kappa_eig by condition_at_root's rule (_eig_conditions).
 _dedupe marks each duplicate row with the row it merged into, and
-RootRecords are built for the surviving rows alone.  Every evaluation
-reads one stack of the system's coefficient tensors, made once per
-solve and shared with the Cayley construction.
+RootRecords are built for the surviving rows alone.  Every stage reads
+one stack of the system's coefficients, made once per solve, the
+construction and the sub-solve with the hidden axis as an index.
 
 The module also ships the closed-form example families used to probe
 conditioning behaviour, and JSON/CSV writers for reports.
@@ -31,15 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cayley, sylvester
-from .basis import DegreeGradedBasis, basis_from_json
+from .basis import DegreeGradedBasis, basis_eval_all, basis_from_json
 from .cayley import cayley_resultant
 from .matpoly import (EigenSolveError, MatrixPolynomial, _check_null_vectors,
                       _checked_root, _contract, _stacked_solve, eigvecs,
                       polyeig)
 from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
                         _demote, _jacobian_and_table, _root_conditions,
-                        _stack_system, _stacked, eval_with_jacobian,
-                        hide_variable, mp_eval)
+                        _stack_system, eval_with_jacobian, hide_variable,
+                        mp_eval)
 from .sylvester import sylvester_resultant
 
 __all__ = [
@@ -316,9 +316,9 @@ def recover_components(resultant, right, left, basis):
 _COMBINATION_SEED = 2015  # of _subsolve's standard-normal weights
 
 
-def _subsolve(sys, lam, hidden):
+def _subsolve(hv, lam):
     """Start points at hidden value lam from a solve of the system with
-    x_hidden = lam substituted (hide_variable(...).q_at).
+    x_hidden = lam substituted (HiddenVariableForm._freeze).
 
     d - 1 fixed random combinations of the d polynomials make a square
     system in the free variables, solved by solve_system, or by a 1 x 1
@@ -326,39 +326,39 @@ def _subsolve(sys, lam, hidden):
     Newton and tol_accept on the full system judge them.  An
     EigenSolveError gives none.  Returns the (c, d) points.
     """
-    d = sys.dim
-    hv = hide_variable(sys, hidden)
-    q = _stacked([hv.q_at(c, lam).coeffs for c in range(d)])
+    d, basis = hv.dim, hv.basis
+    q = _demote(hv._freeze(basis_eval_all(basis, hv.coeffs.shape[-1] - 1,
+                                          lam)))
     rng = np.random.default_rng(_COMBINATION_SEED)
     combined = np.dot(rng.standard_normal((d - 1, d)),
                       q.reshape(d, -1)).reshape((d - 1,) + q.shape[1:])
     try:
         if d == 2:
             free = polyeig(MatrixPolynomial(
-                sys.basis, combined[0][:, None, None]))[0][:, None]
+                basis, combined[0][:, None, None]))[0][:, None]
         else:
-            sub = PolynomialSystem(tuple(MultiPoly(sys.basis, d - 1, c)
+            sub = PolynomialSystem(tuple(MultiPoly(basis, d - 1, c)
                                          for c in combined))
             free = np.array([r.x for r in solve_system(sub).roots],
                             dtype=complex).reshape(-1, d - 1)
     except EigenSolveError:
         return np.empty((0, d))
-    return np.insert(free, hidden, lam, axis=1)
+    return np.insert(free, hv.hidden_index, lam, axis=1)
 
 
-def _start_points(sys, res, kept, right, left, eig_residual, hidden):
+def _start_points(hv, res, kept, right, left, eig_residual):
     """The candidate table with its first columns, from the kept
     eigenvalues and their eigenpairs.  One recover_components call gives
     the free components, and the eigenvalue is the hidden one.  An
     eigenvalue whose recovery failed takes one row per point of its
     _subsolve, in its place, so the rows stay in eigenvalue order."""
-    comps, how = recover_components(res, right, left, sys.basis)
-    x0 = np.empty((len(kept), sys.dim), dtype=np.result_type(kept, comps))
-    x0[:, hidden] = kept
-    x0[:, np.arange(sys.dim) != hidden] = comps
+    comps, how = recover_components(res, right, left, hv.basis)
+    x0 = np.empty((len(kept), hv.dim), dtype=np.result_type(kept, comps))
+    x0[:, hv.hidden_index] = kept
+    x0[:, np.arange(hv.dim) != hv.hidden_index] = comps
     owner, ok = np.arange(len(kept)), how != ""
     if not ok.all():
-        found = [_subsolve(sys, kept[k], hidden) for k in np.nonzero(~ok)[0]]
+        found = [_subsolve(hv, kept[k]) for k in np.nonzero(~ok)[0]]
         counts = np.ones(len(kept), dtype=int)
         counts[~ok] = [len(f) for f in found]
         x0 = np.repeat(x0.astype(np.result_type(x0, *found)), counts, axis=0)
@@ -410,7 +410,7 @@ def solve_system(sys, method="cayley", options=None):
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
     kept = _demote(lams[sys.domain.contains(lams, opts.domain_margin)])
-    t = _start_points(sys, res, kept, *eigvecs(P, kept), hidden)
+    t = _start_points(hv, res, kept, *eigvecs(P, kept))
     t.n_outside = len(lams) - len(kept)
     roots = ()
     if len(t.x0):
@@ -455,17 +455,16 @@ def solve_system(sys, method="cayley", options=None):
 
 
 def _dedupe(x, max_residual, tol):
-    """Greedy duplicate marking of the rows of x, in Python's sort of
-    max_residual (NaN included), lowest first.
+    """Greedy duplicate marking of the rows of x, in order of
+    max_residual, lowest first and NaN last (a stable argsort).
 
     A row is a duplicate when its max-norm gap to a row already kept is
     at most tol * (1 + ||other x||_inf); the gaps come from one broadcast.
     Returns (kept, merged_into): the kept rows in that order, and per row
     the first kept row it duplicates, or -1.
     """
-    key = max_residual.tolist()
-    order = sorted(range(len(key)), key=key.__getitem__)
-    merged = np.full(len(key), -1)
+    order = np.argsort(max_residual, kind="stable").tolist()
+    merged = np.full(len(order), -1)
     gap = np.abs(x[:, None, :] - x[None, :, :]).max(axis=-1)
     close = gap <= tol * (1.0 + np.abs(x).max(axis=1))
     # no pair is close when only the diagonal, never read, holds True

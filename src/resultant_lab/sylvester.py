@@ -11,7 +11,9 @@ in the hidden variable it is an alternative to the Cayley construction
 with smaller matrices for d = 2.  It is built the same way: the row
 functions phi_j(y) q_c(y, z) are sampled on a grid of kept-variable
 nodes times hidden-variable nodes and interpolated over both axes, with
-operators from one cached plan per shape (_plan).
+operators from one cached plan per shape (_plan).  Both polynomials are
+read from the system's zero-padded stack (HiddenVariableForm.coeffs):
+one contraction samples q_1 and q_2, one product gives them at a root.
 
 At a system root the right null vector is the basis column
 (phi_0, ..., phi_{N-1}) at the kept component; the left null vector is
@@ -59,52 +61,43 @@ class SylvesterResultant:
         return (self.size,)
 
 
-def _free_axis_degree(tensor):
-    """Exact degree along the kept axis (hidden axis is last)."""
-    rows = np.nonzero(np.any(tensor != 0, axis=-1))[0]
-    if rows.size == 0:
-        return None
-    return int(rows.max())
-
-
 def sylvester_degrees(hv):
-    """(tau_1, tau_2): kept-variable degrees of the two polynomials.
+    """(tau_1, tau_2): kept-variable degrees of the two polynomials, the
+    last kept-variable index of each with a nonzero coefficient.
 
     Raises for identically zero polynomials and for pairs that are both
     constant in the kept variable (the matrix would be empty).
     """
     if hv.dim != 2:
         raise ValueError("this construction is bivariate only")
-    taus = []
-    for c, t in enumerate(hv.tensors):
-        deg = _free_axis_degree(t)
-        if deg is None:
-            raise ValueError(f"polynomial {c} is identically zero")
-        taus.append(deg)
+    nonzero = np.any(hv.coeffs, axis=-1)  # (polynomial, kept index)
+    zero = ~nonzero.any(axis=1)
+    if zero.any():
+        raise ValueError(f"polynomial {zero.argmax()} is identically zero")
+    taus = tuple((nonzero.shape[1] - 1
+                  - nonzero[:, ::-1].argmax(axis=1)).tolist())
     if taus[0] + taus[1] == 0:
         raise ValueError("both polynomials are constant in the kept "
                          "variable; nothing to eliminate")
-    return tuple(taus)
+    return taus
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(basis, n, tensor_shapes):
+def _plan(basis, n, extents):
     """Shape-only operators of sylvester_resultant as read-only arrays:
     (phis, grid_phis, inverses).  phis is phi_0..phi_{n-1} at the n kept
-    nodes, shape (node, j); grid_phis holds per tensor the basis values
-    at the kept and at the hidden nodes; inverses are the transposed
-    inverse Vandermonde matrices of both node sets, all nodes of
-    basis.domain."""
-    kept = basis.domain.nodes(n)
-    hidden = basis.domain.nodes(max(shape[-1] for shape in tensor_shapes))
-    phis = basis_eval_all(basis, n - 1, kept).T
-    grid_phis = [tuple(basis_eval_all(basis, e - 1, x)
-                       for e, x in zip(shape, (kept, hidden)))
-                 for shape in tensor_shapes]
-    inverses = tuple(_vandermonde_inverse(basis, x).T for x in (kept, hidden))
-    for x in (phis, *inverses, *(a for ops in grid_phis for a in ops)):
+    nodes, shape (node, j); grid_phis holds the basis values at the kept
+    and at the hidden nodes up to the extents of the stack, (kept,
+    hidden); inverses are the transposed inverse Vandermonde matrices of
+    both node sets, all nodes of basis.domain."""
+    nodes = (basis.domain.nodes(n), basis.domain.nodes(extents[-1]))
+    phis = basis_eval_all(basis, n - 1, nodes[0]).T
+    grid_phis = tuple(basis_eval_all(basis, e - 1, x)
+                      for e, x in zip(extents, nodes))
+    inverses = tuple(_vandermonde_inverse(basis, x).T for x in nodes)
+    for x in (phis, *grid_phis, *inverses):
         x.flags.writeable = False
-    return phis, tuple(grid_phis), inverses
+    return phis, grid_phis, inverses
 
 
 def sylvester_resultant(hv):
@@ -119,9 +112,9 @@ def sylvester_resultant(hv):
     """
     tau1, tau2 = sylvester_degrees(hv)
     phis, grid_phis, inverses = _plan(hv.basis, tau1 + tau2,
-                                      tuple(t.shape for t in hv.tensors))
-    q1, q2 = (_contract_leading(t, ops)
-              for t, ops in zip(hv.tensors, grid_phis))
+                                      hv.coeffs.shape[1:])
+    # polynomial axis last, so it is carried through to the front
+    q1, q2 = _contract_leading(hv.coeffs.transpose(1, 2, 0), grid_phis)
     samples = np.concatenate([phis[:, None, :tau2] * q1[:, :, None],
                               phis[:, None, :tau1] * q2[:, :, None]], axis=2)
     coeffs = _contract_leading(samples, inverses)  # r, k, m
@@ -144,7 +137,7 @@ def sylvester_root_eigvectors(hv, root, resultant, check=True):
     (a hidden component that overflows the basis recurrence).
     """
     root = _checked_root(root, 2)
-    kmax = max(resultant.size, *(t.shape[-1] for t in hv.tensors)) - 1
+    kmax = max(resultant.size, hv.coeffs.shape[-1]) - 1
     v, w = _root_vectors(hv, resultant, root,
                          basis_eval_all(hv.basis, kmax, root))
     if check:
@@ -157,23 +150,20 @@ def _root_vectors(hv, resultant, root, phis):
     """(v, w) of sylvester_root_eigvectors, (N,) each, or (m, N) for a
     stack of m roots, from phis, the basis values at both components,
     shape (K + 1, 2) or (K + 1, m, 2) with K + 1 at least the matrix
-    size and every hidden extent.  q_1 and q_2 at the hidden component
-    z are the tensors contracted with the column of z; where z
-    overflows the recurrence they are not finite, and so is w."""
+    size and the hidden extent.  q_1 and q_2 at the hidden component z
+    are the form's polynomials frozen at z (HiddenVariableForm._freeze);
+    where z overflows the recurrence they are not finite, and so is
+    w."""
     y = root.T[hv.free_order[0]]  # a scalar, or one per row of a stack
     tau1, tau2 = resultant.tau1, resultant.tau2
     n = tau1 + tau2
-    basis = hv.basis
     v = np.ascontiguousarray(phis[:n, ..., hv.free_order[0]].T)
-    at_z = np.ascontiguousarray(phis[:, ..., hv.hidden_index])
-    u1, u2 = (_demote(t @ at_z[:t.shape[-1]])[:tau + 1]
-              for t, tau in zip(hv.tensors, (tau1, tau2)))
-    alpha = basis.table(n - 2).alpha
+    q = _demote(hv._freeze(phis[..., hv.hidden_index]))
+    alpha = hv.basis.table(n - 2).alpha
     # one backward recurrence over both, zero-padded to the higher degree
-    u = np.zeros((max(tau1, tau2) + 1, 2) + np.shape(y),
-                 dtype=np.result_type(u1, u2))
-    u[:tau2 + 1, 0], u[:tau1 + 1, 1] = u2, u1
-    b = clenshaw_shifts(basis, u, y)  # ascending b_1, b_2, ...
+    u = np.zeros((max(tau1, tau2) + 1, 2) + np.shape(y), dtype=q.dtype)
+    u[:tau2 + 1, 0], u[:tau1 + 1, 1] = q[1, :tau2 + 1], q[0, :tau1 + 1]
+    b = clenshaw_shifts(hv.basis, u, y)  # ascending b_1, b_2, ...
     w = np.empty(np.shape(y) + (n,), dtype=np.result_type(b, alpha))
     w[..., :tau2] = -alpha[:tau2] * b[:tau2, 0].T
     w[..., tau2:] = alpha[:tau1] * b[:tau1, 1].T

@@ -134,10 +134,11 @@ PLAN_CACHES = {"cayley": cayley._plan, "sylvester": sylvester._plan,
 def plan_args(name, basis):
     """Arguments of one lookup of the plan cache name for a small fixed
     shape in basis: a bivariate Cayley grid of degree 2, a Sylvester
-    matrix of size 4, a degree-4 pencil of size 3 with real
-    coefficients.  Degree 4 is the highest any of them needs."""
+    matrix of size 4 on a stack of extents (3, 3), a degree-4 pencil of
+    size 3 with real coefficients.  Degree 4 is the highest any of them
+    needs."""
     if name == "cayley":
         return basis, (3, 3), (1,)
     if name == "sylvester":
-        return basis, 4, ((3, 3), (2, 3))
+        return basis, 4, (3, 3)
     return basis, 4, 3, np.dtype(float)

@@ -141,7 +141,8 @@ def test_grid_values_match_pointwise_oracle(d, n, kind, basis_name):
     s_sets = [points(rng.integers(1, 4), 1) for _ in range(d - 1)]
     t_sets = [points(rng.integers(1, 4), -1) for _ in range(d - 1)]
     hidden = points(2, 1)
-    T = _stacked(hv.tensors)
+    T = _stacked([np.moveaxis(p.coeffs, hv.hidden_index, -1)
+                  for p in hv.source.polys])
     ext = T.shape[1:]
     phis = [basis_eval_all(basis, e - 1, x) for e, x in
             zip((ext[-1], *ext[:-1], *ext[:-1]), (hidden, *s_sets, *t_sets))]
@@ -282,8 +283,10 @@ def test_coeffs_match_bezout_oracle_d2(mono):
         hv = hide_variable(sys_)
         z = rng.uniform(-1, 1)
         A = tensor_at(cayley_resultant(hv), z)
-        q1 = hv.tensors[0] @ basis_eval_all(mono, 3, complex(z))
-        q2 = hv.tensors[1] @ basis_eval_all(mono, 3, complex(z))
+        t1, t2 = (np.moveaxis(p.coeffs, hv.hidden_index, -1)
+                  for p in hv.source.polys)
+        q1 = t1 @ basis_eval_all(mono, 3, complex(z))
+        q2 = t2 @ basis_eval_all(mono, 3, complex(z))
         B = bezout_matrix(q1, q2)
         assert A.shape == B.shape == (3, 3)
         assert np.allclose(A, B, atol=1e-9 * (1 + np.max(np.abs(B))))

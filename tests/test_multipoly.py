@@ -11,13 +11,16 @@ import pytest
 from resultant_lab.basis import (DegreeGradedBasis, Domain,
                                  NormalizationWarning, basis_eval_all,
                                  derivative_eval)
+from resultant_lab import cayley, rootfinder
 from resultant_lab.multipoly import (HiddenVariableForm, MultiPoly,
                                      PolynomialSystem, _contract_leading,
-                                     _root_conditions, _vandermonde_inverse,
+                                     _root_conditions, _stacked,
+                                     _vandermonde_inverse,
                                      eval_with_jacobian, hide_variable,
                                      mp_eval, mp_interpolate,
                                      system_from_json, system_to_json)
 from resultant_lab.rootfinder import solve_system
+from resultant_lab.sylvester import sylvester_degrees, sylvester_resultant
 from conftest import circle_line, dense_gamma_basis, naive_eval, report_fields
 
 
@@ -220,6 +223,130 @@ def test_frozen_slice(cheb):
     q = hv.q_at(0, z)
     for x1 in (-0.3, 0.0, 0.77):
         assert abs(mp_eval(q, [x1]) - mp_eval(p, [x1, z])) <= 1e-12
+
+
+# Extents of the polynomials of each padded system, every one at least
+# two: a per-polynomial product on an axis of extent one is a
+# matrix-vector product, whose rounding can differ from the stacked one.
+PADDED_SHAPES = [((3, 2), (2, 4)), ((2, 5), (4, 3)), ((5, 5), (2, 2)),
+                 ((3, 4, 2), (2, 2, 4), (4, 3, 3)),
+                 ((2, 2, 2), (3, 2, 2), (2, 2, 3))]
+
+
+def padded_systems():
+    """Systems whose stacks pad, in three bases; in the first, a real
+    polynomial meets a complex one.  The last is affine in every pair of
+    its variables inside extents up to three."""
+    rng = np.random.default_rng(41)
+    for basis_name in ("monomial", "chebyshev", "legendre"):
+        basis = DegreeGradedBasis(basis_name)
+        for k, shapes in enumerate(PADDED_SHAPES):
+            coeffs = [rng.standard_normal(shape) for shape in shapes]
+            if k == 0:
+                coeffs[1] = coeffs[1] + 1j * rng.standard_normal(shapes[1])
+            if k == len(PADDED_SHAPES) - 1:
+                for c in coeffs:
+                    c[np.indices(c.shape).sum(axis=0) >= 2] = 0.0
+            yield PolynomialSystem(tuple(MultiPoly(basis, len(shapes), c)
+                                         for c in coeffs))
+
+
+def per_polynomial_tensors(sys_, hidden):
+    """Each polynomial's coefficients with the hidden axis moved last."""
+    return [np.moveaxis(p.coeffs, hidden, -1).copy() for p in sys_.polys]
+
+
+def per_polynomial_total_degree_one(tensors):
+    for t in tensors:
+        weight = np.indices(t.shape[:-1]).sum(axis=0)
+        if np.any(t[weight >= 2] != 0):
+            return False
+    return True
+
+
+def per_polynomial_sylvester(hv, tensors):
+    """(taus, coefficient matrices) of the Sylvester construction built
+    polynomial by polynomial: each kept-variable degree from its own
+    tensor, and each q_c sampled on the grid with its own extents."""
+    taus = [int(np.nonzero(np.any(t != 0, axis=-1))[0].max())
+            for t in tensors]
+    n, basis = sum(taus), hv.basis
+    kept = basis.domain.nodes(n)
+    hidden = basis.domain.nodes(max(t.shape[-1] for t in tensors))
+    q1, q2 = (_contract_leading(t, [basis_eval_all(basis, e - 1, x)
+                                    for e, x in zip(t.shape, (kept, hidden))])
+              for t in tensors)
+    phis = basis_eval_all(basis, n - 1, kept).T
+    samples = np.concatenate([phis[:, None, :taus[1]] * q1[:, :, None],
+                              phis[:, None, :taus[0]] * q2[:, :, None]],
+                             axis=2)
+    coeffs = _contract_leading(samples, [
+        _vandermonde_inverse(basis, x).T for x in (kept, hidden)])
+    return tuple(taus), np.ascontiguousarray(coeffs.transpose(2, 0, 1))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes())
+
+
+def test_padded_stack_matches_per_polynomial_tensors(monkeypatch):
+    # the constructions and the sub-solve read one zero-padded stack with
+    # the hidden axis as an index; polynomial by polynomial, on each
+    # one's own extents, they give the same bits
+    frozen = []
+    freeze = HiddenVariableForm._freeze
+
+    def recorded(hv, phis):
+        frozen.append(freeze(hv, phis))
+        return frozen[-1]
+
+    monkeypatch.setattr(HiddenVariableForm, "_freeze", recorded)
+    same_terms = terms = 0
+    for sys_ in padded_systems():
+        d = sys_.dim
+        for hidden in range(d):
+            hv = hide_variable(sys_, hidden)
+            tensors = per_polynomial_tensors(sys_, hidden)
+            assert same_bits(hv.coeffs, _stacked(tensors))
+            assert not hv.coeffs.flags.writeable
+            assert np.shares_memory(hv.coeffs, hv._stack.coeffs)
+            assert (cayley._is_total_degree_one(hv)
+                    == per_polynomial_total_degree_one(tensors))
+            s_sets, t_sets, phis, inverses = cayley._plan(
+                hv.basis, hv.coeffs.shape[1:], cayley.default_taus(hv))
+            want = _contract_leading(cayley._grid_values(
+                _stacked(tensors), s_sets, t_sets, phis), inverses)
+            got = cayley.cayley_resultant(hv).matrix_poly.coeffs
+            assert same_bits(got, want.reshape(got.shape))
+            if d == 2:
+                taus, want = per_polynomial_sylvester(hv, tensors)
+                res = sylvester_resultant(hv)
+                assert sylvester_degrees(hv) == taus
+                assert same_bits(res.matrix_poly.coeffs, want)
+            # the sub-solve's frozen polynomials are the q_at, padded
+            # with zeros; where a polynomial's hidden extent and dtype
+            # are the stack's, its products run over the same terms in
+            # the same arithmetic
+            lam = 0.3
+            frozen.clear()
+            rootfinder._subsolve(hv, lam)
+            q = frozen[0]
+            for c, t in enumerate(tensors):
+                terms += 1
+                want = hv.q_at(c, lam).coeffs
+                own = tuple(slice(e) for e in want.shape)
+                got = q[c][own]
+                pad = np.ones(q.shape[1:], dtype=bool)
+                pad[own] = False
+                assert not q[c][pad].any()
+                if (t.shape[-1], t.dtype) == (hv.coeffs.shape[-1], q.dtype):
+                    assert same_bits(got, want.astype(got.dtype))
+                    same_terms += 1
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-14,
+                                               atol=1e-14)
+    assert 0 < same_terms < terms
 
 
 # ----------------------------------------------------------------------

@@ -34,13 +34,11 @@ def direct(name, args):
                  for e, x in zip(extents, grid)],
                 [inverse(x) for x in grid])
     if name == "sylvester":
-        _, n, shapes = args
-        kept = domain.nodes(n)
-        hidden = domain.nodes(max(shape[-1] for shape in shapes))
+        _, n, ext = args
+        kept, hidden = domain.nodes(n), domain.nodes(ext[-1])
         return (basis_eval_all(basis, n - 1, kept).T,
-                [[basis_eval_all(basis, e - 1, x)
-                  for e, x in zip(shape, (kept, hidden))]
-                 for shape in shapes],
+                [basis_eval_all(basis, e - 1, x)
+                 for e, x in zip(ext, (kept, hidden))],
                 [inverse(kept), inverse(hidden)])
     _, K, N, dtype = args
     return ([(mu, *matpoly._pencil_table(basis, K, mu, dtype))

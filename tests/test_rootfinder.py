@@ -950,7 +950,7 @@ def loop_recover_components(resultant, vec, left, basis):
     return np.array(out), "ratio"
 
 
-def loop_start_points(sys_, res, kept, right, left, eig_residual, hidden):
+def loop_start_points(hv, res, kept, right, left, eig_residual):
     """_start_points as a loop over the kept eigenvalues, one recovery
     call and one np.insert each, as the solve ran before stacked
     recovery."""
@@ -958,17 +958,17 @@ def loop_start_points(sys_, res, kept, right, left, eig_residual, hidden):
     for k, lam in enumerate(kept):
         try:
             comps, how = loop_recover_components(res, right[k], left[k],
-                                                 sys_.basis)
+                                                 hv.basis)
         except RecoveryFailed:
-            found = rootfinder._subsolve(sys_, lam, hidden)
+            found = rootfinder._subsolve(hv, lam)
             produced += [(x0, k, "subsolve") for x0 in found]
             continue
-        produced.append((np.insert(comps, hidden, lam), k, how))
+        produced.append((np.insert(comps, hv.hidden_index, lam), k, how))
     x0 = np.array([p[0] for p in produced], dtype=complex)
     owner = np.array([p[1] for p in produced], dtype=int)
     return rootfinder._Candidates(
         lams=kept, owner=owner,
-        x0=multipoly._demote(x0.reshape(-1, sys_.dim)),
+        x0=multipoly._demote(x0.reshape(-1, hv.dim)),
         recovery=np.array([p[2] for p in produced], dtype=str),
         eig_residual=eig_residual[owner])
 
@@ -1014,13 +1014,14 @@ def test_grid_start_points_stay_in_eigenvalue_order(method):
     # zeroed rows fail recovery between rows that pass, so their
     # sub-solve candidates must land in their eigenvalue's place
     sys_ = random_system_with_root(2, 3, 5, "chebyshev")[0]
-    res = rootfinder._build_resultant(hide_variable(sys_), method, None)[0]
+    hv = hide_variable(sys_)
+    res = rootfinder._build_resultant(hv, method, None)[0]
     lams = polyeig(res.matrix_poly)[0]
     kept = lams[sys_.domain.contains(lams, 1e-6)]
     right, left, eig_res = eigvecs(res.matrix_poly, kept)
     right[::3] = 0.0
-    got = rootfinder._start_points(sys_, res, kept, right, left, eig_res, 1)
-    want = loop_start_points(sys_, res, kept, right, left, eig_res, 1)
+    got = rootfinder._start_points(hv, res, kept, right, left, eig_res)
+    want = loop_start_points(hv, res, kept, right, left, eig_res)
     assert got.x0.tobytes() == want.x0.tobytes()
     assert got.owner.tolist() == want.owner.tolist()
     assert got.recovery.tolist() == want.recovery.tolist()
@@ -1125,9 +1126,11 @@ def dedupe_records(records, tol):
 
 
 def brute_force_dedupe(records, tol):
-    """The pairwise loop the vectorised _dedupe must reproduce."""
+    """The pairwise loop the vectorised _dedupe must reproduce, over the
+    records in order of max_residual, NaN last."""
     kept = []
-    for rec in sorted(records, key=lambda r: r.max_residual):
+    for rec in sorted(records, key=lambda r: (np.isnan(r.max_residual),
+                                              r.max_residual)):
         if not any(np.max(np.abs(rec.x - other.x))
                    <= tol * (1.0 + np.max(np.abs(other.x)))
                    for other in kept):
@@ -1197,8 +1200,8 @@ def test_dedupe_fast_path_keeps_what_the_greedy_pass_keeps():
 def test_dedupe_marks_each_duplicate_with_a_kept_row():
     # clusters of near-equal rows with ties on max_residual, and in every
     # other trial a NaN max_residual: the kept rows and their order are
-    # those of sorting records by max_residual, and each other row names
-    # the first kept row, in that order, within tol of it
+    # those of sorting records by max_residual, NaN last, and each other
+    # row names the first kept row, in that order, within tol of it
     rng = np.random.default_rng(10)
     tol = 1e-8
     for trial in range(60):
@@ -1219,9 +1222,9 @@ def test_dedupe_marks_each_duplicate_with_a_kept_row():
             for i in kept[:kept.index(j)]:
                 assert (np.max(np.abs(x[k] - x[i]))
                         > tol * (1 + np.max(np.abs(x[i]))))
-            # Python's sort orders by max_residual only while no key is
-            # NaN (ROADMAP item 1)
-            if not np.isnan(res).any():
+            # a row with a residual merges into one with no larger
+            # residual, whatever NaN keys other rows hold
+            if not np.isnan(res[k]):
                 assert res[j] <= res[k]
     # of two tied rows the first is kept
     x = np.array([[0.5, 0.1], [0.5 + 1e-9, 0.1]])

@@ -24,8 +24,10 @@ from conftest import circle_line
 
 def kept_polys(hv, z):
     """Coefficient vectors of q_1(., z) and q_2(., z) in the kept variable."""
+    tensors = (np.moveaxis(p.coeffs, hv.hidden_index, -1)
+               for p in hv.source.polys)
     return [t @ basis_eval_all(hv.basis, t.shape[-1] - 1, complex(z))
-            for t in hv.tensors]
+            for t in tensors]
 
 
 def test_row_monomial_is_shifted_copy():
@@ -109,8 +111,10 @@ def test_matrix_rows_expand_shifted_polynomials(cheb):
     z = 0.37
     S = matpoly_eval(res.matrix_poly, z)
     phis = lambda x: basis_eval_all(cheb, n - 1, complex(x))  # noqa: E731
-    q1 = hv.tensors[0] @ basis_eval_all(cheb, hv.tensors[0].shape[-1] - 1, z)
-    q2 = hv.tensors[1] @ basis_eval_all(cheb, hv.tensors[1].shape[-1] - 1, z)
+    t1, t2 = (np.moveaxis(p.coeffs, hv.hidden_index, -1)
+              for p in hv.source.polys)
+    q1 = t1 @ basis_eval_all(cheb, t1.shape[-1] - 1, z)
+    q2 = t2 @ basis_eval_all(cheb, t2.shape[-1] - 1, z)
     rng = np.random.default_rng(5)
     for x in rng.uniform(-1, 1, 5):
         col = phis(x)
