@@ -17,7 +17,7 @@ from .cayley import (CayleyResultant, cayley_resultant,
                      default_taus)
 from .matpoly import (EigenSolveError, MatrixPolynomial, NotRegularError,
                       StructureError, eigvecs, matpoly_eval,
-                      matpoly_from_json, matpoly_to_json, polyeig)
+                      matpoly_to_json, polyeig)
 from .multipoly import (HiddenVariableForm, MultiPoly, PolynomialSystem,
                         eval_with_jacobian, hide_variable, mp_eval,
                         mp_interpolate, system_from_json, system_to_json)
@@ -49,7 +49,7 @@ __all__ = [
     # matpoly
     "MatrixPolynomial", "EigenSolveError", "NotRegularError",
     "StructureError", "matpoly_eval", "polyeig", "eigvecs",
-    "matpoly_to_json", "matpoly_from_json",
+    "matpoly_to_json",
     # cayley
     "CayleyResultant", "default_taus", "cayley_resultant",
     "cayley_root_eigvectors", "cayley_resultant_to_json",

@@ -34,14 +34,19 @@ values:
                     + sum_{j=1}^{k} gamma_{k,j} phi'_{j-1}(x).
 
 Both run as one fused recurrence on a (kmax + 1, 2, ...) table
-(``_value_derivative_table``), which ``basis_eval_deriv_all`` splits into
-values and derivatives; the Jacobian kernel and the conditioning probe
-read the table as it is, so each point set costs one recurrence.
+(``_value_derivative_table``), the package's only forward recurrence:
+``basis_eval_all`` returns its value half and ``basis_eval_deriv_all``
+splits it into values and derivatives, while the Jacobian kernel and the
+conditioning probe read the table as it is.  A single point runs as a
+one-element array, so its values are bitwise those of the same point in
+any array.
 
-The operators at the construction nodes depend on the shape alone, so
-each construction caches them in its plan (``cayley._plan``,
-``sylvester._plan``; at most ``PLAN_CACHE_SIZE`` entries each).  Points
-that change with every system call ``basis_eval_all`` directly.
+The operators at the construction nodes and the basis values at the
+eigensolver's shifts depend on the shape alone, so each construction and
+the eigensolver cache them in a plan (``cayley._plan``,
+``sylvester._plan``, ``matpoly._plan``; at most ``PLAN_CACHE_SIZE``
+entries each).  Points that change with every system call
+``basis_eval_all`` directly.
 
 Polynomials p(x) = sum_k a_k phi_k(x) are evaluated by running the
 recurrence backwards (a generalized Clenshaw scheme) down to k = 0: the
@@ -449,37 +454,31 @@ def basis_eval_all(basis, kmax, x):
 
     Returns
     -------
-    ndarray with shape (kmax + 1,) + shape(x), in the result type of x
-    and of the recurrence table: float64 for real points and a real
-    recurrence, complex128 otherwise.
+    C-contiguous ndarray with shape (kmax + 1,) + shape(x), in the
+    result type of x and of the recurrence table: float64 for real
+    points and a real recurrence, complex128 otherwise.  It is the value
+    half of _value_derivative_table, the package's one forward
+    recurrence, so a single point, a one-element array and each point of
+    an array give the same bits.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    tab = basis.table(kmax - 1)
-    x = np.asarray(x)
-    out = np.empty((kmax + 1,) + x.shape,
-                   dtype=np.result_type(x, tab.dtype))
-    out[0] = 1.0
-    for k in range(kmax):
-        acc = (tab.alpha[k] * x + tab.beta[k]) * out[k]
-        for j, g in tab.rows[k]:
-            acc = acc + g * out[j - 1]
-        out[k + 1] = acc
-    return out
+    return np.ascontiguousarray(_value_derivative_table(basis, kmax, x)[:, 0])
 
 
 def _value_derivative_table(basis, kmax, x):
     """phi_k(x) and phi'_k(x) for k = 0..kmax from one fused recurrence.
 
-    Returns an array of shape (kmax + 1, 2) + shape(x), in the dtype of
-    basis_eval_all: slot [k, 0] holds phi_k(x) and [k, 1] phi'_k(x).
-    The recurrence runs on the flat view of each row k, the values of
-    every point followed by their derivatives, so each step is three
-    one-dimensional array operations plus two per gamma entry, however
-    many points there are; the factors alpha_k x + beta_k of every k
-    come from one broadcast.  Every entry is formed by the same
-    operations, in the same order, as in separate value and derivative
-    recurrences, so the table matches them bit for bit.
+    Returns an array of shape (kmax + 1, 2) + shape(x), in the result
+    type of x and of the recurrence table: slot [k, 0] holds phi_k(x)
+    and [k, 1] phi'_k(x).  The recurrence runs on the flat view of each
+    row k, the values of every point followed by their derivatives, so
+    each step is three one-dimensional array operations plus two per
+    gamma entry, however many points there are; the factors
+    alpha_k x + beta_k of every k come from one broadcast.  Every entry
+    is formed by the same operations, in the same order, as in separate
+    value and derivative recurrences over an array of points, so the
+    table matches them bit for bit.  A single point runs as a
+    one-element array, in numpy's array loops rather than its scalar
+    arithmetic, so its entries round as the same point's in any array.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -514,10 +513,8 @@ def basis_eval_deriv_all(basis, kmax, x):
     Returns
     -------
     (vals, ders), each a C-contiguous ndarray with shape (kmax + 1,) +
-    shape(x) in the dtype of basis_eval_all.  vals equals basis_eval_all
-    bit for bit, except that at a single point in complex arithmetic
-    basis_eval_all runs numpy's scalar arithmetic, which may round
-    differently from the array loops here in the last bit.
+    shape(x) in the dtype of basis_eval_all; vals is basis_eval_all's
+    result, bit for bit.
     """
     table = _value_derivative_table(basis, kmax, x)
     return (np.ascontiguousarray(table[:, 0]),

@@ -12,13 +12,14 @@ one eigenvalues-only standard eigensolver run gives them (in real
 arithmetic when the coefficients are real and the domain is an
 interval).  X and Y are never formed: M takes the divided differences
 of the basis at mu, from the Clenshaw shifts of basis.py, and one
-N x N solve with P(mu), which matpoly_eval gives once per shift.  Every
-contraction of the coefficient stack with basis values (P(mu), the
-right side of that solve, the stack of P(lambda)) is one reshape and
-one np.dot.  This is not backward stable for the pencil, but resultant
-eigenvalues lose up to kappa_eig / kappa_root of accuracy however they
-are computed (arXiv 1507.00272); Newton on the source system is what
-restores the roots.  Eigenvectors are taken separately, for the
+N x N solve with P(mu), contracted once per shift from the basis values
+phi(mu) that the plan holds, so no recurrence runs at the shifts.
+Every contraction of the coefficient stack with basis values (P(mu),
+the right side of that solve, the stack of P(lambda)) is one reshape
+and one np.dot.  This is not backward stable for the pencil, but
+resultant eigenvalues lose up to kappa_eig / kappa_root of accuracy
+however they are computed (arXiv 1507.00272); Newton on the source
+system is what restores the roots.  Eigenvectors are taken separately, for the
 eigenvalues a caller keeps, by one step of inverse iteration with
 P(lambda) itself: one stacked N x N solve over all kept eigenvalues for
 the right and left vectors (eigvecs); condition numbers are measured
@@ -44,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (PLAN_CACHE_SIZE, DegreeGradedBasis, _reject_non_finite,
-                    basis_eval_all, basis_from_json, basis_to_json,
-                    clenshaw_shifts)
+                    basis_eval_all, basis_to_json, clenshaw_shifts)
 from .multipoly import _demote
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "polyeig",
     "eigvecs",
     "matpoly_to_json",
-    "matpoly_from_json",
 ]
 
 log = logging.getLogger(__name__)
@@ -248,7 +247,7 @@ def _pencil_table(basis, K, mu, dtype):
     W[i, m] = alpha_m b_{m+1}[phi_i](mu), shape (K + 1, K), from the
     Clenshaw shifts of every phi_i at once in the dtype of the
     coefficients (dtype), the recurrence and mu, and phi_0..phi_K at mu
-    from basis_eval_all, as matpoly_eval reads them."""
+    from basis_eval_all."""
     alpha = basis.table(K - 1).alpha[:K]
     W = clenshaw_shifts(basis, np.eye(K + 1, dtype=dtype), mu)[:K].T * alpha
     return W, basis_eval_all(basis, K, mu)
@@ -285,8 +284,8 @@ def _inverted_pencil(P, mu, P_mu, W, phi):
     W[K, K - 1] = alpha_{K-1} carries the A_K term.  By the identity, M
     maps each pencil eigenvector, u_k = phi_k(lambda) z with
     P(lambda) z = 0, to theta u, theta = 1 / (lambda - mu).  W and phi
-    are _pencil_table's at mu, and P_mu is the matrix matpoly_eval gives
-    there, the one polyeig's regularity witness took.  M is real when
+    are _pencil_table's at mu, and P_mu is P(mu) contracted from phi,
+    the matrix polyeig's regularity witness took.  M is real when
     the coefficients, the recurrence and mu are.
     Raises LinAlgError when P(mu) is exactly singular.
     """
@@ -313,12 +312,13 @@ def polyeig(P):
     eigenvalues a caller keeps.
 
     Regularity is witnessed at the shifts themselves: at each shift mu,
-    in order, the singular values of P(mu) are taken (one matpoly_eval,
-    one N x N SVD), and mu is passed over when sigma_min <= 1e-12 *
-    sigma_max; a shift that passes forms M from that same P(mu).  The
-    first shift that passes decides a constant P, which has no finite
-    eigenvalues.  When _effective_degree trims no coefficient, polyeig
-    works on P itself rather than on a trimmed MatrixPolynomial.
+    in order, the singular values of P(mu) are taken (one contraction
+    with the plan's phi(mu), one N x N SVD), and mu is passed over when
+    sigma_min <= 1e-12 * sigma_max; a shift that passes forms M from
+    that same P(mu).  The first shift that passes decides a constant P,
+    which has no finite eigenvalues.  When _effective_degree trims no
+    coefficient, polyeig works on P itself rather than on a trimmed
+    MatrixPolynomial.
 
     Returns
     -------
@@ -345,7 +345,7 @@ def polyeig(P):
     shifts = _plan(P.basis, k_eff, N, work.coeffs.dtype)[0]
     regular = False
     for mu, W, phi in shifts:
-        P_mu = matpoly_eval(work, mu)
+        P_mu = _contract(phi, work.coeffs).reshape(N, N)
         sv = np.linalg.svd(P_mu, compute_uv=False)
         if not sv[-1] > 1e-12 * sv[0]:
             log.debug("polyeig: P(mu) numerically singular at shift %s", mu)
@@ -459,22 +459,3 @@ def matpoly_to_json(P):
             "coeff_matrices": [{"real": a.real.tolist(),
                                 "imag": a.imag.tolist()}
                                for a in P.coeffs]}
-
-
-def matpoly_from_json(obj):
-    basis = basis_from_json(obj["basis"])
-    mats = []
-    for entry in obj["coeff_matrices"]:
-        a = np.asarray(entry["real"], dtype=float)
-        if "imag" in entry and entry["imag"] is not None:
-            # 1j * inf has a NaN real part; the constructor rejects both
-            with np.errstate(invalid="ignore"):
-                a = a + 1j * np.asarray(entry["imag"], dtype=float)
-        mats.append(a)
-    coeffs = np.stack(mats)
-    P = MatrixPolynomial(basis, coeffs)
-    if P.size != int(obj.get("size", P.size)):
-        raise ValueError("size field disagrees with coefficient matrices")
-    if P.degree != int(obj.get("degree", P.degree)):
-        raise ValueError("degree field disagrees with coefficient matrices")
-    return P

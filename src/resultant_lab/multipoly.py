@@ -27,17 +27,18 @@ tensor (the mode-k product), one reshape and one matmul per axis.
 
 A square system and its Jacobian are evaluated together by
 ``eval_with_jacobian``, at one point or at a stack of points: the d
-coefficient tensors are stacked, one fused value/derivative recurrence
-runs over every component of every point, and each axis a is contracted
-with the two rows [phi(x_a); phi'(x_a)] of that table, so one pass of d
-contractions leaves every product of values and first derivatives.  A
-caller that evaluates one system at several point sets (a solve, a
-Newton polish) stacks it once (``_stack_system``) and passes the stack;
-a solve or a probe takes it from the HiddenVariableForm, whose
-constructions and sub-solve read the same stack.  The conditioning probe and a
-solve's last evaluation take the table and the Jacobian together
-(``_jacobian_and_table``), since they read the table too, and the
-Newton rounds call that kernel without eval_with_jacobian's checks.
+coefficient tensors are stacked into one (d, e_1, ..., e_d) array
+(``_stacked``), one fused value/derivative recurrence runs over every
+component of every point, and each axis a is contracted with the two
+rows [phi(x_a); phi'(x_a)] of that table, so one pass of d contractions
+leaves every product of values and first derivatives.  That kernel,
+``_jacobian_and_table``, takes the basis and the stack; a solve, a probe
+or a Newton polish evaluates one system at several point sets, so it
+stacks the system once (a solve or a probe takes the stack from the
+HiddenVariableForm, whose constructions and sub-solve read it too) and
+calls the kernel without eval_with_jacobian's checks.  ``mp_eval``
+evaluates one polynomial with one recurrence over the point's d
+components.
 """
 
 from dataclasses import dataclass
@@ -148,12 +149,13 @@ class PolynomialSystem:
 class HiddenVariableForm:
     """System rewritten with one variable split off as a parameter.
 
-    _stack is the source system's _stack_system, made once per form:
-    every stage of a solve or probe reads it, the Jacobian kernel as it
-    is and the constructions through coeffs.  coeffs is a read-only view
-    of it with the hidden axis moved last, shape (d, free extents...,
-    hidden extent): coeffs[c] is polynomial c zero-padded to the
-    stack's extents, and slice [..., i] holds the free-variable tensors
+    _stack is the source system's d coefficient tensors stacked into one
+    (d, e_1, ..., e_d) array (_stacked), made once per form: every stage
+    of a solve or probe reads it, the Jacobian kernel as it is and the
+    constructions through coeffs.  coeffs is a read-only view of it with
+    the hidden axis moved last, shape (d, free extents..., hidden
+    extent): coeffs[c] is polynomial c zero-padded to the stack's
+    extents, and slice [..., i] holds the free-variable tensors
     multiplying phi_i(hidden).  free_order records which original axes
     remain, in order.
     """
@@ -171,11 +173,11 @@ class HiddenVariableForm:
 
     @cached_property
     def _stack(self):
-        return _stack_system(self.source)
+        return _stacked([p.coeffs for p in self.source.polys])
 
     @cached_property
     def coeffs(self):
-        view = np.moveaxis(self._stack.coeffs, self.hidden_index + 1, -1)
+        view = np.moveaxis(self._stack, self.hidden_index + 1, -1)
         view.flags.writeable = False
         return view
 
@@ -215,14 +217,16 @@ class HiddenVariableForm:
 
 def mp_eval(p, x):
     """Evaluate p at a point in C^d by successive tensor contraction, in
-    the result type of p and x; the value is returned as a complex."""
+    the result type of p and x; the value is returned as a complex.  One
+    recurrence over the d components gives every axis its basis
+    values."""
     x = np.atleast_1d(np.asarray(x))
     if x.shape != (p.dim,):
         raise ValueError(f"point has shape {x.shape}, expected ({p.dim},)")
     t = p.coeffs
+    phis = basis_eval_all(p.basis, max(t.shape) - 1, x).T.copy()
     for axis in range(p.dim - 1, -1, -1):
-        phis = basis_eval_all(p.basis, t.shape[-1] - 1, x[axis])
-        t = t @ phis
+        t = t @ phis[axis, :t.shape[-1]]
     return complex(t)
 
 
@@ -306,53 +310,32 @@ def _stacked(tensors):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _StackedSystem:
-    """A square system's d coefficient tensors stacked into one
-    (_stacked), shape (d, e_1, ..., e_d).  A caller that evaluates one
-    system at several point sets stacks it once (_stack_system) and
-    passes the stack to eval_with_jacobian in place of the system."""
-
-    basis: DegreeGradedBasis
-    coeffs: np.ndarray
-
-    @property
-    def dim(self):
-        return len(self.coeffs)
-
-
-def _stack_system(sys):
-    """sys as a _StackedSystem; a stack comes back as it is."""
-    if isinstance(sys, _StackedSystem):
-        return sys
-    return _StackedSystem(sys.basis, _stacked([p.coeffs for p in sys.polys]))
-
-
 def eval_with_jacobian(sys, x):
     """Values F_i = p_i(x) and Jacobian J[i, j] = dp_i/dx_j.
 
-    sys is a PolynomialSystem or its _stack_system.  x is one point,
-    shape (d,), giving F of shape (d,) and J of shape (d, d), or a stack
-    of m points, shape (m, d), giving (m, d) values and an (m, d, d)
-    Jacobian.  One value/derivative recurrence over every component of
-    every point gives the table, and _jacobian_and_table contracts the
-    stacked tensors with it.  F and J are in the result type of x, the
+    sys is a PolynomialSystem.  x is one point, shape (d,), giving F of
+    shape (d,) and J of shape (d, d), or a stack of m points, shape
+    (m, d), giving (m, d) values and an (m, d, d) Jacobian.  One
+    value/derivative recurrence over every component of every point
+    gives the table, and _jacobian_and_table contracts the stacked
+    tensors with it.  F and J are in the result type of x, the
     coefficients and the recurrence.
     """
-    stack = _stack_system(sys)
     x = np.asarray(x)
-    d = stack.dim
+    d = sys.dim
     single = x.ndim <= 1
     pts = x.reshape(1, -1) if single else x
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"point has shape {x.shape}, expected ({d},) "
                          f"or (m, {d})")
-    F, J = _jacobian_and_table(stack, pts, 0)[1:]
+    stack = _stacked([p.coeffs for p in sys.polys])
+    F, J = _jacobian_and_table(sys.basis, stack, pts, 0)[1:]
     return (F[0], J[0]) if single else (F, J)
 
 
-def _jacobian_and_table(stack, pts, kmax):
-    """(table, F, J) at the (m, d) points pts of the _StackedSystem stack.
+def _jacobian_and_table(basis, stack, pts, kmax):
+    """(table, F, J) at the (m, d) points pts of the system whose stacked
+    tensors (_stacked) are stack, shape (d, e_1, ..., e_d), in basis.
 
     table is _value_derivative_table at pts up to degree kmax, or up to
     the stack's largest extent minus one when that is higher, shape
@@ -366,10 +349,9 @@ def _jacobian_and_table(stack, pts, kmax):
     2**(d - 1 - j).  F has shape (m, d) and J (m, d, d).
     """
     m, d = pts.shape
-    t = stack.coeffs[None]
+    t = stack[None]
     ext = t.shape[2:]
-    table = _value_derivative_table(stack.basis, max(kmax, max(ext) - 1),
-                                    pts)
+    table = _value_derivative_table(basis, max(kmax, max(ext) - 1), pts)
     vd = table.transpose(2, 3, 1, 0)  # (m, d, 2, K + 1)
     blk = 1
     for a in reversed(range(d)):

@@ -38,8 +38,7 @@ from .matpoly import (EigenSolveError, MatrixPolynomial, _check_null_vectors,
                       polyeig)
 from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
                         _demote, _jacobian_and_table, _root_conditions,
-                        _stack_system, eval_with_jacobian, hide_variable,
-                        mp_eval)
+                        _stacked, hide_variable, mp_eval)
 from .sylvester import sylvester_resultant
 
 __all__ = [
@@ -165,7 +164,7 @@ _DEDUPE_TOL = 1e-8   # relative gap below which two candidates are one root
 
 def newton_polish(sys, x0):
     """Newton iteration on the full system from x0, on its coefficient
-    tensors stacked once (multipoly._stack_system).
+    tensors stacked once (multipoly._stacked).
 
     Returns (x, iterations, converged).  The iteration converges when a
     step falls below _NEWTON_TOL * (1 + ||x||_inf), or at its rounding
@@ -177,18 +176,21 @@ def newton_polish(sys, x0):
     x is returned as a complex array.
     """
     x = _demote(np.atleast_1d(x0))[None]
-    stack = _stack_system(sys)
-    F, J = eval_with_jacobian(stack, x)
-    x, iters, converged = _newton(stack, x, F, J)
+    if x.shape != (1, sys.dim):
+        raise ValueError(f"x0 has shape {x.shape[1:]}, expected ({sys.dim},)")
+    stack = _stacked([p.coeffs for p in sys.polys])
+    F, J = _jacobian_and_table(sys.basis, stack, x, 0)[1:]
+    x, iters, converged = _newton(sys.basis, stack, x, F, J)
     return x[0].astype(complex), int(iters[0]), bool(converged[0])
 
 
 _ROUNDING_FLOOR = np.sqrt(np.finfo(float).eps)
 
 
-def _newton(sys, x, F, J):
+def _newton(basis, stack, x, F, J):
     """newton_polish from every row of x at once, with F and J already
-    evaluated at x; sys is a system or its multipoly._stack_system.
+    evaluated at x, for the system in basis whose stacked coefficient
+    tensors (multipoly._stacked) are stack.
 
     Each round takes the steps of all rows still iterating from one
     stacked solve and evaluates those rows with one _jacobian_and_table
@@ -199,7 +201,6 @@ def _newton(sys, x, F, J):
     complex system iterates in complex arithmetic.  Returns (x,
     iterations, converged), one entry per row.
     """
-    sys = _stack_system(sys)
     x = x.astype(np.result_type(x, F))
     iters = np.full(len(x), _NEWTON_ITERS)
     converged = np.zeros(len(x), dtype=bool)
@@ -207,7 +208,7 @@ def _newton(sys, x, F, J):
     active, xa, prev = np.arange(len(x)), x, np.full(len(x), np.inf)
     for it in range(_NEWTON_ITERS):
         if it:
-            F, J = _jacobian_and_table(sys, xa, 0)[1:]
+            F, J = _jacobian_and_table(basis, stack, xa, 0)[1:]
         step, solved = _stacked_solve(J, F)
         if not solved.all():
             iters[active[~solved]] = it
@@ -414,14 +415,14 @@ def solve_system(sys, method="cayley", options=None):
     t.n_outside = len(lams) - len(kept)
     roots = ()
     if len(t.x0):
-        stack, m = hv._stack, len(t.x0)
-        F, J = _jacobian_and_table(stack, t.x0, 0)[1:]
+        basis, stack, m = sys.basis, hv._stack, len(t.x0)
+        F, J = _jacobian_and_table(basis, stack, t.x0, 0)[1:]
         t.pre_polish = np.abs(F).max(axis=1)
         t.x, t.iters, t.converged = t.x0, np.zeros(m, int), np.zeros(m, bool)
         if opts.polish:
-            t.x, t.iters, t.converged = _newton(stack, t.x0, F, J)
+            t.x, t.iters, t.converged = _newton(basis, stack, t.x0, F, J)
         table, F, J = _jacobian_and_table(
-            stack, t.x, max(P.degree, max(res.col_extents) - 1))
+            basis, stack, t.x, max(P.degree, max(res.col_extents) - 1))
         t.residuals = np.abs(F)
         scales = np.array([np.abs(p.coeffs).sum() for p in sys.polys])
         t.spurious = (t.residuals > opts.tol_accept * scales).any(axis=1)
@@ -533,7 +534,7 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None):
     root = _checked_root(root, sys.dim)
     P = res.matrix_poly
     table, _, J = _jacobian_and_table(
-        hv._stack, root[None],
+        hv.basis, hv._stack, root[None],
         max(P.degree, max(res.col_extents) - 1))
     v, w = root_vectors(hv, res, root, table[:, 0, 0])
     z = root[hidden]

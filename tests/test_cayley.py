@@ -12,8 +12,7 @@ from resultant_lab.cayley import (_cofactor_det, _grid_values,
                                   cayley_resultant,
                                   cayley_resultant_to_json,
                                   cayley_root_eigvectors, default_taus)
-from resultant_lab.matpoly import (StructureError, matpoly_eval,
-                                   matpoly_from_json, polyeig)
+from resultant_lab.matpoly import StructureError, matpoly_eval, polyeig
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem, _stacked,
                                      eval_with_jacobian, hide_variable)
 from resultant_lab.rootfinder import (condition_at_root,
@@ -23,6 +22,7 @@ from resultant_lab.sylvester import (sylvester_resultant,
                                      sylvester_root_eigvectors)
 from conftest import (PLAN_CACHES, circle_line, dense_gamma_basis,
                       naive_eval, report_fields)
+from test_matpoly import json_coeffs
 
 
 def det_formula(M):
@@ -553,8 +553,9 @@ def test_resultant_json(mono):
     obj = json.loads(json.dumps(cayley_resultant_to_json(res)))
     assert obj["taus"] == [1]
     assert obj["unfolding"]["row_extents"] == [2]
-    P = matpoly_from_json(obj)
-    assert np.allclose(P.coeffs, res.matrix_poly.coeffs)
+    P = res.matrix_poly
+    assert (obj["size"], obj["degree"]) == (P.size, P.degree)
+    assert np.allclose(json_coeffs(obj), P.coeffs)
 
 
 @pytest.mark.parametrize("call,match", [

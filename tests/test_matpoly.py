@@ -11,13 +11,14 @@ import pytest
 import scipy.linalg
 
 from resultant_lab import matpoly
-from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
-                                 basis_eval_deriv_all, clenshaw_shifts,
-                                 divided_difference)
+from resultant_lab.basis import (DegreeGradedBasis, Domain,
+                                 _value_derivative_table, basis_eval_all,
+                                 basis_eval_deriv_all, basis_from_json,
+                                 clenshaw_shifts, divided_difference)
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    NotRegularError, StructureError,
-                                   eigvecs, matpoly_eval, matpoly_from_json,
-                                   matpoly_to_json, polyeig)
+                                   eigvecs, matpoly_eval, matpoly_to_json,
+                                   polyeig)
 from resultant_lab.cayley import cayley_resultant
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      hide_variable, mp_eval)
@@ -87,6 +88,30 @@ def test_eval_matches_direct_sum(builtin):
     phis = basis_eval_all(builtin, 4, lam)
     want = sum(phis[i] * P.coeffs[i] for i in range(5))
     assert np.allclose(matpoly_eval(P, lam), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["monomial", "chebyshev", "legendre",
+                                  "custom"])
+def test_single_point_evaluates_as_a_one_element_array(name):
+    # one forward recurrence serves every point set: at a single point z
+    # the basis values, and P(z) from them, are bitwise those of the
+    # one-element array [z], real or complex; the custom basis has
+    # nonzero beta and every gamma_{k,j}, in 16 table rows
+    rng = np.random.default_rng(44)
+    basis = (custom_basis(1.0 + 0.1 * rng.standard_normal(16),
+                          0.1 * rng.standard_normal(16),
+                          [0.1 * rng.standard_normal(k) for k in range(1, 16)])
+             if name == "custom" else DegreeGradedBasis(name))
+    points = [0.37, np.float64(-0.81), 1.0, 0.3 - 0.2j, -0.55 + 0.7j,
+              0.2 - 0.45j, np.complex128(0.9 + 0.1j)]
+    for kmax in (0, 1, 5, 9, 16):
+        P = random_matpoly(rng, basis, kmax, 3, complex_entries=True)
+        for z in points:
+            got = basis_eval_all(basis, kmax, z)
+            assert identical(got, basis_eval_all(basis, kmax, [z])[:, 0])
+            assert identical(got, _value_derivative_table(basis, kmax,
+                                                          z)[:, 0])
+            assert identical(matpoly_eval(P, z), matpoly_eval(P, [z])[0])
 
 
 def test_deriv_matches_fd(builtin):
@@ -201,20 +226,33 @@ def polyeig_decision(P):
 
 
 def record_shifts(monkeypatch):
-    """Two lists that fill as polyeig runs: the points where it evaluates
-    P (matpoly_eval) and the shifts where it forms the inverted pencil."""
+    """Two lists that fill as polyeig runs: the shifts where it evaluates
+    P, contracting the coefficients with the phi(mu) of its plan, and the
+    shifts where it forms the inverted pencil."""
     evaluated, inverted = [], []
-    evaluate, invert = matpoly.matpoly_eval, matpoly._inverted_pencil
+    plan, contract = matpoly._plan, matpoly._contract
+    invert = matpoly._inverted_pencil
+    # (phi, mu) by id(phi); holding phi keeps its id from being reused
+    planned = {}
 
-    def evaluating(P, lam):
-        evaluated.append(lam)
-        return evaluate(P, lam)
+    def planning(*key):
+        shifts, start = plan(*key)
+        planned.update((id(phi), (phi, mu)) for mu, _, phi in shifts)
+        return shifts, start
+
+    planning.cache_clear = plan.cache_clear
+
+    def contracting(phis, A):
+        if id(phis) in planned:
+            evaluated.append(planned[id(phis)][1])
+        return contract(phis, A)
 
     def inverting(P, mu, *table):
         inverted.append(mu)
         return invert(P, mu, *table)
 
-    monkeypatch.setattr(matpoly, "matpoly_eval", evaluating)
+    monkeypatch.setattr(matpoly, "_plan", planning)
+    monkeypatch.setattr(matpoly, "_contract", contracting)
     monkeypatch.setattr(matpoly, "_inverted_pencil", inverting)
     return evaluated, inverted
 
@@ -590,14 +628,15 @@ def loop_pencil_table(P, mu):
             if j >= K:
                 break
             B[k] += g * B[j + 1]
-    x = np.asarray(mu)
-    phi = np.empty(K + 1, dtype=np.result_type(x, tab.dtype))
+    # a one-element array: a single point runs in numpy's array loops
+    x = np.asarray([mu])
+    phi = np.empty((K + 1, 1), dtype=np.result_type(x, tab.dtype))
     phi[0] = 1.0
     for k in range(K):
         phi[k + 1] = (tab.alpha[k] * x + tab.beta[k]) * phi[k]
         for j, g in tab.rows[k]:
             phi[k + 1] += g * phi[j - 1]
-    return B[1:K + 1].T * tab.alpha[:K], phi
+    return B[1:K + 1].T * tab.alpha[:K], phi[:, 0]
 
 
 def loop_inverted_pencil(P, mu):
@@ -1139,45 +1178,27 @@ def test_null_vector_check_fails_nan_residual():
 # Serialization
 # ----------------------------------------------------------------------
 
+def json_coeffs(obj):
+    """The coefficient stack written in a matpoly_to_json object, each
+    matrix from its real and imaginary parts."""
+    return np.array([np.array(m["real"]) + 1j * np.array(m["imag"])
+                     for m in obj["coeff_matrices"]])
+
+
 def test_matpoly_json_roundtrip(builtin):
     rng = np.random.default_rng(9)
     P = random_matpoly(rng, builtin, 2, 3, complex_entries=True)
     obj = json.loads(json.dumps(matpoly_to_json(P)))
-    Q = matpoly_from_json(obj)
-    assert Q.basis == builtin
-    assert np.allclose(Q.coeffs, P.coeffs)
-    with pytest.raises(ValueError):
-        bad = dict(obj, size=7)
-        matpoly_from_json(bad)
-
-
-@pytest.mark.parametrize("part", ["real", "imag"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
-                         ids=["nan", "inf", "-inf"])
-def test_matpoly_from_json_rejects_non_finite(part, bad):
-    rng = np.random.default_rng(18)
-    P = random_matpoly(rng, DegreeGradedBasis.legendre(), 2, 3,
-                       complex_entries=True)
-    # Python's json reads NaN and Infinity
-    obj = json.loads(json.dumps(matpoly_to_json(P)))
-    obj["coeff_matrices"][1][part][2][0] = bad
-    with pytest.raises(ValueError, match=r"at index \(1, 2, 0\)$"):
-        matpoly_from_json(obj)
-
-
-def _json_with_degree(degree):
-    obj = matpoly_to_json(MatrixPolynomial(DegreeGradedBasis.monomial(),
-                                           np.ones((3, 2, 2))))
-    return dict(obj, degree=degree)
+    assert basis_from_json(obj["basis"]) == builtin
+    assert (obj["size"], obj["degree"]) == (3, 2)
+    assert np.array_equal(json_coeffs(obj), P.coeffs)
 
 
 @pytest.mark.parametrize("call,match", [
     (lambda: MatrixPolynomial(DegreeGradedBasis.monomial(),
                               np.zeros((0, 2, 2))),
      "at least the constant coefficient"),
-    (lambda: matpoly_from_json(_json_with_degree(5)),
-     "degree field disagrees"),
-], ids=["no-coefficients", "json-degree"])
+], ids=["no-coefficients"])
 def test_input_validation_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()

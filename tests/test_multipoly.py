@@ -310,7 +310,7 @@ def test_padded_stack_matches_per_polynomial_tensors(monkeypatch):
             tensors = per_polynomial_tensors(sys_, hidden)
             assert same_bits(hv.coeffs, _stacked(tensors))
             assert not hv.coeffs.flags.writeable
-            assert np.shares_memory(hv.coeffs, hv._stack.coeffs)
+            assert np.shares_memory(hv.coeffs, hv._stack)
             assert (cayley._is_total_degree_one(hv)
                     == per_polynomial_total_degree_one(tensors))
             s_sets, t_sets, phis, inverses = cayley._plan(

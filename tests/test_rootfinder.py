@@ -111,10 +111,16 @@ def test_newton_stops_at_its_rounding_floor():
         assert np.max(np.abs(x - r.x)) <= 1e-12
 
 
+def stacked_newton(sys_, x0, F, J):
+    """rootfinder._newton on sys_'s stacked coefficient tensors."""
+    stack = multipoly._stacked([p.coeffs for p in sys_.polys])
+    return rootfinder._newton(sys_.basis, stack, x0, F, J)
+
+
 def batched_newton(sys_, x0):
     x0 = np.asarray(x0, dtype=complex)
     F, J = multipoly.eval_with_jacobian(sys_, x0)
-    return rootfinder._newton(sys_, x0, F, J)
+    return stacked_newton(sys_, x0, F, J)
 
 
 def test_batched_newton_stops_only_the_singular_row(mono):
@@ -174,7 +180,7 @@ def test_batched_newton_rare_rows_are_each_the_lone_polish(mono,
                        [-1.0, 0.0], [-0.9, 0.1],  # converge in rounds
                        [-1.3, 0.05], [0.31, 0.0]])  # 1, 7, 6 and 15
     F, J = eval_with_jacobian(sys_, starts)
-    x, iters, ok = rootfinder._newton(sys_, starts, F, J)
+    x, iters, ok = stacked_newton(sys_, starts, F, J)
     assert iters.tolist() == [0, rootfinder._NEWTON_ITERS, 4, 1, 7, 6, 15]
     assert ok.tolist() == [False, False] + [True] * 5
     for k, x0 in enumerate(starts):
@@ -186,7 +192,7 @@ def test_batched_newton_rare_rows_are_each_the_lone_polish(mono,
         assert (iters[k], ok[k]) == (loop_iters, loop_ok)
     # without the floor rule the stalled row runs to the cap
     monkeypatch.setattr(rootfinder, "_ROUNDING_FLOOR", 0.0)
-    iters, ok = rootfinder._newton(sys_, starts, F, J)[1:]
+    iters, ok = stacked_newton(sys_, starts, F, J)[1:]
     assert (iters[2], ok[2]) == (rootfinder._NEWTON_ITERS, False)
     assert np.delete(iters, 2).tolist() == [0, 20, 1, 7, 6, 15]
 
@@ -204,7 +210,7 @@ def test_batched_newton_is_the_loop_bitwise():
         # real starts iterate in real arithmetic, as newton_polish's do
         starts = multipoly._demote(starts + 1e-3j * (seed % 4 == 1))
         F, J = eval_with_jacobian(sys_, starts)
-        x, iters, ok = rootfinder._newton(sys_, starts, F, J)
+        x, iters, ok = stacked_newton(sys_, starts, F, J)
         for k, x0 in enumerate(starts):
             want_x, want_iters, want_ok = loop_newton(sys_, x0)
             assert x[k].tobytes() == want_x.tobytes()
@@ -587,27 +593,21 @@ def test_hidden_index_override(mono):
 
 
 def _forbid_loose_evaluation(monkeypatch):
-    """Make every point evaluation outside eval_with_jacobian raise, and
+    """Make every point evaluation outside the Jacobian kernel raise, and
     record the points of each kernel call made through rootfinder, one
-    (points, d) array per call.  The kernel is eval_with_jacobian, or
-    _jacobian_and_table where condition_at_root takes the basis table
-    at the root along with the Jacobian."""
+    (points, d) array per call.  The kernel is _jacobian_and_table, which
+    gives the basis table at the points along with F and J."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("point evaluation outside eval_with_jacobian")
+        raise AssertionError("point evaluation outside the Jacobian kernel")
 
     for mod in (rootfinder, multipoly):
         monkeypatch.setattr(mod, "mp_eval", forbidden)
     calls = []
 
-    def counting_kernel(sys_, x):
-        calls.append(np.array(x).reshape(-1, sys_.dim))
-        return multipoly.eval_with_jacobian(sys_, x)
+    def counting_table_kernel(basis, stack, pts, kmax):
+        calls.append(np.array(pts).reshape(-1, len(stack)))
+        return multipoly._jacobian_and_table(basis, stack, pts, kmax)
 
-    def counting_table_kernel(stack, pts, kmax):
-        calls.append(np.array(pts).reshape(-1, stack.dim))
-        return multipoly._jacobian_and_table(stack, pts, kmax)
-
-    monkeypatch.setattr(rootfinder, "eval_with_jacobian", counting_kernel)
     monkeypatch.setattr(rootfinder, "_jacobian_and_table",
                         counting_table_kernel)
     return calls
@@ -886,7 +886,7 @@ def test_fate_counts_do_not_depend_on_shift_order(shift_rotation_fates):
 
 
 @pytest.mark.xfail(strict=True,
-                   reason="ROADMAP item 5: fixed 1e-6 domain margin")
+                   reason="ROADMAP item 10: fixed 1e-6 domain margin")
 def test_coupled_family_fate_counts_do_not_depend_on_shift_order(
         shift_rotation_fates):
     counts = [fates for fates, _, _ in shift_rotation_fates[-1]]
