@@ -36,6 +36,7 @@ structured vectors v, w at x.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -240,8 +241,8 @@ def _grid_values(T, s_sets, t_sets, phis):
             H.transpose(*range(r, nfree), *range(r), nfree, nfree + 1),
             vs[r:] + vt[:r])
         # extent one on the s axes m < r and the t axes m >= r
-        rows.append(np.expand_dims(X, (*range(2, 2 + r),
-                                       *range(2 + nfree + r, 2 + 2 * nfree))))
+        rows.append(X.reshape(X.shape[:2] + (1,) * r + X.shape[2:]
+                              + (1,) * (nfree - r)))
     F = _cofactor_det(rows)
     for m in range(nfree):
         # s_m - t_m on grid axes 1 + m and 1 + nfree + m; not in place,
@@ -271,7 +272,7 @@ def cayley_resultant(hv, taus=None):
     s_sets, t_sets, phis, inverses = _plan(hv.basis, T.shape[1:], taus)
     coeffs = _contract_leading(_grid_values(T, s_sets, t_sets, phis),
                                inverses)
-    size = int(np.prod([t + 1 for t in taus]))
+    size = math.prod(t + 1 for t in taus)
     return CayleyResultant(
         matrix_poly=MatrixPolynomial(
             hv.basis, coeffs.reshape(len(coeffs), size, size)),

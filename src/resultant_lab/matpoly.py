@@ -94,6 +94,23 @@ def _checked_root(root, d):
     return root
 
 
+def _norm(x):
+    """||x||_2 of the whole array, the Frobenius norm of a matrix, by
+    np.linalg.norm's own formula and in its bits: x raveled in memory
+    order, sqrt(x . x), the real and imaginary parts of a complex x
+    taken apart.  x is float64 or complex128."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return np.sqrt(x.dot(x))
+
+
+def _row_norms(x):
+    """||x[..., :]||_2 along the last axis, by np.linalg.norm(x,
+    axis=-1)'s own formula and in its bits."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
+
+
 def _check_null_vectors(P, z, P0, v, w):
     """Raise StructureError unless v and w are right and plain-transpose
     left null vectors of P0 = P(z), which the caller evaluates, to
@@ -111,11 +128,11 @@ def _check_null_vectors(P, z, P0, v, w):
     before any residual or SVD is taken.  A finite P(z) whose Frobenius
     norm overflows (entries above about 1e154) is decided by the SVD.
     """
-    fro = np.linalg.norm(P0)
+    fro = _norm(P0)
     if not math.isfinite(fro) and not np.all(np.isfinite(P0)):
         raise StructureError(f"P(z) is not finite at z = {z}")
-    res_r = np.linalg.norm(P0 @ v) / np.linalg.norm(v)
-    res_l = np.linalg.norm(P0.T @ w) / np.linalg.norm(w)
+    res_r = _norm(P0 @ v) / _norm(v)
+    res_l = _norm(P0.T @ w) / _norm(w)
 
     def passes(scale):
         return res_r <= 1e-7 * scale and res_l <= 1e-7 * scale
@@ -355,7 +372,7 @@ def polyeig(P):
         regular = True
         try:
             M = _inverted_pencil(work, mu, P_mu, W, phi)
-            scale = np.linalg.norm(M)
+            scale = _norm(M)
             # numpy returns real eigenvalues when all of them are real
             theta = np.linalg.eigvals(M).astype(complex, copy=False)
         except np.linalg.LinAlgError:
@@ -418,11 +435,11 @@ def _null_vectors(S, start):
     overflows, takes the right singular vector of its smallest singular
     value from its own SVD.
     """
-    x, solved = _stacked_solve(S, np.broadcast_to(start, S.shape[:-1]))
+    x, solved = _stacked_solve(S, start[None].repeat(len(S), axis=0))
     for k in np.nonzero(~solved | ~np.isfinite(x).all(axis=-1))[0]:
         x[k] = np.conj(np.linalg.svd(S[k])[2][-1])
     x /= np.abs(x).max(axis=-1, keepdims=True)
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / _row_norms(x)[..., None]
 
 
 def eigvecs(P, lams):
@@ -444,7 +461,7 @@ def eigvecs(P, lams):
     start = _plan(P.basis, P.degree, N, P.coeffs.dtype)[1]
     vecs = _null_vectors(np.concatenate([Ps, Ps.transpose(0, 2, 1)]), start)
     right, left = vecs[:len(Ps)], vecs[len(Ps):]
-    residuals = np.linalg.norm(np.einsum("mij,mj->mi", Ps, right), axis=-1)
+    residuals = _row_norms(np.einsum("mij,mj->mi", Ps, right))
     return right, left, residuals
 
 

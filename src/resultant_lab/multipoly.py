@@ -41,8 +41,7 @@ evaluates one polynomial with one recurrence over the point's d
 components.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,18 +149,28 @@ class HiddenVariableForm:
     """System rewritten with one variable split off as a parameter.
 
     _stack is the source system's d coefficient tensors stacked into one
-    (d, e_1, ..., e_d) array (_stacked), made once per form: every stage
-    of a solve or probe reads it, the Jacobian kernel as it is and the
-    constructions through coeffs.  coeffs is a read-only view of it with
-    the hidden axis moved last, shape (d, free extents..., hidden
-    extent): coeffs[c] is polynomial c zero-padded to the stack's
-    extents, and slice [..., i] holds the free-variable tensors
-    multiplying phi_i(hidden).  free_order records which original axes
-    remain, in order.
+    (d, e_1, ..., e_d) array (_stacked), made when the form is built:
+    every stage of a solve or probe reads it, the Jacobian kernel as it
+    is and the constructions through coeffs.  coeffs, made with it, is a
+    read-only view of it with the hidden axis moved last, shape (d, free
+    extents..., hidden extent): coeffs[c] is polynomial c zero-padded to
+    the stack's extents, and slice [..., i] holds the free-variable
+    tensors multiplying phi_i(hidden).  free_order records which
+    original axes remain, in order.
     """
 
     source: PolynomialSystem
     hidden_index: int
+    _stack: np.ndarray = field(init=False, repr=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        stack = _stacked([p.coeffs for p in self.source.polys])
+        view = stack.transpose(0, *(a + 1 for a in self.free_order),
+                               self.hidden_index + 1)
+        view.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "coeffs", view)
 
     @property
     def dim(self):
@@ -170,16 +179,6 @@ class HiddenVariableForm:
     @property
     def basis(self):
         return self.source.basis
-
-    @cached_property
-    def _stack(self):
-        return _stacked([p.coeffs for p in self.source.polys])
-
-    @cached_property
-    def coeffs(self):
-        view = np.moveaxis(self._stack, self.hidden_index + 1, -1)
-        view.flags.writeable = False
-        return view
 
     @property
     def free_order(self):
@@ -359,7 +358,7 @@ def _jacobian_and_table(basis, stack, pts, kmax):
                       t.reshape(len(t), -1, ext[a], blk))
         blk *= 2
     t = t.reshape(m, d, blk)
-    return table, t[:, :, 0], t[:, :, 2 ** np.arange(d - 1, -1, -1)]
+    return table, t[:, :, 0], t[:, :, [2 ** (d - 1 - j) for j in range(d)]]
 
 
 def _root_conditions(J):

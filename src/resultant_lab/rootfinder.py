@@ -34,8 +34,8 @@ from . import cayley, sylvester
 from .basis import DegreeGradedBasis, basis_eval_all, basis_from_json
 from .cayley import cayley_resultant
 from .matpoly import (EigenSolveError, MatrixPolynomial, _check_null_vectors,
-                      _checked_root, _contract, _stacked_solve, eigvecs,
-                      polyeig)
+                      _checked_root, _contract, _norm, _row_norms,
+                      _stacked_solve, eigvecs, polyeig)
 from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
                         _demote, _jacobian_and_table, _root_conditions,
                         _stacked, hide_variable, mp_eval)
@@ -306,7 +306,8 @@ def recover_components(resultant, right, left, basis):
         if failed.all():  # no rows, or an axis of extent one in both
             break
         vecs, ext = (right, col) if col[k] > 1 else (left, row)
-        fibers = np.moveaxis(vecs.reshape((m,) + ext), k + 1, 1)
+        fibers = vecs.reshape((m,) + ext).transpose(
+            0, k + 1, *(a for a in range(1, len(ext) + 1) if a != k + 1))
         comps[:, k], ok = _component_from_fibers(
             fibers.reshape(m, ext[k], -1), basis)
         failed |= ~ok
@@ -397,8 +398,9 @@ def solve_system(sys, method="cayley", options=None):
     options a SolveOptions.
 
     Returns a RootReport with one RootRecord per distinct candidate,
-    spurious ones flagged rather than dropped, and the candidate table
-    (_Candidates) in its private _table.  The kept eigenvalues and the
+    spurious ones flagged rather than dropped, in the order of
+    _record_order, and the candidate table (_Candidates) in its private
+    _table.  The kept eigenvalues and the
     start points are demoted by _demote's rule, so a real system on an
     interval whose kept eigenvalues are all real runs in real arithmetic
     after polyeig; the records' x and hidden_value are complex whatever
@@ -431,7 +433,7 @@ def solve_system(sys, method="cayley", options=None):
                        P.coeffs).reshape(-1, P.size, P.size)
         ray = (w[:, None] @ (dR @ v[..., None]))[:, 0, 0]
         t.kappa_root = _root_conditions(J)
-        scale = np.linalg.norm(v, axis=1) * np.linalg.norm(w, axis=1)
+        scale = _row_norms(v) * _row_norms(w)
         t.kappa_eig = _eig_conditions(scale, ray, t.kappa_root)
         max_residual = t.residuals.max(axis=1)
         rows, t.merged_into = _dedupe(t.x, max_residual, _DEDUPE_TOL)
@@ -441,9 +443,7 @@ def solve_system(sys, method="cayley", options=None):
             t.residuals, *(c.tolist() for c in (
                 max_residual, t.pre_polish, t.spurious, t.kappa_eig,
                 t.kappa_root, t.iters, t.recovery))))
-        # Python's sort on the hidden component keeps the order of NaN keys
-        xh = t.x[:, hidden].tolist()
-        rows = sorted(rows, key=lambda i: (xh[i].real, xh[i].imag))
+        rows = _record_order(t.x[rows, hidden], rows, _DEDUPE_TOL)
         roots = tuple([RootRecord(*fields[i]) for i in rows])
     fates = t.fates()
     log.info("solve_system: %d eigenvalues, %d kept roots (%d spurious)",
@@ -480,6 +480,24 @@ def _dedupe(x, max_residual, tol):
         else:
             kept.append(i)
     return kept, merged
+
+
+def _record_order(z, rows, tol):
+    """rows sorted by their hidden components z, by (Re, Im).
+
+    Two components with imaginary parts of opposite sign, each within
+    tol * (1 + |other|) of the other's conjugate, are a conjugate pair:
+    both sort by the smaller of their real parts, so the one with
+    negative imaginary part comes first whatever the last bits of Re.
+    Python's sort keeps the order of NaN keys.
+    """
+    sign = np.sign(z.imag)
+    near = np.abs(z[:, None] - z.conj()) <= tol * (1.0 + np.abs(z))
+    pair = near & near.T & (sign[:, None] * sign < 0)
+    re = np.minimum(z.real, np.where(pair, z.real, np.inf).min(
+        axis=1, initial=np.inf))
+    keys = list(zip(re.tolist(), z.imag.tolist()))
+    return [rows[k] for k in sorted(range(len(rows)), key=keys.__getitem__)]
 
 
 # ----------------------------------------------------------------------
@@ -525,13 +543,14 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None):
     (multipoly._jacobian_and_table) gives v and w, R(z) for the residual
     check, R'(z) and the Jacobian.  The root is demoted by _demote's
     rule, so a real root of a real system is probed in real arithmetic;
-    the record's fields are complex.
+    the record's fields are complex.  It is checked before anything is
+    built: a root of the wrong length or with a NaN or infinite
+    component raises ValueError at once.
     """
-    root = _demote(np.atleast_1d(root))
+    root = _checked_root(_demote(np.atleast_1d(root)), sys.dim)
     hv = hide_variable(sys, hidden_index)
     hidden = hv.hidden_index
     res, root_vectors = _build_resultant(hv, method, None)
-    root = _checked_root(root, sys.dim)
     P = res.matrix_poly
     table, _, J = _jacobian_and_table(
         hv.basis, hv._stack, root[None],
@@ -544,8 +563,7 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None):
     _check_null_vectors(P, z, R, v, w)
     ray = complex(w @ (dR @ v))
     kappa_root = _root_conditions(J[0])
-    kappa = _eig_conditions(np.linalg.norm(v) * np.linalg.norm(w), ray,
-                            kappa_root)
+    kappa = _eig_conditions(_norm(v) * _norm(w), ray, kappa_root)
     return ConditionRecord(method=method, root=root.astype(complex),
                            eig_condition=float(kappa),
                            rayleigh=ray,

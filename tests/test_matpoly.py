@@ -114,6 +114,49 @@ def test_single_point_evaluates_as_a_one_element_array(name):
             assert identical(matpoly_eval(P, z), matpoly_eval(P, [z])[0])
 
 
+def _norm_inputs():
+    """Real and complex vectors, matrices and stacks, contiguous and
+    strided, with zero, inf, NaN, huge and tiny entries."""
+    rng = np.random.default_rng(32)
+    real = rng.standard_normal((4, 5, 6))
+    cases = {"real part": (real + 1j * real[::-1]).real,
+             "imag part, transposed": (real + 1j * real[::-1])[0].imag.T}
+    for kind, a in (("real", real),
+                    ("complex", real + 1j * rng.standard_normal(real.shape))):
+        cases.update({
+            f"{kind} vector": a[0, 0],
+            f"{kind} strided vector": a[1, :, 2],
+            f"{kind} matrix": a[0],
+            f"{kind} transposed matrix": a[0].T,
+            f"{kind} stack": a,
+            f"{kind} transposed stack": a.transpose(0, 2, 1),
+            f"{kind} sliced stack": a[:, ::2, 1::2],
+            f"{kind} zero": np.zeros_like(a[0]),
+            f"{kind} huge": a[0] * 1e200,
+            f"{kind} tiny": a[0] * 1e-200})
+        for name, bad in (("inf", np.inf), ("-inf", -np.inf),
+                          ("NaN", np.nan), ("complex inf", np.inf * 1j),
+                          ("complex NaN", complex(np.inf, np.nan))):
+            if kind == "real" and isinstance(bad, complex):
+                continue
+            m = a[0].copy()
+            m[2, 3] = bad
+            cases[f"{kind} with {name}"] = m
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_norm_inputs()))
+def test_norm_helpers_are_numpy_norms_bitwise(case):
+    # the private norms run np.linalg.norm's own formulas without its
+    # wrapper: the whole-array norm and the norms along the last axis
+    x = _norm_inputs()[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = ((matpoly._norm(x), np.linalg.norm(x)),
+                 (matpoly._row_norms(x), np.linalg.norm(x, axis=-1)))
+    for got, want in pairs:
+        assert identical(np.asarray(got), np.asarray(want))
+
+
 def test_deriv_matches_fd(builtin):
     rng = np.random.default_rng(2)
     P = random_matpoly(rng, builtin, 5, 2)

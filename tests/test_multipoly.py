@@ -14,7 +14,8 @@ from resultant_lab.basis import (DegreeGradedBasis, Domain,
 from resultant_lab import cayley, rootfinder
 from resultant_lab.multipoly import (HiddenVariableForm, MultiPoly,
                                      PolynomialSystem, _contract_leading,
-                                     _root_conditions, _stacked,
+                                     _jacobian_and_table, _root_conditions,
+                                     _stacked,
                                      _vandermonde_inverse,
                                      eval_with_jacobian, hide_variable,
                                      mp_eval, mp_interpolate,
@@ -470,6 +471,41 @@ def test_batched_eval_with_jacobian_matches_points(name, d):
         f, j = eval_with_jacobian(sys_, x[k])
         assert np.max(np.abs(F[k] - f)) <= 1e-14 * np.max(np.abs(f))
         assert np.max(np.abs(J[k] - j)) <= 1e-14 * np.max(np.abs(j))
+
+
+@pytest.mark.parametrize("name", ["chebyshev", "legendre", "custom", "disc"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("arithmetic", ["real", "complex"])
+def test_kernel_rows_do_not_depend_on_the_other_rows(name, d, arithmetic):
+    # the rows of _jacobian_and_table at a point are the same bits
+    # whether the point is evaluated alone, with others, or in another
+    # order: its einsum contractions do not mix rows
+    rng = np.random.default_rng(10 + d)
+    if name == "custom":
+        basis = dense_gamma_basis()
+    elif name == "disc":
+        basis = DegreeGradedBasis.legendre(domain=Domain.disc(0.2j, 0.8))
+    else:
+        basis = DegreeGradedBasis(name)
+    # mixed degrees, so the stacked tensor is zero-padded
+    stack = _stacked([rng.standard_normal(rng.integers(2, 6 - d // 2, d))
+                      for _ in range(d)])
+    x = rng.uniform(-0.8, 0.8, (9, d))
+    if arithmetic == "complex":
+        stack = stack + 1j * rng.standard_normal(stack.shape)
+        x = x + 1j * rng.uniform(-0.8, 0.8, (9, d))
+    kmax = 6
+
+    def rows(pts):
+        table, F, J = _jacobian_and_table(basis, stack, pts, kmax)
+        return [(table[:, :, k].tobytes(), F[k].tobytes(), J[k].tobytes())
+                for k in range(len(pts))]
+
+    full = rows(x)
+    perm = rng.permutation(len(x))
+    assert rows(x[perm]) == [full[k] for k in perm]
+    assert rows(x[2:5]) == full[2:5]
+    assert [rows(x[k:k + 1])[0] for k in range(len(x))] == full
 
 
 def test_eval_with_jacobian_validates_point(mono):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -664,6 +665,95 @@ def test_condition_at_root_makes_one_kernel_call(monkeypatch):
     assert rec.root_condition == pytest.approx(2.0, rel=1e-10)
     assert rec.jacobian_det == pytest.approx(np.linalg.det(
         multipoly.eval_with_jacobian(sys_, np.zeros(3))[1]))
+
+
+# numpy functions whose Python-level argument handling costs more than
+# the arithmetic at the sizes of a solve or a probe, by owner
+_NUMPY_WRAPPERS = ((np, "moveaxis"), (np, "expand_dims"), (np, "prod"),
+                   (np, "broadcast_to"), (np.linalg, "norm"))
+
+
+def test_warm_paths_make_no_numpy_wrapper_calls(monkeypatch):
+    # a warm solve (Cayley d = 2 and 3, Sylvester) and a warm probe run
+    # the primitives behind these wrappers, not the wrappers
+    cubic, cubic_root = random_system_with_root(3, 2, 4, "chebyshev")
+    planar, root = random_system_with_root(2, 4, 4, "legendre")
+
+    def run():
+        for sys_, method in ((cubic, "cayley"), (planar, "cayley"),
+                             (planar, "sylvester")):
+            assert solve_system(sys_, method).accepted
+        condition_at_root(cubic, cubic_root, "cayley")
+        for method in ("cayley", "sylvester"):
+            condition_at_root(planar, root, method)
+
+    run()  # fill the plans
+    calls = []
+    for owner, name in _NUMPY_WRAPPERS:
+        def counted(*args, _real=getattr(owner, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    run()
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["cayley", "sylvester"])
+@pytest.mark.parametrize("root,match", [
+    ([0.1, np.nan], r"non-finite root components at index \(1,\)$"),
+    ([np.inf, 0.1], r"non-finite root components at index \(0,\)$"),
+    ([0.1, 0.2, 0.3], "root must have length 2"),
+    ([0.1], "root must have length 2"),
+], ids=["nan", "inf", "long", "short"])
+def test_condition_at_root_checks_the_root_first(monkeypatch, method, root,
+                                                 match):
+    # a bad root fails with its own message before the variable is
+    # hidden or a resultant is built
+    sys_ = circle_line(DegreeGradedBasis.monomial())
+    built = []
+
+    def spy(name, real):
+        def recorded(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        return recorded
+
+    for mod, name in ((rootfinder, "hide_variable"),
+                      (rootfinder, "_build_resultant"),
+                      (multipoly, "_stacked")):
+        monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    with pytest.raises(ValueError, match=match):
+        condition_at_root(sys_, root, method)
+    assert built == []
+    condition_at_root(sys_, [0.5, 0.5], method)
+    assert built[:2] == ["hide_variable", "_stacked"]
+
+
+def test_conjugate_pairs_list_negative_imaginary_part_first():
+    # real systems on a disc have roots in conjugate pairs, whose hidden
+    # components have real parts equal up to rounding: the member with
+    # negative imaginary part comes first, whatever the last bit of Re
+    disc = Domain.disc(0.1 + 0.05j, 1.2)
+    tol = rootfinder._DEDUPE_TOL
+    pairs = 0
+    for name in ("chebyshev", "legendre"):
+        basis = DegreeGradedBasis(name, domain=disc)
+        for seed in range(4):
+            for d, n, methods in ((2, 4, ("cayley", "sylvester")),
+                                  (3, 2, ("cayley",))):
+                sys_, _ = random_system_with_root(d, n, seed, basis)
+                for method in methods:
+                    rep = solve_system(sys_, method)
+                    z = [r.x[rep.hidden_index] for r in rep.roots]
+                    for i, j in itertools.permutations(range(len(z)), 2):
+                        if (z[i].imag < 0 < z[j].imag
+                                and abs(z[i] - z[j].conjugate())
+                                <= tol * (1 + abs(z[j]))):
+                            pairs += 1
+                            assert i < j, (name, seed, d, method, z[i], z[j])
+    assert pairs > 100
 
 
 def test_warm_solve_contracts_without_tensordot(monkeypatch):
