@@ -33,6 +33,13 @@ from interleaved point families chosen so that s_k never collides with
 t_k, which keeps the defining quotient evaluable everywhere on the
 grid; the value on the diagonal s = t = x is w^T R(z) v for the
 structured vectors v, w at x.
+
+At one hidden value z (the conditioning probe) only R(z) and R'(z) are
+needed, and _values_at forms them without the matrix polynomial: the
+rows are sampled with the hidden axis contracted by [phi(z), phi'(z)]
+in place of the hidden nodes, R' follows from Jacobi's formula for the
+derivative of the determinant, and only the s and t axes are
+interpolated, with the same plan.
 """
 
 import itertools
@@ -215,18 +222,20 @@ def _cofactor_det(rows):
     return minors[tuple(range(d))]
 
 
-def _grid_values(T, s_sets, t_sets, phis):
-    """Function values on the tensor grid: hidden axis, s axes, t axes.
+def _rows(T, phis):
+    """The d rows of the mixed matrix on the tensor grid: hidden axis, s
+    axes, t axes.
 
     T is the system's stack with the hidden axis last, (d, e_1, ...,
     e_{d-1}, e_hidden).  It is transposed once to (hidden, free variables,
     polynomial) and contracted with one basis-value matrix per grid axis
     (phis, in grid axis order, as _plan gives them): the hidden axis
-    first, then, for each Cayley row, every free variable with the s or
-    t nodes that row reads, in one _contract_leading call on a
-    transposed view.  Each row's d entries come out together, shaped to
-    broadcast over the grid with extent one on the axes the row does not
-    read, and _cofactor_det combines them.
+    first, then, for each row, every free variable with the s or t nodes
+    that row reads, in one _contract_leading call on a transposed view.
+    phis[0] may be any basis-value matrix of the hidden variable, (e_hidden,
+    h), and the grid's hidden axis then has extent h.  Row r comes out as
+    one array whose leading axis holds its d entries, shaped to broadcast
+    over the grid with extent one on the axes the row does not read.
     """
     d = len(T)
     nfree = d - 1
@@ -243,13 +252,24 @@ def _grid_values(T, s_sets, t_sets, phis):
         # extent one on the s axes m < r and the t axes m >= r
         rows.append(X.reshape(X.shape[:2] + (1,) * r + X.shape[2:]
                               + (1,) * (nfree - r)))
-    F = _cofactor_det(rows)
+    return rows
+
+
+def _quotient(F, s_sets, t_sets):
+    """F / prod_m (s_m - t_m) for F on the grid, its leading axis carried."""
+    nfree = len(s_sets)
     for m in range(nfree):
         # s_m - t_m on grid axes 1 + m and 1 + nfree + m; not in place,
         # so that complex nodes promote real samples
         F = F / (s_sets[m].reshape((-1,) + (1,) * (2 * nfree - 1 - m))
                  - t_sets[m].reshape((-1,) + (1,) * (nfree - 1 - m)))
     return F
+
+
+def _grid_values(T, s_sets, t_sets, phis):
+    """Function values on the tensor grid of _plan: the rows (_rows), their
+    determinant (_cofactor_det) and the quotient (_quotient)."""
+    return _quotient(_cofactor_det(_rows(T, phis)), s_sets, t_sets)
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +299,37 @@ def cayley_resultant(hv, taus=None):
         taus=taus)
 
 
+def _values_at(hv, taus, pair):
+    """R(z) and R'(z) of the resultant with degree bounds taus, shape (2,
+    N, N), without its matrix polynomial: pair is [phi(z), phi'(z)], the
+    hidden variable's basis values and derivatives at z, (e_hidden, 2).
+
+    The rows are sampled with the hidden axis contracted by pair (_rows),
+    so each entry holds its value and its derivative in z.  R' comes from
+    Jacobi's formula, the derivative of a determinant as the sum over r
+    of the determinants with row r differentiated: one _cofactor_det
+    call over a variant axis, variant 0 holding every row's values and
+    variant r + 1 row r's derivative in place of its values.  One
+    quotient over the variant axis, the sum of variants 1..d, and the s
+    and t inverse Vandermonde matrices of the plan then give the
+    coefficients of both in the s and t variables.
+    """
+    T = hv.coeffs
+    d = len(T)
+    s_sets, t_sets, phis, inverses = _plan(hv.basis, T.shape[1:], taus)
+    rows = _rows(T, (pair, *phis[1:]))
+    # row r of variant v: its derivative (index 1) where v = r + 1
+    dets = _cofactor_det([X[:, pick] for X, pick in zip(
+        rows, np.eye(d, d + 1, 1, dtype=np.intp))])
+    # each variant divided before the sum: on the sigma-families at the
+    # origin this keeps kappa_eig 10 to 70 times closer to its closed form
+    F = _quotient(dets, s_sets, t_sets)
+    F[1] = F[1:].sum(axis=0)
+    size = math.prod(t + 1 for t in taus)
+    return _contract_leading(F[:2].transpose(*range(1, F.ndim), 0),
+                             inverses[1:]).reshape(2, size, size)
+
+
 # ----------------------------------------------------------------------
 # Structured eigenvectors
 # ----------------------------------------------------------------------
@@ -297,19 +348,21 @@ def cayley_root_eigvectors(hv, root, resultant, check=True):
     """
     root = _checked_root(root, hv.dim)
     phis = basis_eval_all(hv.basis, max(resultant.row_extents) - 1, root)
-    v, w = _root_vectors(hv, resultant, root, phis)
+    v, w = _root_vectors(hv, resultant.taus, root, phis)
     if check:
         P, z = resultant.matrix_poly, root[hv.hidden_index]
         _check_null_vectors(P, z, matpoly_eval(P, z), v, w)
     return v, w
 
 
-def _root_vectors(hv, resultant, root, phis):
-    """(v, w) of cayley_root_eigvectors, (N,) each, or (m, N) for a
-    stack of m roots, from phis, the basis values at every component,
-    shape (K + 1, d) or (K + 1, m, d) with K + 1 at least the largest
-    row extent: phis[:e, ..., a] is free variable a's basis column."""
+def _root_vectors(hv, taus, root, phis):
+    """(v, w) of cayley_root_eigvectors for the resultant with degree
+    bounds taus, (N,) each, or (m, N) for a stack of m roots, from phis,
+    the basis values at every component, shape (K + 1, d) or
+    (K + 1, m, d) with K + 1 at least the largest row extent, max(taus)
+    + 1: phis[:e, ..., a] is free variable a's basis column."""
     free = hv.free_order
+    row_extents = tuple(t + 1 for t in taus)
 
     def outer(extents):
         vec = phis[:extents[0], ..., free[0]].T
@@ -318,7 +371,7 @@ def _root_vectors(hv, resultant, root, phis):
                    ).reshape(vec.shape[:-1] + (-1,))
         return np.ascontiguousarray(vec)
 
-    return outer(resultant.col_extents), outer(resultant.row_extents)
+    return outer(row_extents[::-1]), outer(row_extents)
 
 
 # ----------------------------------------------------------------------

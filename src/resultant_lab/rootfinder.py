@@ -32,14 +32,14 @@ import numpy as np
 
 from . import cayley, sylvester
 from .basis import DegreeGradedBasis, basis_eval_all, basis_from_json
-from .cayley import cayley_resultant
+from .cayley import cayley_resultant, default_taus
 from .matpoly import (EigenSolveError, MatrixPolynomial, _check_null_vectors,
                       _checked_root, _contract, _norm, _row_norms,
                       _stacked_solve, eigvecs, polyeig)
 from .multipoly import (MultiPoly, PolynomialSystem, _contract_leading,
                         _demote, _jacobian_and_table, _root_conditions,
                         _stacked, hide_variable, mp_eval)
-from .sylvester import sylvester_resultant
+from .sylvester import sylvester_degrees, sylvester_resultant
 
 __all__ = [
     "SolveOptions",
@@ -378,17 +378,20 @@ def _start_points(hv, res, kept, right, left, eig_residual):
 # ----------------------------------------------------------------------
 
 def _build_resultant(hv, method, taus):
-    """The resultant of hv by method, and the function that gives its
-    structured eigenvectors at a root from the basis values there
-    (cayley._root_vectors, sylvester._root_vectors).  Degree bounds
-    (taus) are a Cayley setting; Sylvester rejects them."""
+    """The resultant of hv by method, its degree bounds, and the function
+    that gives its structured eigenvectors at a root from the bounds and
+    the basis values there (cayley._root_vectors,
+    sylvester._root_vectors).  Degree bounds (taus) are a Cayley setting;
+    Sylvester rejects them."""
     if method == "cayley":
-        return cayley_resultant(hv, taus), cayley._root_vectors
+        res = cayley_resultant(hv, taus)
+        return res, res.taus, cayley._root_vectors
     if method == "sylvester":
         if taus is not None:
             raise ValueError("taus are Cayley degree bounds; the Sylvester "
                              "resultant takes none")
-        return sylvester_resultant(hv), sylvester._root_vectors
+        res = sylvester_resultant(hv)
+        return res, (res.tau1, res.tau2), sylvester._root_vectors
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -409,7 +412,7 @@ def solve_system(sys, method="cayley", options=None):
     opts = options or SolveOptions()
     hv = hide_variable(sys, opts.hidden_index)
     hidden = hv.hidden_index
-    res, root_vectors = _build_resultant(hv, method, opts.taus)
+    res, taus, root_vectors = _build_resultant(hv, method, opts.taus)
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
     kept = _demote(lams[sys.domain.contains(lams, opts.domain_margin)])
@@ -428,7 +431,7 @@ def solve_system(sys, method="cayley", options=None):
         t.residuals = np.abs(F)
         scales = np.array([np.abs(p.coeffs).sum() for p in sys.polys])
         t.spurious = (t.residuals > opts.tol_accept * scales).any(axis=1)
-        v, w = root_vectors(hv, res, t.x, table[:, 0])
+        v, w = root_vectors(hv, taus, t.x, table[:, 0])
         dR = _contract(table[:P.degree + 1, 1, :, hidden],
                        P.coeffs).reshape(-1, P.size, P.size)
         ray = (w[:, None] @ (dR @ v[..., None]))[:, 0, 0]
@@ -539,28 +542,40 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None):
     The structured (unnormalized) vectors v, w of the resultant give
     w^T R'(z) v and, by solve_system's rule (_eig_conditions), kappa_eig;
     the record also holds the Jacobian determinant, for cross-checking.
-    One value/derivative recurrence at the root's d components
-    (multipoly._jacobian_and_table) gives v and w, R(z) for the residual
-    check, R'(z) and the Jacobian.  The root is demoted by _demote's
-    rule, so a real root of a real system is probed in real arithmetic;
-    the record's fields are complex.  It is checked before anything is
-    built: a root of the wrong length or with a NaN or infinite
-    component raises ValueError at once.
+    Only R(z) and R'(z) are formed, not the matrix polynomial: the
+    construction is sampled at the hidden value z itself
+    (cayley._values_at, sylvester._values_at), so nothing is
+    interpolated along the hidden axis.  One value/derivative recurrence
+    at the root's d components (multipoly._jacobian_and_table), up to
+    the degree its readers need, gives v and w, the hidden variable's
+    [phi(z), phi'(z)] and the Jacobian.  The matrix polynomial is built
+    only if the residual check reaches its coefficient-scale floor
+    (_Unbuilt).  The root is demoted by _demote's rule, so a real root
+    of a real system is probed in real arithmetic; the record's fields
+    are complex.  It is checked before anything is built: a root of the
+    wrong length or with a NaN or infinite component raises ValueError
+    at once.
     """
     root = _checked_root(_demote(np.atleast_1d(root)), sys.dim)
     hv = hide_variable(sys, hidden_index)
     hidden = hv.hidden_index
-    res, root_vectors = _build_resultant(hv, method, None)
-    P = res.matrix_poly
-    table, _, J = _jacobian_and_table(
-        hv.basis, hv._stack, root[None],
-        max(P.degree, max(res.col_extents) - 1))
-    v, w = root_vectors(hv, res, root, table[:, 0, 0])
-    z = root[hidden]
-    coeffs = P.coeffs.reshape(P.degree + 1, -1)
-    R, dR = ((np.ascontiguousarray(table[:P.degree + 1, b, 0, hidden])
-              @ coeffs).reshape(P.size, P.size) for b in (0, 1))
-    _check_null_vectors(P, z, R, v, w)
+    if method == "cayley":  # v and w read up to the largest row extent
+        mod, taus = cayley, default_taus(hv)
+        kmax = max(taus)
+    elif method == "sylvester":  # v reads up to the matrix size
+        mod, taus = sylvester, sylvester_degrees(hv)
+        kmax = sum(taus) - 1
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    # the kernel extends the table to the stack's extents, the hidden one
+    # among them
+    table, _, J = _jacobian_and_table(hv.basis, hv._stack, root[None], kmax)
+    v, w = mod._root_vectors(hv, taus, root, table[:, 0, 0])
+    R, dR = mod._values_at(hv, taus, np.ascontiguousarray(
+        table[:hv.coeffs.shape[-1], :, 0, hidden]))
+    _check_null_vectors(
+        _Unbuilt(len(R), lambda: _build_resultant(hv, method, None)[0]),
+        root[hidden], R, v, w)
     ray = complex(w @ (dR @ v))
     kappa_root = _root_conditions(J[0])
     kappa = _eig_conditions(_norm(v) * _norm(w), ray, kappa_root)
@@ -569,6 +584,19 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None):
                            rayleigh=ray,
                            jacobian_det=complex(np.linalg.det(J[0])),
                            root_condition=float(kappa_root))
+
+
+class _Unbuilt:
+    """A resultant's matrix polynomial as _check_null_vectors reads it:
+    its size, and its coefficient scale from the resultant that build()
+    returns, built only when the check reads it."""
+
+    def __init__(self, size, build):
+        self.size, self._build = size, build
+
+    @property
+    def coeff_scale(self):
+        return self._build().matrix_poly.coeff_scale
 
 
 def condition_sweep(d, sigmas, method="cayley", seed=None):

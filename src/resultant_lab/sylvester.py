@@ -14,6 +14,10 @@ nodes times hidden-variable nodes and interpolated over both axes, with
 operators from one cached plan per shape (_plan).  Both polynomials are
 read from the system's zero-padded stack (HiddenVariableForm.coeffs):
 one contraction samples q_1 and q_2, one product gives them at a root.
+At one hidden value z (the conditioning probe) the hidden nodes are
+replaced by [phi(z), phi'(z)], which gives R(z) and R'(z) from the
+kept-axis interpolation alone (_values_at), since every entry is linear
+in the hidden basis values.
 
 At a system root the right null vector is the basis column
 (phi_0, ..., phi_{N-1}) at the kept component; the left null vector is
@@ -113,14 +117,36 @@ def sylvester_resultant(hv):
     tau1, tau2 = sylvester_degrees(hv)
     phis, grid_phis, inverses = _plan(hv.basis, tau1 + tau2,
                                       hv.coeffs.shape[1:])
-    # polynomial axis last, so it is carried through to the front
-    q1, q2 = _contract_leading(hv.coeffs.transpose(1, 2, 0), grid_phis)
-    samples = np.concatenate([phis[:, None, :tau2] * q1[:, :, None],
-                              phis[:, None, :tau1] * q2[:, :, None]], axis=2)
-    coeffs = _contract_leading(samples, inverses)  # r, k, m
+    coeffs = _contract_leading(_samples(hv, (tau1, tau2), phis, grid_phis),
+                               inverses)  # r, k, m
     coeffs = np.ascontiguousarray(coeffs.transpose(2, 0, 1))
     return SylvesterResultant(matrix_poly=MatrixPolynomial(hv.basis, coeffs),
                               tau1=tau1, tau2=tau2)
+
+
+def _samples(hv, taus, phis, grid_phis):
+    """The rows phi_j(y) q_c(y, z) at the kept nodes, shape (kept node,
+    hidden, row): phis and grid_phis[0] are the plan's, and grid_phis[1]
+    is a basis-value matrix of the hidden variable, (e_hidden, h)."""
+    tau1, tau2 = taus
+    # polynomial axis last, so it is carried through to the front
+    q1, q2 = _contract_leading(hv.coeffs.transpose(1, 2, 0), grid_phis)
+    return np.concatenate([phis[:, None, :tau2] * q1[:, :, None],
+                           phis[:, None, :tau1] * q2[:, :, None]], axis=2)
+
+
+def _values_at(hv, taus, pair):
+    """R(z) and R'(z) of the resultant with degrees taus = (tau_1, tau_2),
+    shape (2, N, N), without its matrix polynomial: pair is [phi(z),
+    phi'(z)], the hidden variable's basis values and derivatives at z,
+    (e_hidden, 2).  Every entry is linear in the hidden basis values, so
+    the rows sampled with pair in place of the hidden nodes hold both,
+    and interpolation over the kept axis alone gives their coefficients.
+    """
+    phis, grid_phis, inverses = _plan(hv.basis, sum(taus),
+                                      hv.coeffs.shape[1:])
+    return _contract_leading(_samples(hv, taus, phis, (grid_phis[0], pair)),
+                             inverses[:1])
 
 
 def sylvester_root_eigvectors(hv, root, resultant, check=True):
@@ -138,7 +164,7 @@ def sylvester_root_eigvectors(hv, root, resultant, check=True):
     """
     root = _checked_root(root, 2)
     kmax = max(resultant.size, hv.coeffs.shape[-1]) - 1
-    v, w = _root_vectors(hv, resultant, root,
+    v, w = _root_vectors(hv, (resultant.tau1, resultant.tau2), root,
                          basis_eval_all(hv.basis, kmax, root))
     if check:
         P, z = resultant.matrix_poly, root[hv.hidden_index]
@@ -146,16 +172,16 @@ def sylvester_root_eigvectors(hv, root, resultant, check=True):
     return v, w
 
 
-def _root_vectors(hv, resultant, root, phis):
-    """(v, w) of sylvester_root_eigvectors, (N,) each, or (m, N) for a
-    stack of m roots, from phis, the basis values at both components,
-    shape (K + 1, 2) or (K + 1, m, 2) with K + 1 at least the matrix
-    size and the hidden extent.  q_1 and q_2 at the hidden component z
-    are the form's polynomials frozen at z (HiddenVariableForm._freeze);
-    where z overflows the recurrence they are not finite, and so is
-    w."""
+def _root_vectors(hv, taus, root, phis):
+    """(v, w) of sylvester_root_eigvectors for the resultant with degrees
+    taus = (tau_1, tau_2), (N,) each, or (m, N) for a stack of m roots,
+    from phis, the basis values at both components, shape (K + 1, 2) or
+    (K + 1, m, 2) with K + 1 at least the matrix size and the hidden
+    extent.  q_1 and q_2 at the hidden component z are the form's
+    polynomials frozen at z (HiddenVariableForm._freeze); where z
+    overflows the recurrence they are not finite, and so is w."""
     y = root.T[hv.free_order[0]]  # a scalar, or one per row of a stack
-    tau1, tau2 = resultant.tau1, resultant.tau2
+    tau1, tau2 = taus
     n = tau1 + tau2
     v = np.ascontiguousarray(phis[:n, ..., hv.free_order[0]].T)
     q = _demote(hv._freeze(phis[..., hv.hidden_index]))

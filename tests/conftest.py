@@ -4,15 +4,49 @@ The plain functions are imported by name (from conftest import ...).
 """
 
 import itertools
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from resultant_lab import cayley, matpoly, sylvester
+from resultant_lab import cayley, matpoly, rootfinder, sylvester
 from resultant_lab.basis import (DegreeGradedBasis, NormalizationWarning,
                                  basis_eval_all)
 from resultant_lab.multipoly import MultiPoly, PolynomialSystem
+
+
+def pytest_report_header(config):
+    """The BLAS thread settings, which the bitwise tests assume pinned to
+    one thread (README, reproducibility)."""
+    return "BLAS threads: " + ", ".join(
+        f"{name}={os.environ.get(name, 'unset')}"
+        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                     "MKL_NUM_THREADS"))
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q drops the header, so a quiet log gets the line at its end
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
+
+
+@pytest.fixture
+def resultant_builds(monkeypatch):
+    """Record the name of every resultant construction
+    (cayley_resultant, sylvester_resultant) for the length of one test,
+    called through the rootfinder or through its own module."""
+    built = []
+    for mod, name in ((cayley, "cayley_resultant"),
+                      (sylvester, "sylvester_resultant")):
+        def recorded(*args, _real=getattr(mod, name), _name=name,
+                     **kwargs):
+            built.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, recorded)
+        monkeypatch.setattr(rootfinder, name, recorded)
+    return built
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from resultant_lab.cayley import cayley_resultant
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      hide_variable, mp_eval)
 from resultant_lab.rootfinder import (_component_from_fibers,
+                                      condition_at_root, family_linear,
                                       family_orthogonal_quadratic,
                                       random_system_with_root)
 from resultant_lab.sylvester import sylvester_resultant
@@ -31,7 +32,7 @@ from conftest import custom_basis, dense_gamma_basis
 
 def deriv_eval(P, lam):
     """P'(lam) = sum_i A_i phi_i'(lam) from the basis derivatives, as
-    condition_at_root forms it."""
+    solve_system forms it."""
     ders = basis_eval_deriv_all(P.basis, P.degree, lam)[1]
     return np.tensordot(ders, P.coeffs, axes=([0], [0]))
 
@@ -1125,6 +1126,31 @@ def test_null_vector_check_floors_scale_at_coeff_scale():
     # away from the eigenvalue the residual exceeds both scales
     with pytest.raises(StructureError, match="exceed 1e-7"):
         check_null_vectors(P, 0.3, e1, e1)
+
+
+def test_probe_builds_the_resultant_only_at_the_floor(monkeypatch,
+                                                    resultant_builds):
+    # Cayley on a linear system: R is 1 x 1 and constant in s and t, so
+    # at the planted root R(z) is rounding-sized, its residual is R(z)
+    # itself, and only the floor passes it; condition_at_root builds the
+    # matrix polynomial for the floor then, once
+    reads = []
+    real_scale = MatrixPolynomial.coeff_scale
+
+    def counted(self):
+        reads.append(self.size)
+        return real_scale.fget(self)
+
+    monkeypatch.setattr(MatrixPolynomial, "coeff_scale", property(counted))
+    sys_, root = family_linear(2, seed=0)
+    rec = condition_at_root(sys_, root)
+    assert resultant_builds == ["cayley_resultant"] and reads == [1]
+    assert rec.rayleigh == pytest.approx(rec.jacobian_det, rel=1e-12)
+    # the Sylvester matrix of the same system, 2 x 2, is regular at z
+    resultant_builds.clear()
+    reads.clear()
+    condition_at_root(sys_, root, "sylvester")
+    assert resultant_builds == [] and reads == []
 
 
 def test_null_vector_check_skips_floor_when_norm_passes(monkeypatch):

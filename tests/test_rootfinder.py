@@ -36,7 +36,7 @@ from resultant_lab.rootfinder import (RootRecord, RootReport,
                                       random_system_with_root,
                                       recover_components, report_to_csv,
                                       report_to_json, solve_system)
-from resultant_lab.sylvester import sylvester_resultant
+from resultant_lab.sylvester import sylvester_degrees, sylvester_resultant
 from conftest import (circle_line, custom_basis, report_fields,
                       two_loop_eval_deriv)
 from test_dtype_rule import in_domain
@@ -1538,6 +1538,71 @@ def test_condition_closed_forms():
                                               rel=1e-10)
 
 
+# (d, sigma, bound) for the monomial sigma-family with a Haar-random Q:
+# sampled at z, |kappa_eig - sigma**-d| / sigma**-d measured 6.8e-14,
+# 1.0e-12 and 9.4e-8; with R'(z) from the interpolated matrix polynomial
+# it was 2.6e-8, 7.4e-8 and 2.4e-4
+@pytest.mark.parametrize("d, sigma, bound", [(2, 1e-4, 1e-13),
+                                             (3, 1e-3, 2e-12),
+                                             (4, 1e-3, 2e-7)])
+def test_sigma_family_kappa_eig_is_its_closed_form(d, sigma, bound):
+    rec = condition_at_root(family_orthogonal_quadratic(d, sigma, seed=3),
+                            np.zeros(d))
+    want = sigma ** -d
+    assert abs(rec.eig_condition - want) <= bound * want
+
+
+def test_rotated_family_sylvester_kappa_eig_is_its_closed_form():
+    # measured 4.1e-14; 4.1e-13 from the interpolated matrix polynomial
+    sigma = 1e-4
+    rec = condition_at_root(family_rotated_quadratic(sigma), np.zeros(2),
+                            method="sylvester")
+    want = np.sqrt(1 + sigma ** 2) / sigma ** 2
+    assert abs(rec.eig_condition - want) <= 1e-13 * want
+
+
+def test_cramer_identity_gap_on_monomial_degree_8_roots():
+    # |w^T R'(z) v - det J| / |det J| on 64 planted roots, where the
+    # hidden degree is 16 and its monomial Vandermonde matrix is far from
+    # orthogonal: median 2.3e-15 and max 1.2e-12 measured, 1.1e-11 and
+    # 6.7e-9 from the interpolated matrix polynomial
+    gaps = []
+    for i in range(64):
+        sys_, root = random_system_with_root(2, 8, [1, 2, i], "monomial")
+        rec = condition_at_root(sys_, root)
+        gaps.append(abs(rec.rayleigh - rec.jacobian_det)
+                    / abs(rec.jacobian_det))
+    assert np.median(gaps) <= 5e-15 and max(gaps) <= 2e-12
+
+
+def test_warm_probe_builds_no_matrix_polynomial(resultant_builds):
+    # R(z) and R'(z) are sampled at z; the resultant is built only for
+    # the residual check's coefficient-scale floor, which none of these
+    # reaches: the benchmark's probe shapes, the sigma-families and the
+    # coupled family at its triple root and at its simple one
+    c = np.sqrt(0.5)
+    cases = []
+    for d, n in ((3, 3), (2, 8)):
+        for basis in ("chebyshev", "legendre"):
+            sys_, root = random_system_with_root(d, n, [1, d, n], basis)
+            methods = ("cayley",) if d == 3 else ("cayley", "sylvester")
+            cases += [(sys_, root, m) for m in methods]
+    for d in (2, 3):
+        cases.append((family_orthogonal_quadratic(d, 1e-3, seed=3),
+                      np.zeros(d), "cayley"))
+    cases.append((family_rotated_quadratic(1e-3), np.zeros(2), "sylvester"))
+    for u in (1e-2, 1e-4):
+        for root in (np.zeros(2), np.full(2, -2 * u * c)):
+            cases += [(family_coupled_quadratic(u), root, m)
+                      for m in ("cayley", "sylvester")]
+    for sys_, root, method in cases:
+        for hidden in (None, 0):
+            condition_at_root(sys_, root, method, hidden)  # warm the plans
+            resultant_builds.clear()
+            condition_at_root(sys_, root, method, hidden)
+            assert resultant_builds == [], (method, hidden, root)
+
+
 def test_condition_sweep_shapes():
     rows = condition_sweep(2, [0.5, 0.2])
     assert [s for s, _ in rows] == [0.5, 0.2]
@@ -1558,38 +1623,64 @@ def test_rayleigh_is_the_jacobian_det_signed_by_the_hidden_index(d, method):
                 (-1) ** (d - 1 - h) * rec.jacobian_det, rel=1e-10)
 
 
+def jacobi_values_at(hv, taus, pair):
+    """R(z) and R'(z) of the Cayley resultant with degree bounds taus from
+    the rows sampled at pair = [phi(z), phi'(z)]: R'(z) by Jacobi's
+    formula, one determinant per differentiated row, each divided by
+    the s - t product and summed in row order, and both interpolated
+    along the s and t axes."""
+    T = hv.coeffs
+    d = len(T)
+    s_sets, t_sets, phis, inverses = cayley_mod._plan(hv.basis, T.shape[1:],
+                                                      taus)
+    rows = cayley_mod._rows(T, (pair, *phis[1:]))
+
+    def quotient(pick):  # the row r entries at pick[r], value 0 or slope 1
+        det = cayley_mod._cofactor_det([X[:, p] for X, p in zip(rows, pick)])
+        return cayley_mod._quotient(det, s_sets, t_sets)
+
+    deriv = quotient(np.eye(d, dtype=int)[0])
+    for r in range(1, d):
+        deriv = deriv + quotient(np.eye(d, dtype=int)[r])
+    F = np.stack([quotient([0] * d), deriv])
+    n = int(np.prod([t + 1 for t in taus]))
+    return multipoly._contract_leading(F.transpose(*range(1, F.ndim), 0),
+                                       inverses[1:]).reshape(2, n, n)
+
+
 def three_recurrence_condition(sys_, root, method, hidden_index=None):
     """The fields of condition_at_root's record from three recurrences
     at the root: basis_eval_all at the free components for v and w (and
     at the hidden one for q_1 and q_2 in the Sylvester left vector), the
-    two-loop value/derivative recurrence at z for R(z) and R'(z), and
+    two-loop value/derivative recurrence at z for the hidden axis of
+    R(z) and R'(z), sampled at z (Jacobi's formula for Cayley), and
     again at every component for J, with the tensors stacked for it and
     the table copied into (m, d, 2, e) layout."""
     root = multipoly._demote(np.atleast_1d(root))
     hv = hide_variable(sys_, hidden_index)
     basis, d = sys_.basis, sys_.dim
     free, z = root[list(hv.free_order)], root[hv.hidden_index]
+    pair = np.stack(two_loop_eval_deriv(basis, hv.coeffs.shape[-1] - 1, z),
+                    axis=1)
     if method == "cayley":
-        res = cayley_resultant(hv)
-        phis = basis_eval_all(basis, max(res.row_extents) - 1, free)
+        taus = default_taus(hv)
+        row = [t + 1 for t in taus]
+        phis = basis_eval_all(basis, max(row) - 1, free)
         v, w = (reduce(np.multiply.outer, [phis[:e, k] for k, e in
                                            enumerate(ext)]).ravel()
-                for ext in (res.col_extents, res.row_extents))
+                for ext in (row[::-1], row))
+        dP = jacobi_values_at(hv, taus, pair)[1]
     else:
-        res = sylvester_resultant(hv)
-        n, y = res.size, free[0]
+        tau1, tau2 = sylvester_degrees(hv)
+        n, y = tau1 + tau2, free[0]
         v = basis_eval_all(basis, n - 1, y)
         u1, u2 = (hv.q_at(c, z).coeffs[:tau + 1]
-                  for c, tau in enumerate((res.tau1, res.tau2)))
+                  for c, tau in enumerate((tau1, tau2)))
         alpha = basis.table(n - 2).alpha
         w = np.empty(n, dtype=np.result_type(u1, u2, y, alpha))
-        w[:res.tau2] = (-alpha[:res.tau2]
-                        * clenshaw_shifts(basis, u2, y)[:res.tau2])
-        w[res.tau2:] = (alpha[:res.tau1]
-                        * clenshaw_shifts(basis, u1, y)[:res.tau1])
-    P = res.matrix_poly
-    dP = np.tensordot(two_loop_eval_deriv(basis, P.degree, z)[1], P.coeffs,
-                      axes=([0], [0]))
+        w[:tau2] = -alpha[:tau2] * clenshaw_shifts(basis, u2, y)[:tau2]
+        w[tau2:] = alpha[:tau1] * clenshaw_shifts(basis, u1, y)[:tau1]
+        dP = sylvester_mod._values_at(hv, (tau1, tau2), pair)[1]
     ray = complex(w @ (dP @ v))
     scale = np.linalg.norm(v) * np.linalg.norm(w)
     t = multipoly._stacked([p.coeffs for p in sys_.polys])[None]
