@@ -35,9 +35,8 @@ values:
 
 Both run as one fused recurrence on a (kmax + 1, 2, ...) table
 (``_value_derivative_table``), the package's only forward recurrence:
-``basis_eval_all`` returns its value half and ``basis_eval_deriv_all``
-splits it into values and derivatives, while the Jacobian kernel and the
-conditioning probe read the table as it is.  A single point runs as a
+``basis_eval_all`` returns its value half, while the Jacobian kernel and
+the conditioning probe read the table as it is.  A single point runs as a
 one-element array, so its values are bitwise those of the same point in
 any array.
 
@@ -73,7 +72,6 @@ __all__ = [
     "DegreeOverflowError",
     "NormalizationWarning",
     "basis_eval_all",
-    "basis_eval_deriv_all",
     "clenshaw_eval",
     "clenshaw_shifts",
     "divided_difference",
@@ -502,23 +500,6 @@ def _value_derivative_table(basis, kmax, x):
         for j, g in tab.rows[k]:
             nxt += g * rows[j - 1]
     return out
-
-
-def basis_eval_deriv_all(basis, kmax, x):
-    """Values and first derivatives of phi_0, ..., phi_kmax at x.
-
-    Runs the forward recurrence and its derivative as one fused
-    recurrence (_value_derivative_table), vectorised over the points x.
-
-    Returns
-    -------
-    (vals, ders), each a C-contiguous ndarray with shape (kmax + 1,) +
-    shape(x) in the dtype of basis_eval_all; vals is basis_eval_all's
-    result, bit for bit.
-    """
-    table = _value_derivative_table(basis, kmax, x)
-    return (np.ascontiguousarray(table[:, 0]),
-            np.ascontiguousarray(table[:, 1]))
 
 
 # ----------------------------------------------------------------------

@@ -347,20 +347,27 @@ def cayley_root_eigvectors(hv, root, resultant, check=True):
     construction and the closed-form eigenvector disagree.
     """
     root = _checked_root(root, hv.dim)
-    phis = basis_eval_all(hv.basis, max(resultant.row_extents) - 1, root)
+    phis = basis_eval_all(hv.basis, _degree(hv, resultant.taus), root)
     v, w = _root_vectors(hv, resultant.taus, root, phis)
     if check:
         P, z = resultant.matrix_poly, root[hv.hidden_index]
-        _check_null_vectors(P, z, matpoly_eval(P, z), v, w)
+        _check_null_vectors(z, matpoly_eval(P, z), v, w,
+                            lambda: P.coeff_scale)
     return v, w
+
+
+def _degree(hv, taus):
+    """The highest basis degree _root_vectors reads for degree bounds
+    taus: the largest row extent minus one."""
+    return max(taus)
 
 
 def _root_vectors(hv, taus, root, phis):
     """(v, w) of cayley_root_eigvectors for the resultant with degree
     bounds taus, (N,) each, or (m, N) for a stack of m roots, from phis,
     the basis values at every component, shape (K + 1, d) or
-    (K + 1, m, d) with K + 1 at least the largest row extent, max(taus)
-    + 1: phis[:e, ..., a] is free variable a's basis column."""
+    (K + 1, m, d) with K at least _degree(hv, taus): phis[:e, ..., a] is
+    free variable a's basis column."""
     free = hv.free_order
     row_extents = tuple(t + 1 for t in taus)
 

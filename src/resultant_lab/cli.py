@@ -281,9 +281,11 @@ def _build_parser():
     p.add_argument("--method", choices=("cayley", "sylvester"),
                    default="cayley")
     p.add_argument("--taus", default=None)
-    p.add_argument("--tol-accept", type=float, default=1e-7,
+    p.add_argument("--tol-accept", type=float,
+                   default=SolveOptions.tol_accept,
                    help="spurious-root residual threshold (relative)")
-    p.add_argument("--margin", type=float, default=1e-6,
+    p.add_argument("--margin", type=float,
+                   default=SolveOptions.domain_margin,
                    help="domain inflation when filtering eigenvalues")
     p.add_argument("--no-polish", action="store_true",
                    help="skip Newton refinement")

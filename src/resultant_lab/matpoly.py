@@ -111,11 +111,12 @@ def _row_norms(x):
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
-def _check_null_vectors(P, z, P0, v, w):
+def _check_null_vectors(z, P0, v, w, coeff_scale):
     """Raise StructureError unless v and w are right and plain-transpose
     left null vectors of P0 = P(z), which the caller evaluates, to
-    within 1e-7 * max(||P(z)||_2, P.coeff_scale) relative to their
-    norms.  A NaN residual fails.
+    within 1e-7 * max(||P(z)||_2, coeff_scale()) relative to their
+    norms, with coeff_scale a callable that gives P.coeff_scale.  A NaN
+    residual fails.
 
     ||P(z)||_F / sqrt(N) bounds the 2-norm from below (Golub and Van
     Loan, Matrix Computations, 2.3), so residuals that pass against it
@@ -138,11 +139,11 @@ def _check_null_vectors(P, z, P0, v, w):
         return res_r <= 1e-7 * scale and res_l <= 1e-7 * scale
 
     if (math.isfinite(fro)
-            and passes(fro / np.sqrt(P.size) * (1.0 - _NORM_MARGIN))):
+            and passes(fro / np.sqrt(len(P0)) * (1.0 - _NORM_MARGIN))):
         return
     scale = np.linalg.norm(P0, 2)
     if not passes(scale):
-        scale = max(scale, P.coeff_scale)
+        scale = max(scale, coeff_scale())
         if not passes(scale):
             raise StructureError(
                 f"structured eigenvector residuals {res_r:.3e}/{res_l:.3e} "

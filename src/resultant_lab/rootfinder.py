@@ -378,20 +378,20 @@ def _start_points(hv, res, kept, right, left, eig_residual):
 # ----------------------------------------------------------------------
 
 def _build_resultant(hv, method, taus):
-    """The resultant of hv by method, its degree bounds, and the function
-    that gives its structured eigenvectors at a root from the bounds and
-    the basis values there (cayley._root_vectors,
-    sylvester._root_vectors).  Degree bounds (taus) are a Cayley setting;
+    """The resultant of hv by method, its degree bounds, and the
+    construction's module (cayley or sylvester), whose _root_vectors give
+    the structured eigenvectors at a root and _degree how far they read
+    the basis values there.  Degree bounds (taus) are a Cayley setting;
     Sylvester rejects them."""
     if method == "cayley":
         res = cayley_resultant(hv, taus)
-        return res, res.taus, cayley._root_vectors
+        return res, res.taus, cayley
     if method == "sylvester":
         if taus is not None:
             raise ValueError("taus are Cayley degree bounds; the Sylvester "
                              "resultant takes none")
         res = sylvester_resultant(hv)
-        return res, (res.tau1, res.tau2), sylvester._root_vectors
+        return res, (res.tau1, res.tau2), sylvester
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -412,7 +412,7 @@ def solve_system(sys, method="cayley", options=None):
     opts = options or SolveOptions()
     hv = hide_variable(sys, opts.hidden_index)
     hidden = hv.hidden_index
-    res, taus, root_vectors = _build_resultant(hv, method, opts.taus)
+    res, taus, mod = _build_resultant(hv, method, opts.taus)
     P = res.matrix_poly
     lams, n_inf = polyeig(P)
     kept = _demote(lams[sys.domain.contains(lams, opts.domain_margin)])
@@ -427,11 +427,11 @@ def solve_system(sys, method="cayley", options=None):
         if opts.polish:
             t.x, t.iters, t.converged = _newton(basis, stack, t.x0, F, J)
         table, F, J = _jacobian_and_table(
-            basis, stack, t.x, max(P.degree, max(res.col_extents) - 1))
+            basis, stack, t.x, max(P.degree, mod._degree(hv, taus)))
         t.residuals = np.abs(F)
         scales = np.array([np.abs(p.coeffs).sum() for p in sys.polys])
         t.spurious = (t.residuals > opts.tol_accept * scales).any(axis=1)
-        v, w = root_vectors(hv, taus, t.x, table[:, 0])
+        v, w = mod._root_vectors(hv, taus, t.x, table[:, 0])
         dR = _contract(table[:P.degree + 1, 1, :, hidden],
                        P.coeffs).reshape(-1, P.size, P.size)
         ray = (w[:, None] @ (dR @ v[..., None]))[:, 0, 0]
@@ -549,33 +549,31 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None):
     at the root's d components (multipoly._jacobian_and_table), up to
     the degree its readers need, gives v and w, the hidden variable's
     [phi(z), phi'(z)] and the Jacobian.  The matrix polynomial is built
-    only if the residual check reaches its coefficient-scale floor
-    (_Unbuilt).  The root is demoted by _demote's rule, so a real root
-    of a real system is probed in real arithmetic; the record's fields
-    are complex.  It is checked before anything is built: a root of the
-    wrong length or with a NaN or infinite component raises ValueError
-    at once.
+    only if the residual check reaches its coefficient-scale floor, which
+    it takes as a callable.  The root is demoted by _demote's rule, so a
+    real root of a real system is probed in real arithmetic; the record's
+    fields are complex.  It is checked before anything is built: a root
+    of the wrong length or with a NaN or infinite component raises
+    ValueError at once.
     """
     root = _checked_root(_demote(np.atleast_1d(root)), sys.dim)
     hv = hide_variable(sys, hidden_index)
     hidden = hv.hidden_index
-    if method == "cayley":  # v and w read up to the largest row extent
+    if method == "cayley":
         mod, taus = cayley, default_taus(hv)
-        kmax = max(taus)
-    elif method == "sylvester":  # v reads up to the matrix size
+    elif method == "sylvester":
         mod, taus = sylvester, sylvester_degrees(hv)
-        kmax = sum(taus) - 1
     else:
         raise ValueError(f"unknown method {method!r}")
     # the kernel extends the table to the stack's extents, the hidden one
     # among them
-    table, _, J = _jacobian_and_table(hv.basis, hv._stack, root[None], kmax)
+    table, _, J = _jacobian_and_table(hv.basis, hv._stack, root[None],
+                                      mod._degree(hv, taus))
     v, w = mod._root_vectors(hv, taus, root, table[:, 0, 0])
     R, dR = mod._values_at(hv, taus, np.ascontiguousarray(
         table[:hv.coeffs.shape[-1], :, 0, hidden]))
-    _check_null_vectors(
-        _Unbuilt(len(R), lambda: _build_resultant(hv, method, None)[0]),
-        root[hidden], R, v, w)
+    _check_null_vectors(root[hidden], R, v, w, lambda: _build_resultant(
+        hv, method, None)[0].matrix_poly.coeff_scale)
     ray = complex(w @ (dR @ v))
     kappa_root = _root_conditions(J[0])
     kappa = _eig_conditions(_norm(v) * _norm(w), ray, kappa_root)
@@ -584,19 +582,6 @@ def condition_at_root(sys, root, method="cayley", hidden_index=None):
                            rayleigh=ray,
                            jacobian_det=complex(np.linalg.det(J[0])),
                            root_condition=float(kappa_root))
-
-
-class _Unbuilt:
-    """A resultant's matrix polynomial as _check_null_vectors reads it:
-    its size, and its coefficient scale from the resultant that build()
-    returns, built only when the check reads it."""
-
-    def __init__(self, size, build):
-        self.size, self._build = size, build
-
-    @property
-    def coeff_scale(self):
-        return self._build().matrix_poly.coeff_scale
 
 
 def condition_sweep(d, sigmas, method="cayley", seed=None):
@@ -804,7 +789,13 @@ def report_to_csv(report):
     for r in report.roots:
         writer.writerow(
             [repr(float(v)) for z in r.x for v in (z.real, z.imag)]
-            + [repr(r.max_residual), repr(r.pre_polish_residual),
-               int(r.spurious), repr(r.eig_condition),
-               repr(r.root_condition), r.newton_iters, r.recovery])
+            + [_csv_cell(getattr(r, k)) for k in _RECORD_SCALARS])
     return buf.getvalue()
+
+
+def _csv_cell(value):
+    """A flag as 0 or 1, a float in shortest round-trip form, anything
+    else as the csv module writes it."""
+    if isinstance(value, bool):
+        return int(value)
+    return repr(value) if isinstance(value, float) else value

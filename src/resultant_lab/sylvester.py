@@ -163,23 +163,31 @@ def sylvester_root_eigvectors(hv, root, resultant, check=True):
     (a hidden component that overflows the basis recurrence).
     """
     root = _checked_root(root, 2)
-    kmax = max(resultant.size, hv.coeffs.shape[-1]) - 1
-    v, w = _root_vectors(hv, (resultant.tau1, resultant.tau2), root,
-                         basis_eval_all(hv.basis, kmax, root))
+    taus = (resultant.tau1, resultant.tau2)
+    v, w = _root_vectors(hv, taus, root,
+                         basis_eval_all(hv.basis, _degree(hv, taus), root))
     if check:
         P, z = resultant.matrix_poly, root[hv.hidden_index]
-        _check_null_vectors(P, z, matpoly_eval(P, z), v, w)
+        _check_null_vectors(z, matpoly_eval(P, z), v, w,
+                            lambda: P.coeff_scale)
     return v, w
+
+
+def _degree(hv, taus):
+    """The highest basis degree _root_vectors reads for degrees taus: v
+    reads the kept variable up to the matrix size, and q_1, q_2 the
+    hidden one up to its extent in the stack."""
+    return max(sum(taus), hv.coeffs.shape[-1]) - 1
 
 
 def _root_vectors(hv, taus, root, phis):
     """(v, w) of sylvester_root_eigvectors for the resultant with degrees
     taus = (tau_1, tau_2), (N,) each, or (m, N) for a stack of m roots,
     from phis, the basis values at both components, shape (K + 1, 2) or
-    (K + 1, m, 2) with K + 1 at least the matrix size and the hidden
-    extent.  q_1 and q_2 at the hidden component z are the form's
-    polynomials frozen at z (HiddenVariableForm._freeze); where z
-    overflows the recurrence they are not finite, and so is w."""
+    (K + 1, m, 2) with K at least _degree(hv, taus).  q_1 and q_2 at the
+    hidden component z are the form's polynomials frozen at z
+    (HiddenVariableForm._freeze); where z overflows the recurrence they
+    are not finite, and so is w."""
     y = root.T[hv.free_order[0]]  # a scalar, or one per row of a stack
     tau1, tau2 = taus
     n = tau1 + tau2

@@ -100,9 +100,10 @@ def dense_gamma_basis(domain=None):
 
 
 def two_loop_eval_deriv(basis, kmax, x):
-    """Reference (vals, ders) of basis_eval_deriv_all: the value and the
-    derivative recurrences as two accumulators stepped side by side, in
-    the operation order of the fused recurrence's every entry."""
+    """Reference (vals, ders) of the two halves of
+    basis._value_derivative_table: the value and the derivative
+    recurrences as two accumulators stepped side by side, in the
+    operation order of the fused recurrence's every entry."""
     tab = basis.table(kmax - 1)
     al, be = tab.alpha[:kmax].tolist(), tab.beta[:kmax].tolist()
     x = np.asarray(x)

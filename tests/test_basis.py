@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from resultant_lab.basis import (ClenshawTrace, DegreeGradedBasis,
                                  DegreeOverflowError, Domain,
                                  NormalizationWarning, _builtin_table,
-                                 basis_eval_all,
-                                 basis_eval_deriv_all, basis_from_json,
+                                 _value_derivative_table, basis_eval_all,
+                                 basis_from_json,
                                  basis_to_json, clenshaw_eval, clenshaw_shifts,
                                  derivative_eval, divided_difference)
 from conftest import (PLAN_CACHES, custom_basis, plan_args,
@@ -258,7 +258,7 @@ def test_deriv_all_matches_clenshaw_derivative(name):
              else DegreeGradedBasis(name))
     xs = np.array([-0.7, 0.15, 0.3 + 0.4j, -0.5 - 0.25j])
     for kmax in range(13):
-        vals, ders = basis_eval_deriv_all(basis, kmax, xs)
+        vals, ders = _value_derivative_table(basis, kmax, xs).swapaxes(0, 1)
         assert vals.shape == ders.shape == (kmax + 1, len(xs))
         assert np.array_equal(vals, basis_eval_all(basis, kmax, xs))
         for k in range(kmax + 1):
@@ -270,14 +270,14 @@ def test_deriv_all_matches_clenshaw_derivative(name):
 
 def test_deriv_all_degree_zero_and_scalar_point():
     b = DegreeGradedBasis.legendre()
-    vals, ders = basis_eval_deriv_all(b, 0, 0.3 - 0.1j)
+    vals, ders = _value_derivative_table(b, 0, 0.3 - 0.1j).swapaxes(0, 1)
     assert vals.shape == ders.shape == (1,)
     assert vals[0] == 1.0 and ders[0] == 0.0
-    vals, ders = basis_eval_deriv_all(b, 0, np.zeros((2, 3)))
+    vals, ders = _value_derivative_table(b, 0, np.zeros((2, 3))).swapaxes(0, 1)
     assert vals.shape == ders.shape == (1, 2, 3)
     assert np.all(vals == 1.0) and np.all(ders == 0.0)
     with pytest.raises(ValueError):
-        basis_eval_deriv_all(b, -1, 0.0)
+        _value_derivative_table(b, -1, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +303,10 @@ def test_fused_recurrence_is_bitwise_the_two_loop_one(name):
               rng.uniform(-1, 1, (2, 3)) + 1j * rng.uniform(-1, 1, (2, 3))]
     for kmax in range(17):
         for x in map(np.asarray, points):
-            got = basis_eval_deriv_all(basis, kmax, x)
+            got = _value_derivative_table(basis, kmax, x).swapaxes(0, 1)
+            values = basis_eval_all(basis, kmax, x)
+            assert values.flags.c_contiguous
+            assert values.tobytes() == got[0].tobytes()
             if x.ndim == 0 and np.iscomplexobj(x):
                 # numpy's scalar complex arithmetic, which the reference
                 # runs at a 0-d point, may round differently from its
@@ -313,7 +316,6 @@ def test_fused_recurrence_is_bitwise_the_two_loop_one(name):
             else:
                 want = two_loop_eval_deriv(basis, kmax, x)
             for g, w in zip(got, want):
-                assert g.flags.c_contiguous
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
 

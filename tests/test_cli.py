@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from resultant_lab.basis import DegreeGradedBasis
-from resultant_lab.cli import main
+from resultant_lab.cli import _build_parser, main
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      system_to_json)
-from resultant_lab.rootfinder import family_orthogonal_quadratic
+from resultant_lab.rootfinder import SolveOptions, family_orthogonal_quadratic
 
 
 def circle_line_json():
@@ -68,6 +68,15 @@ def test_solve_csv_to_file(system_file, tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert len(rows) == 2
     assert {row["recovery"] for row in rows} == {"ratio"}
+
+
+def test_solve_defaults_are_solve_options_defaults():
+    args = _build_parser().parse_args(["solve", "--system", "-"])
+    opts = SolveOptions()
+    assert (args.hidden, args.taus) == (opts.hidden_index, opts.taus)
+    assert args.tol_accept == opts.tol_accept
+    assert args.margin == opts.domain_margin
+    assert (not args.no_polish) == opts.polish
 
 
 def test_solve_reads_stdin(monkeypatch, capsys):

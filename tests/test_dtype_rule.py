@@ -10,8 +10,8 @@ against the real one on the same problems.
 import numpy as np
 import pytest
 
-from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
-                                 basis_eval_deriv_all)
+from resultant_lab.basis import (DegreeGradedBasis, Domain,
+                                 _value_derivative_table, basis_eval_all)
 from resultant_lab.cayley import cayley_resultant
 from resultant_lab.matpoly import MatrixPolynomial, eigvecs, polyeig
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem, _demote,
@@ -199,7 +199,7 @@ def test_basis_values_take_the_result_type_of_points_and_recurrence():
                           [[-1.0], [-1.0 + 0.5j, 0.0]])
     x = np.array([0.3, -0.7])
     for evaluate in (basis_eval_all,
-                     lambda b, k, x: basis_eval_deriv_all(b, k, x)[1]):
+                     lambda b, k, x: _value_derivative_table(b, k, x)[:, 1]):
         assert evaluate(cheb, 3, x).dtype == np.float64
         assert evaluate(cheb, 3, 0).dtype == np.float64
         assert evaluate(cheb, 3, x + 0j).dtype == np.complex128

@@ -13,7 +13,7 @@ import scipy.linalg
 from resultant_lab import matpoly
 from resultant_lab.basis import (DegreeGradedBasis, Domain,
                                  _value_derivative_table, basis_eval_all,
-                                 basis_eval_deriv_all, basis_from_json,
+                                 basis_from_json,
                                  clenshaw_shifts, divided_difference)
 from resultant_lab.matpoly import (EigenSolveError, MatrixPolynomial,
                                    NotRegularError, StructureError,
@@ -33,7 +33,7 @@ from conftest import custom_basis, dense_gamma_basis
 def deriv_eval(P, lam):
     """P'(lam) = sum_i A_i phi_i'(lam) from the basis derivatives, as
     solve_system forms it."""
-    ders = basis_eval_deriv_all(P.basis, P.degree, lam)[1]
+    ders = _value_derivative_table(P.basis, P.degree, lam)[:, 1]
     return np.tensordot(ders, P.coeffs, axes=([0], [0]))
 
 
@@ -1108,9 +1108,10 @@ def test_eigvecs_ignore_coefficient_scale(monkeypatch):
 # ----------------------------------------------------------------------
 
 def check_null_vectors(P, z, v, w):
-    """_check_null_vectors with P(z) from matpoly_eval, as the structured
-    eigenvector functions call it."""
-    matpoly._check_null_vectors(P, z, matpoly_eval(P, z), v, w)
+    """_check_null_vectors with P(z) from matpoly_eval and the floor from
+    P.coeff_scale, as the structured eigenvector functions call it."""
+    matpoly._check_null_vectors(z, matpoly_eval(P, z), v, w,
+                                lambda: P.coeff_scale)
 
 
 def test_null_vector_check_floors_scale_at_coeff_scale():

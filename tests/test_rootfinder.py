@@ -1740,6 +1740,65 @@ def test_solve_kappa_eig_is_the_probes_at_the_root(d, n, method, hidden):
     assert checked >= 4
 
 
+@pytest.mark.xfail(strict=True, raises=matpoly.StructureError,
+                   reason="ROADMAP item 3: accepted roots with a free "
+                          "component far outside the domain")
+def test_probe_measures_every_root_a_solve_accepts():
+    # Sylvester accepts a root at x1 = -86.45 (Chebyshev) and one at
+    # x1 = 63.45 (Legendre) with a finite kappa_eig, but at both the
+    # probe's left residual exceeds its bound (3.6e-6 against 7.9e-7,
+    # 6.4e-7 against 6.0e-7)
+    for seed, basis_name in (([1, 513], "chebyshev"),
+                             ([1, 519], "legendre")):
+        sys_ = random_system_with_root(2, 5, seed, basis_name)[0]
+        for r in solve_system(sys_, "sylvester").accepted:
+            assert np.isfinite(r.eig_condition)
+            rec = condition_at_root(sys_, r.x, "sylvester")
+            assert np.isfinite(rec.eig_condition)
+
+
+def degree_extent_systems():
+    """(method, system, hidden index) for the read-extent test: both
+    constructions at both hidden indices, and a Sylvester system of
+    degree 1 in the kept variable and 4 in the hidden one, whose hidden
+    extent exceeds the matrix size."""
+    rng = np.random.default_rng(8)
+    cheb = DegreeGradedBasis.chebyshev()
+    cases = []
+    for hidden in (0, 1):
+        shape = (2, 5) if hidden == 1 else (5, 2)
+        tall = PolynomialSystem(tuple(
+            MultiPoly(cheb, 2, rng.standard_normal(shape)) for _ in range(2)))
+        cases.append(pytest.param("sylvester", tall, hidden,
+                                  id=f"sylvester-tall-h{hidden}"))
+        for d, n in ((3, 2), (2, 3)):
+            sys_ = random_system_with_root(d, n, [8, d, hidden],
+                                           "chebyshev")[0]
+            cases.append(pytest.param("cayley", sys_, hidden,
+                                      id=f"cayley-d{d}n{n}-h{hidden}"))
+        cases.append(pytest.param("sylvester", sys_, hidden,
+                                  id=f"sylvester-d2n3-h{hidden}"))
+    return cases
+
+
+@pytest.mark.parametrize("method, sys_, hidden", degree_extent_systems())
+def test_degree_is_the_exact_read_extent_of_root_vectors(method, sys_, hidden):
+    # rows above _degree of the basis table are never read, row _degree is
+    hv = hide_variable(sys_, hidden)
+    mod = {"cayley": cayley_mod, "sylvester": sylvester_mod}[method]
+    taus = default_taus(hv) if method == "cayley" else sylvester_degrees(hv)
+    k = mod._degree(hv, taus)
+    if method == "sylvester" and max(sys_.polys[0].coeffs.shape) == 5:
+        # the hidden column decides the extent
+        assert hv.coeffs.shape[-1] - 1 == k > sum(taus) - 1
+    root = np.linspace(-0.6, 0.7, sys_.dim)
+    for first_nan, finite in ((k + 1, True), (k, False)):
+        phis = basis_eval_all(hv.basis, k + 2, root)
+        phis[first_nan:] = np.nan
+        v, w = mod._root_vectors(hv, taus, root, phis)
+        assert (np.isfinite(v).all() and np.isfinite(w).all()) == finite
+
+
 @pytest.mark.parametrize("basis_name", ["monomial", "chebyshev"])
 @pytest.mark.parametrize("method", ["cayley", "sylvester"])
 def test_kappa_eig_is_infinite_exactly_where_kappa_root_is(method,

@@ -4,8 +4,8 @@ oracles."""
 import numpy as np
 import pytest
 
-from resultant_lab.basis import (DegreeGradedBasis, Domain, basis_eval_all,
-                                 basis_eval_deriv_all)
+from resultant_lab.basis import (DegreeGradedBasis, Domain,
+                                 _value_derivative_table, basis_eval_all)
 from resultant_lab.matpoly import StructureError, matpoly_eval, polyeig
 from resultant_lab.multipoly import (MultiPoly, PolynomialSystem,
                                      eval_with_jacobian, hide_variable)
@@ -239,7 +239,7 @@ def test_rayleigh_product_is_jacobian_det(mono):
     res = sylvester_resultant(hv)
     v, w = sylvester_root_eigvectors(hv, root, res)
     S = res.matrix_poly
-    ders = basis_eval_deriv_all(S.basis, S.degree, root[1])[1]
+    ders = _value_derivative_table(S.basis, S.degree, root[1])[:, 1]
     dS = np.tensordot(ders, S.coeffs, axes=([0], [0]))
     want = np.linalg.det(eval_with_jacobian(sys_, root)[1])
     assert abs(w @ dS @ v - want) <= 1e-9 * (1 + abs(want))
